@@ -38,7 +38,8 @@ func TestPBKDF2RFC6070(t *testing.T) {
 	}
 }
 
-// IEEE 802.11-2016 Annex J.4 PSK test vectors.
+// IEEE 802.11-2016 Annex J.4 PSK test vectors, on a cache miss and then on
+// the hit that follows it.
 func TestPSKIEEEVectors(t *testing.T) {
 	cases := []struct {
 		pass, ssid, want string
@@ -47,8 +48,14 @@ func TestPSKIEEEVectors(t *testing.T) {
 		{"ThisIsAPassword", "ThisIsASSID", "0dc0d6eb90555ed6419756b9a15ec3e3209b63df707dd508d14581f8982721af"},
 	}
 	for _, c := range cases {
-		if got := PSK(c.pass, c.ssid); !bytes.Equal(got, fromHex(t, c.want)) {
-			t.Errorf("PSK(%q,%q) = %x, want %s", c.pass, c.ssid, got, c.want)
+		forgetPSK(c.pass, c.ssid)
+		for _, call := range []string{"miss", "hit"} {
+			if got := PSK(c.pass, c.ssid); !bytes.Equal(got, fromHex(t, c.want)) {
+				t.Errorf("PSK(%q,%q) on a %s = %x, want %s", c.pass, c.ssid, call, got, c.want)
+			}
+			if !cachedPSK(c.pass, c.ssid) {
+				t.Errorf("PSK(%q,%q) on a %s left no cache entry", c.pass, c.ssid, call)
+			}
 		}
 	}
 }
@@ -256,8 +263,7 @@ func TestMICSignAndVerify(t *testing.T) {
 // driveHandshake runs a complete 4-way exchange and returns the PDUs.
 func driveHandshake(t *testing.T, passAP, passSTA string) (pdus [][]byte, a *Authenticator, s *Supplicant, err error) {
 	t.Helper()
-	aa := [6]byte{0xaa, 0xbb, 0xcc, 0, 0, 1}
-	spa := [6]byte{0xde, 0xad, 0xbe, 0xef, 0, 2}
+	aa, spa := [6]byte(testAA), [6]byte(testSPA)
 	var anonce, snonce [NonceLen]byte
 	for i := range anonce {
 		anonce[i], snonce[i] = byte(i), byte(i*7)
@@ -356,9 +362,12 @@ func TestSupplicantRejectsTamperedM3(t *testing.T) {
 	}
 }
 
+// BenchmarkPSKDerivation times one uncached PMK derivation; PSK itself
+// would time a cache hit after the first iteration.
 func BenchmarkPSKDerivation(b *testing.B) {
+	pass, ssid := []byte("correct horse battery staple"), []byte("lab-net")
 	for i := 0; i < b.N; i++ {
-		PSK("correct horse battery staple", "lab-net")
+		PBKDF2SHA1(pass, ssid, 4096, PSKLen)
 	}
 }
 

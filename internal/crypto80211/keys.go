@@ -16,6 +16,7 @@ import (
 	"crypto/hmac"
 	"crypto/sha1"
 	"encoding/binary"
+	"sync"
 )
 
 // PSKLen is the length of a WPA2 pairwise master key.
@@ -55,9 +56,42 @@ func PBKDF2SHA1(password, salt []byte, iter, keyLen int) []byte {
 
 // PSK derives the 256-bit pairwise master key from an ASCII passphrase and
 // SSID, per IEEE 802.11-2016 Annex J: 4096 iterations of PBKDF2-HMAC-SHA1.
+//
+// The PMK depends only on (passphrase, SSID), so PSK derives each pair once
+// per process and every later call copies the memoized key, as real
+// devices do: hostapd and wpa_supplicant derive the PMK once at config
+// load, and ESP32 firmware keeps it in flash across deep-sleep wakes.
+// Simulated energy comes from the device's current waveform, not from host
+// CPU, so the cache changes no simulated quantity. Entries are never
+// evicted; a run uses a handful of networks. The returned slice is the
+// caller's own: writing into it leaves the cache unchanged.
 func PSK(passphrase, ssid string) []byte {
-	return PBKDF2SHA1([]byte(passphrase), []byte(ssid), 4096, PSKLen)
+	k := pskKey{passphrase, ssid}
+	pskCache.mu.Lock()
+	pmk, ok := pskCache.keys[k]
+	pskCache.mu.Unlock()
+	if !ok {
+		copy(pmk[:], PBKDF2SHA1([]byte(passphrase), []byte(ssid), 4096, PSKLen))
+		pskCache.mu.Lock()
+		pskCache.keys[k] = pmk
+		pskCache.mu.Unlock()
+	}
+	return append([]byte(nil), pmk[:]...)
 }
+
+// pskKey is one PSK cache key. A struct, not a concatenation, so no two
+// distinct pairs ("ab", "c") and ("a", "bc") can share an entry.
+type pskKey struct {
+	passphrase, ssid string
+}
+
+// pskCache memoizes PSK across the whole process. A miss derives outside
+// the lock, so concurrent first derivations of different networks run in
+// parallel; two racing misses on one pair store identical bytes.
+var pskCache = struct {
+	mu   sync.Mutex
+	keys map[pskKey][PSKLen]byte // guarded by mu
+}{keys: make(map[pskKey][PSKLen]byte)}
 
 // PRF is the IEEE 802.11i pseudo-random function (§12.7.1.2): HMAC-SHA1
 // iterated over label and data with a counter, producing bits/8 bytes.

@@ -125,18 +125,30 @@ func (s *Sniffer) observeCleartext(d *dot11.Data) {
 	}
 	switch {
 	case k.Info&KeyInfoAck != 0 && k.Info&KeyInfoMIC == 0:
-		// M1 (AP → station): capture the ANonce.
+		// M1 (AP → station): capture the ANonce. M1 carries no MIC, so it
+		// only arms the next derivation; an installed PTK stays until an
+		// authenticated M2 replaces it.
 		key := pairKey{aa: d.Header.Addr2, spa: d.Header.Addr1}
-		sess := &snifferSession{anonce: k.Nonce, haveA: true}
-		s.sessions[key] = sess
+		sess, ok := s.sessions[key]
+		if !ok {
+			sess = &snifferSession{}
+			s.sessions[key] = sess
+		}
+		sess.anonce, sess.haveA = k.Nonce, true
 	case k.Info&KeyInfoMIC != 0 && k.Info&KeyInfoAck == 0 && k.Info&KeyInfoSecure == 0:
-		// M2 (station → AP): SNonce completes the derivation.
+		// M2 (station → AP): SNonce completes the derivation. Only an M2
+		// whose MIC proves its sender holds the PMK may replace the
+		// installed PTK and its replay windows.
 		key := pairKey{aa: d.Header.Addr1, spa: d.Header.Addr2}
 		sess, ok := s.sessions[key]
 		if !ok || !sess.haveA {
 			return
 		}
-		sess.ptk = DerivePTK(s.pmk, [6]byte(key.aa), [6]byte(key.spa), sess.anonce, k.Nonce)
+		ptk := DerivePTK(s.pmk, [6]byte(key.aa), [6]byte(key.spa), sess.anonce, k.Nonce)
+		if !VerifyMIC(payload, ptk.KCK) {
+			return
+		}
+		sess.ptk = ptk
 		sess.havePTK = true
 		sess.up = NewCCMPSession(sess.ptk.TK)
 		sess.down = NewCCMPSession(sess.ptk.TK)

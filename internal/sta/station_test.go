@@ -518,6 +518,10 @@ func TestSnifferWrongPassphraseDecryptsNothing(t *testing.T) {
 	if decrypted != 0 {
 		t.Fatalf("wrong passphrase decrypted %d frames", decrypted)
 	}
+	// M2's MIC fails under the wrong PMK, so the handshake never counts.
+	if sniffer.Stats.HandshakesSeen != 0 {
+		t.Fatalf("wrong passphrase counted %d handshakes", sniffer.Stats.HandshakesSeen)
+	}
 	if sniffer.Stats.Undecryptable == 0 {
 		t.Fatal("no undecryptable frames counted")
 	}
