@@ -30,9 +30,14 @@ lab:
 
 # Benchmark trajectory: raw output under results/, plus the
 # machine-readable baseline future PRs diff ns/op and µJ/pkt against.
+# GOMAXPROCS=1 and -cpu 1 pin one proc, as CI's bench gate does, because
+# the gate matches lanes by name only. -cpu 1 alone is not enough: the
+# default experiment pool is sized from GOMAXPROCS when the test binary
+# starts, and a wider pool allocates more per op (Fig4 and the ablation
+# sweeps: +5 on a 2-vCPU host).
 bench:
 	mkdir -p results
-	$(GO) test -bench=. -benchmem ./... 2>&1 | tee results/bench_output.txt
+	GOMAXPROCS=1 $(GO) test -bench=. -benchmem -cpu 1 ./... 2>&1 | tee results/bench_output.txt
 	$(GO) run ./scripts/benchjson -in results/bench_output.txt -out BENCH_baseline.json
 
 # Record the artifacts EXPERIMENTS.md references.

@@ -80,11 +80,10 @@ func (m *Medium) buildGrid() {
 	m.grid.built = true
 }
 
-// gridCandidates reports every radio other than t whose received power from
-// t clears the medium-wide sensitivity floor, in attach order. The returned
-// slice is the medium's scratch buffer, valid until the next query.
-func (m *Medium) gridCandidates(t *Transceiver, radius float64) []candidate {
-	m.scratch = m.scratch[:0]
+// gridCandidates appends to dst, which must be empty, every radio other
+// than t whose received power from t clears the medium-wide sensitivity
+// floor, in attach order.
+func (m *Medium) gridCandidates(dst []candidate, t *Transceiver, radius float64) []candidate {
 	x0 := int32(math.Floor((t.Pos.X - radius) / m.grid.size))
 	x1 := int32(math.Floor((t.Pos.X + radius) / m.grid.size))
 	y0 := int32(math.Floor((t.Pos.Y - radius) / m.grid.size))
@@ -99,12 +98,12 @@ func (m *Medium) gridCandidates(t *Transceiver, radius float64) []candidate {
 				if rssi < m.minSens {
 					continue
 				}
-				m.scratch = append(m.scratch, candidate{t: rcv, rssi: rssi})
+				dst = append(dst, candidate{t: rcv, rssi: rssi})
 			}
 		}
 	}
-	// Attach order is the scheduling contract: delivery events must enqueue
-	// in the same order the all-pairs walk would, or traces diverge.
-	slices.SortFunc(m.scratch, func(a, b candidate) int { return a.t.idx - b.t.idx })
-	return m.scratch
+	// Attach order is the delivery contract: receivers must be handed the
+	// frame in the order the all-pairs walk would, or traces diverge.
+	slices.SortFunc(dst, func(a, b candidate) int { return a.t.idx - b.t.idx })
+	return dst
 }

@@ -2,12 +2,13 @@
 // whom, at what signal strength, and which transmissions collide.
 //
 // The model is the standard discrete-event one: a transmission occupies the
-// channel for its PHY airtime; every attached transceiver on the same
-// channel whose received power clears its sensitivity gets a delivery event
-// at the transmission's end. Two transmissions overlapping in time at a
-// receiver corrupt each other unless one captures the receiver by a 10 dB
-// margin. Corruption is expressed by flipping bytes so the 802.11 FCS check
-// fails at decode time, exactly as on real hardware.
+// channel for its PHY airtime, and one delivery event at the transmission's
+// end hands the frame, in attach order, to every attached transceiver on
+// the same channel whose received power clears its sensitivity. Two
+// transmissions overlapping in time at a receiver corrupt each other unless
+// one captures the receiver by a 10 dB margin. Corruption is expressed by
+// flipping bytes so the 802.11 FCS check fails at decode time, exactly as on
+// real hardware.
 //
 // The medium scales to city-size populations (DESIGN.md §12): a transmitter
 // only visits receivers inside its interference radius — the distance at
@@ -16,8 +17,8 @@
 // per-radio high-water mark instead of a history scan. Both are exact, not
 // approximations: the culled receiver set provably contains every radio the
 // all-pairs walk could have delivered to, sensed at, or interfered with, and
-// the reference all-pairs path is kept (see allPairs) so a property test can
-// pin byte-identical behavior on randomized topologies.
+// a brute-force all-pairs model in the package's tests pins byte-identical
+// behavior on randomized topologies.
 package medium
 
 import (
@@ -105,8 +106,8 @@ type Transceiver struct {
 	// assigned when the ledger is wired (ObserveProvenance / Attach).
 	prov obs.ActorID
 
-	// idx is the attach order; delivery events are always scheduled in idx
-	// order so the event stream is independent of the spatial index.
+	// idx is the attach order; a frame's receivers are always delivered in
+	// idx order so the event stream is independent of the spatial index.
 	idx int
 	// cell is the radio's current grid bucket, valid once the grid is built.
 	cell cellKey
@@ -192,8 +193,11 @@ type Medium struct {
 	maxTx    phy.DBm
 	hasNodes bool
 	grid     grid
-	// scratch is the reusable candidate buffer for grid queries.
-	scratch []candidate
+	// free lists the idle delivery records. first is the medium's own
+	// record, on the list from New, so a world whose frames never overlap
+	// allocates no record at all.
+	free  *delivery
+	first delivery
 
 	// maxAir is the longest airtime among frames currently in history; the
 	// prune window is derived from it, so a 300 ms frame at 1 Mb/s keeps
@@ -206,11 +210,6 @@ type Medium struct {
 	// pruning re-runs only after meaningful growth, keeping it amortized
 	// O(1) per transmission.
 	prunedLen int
-
-	// allPairs switches the medium to the reference all-pairs walk the
-	// culled path must match byte for byte: every radio gets a delivery
-	// event and carrier sense scans the history. Tests only.
-	allPairs bool
 }
 
 // candidate is one grid-query hit: a receiver inside the transmitter's
@@ -252,13 +251,17 @@ func MetricsFor(reg *obs.Registry) *Metrics {
 // New builds a medium on the given channel with an indoor path-loss model
 // (exponent 3.0, typical for the home/office environments in the paper).
 func New(sched *sim.Scheduler, ch phy.Channel) *Medium {
-	return &Medium{
+	m := &Medium{
 		sched:   sched,
 		Channel: ch,
 		Loss:    phy.PathLoss{Exponent: 3.0, FreqMHz: ch.FreqMHz},
 		Corrupt: true,
 		minSens: phy.DBm(math.Inf(1)),
 	}
+	m.first.m = m
+	m.first.rcvs = m.first.one[:0]
+	m.free = &m.first
+	return m
 }
 
 // Attach adds a radio at pos. The radio starts powered off.
@@ -354,55 +357,16 @@ func (m *Medium) rssiAt(from, to *Transceiver) phy.DBm {
 // sensitivity — the physical carrier-sense the DCF needs. A radio hears
 // its own transmission.
 func (m *Medium) Busy(t *Transceiver) bool {
-	if m.allPairs {
-		return m.busyScan(t)
-	}
 	return t.busyUntil > m.sched.Now()
 }
 
 // BusyUntil reports the latest end time of any transmission t can hear, or
 // zero time if idle.
 func (m *Medium) BusyUntil(t *Transceiver) sim.Time {
-	if m.allPairs {
-		return m.busyUntilScan(t)
-	}
 	if until := t.busyUntil; until > m.sched.Now() {
 		return until
 	}
 	return 0
-}
-
-// busyScan is the all-pairs reference for Busy: a linear walk of the
-// transmission history.
-func (m *Medium) busyScan(t *Transceiver) bool {
-	now := m.sched.Now()
-	for _, tx := range m.history {
-		if tx.end <= now || tx.start > now {
-			continue
-		}
-		if tx.from == t {
-			return true
-		}
-		if m.rssiAt(tx.from, t) >= t.Sensitivity {
-			return true
-		}
-	}
-	return false
-}
-
-// busyUntilScan is the all-pairs reference for BusyUntil.
-func (m *Medium) busyUntilScan(t *Transceiver) sim.Time {
-	now := m.sched.Now()
-	var until sim.Time
-	for _, tx := range m.history {
-		if tx.end <= now || tx.start > now {
-			continue
-		}
-		if (tx.from == t || m.rssiAt(tx.from, t) >= t.Sensitivity) && tx.end > until {
-			until = tx.end
-		}
-	}
-	return until
 }
 
 // Transmit puts data on the air from t at the given rate. The data slice
@@ -417,8 +381,9 @@ func (m *Medium) Transmit(t *Transceiver, data []byte, rate phy.Rate) time.Durat
 	tx := transmission{from: t, data: data, rate: rate, start: now, end: now.Add(airtime)}
 	if m.Prov != nil {
 		// Every other attached radio is a potential receiver and must
-		// resolve to exactly one outcome: in-radius radios through their
-		// delivery events, culled radios through the batch event below.
+		// resolve to exactly one outcome in the frame's delivery event:
+		// in-radius radios through deliver, culled ones through
+		// resolveCulled.
 		tx.frame = m.Prov.Transmitted(t.prov, len(m.nodes)-1)
 	}
 	m.history = append(m.history, tx)
@@ -434,69 +399,109 @@ func (m *Medium) Transmit(t *Transceiver, data []byte, rate phy.Rate) time.Durat
 	}
 	t.ownTx = appendPruned(t.ownTx, interval{start: now, end: tx.end}, m.cutoff)
 
-	if m.allPairs {
-		for _, rcv := range m.nodes {
-			if rcv == t {
-				continue
-			}
-			if rssi := m.rssiAt(t, rcv); rssi >= rcv.Sensitivity {
-				m.noteHeard(rcv, t, tx, rssi)
-			}
-			rcv := rcv
-			m.sched.DoAt(tx.end, func() { m.deliverAllPairs(tx, rcv) })
-		}
-		return airtime
+	// Fill the head of the free list; it is booked only if the frame
+	// reaches some radio, and otherwise stays free for the next frame.
+	d := m.free
+	if d == nil {
+		d = &delivery{m: m}
+		d.rcvs = d.one[:0]
+		m.free = d
 	}
-
 	if m.Prov != nil {
 		// The ledger accounts for every pair, so the walk is O(nodes)
-		// regardless of culling; what culling still buys is one batch event
-		// for the out-of-budget radios instead of one event each.
-		var culled []*Transceiver
+		// regardless of culling.
 		for _, rcv := range m.nodes {
 			if rcv == t {
 				continue
 			}
 			rssi := m.rssiAt(t, rcv)
 			if rssi < m.minSens {
-				culled = append(culled, rcv)
+				d.culled = append(d.culled, rcv)
 				continue
 			}
-			m.scheduleDelivery(t, tx, rcv, rssi)
+			d.rcvs = append(d.rcvs, candidate{t: rcv, rssi: rssi})
 		}
-		if len(culled) > 0 {
-			m.sched.DoAt(tx.end, func() { m.resolveCulled(tx, culled) })
+	} else {
+		if !m.grid.built {
+			m.buildGrid()
 		}
+		d.rcvs = m.gridCandidates(d.rcvs, t, m.Loss.Range(t.TxPower, m.minSens))
+	}
+	if len(d.rcvs) == 0 && len(d.culled) == 0 {
 		return airtime
 	}
-
-	if !m.grid.built {
-		m.buildGrid()
+	// Carrier-sense and collision-scan state change now; the deliveries
+	// wait for end of airtime.
+	for _, c := range d.rcvs {
+		if c.rssi >= c.t.Sensitivity {
+			m.noteHeard(c.t, &tx, c.rssi)
+		}
 	}
-	radius := m.Loss.Range(t.TxPower, m.minSens)
-	for _, c := range m.gridCandidates(t, radius) {
-		m.scheduleDelivery(t, tx, c.t, c.rssi)
-	}
+	m.book(d, &tx)
 	return airtime
 }
 
-// scheduleDelivery books one in-radius receiver: carrier-sense and
-// collision-scan state now, the delivery event at end of airtime.
-func (m *Medium) scheduleDelivery(t *Transceiver, tx transmission, rcv *Transceiver, rssi phy.DBm) {
-	if rssi >= rcv.Sensitivity {
-		m.noteHeard(rcv, t, tx, rssi)
+// delivery is one frame's end-of-airtime work: the receivers inside its
+// interference budget, in attach order with their launch RSSI, and with a
+// ledger attached the radios outside it. A single scheduler event runs it.
+// That dispatches exactly as one event per receiver would: those events
+// would fire at the same instant with consecutive sequence numbers, and an
+// event a Handler schedules for that instant sorts after all of them.
+type delivery struct {
+	m      *Medium
+	tx     transmission
+	rcvs   []candidate
+	culled []*Transceiver
+	// fire is run, bound once per record so that booking a recycled
+	// record allocates nothing.
+	fire func()
+	// next links the medium's free records.
+	next *delivery
+	// one backs rcvs until a frame has a second receiver.
+	one [1]candidate
+}
+
+// book takes d, the head of the free list, off the list and schedules it
+// to deliver tx at end of airtime. A Handler that transmits while d runs
+// therefore fills a different record.
+func (m *Medium) book(d *delivery, tx *transmission) {
+	m.free, d.next = d.next, nil
+	d.tx = *tx
+	if d.fire == nil {
+		d.fire = d.run
 	}
-	m.sched.DoAt(tx.end, func() { m.deliver(tx, rcv, rssi) })
+	m.sched.DoAt(tx.end, d.fire)
+}
+
+// run delivers the frame to every receiver in attach order, then settles
+// the culled radios' provenance, then returns the record to the free list.
+// Each receiver's outcome is decided at its turn, so it sees what earlier
+// receivers' Handlers did: a reply they transmitted, or a radio they
+// powered off. A Scheduler.Stop from a Handler takes effect after the
+// frame's last receiver.
+func (d *delivery) run() {
+	m := d.m
+	for _, c := range d.rcvs {
+		m.deliver(&d.tx, c.t, c.rssi)
+	}
+	m.resolveCulled(&d.tx, d.culled)
+	// The receivers are the medium's own radios, so keeping them in the
+	// idle record pins nothing; the frame's bytes are dropped.
+	d.tx = transmission{}
+	d.rcvs = d.rcvs[:0]
+	d.culled = d.culled[:0]
+	d.next = m.free
+	m.free = d
 }
 
 // noteHeard records a hearable transmission at rcv: it extends the
 // carrier-sense high-water mark and joins the receiver's collision-scan
 // window.
-func (m *Medium) noteHeard(rcv *Transceiver, from *Transceiver, tx transmission, rssi phy.DBm) {
+func (m *Medium) noteHeard(rcv *Transceiver, tx *transmission, rssi phy.DBm) {
 	if tx.end > rcv.busyUntil {
 		rcv.busyUntil = tx.end
 	}
-	rcv.heard = append(rcv.heard, heardTx{from: from, start: tx.start, end: tx.end, rssi: rssi})
+	rcv.heard = append(rcv.heard, heardTx{from: tx.from, start: tx.start, end: tx.end, rssi: rssi})
 }
 
 // appendPruned appends iv, dropping entries that ended at or before the
@@ -512,10 +517,11 @@ func appendPruned(ivs []interval, iv interval, cutoff sim.Time) []interval {
 }
 
 // resolveCulled settles the provenance outcomes of every receiver outside
-// the frame's interference budget, at end of airtime like any delivery.
-// The all-pairs precedence is preserved: a powered-off (or handler-less)
-// radio resolves radio_off even though the signal also missed it.
-func (m *Medium) resolveCulled(tx transmission, culled []*Transceiver) {
+// the frame's interference budget, in the frame's delivery event after its
+// in-budget receivers. The all-pairs precedence is preserved: a powered-off
+// (or handler-less) radio resolves radio_off even though the signal also
+// missed it.
+func (m *Medium) resolveCulled(tx *transmission, culled []*Transceiver) {
 	if m.Prov == nil {
 		return
 	}
@@ -532,7 +538,7 @@ func (m *Medium) resolveCulled(tx transmission, culled []*Transceiver) {
 // the provenance outcomes it can decide alone (radio_off,
 // below_sensitivity, collided); receptions it hands to a Handler resolve
 // at the decode layers. rssi was computed when the frame was launched.
-func (m *Medium) deliver(tx transmission, rcv *Transceiver, rssi phy.DBm) {
+func (m *Medium) deliver(tx *transmission, rcv *Transceiver, rssi phy.DBm) {
 	collided := m.scanHeard(tx, rcv, rssi)
 	if !rcv.on || rcv.Handler == nil {
 		if m.Prov != nil {
@@ -552,7 +558,7 @@ func (m *Medium) deliver(tx transmission, rcv *Transceiver, rssi phy.DBm) {
 // scanHeard runs the collision scan over rcv's heard window (compacting it
 // against the prune floor in the same pass) and the receiver's own
 // transmissions.
-func (m *Medium) scanHeard(tx transmission, rcv *Transceiver, rssi phy.DBm) bool {
+func (m *Medium) scanHeard(tx *transmission, rcv *Transceiver, rssi phy.DBm) bool {
 	collided := false
 	kept := rcv.heard[:0]
 	for _, h := range rcv.heard {
@@ -597,53 +603,11 @@ func clearHeard(tail []heardTx) {
 	}
 }
 
-// deliverAllPairs is the reference delivery path: RSSI evaluated at
-// delivery time and collisions found by scanning the shared history. The
-// culled path must match it byte for byte on static topologies.
-func (m *Medium) deliverAllPairs(tx transmission, rcv *Transceiver) {
-	if !rcv.on || rcv.Handler == nil {
-		if m.Prov != nil {
-			m.Prov.Resolve(tx.frame, rcv.prov, tx.end, obs.DropRadioOff)
-		}
-		return
-	}
-	rssi := m.rssiAt(tx.from, rcv)
-	if rssi < rcv.Sensitivity {
-		if m.Prov != nil {
-			m.Prov.Resolve(tx.frame, rcv.prov, tx.end, obs.DropBelowSensitivity)
-		}
-		return
-	}
-	collided := false
-	for _, other := range m.history {
-		if other.from == tx.from && other.start == tx.start && other.end == tx.end {
-			continue
-		}
-		if other.start >= tx.end || other.end <= tx.start {
-			continue
-		}
-		if other.from == rcv {
-			collided = true
-			break
-		}
-		otherRSSI := m.rssiAt(other.from, rcv)
-		if otherRSSI < rcv.Sensitivity {
-			continue
-		}
-		if float64(rssi-otherRSSI) >= CaptureMarginDB {
-			continue
-		}
-		collided = true
-		break
-	}
-	m.finishDelivery(tx, rcv, rssi, collided)
-}
-
 // finishDelivery applies the collision outcome to the counters, the ledger
 // and the payload, then hands the reception to the receiver. Collided
 // receptions count only as collisions: Stats, the registry mirror and the
 // provenance taxonomy all agree that delivered and collided are disjoint.
-func (m *Medium) finishDelivery(tx transmission, rcv *Transceiver, rssi phy.DBm, collided bool) {
+func (m *Medium) finishDelivery(tx *transmission, rcv *Transceiver, rssi phy.DBm, collided bool) {
 	data := tx.data
 	if collided {
 		m.countCollision()

@@ -1,6 +1,7 @@
 package medium
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -487,5 +488,45 @@ func TestAttachAfterGridBuilt(t *testing.T) {
 	s.Run()
 	if delivered != 1 {
 		t.Fatalf("late-attached radio got %d deliveries, want 1", delivered)
+	}
+}
+
+// TestOneDeliveryEventPerFrame pins the cost of delivering a frame once the
+// medium is warm: a single scheduler event however many radios receive it,
+// and no allocation, since the medium recycles its delivery records.
+func TestOneDeliveryEventPerFrame(t *testing.T) {
+	allocs := map[int]float64{}
+	for _, n := range []int{1, 8} {
+		s, m := newTestMedium()
+		tx := m.Attach("tx", Position{0, 0}, 0, phy.SensitivityWiFiMCS7)
+		tx.SetOn(true)
+		got := 0
+		for i := 0; i < n; i++ {
+			rx := m.Attach(fmt.Sprintf("rx%d", i), Position{1 + float64(i)/4, 0}, 0, phy.SensitivityWiFiMCS7)
+			rx.SetOn(true)
+			rx.Handler = func(Reception) { got++ }
+		}
+		data := make([]byte, 100)
+		send := func() {
+			m.Transmit(tx, data, phy.RateOFDM6)
+			s.Run()
+		}
+		for i := 0; i < 10; i++ {
+			send()
+		}
+		fired, delivered := s.Fired(), got
+		send()
+		if ev := s.Fired() - fired; ev != 1 {
+			t.Errorf("%d receivers: a frame fired %d events, want 1", n, ev)
+		}
+		if got-delivered != n {
+			t.Fatalf("%d receivers: a frame reached %d", n, got-delivered)
+		}
+		if !raceEnabled {
+			allocs[n] = testing.AllocsPerRun(100, send)
+		}
+	}
+	if allocs[8] != allocs[1] || allocs[1] != 0 {
+		t.Errorf("allocs per frame: %v for 8 receivers, %v for 1; want 0 for both", allocs[8], allocs[1])
 	}
 }
