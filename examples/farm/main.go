@@ -31,9 +31,9 @@ func main() {
 	med := wile.NewMedium(sched, wile.Channel(1))
 
 	// One registry carries the fleet-wide aggregates; every sensor, the
-	// phone and the medium itself mirror their counters into it, so the
-	// delivery arithmetic at the end comes from a single snapshot instead
-	// of per-component bookkeeping.
+	// phone and the medium itself are wired into it, and it sums their
+	// counters when read, so the delivery arithmetic at the end comes from
+	// the registry instead of per-component bookkeeping.
 	reg := wile.NewRegistry()
 	med.Observe(reg)
 
@@ -91,12 +91,9 @@ func main() {
 	step()
 
 	sched.RunFor(hours * time.Hour)
-	var macTotals wile.MACFleetStats
 	for _, s := range fleet {
 		s.Stop()
-		macTotals.Add(s.Port.Stats)
 	}
-	macTotals.Add(phone.Port.Stats)
 
 	devices := phone.Devices()
 	sort.Slice(devices, func(i, j int) bool { return devices[i].DeviceID < devices[j].DeviceID })
@@ -107,18 +104,18 @@ func main() {
 			d.DeviceID, d.Last.Readings[0].Percent(), d.Messages, d.Lost, d.LastRSSI, d.LastSeen)
 	}
 
-	// Fleet totals come out of the registry snapshot: the sensors' own
-	// tx_messages counter replaces the schedule-derived estimate, and the
-	// phone's rx side supplies delivery and duplicate rates.
-	transmitted := reg.Counter("wile.tx_messages").Value()
-	collected := reg.Counter("wile.rx_messages").Value()
-	duplicates := reg.Counter("wile.rx_duplicates").Value()
+	// Fleet totals come out of the registry: the sensors' own tx_messages
+	// counter replaces the schedule-derived estimate, the phone's rx side
+	// supplies delivery and duplicate rates, and the mac.* counters sum
+	// every port wired to it (each sensor's and the phone's).
+	count := func(name string) int64 { return reg.Counter(name).Value() }
+	transmitted := count("wile.tx_messages")
+	collected := count("wile.rx_messages")
+	duplicates := count("wile.rx_duplicates")
 	fmt.Printf("\nair stats: %d transmissions, %d collisions (CSMA + jitter keep the channel clean)\n",
-		reg.Counter("wile.medium_transmissions").Value(),
-		reg.Counter("wile.medium_collisions").Value())
-	totals, ports := macTotals.Total()
+		count("wile.medium_transmissions"), count("wile.medium_collisions"))
 	fmt.Printf("MAC fleet (%d ports): %d frames on air, %d retries, %d drops, %d duplicates filtered\n",
-		ports, totals.TxFrames, totals.Retries, totals.Drops, totals.RxDuplicates)
+		len(fleet)+1, count("mac.tx_frames"), count("mac.retries"), count("mac.drops"), count("mac.rx_duplicates"))
 	fmt.Printf("collected %d of %d transmitted readings (%.1f%% delivery, %d duplicates); "+
 		"the gap is radio range, not contention\n",
 		collected, transmitted, 100*float64(collected)/float64(transmitted), duplicates)

@@ -29,8 +29,8 @@ func main() {
 		RxWindow: 20 * time.Millisecond,
 	})
 	// The reliability arithmetic at the end comes from a metrics registry
-	// snapshot (Observe mirrors the sensor and reliability counters into it)
-	// rather than hand-rolled counters.
+	// (Observe wires the sensor and reliability Stats into it, and the
+	// registry reads them when asked) rather than hand-rolled counters.
 	reg := wile.NewRegistry()
 	reliable := wile.NewReliableSensor(meterSensor, 12)
 	reliable.Observe(reg)

@@ -14,7 +14,7 @@ import (
 //	if p.rec != nil {
 //	    p.rec.Span(p.track, start, p.sched.Now(), "access") // ok
 //	}
-//	p.Metrics.TxFrames.Inc() // flagged unless inside "if p.Metrics != nil"
+//	p.metrics.Sweeps.Inc() // flagged unless inside "if p.metrics != nil"
 //
 // The frame-provenance ledger follows the same contract: every
 // Resolve/QueueDrop on a *obs.Provenance hook must sit behind a nil guard
@@ -105,7 +105,7 @@ func isObsMethod(info *types.Info, sel *ast.SelectorExpr) bool {
 }
 
 // exprPath renders a receiver chain of identifiers and field selections as
-// a dotted path ("p.Metrics.TxFrames"), or "" for anything more exotic.
+// a dotted path ("p.metrics.Sweeps"), or "" for anything more exotic.
 func exprPath(e ast.Expr) string {
 	switch e := e.(type) {
 	case *ast.Ident:
@@ -123,8 +123,8 @@ func exprPath(e ast.Expr) string {
 }
 
 // guardRoot suggests which prefix of the receiver path to nil-check: the
-// hook field itself for metric instruments ("p.Metrics" for
-// "p.Metrics.TxFrames"), the whole path otherwise.
+// hook field itself for metric instruments ("p.metrics" for
+// "p.metrics.Sweeps"), the whole path otherwise.
 func guardRoot(recv string) string {
 	if i := strings.LastIndexByte(recv, '.'); i > 0 && strings.Count(recv, ".") >= 2 {
 		return recv[:i]

@@ -188,10 +188,8 @@ func (a *AP) TraceTo(r *obs.Recorder) {
 	a.track = r.Track(name)
 }
 
-// Observe mirrors the AP's MAC counters into the registry.
-func (a *AP) Observe(reg *obs.Registry) {
-	a.Port.Metrics = mac.MetricsFor(reg)
-}
+// Observe collects the AP's MAC Stats into the registry.
+func (a *AP) Observe(reg *obs.Registry) { a.Port.Observe(reg) }
 
 // Start powers the radio and begins the beacon schedule.
 func (a *AP) Start() {

@@ -28,9 +28,6 @@ type ReliableSensor struct {
 	OnGiveUp func(batch []Reading)
 	// Stats accumulates counters.
 	Stats ReliableStats
-	// Metrics, when non-nil, mirrors the Stats counters into a shared
-	// metrics registry (see ReliableMetricsFor / Observe).
-	Metrics *ReliableMetrics
 
 	queue   []*pendingBatch
 	running bool
@@ -42,6 +39,14 @@ type ReliableStats struct {
 	Delivered     int
 	Retransmitted int
 	GivenUp       int
+}
+
+// Counters emits the Stats as wile.reliable_* counters (obs.Source).
+func (s *ReliableStats) Counters(emit func(name string, v int64)) {
+	emit("wile.reliable_queued", int64(s.Queued))
+	emit("wile.reliable_delivered", int64(s.Delivered))
+	emit("wile.reliable_retransmitted", int64(s.Retransmitted))
+	emit("wile.reliable_given_up", int64(s.GivenUp))
 }
 
 type pendingBatch struct {
@@ -67,19 +72,16 @@ func NewReliableSensor(s *Sensor, maxAttempts int) *ReliableSensor {
 	return r
 }
 
-// Observe mirrors the reliability counters — and the underlying sensor's —
+// Observe collects the reliability Stats — and the underlying sensor's —
 // into the registry.
 func (r *ReliableSensor) Observe(reg *obs.Registry) {
 	r.S.Observe(reg)
-	r.Metrics = ReliableMetricsFor(reg)
+	reg.Collect(&r.Stats)
 }
 
 // Queue adds a batch of readings for at-least-once delivery.
 func (r *ReliableSensor) Queue(readings []Reading) {
 	r.Stats.Queued++
-	if r.Metrics != nil {
-		r.Metrics.Queued.Inc()
-	}
 	r.queue = append(r.queue, &pendingBatch{readings: readings})
 }
 
@@ -112,9 +114,6 @@ func (r *ReliableSensor) nextBatch() []Reading {
 	batch := r.queue[0]
 	if batch.attempts > 0 {
 		r.Stats.Retransmitted++
-		if r.Metrics != nil {
-			r.Metrics.Retransmitted.Inc()
-		}
 	}
 	batch.attempts++
 	batch.seq = r.S.Seq() // the sequence number this transmission will use
@@ -132,9 +131,6 @@ func (r *ReliableSensor) handleDownlink(m *Message) {
 	}
 	r.queue = r.queue[1:]
 	r.Stats.Delivered++
-	if r.Metrics != nil {
-		r.Metrics.Delivered.Inc()
-	}
 	if r.OnDelivered != nil {
 		r.OnDelivered(batch.readings, batch.attempts)
 	}
@@ -146,9 +142,6 @@ func (r *ReliableSensor) reapExpired() {
 	for _, b := range r.queue {
 		if b.attempts >= r.MaxAttempts {
 			r.Stats.GivenUp++
-			if r.Metrics != nil {
-				r.Metrics.GivenUp.Inc()
-			}
 			if r.OnGiveUp != nil {
 				r.OnGiveUp(b.readings)
 			}

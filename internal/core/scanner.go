@@ -76,9 +76,6 @@ type Scanner struct {
 	OnMessage func(*Message, Meta)
 	// Stats accumulates receiver-side counters.
 	Stats ScannerStats
-	// Metrics, when non-nil, mirrors the Stats counters into a shared
-	// metrics registry (see ScannerMetricsFor / Observe).
-	Metrics *ScannerMetrics
 
 	devices map[uint32]*DeviceRecord
 }
@@ -91,6 +88,16 @@ type ScannerStats struct {
 	Duplicates     int
 	DecodeErrors   int
 	EncryptedDrops int // encrypted messages with no/ wrong key
+}
+
+// Counters emits the Stats as wile.* counters (obs.Source).
+func (s *ScannerStats) Counters(emit func(name string, v int64)) {
+	emit("wile.beacons_seen", int64(s.BeaconsSeen))
+	emit("wile.other_beacons", int64(s.OtherBeacons))
+	emit("wile.rx_messages", int64(s.Messages))
+	emit("wile.rx_duplicates", int64(s.Duplicates))
+	emit("wile.decode_errors", int64(s.DecodeErrors))
+	emit("wile.encrypted_drops", int64(s.EncryptedDrops))
 }
 
 // NewScanner attaches a receiver to the medium. Phones listen with ~0 dBm
@@ -144,10 +151,10 @@ func (sc *Scanner) TraceTo(r *obs.Recorder) {
 	sc.Port.TraceTo(r, r.Track(sc.Cfg.Name+" mac"))
 }
 
-// Observe mirrors the scanner's MAC and protocol counters into the registry.
+// Observe collects the scanner's MAC and protocol Stats into the registry.
 func (sc *Scanner) Observe(reg *obs.Registry) {
-	sc.Port.Metrics = mac.MetricsFor(reg)
-	sc.Metrics = ScannerMetricsFor(reg)
+	sc.Port.Observe(reg)
+	reg.Collect(&sc.Stats)
 }
 
 // Start powers the receiver on.
@@ -207,34 +214,20 @@ func (sc *Scanner) handleFrame(f dot11.Frame, rx medium.Reception) {
 	switch {
 	case errors.Is(err, ErrNotWiLE):
 		sc.Stats.OtherBeacons++
-		if sc.Metrics != nil {
-			sc.Metrics.OtherBeacons.Inc()
-		}
 		sc.resolve(rx, obs.Delivered)
 		return
 	case errors.Is(err, ErrNoKey), errors.Is(err, ErrAuth):
 		sc.Stats.BeaconsSeen++
 		sc.Stats.EncryptedDrops++
-		if sc.Metrics != nil {
-			sc.Metrics.BeaconsSeen.Inc()
-			sc.Metrics.EncryptedDrops.Inc()
-		}
 		sc.resolve(rx, obs.DropDecodeError)
 		return
 	case err != nil:
 		sc.Stats.BeaconsSeen++
 		sc.Stats.DecodeErrors++
-		if sc.Metrics != nil {
-			sc.Metrics.BeaconsSeen.Inc()
-			sc.Metrics.DecodeErrors.Inc()
-		}
 		sc.resolve(rx, obs.DropDecodeError)
 		return
 	}
 	sc.Stats.BeaconsSeen++
-	if sc.Metrics != nil {
-		sc.Metrics.BeaconsSeen.Inc()
-	}
 	if msg.Downlink && !sc.Cfg.AcceptDownlink {
 		sc.resolve(rx, obs.Delivered)
 		return
@@ -247,9 +240,6 @@ func (sc *Scanner) handleFrame(f dot11.Frame, rx medium.Reception) {
 	if known && msg.Seq == rec.LastSeq {
 		rec.Duplicates++
 		sc.Stats.Duplicates++
-		if sc.Metrics != nil {
-			sc.Metrics.Duplicates.Inc()
-		}
 		sc.resolve(rx, obs.DropDedupFiltered)
 		return
 	}
@@ -267,9 +257,6 @@ func (sc *Scanner) handleFrame(f dot11.Frame, rx medium.Reception) {
 	rec.LastRSSI = rx.RSSI
 	rec.Last = msg
 	sc.Stats.Messages++
-	if sc.Metrics != nil {
-		sc.Metrics.Messages.Inc()
-	}
 	if sc.OnMessage != nil {
 		sc.OnMessage(msg, Meta{RSSI: rx.RSSI, At: rx.End, BSSID: beacon.BSSID()})
 	}

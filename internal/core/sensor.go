@@ -79,9 +79,6 @@ type Sensor struct {
 	OnDownlink func(*Message)
 	// Stats accumulates transmitter-side counters.
 	Stats SensorStats
-	// Metrics, when non-nil, mirrors the Stats counters into a shared
-	// metrics registry (see SensorMetricsFor / Observe).
-	Metrics *SensorMetrics
 
 	sched   *sim.Scheduler
 	rng     *sim.Rand
@@ -100,6 +97,13 @@ type SensorStats struct {
 	Messages  int
 	Fragments int
 	Downlinks int
+}
+
+// Counters emits the Stats as wile.* counters (obs.Source).
+func (s *SensorStats) Counters(emit func(name string, v int64)) {
+	emit("wile.tx_messages", int64(s.Messages))
+	emit("wile.tx_fragments", int64(s.Fragments))
+	emit("wile.rx_downlinks", int64(s.Downlinks))
 }
 
 // NewSensor builds a sleeping sensor attached to the medium.
@@ -141,10 +145,10 @@ func (s *Sensor) TraceTo(r *obs.Recorder) {
 	s.track = r.Track(name)
 }
 
-// Observe mirrors the sensor's MAC and protocol counters into the registry.
+// Observe collects the sensor's MAC and protocol Stats into the registry.
 func (s *Sensor) Observe(reg *obs.Registry) {
-	s.Port.Metrics = mac.MetricsFor(reg)
-	s.Metrics = SensorMetricsFor(reg)
+	s.Port.Observe(reg)
+	reg.Collect(&s.Stats)
 }
 
 // BuildBeacon constructs the injected frame for the given message: hidden
@@ -197,10 +201,6 @@ func (s *Sensor) TransmitOnce(readings []Reading, done func(ok bool)) {
 		}
 		s.Stats.Messages++
 		s.Stats.Fragments += len(beacon.Elements.Vendors(OUI))
-		if s.Metrics != nil {
-			s.Metrics.Messages.Inc()
-			s.Metrics.Fragments.Add(int64(len(beacon.Elements.Vendors(OUI))))
-		}
 		if s.rec != nil {
 			s.rec.Instant(s.track, s.sched.Now(), "inject-beacon")
 		}
@@ -254,9 +254,6 @@ func (s *Sensor) handleFrame(f dot11.Frame, rx medium.Reception) {
 		return
 	}
 	s.Stats.Downlinks++
-	if s.Metrics != nil {
-		s.Metrics.Downlinks.Inc()
-	}
 	s.OnDownlink(msg)
 }
 

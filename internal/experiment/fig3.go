@@ -64,8 +64,9 @@ func (o *Obs) series() *obs.TimeSeries {
 
 // wire attaches the Obs bundle's medium-level sinks to a freshly built
 // world: medium counters into the registry, the provenance ledger into the
-// medium (with registry mirror and drop instants when those sinks are also
-// present), and the time-series sampler onto the kernel. Per-component
+// medium (and into the registry and the trace as drop totals and instants
+// when those sinks are also present), and the time-series sampler onto the
+// kernel. Per-component
 // wiring (TraceTo / Observe) stays at the call sites, which know the cast.
 func (o *Obs) wire(w *world) {
 	if reg := o.reg(); reg != nil {

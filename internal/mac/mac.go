@@ -8,7 +8,6 @@ package mac
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"wile/internal/dot11"
@@ -61,71 +60,18 @@ type Stats struct {
 	Drops        int // frames dropped after RetryLimit
 }
 
-// add folds other into s, field by field.
-func (s *Stats) add(other Stats) {
-	s.TxFrames += other.TxFrames
-	s.TxACKs += other.TxACKs
-	s.RxFrames += other.RxFrames
-	s.RxFCSErrors += other.RxFCSErrors
-	s.RxDuplicates += other.RxDuplicates
-	s.Retries += other.Retries
-	s.Drops += other.Drops
-}
-
-// FleetStats is a mutex-guarded aggregate of per-port Stats. Per-port
-// counters are single-goroutine (each port lives on its kernel), but fleet
-// roll-ups happen where ports from different worlds meet — an engine.Map
-// worker folding its world's totals into the sweep aggregate, or an example
-// summing forty sensors after the run — so the accumulator locks per Add
-// instead of trusting the caller's goroutine discipline.
-type FleetStats struct {
-	mu    sync.Mutex
-	total Stats // guarded by mu
-	ports int   // guarded by mu
-}
-
-// Add folds one port's counters into the aggregate.
-func (f *FleetStats) Add(s Stats) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.total.add(s)
-	f.ports++
-}
-
-// Total reports the aggregated counters and how many ports contributed.
-func (f *FleetStats) Total() (Stats, int) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.total, f.ports
-}
-
-// PortMetrics mirrors the Stats counters into an obs.Registry. One
-// PortMetrics is shared by every port wired to the same registry, so the
+// Counters emits the Stats as mac.* counters (obs.Source), one name per
+// field. Every port wired to a registry adds into the same names, so the
 // registry carries the fleet aggregate (the view a production MAC exports)
 // while per-port Stats keeps the local breakdown.
-type PortMetrics struct {
-	TxFrames     *obs.Counter
-	TxACKs       *obs.Counter
-	RxFrames     *obs.Counter
-	RxFCSErrors  *obs.Counter
-	RxDuplicates *obs.Counter
-	Retries      *obs.Counter
-	Drops        *obs.Counter
-}
-
-// MetricsFor returns the registry's shared MAC counters, registering them
-// on first use. The names deliberately track the Stats field set so the
-// metrics snapshot subsumes the old ad-hoc counters.
-func MetricsFor(reg *obs.Registry) *PortMetrics {
-	return &PortMetrics{
-		TxFrames:     reg.Counter("mac.tx_frames"),
-		TxACKs:       reg.Counter("mac.tx_acks"),
-		RxFrames:     reg.Counter("mac.rx_frames"),
-		RxFCSErrors:  reg.Counter("mac.rx_fcs_errors"),
-		RxDuplicates: reg.Counter("mac.rx_duplicates"),
-		Retries:      reg.Counter("mac.retries"),
-		Drops:        reg.Counter("mac.drops"),
-	}
+func (s *Stats) Counters(emit func(name string, v int64)) {
+	emit("mac.tx_frames", int64(s.TxFrames))
+	emit("mac.tx_acks", int64(s.TxACKs))
+	emit("mac.rx_frames", int64(s.RxFrames))
+	emit("mac.rx_fcs_errors", int64(s.RxFCSErrors))
+	emit("mac.rx_duplicates", int64(s.RxDuplicates))
+	emit("mac.retries", int64(s.Retries))
+	emit("mac.drops", int64(s.Drops))
 }
 
 // Port is one station's MAC entity.
@@ -157,9 +103,6 @@ type Port struct {
 	ReleaseAfterMonitor bool
 	// Radio, when set, is notified of transmit bursts for power modeling.
 	Radio RadioListener
-	// Metrics, when non-nil, mirrors the Stats counters into a shared
-	// metrics registry (see MetricsFor).
-	Metrics *PortMetrics
 	// AutoACK controls whether unicast receptions are acknowledged.
 	AutoACK bool
 	// Stats accumulates counters.
@@ -211,6 +154,10 @@ func New(sched *sim.Scheduler, med *medium.Medium, name string, pos medium.Posit
 
 // Transceiver exposes the underlying radio (for power control and tests).
 func (p *Port) Transceiver() *medium.Transceiver { return p.trx }
+
+// Observe collects the port's Stats into the registry, which reads them as
+// mac.* counters.
+func (p *Port) Observe(reg *obs.Registry) { reg.Collect(&p.Stats) }
 
 // TraceTo attaches the port to a trace recorder: channel-access and TX
 // spans, ACK waits and receptions land on the given track. Passing a nil
@@ -444,9 +391,6 @@ func (p *Port) transmit(out *outgoing) {
 	}
 	airtime := p.med.Transmit(p.trx, out.raw, out.rate)
 	p.Stats.TxFrames++
-	if p.Metrics != nil {
-		p.Metrics.TxFrames.Inc()
-	}
 	if p.rec != nil {
 		now := p.sched.Now()
 		p.rec.Span(p.track, now, now.Add(airtime), txName(out.frame))
@@ -472,18 +416,12 @@ func (p *Port) ackTimeout(out *outgoing) {
 	p.ackTimer = nil
 	out.retries++
 	p.Stats.Retries++
-	if p.Metrics != nil {
-		p.Metrics.Retries.Inc()
-	}
 	if p.rec != nil {
 		p.rec.Span(p.track, p.awaitStart, p.sched.Now(), "ack-wait")
 		p.rec.Instant(p.track, p.sched.Now(), "ack-timeout")
 	}
 	if out.retries > RetryLimit {
 		p.Stats.Drops++
-		if p.Metrics != nil {
-			p.Metrics.Drops.Inc()
-		}
 		p.finish(out, false)
 		return
 	}
@@ -543,9 +481,6 @@ func (p *Port) receive(rx medium.Reception) {
 	f, err := dot11.Decode(rx.Data)
 	if err != nil {
 		p.Stats.RxFCSErrors++
-		if p.Metrics != nil {
-			p.Metrics.RxFCSErrors.Inc()
-		}
 		// Undecodable frames never reach a Monitor, so the port owns this
 		// outcome even under ProvDelegate. A dot11.ErrFCS is the corruption
 		// taxonomy bucket; anything else (truncated, unsupported) is a
@@ -585,9 +520,6 @@ func (p *Port) receive(rx medium.Reception) {
 	switch {
 	case ra == p.Addr:
 		p.Stats.RxFrames++
-		if p.Metrics != nil {
-			p.Metrics.RxFrames.Inc()
-		}
 		if p.rec != nil {
 			p.rec.Instant(p.track, p.sched.Now(), rxName(f))
 		}
@@ -596,9 +528,6 @@ func (p *Port) receive(rx medium.Reception) {
 		}
 		if p.isDuplicate(f) {
 			p.Stats.RxDuplicates++
-			if p.Metrics != nil {
-				p.Metrics.RxDuplicates.Inc()
-			}
 			if !p.ProvDelegate {
 				p.resolve(rx, obs.DropDedupFiltered)
 			}
@@ -615,9 +544,6 @@ func (p *Port) receive(rx medium.Reception) {
 		}
 	case ra.IsGroup():
 		p.Stats.RxFrames++
-		if p.Metrics != nil {
-			p.Metrics.RxFrames.Inc()
-		}
 		if p.rec != nil {
 			p.rec.Instant(p.track, p.sched.Now(), rxName(f))
 		}
@@ -710,10 +636,6 @@ func (p *Port) sendACK(to dot11.MAC, atRate phy.Rate) {
 		airtime := p.med.Transmit(p.trx, raw, ControlRate(atRate))
 		p.Stats.TxFrames++
 		p.Stats.TxACKs++
-		if p.Metrics != nil {
-			p.Metrics.TxFrames.Inc()
-			p.Metrics.TxACKs.Inc()
-		}
 		if p.rec != nil {
 			now := p.sched.Now()
 			p.rec.Span(p.track, now, now.Add(airtime), "tx ack")

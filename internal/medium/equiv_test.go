@@ -50,7 +50,7 @@ func (r *allPairs) Transmit(t *Transceiver, data []byte, rate phy.Rate) time.Dur
 		tx.frame = m.Prov.Transmitted(t.prov, len(m.nodes)-1)
 	}
 	r.history = append(r.history, tx)
-	m.countTransmission()
+	m.Stats.Transmissions++
 	for _, rcv := range m.nodes {
 		if rcv == t {
 			continue

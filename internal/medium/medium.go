@@ -173,17 +173,11 @@ type Medium struct {
 	// (radio_off, below_sensitivity, collided). Wire it through
 	// ObserveProvenance so already-attached radios get actor ids.
 	Prov *obs.Provenance
-	// Metrics, when non-nil, mirrors Stats into a registry (see Observe).
-	Metrics *Metrics
 
 	nodes   []*Transceiver
 	history []transmission
 	// Stats counts medium-level events for the experiment harness.
 	Stats Stats
-	// mirrored is the portion of Stats already exported into Metrics, so
-	// Observe's back-fill is idempotent (Observe may be called again, and
-	// two media may share one registry's counters).
-	mirrored Stats
 
 	// minSens is the most sensitive floor of any attached radio and maxTx
 	// the strongest attached transmitter; together with Loss they bound
@@ -229,23 +223,12 @@ type Stats struct {
 	Collisions    int
 }
 
-// Metrics mirrors the Stats counters into an obs.Registry as wile.medium_*
-// counters, so examples and CLIs report medium activity without reaching
-// into simulator structs.
-type Metrics struct {
-	Transmissions *obs.Counter
-	Deliveries    *obs.Counter
-	Collisions    *obs.Counter
-}
-
-// MetricsFor returns the registry's shared medium counters, registering
-// them on first use.
-func MetricsFor(reg *obs.Registry) *Metrics {
-	return &Metrics{
-		Transmissions: reg.Counter("wile.medium_transmissions"),
-		Deliveries:    reg.Counter("wile.medium_deliveries"),
-		Collisions:    reg.Counter("wile.medium_collisions"),
-	}
+// Counters emits the Stats as wile.medium_* counters (obs.Source), so
+// examples and CLIs report medium activity from a registry.
+func (s *Stats) Counters(emit func(name string, v int64)) {
+	emit("wile.medium_transmissions", int64(s.Transmissions))
+	emit("wile.medium_deliveries", int64(s.Deliveries))
+	emit("wile.medium_collisions", int64(s.Collisions))
 }
 
 // New builds a medium on the given channel with an indoor path-loss model
@@ -288,52 +271,9 @@ func (m *Medium) Attach(name string, pos Position, txPower, sensitivity phy.DBm)
 	return t
 }
 
-// Observe mirrors the medium's Stats into the registry's wile.medium_*
-// counters (see MetricsFor). Counts accumulated before wiring are
-// back-filled exactly once: calling Observe again (or pointing several
-// media at one registry) never re-adds already-exported counts.
-func (m *Medium) Observe(reg *obs.Registry) {
-	mm := MetricsFor(reg)
-	if m.Metrics == nil || m.Metrics.Transmissions != mm.Transmissions {
-		// First wiring, or a different registry: nothing of ours has been
-		// exported into these counters yet.
-		m.mirrored = Stats{}
-	}
-	m.Metrics = mm
-	if mm != nil {
-		mm.Transmissions.Add(int64(m.Stats.Transmissions - m.mirrored.Transmissions))
-		mm.Deliveries.Add(int64(m.Stats.Deliveries - m.mirrored.Deliveries))
-		mm.Collisions.Add(int64(m.Stats.Collisions - m.mirrored.Collisions))
-	}
-	m.mirrored = m.Stats
-}
-
-// countTransmission/countDelivery/countCollision bump one Stats counter and
-// its registry mirror together, keeping mirrored in lockstep so Observe's
-// back-fill stays idempotent.
-func (m *Medium) countTransmission() {
-	m.Stats.Transmissions++
-	if m.Metrics != nil {
-		m.Metrics.Transmissions.Inc()
-		m.mirrored.Transmissions++
-	}
-}
-
-func (m *Medium) countDelivery() {
-	m.Stats.Deliveries++
-	if m.Metrics != nil {
-		m.Metrics.Deliveries.Inc()
-		m.mirrored.Deliveries++
-	}
-}
-
-func (m *Medium) countCollision() {
-	m.Stats.Collisions++
-	if m.Metrics != nil {
-		m.Metrics.Collisions.Inc()
-		m.mirrored.Collisions++
-	}
-}
+// Observe collects the medium's Stats into the registry, which reads them
+// as wile.medium_* counters.
+func (m *Medium) Observe(reg *obs.Registry) { reg.Collect(&m.Stats) }
 
 // ObserveProvenance attaches a frame-provenance ledger, registering every
 // already-attached radio as an actor. Frames transmitted before wiring keep
@@ -390,7 +330,7 @@ func (m *Medium) Transmit(t *Transceiver, data []byte, rate phy.Rate) time.Durat
 	if airtime > m.maxAir {
 		m.maxAir = airtime
 	}
-	m.countTransmission()
+	m.Stats.Transmissions++
 	m.pruneHistory(now)
 
 	// The transmitter senses (and is blinded by) its own frame.
@@ -605,12 +545,12 @@ func clearHeard(tail []heardTx) {
 
 // finishDelivery applies the collision outcome to the counters, the ledger
 // and the payload, then hands the reception to the receiver. Collided
-// receptions count only as collisions: Stats, the registry mirror and the
-// provenance taxonomy all agree that delivered and collided are disjoint.
+// receptions count only as collisions: Stats and the provenance taxonomy
+// agree that delivered and collided are disjoint.
 func (m *Medium) finishDelivery(tx *transmission, rcv *Transceiver, rssi phy.DBm, collided bool) {
 	data := tx.data
 	if collided {
-		m.countCollision()
+		m.Stats.Collisions++
 		if m.Prov != nil {
 			m.Prov.Resolve(tx.frame, rcv.prov, tx.end, obs.DropCollided)
 		}
@@ -622,7 +562,7 @@ func (m *Medium) finishDelivery(tx *transmission, rcv *Transceiver, rssi phy.DBm
 			data = corrupted
 		}
 	} else {
-		m.countDelivery()
+		m.Stats.Deliveries++
 	}
 	rcv.Handler(Reception{
 		Data:     data,

@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -15,6 +17,13 @@ import (
 // addition is commutative, so totals are independent of worker scheduling.
 type Counter struct {
 	v atomic.Int64
+	// reg is the registry that made the counter, nil for a bare Counter.
+	reg *Registry
+	// pulled is what reg's sources emitted under the counter's name in the
+	// registry's read number gen; gen is zero while no source emits the
+	// name. Only the registry touches either, with reg.mu held.
+	pulled int64
+	gen    uint64
 }
 
 // Inc adds one.
@@ -23,8 +32,32 @@ func (c *Counter) Inc() { c.v.Add(1) }
 // Add adds n.
 func (c *Counter) Add(n int64) { c.v.Add(n) }
 
-// Value reports the current count.
-func (c *Counter) Value() int64 { return c.v.Load() }
+// Value reports the current count: the counter's own increments plus, when
+// some collected Source emits its name, everything the sources emit under
+// it. Reading a collected name reads every source once, so it must run
+// while their kernels are idle (see Registry.Collect).
+func (c *Counter) Value() int64 {
+	r := c.reg
+	if r == nil {
+		return c.v.Load()
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if c.gen != 0 {
+		r.read()
+	}
+	return r.total(c)
+}
+
+// Source is a component whose counters the registry pulls instead of
+// having them pushed: Counters calls emit once per counter it keeps, with
+// the registry name and the current total. Sources that emit one name are
+// summed, so every mac.Port wired to a registry adds into mac.tx_frames.
+// The registry holds its lock while it reads a source, so Counters must
+// not call back into the registry.
+type Source interface {
+	Counters(emit func(name string, v int64))
+}
 
 // Gauge is a last-write-wins float metric.
 type Gauge struct {
@@ -97,18 +130,29 @@ func (h *Histogram) snapshot() (count int64, sum float64, buckets []int64) {
 }
 
 // Registry is a named collection of metrics. Metric constructors are
-// get-or-create, so independent components that agree on a name (every
-// mac.Port wired to the registry, say) share one aggregate metric. A
-// Registry is safe for concurrent use.
+// get-or-create, so independent components that agree on a name share one
+// aggregate metric. A counter's total has two parts: what is pushed
+// through Counter(name).Add, and what the collected Sources emit under the
+// name, pulled whenever the registry is read. A Registry is safe for
+// concurrent use.
 type Registry struct {
 	mu    sync.Mutex
 	names []string       // registration order; snapshots sort; guarded by mu
 	items map[string]any // guarded by mu
+	// sources are the collected Sources, in collection order; gen numbers
+	// the reads of them (see Counter.pulled).
+	sources []Source // guarded by mu
+	gen     uint64   // guarded by mu
+	// emit is add bound once, so collecting or reading a source hands it a
+	// callback without allocating one.
+	emit func(name string, v int64)
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{items: make(map[string]any)}
+	r := &Registry{items: make(map[string]any), gen: 1}
+	r.emit = r.add
+	return r
 }
 
 // Counter returns the named counter, creating it on first use. Registering
@@ -117,6 +161,13 @@ func NewRegistry() *Registry {
 func (r *Registry) Counter(name string) *Counter {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	return r.counter(name)
+}
+
+// counter is Counter with r.mu held.
+//
+//wile:holds r.mu
+func (r *Registry) counter(name string) *Counter {
 	if it, ok := r.items[name]; ok {
 		c, ok := it.(*Counter)
 		if !ok {
@@ -124,9 +175,67 @@ func (r *Registry) Counter(name string) *Counter {
 		}
 		return c
 	}
-	c := &Counter{}
+	c := &Counter{reg: r}
 	r.register(name, c)
 	return c
+}
+
+// Collect adds src to the sources the registry reads: every snapshot
+// (WriteJSON, TimeSeries.Sample) and every Value of a collected name calls
+// src.Counters once. Collect registers the names src emits right away, so
+// a name already registered as a gauge or histogram panics here, as
+// Counter does. Collecting a source twice changes nothing; src must be
+// comparable (a pointer, in practice).
+//
+// The registry reads a source on whichever goroutine reads the registry,
+// without synchronizing with the source's own kernel, so read it only
+// while that kernel is idle: from the kernel itself, or after it stopped.
+// A registry keeps its sources reachable for as long as it lives.
+func (r *Registry) Collect(src Source) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for _, s := range r.sources {
+		if s == src {
+			return
+		}
+	}
+	src.Counters(r.emit)
+	r.sources = append(r.sources, src)
+}
+
+// add is the callback sources emit into: it registers name as a counter
+// on first sight and adds v to the counter's pulled total for this read.
+//
+//wile:holds r.mu
+func (r *Registry) add(name string, v int64) {
+	c := r.counter(name)
+	if c.gen != r.gen {
+		c.gen, c.pulled = r.gen, 0
+	}
+	c.pulled += v
+}
+
+// read starts a new read and recomputes every pulled total in it, calling
+// each source once.
+//
+//wile:holds r.mu
+func (r *Registry) read() {
+	r.gen++
+	for _, s := range r.sources {
+		s.Counters(r.emit)
+	}
+}
+
+// total reports c's pushed increments plus what the sources emitted under
+// its name in the latest read.
+//
+//wile:holds r.mu
+func (r *Registry) total(c *Counter) int64 {
+	n := c.v.Load()
+	if c.gen == r.gen {
+		n += c.pulled
+	}
+	return n
 }
 
 // Gauge returns the named gauge, creating it on first use.
@@ -180,12 +289,28 @@ func (r *Registry) register(name string, it any) {
 	r.names = append(r.names, name)
 }
 
-// Names reports the registered metric names, sorted.
-func (r *Registry) Names() []string {
+// entry is one metric in a registry snapshot; count is a counter's total
+// at the snapshot's instant.
+type entry struct {
+	name  string
+	it    any
+	count int64
+}
+
+// snapshot reads every source once and returns the metrics sorted by name,
+// each counter's total (pushed plus pulled) fixed at that instant.
+func (r *Registry) snapshot() []entry {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := append([]string(nil), r.names...)
-	sort.Strings(out)
+	r.read()
+	out := make([]entry, len(r.names))
+	for i, name := range r.names {
+		out[i] = entry{name: name, it: r.items[name]}
+		if c, ok := out[i].it.(*Counter); ok {
+			out[i].count = r.total(c)
+		}
+	}
+	slices.SortFunc(out, func(a, b entry) int { return strings.Compare(a.name, b.name) })
 	return out
 }
 
@@ -193,34 +318,26 @@ func (r *Registry) Names() []string {
 // kind and sorted by name — a deterministic serialization of deterministic
 // values, so two identical runs snapshot byte-identically.
 func (r *Registry) WriteJSON(w io.Writer) error {
-	names := r.Names()
-	r.mu.Lock()
-	items := make(map[string]any, len(r.items))
-	for k, v := range r.items {
-		items[k] = v
-	}
-	r.mu.Unlock()
-
+	entries := r.snapshot()
 	bw := &errWriter{w: w}
 	bw.printf("{\n  \"counters\": {")
-	writeKind(bw, names, func(name string) (string, bool) {
-		c, ok := items[name].(*Counter)
-		if !ok {
+	writeKind(bw, entries, func(e *entry) (string, bool) {
+		if _, ok := e.it.(*Counter); !ok {
 			return "", false
 		}
-		return strconv.FormatInt(c.Value(), 10), true
+		return strconv.FormatInt(e.count, 10), true
 	})
 	bw.printf("},\n  \"gauges\": {")
-	writeKind(bw, names, func(name string) (string, bool) {
-		g, ok := items[name].(*Gauge)
+	writeKind(bw, entries, func(e *entry) (string, bool) {
+		g, ok := e.it.(*Gauge)
 		if !ok {
 			return "", false
 		}
 		return formatValue(g.Value()), true
 	})
 	bw.printf("},\n  \"histograms\": {")
-	writeKind(bw, names, func(name string) (string, bool) {
-		h, ok := items[name].(*Histogram)
+	writeKind(bw, entries, func(e *entry) (string, bool) {
+		h, ok := e.it.(*Histogram)
 		if !ok {
 			return "", false
 		}
@@ -255,10 +372,10 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 }
 
 // writeKind emits the "name": value pairs of one metric kind.
-func writeKind(bw *errWriter, names []string, value func(name string) (string, bool)) {
+func writeKind(bw *errWriter, entries []entry, value func(e *entry) (string, bool)) {
 	first := true
-	for _, name := range names {
-		v, ok := value(name)
+	for i := range entries {
+		v, ok := value(&entries[i])
 		if !ok {
 			continue
 		}
@@ -266,7 +383,7 @@ func writeKind(bw *errWriter, names []string, value func(name string) (string, b
 			bw.printf(",")
 		}
 		first = false
-		bw.printf("\n    %s: %s", quote(name), v)
+		bw.printf("\n    %s: %s", quote(entries[i].name), v)
 	}
 	if !first {
 		bw.printf("\n  ")

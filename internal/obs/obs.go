@@ -17,7 +17,9 @@
 // BenchmarkObsDisabled. The wile-vet obsguard analyzer enforces the guard
 // mechanically. With a Recorder attached, recording one event is an append
 // into a fixed-size staging chunk; formatting work happens only at export
-// time.
+// time. Component counters need no hook at all: they stay plain Stats
+// fields, and a Registry that collected them (a Source) reads them only
+// when it is itself read.
 //
 // Trace model. A Recorder owns a set of named tracks (one per device, MAC
 // port, or instrument) and an ordered event log of slices (Span, Begin/End),

@@ -119,26 +119,12 @@ func (f *frameState) mark(rx ActorID) (already bool) {
 // linkKey names one (transmitter, receiver) edge of the drop report.
 type linkKey struct{ from, to ActorID }
 
-// ProvMetrics mirrors the ledger's per-reason totals into an obs.Registry
-// as wile.medium_* counters, so CLIs and examples read drop accounting from
-// the registry instead of reaching into simulator structs.
-type ProvMetrics struct {
-	Frames   *Counter
-	Outcomes [NumDropReasons]*Counter
-}
-
-// ProvMetricsFor returns the registry's shared provenance counters,
-// registering them on first use.
-func ProvMetricsFor(reg *Registry) *ProvMetrics {
-	m := &ProvMetrics{Frames: reg.Counter("wile.medium_frames")}
-	for r := 0; r < NumDropReasons; r++ {
-		name := "wile.medium_drop_" + dropReasonNames[r]
-		if DropReason(r) == Delivered {
-			name = "wile.medium_delivered"
-		}
-		m.Outcomes[r] = reg.Counter(name)
-	}
-	return m
+// outcomeCounterNames are the registry names of the per-reason totals.
+var outcomeCounterNames = [NumDropReasons]string{
+	"wile.medium_delivered", "wile.medium_drop_collided",
+	"wile.medium_drop_below_sensitivity", "wile.medium_drop_radio_off",
+	"wile.medium_drop_fcs_error", "wile.medium_drop_dedup_filtered",
+	"wile.medium_drop_queue_drop", "wile.medium_drop_decode_error",
 }
 
 // Provenance is the frame-accounting ledger. All methods must be called
@@ -157,14 +143,6 @@ type Provenance struct {
 
 	rec        *Recorder
 	dropTracks []TrackID
-	metrics    *ProvMetrics
-
-	// mirrored* track the portion of the ledger already exported into
-	// metrics, so Observe's back-fill is idempotent: re-wiring the same
-	// registry (or two ledgers sharing one) never re-adds old counts.
-	mirroredFrames   int64
-	mirroredOutcomes [NumDropReasons]int64
-	mirroredQueue    int64
 }
 
 // NewProvenance returns an empty ledger.
@@ -205,29 +183,18 @@ func (p *Provenance) TraceTo(r *Recorder) {
 	}
 }
 
-// Observe mirrors the ledger's totals into the registry's wile.medium_*
-// counters (see ProvMetricsFor). Counts recorded before wiring are
-// back-filled exactly once: calling Observe again (or wiring a second
-// ledger to the same registry) never re-adds already-exported counts.
-func (p *Provenance) Observe(reg *Registry) {
-	m := ProvMetricsFor(reg)
-	if p.metrics == nil || p.metrics.Frames != m.Frames {
-		// First wiring, or a different registry: none of our counts have
-		// been exported into these counters yet.
-		p.mirroredFrames = 0
-		p.mirroredOutcomes = [NumDropReasons]int64{}
-		p.mirroredQueue = 0
+// Observe collects the ledger into the registry, which then reads its
+// totals as wile.medium_* counters (see Counters) whenever it is read.
+func (p *Provenance) Observe(reg *Registry) { reg.Collect(p) }
+
+// Counters emits the ledger's totals (Source): wile.medium_frames,
+// wile.medium_delivered and one wile.medium_drop_<reason> per drop reason,
+// queue_drop carrying the TX-side QueueDrops total.
+func (p *Provenance) Counters(emit func(name string, v int64)) {
+	emit("wile.medium_frames", int64(p.next))
+	for r := DropReason(0); r < NumDropReasons; r++ {
+		emit(outcomeCounterNames[r], p.total(r))
 	}
-	p.metrics = m
-	m.Frames.Add(int64(p.next) - p.mirroredFrames)
-	p.mirroredFrames = int64(p.next)
-	for r, n := range p.outcomes {
-		m.Outcomes[r].Add(n - p.mirroredOutcomes[r])
-		p.mirroredOutcomes[r] = n
-	}
-	queued := p.QueueDrops()
-	m.Outcomes[DropQueueDrop].Add(queued - p.mirroredQueue)
-	p.mirroredQueue = queued
 }
 
 // Transmitted assigns the next FrameID to a transmission from the given
@@ -236,10 +203,6 @@ func (p *Provenance) Observe(reg *Registry) {
 func (p *Provenance) Transmitted(from ActorID, potential int) FrameID {
 	p.next++
 	id := p.next
-	if p.metrics != nil {
-		p.metrics.Frames.Inc()
-		p.mirroredFrames++
-	}
 	p.potential += int64(potential)
 	if potential > 0 {
 		p.inflight[id] = &frameState{from: from, pending: int32(potential)}
@@ -277,10 +240,6 @@ func (p *Provenance) Resolve(frame FrameID, rx ActorID, at sim.Time, reason Drop
 		p.links[linkKey{fs.from, rx}] = counts
 	}
 	counts[reason]++
-	if p.metrics != nil {
-		p.metrics.Outcomes[reason].Inc()
-		p.mirroredOutcomes[reason]++
-	}
 	if p.rec != nil && reason != Delivered && int(rx) < len(p.dropTracks) {
 		p.rec.Instant(p.dropTracks[rx], at, dropInstantNames[reason])
 	}
@@ -291,10 +250,6 @@ func (p *Provenance) Resolve(frame FrameID, rx ActorID, at sim.Time, reason Drop
 // sits outside the conservation sum (DESIGN.md §10).
 func (p *Provenance) QueueDrop(from ActorID, at sim.Time) {
 	p.queueDrops[from]++
-	if p.metrics != nil {
-		p.metrics.Outcomes[DropQueueDrop].Inc()
-		p.mirroredQueue++
-	}
 	if p.rec != nil && int(from) < len(p.dropTracks) {
 		p.rec.Instant(p.dropTracks[from], at, dropInstantNames[DropQueueDrop])
 	}
@@ -320,6 +275,15 @@ func (p *Provenance) QueueDrops() int64 {
 		n += q
 	}
 	return n
+}
+
+// total reports one reason's count as the reports and counters show it:
+// the queue_drop slot carries QueueDrops.
+func (p *Provenance) total(r DropReason) int64 {
+	if r == DropQueueDrop {
+		return p.QueueDrops()
+	}
+	return p.outcomes[r]
 }
 
 // Verify checks the conservation invariant: every frame fully resolved and
@@ -395,12 +359,8 @@ func (p *Provenance) WriteReport(w io.Writer) error {
 	bw.printf("frames %d, potential receptions %d, unresolved %d\n",
 		p.next, p.potential, len(p.inflight))
 	bw.printf("outcomes:\n")
-	for r := 0; r < NumDropReasons; r++ {
-		n := p.outcomes[r]
-		if DropReason(r) == DropQueueDrop {
-			n = p.QueueDrops()
-		}
-		bw.printf("  %-18s %d\n", dropReasonNames[r], n)
+	for r := DropReason(0); r < NumDropReasons; r++ {
+		bw.printf("  %-18s %d\n", dropReasonNames[r], p.total(r))
 	}
 	links := p.sortedLinks()
 	if len(links) > 0 {
@@ -432,15 +392,11 @@ func (p *Provenance) WriteReportJSON(w io.Writer) error {
 	bw.printf("{\n  \"frames\": %d,\n  \"potential\": %d,\n  \"unresolved\": %d,\n",
 		p.next, p.potential, len(p.inflight))
 	bw.printf("  \"outcomes\": {")
-	for r := 0; r < NumDropReasons; r++ {
-		n := p.outcomes[r]
-		if DropReason(r) == DropQueueDrop {
-			n = p.QueueDrops()
-		}
+	for r := DropReason(0); r < NumDropReasons; r++ {
 		if r > 0 {
 			bw.printf(",")
 		}
-		bw.printf("\n    %s: %d", quote(dropReasonNames[r]), n)
+		bw.printf("\n    %s: %d", quote(dropReasonNames[r]), p.total(r))
 	}
 	bw.printf("\n  },\n  \"links\": [")
 	for i, k := range p.sortedLinks() {

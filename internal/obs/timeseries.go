@@ -7,10 +7,10 @@ package obs
 // pipeline, so long timelines spill to disk exactly like traces and the
 // exports inherit the byte-identity contract.
 //
-// Like a Recorder, a TimeSeries belongs to one simulation kernel: the
-// registry it samples must be fed only by that kernel while the series
-// runs, or mid-run values (and therefore the series) stop being
-// deterministic.
+// Like a Recorder, a TimeSeries belongs to one simulation kernel: each
+// sample reads the registry's collected sources on the kernel goroutine,
+// so the registry must be fed only by that kernel while the series runs,
+// or mid-run values (and therefore the series) stop being deterministic.
 
 import (
 	"io"
@@ -59,27 +59,21 @@ func (t *TimeSeries) track(name string) TrackID {
 	return id
 }
 
-// Sample records one point per metric at the given sim time. Counters and
-// gauges sample their value; histograms sample two lanes, <name>.count and
-// <name>.sum. Metrics registered after a sample join at the next one.
+// Sample records one point per metric at the given sim time, reading each
+// collected source once. Counters and gauges sample their value;
+// histograms sample two lanes, <name>.count and <name>.sum. Metrics
+// registered after a sample join at the next one.
 func (t *TimeSeries) Sample(at sim.Time) {
-	names := t.reg.Names()
-	t.reg.mu.Lock()
-	items := make(map[string]any, len(t.reg.items))
-	for k, v := range t.reg.items {
-		items[k] = v
-	}
-	t.reg.mu.Unlock()
-	for _, name := range names {
-		switch m := items[name].(type) {
+	for _, e := range t.reg.snapshot() {
+		switch m := e.it.(type) {
 		case *Counter:
-			t.rec.Counter(t.track(name), at, float64(m.Value()))
+			t.rec.Counter(t.track(e.name), at, float64(e.count))
 		case *Gauge:
-			t.rec.Counter(t.track(name), at, m.Value())
+			t.rec.Counter(t.track(e.name), at, m.Value())
 		case *Histogram:
 			count, sum, _ := m.snapshot()
-			t.rec.Counter(t.track(name+".count"), at, float64(count))
-			t.rec.Counter(t.track(name+".sum"), at, sum)
+			t.rec.Counter(t.track(e.name+".count"), at, float64(count))
+			t.rec.Counter(t.track(e.name+".sum"), at, sum)
 		}
 	}
 }

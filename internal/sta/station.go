@@ -294,10 +294,8 @@ func (s *Station) endJoinPhase() {
 	s.phaseOpen = false
 }
 
-// Observe mirrors the station's MAC counters into the registry.
-func (s *Station) Observe(reg *obs.Registry) {
-	s.Port.Metrics = mac.MetricsFor(reg)
-}
+// Observe collects the station's MAC Stats into the registry.
+func (s *Station) Observe(reg *obs.Registry) { s.Port.Observe(reg) }
 
 // countSent/countReceived update JoinFrames while a join is in flight.
 func (s *Station) countSent(kind string) {

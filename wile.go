@@ -122,13 +122,13 @@ type (
 	FragmentHeader = core.FragmentHeader
 	// MACStats counts one port's MAC events (sensor.Port.Stats).
 	MACStats = mac.Stats
-	// MACFleetStats aggregates per-port MAC stats across a fleet (or
-	// across engine workers) under a mutex.
-	MACFleetStats = mac.FleetStats
 )
 
 // Observability. Components expose an Observe(*Registry) method that
-// mirrors their counters into a shared registry; WriteJSON snapshots it.
+// collects their Stats into a shared registry, which reads them whenever
+// it is read: WriteJSON snapshots, TimeSeries samples and Counter values
+// all see the components' current counts. A fleet total is the registry's
+// sum over every component wired to it.
 type (
 	// Registry is a shared metrics registry (counters, gauges, histograms).
 	Registry = obs.Registry
