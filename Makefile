@@ -60,6 +60,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzParseElements -fuzztime=30s ./internal/dot11/
 	$(GO) test -fuzz=FuzzParseFragment -fuzztime=30s ./internal/core/
 	$(GO) test -fuzz=FuzzReadingsRoundTrip -fuzztime=30s ./internal/core/
+	$(GO) test -fuzz=FuzzDecodeBeacon -fuzztime=30s ./internal/core/
 	$(GO) test -fuzz=FuzzParseEAPOLKey -fuzztime=30s ./internal/crypto80211/
 
 cover:

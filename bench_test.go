@@ -540,8 +540,8 @@ func BenchmarkDropReport(b *testing.B) {
 // densities the all-pairs walk could not touch: n beaconing devices in a
 // 300 m square sharing one channel for half a simulated second. ns/op here
 // is the cost of the city-scale channel model itself — receiver culling,
-// grid queries, incremental busy-tracking and the amortized prune all sit
-// on this path.
+// the grid build and queries, incremental busy-tracking and the per-radio
+// window compaction all sit on this path.
 func BenchmarkMediumDense(b *testing.B) {
 	for _, n := range []int{500, 2000} {
 		b.Run(fmt.Sprintf("devices=%d", n), func(b *testing.B) {
@@ -606,7 +606,8 @@ func TestProvenanceDisabledZeroAlloc(t *testing.T) {
 	rx.SetOn(true)
 	rx.Handler = func(medium.Reception) {}
 	data := make([]byte, 64)
-	// Warm the history and event-queue capacity out of the measurement.
+	// Warm the grid, the per-radio windows and the event queue's capacity
+	// out of the measurement.
 	for i := 0; i < 8; i++ {
 		med.Transmit(tx, data, phy.RateHTMCS7SGI)
 		sched.RunFor(time.Millisecond)

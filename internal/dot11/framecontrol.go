@@ -68,31 +68,42 @@ type Kind struct {
 	Subtype Subtype
 }
 
+// kindNames names the frame formats, indexed by type and subtype; an empty
+// entry has no name.
+var kindNames = [4][16]string{
+	TypeManagement: {
+		SubtypeAssocReq:    "assoc-req",
+		SubtypeAssocResp:   "assoc-resp",
+		SubtypeReassocReq:  "reassoc-req",
+		SubtypeReassocResp: "reassoc-resp",
+		SubtypeProbeReq:    "probe-req",
+		SubtypeProbeResp:   "probe-resp",
+		SubtypeBeacon:      "beacon",
+		SubtypeDisassoc:    "disassoc",
+		SubtypeAuth:        "auth",
+		SubtypeDeauth:      "deauth",
+		SubtypeAction:      "action",
+	},
+	TypeControl: {
+		SubtypePSPoll: "ps-poll",
+		SubtypeRTS:    "rts",
+		SubtypeCTS:    "cts",
+		SubtypeACK:    "ack",
+	},
+	TypeData: {
+		SubtypeData:    "data",
+		SubtypeNull:    "null",
+		SubtypeQoSData: "qos-data",
+		SubtypeQoSNull: "qos-null",
+	},
+}
+
 // String implements fmt.Stringer.
 func (k Kind) String() string {
-	names := map[Kind]string{
-		{TypeManagement, SubtypeAssocReq}:    "assoc-req",
-		{TypeManagement, SubtypeAssocResp}:   "assoc-resp",
-		{TypeManagement, SubtypeReassocReq}:  "reassoc-req",
-		{TypeManagement, SubtypeReassocResp}: "reassoc-resp",
-		{TypeManagement, SubtypeProbeReq}:    "probe-req",
-		{TypeManagement, SubtypeProbeResp}:   "probe-resp",
-		{TypeManagement, SubtypeBeacon}:      "beacon",
-		{TypeManagement, SubtypeDisassoc}:    "disassoc",
-		{TypeManagement, SubtypeAuth}:        "auth",
-		{TypeManagement, SubtypeDeauth}:      "deauth",
-		{TypeManagement, SubtypeAction}:      "action",
-		{TypeControl, SubtypePSPoll}:         "ps-poll",
-		{TypeControl, SubtypeRTS}:            "rts",
-		{TypeControl, SubtypeCTS}:            "cts",
-		{TypeControl, SubtypeACK}:            "ack",
-		{TypeData, SubtypeData}:              "data",
-		{TypeData, SubtypeNull}:              "null",
-		{TypeData, SubtypeQoSData}:           "qos-data",
-		{TypeData, SubtypeQoSNull}:           "qos-null",
-	}
-	if n, ok := names[k]; ok {
-		return n
+	if int(k.Type) < len(kindNames) && int(k.Subtype) < len(kindNames[0]) {
+		if n := kindNames[k.Type][k.Subtype]; n != "" {
+			return n
+		}
 	}
 	return fmt.Sprintf("%v/%d", k.Type, k.Subtype)
 }

@@ -2,6 +2,8 @@ package experiment
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"runtime"
 	"testing"
 
@@ -69,6 +71,36 @@ func TestDropScenarioConservation(t *testing.T) {
 		out[obs.DropDedupFiltered] + out[obs.DropDecodeError]
 	if decodeSide != int64(res.Stats.Deliveries) {
 		t.Errorf("decode-side outcomes = %d, want Stats.Deliveries = %d", decodeSide, res.Stats.Deliveries)
+	}
+}
+
+// TestDropScenarioReportGolden pins both drop-report formats of the lossy
+// scenario byte for byte. Unlike the fig3a world, this one has radios
+// outside a transmitter's interference budget (scan-far at 300 m), so the
+// golden pins the rows the medium resolves for culled receivers.
+// Regenerate with WILE_UPDATE_GOLDEN=1 after intentional changes.
+func TestDropScenarioReportGolden(t *testing.T) {
+	_, _, txt, js := runDrops(t)
+	for _, g := range []struct{ name, got string }{
+		{"drop_scenario_report.txt", txt},
+		{"drop_scenario_report.json", js},
+	} {
+		path := filepath.Join("testdata", g.name)
+		if os.Getenv("WILE_UPDATE_GOLDEN") != "" {
+			if err := os.WriteFile(path, []byte(g.got), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			t.Logf("updated %s (%d bytes)", path, len(g.got))
+			continue
+		}
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatalf("read golden (run with WILE_UPDATE_GOLDEN=1 to create): %v", err)
+		}
+		if g.got != string(want) {
+			t.Errorf("%s diverged from golden (%d vs %d bytes); rerun with WILE_UPDATE_GOLDEN=1 if the change is intentional\ngot:\n%s",
+				path, len(g.got), len(want), g.got)
+		}
 	}
 }
 

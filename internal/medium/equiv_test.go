@@ -3,6 +3,9 @@ package medium
 import (
 	"bytes"
 	"fmt"
+	"math"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -276,20 +279,137 @@ func checkEquiv(t *testing.T, from, to uint64, reentrant, ledger bool) {
 	}
 }
 
-// TestCulledMatchesAllPairs checks the ledger path, first on plain
-// scenarios, then on ones whose Handlers act while their frame is still
-// being delivered: a receiver transmits a reply, or switches a later
-// radio, possibly another receiver of the same frame. Each receiver's
-// outcome must be decided at its own turn, as with one event per receiver.
+// TestCulledMatchesAllPairs checks the medium with a ledger attached, so
+// culled radios resolve too, first on plain scenarios, then on ones whose
+// Handlers act while their frame is still being delivered: a receiver
+// transmits a reply, or switches a later radio, possibly another receiver
+// of the same frame. Each receiver's outcome must be decided at its own
+// turn, as with one event per receiver.
 func TestCulledMatchesAllPairs(t *testing.T) {
 	checkEquiv(t, 0, 50, false, true)
 	checkEquiv(t, 200, 250, true, true)
 }
 
 // TestCulledMatchesAllPairsNoProv repeats the differential check without a
-// ledger: this is the path where culling actually uses the spatial grid
-// for candidate discovery rather than the provenance complement walk.
+// ledger. Receivers come from the same grid query either way; here no
+// culled radio is resolved, and a frame that reaches no radio books no
+// delivery event.
 func TestCulledMatchesAllPairsNoProv(t *testing.T) {
 	checkEquiv(t, 100, 150, false, false)
 	checkEquiv(t, 300, 350, true, false)
+}
+
+// Metamorphic relations on the culled path: two inputs that must produce
+// related transcripts, checked without an oracle. Each replays generated
+// scenarios with the ledger off and on, so the radios the grid culls are
+// settled through the same path the relation checks.
+
+// gridCells reports how many grid cells sc's radios occupy once indexed.
+func gridCells(sc equivScenario) int {
+	m := New(sim.New(), phy.WiFi24Channel(6))
+	for i, p := range sc.pos {
+		m.Attach(fmt.Sprintf("r%d", i), p, sc.power[i], sc.sens[i])
+	}
+	m.buildGrid()
+	return len(m.grid.cells)
+}
+
+// TestTranslatedTopologyIdentical: translating an integer-grid topology by
+// an integer offset leaves every pairwise distance bit-identical, so the
+// whole transcript must be too, although the radios land in other grid
+// cells and the cell boundaries cut the population differently.
+func TestTranslatedTopologyIdentical(t *testing.T) {
+	const dx, dy = 1037, -2011
+	regridded := 0
+	for _, ledger := range []bool{false, true} {
+		for seed := uint64(400); seed < 440; seed++ {
+			sc := genScenario(seed, seed%2 == 1)
+			moved := sc
+			moved.pos = make([]Position, len(sc.pos))
+			for i, p := range sc.pos {
+				sc.pos[i] = Position{X: math.Round(p.X), Y: math.Round(p.Y)}
+				moved.pos[i] = Position{X: sc.pos[i].X + dx, Y: sc.pos[i].Y + dy}
+			}
+			want := playScenario(sc, false, ledger)
+			if got := playScenario(moved, false, ledger); got != want {
+				t.Fatalf("seed %d, ledger %v: translation by (%d, %d) changed the transcript\n--- in place ---\n%s\n--- translated ---\n%s",
+					seed, ledger, dx, dy, want, got)
+			}
+			if gridCells(moved) != gridCells(sc) {
+				regridded++
+			}
+		}
+	}
+	if regridded == 0 {
+		t.Fatal("no translation changed how many grid cells the radios occupy")
+	}
+}
+
+// withSilentRadio rewrites a transcript's ledger totals as one more
+// receiver resolving radio_off for every frame would leave them, and
+// reports the frame count (0 without a ledger).
+func withSilentRadio(transcript string) (string, int) {
+	lines := strings.SplitAfter(transcript, "\n")
+	frames := 0
+	for i, line := range lines {
+		// The report's header line precedes its outcome lines.
+		var potential, unresolved int
+		if n, _ := fmt.Sscanf(line, "frames %d, potential receptions %d, unresolved %d", &frames, &potential, &unresolved); n == 3 {
+			lines[i] = fmt.Sprintf("frames %d, potential receptions %d, unresolved %d\n", frames, potential+frames, unresolved)
+		}
+		if f := strings.Fields(line); len(f) == 2 && f[0] == "radio_off" {
+			off, _ := strconv.Atoi(f[1])
+			lines[i] = fmt.Sprintf("  %-18s %d\n", "radio_off", off+frames)
+		}
+	}
+	return strings.Join(lines, ""), frames
+}
+
+// TestSilentRadioAddsOnlyRadioOff: attaching one more radio last, powered
+// off and with a floor below every other radio's, lowers minSens and so
+// widens every transmitter's culling radius. Nothing the other radios see
+// may change: receptions, Stats, their probes and every existing link row
+// stay identical, and the ledger gains exactly one potential reception per
+// frame, each resolved radio_off at the new radio.
+func TestSilentRadioAddsOnlyRadioOff(t *testing.T) {
+	for _, ledger := range []bool{false, true} {
+		for seed := uint64(500); seed < 540; seed++ {
+			sc := genScenario(seed, seed%2 == 1)
+			silent := len(sc.pos)
+			ext := sc
+			ext.pos = append(slices.Clip(sc.pos), Position{X: 30, Y: 30})
+			ext.power = append(slices.Clip(sc.power), 0)
+			ext.sens = append(slices.Clip(sc.sens), phy.SensitivityWiFi1M)
+			ext.on = append(slices.Clip(sc.on), false)
+			ext.deaf = append(slices.Clip(sc.deaf), false)
+			ext.reply = append(slices.Clip(sc.reply), false)
+			ext.toggle = append(slices.Clip(sc.toggle), 0)
+
+			var kept strings.Builder
+			silentOff := 0
+			probe, link := fmt.Sprintf(" r%d busy=", silent), fmt.Sprintf(" -> r%d: ", silent)
+			for _, line := range strings.SplitAfter(playScenario(ext, false, ledger), "\n") {
+				if strings.Contains(line, probe) {
+					continue
+				}
+				if _, counts, ok := strings.Cut(line, link); ok {
+					off, err := strconv.Atoi(strings.TrimPrefix(strings.TrimSuffix(counts, "\n"), "radio_off="))
+					if err != nil {
+						t.Fatalf("seed %d, ledger %v: silent radio resolved %q", seed, ledger, line)
+					}
+					silentOff += off
+					continue
+				}
+				kept.WriteString(line)
+			}
+			want, frames := withSilentRadio(playScenario(sc, false, ledger))
+			if got := kept.String(); got != want {
+				t.Fatalf("seed %d, ledger %v: a silent radio changed what the others see\n--- without it ---\n%s\n--- with it ---\n%s",
+					seed, ledger, want, got)
+			}
+			if silentOff != frames {
+				t.Fatalf("seed %d, ledger %v: silent radio resolved radio_off %d times for %d frames", seed, ledger, silentOff, frames)
+			}
+		}
+	}
 }

@@ -1,6 +1,7 @@
 package medium
 
 import (
+	"cmp"
 	"math"
 	"slices"
 )
@@ -64,20 +65,45 @@ func (g *grid) move(t *Transceiver, p Position) {
 	g.cells[next] = append(g.cells[next], t)
 }
 
-// buildGrid indexes the attached population. Deferred to the first culled
+// buildGrid indexes the attached population. Deferred to the first
 // transmission so attachment order and cost stay unchanged for small
-// topologies that never transmit.
+// topologies that never transmit. The buckets are carved from one copy of
+// the radios sorted by cell, each capped at its own length, so a later
+// insert or move copies only the bucket it grows.
 func (m *Medium) buildGrid() {
-	edge := m.Loss.Range(m.maxTx, m.minSens)
+	maxTx := m.nodes[0].TxPower
+	for _, t := range m.nodes {
+		maxTx = max(maxTx, t.TxPower)
+	}
+	edge := m.Loss.Range(maxTx, m.minSens)
 	if edge < 1 || math.IsInf(edge, 1) || math.IsNaN(edge) {
 		edge = 1
 	}
-	m.grid.size = edge
-	m.grid.cells = make(map[cellKey][]*Transceiver, len(m.nodes))
-	for _, t := range m.nodes {
-		m.grid.insert(t)
+	g := &m.grid
+	g.size = edge
+	byCell := slices.Clone(m.nodes)
+	for _, t := range byCell {
+		t.cell = g.keyFor(t.Pos)
 	}
-	m.grid.built = true
+	slices.SortFunc(byCell, func(a, b *Transceiver) int {
+		return cmp.Or(cmp.Compare(a.cell.x, b.cell.x), cmp.Compare(a.cell.y, b.cell.y), a.idx-b.idx)
+	})
+	cells := 0
+	for i, t := range byCell {
+		if i == 0 || t.cell != byCell[i-1].cell {
+			cells++
+		}
+	}
+	g.cells = make(map[cellKey][]*Transceiver, cells)
+	for i := 0; i < len(byCell); {
+		j := i + 1
+		for j < len(byCell) && byCell[j].cell == byCell[i].cell {
+			j++
+		}
+		g.cells[byCell[i].cell] = byCell[i:j:j]
+		i = j
+	}
+	g.built = true
 }
 
 // gridCandidates appends to dst, which must be empty, every radio other

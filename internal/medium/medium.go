@@ -18,7 +18,9 @@
 // approximations: the culled receiver set provably contains every radio the
 // all-pairs walk could have delivered to, sensed at, or interfered with, and
 // a brute-force all-pairs model in the package's tests pins byte-identical
-// behavior on randomized topologies.
+// behavior on randomized topologies. A provenance ledger changes none of
+// this: the radios the grid culls are settled in the frame's delivery
+// event by a walk over the radios attached at launch.
 package medium
 
 import (
@@ -118,8 +120,7 @@ type Transceiver struct {
 	busyUntil sim.Time
 	// heard accumulates in-flight (and recently ended) transmissions at or
 	// above this radio's sensitivity; the delivery-time collision scan walks
-	// it instead of the global history. Compacted lazily against the
-	// medium's prune floor.
+	// it. Compacted lazily against the medium's prune floor.
 	heard []heardTx
 	// ownTx are this radio's own transmissions: a half-duplex radio misses
 	// everything during its own TX regardless of power levels.
@@ -147,7 +148,7 @@ func (t *Transceiver) SetPos(p Position) {
 // Meaningful only while the medium's Prov hook is non-nil.
 func (t *Transceiver) ProvID() obs.ActorID { return t.prov }
 
-// transmission is one in-flight (or recently finished) frame.
+// transmission is one in-flight frame.
 type transmission struct {
 	from       *Transceiver
 	data       []byte
@@ -174,36 +175,30 @@ type Medium struct {
 	// ObserveProvenance so already-attached radios get actor ids.
 	Prov *obs.Provenance
 
-	nodes   []*Transceiver
-	history []transmission
+	nodes []*Transceiver
 	// Stats counts medium-level events for the experiment harness.
 	Stats Stats
 
-	// minSens is the most sensitive floor of any attached radio and maxTx
-	// the strongest attached transmitter; together with Loss they bound
-	// every interference radius. Monotone as radios attach.
+	// minSens is the most sensitive floor of any attached radio; with Loss
+	// and a transmitter's power it bounds that transmitter's interference
+	// radius. Monotone as radios attach.
 	minSens phy.DBm
-	// maxTx is meaningful only while hasNodes (0 dBm is a valid power).
-	maxTx    phy.DBm
-	hasNodes bool
-	grid     grid
+	grid    grid
 	// free lists the idle delivery records. first is the medium's own
 	// record, on the list from New, so a world whose frames never overlap
 	// allocates no record at all.
 	free  *delivery
 	first delivery
 
-	// maxAir is the longest airtime among frames currently in history; the
-	// prune window is derived from it, so a 300 ms frame at 1 Mb/s keeps
+	// maxAir is the longest airtime the medium has carried. Every pending
+	// frame started at most maxAir ago, so a 300 ms frame at 1 Mb/s keeps
 	// its interferers alive where a fixed window would drop them.
 	maxAir time.Duration
-	// cutoff is the monotone prune floor: transmissions (and heard entries)
-	// ending at or before it can no longer overlap any pending delivery.
+	// cutoff is the monotone prune floor, now − maxAir at the latest
+	// transmission: heard and ownTx entries ending at or before it can no
+	// longer overlap any pending delivery. It bounds only their memory;
+	// every overlap is still tested explicitly.
 	cutoff sim.Time
-	// prunedLen is the history length right after the last compaction;
-	// pruning re-runs only after meaningful growth, keeping it amortized
-	// O(1) per transmission.
-	prunedLen int
 }
 
 // candidate is one grid-query hit: a receiver inside the transmitter's
@@ -260,10 +255,6 @@ func (m *Medium) Attach(name string, pos Position, txPower, sensitivity phy.DBm)
 	if sensitivity < m.minSens {
 		m.minSens = sensitivity
 	}
-	if !m.hasNodes || txPower > m.maxTx {
-		m.maxTx = txPower
-	}
-	m.hasNodes = true
 	m.nodes = append(m.nodes, t)
 	if m.grid.built {
 		m.grid.insert(t)
@@ -319,19 +310,22 @@ func (m *Medium) Transmit(t *Transceiver, data []byte, rate phy.Rate) time.Durat
 	airtime := phy.FrameAirtime(rate, len(data))
 	now := m.sched.Now()
 	tx := transmission{from: t, data: data, rate: rate, start: now, end: now.Add(airtime)}
+	// Every other attached radio is a potential receiver of a frame in the
+	// ledger and resolves to exactly one outcome in the frame's delivery
+	// event: in-budget radios through deliver, culled ones through
+	// resolveCulled. attached stays 0 for a frame outside the ledger.
+	attached := 0
 	if m.Prov != nil {
-		// Every other attached radio is a potential receiver and must
-		// resolve to exactly one outcome in the frame's delivery event:
-		// in-radius radios through deliver, culled ones through
-		// resolveCulled.
 		tx.frame = m.Prov.Transmitted(t.prov, len(m.nodes)-1)
+		attached = len(m.nodes)
 	}
-	m.history = append(m.history, tx)
+	m.Stats.Transmissions++
 	if airtime > m.maxAir {
 		m.maxAir = airtime
 	}
-	m.Stats.Transmissions++
-	m.pruneHistory(now)
+	if floor := now - sim.Time(m.maxAir); floor > m.cutoff {
+		m.cutoff = floor
+	}
 
 	// The transmitter senses (and is blinded by) its own frame.
 	if tx.end > t.busyUntil {
@@ -339,35 +333,22 @@ func (m *Medium) Transmit(t *Transceiver, data []byte, rate phy.Rate) time.Durat
 	}
 	t.ownTx = appendPruned(t.ownTx, interval{start: now, end: tx.end}, m.cutoff)
 
-	// Fill the head of the free list; it is booked only if the frame
-	// reaches some radio, and otherwise stays free for the next frame.
+	// Fill the head of the free list; it is booked only if the frame has a
+	// radio to deliver to or resolve, and otherwise stays free for the
+	// next frame.
 	d := m.free
 	if d == nil {
 		d = &delivery{m: m}
 		d.rcvs = d.one[:0]
 		m.free = d
 	}
-	if m.Prov != nil {
-		// The ledger accounts for every pair, so the walk is O(nodes)
-		// regardless of culling.
-		for _, rcv := range m.nodes {
-			if rcv == t {
-				continue
-			}
-			rssi := m.rssiAt(t, rcv)
-			if rssi < m.minSens {
-				d.culled = append(d.culled, rcv)
-				continue
-			}
-			d.rcvs = append(d.rcvs, candidate{t: rcv, rssi: rssi})
-		}
-	} else {
-		if !m.grid.built {
-			m.buildGrid()
-		}
-		d.rcvs = m.gridCandidates(d.rcvs, t, m.Loss.Range(t.TxPower, m.minSens))
+	if !m.grid.built {
+		m.buildGrid()
 	}
-	if len(d.rcvs) == 0 && len(d.culled) == 0 {
+	d.rcvs = m.gridCandidates(d.rcvs, t, m.Loss.Range(t.TxPower, m.minSens))
+	// A frame in the ledger is booked even if it reaches no radio, as long
+	// as some other radio has to resolve it.
+	if len(d.rcvs) == 0 && attached < 2 {
 		return airtime
 	}
 	// Carrier-sense and collision-scan state change now; the deliveries
@@ -377,21 +358,25 @@ func (m *Medium) Transmit(t *Transceiver, data []byte, rate phy.Rate) time.Durat
 			m.noteHeard(c.t, &tx, c.rssi)
 		}
 	}
-	m.book(d, &tx)
+	m.book(d, &tx, attached)
 	return airtime
 }
 
 // delivery is one frame's end-of-airtime work: the receivers inside its
-// interference budget, in attach order with their launch RSSI, and with a
-// ledger attached the radios outside it. A single scheduler event runs it.
-// That dispatches exactly as one event per receiver would: those events
-// would fire at the same instant with consecutive sequence numbers, and an
-// event a Handler schedules for that instant sorts after all of them.
+// interference budget, in attach order with their launch RSSI, and for a
+// frame in the ledger the radio count at launch. A single scheduler event
+// runs it. That dispatches exactly as one event per receiver would: those
+// events would fire at the same instant with consecutive sequence numbers,
+// and an event a Handler schedules for that instant sorts after all of
+// them.
 type delivery struct {
-	m      *Medium
-	tx     transmission
-	rcvs   []candidate
-	culled []*Transceiver
+	m    *Medium
+	tx   transmission
+	rcvs []candidate
+	// attached is how many radios were attached at launch, or 0 for a
+	// frame outside the ledger; m.nodes[:attached] minus the sender and
+	// rcvs are the frame's culled radios.
+	attached int
 	// fire is run, bound once per record so that booking a recycled
 	// record allocates nothing.
 	fire func()
@@ -404,9 +389,10 @@ type delivery struct {
 // book takes d, the head of the free list, off the list and schedules it
 // to deliver tx at end of airtime. A Handler that transmits while d runs
 // therefore fills a different record.
-func (m *Medium) book(d *delivery, tx *transmission) {
+func (m *Medium) book(d *delivery, tx *transmission, attached int) {
 	m.free, d.next = d.next, nil
 	d.tx = *tx
+	d.attached = attached
 	if d.fire == nil {
 		d.fire = d.run
 	}
@@ -424,12 +410,11 @@ func (d *delivery) run() {
 	for _, c := range d.rcvs {
 		m.deliver(&d.tx, c.t, c.rssi)
 	}
-	m.resolveCulled(&d.tx, d.culled)
+	m.resolveCulled(d)
 	// The receivers are the medium's own radios, so keeping them in the
 	// idle record pins nothing; the frame's bytes are dropped.
 	d.tx = transmission{}
 	d.rcvs = d.rcvs[:0]
-	d.culled = d.culled[:0]
 	d.next = m.free
 	m.free = d
 }
@@ -456,21 +441,28 @@ func appendPruned(ivs []interval, iv interval, cutoff sim.Time) []interval {
 	return append(kept, iv)
 }
 
-// resolveCulled settles the provenance outcomes of every receiver outside
-// the frame's interference budget, in the frame's delivery event after its
-// in-budget receivers. The all-pairs precedence is preserved: a powered-off
-// (or handler-less) radio resolves radio_off even though the signal also
+// resolveCulled settles the provenance outcomes of the radios attached at
+// d's launch that were outside its interference budget, in the frame's
+// delivery event after its in-budget receivers. The radios and the
+// receivers are both in attach order, so one merged walk skips the
+// receivers. The all-pairs precedence is preserved: a powered-off (or
+// handler-less) radio resolves radio_off even though the signal also
 // missed it.
-func (m *Medium) resolveCulled(tx *transmission, culled []*Transceiver) {
+func (m *Medium) resolveCulled(d *delivery) {
 	if m.Prov == nil {
 		return
 	}
-	for _, rcv := range culled {
-		if !rcv.on || rcv.Handler == nil {
+	tx, rcvs := &d.tx, d.rcvs
+	for _, rcv := range m.nodes[:d.attached] {
+		switch {
+		case len(rcvs) > 0 && rcvs[0].t == rcv:
+			rcvs = rcvs[1:]
+		case rcv == tx.from: // the sender is no potential receiver
+		case !rcv.on || rcv.Handler == nil:
 			m.Prov.Resolve(tx.frame, rcv.prov, tx.end, obs.DropRadioOff)
-			continue
+		default:
+			m.Prov.Resolve(tx.frame, rcv.prov, tx.end, obs.DropBelowSensitivity)
 		}
-		m.Prov.Resolve(tx.frame, rcv.prov, tx.end, obs.DropBelowSensitivity)
 	}
 }
 
@@ -573,34 +565,4 @@ func (m *Medium) finishDelivery(tx *transmission, rcv *Transceiver, rssi phy.DBm
 		End:      tx.end,
 		Frame:    tx.frame,
 	})
-}
-
-// pruneHistory drops transmissions that can no longer overlap any pending
-// delivery. The keep window is the longest airtime currently on the air —
-// every pending frame started at most that long before its delivery fires —
-// instead of a fixed constant that silently assumed no frame outlives it.
-// Compaction is amortized: it re-runs only once the history has clearly
-// outgrown its last compacted size.
-func (m *Medium) pruneHistory(now sim.Time) {
-	if floor := now - sim.Time(m.maxAir); floor > m.cutoff {
-		m.cutoff = floor
-	}
-	if len(m.history) < 2*m.prunedLen+16 {
-		return
-	}
-	i := 0
-	m.maxAir = 0
-	for _, tx := range m.history {
-		if tx.end <= m.cutoff {
-			continue
-		}
-		m.history[i] = tx
-		i++
-		if air := tx.end.Sub(tx.start); air > m.maxAir {
-			m.maxAir = air
-		}
-	}
-	clear(m.history[i:])
-	m.history = m.history[:i]
-	m.prunedLen = i
 }

@@ -263,19 +263,23 @@ func TestDistanceFloor(t *testing.T) {
 	}
 }
 
+// TestHistoryPruned: the medium keeps no global history, and the per-radio
+// windows are compacted against the prune floor: ownTx when its radio
+// transmits, heard when its radio is delivered a frame. After 100
+// transmissions a second apart, each holds only the latest frame.
 func TestHistoryPruned(t *testing.T) {
 	s, m := newTestMedium()
 	a := m.Attach("a", Position{0, 0}, 0, phy.SensitivityWiFiMCS7)
+	b := m.Attach("b", Position{1, 0}, 0, phy.SensitivityWiFiMCS7)
 	a.SetOn(true)
+	b.SetOn(true)
+	b.Handler = func(Reception) {}
 	for i := 0; i < 100; i++ {
 		m.Transmit(a, make([]byte, 10), phy.RateOFDM6)
 		s.RunFor(sim.Second.Duration())
 	}
-	// Pruning is amortized (it re-runs after the history doubles past its
-	// last compacted size), so the bound is a small constant, not an exact
-	// count: 100 long-dead transmissions must not accumulate.
-	if len(m.history) > 32 {
-		t.Fatalf("history holds %d entries after pruning", len(m.history))
+	if len(a.ownTx) > 1 || len(b.heard) > 1 {
+		t.Fatalf("after pruning, ownTx holds %d entries and heard %d; want at most 1 each", len(a.ownTx), len(b.heard))
 	}
 }
 
@@ -488,6 +492,68 @@ func TestAttachAfterGridBuilt(t *testing.T) {
 	s.Run()
 	if delivered != 1 {
 		t.Fatalf("late-attached radio got %d deliveries, want 1", delivered)
+	}
+}
+
+// TestGridInsertKeepsNeighbourBucket: the grid's buckets share one backing
+// array, so a radio attached into one cell after the build must not spill
+// into the next cell's bucket. A (cell 0) transmits to B and D (cell 1)
+// and to C, attached later into cell 0; each must hear the frame once.
+func TestGridInsertKeepsNeighbourBucket(t *testing.T) {
+	s, m := newTestMedium()
+	a := m.Attach("a", Position{9, 0}, 0, phy.SensitivityWiFiMCS7)
+	b := m.Attach("b", Position{11, 0}, 0, phy.SensitivityWiFiMCS7)
+	d := m.Attach("d", Position{12, 0}, 0, phy.SensitivityWiFiMCS7)
+	a.SetOn(true)
+	m.Transmit(a, make([]byte, 10), phy.RateOFDM6) // builds the grid
+	s.Run()
+	c := m.Attach("c", Position{5, 0}, 0, phy.SensitivityWiFiMCS7)
+	if a.cell != c.cell || b.cell != d.cell || a.cell == b.cell {
+		t.Fatalf("cells a=%v b=%v c=%v d=%v, want a and c in one cell, b and d in the next", a.cell, b.cell, c.cell, d.cell)
+	}
+	got := map[string]int{}
+	for _, rx := range []*Transceiver{b, c, d} {
+		rx.SetOn(true)
+		rx.Handler = func(Reception) { got[rx.Name]++ }
+	}
+	m.Transmit(a, make([]byte, 10), phy.RateOFDM6)
+	s.Run()
+	if got["b"] != 1 || got["c"] != 1 || got["d"] != 1 {
+		t.Fatalf("receptions %v, want one each at b, c and d", got)
+	}
+}
+
+// TestLedgerSettlesFrameThatReachesNoRadio: with a ledger attached, a frame
+// whose every potential receiver is culled still books its delivery event,
+// in which the culled radios resolve; without a ledger it books nothing.
+func TestLedgerSettlesFrameThatReachesNoRadio(t *testing.T) {
+	for _, ledger := range []bool{false, true} {
+		s, m := newTestMedium()
+		prov := obs.NewProvenance()
+		if ledger {
+			m.ObserveProvenance(prov)
+		}
+		tx := m.Attach("tx", Position{0, 0}, 0, phy.SensitivityWiFiMCS7)
+		far := m.Attach("far", Position{500, 0}, 0, phy.SensitivityWiFiMCS7)
+		m.Attach("dark", Position{600, 0}, 0, phy.SensitivityWiFiMCS7)
+		tx.SetOn(true)
+		far.SetOn(true)
+		far.Handler = func(Reception) {}
+		m.Transmit(tx, make([]byte, 10), phy.RateOFDM6)
+		s.Run()
+		want := uint64(0)
+		if ledger {
+			want = 1
+		}
+		if got := s.Fired(); got != want {
+			t.Errorf("ledger %v: the frame fired %d events, want %d", ledger, got, want)
+		}
+		if err := prov.Verify(); err != nil {
+			t.Errorf("ledger %v: %v", ledger, err)
+		}
+		if out := prov.Outcomes(); ledger && (out[obs.DropBelowSensitivity] != 1 || out[obs.DropRadioOff] != 1) {
+			t.Errorf("outcomes %v, want below_sensitivity at far and radio_off at dark", out)
+		}
 	}
 }
 
