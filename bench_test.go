@@ -18,6 +18,8 @@ package wile_test
 import (
 	"fmt"
 	"io"
+	"runtime"
+	"runtime/debug"
 	"testing"
 	"time"
 
@@ -460,33 +462,46 @@ func BenchmarkObsExport(b *testing.B) {
 			}
 		}
 	}
-	b.Run("buffered", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			r := obs.NewRecorder()
-			fill(r)
-			if err := r.WriteChromeTrace(io.Discard); err != nil {
-				b.Fatal(err)
+	// Each lane runs only a handful of ops, so a stray allocation moves
+	// allocs/op by one between identical runs. Two sources: one-off setup,
+	// which an untimed warm-up op absorbs, and the collector emptying
+	// sync.Pools (fmt's printers) a varying number of times per op. So the
+	// lane collects once at the end of every op instead of whenever the
+	// pacer decides; the collection stays inside the timed region.
+	lane := func(op func(b *testing.B)) func(b *testing.B) {
+		return func(b *testing.B) {
+			defer debug.SetGCPercent(debug.SetGCPercent(-1))
+			op(b)
+			runtime.GC()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				op(b)
+				runtime.GC()
 			}
 		}
-	})
-	b.Run("streaming", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			spill, err := obs.NewSpillSink(b.TempDir())
-			if err != nil {
-				b.Fatal(err)
-			}
-			r := obs.NewStreamRecorder(spill)
-			fill(r)
-			if err := r.WriteChromeTrace(io.Discard); err != nil {
-				b.Fatal(err)
-			}
-			if err := spill.Close(); err != nil {
-				b.Fatal(err)
-			}
+	}
+	b.Run("buffered", lane(func(b *testing.B) {
+		r := obs.NewRecorder()
+		fill(r)
+		if err := r.WriteChromeTrace(io.Discard); err != nil {
+			b.Fatal(err)
 		}
-	})
+	}))
+	b.Run("streaming", lane(func(b *testing.B) {
+		spill, err := obs.NewSpillSink(b.TempDir())
+		if err != nil {
+			b.Fatal(err)
+		}
+		r := obs.NewStreamRecorder(spill)
+		fill(r)
+		if err := r.WriteChromeTrace(io.Discard); err != nil {
+			b.Fatal(err)
+		}
+		if err := spill.Close(); err != nil {
+			b.Fatal(err)
+		}
+	}))
 }
 
 // --- Frame provenance ---

@@ -42,14 +42,19 @@ func TestAdvPDULengthLimit(t *testing.T) {
 }
 
 func TestParseAdvPDUErrors(t *testing.T) {
-	if _, err := ParseAdvPDU([]byte{0x02}); err == nil {
-		t.Error("1-byte PDU accepted")
-	}
-	if _, err := ParseAdvPDU([]byte{0x02, 10, 1, 2}); err == nil {
-		t.Error("truncated payload accepted")
-	}
-	if _, err := ParseAdvPDU([]byte{0x02, 3, 1, 2, 3}); err == nil {
-		t.Error("payload shorter than AdvA accepted")
+	for _, tc := range []struct {
+		name string
+		pdu  []byte
+	}{
+		{"1-byte PDU", []byte{0x02}},
+		{"truncated payload", []byte{0x02, 10, 1, 2}},
+		{"payload shorter than AdvA", []byte{0x02, 3, 1, 2, 3}},
+		// 40 payload bytes leave 34 of AdvData, which Marshal refuses.
+		{"AdvData over MaxAdvData", append([]byte{0x02, 40}, make([]byte, 40)...)},
+	} {
+		if p, err := ParseAdvPDU(tc.pdu); err == nil {
+			t.Errorf("%s accepted: %d bytes of AdvData", tc.name, len(p.Data))
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package ble
 import (
 	"time"
 
+	"wile/internal/energy"
 	"wile/internal/sim"
 	"wile/internal/units"
 )
@@ -26,114 +27,48 @@ const CC2541Voltage = units.Volts(3.0)
 // 32.768 kHz sleep oscillator running (Table 1: 1.1 µA idle).
 const CC2541SleepCurrent = units.Amps(1.1e-6)
 
-// Phase is one segment of a connection event.
-type Phase struct {
-	Name    string
-	D       time.Duration
-	Current units.Amps
+// connectionEvent is the swra347a phase decomposition of one slave
+// connection event (wake → pre-processing → radio prep → RX master packet
+// → turnaround → TX our data packet → post-processing).
+var connectionEvent = []energy.Segment{
+	{Label: "wake-up", D: 400 * time.Microsecond, Current: units.Amps(6.0e-3)},
+	{Label: "pre-processing", D: 340 * time.Microsecond, Current: units.Amps(7.4e-3)},
+	{Label: "pre-rx", D: 352 * time.Microsecond, Current: units.Amps(11.0e-3)},
+	{Label: "rx", D: 190 * time.Microsecond, Current: units.Amps(17.5e-3)},
+	{Label: "rx-tx-transition", D: 105 * time.Microsecond, Current: units.Amps(7.4e-3)},
+	{Label: "tx", D: 115 * time.Microsecond, Current: units.Amps(18.2e-3)},
+	{Label: "post-processing", D: 1190 * time.Microsecond, Current: units.Amps(7.4e-3)},
 }
 
-// ConnectionEventPhases returns the swra347a phase decomposition of one
-// slave connection event (wake → pre-processing → radio prep → RX master
-// packet → turnaround → TX our data packet → post-processing).
-func ConnectionEventPhases() []Phase {
-	// Constant conversions keep this function inlinable, so the slice can
-	// stay on the caller's stack (the per-packet hot path builds it 3×).
-	return []Phase{
-		{Name: "wake-up", D: 400 * time.Microsecond, Current: units.Amps(6.0e-3)},
-		{Name: "pre-processing", D: 340 * time.Microsecond, Current: units.Amps(7.4e-3)},
-		{Name: "pre-rx", D: 352 * time.Microsecond, Current: units.Amps(11.0e-3)},
-		{Name: "rx", D: 190 * time.Microsecond, Current: units.Amps(17.5e-3)},
-		{Name: "rx-tx-transition", D: 105 * time.Microsecond, Current: units.Amps(7.4e-3)},
-		{Name: "tx", D: 115 * time.Microsecond, Current: units.Amps(18.2e-3)},
-		{Name: "post-processing", D: 1190 * time.Microsecond, Current: units.Amps(7.4e-3)},
-	}
-}
-
-// ConnectionEventDuration sums the phase durations.
-func ConnectionEventDuration() time.Duration {
-	var d time.Duration
-	for _, p := range ConnectionEventPhases() {
-		d += p.D
-	}
-	return d
-}
-
-// ConnectionEventCharge integrates one event's charge.
-func ConnectionEventCharge() units.Coulombs {
-	var c units.Coulombs
-	for _, p := range ConnectionEventPhases() {
-		c += units.Charge(p.Current, p.D)
-	}
-	return c
-}
+// ConnectionEventDuration is how long one connection event keeps the chip
+// awake.
+func ConnectionEventDuration() time.Duration { return energy.ProfileDuration(connectionEvent) }
 
 // ConnectionEventEnergy integrates one event's energy — the BLE "energy
 // per packet" of Table 1.
 func ConnectionEventEnergy() units.Joules {
-	return ConnectionEventCharge().Energy(CC2541Voltage)
+	return energy.ProfileCharge(connectionEvent).Energy(CC2541Voltage)
 }
 
-// Device is a simulated CC2541 slave: sleeps at CC2541SleepCurrent and
-// plays a connection event per transmission, exactly like the esp32
-// counterpart (piecewise-constant current, exact charge integral).
+// Device is a simulated CC2541 slave: it sleeps at CC2541SleepCurrent and
+// plays a connection event per transmission on the same waveform recorder
+// as the esp32 model (piecewise-constant current, exact charge integral).
 type Device struct {
-	sched *sim.Scheduler
+	*energy.Recorder
 
-	lastT  sim.Time
-	lastA  units.Amps
-	charge units.Coulombs
-	steps  []Step
+	sched  *sim.Scheduler
 	events int
-}
-
-// Step is one point of the current waveform.
-type Step struct {
-	At      sim.Time
-	Current units.Amps
 }
 
 // NewDevice builds a sleeping CC2541.
 func NewDevice(sched *sim.Scheduler) *Device {
-	d := &Device{sched: sched, lastT: sched.Now(), lastA: CC2541SleepCurrent}
-	d.steps = append(d.steps, Step{At: sched.Now(), Current: d.lastA})
-	return d
+	return &Device{Recorder: energy.NewRecorder(sched, sleepCurrent, nil), sched: sched}
 }
 
-func (d *Device) touch() {
-	now := d.sched.Now()
-	if now > d.lastT {
-		d.charge += units.Charge(d.lastA, now.Sub(d.lastT))
-		d.lastT = now
-	}
-}
-
-func (d *Device) setCurrent(a units.Amps) {
-	d.touch()
-	if a == d.lastA {
-		return
-	}
-	d.lastA = a
-	d.steps = append(d.steps, Step{At: d.sched.Now(), Current: a})
-}
-
-// Current reports the instantaneous draw (meter.Probe).
-func (d *Device) Current() units.Amps { return d.lastA }
-
-// Charge reports the exact charge drawn since construction.
-func (d *Device) Charge() units.Coulombs {
-	d.touch()
-	return d.charge
-}
+func sleepCurrent() units.Amps { return CC2541SleepCurrent }
 
 // Energy reports the exact energy drawn since construction.
 func (d *Device) Energy() units.Joules { return d.Charge().Energy(CC2541Voltage) }
-
-// Steps returns the recorded waveform.
-func (d *Device) Steps() []Step {
-	d.touch()
-	return d.steps
-}
 
 // Events reports how many connection events have started.
 func (d *Device) Events() int { return d.events }
@@ -142,20 +77,7 @@ func (d *Device) Events() int { return d.events }
 // sleep and calls done.
 func (d *Device) PlayConnectionEvent(done func()) {
 	d.events++
-	phases := ConnectionEventPhases()
-	var run func(i int)
-	run = func(i int) {
-		if i == len(phases) {
-			d.setCurrent(CC2541SleepCurrent)
-			if done != nil {
-				done()
-			}
-			return
-		}
-		d.setCurrent(phases[i].Current)
-		d.sched.DoAfter(phases[i].D, func() { run(i + 1) })
-	}
-	run(0)
+	d.Play(connectionEvent, done)
 }
 
 // RunPeriodic schedules a connection event every interval, with the first

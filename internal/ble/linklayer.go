@@ -85,8 +85,8 @@ func ParseAdvPDU(b []byte) (*AdvPDU, error) {
 	if len(b) < 2+n {
 		return nil, fmt.Errorf("ble: PDU claims %d payload bytes, have %d", n, len(b)-2)
 	}
-	if n < 6 {
-		return nil, fmt.Errorf("ble: advertising payload %d bytes, below AdvA size", n)
+	if n < 6 || n > 6+MaxAdvData {
+		return nil, fmt.Errorf("ble: advertising payload %d bytes, want AdvA plus at most %d", n, MaxAdvData)
 	}
 	copy(p.AdvA[:], b[2:8])
 	p.Data = b[8 : 2+n]

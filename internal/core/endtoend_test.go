@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"wile/internal/dot11"
+	"wile/internal/energy"
 	"wile/internal/esp32"
 	"wile/internal/medium"
 	"wile/internal/phy"
@@ -111,22 +112,10 @@ func TestWiLEEnergyPerPacketMatchesTable1(t *testing.T) {
 
 	// Extract the TX burst energy from the waveform: the charge drawn at
 	// TX current.
-	var txCharge units.Coulombs
-	steps := sensor.Dev.Steps()
-	for i, s := range steps {
-		if s.Current != esp32.TxBurstCurrent {
-			continue
-		}
-		end := r.sched.Now()
-		if i+1 < len(steps) {
-			end = steps[i+1].At
-		}
-		txCharge += units.Charge(esp32.TxBurstCurrent, end.Sub(s.At))
-	}
-	energy := txCharge.Energy(esp32.Voltage)
-	t.Logf("Wi-LE TX-window energy: %.1f µJ (paper: 84 µJ)", energy.Micro())
-	if energy < units.Scale(units.MicroJoules(84), 0.85) || energy > units.Scale(units.MicroJoules(84), 1.15) {
-		t.Errorf("TX energy %.1f µJ outside ±15%% of 84 µJ", energy.Micro())
+	tx := energy.ChargeAt(sensor.Dev.Steps(), esp32.TxBurstCurrent, r.sched.Now()).Energy(esp32.Voltage)
+	t.Logf("Wi-LE TX-window energy: %.1f µJ (paper: 84 µJ)", tx.Micro())
+	if tx < units.Scale(units.MicroJoules(84), 0.85) || tx > units.Scale(units.MicroJoules(84), 1.15) {
+		t.Errorf("TX energy %.1f µJ outside ±15%% of 84 µJ", tx.Micro())
 	}
 }
 

@@ -1,6 +1,7 @@
-// Package energy holds the paper's energy bookkeeping: the §5.5 average
-// power model (Equation 1), battery-life estimation, and human-readable
-// formatting for the quantities Table 1 reports. All quantities are
+// Package energy holds the paper's energy bookkeeping: the device current
+// waveform every energy figure integrates (Recorder, waveform.go), the §5.5
+// average power model (Equation 1), battery-life estimation, and
+// human-readable formatting for the quantities Table 1 reports. All quantities are
 // dimensioned (internal/units); bare float64 appears only at the
 // formatting boundary.
 package energy

@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"time"
 
+	"wile/internal/energy"
 	"wile/internal/obs"
 	"wile/internal/sim"
 	"wile/internal/units"
@@ -101,32 +102,18 @@ const TxBurstCurrent = units.Amps(180e-3)
 // per-transmission radio-on window behind Table 1's 84 µJ Wi-LE figure.
 const TxRampUp = 95 * time.Microsecond
 
-// Step is one point of the piecewise-constant current waveform: the
-// current that flows from At onward.
-type Step struct {
-	At      sim.Time
-	Current units.Amps
-}
-
-// Mark is a labeled instant, used to annotate figure phases
-// ("MC/WiFi init", "Probe/Auth./Associate", …).
-type Mark struct {
-	At    sim.Time
-	Label string
-}
-
-// Device is one simulated ESP32 module.
+// Device is one simulated ESP32 module. Its waveform — the step history
+// and the exact charge integral — is the embedded recorder's; the device
+// drives it from a coarse power state, TX bursts and boot profiles.
 type Device struct {
-	sched *sim.Scheduler
+	*energy.Recorder
 
+	sched   *sim.Scheduler
 	state   State
-	lastT   sim.Time
-	lastA   units.Amps
 	txUntil sim.Time
-
-	charge units.Coulombs
-	steps  []Step
-	marks  []Mark
+	// burstEnd is endBurst, bound once: every TX burst books it.
+	burstEnd func()
+	marks    []energy.Mark
 
 	// rec/track carry the optional trace recorder (TraceTo): power states
 	// become nested slices, phase marks instants, TX bursts spans.
@@ -136,29 +123,10 @@ type Device struct {
 
 // New builds a device in deep sleep at the scheduler's current time.
 func New(sched *sim.Scheduler) *Device {
-	d := &Device{sched: sched, state: StateDeepSleep, lastT: sched.Now()}
-	d.lastA = StateCurrent(StateDeepSleep)
-	d.steps = append(d.steps, Step{At: sched.Now(), Current: d.lastA})
+	d := &Device{sched: sched, state: StateDeepSleep}
+	d.Recorder = energy.NewRecorder(sched, d.effectiveCurrent, d.MarkPhase)
+	d.burstEnd = d.endBurst
 	return d
-}
-
-// touch integrates charge up to now before a waveform change.
-func (d *Device) touch() {
-	now := d.sched.Now()
-	if now > d.lastT {
-		d.charge += units.Charge(d.lastA, now.Sub(d.lastT))
-		d.lastT = now
-	}
-}
-
-// setCurrent changes the instantaneous current, logging a waveform step.
-func (d *Device) setCurrent(a units.Amps) {
-	d.touch()
-	if a == d.lastA {
-		return
-	}
-	d.lastA = a
-	d.steps = append(d.steps, Step{At: d.sched.Now(), Current: a})
 }
 
 // effectiveCurrent reports the current the state machine implies now.
@@ -188,17 +156,11 @@ func (d *Device) SetState(s State) {
 		d.rec.Begin(d.track, now, s.String())
 	}
 	d.state = s
-	d.setCurrent(d.effectiveCurrent())
+	d.Set(d.effectiveCurrent())
 }
 
 // GetState reports the current coarse power state.
 func (d *Device) GetState() State { return d.state }
-
-// Current reports the instantaneous current draw — what the series
-// multimeter reads at this exact virtual instant.
-func (d *Device) Current() units.Amps {
-	return d.lastA
-}
 
 // RadioTx implements mac.RadioListener: the amplifier turns on for
 // TxRampUp+airtime, overriding the state current.
@@ -210,124 +172,73 @@ func (d *Device) RadioTx(airtime time.Duration) {
 	if d.rec != nil {
 		d.rec.Span(d.track, d.sched.Now(), until, "tx-burst")
 	}
-	d.setCurrent(TxBurstCurrent)
-	d.sched.DoAt(until, func() {
-		if d.sched.Now() >= d.txUntil {
-			d.setCurrent(d.effectiveCurrent())
-		}
-	})
+	d.Set(TxBurstCurrent)
+	d.sched.DoAt(until, d.burstEnd)
+}
+
+// endBurst drops back to the state current once the last burst is over.
+func (d *Device) endBurst() {
+	if d.sched.Now() >= d.txUntil {
+		d.Set(d.effectiveCurrent())
+	}
 }
 
 // MarkPhase records a labeled instant for figure annotation.
 func (d *Device) MarkPhase(label string) {
-	d.marks = append(d.marks, Mark{At: d.sched.Now(), Label: label})
+	d.marks = append(d.marks, energy.Mark{At: d.sched.Now(), Label: label})
 	if d.rec != nil {
 		d.rec.Instant(d.track, d.sched.Now(), label)
 	}
 }
 
 // Marks returns the recorded phase annotations.
-func (d *Device) Marks() []Mark { return d.marks }
-
-// Steps returns the waveform recorded so far (current from each step's
-// time until the next step).
-func (d *Device) Steps() []Step {
-	d.touch()
-	return d.steps
-}
-
-// Charge reports the total charge drawn since construction, integrated
-// exactly over the waveform.
-func (d *Device) Charge() units.Coulombs {
-	d.touch()
-	return d.charge
-}
+func (d *Device) Marks() []energy.Mark { return d.marks }
 
 // Energy reports the total energy drawn since construction.
 func (d *Device) Energy() units.Joules { return d.Charge().Energy(Voltage) }
 
-// Segment is one piece of a scripted boot/init profile.
-type Segment struct {
-	D       time.Duration
-	Current units.Amps
-	Label   string
-}
-
-// PlaySegments runs a scripted current profile (boot sequences, RF
-// calibration, …), then restores the device's state current and calls
-// done. Labels become phase marks.
-func (d *Device) PlaySegments(segs []Segment, done func()) {
-	var run func(i int)
-	run = func(i int) {
-		if i == len(segs) {
-			d.setCurrent(d.effectiveCurrent())
-			if done != nil {
-				done()
-			}
-			return
-		}
-		s := segs[i]
-		if s.Label != "" {
-			d.MarkPhase(s.Label)
-		}
-		d.setCurrent(s.Current)
-		d.sched.DoAfter(s.D, func() { run(i + 1) })
-	}
-	run(0)
-}
+// PlaySegments runs a boot profile on the recorder (see Recorder.Play),
+// then restores the device's state current and calls done. Labels become
+// phase marks.
+func (d *Device) PlaySegments(segs []energy.Segment, done func()) { d.Play(segs, done) }
 
 // Boot profiles, calibrated against Figure 3. Durations are the paper's
 // phase boundaries; currents are the plateau levels visible in the traces.
+// Both are shared tables: callers must not modify them.
+var (
+	bootWiFi = bootProfile(120*time.Millisecond, 330*time.Millisecond)
+	bootWiLE = bootProfile(100*time.Millisecond, 50*time.Millisecond)
+)
 
 // BootWiFi is the deep-sleep wake path of the full WiFi client
 // (Figure 3a, 0.2 s → 0.85 s): ROM boot, flash image load, RF calibration,
 // WiFi stack bring-up in station mode.
-func BootWiFi() []Segment {
-	segs := []Segment{{D: 30 * time.Millisecond, Current: units.MilliAmps(40), Label: "MC/WiFi init"}}
-	segs = append(segs, flashLoad(170*time.Millisecond)...)
-	segs = append(segs,
-		Segment{D: 120 * time.Millisecond, Current: units.MilliAmps(70)},
-		Segment{D: 330 * time.Millisecond, Current: units.MilliAmps(35)},
-	)
-	return segs
-}
-
-// flashLoad models the image-load phase: alternating flash-read bursts and
-// decompress/copy stretches. The sub-segments average exactly 50 mA so the
-// calibrated phase charge is unchanged; only the waveform texture (visible
-// in Figure 3's traces) differs from a flat plateau.
-func flashLoad(total time.Duration) []Segment {
-	const bursts = 8
-	slice := total / (2 * bursts)
-	out := make([]Segment, 0, 2*bursts)
-	for i := 0; i < bursts; i++ {
-		out = append(out,
-			Segment{D: slice, Current: units.MilliAmps(62)}, // SPI flash read burst
-			Segment{D: slice, Current: units.MilliAmps(38)}, // CPU copy/decompress
-		)
-	}
-	return out
-}
+func BootWiFi() []energy.Segment { return bootWiFi }
 
 // BootWiLE is the deep-sleep wake path of the Wi-LE transmitter
 // (Figure 3b): the same ROM/flash phases but no station-mode stack — "the
 // chip does not need to prepare to connect to the AP as a client; it can
 // simply enable the WiFi radio to inject a packet" (§5.2).
-func BootWiLE() []Segment {
-	segs := []Segment{{D: 30 * time.Millisecond, Current: units.MilliAmps(40), Label: "MC/WiFi init"}}
-	segs = append(segs, flashLoad(170*time.Millisecond)...)
-	segs = append(segs,
-		Segment{D: 100 * time.Millisecond, Current: units.MilliAmps(70)},
-		Segment{D: 50 * time.Millisecond, Current: units.MilliAmps(35)},
-	)
-	return segs
-}
+func BootWiLE() []energy.Segment { return bootWiLE }
 
-// BootDuration sums a profile's segment durations.
-func BootDuration(segs []Segment) time.Duration {
-	var total time.Duration
-	for _, s := range segs {
-		total += s.D
+// bootProfile builds a wake path: ROM boot, the 170 ms flash image load,
+// RF calibration at 70 mA for rfCal, and stack bring-up at 35 mA for
+// stack. The image load alternates flash-read bursts and
+// decompress/copy stretches; the sub-segments average exactly 50 mA so the
+// calibrated phase charge is unchanged, and only the waveform texture
+// (visible in Figure 3's traces) differs from a flat plateau.
+func bootProfile(rfCal, stack time.Duration) []energy.Segment {
+	const bursts = 8
+	slice := 170 * time.Millisecond / (2 * bursts)
+	segs := []energy.Segment{{D: 30 * time.Millisecond, Current: units.MilliAmps(40), Label: "MC/WiFi init"}}
+	for i := 0; i < bursts; i++ {
+		segs = append(segs,
+			energy.Segment{D: slice, Current: units.MilliAmps(62)}, // SPI flash read burst
+			energy.Segment{D: slice, Current: units.MilliAmps(38)}, // CPU copy/decompress
+		)
 	}
-	return total
+	return append(segs,
+		energy.Segment{D: rfCal, Current: units.MilliAmps(70)},
+		energy.Segment{D: stack, Current: units.MilliAmps(35)},
+	)
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"wile/internal/energy"
 	"wile/internal/sim"
 	"wile/internal/units"
 )
@@ -135,8 +136,8 @@ func TestPlaySegments(t *testing.T) {
 	if !done {
 		t.Fatal("done callback never ran")
 	}
-	if s.Now() != sim.FromDuration(BootDuration(BootWiFi())) {
-		t.Fatalf("boot took %v, want %v", s.Now(), BootDuration(BootWiFi()))
+	if s.Now() != sim.FromDuration(energy.ProfileDuration(BootWiFi())) {
+		t.Fatalf("boot took %v, want %v", s.Now(), energy.ProfileDuration(BootWiFi()))
 	}
 	// After the profile the device returns to its state current.
 	if d.Current() != StateCurrent(StateDeepSleep) {
@@ -149,12 +150,12 @@ func TestPlaySegments(t *testing.T) {
 
 func TestBootProfilesMatchFigure3Durations(t *testing.T) {
 	// Figure 3a: MCU/WiFi init runs 0.2 s → 0.85 s ⇒ 650 ms.
-	if got := BootDuration(BootWiFi()); got != 650*time.Millisecond {
+	if got := energy.ProfileDuration(BootWiFi()); got != 650*time.Millisecond {
 		t.Errorf("WiFi boot = %v, want 650ms", got)
 	}
 	// Figure 3b: Wi-LE init is visibly shorter (§5.2 "this step is
 	// shorter when compared with the WiFi case").
-	if BootDuration(BootWiLE()) >= BootDuration(BootWiFi()) {
+	if energy.ProfileDuration(BootWiLE()) >= energy.ProfileDuration(BootWiFi()) {
 		t.Error("Wi-LE boot not shorter than WiFi boot")
 	}
 }

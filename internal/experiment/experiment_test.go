@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"wile/internal/dot11"
+	"wile/internal/esp32"
 	"wile/internal/meter"
 	"wile/internal/sim"
 	"wile/internal/units"
@@ -213,6 +214,35 @@ func TestFig3CSVAndASCII(t *testing.T) {
 	tr.RenderASCII(&art, 60, 10)
 	if !strings.Contains(art.String(), "#") {
 		t.Fatal("ASCII plot empty")
+	}
+}
+
+// TestMeterWithinRectangleBound pins the meter's rectangle-rule integral to
+// the device's exact one. A sample holds its reading for one period, so a
+// step of ΔI between two samples costs at most |ΔI|·period of charge:
+// |meter − device| ≤ Σ|ΔI|·period over the device's steps, scaled here by
+// the rail voltage because the trace reports energies.
+func TestMeterWithinRectangleBound(t *testing.T) {
+	for _, fig := range []struct {
+		name string
+		run  func() (*Trace, error)
+	}{{"fig3a", RunFig3a}, {"fig3b", RunFig3b}} {
+		name := fig.name
+		tr, err := fig.run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var swing units.Amps
+		for i := 1; i < len(tr.Steps); i++ {
+			d := tr.Steps[i].Current - tr.Steps[i-1].Current
+			swing += max(d, -d)
+		}
+		bound := units.Charge(swing, time.Second/meter.DefaultSampleRate).Energy(esp32.Voltage)
+		got := meterOf(tr).Energy(0, sim.FromDuration(tr.Window), esp32.Voltage)
+		if diff := got - tr.DeviceEnergy; diff > bound || -diff > bound {
+			t.Errorf("%s: meter %v vs device %v: |diff| %v over the rectangle bound %v", name, got, tr.DeviceEnergy, diff, bound)
+		}
+		t.Logf("%s: |meter − device| = %.3g J, bound %.3g J", name, math.Abs(float64(got-tr.DeviceEnergy)), float64(bound))
 	}
 }
 

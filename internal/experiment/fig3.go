@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"wile/internal/core"
+	"wile/internal/energy"
 	"wile/internal/esp32"
 	"wile/internal/meter"
 	"wile/internal/obs"
@@ -92,11 +93,13 @@ type Trace struct {
 	// Samples is the raw multimeter record.
 	Samples []meter.Sample
 	// Marks labels the phase boundaries.
-	Marks []esp32.Mark
+	Marks []energy.Mark
 	// Energy integrates the trace (meter view).
 	Energy units.Joules
 	// DeviceEnergy integrates the exact device waveform (ground truth).
 	DeviceEnergy units.Joules
+	// Steps is that exact waveform, the one the meter sampled.
+	Steps []energy.Step
 	// Window is the observation length.
 	Window time.Duration
 }
@@ -146,38 +149,19 @@ func RunFig3aObs(o *Obs) (*Trace, error) {
 	m.Reserve(figureWindow)
 	m.Start()
 
-	var joinErr error
-	var txOK *bool
-	w.sched.DoAfter(preSleep, func() {
-		dev.SetState(esp32.StateCPUActive)
-		dev.PlaySegments(esp32.BootWiFi(), func() {
-			station.Join(func(err error) {
-				if err != nil {
-					joinErr = err
-					return
-				}
-				if err := station.SendReading([]byte("temp=17.0"), 5683, func(ok bool) {
-					txOK = &ok
-					station.Sleep()
-				}); err != nil {
-					joinErr = err
-				}
-			})
-		})
-	})
+	var wake wifiWake
+	w.sched.DoAfter(preSleep, func() { wake.run(station) })
 	w.sched.RunUntil(sim.FromDuration(figureWindow))
 	m.Stop()
-	if joinErr != nil {
-		return nil, fmt.Errorf("experiment: fig3a join: %w", joinErr)
-	}
-	if txOK == nil || !*txOK {
-		return nil, fmt.Errorf("experiment: fig3a transmission incomplete within the window")
+	if err := wake.check("fig3a"); err != nil {
+		return nil, err
 	}
 	return &Trace{
 		Samples:      m.Samples,
 		Marks:        dev.Marks(),
 		Energy:       m.Energy(0, sim.FromDuration(figureWindow), esp32.Voltage),
 		DeviceEnergy: dev.Energy(),
+		Steps:        dev.Steps(),
 		Window:       figureWindow,
 	}, nil
 }
@@ -231,6 +215,7 @@ func RunFig3bObs(o *Obs) (*Trace, error) {
 		Marks:        sensor.Dev.Marks(),
 		Energy:       m.Energy(0, sim.FromDuration(figureWindow), esp32.Voltage),
 		DeviceEnergy: sensor.Dev.Energy(),
+		Steps:        sensor.Dev.Steps(),
 		Window:       figureWindow,
 	}, nil
 }
@@ -238,11 +223,7 @@ func RunFig3bObs(o *Obs) (*Trace, error) {
 // WriteCSV exports the trace in the Figure-3 plotting format.
 func (t *Trace) WriteCSV(w io.Writer) error {
 	m := &meter.Meter{Samples: t.Samples}
-	anns := make([]meter.Annotation, 0, len(t.Marks))
-	for _, mk := range t.Marks {
-		anns = append(anns, meter.Annotation{At: mk.At, Label: mk.Label})
-	}
-	return m.WriteCSV(w, anns)
+	return m.WriteCSV(w, t.Marks)
 }
 
 // PhaseBounds reports the start of the named phase and the start of the

@@ -120,28 +120,14 @@ func MeasureWiLE() (episode Episode, fullCycle units.Joules, err error) {
 	}
 
 	// TX-window energy: charge drawn at the TX burst current.
-	var txCharge units.Coulombs
-	var wakeEnd sim.Time
-	steps := sensor.Dev.Steps()
-	for i, s := range steps {
-		end := w.sched.Now()
-		if i+1 < len(steps) {
-			end = steps[i+1].At
-		}
-		if s.Current == esp32.TxBurstCurrent {
-			txCharge += units.Charge(s.Current, end.Sub(s.At))
-		}
-		if s.Current > esp32.StateCurrent(esp32.StateDeepSleep) {
-			wakeEnd = end
-		}
-	}
-	fullCycle = sensor.Dev.Energy()
+	steps, now := sensor.Dev.Steps(), w.sched.Now()
+	idle := esp32.StateCurrent(esp32.StateDeepSleep)
 	return Episode{
-		Energy:      txCharge.Energy(esp32.Voltage),
-		Duration:    wakeEnd.Sub(start),
-		IdleCurrent: esp32.StateCurrent(esp32.StateDeepSleep),
+		Energy:      energy.ChargeAt(steps, esp32.TxBurstCurrent, now).Energy(esp32.Voltage),
+		Duration:    energy.LastAbove(steps, idle, now).Sub(start),
+		IdleCurrent: idle,
 		Voltage:     esp32.Voltage,
-	}, fullCycle, nil
+	}, sensor.Dev.Energy(), nil
 }
 
 // MeasureBLE returns the CC2541 baseline episode (§5.4: the TI report's
@@ -174,44 +160,15 @@ func MeasureWiFiDC() (Episode, error) {
 	dev := station.Dev
 
 	start := w.sched.Now()
-	var joinErr error
-	var txOK *bool
-	dev.SetState(esp32.StateCPUActive)
-	dev.PlaySegments(esp32.BootWiFi(), func() {
-		station.Join(func(err error) {
-			if err != nil {
-				joinErr = err
-				return
-			}
-			if err := station.SendReading([]byte("temp=17.0"), 5683, func(ok bool) {
-				txOK = &ok
-				station.Sleep()
-			}); err != nil {
-				joinErr = err
-			}
-		})
-	})
+	var wake wifiWake
+	wake.run(station)
 	w.sched.RunUntil(5 * sim.Second)
-	if joinErr != nil {
-		return Episode{}, fmt.Errorf("experiment: WiFi-DC join: %w", joinErr)
-	}
-	if txOK == nil || !*txOK {
-		return Episode{}, fmt.Errorf("experiment: WiFi-DC transmission did not complete")
+	if err := wake.check("WiFi-DC"); err != nil {
+		return Episode{}, err
 	}
 
-	var wakeEnd sim.Time
-	steps := dev.Steps()
-	for i, s := range steps {
-		end := w.sched.Now()
-		if i+1 < len(steps) {
-			end = steps[i+1].At
-		}
-		if s.Current > esp32.StateCurrent(esp32.StateDeepSleep) {
-			wakeEnd = end
-		}
-	}
-	duration := wakeEnd.Sub(start)
 	idle := esp32.StateCurrent(esp32.StateDeepSleep)
+	duration := energy.LastAbove(dev.Steps(), idle, w.sched.Now()).Sub(start)
 	total := dev.Energy()
 	// Subtract the deep-sleep floor outside the episode (negligible, but
 	// keep the arithmetic honest).
@@ -299,47 +256,17 @@ func MeasureWiFiDCFast() (Episode, error) {
 	// Cycle 2: measured fast rejoin.
 	start := w.sched.Now()
 	before := dev.Energy()
-	var joinErr error
-	var txOK *bool
-	dev.SetState(esp32.StateCPUActive)
-	dev.PlaySegments(esp32.BootWiFi(), func() {
-		station.Join(func(err error) {
-			if err != nil {
-				joinErr = err
-				return
-			}
-			if err := station.SendReading([]byte("temp=17.0"), 5683, func(ok bool) {
-				txOK = &ok
-				station.Sleep()
-			}); err != nil {
-				joinErr = err
-			}
-		})
-	})
+	var wake wifiWake
+	wake.run(station)
 	w.sched.RunUntil(start + 5*sim.Second)
-	if joinErr != nil {
-		return Episode{}, fmt.Errorf("experiment: fast rejoin: %w", joinErr)
-	}
-	if txOK == nil || !*txOK {
-		return Episode{}, fmt.Errorf("experiment: fast-rejoin transmission incomplete")
+	if err := wake.check("fast-rejoin"); err != nil {
+		return Episode{}, err
 	}
 
-	var wakeEnd sim.Time
-	steps := dev.Steps()
-	for i, s := range steps {
-		if s.At < start {
-			continue
-		}
-		end := w.sched.Now()
-		if i+1 < len(steps) {
-			end = steps[i+1].At
-		}
-		if s.Current > esp32.StateCurrent(esp32.StateDeepSleep) {
-			wakeEnd = end
-		}
-	}
-	duration := wakeEnd.Sub(start)
+	// The measured wake starts at start, so it holds the last step above
+	// the deep-sleep floor.
 	idle := esp32.StateCurrent(esp32.StateDeepSleep)
+	duration := energy.LastAbove(dev.Steps(), idle, w.sched.Now()).Sub(start)
 	episode := dev.Energy() - before - units.Energy(units.Power(esp32.Voltage, idle), w.sched.Now().Sub(start)-duration)
 	return Episode{
 		Energy:      episode,
@@ -347,4 +274,39 @@ func MeasureWiFiDCFast() (Episode, error) {
 		IdleCurrent: idle,
 		Voltage:     esp32.Voltage,
 	}, nil
+}
+
+// wifiWake is one WiFi-DC duty cycle (Figure 3a, Table 1 WiFi-DC): wake
+// from deep sleep, boot, join, send one reading, back to deep sleep.
+type wifiWake struct {
+	err   error
+	acked bool
+}
+
+// run starts the cycle on the station now; the scheduler then plays it.
+func (c *wifiWake) run(station *sta.Station) {
+	station.Dev.SetState(esp32.StateCPUActive)
+	station.Dev.PlaySegments(esp32.BootWiFi(), func() {
+		station.Join(func(err error) {
+			if err != nil {
+				c.err = err
+				return
+			}
+			c.err = station.SendReading([]byte("temp=17.0"), 5683, func(ok bool) {
+				c.acked = ok
+				station.Sleep()
+			})
+		})
+	})
+}
+
+// check reports a cycle that failed or did not finish, naming it what.
+func (c *wifiWake) check(what string) error {
+	if c.err != nil {
+		return fmt.Errorf("experiment: %s join: %w", what, c.err)
+	}
+	if !c.acked {
+		return fmt.Errorf("experiment: %s transmission incomplete", what)
+	}
+	return nil
 }

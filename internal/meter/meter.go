@@ -19,6 +19,7 @@ import (
 	"sync"
 	"time"
 
+	"wile/internal/energy"
 	"wile/internal/obs"
 	"wile/internal/sim"
 	"wile/internal/units"
@@ -337,18 +338,12 @@ func (m *Meter) PeakCurrent(t0, t1 sim.Time) units.Amps {
 	return peak
 }
 
-// Annotation labels an instant in an exported trace.
-type Annotation struct {
-	At    sim.Time
-	Label string
-}
-
 // WriteCSV writes the trace as "time_s,current_mA" rows, preceded by
-// comment lines for each annotation — the format the repository's plotting
+// comment lines for each mark — the format the repository's plotting
 // scripts (and any spreadsheet) consume to redraw Figures 3a/3b.
-func (m *Meter) WriteCSV(w io.Writer, annotations []Annotation) error {
+func (m *Meter) WriteCSV(w io.Writer, marks []energy.Mark) error {
 	m.materialize()
-	for _, a := range annotations {
+	for _, a := range marks {
 		if _, err := fmt.Fprintf(w, "# %s at %.6f s\n", a.Label, a.At.Seconds()); err != nil {
 			return err
 		}

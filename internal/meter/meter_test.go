@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"wile/internal/energy"
 	"wile/internal/sim"
 	"wile/internal/units"
 )
@@ -118,7 +119,7 @@ func TestWriteCSV(t *testing.T) {
 	s.RunUntil(2 * sim.Millisecond)
 	m.Stop()
 	var sb strings.Builder
-	err := m.WriteCSV(&sb, []Annotation{{At: sim.Millisecond, Label: "Tx"}})
+	err := m.WriteCSV(&sb, []energy.Mark{{At: sim.Millisecond, Label: "Tx"}})
 	if err != nil {
 		t.Fatal(err)
 	}
