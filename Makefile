@@ -64,6 +64,9 @@ fuzz:
 	$(GO) test -fuzz=FuzzParseEAPOLKey -fuzztime=30s ./internal/crypto80211/
 	$(GO) test -fuzz=FuzzParseOnAir -fuzztime=30s ./internal/ble/
 	$(GO) test -fuzz=FuzzParseAD -fuzztime=30s ./internal/ble/
+	$(GO) test -fuzz=FuzzParseDHCP -fuzztime=30s ./internal/netstack/
+	$(GO) test -fuzz=FuzzParseARP -fuzztime=30s ./internal/netstack/
+	$(GO) test -fuzz=FuzzParseIPv4UDP -fuzztime=30s ./internal/netstack/
 
 cover:
 	$(GO) test -coverprofile=cover.out ./internal/...

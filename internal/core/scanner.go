@@ -129,18 +129,6 @@ func NewScanner(sched *sim.Scheduler, med *medium.Medium, cfg ScannerConfig) *Sc
 	return sc
 }
 
-// resolve records rx's terminal provenance outcome at this scanner. The
-// medium already resolved collided receptions, and a nil ledger means
-// provenance is off.
-func (sc *Scanner) resolve(rx medium.Reception, reason obs.DropReason) {
-	if rx.Collided {
-		return
-	}
-	if pr, id := sc.Port.Provenance(); pr != nil {
-		pr.Resolve(rx.Frame, id, rx.End, reason)
-	}
-}
-
 // TraceTo attaches the scanner's MAC to a trace recorder. Passing a nil
 // recorder detaches.
 func (sc *Scanner) TraceTo(r *obs.Recorder) {
@@ -207,29 +195,29 @@ var ErrNotWiLE = errors.New("core: beacon carries no Wi-LE elements")
 func (sc *Scanner) handleFrame(f dot11.Frame, rx medium.Reception) {
 	beacon, ok := f.(*dot11.Beacon)
 	if !ok {
-		sc.resolve(rx, obs.Delivered)
+		sc.Port.Resolve(rx, obs.Delivered)
 		return
 	}
 	msg, err := DecodeBeacon(beacon, sc.keyFor)
 	switch {
 	case errors.Is(err, ErrNotWiLE):
 		sc.Stats.OtherBeacons++
-		sc.resolve(rx, obs.Delivered)
+		sc.Port.Resolve(rx, obs.Delivered)
 		return
 	case errors.Is(err, ErrNoKey), errors.Is(err, ErrAuth):
 		sc.Stats.BeaconsSeen++
 		sc.Stats.EncryptedDrops++
-		sc.resolve(rx, obs.DropDecodeError)
+		sc.Port.Resolve(rx, obs.DropDecodeError)
 		return
 	case err != nil:
 		sc.Stats.BeaconsSeen++
 		sc.Stats.DecodeErrors++
-		sc.resolve(rx, obs.DropDecodeError)
+		sc.Port.Resolve(rx, obs.DropDecodeError)
 		return
 	}
 	sc.Stats.BeaconsSeen++
 	if msg.Downlink && !sc.Cfg.AcceptDownlink {
-		sc.resolve(rx, obs.Delivered)
+		sc.Port.Resolve(rx, obs.Delivered)
 		return
 	}
 	rec, known := sc.devices[msg.DeviceID]
@@ -240,10 +228,10 @@ func (sc *Scanner) handleFrame(f dot11.Frame, rx medium.Reception) {
 	if known && msg.Seq == rec.LastSeq {
 		rec.Duplicates++
 		sc.Stats.Duplicates++
-		sc.resolve(rx, obs.DropDedupFiltered)
+		sc.Port.Resolve(rx, obs.DropDedupFiltered)
 		return
 	}
-	sc.resolve(rx, obs.Delivered)
+	sc.Port.Resolve(rx, obs.Delivered)
 	if known {
 		// Sequence gap = missed messages (modulo wraparound).
 		gap := int(uint16(msg.Seq - rec.LastSeq))

@@ -22,7 +22,7 @@ const (
 
 // Action is a (vendor-specific) Action frame.
 type Action struct {
-	Header   Header
+	Header
 	Category ActionCategory
 	// OUI identifies the vendor for category 127.
 	OUI [3]byte
@@ -32,12 +32,6 @@ type Action struct {
 
 // Kind implements Frame.
 func (*Action) Kind() Kind { return Kind{TypeManagement, SubtypeAction} }
-
-// RA implements Frame.
-func (f *Action) RA() MAC { return f.Header.Addr1 }
-
-// TA implements Frame.
-func (f *Action) TA() MAC { return f.Header.Addr2 }
 
 // AppendTo implements Frame.
 func (f *Action) AppendTo(dst []byte) ([]byte, error) {

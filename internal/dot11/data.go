@@ -18,7 +18,7 @@ import (
 // WDS four-address frames are out of scope (nothing in the paper uses
 // them), and decoding one returns an error rather than silent nonsense.
 type Data struct {
-	Header Header
+	Header
 	// QoS holds the QoS-control field for the QoS subtypes.
 	QoS uint16
 	// Payload is the MSDU. Nil for null-function frames.
@@ -33,12 +33,6 @@ func (f *Data) Kind() Kind {
 	}
 	return Kind{TypeData, SubtypeData}
 }
-
-// RA implements Frame.
-func (f *Data) RA() MAC { return f.Header.Addr1 }
-
-// TA implements Frame.
-func (f *Data) TA() MAC { return f.Header.Addr2 }
 
 // hasQoS reports whether the subtype carries a QoS-control field.
 func (f *Data) hasQoS() bool {

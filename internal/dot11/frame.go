@@ -8,7 +8,9 @@ import (
 )
 
 // Header is the MAC header shared by management and data frames (24 bytes
-// on the wire). Control frames carry abbreviated headers handled by their
+// on the wire). Every management frame type and Data embeds it, and so
+// implements Frame's RA and TA through it; HeaderOf reaches it from a
+// Frame. Control frames carry abbreviated headers handled by their
 // concrete types.
 type Header struct {
 	FC FrameControl
@@ -29,6 +31,24 @@ type Header struct {
 }
 
 const mgmtHeaderLen = 24
+
+// RA reports the receiver address.
+func (h *Header) RA() MAC { return h.Addr1 }
+
+// TA reports the transmitter address.
+func (h *Header) TA() MAC { return h.Addr2 }
+
+// header lets HeaderOf find the Header a frame embeds.
+func (h *Header) header() *Header { return h }
+
+// HeaderOf returns f's full MAC header, which carries the sequence number
+// and retry bit, or nil for the control frames (ACK, CTS, RTS, PS-Poll).
+func HeaderOf(f Frame) *Header {
+	if hf, ok := f.(interface{ header() *Header }); ok {
+		return hf.header()
+	}
+	return nil
+}
 
 // fcsLen is the length of the frame check sequence.
 const fcsLen = 4

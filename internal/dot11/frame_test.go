@@ -546,3 +546,42 @@ func TestActionFrameTruncated(t *testing.T) {
 		t.Fatalf("public action: %+v", got)
 	}
 }
+
+// TestHeaderOf pins which frames carry a full MAC header: HeaderOf returns
+// the embedded Header of every management type (Action included) and Data,
+// so a sequence number and retry bit written through it reach the wire and
+// decode back, and it returns nil for the four control frames.
+func TestHeaderOf(t *testing.T) {
+	for _, c := range []struct {
+		f      Frame
+		headed bool
+	}{
+		{&Beacon{}, true}, {&ProbeReq{}, true}, {&ProbeResp{}, true},
+		{&Auth{}, true}, {&AssocReq{}, true}, {&AssocResp{}, true},
+		{&Deauth{}, true}, {&Disassoc{}, true}, {&Action{}, true},
+		{&Data{}, true},
+		{&ACK{}, false}, {&CTS{}, false}, {&RTS{}, false}, {&PSPoll{}, false},
+	} {
+		h := HeaderOf(c.f)
+		if !c.headed {
+			if h != nil {
+				t.Errorf("HeaderOf(%T) = %+v, want nil", c.f, h)
+			}
+			continue
+		}
+		embedded := reflect.ValueOf(c.f).Elem().FieldByName("Header").Addr().Interface()
+		if h == nil || any(h) != embedded {
+			t.Errorf("HeaderOf(%T) = %p, want the embedded header %p", c.f, h, embedded)
+			continue
+		}
+		h.Addr1, h.Addr2 = apMAC, staMAC
+		h.Sequence, h.FC.Retry = 0xabc, true
+		if c.f.RA() != apMAC || c.f.TA() != staMAC {
+			t.Errorf("%T: RA/TA = %v/%v, want %v/%v", c.f, c.f.RA(), c.f.TA(), apMAC, staMAC)
+		}
+		back := HeaderOf(roundTrip(t, c.f))
+		if back.Sequence != 0xabc || !back.FC.Retry {
+			t.Errorf("%T: decoded sequence %#x retry %v, want 0xabc true", c.f, back.Sequence, back.FC.Retry)
+		}
+	}
+}

@@ -19,7 +19,7 @@ func mgmtHeader(sub Subtype) Header {
 // inject one per reading with a hidden SSID and the payload in a
 // vendor-specific element.
 type Beacon struct {
-	Header Header
+	Header
 	// Timestamp is the AP's TSF timer in microseconds.
 	Timestamp uint64
 	// Interval is the beacon interval in time units (1 TU = 1024 µs).
@@ -30,12 +30,6 @@ type Beacon struct {
 
 // Kind implements Frame.
 func (*Beacon) Kind() Kind { return Kind{TypeManagement, SubtypeBeacon} }
-
-// RA implements Frame.
-func (f *Beacon) RA() MAC { return f.Header.Addr1 }
-
-// TA implements Frame.
-func (f *Beacon) TA() MAC { return f.Header.Addr2 }
 
 // BSSID reports the BSS the beacon belongs to.
 func (f *Beacon) BSSID() MAC { return f.Header.Addr3 }
@@ -79,18 +73,12 @@ func NewBeacon(bssid MAC, intervalTU uint16, cap Capability, els Elements) *Beac
 // ProbeReq is the active-scan request a station broadcasts when it cannot
 // afford to wait for a beacon.
 type ProbeReq struct {
-	Header   Header
+	Header
 	Elements Elements
 }
 
 // Kind implements Frame.
 func (*ProbeReq) Kind() Kind { return Kind{TypeManagement, SubtypeProbeReq} }
-
-// RA implements Frame.
-func (f *ProbeReq) RA() MAC { return f.Header.Addr1 }
-
-// TA implements Frame.
-func (f *ProbeReq) TA() MAC { return f.Header.Addr2 }
 
 // AppendTo implements Frame.
 func (f *ProbeReq) AppendTo(dst []byte) ([]byte, error) {
@@ -110,7 +98,7 @@ func (f *ProbeReq) DecodeFromBytes(b []byte) error {
 
 // ProbeResp carries the same payload as a beacon, unicast to the prober.
 type ProbeResp struct {
-	Header     Header
+	Header
 	Timestamp  uint64
 	Interval   uint16
 	Capability Capability
@@ -119,12 +107,6 @@ type ProbeResp struct {
 
 // Kind implements Frame.
 func (*ProbeResp) Kind() Kind { return Kind{TypeManagement, SubtypeProbeResp} }
-
-// RA implements Frame.
-func (f *ProbeResp) RA() MAC { return f.Header.Addr1 }
-
-// TA implements Frame.
-func (f *ProbeResp) TA() MAC { return f.Header.Addr2 }
 
 // AppendTo implements Frame.
 func (f *ProbeResp) AppendTo(dst []byte) ([]byte, error) {
@@ -178,7 +160,7 @@ const (
 // Auth is the (open-system) authentication frame; two of these open every
 // 802.11 join.
 type Auth struct {
-	Header    Header
+	Header
 	Algorithm AuthAlgorithm
 	Seq       uint16
 	Status    StatusCode
@@ -187,12 +169,6 @@ type Auth struct {
 
 // Kind implements Frame.
 func (*Auth) Kind() Kind { return Kind{TypeManagement, SubtypeAuth} }
-
-// RA implements Frame.
-func (f *Auth) RA() MAC { return f.Header.Addr1 }
-
-// TA implements Frame.
-func (f *Auth) TA() MAC { return f.Header.Addr2 }
 
 // AppendTo implements Frame.
 func (f *Auth) AppendTo(dst []byte) ([]byte, error) {
@@ -224,7 +200,7 @@ func (f *Auth) DecodeFromBytes(b []byte) error {
 // AssocReq asks the AP for membership; its RSN element commits the client
 // to the security suite the 4-way handshake will confirm.
 type AssocReq struct {
-	Header         Header
+	Header
 	Capability     Capability
 	ListenInterval uint16
 	Elements       Elements
@@ -232,12 +208,6 @@ type AssocReq struct {
 
 // Kind implements Frame.
 func (*AssocReq) Kind() Kind { return Kind{TypeManagement, SubtypeAssocReq} }
-
-// RA implements Frame.
-func (f *AssocReq) RA() MAC { return f.Header.Addr1 }
-
-// TA implements Frame.
-func (f *AssocReq) TA() MAC { return f.Header.Addr2 }
 
 // AppendTo implements Frame.
 func (f *AssocReq) AppendTo(dst []byte) ([]byte, error) {
@@ -267,7 +237,7 @@ func (f *AssocReq) DecodeFromBytes(b []byte) error {
 // AssocResp grants (or refuses) membership and assigns the association ID
 // the TIM bitmap indexes.
 type AssocResp struct {
-	Header     Header
+	Header
 	Capability Capability
 	Status     StatusCode
 	AID        uint16
@@ -276,12 +246,6 @@ type AssocResp struct {
 
 // Kind implements Frame.
 func (*AssocResp) Kind() Kind { return Kind{TypeManagement, SubtypeAssocResp} }
-
-// RA implements Frame.
-func (f *AssocResp) RA() MAC { return f.Header.Addr1 }
-
-// TA implements Frame.
-func (f *AssocResp) TA() MAC { return f.Header.Addr2 }
 
 // AppendTo implements Frame.
 func (f *AssocResp) AppendTo(dst []byte) ([]byte, error) {
@@ -325,18 +289,12 @@ const (
 // Deauth tears down authentication; the WiFi-DC client sends one before
 // each deep sleep.
 type Deauth struct {
-	Header Header
+	Header
 	Reason ReasonCode
 }
 
 // Kind implements Frame.
 func (*Deauth) Kind() Kind { return Kind{TypeManagement, SubtypeDeauth} }
-
-// RA implements Frame.
-func (f *Deauth) RA() MAC { return f.Header.Addr1 }
-
-// TA implements Frame.
-func (f *Deauth) TA() MAC { return f.Header.Addr2 }
 
 // AppendTo implements Frame.
 func (f *Deauth) AppendTo(dst []byte) ([]byte, error) {
@@ -360,18 +318,12 @@ func (f *Deauth) DecodeFromBytes(b []byte) error {
 
 // Disassoc tears down association while keeping authentication.
 type Disassoc struct {
-	Header Header
+	Header
 	Reason ReasonCode
 }
 
 // Kind implements Frame.
 func (*Disassoc) Kind() Kind { return Kind{TypeManagement, SubtypeDisassoc} }
-
-// RA implements Frame.
-func (f *Disassoc) RA() MAC { return f.Header.Addr1 }
-
-// TA implements Frame.
-func (f *Disassoc) TA() MAC { return f.Header.Addr2 }
 
 // AppendTo implements Frame.
 func (f *Disassoc) AppendTo(dst []byte) ([]byte, error) {

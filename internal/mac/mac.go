@@ -91,8 +91,9 @@ type Port struct {
 	// Monitor's owner: when set, the port still resolves undecodable frames
 	// (fcs_error / decode_error — a Monitor never sees those) but leaves
 	// every decoded frame's outcome (delivered / dedup_filtered) to whoever
-	// installed the Monitor. The Scanner sets it because its beacon pipeline
-	// — not the 802.11 duplicate cache — decides what counts as filtered.
+	// installed the Monitor, which records it through Resolve. The Scanner
+	// sets it because its beacon pipeline — not the 802.11 duplicate cache
+	// — decides what counts as filtered.
 	ProvDelegate bool
 	// ReleaseAfterMonitor lets a monitor opt back in to frame recycling:
 	// setting it promises that Monitor is done with the frame (and
@@ -217,21 +218,25 @@ func rxName(f dot11.Frame) string {
 // queue, but nothing will transmit or be received until power returns.
 func (p *Port) SetRadioOn(on bool) { p.trx.SetOn(on) }
 
-// Provenance exposes the medium's frame ledger and this port's actor id,
-// so a ProvDelegate owner can resolve the outcomes the port leaves to it.
-func (p *Port) Provenance() (*obs.Provenance, obs.ActorID) {
-	return p.med.Prov, p.trx.ProvID()
-}
-
-// resolve records rx's terminal outcome at this receiver. Collided
-// receptions were already resolved by the medium, and a nil ledger means
-// provenance is off; both make this a no-op.
-func (p *Port) resolve(rx medium.Reception, reason obs.DropReason) {
+// Resolve records rx's terminal provenance outcome at this port's radio.
+// The port calls it for every reception unless ProvDelegate leaves the
+// decoded frames to the Monitor's owner, which then calls it instead.
+// Collided receptions were already resolved by the medium, and a nil
+// ledger means provenance is off; both make this a no-op.
+func (p *Port) Resolve(rx medium.Reception, reason obs.DropReason) {
 	if rx.Collided {
 		return
 	}
 	if pr := p.med.Prov; pr != nil {
 		pr.Resolve(rx.Frame, p.trx.ProvID(), rx.End, reason)
+	}
+}
+
+// settle resolves a decoded frame's outcome unless ProvDelegate hands it
+// to the Monitor's owner.
+func (p *Port) settle(rx medium.Reception, reason obs.DropReason) {
+	if !p.ProvDelegate {
+		p.Resolve(rx, reason)
 	}
 }
 
@@ -252,36 +257,16 @@ func (p *Port) nextSeq() uint16 {
 	return s
 }
 
-// setSequence stamps the frame's header if it has a full MAC header.
-func setSequence(f dot11.Frame, seq uint16) {
-	switch t := f.(type) {
-	case *dot11.Beacon:
-		t.Header.Sequence = seq
-	case *dot11.ProbeReq:
-		t.Header.Sequence = seq
-	case *dot11.ProbeResp:
-		t.Header.Sequence = seq
-	case *dot11.Auth:
-		t.Header.Sequence = seq
-	case *dot11.AssocReq:
-		t.Header.Sequence = seq
-	case *dot11.AssocResp:
-		t.Header.Sequence = seq
-	case *dot11.Deauth:
-		t.Header.Sequence = seq
-	case *dot11.Disassoc:
-		t.Header.Sequence = seq
-	case *dot11.Data:
-		t.Header.Sequence = seq
-	}
-}
-
 // Send queues f for transmission under the DCF. done, if non-nil, is
 // called with the delivery outcome: true when the frame needed no ACK
 // (group-addressed) and was transmitted, or when the ACK arrived; false
-// after RetryLimit unacknowledged attempts.
+// after RetryLimit unacknowledged attempts. Every Send consumes a
+// sequence number, even for a control frame that has nowhere to carry it.
 func (p *Port) Send(f dot11.Frame, done func(ok bool)) error {
-	setSequence(f, p.nextSeq())
+	seq := p.nextSeq()
+	if h := dot11.HeaderOf(f); h != nil {
+		h.Sequence = seq
+	}
 	raw, err := dot11.Marshal(f)
 	if err != nil {
 		return fmt.Errorf("mac: marshal %v: %w", f.Kind(), err)
@@ -433,36 +418,16 @@ func (p *Port) ackTimeout(out *outgoing) {
 }
 
 // markRetry sets the retry bit in the serialized frame and fixes the FCS.
+// Control frames carry no retry bit and go out again unchanged.
 func markRetry(out *outgoing) {
-	raw, err := dot11.Marshal(withRetry(out.frame))
-	if err == nil {
+	h := dot11.HeaderOf(out.frame)
+	if h == nil {
+		return
+	}
+	h.FC.Retry = true
+	if raw, err := dot11.Marshal(out.frame); err == nil {
 		out.raw = raw
 	}
-}
-
-// withRetry flips the retry bit on the frame's header.
-func withRetry(f dot11.Frame) dot11.Frame {
-	switch t := f.(type) {
-	case *dot11.Beacon:
-		t.Header.FC.Retry = true
-	case *dot11.ProbeReq:
-		t.Header.FC.Retry = true
-	case *dot11.ProbeResp:
-		t.Header.FC.Retry = true
-	case *dot11.Auth:
-		t.Header.FC.Retry = true
-	case *dot11.AssocReq:
-		t.Header.FC.Retry = true
-	case *dot11.AssocResp:
-		t.Header.FC.Retry = true
-	case *dot11.Deauth:
-		t.Header.FC.Retry = true
-	case *dot11.Disassoc:
-		t.Header.FC.Retry = true
-	case *dot11.Data:
-		t.Header.FC.Retry = true
-	}
-	return f
 }
 
 // finish completes the current frame and moves on.
@@ -487,9 +452,9 @@ func (p *Port) receive(rx medium.Reception) {
 		// decode error.
 		var fcs *dot11.ErrFCS
 		if errors.As(err, &fcs) {
-			p.resolve(rx, obs.DropFCSError)
+			p.Resolve(rx, obs.DropFCSError)
 		} else {
-			p.resolve(rx, obs.DropDecodeError)
+			p.Resolve(rx, obs.DropDecodeError)
 		}
 		return
 	}
@@ -499,9 +464,7 @@ func (p *Port) receive(rx medium.Reception) {
 	// ACK completion for our pending frame. The ACK dies here, so it can
 	// feed the decode pool.
 	if ack, isACK := f.(*dot11.ACK); isACK {
-		if !p.ProvDelegate {
-			p.resolve(rx, obs.Delivered)
-		}
+		p.settle(rx, obs.Delivered)
 		if p.current != nil && p.current.wantACK && ack.Receiver == p.Addr {
 			if p.ackTimer != nil {
 				p.sched.Cancel(p.ackTimer)
@@ -517,51 +480,35 @@ func (p *Port) receive(rx medium.Reception) {
 		return
 	}
 	ra := f.RA()
-	switch {
-	case ra == p.Addr:
-		p.Stats.RxFrames++
-		if p.rec != nil {
-			p.rec.Instant(p.track, p.sched.Now(), rxName(f))
-		}
+	if ra != p.Addr && !ra.IsGroup() {
+		// Overheard traffic for someone else: decoded only to be
+		// discarded, the dominant receive path on a shared channel. The
+		// radio still decoded it, so provenance calls it delivered.
+		p.settle(rx, obs.Delivered)
+		p.release(f)
+		return
+	}
+	p.Stats.RxFrames++
+	if p.rec != nil {
+		p.rec.Instant(p.track, p.sched.Now(), rxName(f))
+	}
+	// Unicast frames are ACKed, duplicates included: a retransmission
+	// means our last ACK was lost.
+	if ra == p.Addr {
 		if p.AutoACK {
 			p.sendACK(f.TA(), rx.Rate)
 		}
 		if p.isDuplicate(f) {
 			p.Stats.RxDuplicates++
-			if !p.ProvDelegate {
-				p.resolve(rx, obs.DropDedupFiltered)
-			}
+			p.settle(rx, obs.DropDedupFiltered)
 			p.release(f)
 			return
 		}
-		if !p.ProvDelegate {
-			p.resolve(rx, obs.Delivered)
-		}
-		if p.Handler != nil {
-			p.Handler(f, rx)
-		} else {
-			p.release(f)
-		}
-	case ra.IsGroup():
-		p.Stats.RxFrames++
-		if p.rec != nil {
-			p.rec.Instant(p.track, p.sched.Now(), rxName(f))
-		}
-		if !p.ProvDelegate {
-			p.resolve(rx, obs.Delivered)
-		}
-		if p.Handler != nil {
-			p.Handler(f, rx)
-		} else {
-			p.release(f)
-		}
-	default:
-		// Overheard traffic for someone else: decoded only to be
-		// discarded, the dominant receive path on a shared channel. The
-		// radio still decoded it, so provenance calls it delivered.
-		if !p.ProvDelegate {
-			p.resolve(rx, obs.Delivered)
-		}
+	}
+	p.settle(rx, obs.Delivered)
+	if p.Handler != nil {
+		p.Handler(f, rx)
+	} else {
 		p.release(f)
 	}
 }
@@ -577,44 +524,21 @@ func (p *Port) release(f dot11.Frame) {
 	}
 }
 
-// frameSeqCtl reads a frame's sequence/fragment pair, if it carries one.
-func frameSeqCtl(f dot11.Frame) (uint16, bool) {
-	switch t := f.(type) {
-	case *dot11.Beacon:
-		return t.Header.Sequence<<4 | uint16(t.Header.Fragment), true
-	case *dot11.ProbeReq:
-		return t.Header.Sequence<<4 | uint16(t.Header.Fragment), true
-	case *dot11.ProbeResp:
-		return t.Header.Sequence<<4 | uint16(t.Header.Fragment), true
-	case *dot11.Auth:
-		return t.Header.Sequence<<4 | uint16(t.Header.Fragment), true
-	case *dot11.AssocReq:
-		return t.Header.Sequence<<4 | uint16(t.Header.Fragment), true
-	case *dot11.AssocResp:
-		return t.Header.Sequence<<4 | uint16(t.Header.Fragment), true
-	case *dot11.Deauth:
-		return t.Header.Sequence<<4 | uint16(t.Header.Fragment), true
-	case *dot11.Disassoc:
-		return t.Header.Sequence<<4 | uint16(t.Header.Fragment), true
-	case *dot11.Data:
-		return t.Header.Sequence<<4 | uint16(t.Header.Fragment), true
-	}
-	return 0, false
-}
-
 // isDuplicate implements the receiver duplicate-detection cache
 // (IEEE 802.11-2016 §10.3.2.11): the last sequence-control value accepted
 // from each transmitter; a match means a retransmission whose original
-// already reached us.
+// already reached us. Control frames carry no sequence control and are
+// never duplicates.
 func (p *Port) isDuplicate(f dot11.Frame) bool {
-	seqCtl, ok := frameSeqCtl(f)
-	if !ok {
+	h := dot11.HeaderOf(f)
+	if h == nil {
 		return false
 	}
-	ta := f.TA()
+	seqCtl := h.Sequence<<4 | uint16(h.Fragment)
 	if p.rxCache == nil {
 		p.rxCache = make(map[dot11.MAC]uint16)
 	}
+	ta := h.TA()
 	last, seen := p.rxCache[ta]
 	p.rxCache[ta] = seqCtl
 	return seen && last == seqCtl

@@ -6,6 +6,7 @@ import (
 
 	"wile/internal/dot11"
 	"wile/internal/medium"
+	"wile/internal/obs"
 	"wile/internal/phy"
 	"wile/internal/sim"
 )
@@ -146,6 +147,90 @@ func TestRetryBitSetOnRetransmission(t *testing.T) {
 		if !seen[i] {
 			t.Fatalf("retry %d missing retry bit", i)
 		}
+	}
+}
+
+// TestLostACKsAreDeduplicated turns the receiver's transmit power down so
+// far that none of its ACKs reach the sender, which therefore retransmits
+// until RetryLimit. Every copy carries the sequence number the sender
+// stamped, and each one after the first carries the retry bit; the
+// receiver ACKs every copy, hands the frame up once, and counts and
+// resolves the rest as duplicates. A unicast Action frame takes the same
+// path as Data.
+func TestLostACKsAreDeduplicated(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		frame dot11.Frame
+	}{
+		{"data", dot11.NewDataToAP(addrB, addrA, addrB, []byte("x"))},
+		{"action", func() dot11.Frame {
+			act := dot11.NewVendorAction(addrA, [3]byte{0x02, 0x57, 0x4c}, []byte("x"))
+			act.Header.Addr1 = addrB
+			return act
+		}()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fx := newFixture()
+			prov := obs.NewProvenance()
+			fx.med.ObserveProvenance(prov)
+			a := fx.port("a", pos(0, 0), addrA, 1)
+			b := fx.port("b", pos(2, 0), addrB, 2)
+			b.Transceiver().TxPower = -100 // b hears a; a never hears b
+
+			type onAir struct {
+				seq   uint16
+				retry bool
+			}
+			var copies []onAir
+			b.Monitor = func(f dot11.Frame, rx medium.Reception) {
+				if f.Kind() == tc.frame.Kind() {
+					h := dot11.HeaderOf(f)
+					copies = append(copies, onAir{h.Sequence, h.FC.Retry})
+				}
+			}
+			handled := 0
+			b.Handler = func(f dot11.Frame, rx medium.Reception) {
+				if f.Kind() == tc.frame.Kind() {
+					handled++
+				}
+			}
+
+			// A group-addressed frame first, so the frame under test is
+			// stamped sequence number 1 rather than the zero it starts with.
+			a.Send(dot11.NewBeacon(addrA, 100, 0, nil), nil)
+			var outcome *bool
+			if err := a.Send(tc.frame, func(ok bool) { outcome = &ok }); err != nil {
+				t.Fatal(err)
+			}
+			fx.sched.Run()
+
+			if outcome == nil || *outcome {
+				t.Fatal("frame whose ACKs never arrive was not reported failed")
+			}
+			if len(copies) != RetryLimit+1 {
+				t.Fatalf("receiver decoded %d copies, want %d", len(copies), RetryLimit+1)
+			}
+			for i, c := range copies {
+				if c.seq != 1 || c.retry != (i > 0) {
+					t.Errorf("copy %d: sequence %d retry %v, want 1 %v", i, c.seq, c.retry, i > 0)
+				}
+			}
+			if handled != 1 {
+				t.Errorf("handler saw the frame %d times, want once", handled)
+			}
+			if b.Stats.TxACKs != RetryLimit+1 {
+				t.Errorf("receiver sent %d ACKs, want one per copy (%d)", b.Stats.TxACKs, RetryLimit+1)
+			}
+			if b.Stats.RxDuplicates != RetryLimit {
+				t.Errorf("RxDuplicates = %d, want %d", b.Stats.RxDuplicates, RetryLimit)
+			}
+			if got := prov.Outcomes()[obs.DropDedupFiltered]; got != RetryLimit {
+				t.Errorf("ledger resolved %d copies as dedup_filtered, want %d", got, RetryLimit)
+			}
+			if err := prov.Verify(); err != nil {
+				t.Error(err)
+			}
+		})
 	}
 }
 

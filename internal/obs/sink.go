@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -88,7 +89,8 @@ const (
 	spillEvent  = 'E'
 )
 
-// spillReadBuf sizes the replay read buffer; no single record comes close.
+// spillReadBuf sizes the replay read buffer, which also bounds the length
+// of a name; no other record comes close.
 const spillReadBuf = 64 << 10
 
 // NewSpillSink creates a spill store backed by a fresh temp file in dir
@@ -150,7 +152,8 @@ func (s *SpillSink) appendEvent(b []byte, e *Event) []byte {
 }
 
 // Replay decodes the spill file from the start, yielding fixed-size chunks.
-// Live memory during replay is one chunk plus the rebuilt string table.
+// Live memory during replay is one chunk, the read buffer and the rebuilt
+// string table.
 func (s *SpillSink) Replay(yield func(chunk []Event) error) error {
 	if s.f == nil {
 		return fmt.Errorf("obs: spill sink is closed")
@@ -159,25 +162,38 @@ func (s *SpillSink) Replay(yield func(chunk []Event) error) error {
 		return fmt.Errorf("obs: rewinding spill file: %w", err)
 	}
 	s.atEnd = false
-	d := &spillDecoder{r: s.f}
+	r := bufio.NewReaderSize(s.f, spillReadBuf)
+	names := make([]string, 0, len(s.ids)) // the file defines every interned name
 	chunk := make([]Event, 0, ChunkEvents)
 	for {
-		e, ok, err := d.next()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			break
-		}
-		chunk = append(chunk, e)
-		if len(chunk) == cap(chunk) {
-			if err := yield(chunk); err != nil {
+		tag, err := r.ReadByte()
+		switch {
+		case err == io.EOF:
+			return yield(chunk)
+		case err != nil:
+			return spillReadErr(err)
+		case tag == spillString:
+			name, err := readSpillName(r)
+			if err != nil {
 				return err
 			}
-			chunk = chunk[:0]
+			names = append(names, name)
+		case tag == spillEvent:
+			e, err := readSpillEvent(r, names)
+			if err != nil {
+				return err
+			}
+			chunk = append(chunk, e)
+			if len(chunk) == cap(chunk) {
+				if err := yield(chunk); err != nil {
+					return err
+				}
+				chunk = chunk[:0]
+			}
+		default:
+			return fmt.Errorf("obs: corrupt spill file (tag %q)", tag)
 		}
 	}
-	return yield(chunk)
 }
 
 // Len reports the number of spilled events.
@@ -197,162 +213,75 @@ func (s *SpillSink) Close() error {
 	return err
 }
 
-// spillDecoder streams records back out of the spill file, rebuilding the
-// string table as definitions arrive.
-type spillDecoder struct {
-	r     io.Reader
-	buf   []byte // read buffer
-	have  []byte // unparsed window into buf
-	names []string
-	eof   bool
-}
-
-// next decodes the next event, skipping string definitions. ok is false at
-// a clean end of stream.
-func (d *spillDecoder) next() (Event, bool, error) {
-	for {
-		tag, err := d.byte()
-		if err == io.EOF {
-			return Event{}, false, nil
-		}
-		if err != nil {
-			return Event{}, false, err
-		}
-		switch tag {
-		case spillString:
-			n, err := d.uvarint()
-			if err != nil {
-				return Event{}, false, err
-			}
-			raw, err := d.bytes(int(n))
-			if err != nil {
-				return Event{}, false, err
-			}
-			d.names = append(d.names, string(raw))
-		case spillEvent:
-			var e Event
-			track, err := d.uvarint()
-			if err != nil {
-				return Event{}, false, err
-			}
-			e.Track = TrackID(track)
-			ph, err := d.byte()
-			if err != nil {
-				return Event{}, false, err
-			}
-			e.Ph = ph
-			at, err := d.varint()
-			if err != nil {
-				return Event{}, false, err
-			}
-			e.At = sim.Time(at)
-			dur, err := d.varint()
-			if err != nil {
-				return Event{}, false, err
-			}
-			e.Dur = sim.Time(dur)
-			nameID, err := d.uvarint()
-			if err != nil {
-				return Event{}, false, err
-			}
-			if nameID > 0 {
-				if int(nameID) > len(d.names) {
-					return Event{}, false, fmt.Errorf("obs: spill file names %d before defining it", nameID-1)
-				}
-				e.Name = d.names[nameID-1]
-			}
-			if e.Ph == phCounter {
-				raw, err := d.bytes(8)
-				if err != nil {
-					return Event{}, false, err
-				}
-				e.Value = math.Float64frombits(binary.LittleEndian.Uint64(raw))
-			}
-			return e, true, nil
-		default:
-			return Event{}, false, fmt.Errorf("obs: corrupt spill file (tag %q)", tag)
-		}
-	}
-}
-
-// fill ensures at least n unparsed bytes are buffered, or reports io.EOF
-// (clean only at a record boundary; callers of byte detect that).
-func (d *spillDecoder) fill(n int) error {
-	for len(d.have) < n {
-		if d.eof {
-			if len(d.have) == 0 {
-				return io.EOF
-			}
-			return io.ErrUnexpectedEOF
-		}
-		if cap(d.buf) == 0 {
-			d.buf = make([]byte, spillReadBuf)
-		}
-		copy(d.buf, d.have)
-		read, err := d.r.Read(d.buf[len(d.have):cap(d.buf)])
-		d.have = d.buf[:len(d.have)+read]
-		if err == io.EOF {
-			d.eof = true
-		} else if err != nil {
-			return fmt.Errorf("obs: reading spill file: %w", err)
-		}
-	}
-	return nil
-}
-
-func (d *spillDecoder) byte() (byte, error) {
-	if err := d.fill(1); err != nil {
-		return 0, err
-	}
-	b := d.have[0]
-	d.have = d.have[1:]
-	return b, nil
-}
-
-func (d *spillDecoder) bytes(n int) ([]byte, error) {
-	if n > spillReadBuf {
-		return nil, fmt.Errorf("obs: spill record of %d bytes exceeds the read buffer", n)
-	}
-	if err := d.fill(n); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		return nil, err
-	}
-	raw := d.have[:n]
-	d.have = d.have[n:]
-	return raw, nil
-}
-
-func (d *spillDecoder) uvarint() (uint64, error) {
-	var v uint64
-	for shift := 0; ; shift += 7 {
-		b, err := d.byte()
-		if err != nil {
-			if err == io.EOF {
-				err = io.ErrUnexpectedEOF
-			}
-			return 0, err
-		}
-		if shift >= 64 {
-			return 0, fmt.Errorf("obs: corrupt spill varint")
-		}
-		v |= uint64(b&0x7f) << shift
-		if b < 0x80 {
-			return v, nil
-		}
-	}
-}
-
-func (d *spillDecoder) varint() (int64, error) {
-	u, err := d.uvarint()
+// readSpillName decodes the rest of a string definition. Its bytes are
+// peeked in place, so a name may not outgrow the read buffer.
+func readSpillName(r *bufio.Reader) (string, error) {
+	n, err := binary.ReadUvarint(r)
 	if err != nil {
-		return 0, err
+		return "", spillReadErr(err)
 	}
-	// zigzag decode, mirroring binary.AppendVarint.
-	v := int64(u >> 1)
-	if u&1 != 0 {
-		v = ^v
+	if n > spillReadBuf {
+		return "", fmt.Errorf("obs: spill record of %d bytes exceeds the read buffer", n)
 	}
-	return v, nil
+	raw, err := r.Peek(int(n))
+	if err != nil {
+		return "", spillReadErr(err)
+	}
+	name := string(raw)
+	_, err = r.Discard(len(raw))
+	return name, err
+}
+
+// readSpillEvent decodes the rest of an event record against the string
+// table defined so far.
+func readSpillEvent(r *bufio.Reader, names []string) (Event, error) {
+	var e Event
+	track, err := binary.ReadUvarint(r)
+	if err != nil {
+		return e, spillReadErr(err)
+	}
+	if e.Ph, err = r.ReadByte(); err != nil {
+		return e, spillReadErr(err)
+	}
+	at, err := binary.ReadVarint(r)
+	if err != nil {
+		return e, spillReadErr(err)
+	}
+	dur, err := binary.ReadVarint(r)
+	if err != nil {
+		return e, spillReadErr(err)
+	}
+	nameID, err := binary.ReadUvarint(r)
+	if err != nil {
+		return e, spillReadErr(err)
+	}
+	e.Track, e.At, e.Dur = TrackID(track), sim.Time(at), sim.Time(dur)
+	if nameID > uint64(len(names)) {
+		return e, fmt.Errorf("obs: spill file names %d before defining it", nameID-1)
+	}
+	if nameID > 0 {
+		e.Name = names[nameID-1]
+	}
+	if e.Ph == phCounter {
+		// Peek rather than read into an array, which would escape to the
+		// heap once per counter.
+		raw, err := r.Peek(8)
+		if err != nil {
+			return e, spillReadErr(err)
+		}
+		e.Value = math.Float64frombits(binary.LittleEndian.Uint64(raw))
+		_, err = r.Discard(8)
+		return e, err
+	}
+	return e, nil
+}
+
+// spillReadErr reports a failed read of the spill file. Only a record's
+// tag may meet a clean end of file, so an io.EOF here means the record
+// was cut short.
+func spillReadErr(err error) error {
+	if err == io.EOF {
+		err = io.ErrUnexpectedEOF
+	}
+	return fmt.Errorf("obs: reading spill file: %w", err)
 }

@@ -2,9 +2,13 @@ package obs
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"io"
 	"math"
+	"os"
 	"runtime"
+	"slices"
 	"testing"
 
 	"wile/internal/sim"
@@ -155,6 +159,80 @@ func TestSpillSinkFlushAfterReplay(t *testing.T) {
 	}
 	if !bytes.Equal(second.Bytes(), wantBuf.Bytes()) {
 		t.Fatalf("post-replay recording diverged:\n%s\n---\n%s", second.Bytes(), wantBuf.Bytes())
+	}
+}
+
+// TestSpillSinkTruncatedFile cuts the spill file at every byte offset. A
+// cut inside a record makes Replay, and WriteChromeTrace over the sink,
+// fail with io.ErrUnexpectedEOF rather than panic; a cut at a record
+// boundary replays exactly the events recorded before it.
+func TestSpillSinkTruncatedFile(t *testing.T) {
+	events := []Event{
+		{Ph: phSpan, Track: 0, At: 10, Dur: 5, Name: "tx beacon"},
+		{Ph: phCounter, Track: 1, At: 20, Value: 3.5},
+		{Ph: phInstant, Track: 0, At: -30, Name: "tx beacon"},
+		{Ph: phBegin, Track: 0, At: 1 << 40, Name: "cpu-active"},
+		{Ph: phEnd, Track: 0, At: 1 << 41},
+	}
+	s, err := NewSpillSink(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	// Flushing one event at a time marks the record boundaries: the end of
+	// each event record and of the string definition a new name puts in
+	// front of it. Each maps to the number of events before it.
+	boundaries := map[int64]int{0: 0}
+	seen := map[string]bool{}
+	for i := range events {
+		start, err := s.f.Seek(0, io.SeekEnd)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if name := events[i].Name; name != "" && !seen[name] {
+			seen[name] = true
+			def := 1 + len(binary.AppendUvarint(nil, uint64(len(name)))) + len(name)
+			boundaries[start+int64(def)] = i
+		}
+		if err := s.Flush(events[i : i+1]); err != nil {
+			t.Fatal(err)
+		}
+		end, err := s.f.Seek(0, io.SeekEnd)
+		if err != nil {
+			t.Fatal(err)
+		}
+		boundaries[end] = i + 1
+	}
+	full, err := os.ReadFile(s.f.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tracks := []string{"dev", "current_mA"}
+	for cut := 0; cut <= len(full); cut++ {
+		if err := s.f.Truncate(0); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.f.WriteAt(full[:cut], 0); err != nil {
+			t.Fatal(err)
+		}
+		var got []Event
+		err := s.Replay(func(chunk []Event) error {
+			got = append(got, chunk...)
+			return nil
+		})
+		n, atBoundary := boundaries[int64(cut)]
+		if atBoundary {
+			if err != nil || !slices.Equal(got, events[:n]) {
+				t.Errorf("cut at record boundary %d: replayed %v, %v; want the first %d events", cut, got, err, n)
+			}
+			continue
+		}
+		if !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Errorf("cut at byte %d of %d: Replay returned %v, want io.ErrUnexpectedEOF", cut, len(full), err)
+		}
+		if err := WriteChromeTrace(io.Discard, tracks, s); !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Errorf("cut at byte %d of %d: WriteChromeTrace returned %v, want io.ErrUnexpectedEOF", cut, len(full), err)
+		}
 	}
 }
 
