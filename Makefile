@@ -62,6 +62,8 @@ fuzz:
 	$(GO) test -fuzz=FuzzReadingsRoundTrip -fuzztime=30s ./internal/core/
 	$(GO) test -fuzz=FuzzDecodeBeacon -fuzztime=30s ./internal/core/
 	$(GO) test -fuzz=FuzzParseEAPOLKey -fuzztime=30s ./internal/crypto80211/
+	$(GO) test -fuzz=FuzzCCMPDecapsulate -fuzztime=30s ./internal/crypto80211/
+	$(GO) test -fuzz=FuzzReadPcap -fuzztime=30s ./internal/pcap/
 	$(GO) test -fuzz=FuzzParseOnAir -fuzztime=30s ./internal/ble/
 	$(GO) test -fuzz=FuzzParseAD -fuzztime=30s ./internal/ble/
 	$(GO) test -fuzz=FuzzParseDHCP -fuzztime=30s ./internal/netstack/

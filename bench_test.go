@@ -610,9 +610,6 @@ func TestObsDisabledZeroAlloc(t *testing.T) {
 // ledger hooks are nil checks only — any allocation growth here means the
 // disabled path regressed.
 func TestProvenanceDisabledZeroAlloc(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops random Puts under the race detector; steady-state alloc counts are nondeterministic")
-	}
 	sched := wile.NewScheduler()
 	med := wile.NewMedium(sched, wile.Channel(6))
 	tx := med.Attach("tx", wile.Position{}, 0, phy.SensitivityWiFiMCS7)

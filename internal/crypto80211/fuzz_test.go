@@ -2,6 +2,7 @@ package crypto80211
 
 import (
 	"bytes"
+	"errors"
 	"reflect"
 	"testing"
 )
@@ -32,6 +33,45 @@ func FuzzParseEAPOLKey(f *testing.F) {
 		}
 		if again := back.Append(nil); !bytes.Equal(again, raw) {
 			t.Fatalf("serialization not canonical:\n first  %x\n second %x", raw, again)
+		}
+	})
+}
+
+// fuzzTK is the temporal key behind the FuzzCCMPDecapsulate seed corpus.
+var fuzzTK = [16]byte([]byte("temporal-key-16b"))
+
+// FuzzCCMPDecapsulate feeds CCMP decapsulation arbitrary frame bodies: any
+// radio in range can send a protected data frame, so a forged, truncated
+// or replayed body must fail cleanly, never panic. A body that verifies
+// must fail with ErrReplay when it arrives again. Taken as plaintext, the
+// input must survive Encapsulate, decapsulate once to itself, and fail
+// with ErrReplay on replay. The seed corpus in testdata/fuzz holds
+// Encapsulate output under fuzzTK and testMeta.
+func FuzzCCMPDecapsulate(f *testing.F) {
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, body []byte) {
+		meta := testMeta()
+		rx := NewCCMPSession(fuzzTK)
+		if _, err := rx.Decapsulate(meta, body); err == nil {
+			if _, err := rx.Decapsulate(meta, body); !errors.Is(err, ErrReplay) {
+				t.Fatalf("replayed body %x: err = %v, want ErrReplay", body, err)
+			}
+		}
+
+		tx, rx := NewCCMPSession(fuzzTK), NewCCMPSession(fuzzTK)
+		sealed, err := tx.Encapsulate(meta, body)
+		if err != nil {
+			t.Fatalf("Encapsulate: %v", err)
+		}
+		plain, err := rx.Decapsulate(meta, sealed)
+		if err != nil {
+			t.Fatalf("sealed body does not decapsulate: %v", err)
+		}
+		if !bytes.Equal(plain, body) {
+			t.Fatalf("round trip changed the MSDU:\n got  %x\n want %x", plain, body)
+		}
+		if _, err := rx.Decapsulate(meta, sealed); !errors.Is(err, ErrReplay) {
+			t.Fatalf("replayed sealed body: err = %v, want ErrReplay", err)
 		}
 	})
 }

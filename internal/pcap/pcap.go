@@ -131,6 +131,11 @@ func (pr *Reader) ReadPacket() (Packet, error) {
 	}
 	data := make([]byte, inclLen)
 	if _, err := io.ReadFull(pr.r, data); err != nil {
+		if errors.Is(err, io.EOF) {
+			// A record header with no data after it is a truncated
+			// record, not a clean end of stream.
+			err = io.ErrUnexpectedEOF
+		}
 		return Packet{}, fmt.Errorf("pcap: reading %d-byte record: %w", inclLen, err)
 	}
 	ts := time.Duration(binary.LittleEndian.Uint32(rec[0:]))*time.Second +

@@ -90,12 +90,15 @@ func TestTruncatedRecord(t *testing.T) {
 	w := NewWriter(&buf, LinkTypeIEEE80211)
 	w.WritePacket(Packet{Data: []byte{1, 2, 3, 4, 5}})
 	raw := buf.Bytes()
-	r, err := NewReader(bytes.NewReader(raw[:len(raw)-2]))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.ReadPacket(); err == nil || errors.Is(err, io.EOF) {
-		t.Fatalf("truncated record: %v", err)
+	// Cut inside the record data, and right after the record header.
+	for _, cut := range []int{len(raw) - 2, 24 + 16} {
+		r, err := NewReader(bytes.NewReader(raw[:cut]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.ReadPacket(); err == nil || errors.Is(err, io.EOF) {
+			t.Fatalf("record cut at %d of %d bytes: %v", cut, len(raw), err)
+		}
 	}
 }
 

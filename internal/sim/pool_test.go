@@ -23,9 +23,6 @@ func TestDoAfterPreservesFIFOWithAfter(t *testing.T) {
 }
 
 func TestDoAfterRecyclesEventNodes(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the wheel-level sync.Pool drops random Puts under the race detector; steady-state alloc counts are nondeterministic")
-	}
 	s := New()
 	fn := func() {}
 	// Warm the freelist and the heap's backing array.

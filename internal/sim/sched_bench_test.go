@@ -5,11 +5,11 @@ import (
 	"time"
 )
 
-// The dense workload models what the figure runs actually schedule: a band
-// of periodic streams (beacon TBTT, meter ticks, BLE connection events)
-// with one-shot protocol timeouts sprinkled between them. Delays for the
-// one-shots span the wheel levels and the overflow heap so the benchmark
-// charges the full placement path, not just the level-0 fast case.
+// The dense workload is a band of periodic streams (beacon TBTT, meter
+// ticks, BLE connection events) with one-shot protocol timeouts sprinkled
+// between them. The one-shot delays run from zero to 80 s, so far-future
+// events pile up under the streams: the queue peaks at several thousand
+// pending events, more than any figure run keeps.
 
 const (
 	denseEvents  = 100_000
@@ -28,7 +28,8 @@ var denseOneshotDelays = [...]time.Duration{
 // runDense drives the mixed periodic+oneshot workload through a scheduler
 // abstracted as schedule/step (the same shape diff_test.go uses) and
 // reports how many events fired. The program is deterministic, so both
-// lanes of BenchmarkSchedulerDense perform identical scheduling work.
+// lanes of BenchmarkSchedulerDense perform identical scheduling work;
+// only the queue behind them differs.
 func runDense(schedule func(d time.Duration, fn func()), step func() bool) int {
 	fired := 0
 	budget := denseEvents
@@ -57,10 +58,11 @@ func runDense(schedule func(d time.Duration, fn func()), step func() bool) int {
 	return fired
 }
 
-// BenchmarkSchedulerDense compares the timing-wheel scheduler against the
-// plain binary-heap reference on 100k mixed periodic+oneshot events — the
-// queue-shape the figure runs produce. The wheel lane uses the pooled
-// DoAfter path, as the hot callers do.
+// BenchmarkSchedulerDense compares the production scheduler against the
+// plain binary-heap reference on 100k mixed periodic+oneshot events. The
+// wheel lane keeps its name from the timing wheel the scheduler once used,
+// so the bench trajectory stays on one lane; it now times the production
+// queue, through the pooled DoAfter path the hot callers use.
 func BenchmarkSchedulerDense(b *testing.B) {
 	b.Run("wheel", func(b *testing.B) {
 		b.ReportAllocs()
@@ -85,16 +87,17 @@ func BenchmarkSchedulerDense(b *testing.B) {
 }
 
 // TestDenseWorkloadLanesAgree pins the two benchmark lanes to identical
-// work: same event count fired through the wheel and the reference heap.
+// work: same event count fired through the scheduler and the reference
+// heap.
 func TestDenseWorkloadLanesAgree(t *testing.T) {
 	s := New()
-	wheel := runDense(func(d time.Duration, fn func()) { s.DoAfter(d, fn) }, s.Step)
+	got := runDense(func(d time.Duration, fn func()) { s.DoAfter(d, fn) }, s.Step)
 	r := &refSched{}
-	heap := runDense(func(d time.Duration, fn func()) { r.at(r.now.Add(d), fn) }, r.step)
-	if wheel != heap {
-		t.Fatalf("wheel fired %d, reference heap fired %d", wheel, heap)
+	want := runDense(func(d time.Duration, fn func()) { r.at(r.now.Add(d), fn) }, r.step)
+	if got != want {
+		t.Fatalf("scheduler fired %d, reference heap fired %d", got, want)
 	}
-	if wheel < denseEvents {
-		t.Fatalf("workload fired only %d events, want >= %d", wheel, denseEvents)
+	if got < denseEvents {
+		t.Fatalf("workload fired only %d events, want >= %d", got, denseEvents)
 	}
 }

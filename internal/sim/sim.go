@@ -9,23 +9,17 @@
 // among equal timestamps. There is no wall-clock coupling anywhere;
 // simulating a 10-minute sleep costs one queue operation.
 //
-// Internally the pending set is a hierarchical timing wheel (see DESIGN.md
-// §11): near-future events hash into per-level buckets in O(1), bucket
-// contents are sorted by (time, seq) only when their quantum becomes due,
-// and events beyond the wheel horizon park in a classic binary heap until
-// their window arrives — so correctness never depends on the horizon. Dense
-// periodic trains (the 50 kSa/s meter) bypass per-event bookkeeping
-// entirely through Ticker, which the dispatcher interleaves with ordinary
-// events under the same (time, seq) total order.
+// The pending set is one binary min-heap keyed by (time, seq) (see
+// DESIGN.md §11); cancelled events are dropped lazily when they reach its
+// head. A figure run keeps at most nine events pending, because the dense
+// periodic trains (the 50 kSa/s meter) bypass the queue entirely through
+// Ticker, which the dispatcher interleaves with ordinary events under the
+// same (time, seq) total order.
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
-	"math/bits"
-	"slices"
-	"sync"
 	"time"
 )
 
@@ -65,28 +59,12 @@ func (t Time) String() string { return fmt.Sprintf("%.6fs", t.Seconds()) }
 // FromDuration converts a span to a virtual timestamp measured from zero.
 func FromDuration(d time.Duration) Time { return Time(d) }
 
-// Timing-wheel geometry. A quantum is the wheel's unit of time: 2^quantumBits
-// nanoseconds (4.096 µs). Each level holds wheelSlots buckets; level l covers
-// spans up to wheelSlots^(l+1) quanta, so four levels reach ~4.8 simulated
-// hours before the overflow heap takes over. Within a quantum events are
-// sorted by (time, seq) at dispatch, so the wheel's bucketing is invisible
-// to the firing order.
-const (
-	quantumBits = 12
-	wheelBits   = 8
-	wheelSlots  = 1 << wheelBits
-	wheelMask   = wheelSlots - 1
-	wheelLevels = 4
-)
-
 // Event is a scheduled callback.
 type Event struct {
 	at     Time
-	seq    uint64 // tie-breaker: preserves scheduling order at equal times
 	fn     func()
-	link   *Event // intrusive next pointer while parked in a wheel bucket
-	idx    int    // overflow-heap index, or one of the idx* sentinels
 	cancel bool
+	fired  bool // set at dispatch, so a later Cancel leaves Pending alone
 	// pooled marks events scheduled through DoAt/DoAfter: the scheduler
 	// recycles them after they fire, so no *Event for them ever escapes
 	// to callers (a retained pointer could Cancel a stranger's event
@@ -94,108 +72,22 @@ type Event struct {
 	pooled bool
 }
 
-// Sentinels for Event.idx when the event is not in the overflow heap.
-const (
-	idxFired = -1 // popped, fired, or fully cancelled
-	idxWheel = -2 // parked in a timing-wheel bucket
-	idxDue   = -3 // in the sorted due-run awaiting dispatch
-)
-
 // Cancelled reports whether the event was cancelled before it fired.
 func (e *Event) Cancelled() bool { return e.cancel }
 
 // At reports the virtual time the event is (or was) scheduled for.
 func (e *Event) At() Time { return e.at }
 
-func eventLess(a, b *Event) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
+// entry is one slot of the event queue. The key is held inline, so sifting
+// never dereferences an event node; seq breaks ties in scheduling order.
+type entry struct {
+	at  Time
+	seq uint64
+	ev  *Event
 }
 
-func eventCmp(a, b *Event) int {
-	switch {
-	case eventLess(a, b):
-		return -1
-	case eventLess(b, a):
-		return 1
-	}
-	return 0
-}
-
-type eventHeap []*Event
-
-func (h eventHeap) Len() int           { return len(h) }
-func (h eventHeap) Less(i, j int) bool { return eventLess(h[i], h[j]) }
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].idx = i
-	h[j].idx = j
-}
-func (h *eventHeap) Push(x any) {
-	e := x.(*Event)
-	e.idx = len(*h)
-	*h = append(*h, e)
-}
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.idx = idxFired
-	*h = old[:n-1]
-	return e
-}
-
-// wheelLevel is one ring of the hierarchical wheel: a bucket per slot
-// (intrusive singly-linked, so parking an event never allocates) plus an
-// occupancy bitmap for O(1) next-slot scans.
-type wheelLevel struct {
-	slots [wheelSlots]*Event
-	occ   [wheelSlots / 64]uint64
-	count int
-}
-
-// nextSlot reports the first occupied slot index >= from, or -1.
-func (l *wheelLevel) nextSlot(from int) int {
-	if l == nil || l.count == 0 {
-		return -1
-	}
-	w := from >> 6
-	word := l.occ[w] &^ (1<<(uint(from)&63) - 1)
-	for {
-		if word != 0 {
-			return w<<6 + bits.TrailingZeros64(word)
-		}
-		w++
-		if w >= len(l.occ) {
-			return -1
-		}
-		word = l.occ[w]
-	}
-}
-
-// push parks e in the bucket for slot.
-func (l *wheelLevel) push(slot int, e *Event) {
-	e.idx = idxWheel
-	e.link = l.slots[slot]
-	l.slots[slot] = e
-	l.occ[slot>>6] |= 1 << (uint(slot) & 63)
-	l.count++
-}
-
-// levelPool recycles wheel levels across schedulers. A level is ~2 KB of
-// slot pointers; without pooling it would dominate the allocation profile
-// of short-lived kernels (the engine builds one scheduler per sweep run).
-// Levels enter the pool only when empty, and drains zero slots and
-// occupancy bits as they go, so a pooled level is always ready to reuse.
-var levelPool = sync.Pool{New: func() any { return new(wheelLevel) }}
-
-// releaseLevel returns level lev, which must be empty, to the shared pool.
-func (s *Scheduler) releaseLevel(lev int) {
-	levelPool.Put(s.levels[lev])
-	s.levels[lev] = nil
+func (a entry) less(b entry) bool {
+	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
 }
 
 // Scheduler owns the virtual clock and the pending event set.
@@ -215,23 +107,12 @@ type Scheduler struct {
 	seq     uint64
 	stopped bool
 	fired   uint64
+	// pending counts the live events in the queue; cancelled ones stay
+	// queued until they reach the head.
 	pending int
 
-	// due is the sorted dispatch run: every event of the quantum currently
-	// being drained (plus any event scheduled, mid-drain, for a timestamp
-	// the wheel cursor already passed — still in the future, just below
-	// doneQ). due[dueIdx:] is sorted by (at, seq) and is always globally
-	// minimal: the wheel and overflow heap only hold events in quanta
-	// >= doneQ.
-	due    []*Event
-	dueIdx int
-	// doneQ: every wheel quantum < doneQ has been moved to due already.
-	doneQ  int64
-	levels [wheelLevels]*wheelLevel // allocated lazily per level
-	// overflow keeps events beyond the wheel horizon (a different
-	// top-level window than doneQ); they migrate into the due run when
-	// their quantum becomes the earliest pending work.
-	overflow eventHeap
+	// queue is a binary min-heap on (at, seq).
+	queue []entry
 	// tickers are the active periodic trains, dispatched under the same
 	// (time, seq) order as events.
 	tickers []*Ticker
@@ -243,7 +124,7 @@ type Scheduler struct {
 }
 
 // New returns a scheduler with the clock at zero.
-func New() *Scheduler { return &Scheduler{} }
+func New() *Scheduler { return &Scheduler{queue: make([]entry, 0, 256)} }
 
 // Now reports the current virtual time.
 func (s *Scheduler) Now() Time { return s.now }
@@ -256,205 +137,60 @@ func (s *Scheduler) Pending() int { return s.pending + len(s.tickers) }
 // so far.
 func (s *Scheduler) Fired() uint64 { return s.fired }
 
-// place files e into the due run, a wheel bucket, or the overflow heap,
-// according to its quantum's distance from the wheel cursor.
-func (s *Scheduler) place(e *Event) {
-	q := int64(e.at) >> quantumBits
-	if q < s.doneQ {
-		s.dueInsert(e)
-		return
-	}
-	for lev := 0; lev < wheelLevels; lev++ {
-		if q>>(wheelBits*(lev+1)) == s.doneQ>>(wheelBits*(lev+1)) {
-			l := s.levels[lev]
-			if l == nil {
-				l = levelPool.Get().(*wheelLevel)
-				s.levels[lev] = l
-			}
-			l.push(int(q>>(wheelBits*lev))&wheelMask, e)
-			return
-		}
-	}
-	heap.Push(&s.overflow, e)
-}
-
-// dueInsert places e at its sorted position in the pending part of the due
-// run. New events always sort at or after dueIdx: their timestamp is >= now,
-// and everything already consumed fired at times <= now.
-func (s *Scheduler) dueInsert(e *Event) {
-	e.idx = idxDue
-	lo, hi := s.dueIdx, len(s.due)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if eventLess(s.due[mid], e) {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	s.due = append(s.due, nil)
-	copy(s.due[lo+1:], s.due[lo:])
-	s.due[lo] = e
-}
-
-// cascadeSlot drains one bucket of level lev, re-placing its events into
-// lower levels (or the due run) relative to the current cursor.
-func (s *Scheduler) cascadeSlot(lev, slot int) {
-	l := s.levels[lev]
-	e := l.slots[slot]
-	l.slots[slot] = nil
-	l.occ[slot>>6] &^= 1 << (uint(slot) & 63)
-	for e != nil {
-		next := e.link
-		e.link = nil
-		l.count--
-		s.place(e)
-		e = next
-	}
-	if l.count == 0 {
-		s.releaseLevel(lev)
-	}
-}
-
-// nextQuantum finds the earliest wheel quantum holding events, cascading
-// higher-level buckets down as their windows become current. It advances
-// doneQ to the base of any not-yet-current cascaded window.
-func (s *Scheduler) nextQuantum() (int64, bool) {
-	for {
-		// First cascade any higher-level slot whose window has become
-		// current: refill advances doneQ in quantum steps and crosses
-		// window boundaries without touching the wheel, which can leave
-		// events parked one level above where the cursor now points. An
-		// L0 scan alone would never see them.
-		current := false
-		for lev := 1; lev < wheelLevels; lev++ {
-			l := s.levels[lev]
-			if l == nil || l.count == 0 {
-				continue
-			}
-			digit := int(s.doneQ>>(wheelBits*lev)) & wheelMask
-			if l.occ[digit>>6]&(1<<(uint(digit)&63)) != 0 {
-				s.cascadeSlot(lev, digit)
-				current = true
-			}
-		}
-		if current {
-			continue
-		}
-		if l := s.levels[0]; l != nil && l.count > 0 {
-			if slot := l.nextSlot(int(s.doneQ & wheelMask)); slot >= 0 {
-				return s.doneQ&^wheelMask | int64(slot), true
-			}
-		}
-		// The current window is empty at every level: advance the cursor
-		// to the earliest future higher-level slot and cascade it.
-		cascaded := false
-		for lev := 1; lev < wheelLevels; lev++ {
-			l := s.levels[lev]
-			if l == nil || l.count == 0 {
-				continue
-			}
-			slot := l.nextSlot(int(s.doneQ>>(wheelBits*lev)) & wheelMask)
-			if slot < 0 {
-				continue
-			}
-			span := int64(1) << (wheelBits * lev)
-			base := s.doneQ&^(span<<wheelBits-1) | int64(slot)*span
-			if base > s.doneQ {
-				s.doneQ = base
-			}
-			s.cascadeSlot(lev, slot)
-			cascaded = true
+// push queues e under the next sequence number.
+func (s *Scheduler) push(e *Event) {
+	x := entry{e.at, s.seq, e}
+	s.seq++
+	s.pending++
+	q := append(s.queue, x)
+	i := len(q) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !x.less(q[p]) {
 			break
 		}
-		if !cascaded {
-			return 0, false
-		}
+		q[i] = q[p]
+		i = p
 	}
+	q[i] = x
+	s.queue = q
 }
 
-// refillDue resets the due run and loads the earliest pending quantum from
-// the wheel and/or the overflow heap, sorted by (at, seq). It reports false
-// when no events remain anywhere.
-func (s *Scheduler) refillDue() bool {
-	s.due = s.due[:0]
-	s.dueIdx = 0
-	wq, wok := s.nextQuantum()
-	ook := len(s.overflow) > 0
-	var oq int64
-	if ook {
-		oq = int64(s.overflow[0].at) >> quantumBits
+// pop removes the head of the queue.
+func (s *Scheduler) pop() {
+	q := s.queue
+	n := len(q) - 1
+	x := q[n]
+	q[n] = entry{}
+	q = q[:n]
+	s.queue = q
+	if n == 0 {
+		return
 	}
-	if !wok && !ook {
-		return false
-	}
-	q := wq
-	if !wok || (ook && oq < wq) {
-		q = oq
-	}
-	if wok && q == wq {
-		l := s.levels[0]
-		slot := int(q & wheelMask)
-		e := l.slots[slot]
-		l.slots[slot] = nil
-		l.occ[slot>>6] &^= 1 << (uint(slot) & 63)
-		for e != nil {
-			next := e.link
-			e.link = nil
-			e.idx = idxDue
-			l.count--
-			s.due = append(s.due, e)
-			e = next
+	i := 0
+	for c := 1; c < n; c = 2*i + 1 {
+		if c+1 < n && q[c+1].less(q[c]) {
+			c++
 		}
-		if l.count == 0 {
-			s.releaseLevel(0)
+		if !q[c].less(x) {
+			break
 		}
+		q[i] = q[c]
+		i = c
 	}
-	for len(s.overflow) > 0 && int64(s.overflow[0].at)>>quantumBits == q {
-		e := heap.Pop(&s.overflow).(*Event)
-		e.idx = idxDue
-		s.due = append(s.due, e)
-	}
-	if len(s.due) > 1 {
-		slices.SortFunc(s.due, eventCmp)
-	}
-	if q >= s.doneQ {
-		s.doneQ = q + 1
-	}
-	return true
+	q[i] = x
 }
 
-// peek returns the next uncancelled event without dispatching it, or nil
-// when none remain. It may migrate events from the wheel and overflow heap
-// into the due run.
-func (s *Scheduler) peek() *Event {
-	for {
-		for s.dueIdx < len(s.due) {
-			e := s.due[s.dueIdx]
-			if e.cancel {
-				e.idx = idxFired
-				s.due[s.dueIdx] = nil
-				s.dueIdx++
-				continue
-			}
-			// A cascade may have advanced doneQ past quanta still parked
-			// in the overflow heap (cascade bases derive from wheel slots
-			// only); later due inserts can then be outrun by an earlier
-			// overflow event. Migrate any such quantum into the due run
-			// before handing out the head.
-			if len(s.overflow) > 0 && eventLess(s.overflow[0], e) {
-				q := int64(s.overflow[0].at) >> quantumBits
-				for len(s.overflow) > 0 && int64(s.overflow[0].at)>>quantumBits == q {
-					s.dueInsert(heap.Pop(&s.overflow).(*Event))
-				}
-				continue
-			}
-			return e
+// head drops cancelled events from the front of the queue and returns the
+// earliest live one; ok is false when none remain.
+func (s *Scheduler) head() (x entry, ok bool) {
+	for len(s.queue) > 0 {
+		if x = s.queue[0]; !x.ev.cancel {
+			return x, true
 		}
-		if !s.refillDue() {
-			return nil
-		}
+		s.pop()
 	}
+	return entry{}, false
 }
 
 // At schedules fn to run at the absolute virtual time at. Scheduling in the
@@ -464,10 +200,8 @@ func (s *Scheduler) At(at Time, fn func()) *Event {
 	if at < s.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", at, s.now))
 	}
-	e := &Event{at: at, seq: s.seq, fn: fn}
-	s.seq++
-	s.pending++
-	s.place(e)
+	e := &Event{at: at, fn: fn}
+	s.push(e)
 	return e
 }
 
@@ -492,17 +226,12 @@ func (s *Scheduler) DoAt(at Time, fn func()) {
 	var e *Event
 	if n := len(s.free); n > 0 {
 		e = s.free[n-1]
-		s.free[n-1] = nil
 		s.free = s.free[:n-1]
-		e.at, e.fn, e.cancel = at, fn, false
+		*e = Event{at: at, fn: fn, pooled: true}
 	} else {
-		e = &Event{at: at, fn: fn}
+		e = &Event{at: at, fn: fn, pooled: true}
 	}
-	e.pooled = true
-	e.seq = s.seq
-	s.seq++
-	s.pending++
-	s.place(e)
+	s.push(e)
 }
 
 // DoAfter schedules fn to run d after the current virtual time on a
@@ -516,28 +245,21 @@ func (s *Scheduler) DoAfter(d time.Duration, fn func()) {
 
 // Cancel removes a pending event. Cancelling an already-fired or
 // already-cancelled event is a no-op, so callers can cancel defensively.
-// Wheel-parked events cancel lazily: the node is skipped (and released)
-// when its quantum drains.
+// The node stays queued, and is dropped when it reaches the head.
 func (s *Scheduler) Cancel(e *Event) {
-	if e == nil || e.cancel || e.idx == idxFired {
-		if e != nil {
-			e.cancel = true
-		}
+	if e == nil {
 		return
 	}
-	e.cancel = true
-	s.pending--
-	if e.idx >= 0 {
-		heap.Remove(&s.overflow, e.idx)
-		e.idx = idxFired
+	if !e.cancel && !e.fired {
+		s.pending--
 	}
+	e.cancel = true
 }
 
-// dispatch fires e, the head of the due run.
+// dispatch fires e, the head of the queue.
 func (s *Scheduler) dispatch(e *Event) {
-	s.due[s.dueIdx] = nil
-	s.dueIdx++
-	e.idx = idxFired
+	s.pop()
+	e.fired = true
 	s.pending--
 	s.now = e.at
 	s.fired++
@@ -560,16 +282,15 @@ func (s *Scheduler) Step() bool {
 	if s.stopped {
 		return false
 	}
-	e := s.peek()
-	t := s.nextTicker()
-	if t != nil && (e == nil || t.next < e.at || (t.next == e.at && t.seq < e.seq)) {
+	x, ok := s.head()
+	if t := s.nextTicker(); t != nil && (!ok || t.before(x)) {
 		s.fireTick(t)
 		return true
 	}
-	if e == nil {
+	if !ok {
 		return false
 	}
-	s.dispatch(e)
+	s.dispatch(x.ev)
 	return true
 }
 
@@ -582,28 +303,32 @@ func (s *Scheduler) Run() {
 // RunUntil fires events with timestamps <= deadline and then advances the
 // clock to the deadline. Events scheduled beyond the deadline remain
 // pending. Ticker trains with a batch handler fire in closed-form batches
-// across event-free stretches (see Ticker).
+// across stretches free of events and of other trains' fires (see Ticker).
 func (s *Scheduler) RunUntil(deadline Time) {
 	for !s.stopped {
-		e := s.peek()
-		t := s.nextTicker()
-		if t != nil && (e == nil || t.next < e.at || (t.next == e.at && t.seq < e.seq)) {
+		x, ok := s.head()
+		if t := s.nextTicker(); t != nil && (!ok || t.before(x)) {
 			if t.next > deadline {
 				break
 			}
 			limit := deadline
-			if e != nil && e.at-1 < limit {
-				limit = e.at - 1
+			if ok && x.at-1 < limit {
+				limit = x.at - 1
+			}
+			for _, u := range s.tickers {
+				if u != t && u.next-1 < limit {
+					limit = u.next - 1
+				}
 			}
 			if !s.fireBatch(t, limit) {
 				s.fireTick(t)
 			}
 			continue
 		}
-		if e == nil || e.at > deadline {
+		if !ok || x.at > deadline {
 			break
 		}
-		s.dispatch(e)
+		s.dispatch(x.ev)
 	}
 	if s.now < deadline {
 		s.now = deadline
@@ -626,9 +351,10 @@ func (s *Scheduler) Resume() { s.stopped = false }
 // callback returns — but without a queue operation per fire. A train with a
 // batch handler additionally collapses event-free stretches: RunUntil
 // invokes batch(from, n) once for n consecutive fires with no intervening
-// event, which is how the 50 kSa/s meter samples a 2-second window in a
-// handful of calls. Handlers must not schedule or cancel events from inside
-// a batch call (single fires may), or the seq emulation breaks.
+// event or other train's fire, which is how the 50 kSa/s meter samples a
+// 2-second window in a handful of calls. Handlers must not schedule or
+// cancel events from inside a batch call (single fires may), or the seq
+// emulation breaks.
 type Ticker struct {
 	sched   *Scheduler
 	next    Time
@@ -678,6 +404,11 @@ func (t *Ticker) Stop() {
 	}
 }
 
+// before reports whether t's next fire precedes the queued event x.
+func (t *Ticker) before(x entry) bool {
+	return t.next < x.at || (t.next == x.at && t.seq < x.seq)
+}
+
 // nextTicker returns the active train with the earliest (next, seq) fire.
 func (s *Scheduler) nextTicker() *Ticker {
 	var best *Ticker
@@ -709,7 +440,8 @@ func (s *Scheduler) fireTick(t *Ticker) {
 // batch call, provided a batch handler is installed and the firehose is
 // off. The seq bookkeeping is exactly the per-fire path repeated: each fire
 // consumes the pending seq and allocates the next, with nothing in between
-// (the caller guarantees no event lies inside the batch window).
+// (the caller guarantees no event or other train's fire lies inside the
+// batch window).
 func (s *Scheduler) fireBatch(t *Ticker, limit Time) bool {
 	if t.batch == nil || s.OnDispatch != nil || limit < t.next {
 		return false

@@ -98,6 +98,53 @@ func TestTickerBatchMatchesPerFire(t *testing.T) {
 	}
 }
 
+// TestTickerBatchStopsAtOtherTickers runs a batched 3 µs train next to a
+// 5 µs train whose every fire schedules an event 1 ns later. A batch must
+// end before the other train's next fire, or that fire runs with the clock
+// moving backwards and its event lands after later ticks. The batched run
+// must match the same run with OnDispatch set, which fires every tick
+// singly.
+func TestTickerBatchStopsAtOtherTickers(t *testing.T) {
+	batches := 0 // batch calls covering more than one fire
+	run := func(firehose bool) []string {
+		s := New()
+		if firehose {
+			s.OnDispatch = func(Time) {}
+		}
+		var got []string
+		record := func(kind string, at Time) { got = append(got, fmt.Sprintf("%s@%d", kind, at)) }
+		period := 3 * time.Microsecond
+		a := s.Tick(FromDuration(period), period, func(at Time) { record("a", at) })
+		a.SetBatch(func(from Time, n int) {
+			if n > 1 {
+				batches++
+			}
+			for i := 0; i < n; i++ {
+				record("a", from.Add(time.Duration(i)*period))
+			}
+		})
+		s.Tick(5*Microsecond, 5*time.Microsecond, func(at Time) {
+			record("b", s.Now())
+			s.After(time.Nanosecond, func() { record("e", s.Now()) })
+		})
+		s.RunUntil(100 * Microsecond)
+		return got
+	}
+	want := run(true)
+	got := run(false)
+	if batches == 0 {
+		t.Fatal("the batched run never fired a batch of more than one tick")
+	}
+	if len(got) != len(want) {
+		t.Fatalf("batched run produced %d records, per-fire run %d", len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("diverged at %d: batched=%q per-fire=%q", i, got[i], want[i])
+		}
+	}
+}
+
 // TestTickerFirehoseDisablesBatching: with an OnDispatch hook installed
 // (the scheduler-firehose observability mode), every tick must dispatch
 // individually so the hook sees each one; the batch callback must never
