@@ -18,6 +18,7 @@ package wile_test
 import (
 	"fmt"
 	"io"
+	"math"
 	"runtime"
 	"runtime/debug"
 	"testing"
@@ -549,6 +550,87 @@ func BenchmarkDropReport(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkLedgerField is the density field with a provenance ledger
+// attached: n ALOHA radios beaconing at DSSS 1 Mb/s for half a simulated
+// second at the crowding of perfbench's field (2000 on a 300 m square), a
+// tenth of them asleep, every clean reception resolved delivered, and
+// Verify plus a JSON drop report every op. Its events, potential
+// receptions and report bytes per op are exact. The report has one row per
+// linked pair and one out-of-range row per transmitter, so report-bytes/op
+// grows with the radios; per-pair rows for the radios a frame never
+// reaches would grow it with their square.
+func BenchmarkLedgerField(b *testing.B) {
+	for _, n := range []int{300, 2000} {
+		b.Run(fmt.Sprintf("devices=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			var events uint64
+			var potential int64
+			var report countingWriter
+			for i := 0; i < b.N; i++ {
+				report = 0
+				events, potential = runLedgerField(b, n, &report)
+			}
+			b.ReportMetric(float64(events), "events/op")
+			b.ReportMetric(float64(potential), "potential/op")
+			b.ReportMetric(float64(report), "report-bytes/op")
+		})
+	}
+}
+
+// runLedgerField runs one BenchmarkLedgerField world, writes its drop
+// report to w, and reports its scheduler events and potential receptions.
+func runLedgerField(b *testing.B, n int, w io.Writer) (uint64, int64) {
+	cfg := experiment.DefaultDensityConfig()
+	side := math.Sqrt(float64(n) * 300 * 300 / 2000)
+	window := sim.Time(0).Add(500 * time.Millisecond)
+	airtime := phy.FrameAirtime(cfg.Rate, cfg.Payload)
+	payload := make([]byte, cfg.Payload)
+	sched := sim.New()
+	med := medium.New(sched, phy.WiFi24Channel(6))
+	med.Corrupt = false
+	prov := obs.NewProvenance()
+	med.ObserveProvenance(prov)
+	rng := sim.NewRand(5)
+	for i := 0; i < n; i++ {
+		trx := med.Attach("", medium.Position{X: rng.Float64() * side, Y: rng.Float64() * side}, cfg.TxPower, cfg.Sensitivity)
+		id := trx.ProvID()
+		trx.Handler = func(r medium.Reception) {
+			if !r.Collided {
+				prov.Resolve(r.Frame, id, r.End, obs.Delivered) //wile:allow obsguard -- the world built this ledger; it is never nil
+			}
+		}
+		if i%10 == 9 {
+			continue // asleep
+		}
+		trx.SetOn(true)
+		var beacon func()
+		beacon = func() {
+			med.Transmit(trx, payload, cfg.Rate)
+			next := cfg.Period + time.Duration(rng.Float64()*float64(cfg.Period)/16)
+			if sched.Now().Add(next+airtime) < window {
+				sched.After(next, beacon)
+			}
+		}
+		sched.After(time.Duration(rng.Float64()*float64(cfg.Period)), beacon)
+	}
+	sched.RunUntil(window)
+	if err := prov.Verify(); err != nil {
+		b.Fatal(err)
+	}
+	if err := prov.WriteReportJSON(w); err != nil {
+		b.Fatal(err)
+	}
+	return sched.Fired(), prov.Potential()
+}
+
+// countingWriter counts the bytes written to it.
+type countingWriter int
+
+func (c *countingWriter) Write(p []byte) (int, error) {
+	*c += countingWriter(len(p))
+	return len(p), nil
 }
 
 // BenchmarkMediumDense drives the culled, gridded medium at beacon

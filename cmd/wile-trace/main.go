@@ -22,6 +22,8 @@
 // frame resolves to exactly one outcome per potential receiver (delivered,
 // or one reason from the drop taxonomy), and the per-reason × per-link
 // report replaces the waveform CSV on stdout (-json selects the JSON form).
+// A ledger that fails its conservation check is still reported, and the
+// command then exits 1.
 // Combined with -perfetto, the timeline goes to stdout — with one instant
 // per drop on per-radio "<name> drops" tracks — and the report to stderr.
 package main
@@ -143,12 +145,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// writeDrops emits the provenance report in the selected format.
+// writeDrops emits the provenance report in the selected format, then
+// checks the ledger's conservation: a report with unresolved frames or a
+// broken sum is still written, and the run then fails.
 func writeDrops(p *obs.Provenance, w io.Writer, asJSON bool) error {
+	write := p.WriteReport
 	if asJSON {
-		return p.WriteReportJSON(w)
+		write = p.WriteReportJSON
 	}
-	return p.WriteReport(w)
+	if err := write(w); err != nil {
+		return err
+	}
+	return p.Verify()
 }
 
 func fatal(stderr io.Writer, err error) int {

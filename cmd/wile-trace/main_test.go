@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"wile/internal/obs"
 )
 
 // TestDropsReportGolden pins the byte-for-byte output of
@@ -50,6 +52,26 @@ func TestDropsReportText(t *testing.T) {
 	for _, want := range []string{"frames ", "delivered", "radio_off", "links:"} {
 		if !strings.Contains(text, want) {
 			t.Errorf("report missing %q:\n%s", want, text)
+		}
+	}
+}
+
+// TestWriteDropsFailsUnresolvedLedger: a ledger with a frame still pending
+// is reported in both formats, and writeDrops then returns the
+// conservation error, so the command exits 1.
+func TestWriteDropsFailsUnresolvedLedger(t *testing.T) {
+	for _, asJSON := range []bool{false, true} {
+		p := obs.NewProvenance()
+		tx, rx := p.Actor("tx"), p.Actor("rx")
+		p.Transmitted(tx, 1)
+		p.Resolve(p.Transmitted(tx, 1), rx, 0, obs.Delivered)
+		var out bytes.Buffer
+		err := writeDrops(p, &out, asJSON)
+		if err == nil || !strings.Contains(err.Error(), "1 frames still unresolved") {
+			t.Errorf("json %v: writeDrops returned %v, want the unresolved-frame error", asJSON, err)
+		}
+		if !strings.Contains(out.String(), "unresolved") {
+			t.Errorf("json %v: report not written before the check:\n%s", asJSON, out.String())
 		}
 	}
 }

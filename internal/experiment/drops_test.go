@@ -75,9 +75,9 @@ func TestDropScenarioConservation(t *testing.T) {
 }
 
 // TestDropScenarioReportGolden pins both drop-report formats of the lossy
-// scenario byte for byte. Unlike the fig3a world, this one has radios
-// outside a transmitter's interference budget (scan-far at 300 m), so the
-// golden pins the rows the medium resolves for culled receivers.
+// scenario byte for byte. Unlike the fig3a world, this one has a radio out
+// of every transmitter's range (scan-far at 300 m), so the golden pins the
+// out-of-range row the medium settles by count for each transmitter.
 // Regenerate with WILE_UPDATE_GOLDEN=1 after intentional changes.
 func TestDropScenarioReportGolden(t *testing.T) {
 	_, _, txt, js := runDrops(t)

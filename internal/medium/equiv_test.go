@@ -3,6 +3,7 @@ package medium
 import (
 	"bytes"
 	"fmt"
+	"maps"
 	"math"
 	"slices"
 	"strconv"
@@ -81,18 +82,26 @@ func (r *allPairs) BusyUntil(t *Transceiver) sim.Time {
 	return until
 }
 
+// deliver settles one receiver at its turn. A receiver out of range (RSSI
+// under its own floor) is a bulk resolve of one; the rest resolve one by
+// one.
 func (r *allPairs) deliver(tx transmission, rcv *Transceiver) {
 	m := r.m
-	if !rcv.on || rcv.Handler == nil {
-		if m.Prov != nil {
-			m.Prov.Resolve(tx.frame, rcv.prov, tx.end, obs.DropRadioOff)
-		}
-		return
-	}
+	off := !rcv.on || rcv.Handler == nil
 	rssi := m.rssiAt(tx.from, rcv)
 	if rssi < rcv.Sensitivity {
 		if m.Prov != nil {
-			m.Prov.Resolve(tx.frame, rcv.prov, tx.end, obs.DropBelowSensitivity)
+			if off {
+				m.Prov.ResolveOutOfRange(tx.frame, 1, 0)
+			} else {
+				m.Prov.ResolveOutOfRange(tx.frame, 0, 1)
+			}
+		}
+		return
+	}
+	if off {
+		if m.Prov != nil {
+			m.Prov.Resolve(tx.frame, rcv.prov, tx.end, obs.DropRadioOff)
 		}
 		return
 	}
@@ -189,27 +198,43 @@ func genScenario(seed uint64, reentrant bool) equivScenario {
 	return sc
 }
 
-// playScenario runs sc on a fresh medium, through the reference model when
-// reference is set and with a provenance ledger when ledger is set, and
-// renders everything observable into one string.
-func playScenario(sc equivScenario, reference, ledger bool) string {
+// scenarioWorld is sc set up on a fresh medium. Its Handlers and probes
+// write everything observable to out as the scheduler runs.
+type scenarioWorld struct {
+	s      *sim.Scheduler
+	m      *Medium
+	a      air
+	prov   *obs.Provenance
+	radios []*Transceiver
+	out    bytes.Buffer
+	// sent counts the frames each radio transmitted, by name.
+	sent map[string]int
+}
+
+// newScenarioWorld attaches sc's radios and schedules its frames and
+// probes, through the reference model when reference is set and with a
+// provenance ledger when ledger is set.
+func newScenarioWorld(sc equivScenario, reference, ledger bool) *scenarioWorld {
 	s := sim.New()
-	m := New(s, phy.WiFi24Channel(6))
-	var a air = m
+	w := &scenarioWorld{s: s, m: New(s, phy.WiFi24Channel(6)), sent: map[string]int{}}
+	w.a = w.m
 	if reference {
-		a = &allPairs{m: m}
+		w.a = &allPairs{m: w.m}
 	}
-	var prov *obs.Provenance
 	if ledger {
-		prov = obs.NewProvenance()
-		m.ObserveProvenance(prov)
+		w.prov = obs.NewProvenance()
+		w.m.ObserveProvenance(w.prov)
 	}
 
-	var out bytes.Buffer
 	radios := make([]*Transceiver, len(sc.pos))
 	for i := range sc.pos {
-		radios[i] = m.Attach(fmt.Sprintf("r%d", i), sc.pos[i], sc.power[i], sc.sens[i])
+		radios[i] = w.m.Attach(fmt.Sprintf("r%d", i), sc.pos[i], sc.power[i], sc.sens[i])
 		radios[i].SetOn(sc.on[i])
+	}
+	w.radios = radios
+	transmit := func(from *Transceiver, data []byte, rate phy.Rate) {
+		w.sent[from.Name]++
+		w.a.Transmit(from, data, rate)
 	}
 	for i, self := range radios {
 		if sc.deaf[i] {
@@ -217,15 +242,15 @@ func playScenario(sc equivScenario, reference, ledger bool) string {
 		}
 		i, self := i, self
 		self.Handler = func(r Reception) {
-			fmt.Fprintf(&out, "rx r%d len=%d rssi=%.4f collided=%v start=%v end=%v frame=%d\n",
+			fmt.Fprintf(&w.out, "rx r%d len=%d rssi=%.4f collided=%v start=%v end=%v frame=%d\n",
 				i, len(r.Data), float64(r.RSSI), r.Collided, r.Start, r.End, r.Frame)
 			if j := sc.toggle[i]; j != 0 {
 				radios[j].SetOn(!radios[j].On())
-				fmt.Fprintf(&out, "r%d switches r%d on=%v\n", i, j, radios[j].On())
+				fmt.Fprintf(&w.out, "r%d switches r%d on=%v\n", i, j, radios[j].On())
 			}
 			if sc.reply[i] && r.Rate != replyRate && self.On() {
-				a.Transmit(self, make([]byte, 14), replyRate)
-				fmt.Fprintf(&out, "r%d replies\n", i)
+				transmit(self, make([]byte, 14), replyRate)
+				fmt.Fprintf(&w.out, "r%d replies\n", i)
 			}
 		}
 	}
@@ -233,7 +258,7 @@ func playScenario(sc equivScenario, reference, ledger bool) string {
 		i := i
 		s.After(at, func() {
 			if from := radios[sc.txFrom[i]]; from.On() {
-				a.Transmit(from, make([]byte, sc.txLen[i]), sc.txRate[i])
+				transmit(from, make([]byte, sc.txLen[i]), sc.txRate[i])
 			}
 		})
 	}
@@ -241,22 +266,34 @@ func playScenario(sc equivScenario, reference, ledger bool) string {
 		at := at
 		s.After(at, func() {
 			for i, t := range radios {
-				fmt.Fprintf(&out, "probe t=%v r%d busy=%v until=%v\n", at, i, a.Busy(t), a.BusyUntil(t))
+				fmt.Fprintf(&w.out, "probe t=%v r%d busy=%v until=%v\n", at, i, w.a.Busy(t), w.a.BusyUntil(t))
 			}
 		})
 	}
-	s.Run()
+	return w
+}
 
-	fmt.Fprintf(&out, "stats %+v\n", m.Stats)
-	if prov != nil {
-		if err := prov.Verify(); err != nil {
-			fmt.Fprintf(&out, "conservation violated: %v\n", err)
+// transcript runs w until its scheduler drains and renders everything
+// observable into one string: receptions, probes, Stats and the ledger's
+// conservation check and report.
+func (w *scenarioWorld) transcript() string {
+	w.s.Run()
+	fmt.Fprintf(&w.out, "stats %+v\n", w.m.Stats)
+	if w.prov != nil {
+		if err := w.prov.Verify(); err != nil {
+			fmt.Fprintf(&w.out, "conservation violated: %v\n", err)
 		}
-		if err := prov.WriteReport(&out); err != nil {
-			fmt.Fprintf(&out, "report error: %v\n", err)
+		if err := w.prov.WriteReport(&w.out); err != nil {
+			fmt.Fprintf(&w.out, "report error: %v\n", err)
 		}
 	}
-	return out.String()
+	return w.out.String()
+}
+
+// playScenario runs sc on a fresh medium (see newScenarioWorld) and
+// returns its transcript.
+func playScenario(sc equivScenario, reference, ledger bool) string {
+	return newScenarioWorld(sc, reference, ledger).transcript()
 }
 
 // checkEquiv plays seeds [from, to) through both media. Re-entrant
@@ -345,71 +382,220 @@ func TestTranslatedTopologyIdentical(t *testing.T) {
 	}
 }
 
-// withSilentRadio rewrites a transcript's ledger totals as one more
-// receiver resolving radio_off for every frame would leave them, and
-// reports the frame count (0 without a ledger).
-func withSilentRadio(transcript string) (string, int) {
-	lines := strings.SplitAfter(transcript, "\n")
-	frames := 0
-	for i, line := range lines {
-		// The report's header line precedes its outcome lines.
-		var potential, unresolved int
-		if n, _ := fmt.Sscanf(line, "frames %d, potential receptions %d, unresolved %d", &frames, &potential, &unresolved); n == 3 {
-			lines[i] = fmt.Sprintf("frames %d, potential receptions %d, unresolved %d\n", frames, potential+frames, unresolved)
+// dropReport is a transcript split into its drop report's numbers and
+// every other line.
+type dropReport struct {
+	rest              string
+	frames, potential int
+	outcomes          map[string]int
+	// rows maps a report row's (from, to) to its counts by reason.
+	rows map[[2]string]map[string]int
+}
+
+// parseReport splits a transcript. The report's unresolved count stays in
+// rest.
+func parseReport(transcript string) dropReport {
+	r := dropReport{outcomes: map[string]int{}, rows: map[[2]string]map[string]int{}}
+	var rest strings.Builder
+	for _, line := range strings.SplitAfter(transcript, "\n") {
+		var unresolved int
+		if n, _ := fmt.Sscanf(line, "frames %d, potential receptions %d, unresolved %d", &r.frames, &r.potential, &unresolved); n == 3 {
+			fmt.Fprintf(&rest, "unresolved %d\n", unresolved)
+			continue
 		}
-		if f := strings.Fields(line); len(f) == 2 && f[0] == "radio_off" {
-			off, _ := strconv.Atoi(f[1])
-			lines[i] = fmt.Sprintf("  %-18s %d\n", "radio_off", off+frames)
+		if !strings.HasPrefix(line, "  ") {
+			rest.WriteString(line)
+			continue
+		}
+		if from, row, ok := strings.Cut(strings.TrimSpace(line), " -> "); ok {
+			to, counts, _ := strings.Cut(row, ": ")
+			byReason := map[string]int{}
+			for _, kv := range strings.Fields(counts) {
+				reason, n, _ := strings.Cut(kv, "=")
+				byReason[reason], _ = strconv.Atoi(n)
+			}
+			r.rows[[2]string{from, to}] = byReason
+			continue
+		}
+		f := strings.Fields(line)
+		r.outcomes[f[0]], _ = strconv.Atoi(f[1])
+	}
+	r.rest = rest.String()
+	return r
+}
+
+// withoutProbesOf drops the probe lines of radio from and every later one.
+func withoutProbesOf(transcript string, from int) string {
+	var kept strings.Builder
+	for _, line := range strings.SplitAfter(transcript, "\n") {
+		var at string
+		var i int
+		if n, _ := fmt.Sscanf(line, "probe t=%s r%d busy=", &at, &i); n == 2 && i >= from {
+			continue
+		}
+		kept.WriteString(line)
+	}
+	return kept.String()
+}
+
+// rowDeltas reports how each report row's counts changed from b to a, for
+// the rows that changed, with unchanged reasons left out.
+func rowDeltas(a, b dropReport) map[[2]string]map[string]int {
+	d := map[[2]string]map[string]int{}
+	add := func(rows map[[2]string]map[string]int, sign int) {
+		for key, counts := range rows {
+			if d[key] == nil {
+				d[key] = map[string]int{}
+			}
+			for reason, n := range counts {
+				d[key][reason] += sign * n
+			}
 		}
 	}
-	return strings.Join(lines, ""), frames
+	add(a.rows, 1)
+	add(b.rows, -1)
+	for key, counts := range d {
+		maps.DeleteFunc(counts, func(_ string, n int) bool { return n == 0 })
+		if len(counts) == 0 {
+			delete(d, key)
+		}
+	}
+	return d
 }
+
+// withRadios returns sc with radios appended that never transmit, reply
+// or switch another radio.
+func withRadios(sc equivScenario, pos []Position, sens []phy.DBm, on, deaf []bool) equivScenario {
+	ext := sc
+	ext.pos = slices.Concat(sc.pos, pos)
+	ext.power = slices.Concat(sc.power, make([]phy.DBm, len(pos)))
+	ext.sens = slices.Concat(sc.sens, sens)
+	ext.on = slices.Concat(sc.on, on)
+	ext.deaf = slices.Concat(sc.deaf, deaf)
+	ext.reply = slices.Concat(sc.reply, make([]bool, len(pos)))
+	ext.toggle = slices.Concat(sc.toggle, make([]int, len(pos)))
+	return ext
+}
+
+// outOfRange names the report's out-of-range receiver.
+const outOfRange = "(out of range)"
 
 // TestSilentRadioAddsOnlyRadioOff: attaching one more radio last, powered
 // off and with a floor below every other radio's, lowers minSens and so
 // widens every transmitter's culling radius. Nothing the other radios see
-// may change: receptions, Stats, their probes and every existing link row
+// may change: receptions, Stats, their probes and every other link row
 // stay identical, and the ledger gains exactly one potential reception per
-// frame, each resolved radio_off at the new radio.
+// frame, resolved radio_off. It lands in the new radio's link row from a
+// transmitter in range of it, and in the out-of-range row of one that is
+// not.
 func TestSilentRadioAddsOnlyRadioOff(t *testing.T) {
 	for _, ledger := range []bool{false, true} {
 		for seed := uint64(500); seed < 540; seed++ {
 			sc := genScenario(seed, seed%2 == 1)
-			silent := len(sc.pos)
-			ext := sc
-			ext.pos = append(slices.Clip(sc.pos), Position{X: 30, Y: 30})
-			ext.power = append(slices.Clip(sc.power), 0)
-			ext.sens = append(slices.Clip(sc.sens), phy.SensitivityWiFi1M)
-			ext.on = append(slices.Clip(sc.on), false)
-			ext.deaf = append(slices.Clip(sc.deaf), false)
-			ext.reply = append(slices.Clip(sc.reply), false)
-			ext.toggle = append(slices.Clip(sc.toggle), 0)
-
-			var kept strings.Builder
-			silentOff := 0
-			probe, link := fmt.Sprintf(" r%d busy=", silent), fmt.Sprintf(" -> r%d: ", silent)
-			for _, line := range strings.SplitAfter(playScenario(ext, false, ledger), "\n") {
-				if strings.Contains(line, probe) {
-					continue
-				}
-				if _, counts, ok := strings.Cut(line, link); ok {
-					off, err := strconv.Atoi(strings.TrimPrefix(strings.TrimSuffix(counts, "\n"), "radio_off="))
-					if err != nil {
-						t.Fatalf("seed %d, ledger %v: silent radio resolved %q", seed, ledger, line)
-					}
-					silentOff += off
-					continue
-				}
-				kept.WriteString(line)
-			}
-			want, frames := withSilentRadio(playScenario(sc, false, ledger))
-			if got := kept.String(); got != want {
+			silent := fmt.Sprintf("r%d", len(sc.pos))
+			ext := withRadios(sc, []Position{{X: 30, Y: 30}}, []phy.DBm{phy.SensitivityWiFi1M}, []bool{false}, []bool{false})
+			want := parseReport(playScenario(sc, false, ledger))
+			got := parseReport(withoutProbesOf(playScenario(ext, false, ledger), len(sc.pos)))
+			if got.rest != want.rest {
 				t.Fatalf("seed %d, ledger %v: a silent radio changed what the others see\n--- without it ---\n%s\n--- with it ---\n%s",
-					seed, ledger, want, got)
+					seed, ledger, want.rest, got.rest)
 			}
-			if silentOff != frames {
-				t.Fatalf("seed %d, ledger %v: silent radio resolved radio_off %d times for %d frames", seed, ledger, silentOff, frames)
+			off := 0
+			for key, delta := range rowDeltas(got, want) {
+				if n := delta["radio_off"]; n > 0 && (key[1] == silent || key[1] == outOfRange) {
+					off += n
+					delete(delta, "radio_off")
+				}
+				if len(delta) != 0 {
+					t.Fatalf("seed %d, ledger %v: the silent radio changed row %s -> %s by %v", seed, ledger, key[0], key[1], delta)
+				}
+			}
+			frames := want.frames
+			if off != frames || got.potential != want.potential+frames || got.outcomes["radio_off"] != want.outcomes["radio_off"]+frames {
+				t.Fatalf("seed %d, ledger %v: silent radio resolved radio_off %d times, potential %d -> %d, radio_off total %d -> %d, for %d frames",
+					seed, ledger, off, want.potential, got.potential, want.outcomes["radio_off"], got.outcomes["radio_off"], frames)
 			}
 		}
 	}
+}
+
+// TestFarRadiosAddOnlyOutOfRangeRows: radios attached 100 km out, beyond
+// every transmitter's range, in each state a receiver can be in (off, on
+// without a Handler, on with one) and with floors that lower minSens,
+// change nothing the scenario's radios see: receptions, Stats, probes and
+// every link row stay identical. With a ledger, each frame gains one
+// potential reception per far radio, all settled in its transmitter's
+// out-of-range row, radio_off for the radios that cannot take a frame and
+// below_sensitivity for the rest; and a frame costs the same allocations
+// as without them.
+func TestFarRadiosAddOnlyOutOfRangeRows(t *testing.T) {
+	on := []bool{false, false, true, true, true, true}
+	deaf := []bool{false, true, true, false, true, false}
+	sens := []phy.DBm{phy.SensitivityWiFi1M, phy.SensitivityWiFiMCS7, phy.SensitivityBLE, phy.SensitivityWiFi1M, -85, phy.SensitivityWiFiMCS7}
+	var pos []Position
+	kOff, kBelow := 0, 0
+	for i := range on {
+		pos = append(pos, Position{X: 1e5 + 100*float64(i), Y: 1e5})
+		if on[i] && !deaf[i] {
+			kBelow++
+		} else {
+			kOff++
+		}
+	}
+	for seed := uint64(600); seed < 640; seed++ {
+		reentrant := seed%2 == 1
+		sc := genScenario(seed, reentrant)
+		ext := withRadios(sc, pos, sens, on, deaf)
+		if want, got := playScenario(sc, false, false), withoutProbesOf(playScenario(ext, false, false), len(sc.pos)); got != want {
+			t.Fatalf("seed %d, no ledger: far radios changed the transcript\n--- without them ---\n%s\n--- with them ---\n%s", seed, want, got)
+		}
+
+		base, far := newScenarioWorld(sc, false, true), newScenarioWorld(ext, false, true)
+		want := parseReport(base.transcript())
+		got := parseReport(withoutProbesOf(far.transcript(), len(sc.pos)))
+		if got.rest != want.rest {
+			t.Fatalf("seed %d: far radios changed what the others see\n--- without them ---\n%s\n--- with them ---\n%s", seed, want.rest, got.rest)
+		}
+		frames := want.frames
+		wantOutcomes := maps.Clone(want.outcomes)
+		wantOutcomes["radio_off"] += kOff * frames
+		wantOutcomes["below_sensitivity"] += kBelow * frames
+		if got.frames != frames || got.potential != want.potential+(kOff+kBelow)*frames || !maps.Equal(got.outcomes, wantOutcomes) {
+			t.Fatalf("seed %d: %d frames, potential %d -> %d, outcomes %v -> %v; want each frame to add %d radio_off and %d below_sensitivity",
+				seed, frames, want.potential, got.potential, want.outcomes, got.outcomes, kOff, kBelow)
+		}
+		grown := 0
+		for key, delta := range rowDeltas(got, want) {
+			sent := base.sent[key[0]]
+			if wantDelta := map[string]int{"radio_off": kOff * sent, "below_sensitivity": kBelow * sent}; key[1] != outOfRange || !maps.Equal(delta, wantDelta) {
+				t.Fatalf("seed %d: far radios changed row %s -> %s by %v; %s sent %d frames", seed, key[0], key[1], delta, key[0], sent)
+			}
+			grown += sent
+		}
+		if grown != frames {
+			t.Fatalf("seed %d: out-of-range rows grew for %d of %d frames", seed, grown, frames)
+		}
+
+		if raceEnabled || reentrant {
+			continue // replies and switches make the next frames differ from run to run
+		}
+		from := slices.Index(sc.on, true)
+		if from < 0 {
+			continue
+		}
+		if a, b := frameAllocs(base, from), frameAllocs(far, from); a != b {
+			t.Fatalf("seed %d: a frame from r%d allocates %v times without the far radios, %v with them", seed, from, a, b)
+		}
+	}
+}
+
+// frameAllocs reports the allocations of one more frame from radio from
+// through w, once the scenario has run.
+func frameAllocs(w *scenarioWorld, from int) float64 {
+	w.out = bytes.Buffer{}
+	data := make([]byte, 100)
+	return testing.AllocsPerRun(20, func() {
+		w.a.Transmit(w.radios[from], data, phy.RateOFDM6)
+		w.s.Run()
+	})
 }

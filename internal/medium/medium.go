@@ -19,8 +19,11 @@
 // all-pairs walk could have delivered to, sensed at, or interfered with, and
 // a brute-force all-pairs model in the package's tests pins byte-identical
 // behavior on randomized topologies. A provenance ledger changes none of
-// this: the radios the grid culls are settled in the frame's delivery
-// event by a walk over the radios attached at launch.
+// this. Every radio a frame reaches below its own floor, culled radios
+// included, is settled by count in the frame's delivery event, from a
+// medium-wide count of powered-off radios and, while a ledger is attached,
+// a short list of powered radios without a Handler. The list cannot see a
+// Handler cleared on a powered radio; no code clears one.
 package medium
 
 import (
@@ -100,10 +103,16 @@ type Transceiver struct {
 	// TxPower is the transmit power.
 	TxPower phy.DBm
 	// Handler receives every decodable frame while the radio is on. It
-	// runs inside the simulation event that delivers the frame.
+	// runs inside the simulation event that delivers the frame. A radio
+	// without one resolves radio_off in a ledger. The ledger's count of
+	// such radios sees a Handler set at any time, and a Handler cleared
+	// while the radio is off, but not one cleared on a powered radio; no
+	// code clears one.
 	Handler func(rx Reception)
 	// on tracks whether the radio is powered.
 	on bool
+	// listed reports whether the radio is on the medium's noHandler list.
+	listed bool
 	// prov is this radio's actor id in the medium's provenance ledger,
 	// assigned when the ledger is wired (ObserveProvenance / Attach).
 	prov obs.ActorID
@@ -129,7 +138,26 @@ type Transceiver struct {
 
 // SetOn powers the radio on or off. A powered-off radio neither receives
 // nor carrier-senses; this is what deep/light sleep do to the WiFi chip.
-func (t *Transceiver) SetOn(on bool) { t.on = on }
+func (t *Transceiver) SetOn(on bool) {
+	if on == t.on {
+		return
+	}
+	t.on = on
+	m := t.m
+	if !on {
+		m.off++
+		return
+	}
+	m.off--
+	if m.Prov != nil && t.Handler == nil && !t.listed {
+		t.listed = true
+		m.noHandler = append(m.noHandler, t)
+	}
+}
+
+// listening reports whether the radio can take a frame: powered and with a
+// Handler. A radio that cannot resolves radio_off in a ledger.
+func (t *Transceiver) listening() bool { return t.on && t.Handler != nil }
 
 // On reports whether the radio is powered.
 func (t *Transceiver) On() bool { return t.on }
@@ -170,12 +198,19 @@ type Medium struct {
 	Corrupt bool
 
 	// Prov, when non-nil, is the frame-provenance ledger: Transmit assigns
-	// each frame an id and deliver resolves the medium-owned outcomes
+	// each frame an id and its delivery resolves the medium-owned outcomes
 	// (radio_off, below_sensitivity, collided). Wire it through
-	// ObserveProvenance so already-attached radios get actor ids.
+	// ObserveProvenance so already-attached radios get actor ids and the
+	// powered ones without a Handler are listed.
 	Prov *obs.Provenance
 
 	nodes []*Transceiver
+	// off counts the attached radios that are powered off.
+	off int
+	// noHandler holds, while a ledger is attached, every powered radio
+	// without a Handler, and possibly radios that have since been switched
+	// off or given one; each ledger delivery prunes those.
+	noHandler []*Transceiver
 	// Stats counts medium-level events for the experiment harness.
 	Stats Stats
 
@@ -255,6 +290,7 @@ func (m *Medium) Attach(name string, pos Position, txPower, sensitivity phy.DBm)
 	if sensitivity < m.minSens {
 		m.minSens = sensitivity
 	}
+	m.off++
 	m.nodes = append(m.nodes, t)
 	if m.grid.built {
 		m.grid.insert(t)
@@ -271,11 +307,19 @@ func (m *Medium) Observe(reg *obs.Registry) { reg.Collect(&m.Stats) }
 // FrameID zero and stay outside the ledger's accounting.
 func (m *Medium) ObserveProvenance(p *obs.Provenance) {
 	m.Prov = p
+	for _, t := range m.noHandler {
+		t.listed = false
+	}
+	m.noHandler = nil
 	if p == nil {
 		return
 	}
 	for _, t := range m.nodes {
 		t.prov = p.Actor(t.Name)
+		if t.on && t.Handler == nil {
+			t.listed = true
+			m.noHandler = append(m.noHandler, t)
+		}
 	}
 }
 
@@ -312,8 +356,8 @@ func (m *Medium) Transmit(t *Transceiver, data []byte, rate phy.Rate) time.Durat
 	tx := transmission{from: t, data: data, rate: rate, start: now, end: now.Add(airtime)}
 	// Every other attached radio is a potential receiver of a frame in the
 	// ledger and resolves to exactly one outcome in the frame's delivery
-	// event: in-budget radios through deliver, culled ones through
-	// resolveCulled. attached stays 0 for a frame outside the ledger.
+	// event: in-range receivers one by one, the rest, culled radios
+	// included, by count. attached stays 0 for a frame outside the ledger.
 	attached := 0
 	if m.Prov != nil {
 		tx.frame = m.Prov.Transmitted(t.prov, len(m.nodes)-1)
@@ -400,17 +444,29 @@ func (m *Medium) book(d *delivery, tx *transmission, attached int) {
 }
 
 // run delivers the frame to every receiver in attach order, then settles
-// the culled radios' provenance, then returns the record to the free list.
-// Each receiver's outcome is decided at its turn, so it sees what earlier
-// receivers' Handlers did: a reply they transmitted, or a radio they
-// powered off. A Scheduler.Stop from a Handler takes effect after the
-// frame's last receiver.
+// the out-of-range receivers' provenance, then returns the record to the
+// free list. Each receiver's outcome is decided at its turn, so it sees
+// what earlier receivers' Handlers did: a reply they transmitted, or a
+// radio they powered off. A Scheduler.Stop from a Handler takes effect
+// after the frame's last receiver.
 func (d *delivery) run() {
 	m := d.m
+	var off, below int
 	for _, c := range d.rcvs {
-		m.deliver(&d.tx, c.t, c.rssi)
+		switch {
+		case c.rssi >= c.t.Sensitivity:
+			m.deliver(&d.tx, c.t, c.rssi)
+		case c.t.listening():
+			below++
+		default:
+			off++
+		}
 	}
-	m.resolveCulled(d)
+	if m.Prov != nil && d.attached > 0 {
+		culled := d.attached - 1 - len(d.rcvs)
+		culledOff := m.culledOff(d)
+		m.Prov.ResolveOutOfRange(d.tx.frame, off+culledOff, below+culled-culledOff)
+	}
 	// The receivers are the medium's own radios, so keeping them in the
 	// idle record pins nothing; the frame's bytes are dropped.
 	d.tx = transmission{}
@@ -441,46 +497,50 @@ func appendPruned(ivs []interval, iv interval, cutoff sim.Time) []interval {
 	return append(kept, iv)
 }
 
-// resolveCulled settles the provenance outcomes of the radios attached at
-// d's launch that were outside its interference budget, in the frame's
-// delivery event after its in-budget receivers. The radios and the
-// receivers are both in attach order, so one merged walk skips the
-// receivers. The all-pairs precedence is preserved: a powered-off (or
-// handler-less) radio resolves radio_off even though the signal also
-// missed it.
-func (m *Medium) resolveCulled(d *delivery) {
-	if m.Prov == nil {
-		return
+// culledOff counts the radios d culled that cannot take a frame now:
+// powered off, or powered without a Handler. The culled radios are those
+// attached at d's launch other than its sender and receivers, so the count
+// starts from every radio that cannot take a frame and takes away the
+// sender, the receivers and the radios attached since, each checked now.
+// It prunes m.noHandler on the way.
+func (m *Medium) culledOff(d *delivery) int {
+	n := m.off
+	kept := m.noHandler[:0]
+	for _, t := range m.noHandler {
+		if !t.on || t.Handler != nil {
+			t.listed = false
+			continue
+		}
+		kept = append(kept, t)
+		n++
 	}
-	tx, rcvs := &d.tx, d.rcvs
-	for _, rcv := range m.nodes[:d.attached] {
-		switch {
-		case len(rcvs) > 0 && rcvs[0].t == rcv:
-			rcvs = rcvs[1:]
-		case rcv == tx.from: // the sender is no potential receiver
-		case !rcv.on || rcv.Handler == nil:
-			m.Prov.Resolve(tx.frame, rcv.prov, tx.end, obs.DropRadioOff)
-		default:
-			m.Prov.Resolve(tx.frame, rcv.prov, tx.end, obs.DropBelowSensitivity)
+	clear(m.noHandler[len(kept):])
+	m.noHandler = kept
+	if !d.tx.from.listening() {
+		n--
+	}
+	for _, c := range d.rcvs {
+		if !c.t.listening() {
+			n--
 		}
 	}
+	for _, t := range m.nodes[d.attached:] {
+		if !t.listening() {
+			n--
+		}
+	}
+	return n
 }
 
-// deliver decides at end-of-frame whether rcv decodes tx. The medium owns
-// the provenance outcomes it can decide alone (radio_off,
-// below_sensitivity, collided); receptions it hands to a Handler resolve
-// at the decode layers. rssi was computed when the frame was launched.
+// deliver decides at end-of-frame whether rcv, in range of tx, decodes
+// it. The medium owns the provenance outcomes it can decide alone
+// (radio_off, collided); receptions it hands to a Handler resolve at the
+// decode layers. rssi was computed when the frame was launched.
 func (m *Medium) deliver(tx *transmission, rcv *Transceiver, rssi phy.DBm) {
 	collided := m.scanHeard(tx, rcv, rssi)
-	if !rcv.on || rcv.Handler == nil {
+	if !rcv.listening() {
 		if m.Prov != nil {
 			m.Prov.Resolve(tx.frame, rcv.prov, tx.end, obs.DropRadioOff)
-		}
-		return
-	}
-	if rssi < rcv.Sensitivity {
-		if m.Prov != nil {
-			m.Prov.Resolve(tx.frame, rcv.prov, tx.end, obs.DropBelowSensitivity)
 		}
 		return
 	}

@@ -557,6 +557,100 @@ func TestLedgerSettlesFrameThatReachesNoRadio(t *testing.T) {
 	}
 }
 
+// TestOutOfRangeCountsFollowRadioState drives the counts that settle a
+// frame's culled radios through every change they track: radios powered on
+// and off, a Handler set after attach, a Handler cleared while its radio is
+// off, a sender without a Handler that powers off mid-frame, and radios
+// attached mid-frame, which are no potential receivers of that frame.
+func TestOutOfRangeCountsFollowRadioState(t *testing.T) {
+	s, m := newTestMedium()
+	prov := obs.NewProvenance()
+	m.ObserveProvenance(prov)
+	tx := m.Attach("tx", Position{0, 0}, 0, phy.SensitivityWiFiMCS7)
+	tx.SetOn(true)
+	handler := func(Reception) {}
+	far := func(name string, x float64) *Transceiver {
+		return m.Attach(name, Position{X: x}, 0, phy.SensitivityWiFiMCS7)
+	}
+	a, b, c := far("a", 500), far("b", 600), far("c", 700)
+	a.SetOn(true)
+	a.Handler = handler
+	c.SetOn(true)
+
+	var last [obs.NumDropReasons]int64
+	frame := func(step string, wantPotential int64, wantOff, wantBelow int64, during func()) {
+		t.Helper()
+		potential := prov.Potential()
+		m.Transmit(tx, make([]byte, 10), phy.RateOFDM6)
+		if during != nil {
+			during()
+		}
+		s.Run()
+		out := prov.Outcomes()
+		if got := prov.Potential() - potential; got != wantPotential {
+			t.Errorf("%s: potential %d, want %d", step, got, wantPotential)
+		}
+		off, below := out[obs.DropRadioOff]-last[obs.DropRadioOff], out[obs.DropBelowSensitivity]-last[obs.DropBelowSensitivity]
+		if off != wantOff || below != wantBelow {
+			t.Errorf("%s: radio_off %d and below_sensitivity %d, want %d and %d", step, off, below, wantOff, wantBelow)
+		}
+		if err := prov.Verify(); err != nil {
+			t.Errorf("%s: %v", step, err)
+		}
+		last = out
+	}
+
+	frame("a listens, b is off, c has no Handler", 3, 2, 1, nil)
+	b.SetOn(true)
+	c.Handler = handler
+	a.SetOn(false)
+	frame("b on without a Handler, c given one, a off", 3, 2, 1, nil)
+	b.Handler = handler
+	frame("all three given Handlers", 3, 1, 2, nil)
+	b.SetOn(false)
+	b.Handler = nil
+	b.SetOn(true)
+	frame("b's Handler cleared while off", 3, 2, 1, nil)
+	frame("the sender powers off mid-frame", 3, 2, 1, func() { tx.SetOn(false) })
+	tx.SetOn(true)
+	frame("radios attached mid-frame", 3, 2, 1, func() {
+		far("d", 800)
+		far("e", 900).SetOn(true)
+	})
+	frame("after the mid-frame attach", 5, 4, 1, nil)
+}
+
+// TestOutOfRangeReceiverDecidedAtItsTurn: a receiver inside a frame's
+// interference budget but under its own floor is settled by count, with
+// the state it had at its turn, as one event per receiver would have it:
+// a later receiver's Handler that powers it off does not change its
+// below_sensitivity to radio_off.
+func TestOutOfRangeReceiverDecidedAtItsTurn(t *testing.T) {
+	s, m := newTestMedium()
+	prov := obs.NewProvenance()
+	m.ObserveProvenance(prov)
+	tx := m.Attach("tx", Position{0, 0}, 0, phy.SensitivityWiFiMCS7)
+	weak := m.Attach("weak", Position{30, 0}, 0, phy.SensitivityWiFiMCS7)
+	near := m.Attach("near", Position{1, 0}, 0, phy.SensitivityWiFiMCS7)
+	m.Attach("floor", Position{2, 0}, 0, phy.SensitivityWiFi1M) // widens the budget to weak
+	for _, r := range []*Transceiver{tx, weak, near} {
+		r.SetOn(true)
+	}
+	weak.Handler = func(Reception) { t.Error("weak decoded a frame under its floor") }
+	near.Handler = func(r Reception) {
+		prov.Resolve(r.Frame, near.ProvID(), r.End, obs.Delivered)
+		weak.SetOn(false)
+	}
+	m.Transmit(tx, make([]byte, 10), phy.RateOFDM6)
+	s.Run()
+	if err := prov.Verify(); err != nil {
+		t.Fatal(err)
+	}
+	if out := prov.Outcomes(); out[obs.DropBelowSensitivity] != 1 || out[obs.DropRadioOff] != 1 {
+		t.Errorf("outcomes %v, want below_sensitivity at weak and radio_off at floor", out)
+	}
+}
+
 // TestOneDeliveryEventPerFrame pins the cost of delivering a frame once the
 // medium is warm: a single scheduler event however many radios receive it,
 // and no allocation, since the medium recycles its delivery records.

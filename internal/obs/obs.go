@@ -35,9 +35,11 @@
 package obs
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"strconv"
+	"strings"
 
 	"wile/internal/sim"
 )
@@ -274,8 +276,22 @@ func micros(t sim.Time) string {
 	return fmt.Sprintf("%s%d.%03d", sign, us, ns)
 }
 
-// quote JSON-escapes a track or event name.
-func quote(s string) string { return strconv.Quote(s) }
+// quote renders a name as a JSON string. A name of printable ASCII other
+// than '"' and '\\' is quoted as is; anything else goes through the JSON
+// encoder without its HTML escaping, so control bytes, invalid UTF-8 and
+// every rune come out as valid JSON.
+func quote(s string) string {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' {
+			var b strings.Builder
+			enc := json.NewEncoder(&b)
+			enc.SetEscapeHTML(false)
+			_ = enc.Encode(s) // a string always encodes
+			return strings.TrimSuffix(b.String(), "\n")
+		}
+	}
+	return `"` + s + `"`
+}
 
 // formatValue renders a counter sample with the shortest round-trip float
 // formatting, which is deterministic for a given bit pattern.

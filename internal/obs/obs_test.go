@@ -50,6 +50,73 @@ func TestChromeTraceIsValidJSON(t *testing.T) {
 	}
 }
 
+// TestWritersQuoteNamesAsJSON sends names that Go's string quoting renders
+// with escapes JSON does not have (a control byte, DEL, invalid UTF-8, an
+// astral rune Go does not count as printable) through every JSON writer.
+// Each output must be valid JSON that decodes back to the name, with
+// invalid UTF-8 replaced by U+FFFD.
+func TestWritersQuoteNamesAsJSON(t *testing.T) {
+	writers := map[string]func(name string, w *bytes.Buffer) error{
+		"WriteReportJSON": func(name string, w *bytes.Buffer) error {
+			p := NewProvenance()
+			tx, rx := p.Actor(name), p.Actor("rx")
+			p.Resolve(p.Transmitted(tx, 1), rx, 0, DropCollided)
+			return p.WriteReportJSON(w)
+		},
+		"Registry.WriteJSON": func(name string, w *bytes.Buffer) error {
+			reg := NewRegistry()
+			reg.Counter(name).Inc()
+			return reg.WriteJSON(w)
+		},
+		"WriteChromeTrace": func(name string, w *bytes.Buffer) error {
+			r := NewRecorder()
+			r.Instant(r.Track(name), 0, name)
+			return r.WriteChromeTrace(w)
+		},
+	}
+	for _, name := range []string{"a\x01b", "del\x7f", "bad\xff", "\U000E0001", `q"b\s</>&`} {
+		for writer, write := range writers {
+			var buf bytes.Buffer
+			if err := write(name, &buf); err != nil {
+				t.Fatal(err)
+			}
+			if !json.Valid(buf.Bytes()) {
+				t.Errorf("%s with name %q wrote invalid JSON:\n%s", writer, name, buf.String())
+				continue
+			}
+			var doc any
+			if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+				t.Fatal(err)
+			}
+			if want := strings.ToValidUTF8(name, "\uFFFD"); !containsString(doc, want) {
+				t.Errorf("%s with name %q: no string decodes to %q:\n%s", writer, name, want, buf.String())
+			}
+		}
+	}
+}
+
+// containsString reports whether a decoded JSON value holds s as a string
+// or an object key anywhere.
+func containsString(v any, s string) bool {
+	switch v := v.(type) {
+	case string:
+		return v == s
+	case []any:
+		for _, e := range v {
+			if containsString(e, s) {
+				return true
+			}
+		}
+	case map[string]any:
+		for k, e := range v {
+			if k == s || containsString(e, s) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 func TestChromeTraceDeterministic(t *testing.T) {
 	build := func() []byte {
 		r := NewRecorder()

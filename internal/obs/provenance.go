@@ -5,7 +5,8 @@ package obs
 // transmission; every (frame, receiver) pair then resolves to exactly one
 // terminal outcome from the closed DropReason taxonomy. The ledger enforces
 // the one-terminal-outcome rule structurally (a second resolution of the
-// same pair panics — it is always an instrumentation bug) and exposes the
+// same pair panics — it is always an instrumentation bug; receivers settled
+// in bulk by ResolveOutOfRange are checked by count) and exposes the
 // conservation invariant the tests pin: per frame, potential receivers =
 // delivered + Σ drops (DESIGN.md §10).
 //
@@ -16,6 +17,7 @@ package obs
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 
 	"wile/internal/sim"
@@ -89,15 +91,18 @@ func (r DropReason) String() string {
 	return fmt.Sprintf("DropReason(%d)", uint8(r))
 }
 
-// frameState tracks one in-flight frame: who sent it and which potential
-// receivers have not resolved yet. The seen bitmask (one bit per ActorID,
-// spilling to seenBig past 64 actors) is what makes double resolution a
-// detectable bug rather than a silently double-counted outcome.
+// frameState tracks one in-flight frame: who sent it and how many potential
+// receivers have not resolved yet. The seen set of the receivers that
+// resolved one by one (one bit per ActorID below 64, a list past that) is
+// what makes double resolution a detectable bug rather than a silently
+// double-counted outcome. Receivers settled in bulk by ResolveOutOfRange
+// are only counted. A completed frame's state is recycled through next.
 type frameState struct {
 	from    ActorID
 	pending int32
 	seen    uint64
-	seenBig []uint64
+	more    []ActorID
+	next    *frameState
 }
 
 func (f *frameState) mark(rx ActorID) (already bool) {
@@ -107,17 +112,19 @@ func (f *frameState) mark(rx ActorID) (already bool) {
 		f.seen |= bit
 		return already
 	}
-	word, bit := int(rx)/64, uint64(1)<<(uint(rx)%64)
-	for len(f.seenBig) <= word {
-		f.seenBig = append(f.seenBig, 0)
+	if slices.Contains(f.more, rx) {
+		return true
 	}
-	already = f.seenBig[word]&bit != 0
-	f.seenBig[word] |= bit
-	return already
+	f.more = append(f.more, rx)
+	return false
 }
 
 // linkKey names one (transmitter, receiver) edge of the drop report.
 type linkKey struct{ from, to ActorID }
+
+// outOfRange is the receiver of a transmitter's one "(out of range)" row,
+// which counts every receiver settled by ResolveOutOfRange.
+const outOfRange ActorID = -1
 
 // outcomeCounterNames are the registry names of the per-reason totals.
 var outcomeCounterNames = [NumDropReasons]string{
@@ -136,6 +143,7 @@ type Provenance struct {
 
 	next     FrameID
 	inflight map[FrameID]*frameState
+	idle     *frameState
 
 	potential int64
 	outcomes  [NumDropReasons]int64
@@ -205,7 +213,14 @@ func (p *Provenance) Transmitted(from ActorID, potential int) FrameID {
 	id := p.next
 	p.potential += int64(potential)
 	if potential > 0 {
-		p.inflight[id] = &frameState{from: from, pending: int32(potential)}
+		fs := p.idle
+		if fs == nil {
+			fs = new(frameState)
+		} else {
+			p.idle = fs.next
+		}
+		fs.from, fs.pending = from, int32(potential)
+		p.inflight[id] = fs
 	}
 	return id
 }
@@ -222,27 +237,73 @@ func (p *Provenance) Resolve(frame FrameID, rx ActorID, at sim.Time, reason Drop
 	if reason == DropQueueDrop {
 		panic("obs: queue_drop is a TX-side outcome; record it with QueueDrop")
 	}
+	fs := p.inflightFrame(frame, rx)
+	if fs.mark(rx) {
+		panic(fmt.Sprintf("obs: frame %d resolved twice at %s (%s)", frame, p.actorName(rx), reason))
+	}
+	p.outcomes[reason]++
+	p.link(fs.from, rx)[reason]++
+	p.settled(frame, fs, 1)
+	if p.rec != nil && reason != Delivered && int(rx) < len(p.dropTracks) {
+		p.rec.Instant(p.dropTracks[rx], at, dropInstantNames[reason])
+	}
+}
+
+// ResolveOutOfRange settles, in one call, the receivers that frame reached
+// below their own sensitivity floor: radioOff of them were powered off or
+// had no receive path, belowSens were listening. They count in the
+// transmitter's one "(out of range)" report row, not per receiver, and
+// emit no trace instant. The zero FrameID and an empty call are ignored.
+// Settling more receivers than the frame has pending panics, as does
+// settling a frame that is unknown or complete.
+func (p *Provenance) ResolveOutOfRange(frame FrameID, radioOff, belowSens int) {
+	n := radioOff + belowSens
+	if frame == 0 || n == 0 {
+		return
+	}
+	fs := p.inflightFrame(frame, outOfRange)
+	if radioOff < 0 || belowSens < 0 || n > int(fs.pending) {
+		panic(fmt.Sprintf("obs: frame %d has %d receivers pending, settling radio_off=%d below_sensitivity=%d out of range",
+			frame, fs.pending, radioOff, belowSens))
+	}
+	p.outcomes[DropRadioOff] += int64(radioOff)
+	p.outcomes[DropBelowSensitivity] += int64(belowSens)
+	counts := p.link(fs.from, outOfRange)
+	counts[DropRadioOff] += int64(radioOff)
+	counts[DropBelowSensitivity] += int64(belowSens)
+	p.settled(frame, fs, n)
+}
+
+// inflightFrame looks up a frame that still has receivers pending, and
+// panics naming the resolving receiver if there is none.
+func (p *Provenance) inflightFrame(frame FrameID, rx ActorID) *frameState {
 	fs, ok := p.inflight[frame]
 	if !ok {
 		panic(fmt.Sprintf("obs: resolving unknown or completed frame %d at %s", frame, p.actorName(rx)))
 	}
-	if fs.mark(rx) {
-		panic(fmt.Sprintf("obs: frame %d resolved twice at %s (%s)", frame, p.actorName(rx), reason))
+	return fs
+}
+
+// settled counts n receivers of frame as resolved; the last one completes
+// the frame and recycles its state.
+func (p *Provenance) settled(frame FrameID, fs *frameState, n int) {
+	fs.pending -= int32(n)
+	if fs.pending > 0 {
+		return
 	}
-	fs.pending--
-	if fs.pending == 0 {
-		delete(p.inflight, frame)
-	}
-	p.outcomes[reason]++
-	counts, ok := p.links[linkKey{fs.from, rx}]
+	delete(p.inflight, frame)
+	fs.seen, fs.more = 0, fs.more[:0]
+	fs.next, p.idle = p.idle, fs
+}
+
+// link reports the counts of one report row, adding it on first use.
+func (p *Provenance) link(from, to ActorID) *[NumDropReasons]int64 {
+	counts, ok := p.links[linkKey{from, to}]
 	if !ok {
 		counts = new([NumDropReasons]int64)
-		p.links[linkKey{fs.from, rx}] = counts
+		p.links[linkKey{from, to}] = counts
 	}
-	counts[reason]++
-	if p.rec != nil && reason != Delivered && int(rx) < len(p.dropTracks) {
-		p.rec.Instant(p.dropTracks[rx], at, dropInstantNames[reason])
-	}
+	return counts
 }
 
 // QueueDrop records a frame that died in from's transmit queue without
@@ -304,6 +365,9 @@ func (p *Provenance) Verify() error {
 }
 
 func (p *Provenance) actorName(id ActorID) string {
+	if id == outOfRange {
+		return "(out of range)"
+	}
 	if int(id) < len(p.actors) {
 		return p.actors[id]
 	}
@@ -311,7 +375,8 @@ func (p *Provenance) actorName(id ActorID) string {
 }
 
 // sortedLinks reports the link keys ordered by (from name, to name), ids as
-// a tiebreak — the deterministic row order of both report formats.
+// a tiebreak — the deterministic row order of both report formats. A
+// transmitter's out-of-range row sorts after its link rows.
 func (p *Provenance) sortedLinks() []linkKey {
 	keys := make([]linkKey, 0, len(p.links))
 	for k := range p.links {
@@ -321,6 +386,9 @@ func (p *Provenance) sortedLinks() []linkKey {
 		a, b := keys[i], keys[j]
 		if an, bn := p.actorName(a.from), p.actorName(b.from); an != bn {
 			return an < bn
+		}
+		if ao, bo := a.to == outOfRange, b.to == outOfRange; ao != bo {
+			return bo
 		}
 		if an, bn := p.actorName(a.to), p.actorName(b.to); an != bn {
 			return an < bn

@@ -297,7 +297,9 @@ func TestProvenanceTraceInstants(t *testing.T) {
 	}
 }
 
-// TestProvenanceManyActors exercises the >64-actor bitmask spill.
+// TestProvenanceManyActors exercises the seen set past the 64-actor
+// inline mask: a second resolution of an actor there must panic while its
+// frame is still in flight.
 func TestProvenanceManyActors(t *testing.T) {
 	p := NewProvenance()
 	const n = 130
@@ -305,12 +307,67 @@ func TestProvenanceManyActors(t *testing.T) {
 	for i := range ids {
 		ids[i] = p.Actor("a")
 	}
-	f := p.Transmitted(ids[0], n-1)
+	f := p.Transmitted(ids[0], n) // one receiver more than resolve one by one
 	for _, rx := range ids[1:] {
 		p.Resolve(f, rx, 0, Delivered)
 	}
+	mustPanic(t, "double resolve past the inline mask", func() { p.Resolve(f, ids[n-1], 0, Delivered) })
+	p.ResolveOutOfRange(f, 0, 1)
 	if err := p.Verify(); err != nil {
 		t.Fatalf("Verify: %v", err)
 	}
-	mustPanic(t, "double resolve past word 0", func() { p.Resolve(f, ids[n-1], 0, Delivered) })
+	mustPanic(t, "resolve of a completed frame", func() { p.Resolve(f, ids[n-1], 0, Delivered) })
+}
+
+// TestProvenanceOutOfRangeRow pins the bulk settle: it completes frames
+// like Resolve, panics on over-resolution, emits no trace instant, and
+// reports one "(out of range)" row per transmitter after its link rows.
+func TestProvenanceOutOfRangeRow(t *testing.T) {
+	p := NewProvenance()
+	rec := NewRecorder()
+	p.TraceTo(rec)
+	tx, rx, zz := p.Actor("b-tx"), p.Actor("a-rx"), p.Actor("zz")
+	f := p.Transmitted(tx, 5)
+	p.Resolve(f, rx, 0, Delivered)
+	p.Resolve(f, zz, 0, DropCollided)
+	p.ResolveOutOfRange(f, 2, 0)
+	p.ResolveOutOfRange(f, 0, 0)
+	p.ResolveOutOfRange(0, 4, 4)
+	p.ResolveOutOfRange(f, 0, 1)
+	g := p.Transmitted(rx, 2)
+	mustPanic(t, "over-resolution", func() { p.ResolveOutOfRange(g, 2, 1) })
+	mustPanic(t, "negative count", func() { p.ResolveOutOfRange(g, 3, -1) })
+	p.ResolveOutOfRange(g, 1, 1)
+	mustPanic(t, "settle of a completed frame", func() { p.ResolveOutOfRange(g, 1, 0) })
+	if err := p.Verify(); err != nil {
+		t.Fatal(err)
+	}
+	if out := p.Outcomes(); out[DropRadioOff] != 3 || out[DropBelowSensitivity] != 2 {
+		t.Errorf("outcomes %v, want radio_off 3 and below_sensitivity 2", out)
+	}
+	if rec.Len() != 1 {
+		t.Errorf("recorded %d instants, want 1 (the collision)", rec.Len())
+	}
+
+	var txt, js bytes.Buffer
+	if err := p.WriteReport(&txt); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.WriteReportJSON(&js); err != nil {
+		t.Fatal(err)
+	}
+	wantTxt := "links:\n" +
+		"  a-rx -> (out of range): below_sensitivity=1 radio_off=1\n" +
+		"  b-tx -> a-rx: delivered=1\n" +
+		"  b-tx -> zz: collided=1\n" +
+		"  b-tx -> (out of range): below_sensitivity=1 radio_off=2\n"
+	if !strings.HasSuffix(txt.String(), wantTxt) {
+		t.Errorf("text report rows:\n%s\nwant them to end with:\n%s", txt.String(), wantTxt)
+	}
+	wantJSON := `{"from": "b-tx", "to": "zz", "counts": {"collided": 1}},
+    {"from": "b-tx", "to": "(out of range)", "counts": {"below_sensitivity": 1, "radio_off": 2}}
+  ],`
+	if !strings.Contains(js.String(), wantJSON) {
+		t.Errorf("JSON report:\n%s\nwant it to hold:\n%s", js.String(), wantJSON)
+	}
 }
