@@ -638,7 +638,8 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 // 300 m square sharing one channel for half a simulated second. ns/op here
 // is the cost of the city-scale channel model itself — receiver culling,
 // the grid build and queries, incremental busy-tracking and the per-radio
-// window compaction all sit on this path.
+// window compaction all sit on this path. Its transmissions, receptions
+// (deliveries plus collisions) and collisions per op are exact.
 func BenchmarkMediumDense(b *testing.B) {
 	for _, n := range []int{500, 2000} {
 		b.Run(fmt.Sprintf("devices=%d", n), func(b *testing.B) {
@@ -658,8 +659,12 @@ func BenchmarkMediumDense(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			b.ReportMetric(pts[0].CollisionRate*100, "collision-%")
-			b.ReportMetric(float64(pts[0].Transmissions)/b.Elapsed().Seconds()*float64(b.N), "tx/s")
+			p := pts[0]
+			b.ReportMetric(p.CollisionRate*100, "collision-%")
+			b.ReportMetric(float64(p.Transmissions)/b.Elapsed().Seconds()*float64(b.N), "tx/s")
+			b.ReportMetric(float64(p.Transmissions), "tx/op")
+			b.ReportMetric(float64(p.Deliveries+p.Collisions), "rx/op")
+			b.ReportMetric(float64(p.Collisions), "collisions/op")
 		})
 	}
 }

@@ -2,7 +2,10 @@ package experiment
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -114,6 +117,47 @@ func TestDensitySweepByteIdenticalAcrossPoolsAndProcs(t *testing.T) {
 					procs, got, reference)
 			}
 		}
+	}
+}
+
+// TestDensitySweepGolden pins the sweep's numbers byte for byte: the CSV
+// of smallDensityConfig's points, then perfbench's density field (2000
+// devices on a 300 m square for half a second, seed 5), whose row must
+// agree with that workload's counts at seed 5. The pool-determinism test
+// above only compares runs with each other; this one catches a change to
+// the medium or the sweep that moves every run alike. Regenerate with
+// WILE_UPDATE_GOLDEN=1 after intentional changes.
+func TestDensitySweepGolden(t *testing.T) {
+	field := smallDensityConfig()
+	field.Devices = []int{2000}
+	field.Side = 300
+	field.Seed = 5
+	var points []DensityPoint
+	for _, cfg := range []DensityConfig{smallDensityConfig(), field} {
+		pts, err := RunDensitySweep(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		points = slices.Concat(points, pts)
+	}
+	var buf bytes.Buffer
+	if err := WriteDensityCSV(&buf, points); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join("testdata", "density_small.csv")
+	if os.Getenv("WILE_UPDATE_GOLDEN") != "" {
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("updated %s (%d bytes)", path, buf.Len())
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("read golden (run with WILE_UPDATE_GOLDEN=1 to create): %v", err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Errorf("density sweep diverged from %s; rerun with WILE_UPDATE_GOLDEN=1 if the change is intentional\ngot:\n%s\nwant:\n%s", path, buf.Bytes(), want)
 	}
 }
 

@@ -65,6 +65,11 @@ func (r *allPairs) Transmit(t *Transceiver, data []byte, rate phy.Rate) time.Dur
 	return airtime
 }
 
+// rssiAt reports from's signal strength at to, evaluated from scratch.
+func (r *allPairs) rssiAt(from, to *Transceiver) phy.DBm {
+	return r.m.Loss.RSSI(from.TxPower, from.Pos.Distance(to.Pos))
+}
+
 // Busy is BusyUntil's scan: anything t hears now ends after now >= 0.
 func (r *allPairs) Busy(t *Transceiver) bool { return r.BusyUntil(t) != 0 }
 
@@ -75,7 +80,7 @@ func (r *allPairs) BusyUntil(t *Transceiver) sim.Time {
 		if tx.end <= now || tx.start > now {
 			continue
 		}
-		if (tx.from == t || r.m.rssiAt(tx.from, t) >= t.Sensitivity) && tx.end > until {
+		if (tx.from == t || r.rssiAt(tx.from, t) >= t.Sensitivity) && tx.end > until {
 			until = tx.end
 		}
 	}
@@ -88,7 +93,7 @@ func (r *allPairs) BusyUntil(t *Transceiver) sim.Time {
 func (r *allPairs) deliver(tx transmission, rcv *Transceiver) {
 	m := r.m
 	off := !rcv.on || rcv.Handler == nil
-	rssi := m.rssiAt(tx.from, rcv)
+	rssi := r.rssiAt(tx.from, rcv)
 	if rssi < rcv.Sensitivity {
 		if m.Prov != nil {
 			if off {
@@ -117,7 +122,7 @@ func (r *allPairs) deliver(tx transmission, rcv *Transceiver) {
 			collided = true
 			break
 		}
-		otherRSSI := m.rssiAt(other.from, rcv)
+		otherRSSI := r.rssiAt(other.from, rcv)
 		if otherRSSI < rcv.Sensitivity {
 			continue
 		}
@@ -193,6 +198,50 @@ func genScenario(seed uint64, reentrant bool) equivScenario {
 			if i+1 < n && rng.Float64() < 0.2 {
 				sc.toggle[i] = i + 1 + rng.Intn(n-i-1)
 			}
+		}
+	}
+	return sc
+}
+
+// atBoundaries moves sc's radios, in place, to where the grid's distance
+// prefilter could disagree with the exact RSSI test, and returns it. The
+// first radios become transmitters on integer positions. Every other radio
+// sits near one of them: on its interference radius Loss.Range(power,
+// minSens) scaled by 1 + k·1e-12 for k in -2..3, at exactly 1 m (the
+// path-loss clamp) or closer than 0.1 m (the distance clamp). Half of them
+// take minSens as their own floor, so the exact test decides whether they
+// hear.
+func atBoundaries(sc equivScenario, seed uint64) equivScenario {
+	rng := sim.NewRand(^seed)
+	loss := phy.PathLoss{Exponent: 3, FreqMHz: phy.WiFi24Channel(6).FreqMHz}
+	minSens := slices.Min(sc.sens)
+	anchors := 1 + len(sc.pos)/8
+	for a := 0; a < anchors; a++ {
+		sc.pos[a] = Position{X: math.Round(sc.pos[a].X), Y: math.Round(sc.pos[a].Y)}
+		sc.on[a] = true
+		for i := 0; i < 4; i++ {
+			sc.txAt = append(sc.txAt, time.Duration(rng.Float64()*float64(100*time.Millisecond)))
+			sc.txFrom = append(sc.txFrom, a)
+			sc.txLen = append(sc.txLen, rng.Intn(400))
+			sc.txRate = append(sc.txRate, phy.RateOFDM6)
+		}
+	}
+	for i := anchors; i < len(sc.pos); i++ {
+		a := rng.Intn(anchors)
+		d := loss.Range(sc.power[a], minSens) * (1 + float64(i%6-2)*1e-12)
+		switch i % 8 {
+		case 6:
+			d = 1
+		case 7:
+			d = 0.1 * rng.Float64()
+		}
+		theta := 2 * math.Pi * rng.Float64()
+		if i%3 == 0 {
+			theta = math.Pi / 2 * float64(rng.Intn(4))
+		}
+		sc.pos[i] = Position{X: sc.pos[a].X + d*math.Cos(theta), Y: sc.pos[a].Y + d*math.Sin(theta)}
+		if rng.Float64() < 0.5 {
+			sc.sens[i] = minSens
 		}
 	}
 	return sc
@@ -296,13 +345,27 @@ func playScenario(sc equivScenario, reference, ledger bool) string {
 	return newScenarioWorld(sc, reference, ledger).transcript()
 }
 
-// checkEquiv plays seeds [from, to) through both media. Re-entrant
-// scenarios must also have exercised both kinds of mid-frame Handler.
-func checkEquiv(t *testing.T, from, to uint64, reentrant, ledger bool) {
+// scenarioFamily selects the generator checkEquiv plays.
+type scenarioFamily int
+
+const (
+	plainScenarios scenarioFamily = iota
+	reentrantScenarios
+	boundaryScenarios
+)
+
+// checkEquiv plays seeds [from, to) of a scenario family through both
+// media. Re-entrant scenarios must also have exercised both kinds of
+// mid-frame Handler.
+func checkEquiv(t *testing.T, from, to uint64, family scenarioFamily, ledger bool) {
 	t.Helper()
+	reentrant := family == reentrantScenarios
 	var replies, switches int
 	for seed := from; seed < to; seed++ {
 		sc := genScenario(seed, reentrant)
+		if family == boundaryScenarios {
+			sc = atBoundaries(sc, seed)
+		}
 		ref := playScenario(sc, true, ledger)
 		got := playScenario(sc, false, ledger)
 		if got != ref {
@@ -321,10 +384,12 @@ func checkEquiv(t *testing.T, from, to uint64, reentrant, ledger bool) {
 // Handlers act while their frame is still being delivered: a receiver
 // transmits a reply, or switches a later radio, possibly another receiver
 // of the same frame. Each receiver's outcome must be decided at its own
-// turn, as with one event per receiver.
+// turn, as with one event per receiver. Last come scenarios with radios on
+// the interference radius and at the distance clamps.
 func TestCulledMatchesAllPairs(t *testing.T) {
-	checkEquiv(t, 0, 50, false, true)
-	checkEquiv(t, 200, 250, true, true)
+	checkEquiv(t, 0, 50, plainScenarios, true)
+	checkEquiv(t, 200, 250, reentrantScenarios, true)
+	checkEquiv(t, 700, 740, boundaryScenarios, true)
 }
 
 // TestCulledMatchesAllPairsNoProv repeats the differential check without a
@@ -332,8 +397,9 @@ func TestCulledMatchesAllPairs(t *testing.T) {
 // culled radio is resolved, and a frame that reaches no radio books no
 // delivery event.
 func TestCulledMatchesAllPairsNoProv(t *testing.T) {
-	checkEquiv(t, 100, 150, false, false)
-	checkEquiv(t, 300, 350, true, false)
+	checkEquiv(t, 100, 150, plainScenarios, false)
+	checkEquiv(t, 300, 350, reentrantScenarios, false)
+	checkEquiv(t, 740, 780, boundaryScenarios, false)
 }
 
 // Metamorphic relations on the culled path: two inputs that must produce
@@ -348,7 +414,13 @@ func gridCells(sc equivScenario) int {
 		m.Attach(fmt.Sprintf("r%d", i), p, sc.power[i], sc.sens[i])
 	}
 	m.buildGrid()
-	return len(m.grid.cells)
+	occupied := 0
+	for c := range m.grid.nx * m.grid.ny {
+		if m.grid.start[c+1] > m.grid.start[c] {
+			occupied++
+		}
+	}
+	return occupied
 }
 
 // TestTranslatedTopologyIdentical: translating an integer-grid topology by

@@ -7,129 +7,123 @@ import (
 )
 
 // Spatial index for receiver culling (DESIGN.md §12).
-//
-// The medium buckets transceivers into a uniform grid over Position. A
-// transmitter's interference radius r = Loss.Range(TxPower, minSens) — the
-// distance at which its signal drops below the most sensitive attached
-// floor — bounds every radio it could deliver to, collide with, or make
-// busy, so a transmission only visits the grid cells its radius overlaps.
-// Candidates are exact-filtered by received power against minSens and
-// sorted by attach order, making the resulting event schedule independent
-// of bucketing: byte-identical to the all-pairs walk.
 
-// cellKey addresses one grid bucket.
-type cellKey struct{ x, y int32 }
+// cellsPerRadio caps the index's cells at a multiple of the population, so
+// the cell offsets never outweigh the entries however sparse the field.
+const cellsPerRadio = 4
 
-// grid is a uniform spatial hash over transceiver positions.
+// reachPad widens the interference radius for the cell span and the
+// squared-distance prefilter. Rounding moves a computed RSSI by ~1e-13 dB,
+// and a radio 1e-6 of the radius further out is millions of times that
+// below the floor, so the exact RSSI test decides every radio near the
+// boundary.
+const reachPad = 1e-6
+
+// entry is one indexed radio: a copy of its position, so a query reads no
+// Transceiver, and its attach index.
+type entry struct {
+	pos Position
+	idx int32
+}
+
+// grid is a uniform grid over the radios' bounding box, flat: at holds
+// every radio counting-sorted by cell in row-major order, attach order kept
+// inside a cell, and cell c is at[start[c]:start[c+1]], so the cells a
+// query spans along one row are one slice.
 type grid struct {
-	// size is the cell edge in meters, fixed when the grid is built to the
-	// largest interference radius of the population at that moment so a
-	// typical query touches at most a 3×3 block. Radios attached later can
-	// widen the radius; queries span as many cells as the radius needs, so
-	// a stale edge costs cells visited, never correctness.
-	size  float64
-	cells map[cellKey][]*Transceiver
-	built bool
+	// size is the cell edge in meters: the largest interference radius of
+	// the population at build time, so a typical query touches a 3×3
+	// block, doubled while the box needs more cells than the cap. A radius
+	// that later grows costs cells visited, never correctness: queries span
+	// as many cells as the current radius needs.
+	size float64
+	// x0, y0 are the box's lowest cell coordinates; nx, ny its extent.
+	x0, y0 float64
+	nx, ny int
+	start  []int32
+	at     []entry
+	// current is cleared by Attach and SetPos; the next Transmit rebuilds
+	// the index into the same arrays.
+	current bool
 }
 
-// keyFor buckets a position.
-func (g *grid) keyFor(p Position) cellKey {
-	return cellKey{
-		x: int32(math.Floor(p.X / g.size)),
-		y: int32(math.Floor(p.Y / g.size)),
-	}
+// cell reports the index of p's cell, which must lie inside the box.
+func (g *grid) cell(p Position) int {
+	return int(math.Floor(p.Y/g.size)-g.y0)*g.nx + int(math.Floor(p.X/g.size)-g.x0)
 }
 
-// insert adds t to the bucket for its current position.
-func (g *grid) insert(t *Transceiver) {
-	t.cell = g.keyFor(t.Pos)
-	g.cells[t.cell] = append(g.cells[t.cell], t)
-}
-
-// move re-buckets t for a new position.
-func (g *grid) move(t *Transceiver, p Position) {
-	next := g.keyFor(p)
-	if next == t.cell {
-		return
-	}
-	bucket := g.cells[t.cell]
-	for i, other := range bucket {
-		if other == t {
-			bucket[i] = bucket[len(bucket)-1]
-			bucket[len(bucket)-1] = nil
-			g.cells[t.cell] = bucket[:len(bucket)-1]
-			break
-		}
-	}
-	t.cell = next
-	g.cells[next] = append(g.cells[next], t)
-}
-
-// buildGrid indexes the attached population. Deferred to the first
-// transmission so attachment order and cost stay unchanged for small
-// topologies that never transmit. The buckets are carved from one copy of
-// the radios sorted by cell, each capped at its own length, so a later
-// insert or move copies only the bucket it grows.
+// buildGrid indexes the attached population.
 func (m *Medium) buildGrid() {
-	maxTx := m.nodes[0].TxPower
+	g := &m.grid
+	maxTx, lo, hi := m.nodes[0].TxPower, m.nodes[0].Pos, m.nodes[0].Pos
 	for _, t := range m.nodes {
 		maxTx = max(maxTx, t.TxPower)
+		lo = Position{X: min(lo.X, t.Pos.X), Y: min(lo.Y, t.Pos.Y)}
+		hi = Position{X: max(hi.X, t.Pos.X), Y: max(hi.Y, t.Pos.Y)}
 	}
-	edge := m.Loss.Range(maxTx, m.minSens)
-	if edge < 1 || math.IsInf(edge, 1) || math.IsNaN(edge) {
-		edge = 1
+	g.size = m.Loss.Range(maxTx, m.minSens)
+	if g.size < 1 || math.IsInf(g.size, 1) || math.IsNaN(g.size) {
+		g.size = 1
 	}
-	g := &m.grid
-	g.size = edge
-	byCell := slices.Clone(m.nodes)
-	for _, t := range byCell {
-		t.cell = g.keyFor(t.Pos)
-	}
-	slices.SortFunc(byCell, func(a, b *Transceiver) int {
-		return cmp.Or(cmp.Compare(a.cell.x, b.cell.x), cmp.Compare(a.cell.y, b.cell.y), a.idx-b.idx)
-	})
-	cells := 0
-	for i, t := range byCell {
-		if i == 0 || t.cell != byCell[i-1].cell {
-			cells++
+	for {
+		g.x0, g.y0 = math.Floor(lo.X/g.size), math.Floor(lo.Y/g.size)
+		nx, ny := math.Floor(hi.X/g.size)-g.x0+1, math.Floor(hi.Y/g.size)-g.y0+1
+		if nx*ny <= float64(cellsPerRadio*len(m.nodes)) {
+			g.nx, g.ny = int(nx), int(ny)
+			break
 		}
+		g.size *= 2
 	}
-	g.cells = make(map[cellKey][]*Transceiver, cells)
-	for i := 0; i < len(byCell); {
-		j := i + 1
-		for j < len(byCell) && byCell[j].cell == byCell[i].cell {
-			j++
-		}
-		g.cells[byCell[i].cell] = byCell[i:j:j]
-		i = j
+	// Counting sort: count each cell's radios, turn the counts into cell
+	// ends, then place the radios back to front so each cell's end walks
+	// down to its start and attach order holds inside the cell.
+	cells := g.nx * g.ny
+	g.start = slices.Grow(g.start[:0], cells+1)[:cells+1]
+	clear(g.start)
+	g.at = slices.Grow(g.at[:0], len(m.nodes))[:len(m.nodes)]
+	for _, t := range m.nodes {
+		g.start[g.cell(t.Pos)]++
 	}
-	g.built = true
+	for c := 1; c <= cells; c++ {
+		g.start[c] += g.start[c-1]
+	}
+	for i := len(m.nodes) - 1; i >= 0; i-- {
+		c := g.cell(m.nodes[i].Pos)
+		g.start[c]--
+		g.at[g.start[c]] = entry{pos: m.nodes[i].Pos, idx: int32(i)}
+	}
+	g.current = true
 }
 
 // gridCandidates appends to dst, which must be empty, every radio other
 // than t whose received power from t clears the medium-wide sensitivity
-// floor, in attach order.
+// floor, in attach order: a superset of every radio t can deliver to,
+// collide at or make busy. Path loss runs only inside the padded disc.
 func (m *Medium) gridCandidates(dst []candidate, t *Transceiver, radius float64) []candidate {
-	x0 := int32(math.Floor((t.Pos.X - radius) / m.grid.size))
-	x1 := int32(math.Floor((t.Pos.X + radius) / m.grid.size))
-	y0 := int32(math.Floor((t.Pos.Y - radius) / m.grid.size))
-	y1 := int32(math.Floor((t.Pos.Y + radius) / m.grid.size))
-	for y := y0; y <= y1; y++ {
-		for x := x0; x <= x1; x++ {
-			for _, rcv := range m.grid.cells[cellKey{x: x, y: y}] {
-				if rcv == t {
-					continue
-				}
-				rssi := m.rssiAt(t, rcv)
-				if rssi < m.minSens {
-					continue
-				}
-				dst = append(dst, candidate{t: rcv, rssi: rssi})
+	g := &m.grid
+	p := t.Pos
+	reach := radius * (1 + reachPad)
+	x0 := int(max(math.Floor((p.X-reach)/g.size)-g.x0, 0))
+	x1 := int(min(math.Floor((p.X+reach)/g.size)-g.x0, float64(g.nx-1)))
+	y0 := int(max(math.Floor((p.Y-reach)/g.size)-g.y0, 0))
+	y1 := int(min(math.Floor((p.Y+reach)/g.size)-g.y0, float64(g.ny-1)))
+	loss := m.Loss.Prepare()
+	for row := y0 * g.nx; row <= y1*g.nx; row += g.nx {
+		for _, e := range g.at[g.start[row+x0]:g.start[row+x1+1]] {
+			// The same d² Position.Distance takes the root of.
+			dx, dy := p.X-e.pos.X, p.Y-e.pos.Y
+			if dx*dx+dy*dy > reach*reach || int(e.idx) == t.idx {
+				continue
 			}
+			rssi := loss.RSSI(t.TxPower, p.Distance(e.pos))
+			if rssi < m.minSens {
+				continue
+			}
+			dst = append(dst, candidate{idx: e.idx, rssi: rssi})
 		}
 	}
 	// Attach order is the delivery contract: receivers must be handed the
 	// frame in the order the all-pairs walk would, or traces diverge.
-	slices.SortFunc(dst, func(a, b candidate) int { return a.t.idx - b.t.idx })
+	slices.SortFunc(dst, func(a, b candidate) int { return cmp.Compare(a.idx, b.idx) })
 	return dst
 }

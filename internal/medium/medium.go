@@ -13,7 +13,8 @@
 // The medium scales to city-size populations (DESIGN.md §12): a transmitter
 // only visits receivers inside its interference radius — the distance at
 // which its signal falls below the most sensitive attached floor — found
-// through a uniform spatial grid over Position, and carrier sense is an O(1)
+// through a flat grid index of the radios' positions, rebuilt at the first
+// transmission after a radio attaches or moves, and carrier sense is an O(1)
 // per-radio high-water mark instead of a history scan. Both are exact, not
 // approximations: the culled receiver set provably contains every radio the
 // all-pairs walk could have delivered to, sensed at, or interfered with, and
@@ -52,6 +53,14 @@ func (p Position) Distance(q Position) float64 {
 		return 0.1
 	}
 	return math.Sqrt(d)
+}
+
+// mustBeFinite panics unless both coordinates are finite: the spatial index
+// places radios by position, and NaN or ±Inf has no grid cell.
+func (p Position) mustBeFinite(name string) {
+	if math.IsNaN(p.X) || math.IsInf(p.X, 0) || math.IsNaN(p.Y) || math.IsInf(p.Y, 0) {
+		panic(fmt.Sprintf("medium: %s at non-finite position %v", name, p))
+	}
 }
 
 // Reception describes one frame arriving at a transceiver.
@@ -120,8 +129,6 @@ type Transceiver struct {
 	// idx is the attach order; a frame's receivers are always delivered in
 	// idx order so the event stream is independent of the spatial index.
 	idx int
-	// cell is the radio's current grid bucket, valid once the grid is built.
-	cell cellKey
 	// busyUntil is the latest end time of any transmission this radio can
 	// hear (including its own). Because every transmission starts at its
 	// Transmit call time, "busy now" is exactly busyUntil > now — carrier
@@ -162,14 +169,14 @@ func (t *Transceiver) listening() bool { return t.on && t.Handler != nil }
 // On reports whether the radio is powered.
 func (t *Transceiver) On() bool { return t.on }
 
-// SetPos moves the radio, keeping the medium's spatial index coherent.
-// Position changes take effect for frames transmitted after the move;
-// frames already in flight keep the geometry they were launched under.
+// SetPos moves the radio, keeping the medium's spatial index coherent. It
+// panics on a non-finite coordinate. Position changes take effect for
+// frames transmitted after the move; frames already in flight keep the
+// geometry they were launched under.
 func (t *Transceiver) SetPos(p Position) {
-	if t.m != nil && t.m.grid.built {
-		t.m.grid.move(t, p)
-	}
+	p.mustBeFinite(t.Name)
 	t.Pos = p
+	t.m.grid.current = false
 }
 
 // ProvID reports the radio's actor id in the medium's provenance ledger.
@@ -236,10 +243,10 @@ type Medium struct {
 	cutoff sim.Time
 }
 
-// candidate is one grid-query hit: a receiver inside the transmitter's
-// interference radius and the received power there.
+// candidate is one grid-query hit: the attach index of a receiver inside
+// the transmitter's interference radius, and the received power there.
 type candidate struct {
-	t    *Transceiver
+	idx  int32
 	rssi phy.DBm
 }
 
@@ -277,8 +284,10 @@ func New(sched *sim.Scheduler, ch phy.Channel) *Medium {
 	return m
 }
 
-// Attach adds a radio at pos. The radio starts powered off.
+// Attach adds a radio at pos. The radio starts powered off. It panics on a
+// non-finite coordinate.
 func (m *Medium) Attach(name string, pos Position, txPower, sensitivity phy.DBm) *Transceiver {
+	pos.mustBeFinite(name)
 	t := &Transceiver{
 		m: m, Name: name, Pos: pos,
 		Sensitivity: sensitivity, TxPower: txPower,
@@ -292,9 +301,7 @@ func (m *Medium) Attach(name string, pos Position, txPower, sensitivity phy.DBm)
 	}
 	m.off++
 	m.nodes = append(m.nodes, t)
-	if m.grid.built {
-		m.grid.insert(t)
-	}
+	m.grid.current = false
 	return t
 }
 
@@ -321,11 +328,6 @@ func (m *Medium) ObserveProvenance(p *obs.Provenance) {
 			m.noHandler = append(m.noHandler, t)
 		}
 	}
-}
-
-// rssiAt reports from's signal strength at to.
-func (m *Medium) rssiAt(from, to *Transceiver) phy.DBm {
-	return m.Loss.RSSI(from.TxPower, from.Pos.Distance(to.Pos))
 }
 
 // Busy reports whether t currently hears any transmission above its
@@ -386,7 +388,7 @@ func (m *Medium) Transmit(t *Transceiver, data []byte, rate phy.Rate) time.Durat
 		d.rcvs = d.one[:0]
 		m.free = d
 	}
-	if !m.grid.built {
+	if !m.grid.current {
 		m.buildGrid()
 	}
 	d.rcvs = m.gridCandidates(d.rcvs, t, m.Loss.Range(t.TxPower, m.minSens))
@@ -398,8 +400,8 @@ func (m *Medium) Transmit(t *Transceiver, data []byte, rate phy.Rate) time.Durat
 	// Carrier-sense and collision-scan state change now; the deliveries
 	// wait for end of airtime.
 	for _, c := range d.rcvs {
-		if c.rssi >= c.t.Sensitivity {
-			m.noteHeard(c.t, &tx, c.rssi)
+		if rcv := m.nodes[c.idx]; c.rssi >= rcv.Sensitivity {
+			m.noteHeard(rcv, &tx, c.rssi)
 		}
 	}
 	m.book(d, &tx, attached)
@@ -453,10 +455,11 @@ func (d *delivery) run() {
 	m := d.m
 	var off, below int
 	for _, c := range d.rcvs {
+		rcv := m.nodes[c.idx]
 		switch {
-		case c.rssi >= c.t.Sensitivity:
-			m.deliver(&d.tx, c.t, c.rssi)
-		case c.t.listening():
+		case c.rssi >= rcv.Sensitivity:
+			m.deliver(&d.tx, rcv, c.rssi)
+		case rcv.listening():
 			below++
 		default:
 			off++
@@ -467,8 +470,7 @@ func (d *delivery) run() {
 		culledOff := m.culledOff(d)
 		m.Prov.ResolveOutOfRange(d.tx.frame, off+culledOff, below+culled-culledOff)
 	}
-	// The receivers are the medium's own radios, so keeping them in the
-	// idle record pins nothing; the frame's bytes are dropped.
+	// The idle record keeps no radio or frame bytes alive.
 	d.tx = transmission{}
 	d.rcvs = d.rcvs[:0]
 	d.next = m.free
@@ -520,7 +522,7 @@ func (m *Medium) culledOff(d *delivery) int {
 		n--
 	}
 	for _, c := range d.rcvs {
-		if !c.t.listening() {
+		if !m.nodes[c.idx].listening() {
 			n--
 		}
 	}

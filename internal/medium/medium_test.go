@@ -2,6 +2,10 @@ package medium
 
 import (
 	"fmt"
+	"maps"
+	"math"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -445,33 +449,41 @@ func TestObserveIdempotent(t *testing.T) {
 	}
 }
 
-// TestSetPosRebucketsGrid: moving a radio with SetPos must take effect for
-// later transmissions even after the spatial index is built.
+// TestSetPosRebucketsGrid: moving a radio with SetPos between two
+// transmissions must take effect for the second, whether the radio stays
+// in its cell (the index holds a copy of its position) or crosses into
+// another.
 func TestSetPosRebucketsGrid(t *testing.T) {
 	s, m := newTestMedium()
 	tx := m.Attach("tx", Position{0, 0}, 0, phy.SensitivityWiFiMCS7)
+	// A powered-off radio with the BLE floor widens the cells to ~62 m, so
+	// rx can leave tx's range without leaving tx's cell.
+	m.Attach("floor", Position{0, 1}, 0, phy.SensitivityBLE)
 	rx := m.Attach("rx", Position{500, 0}, 0, phy.SensitivityWiFiMCS7)
 	tx.SetOn(true)
 	rx.SetOn(true)
 	delivered := 0
 	rx.Handler = func(Reception) { delivered++ }
-
-	m.Transmit(tx, make([]byte, 10), phy.RateOFDM6) // builds the grid; rx far out of range
-	s.Run()
-	if delivered != 0 {
-		t.Fatal("delivery at 500 m")
-	}
-	rx.SetPos(Position{3, 0})
-	m.Transmit(tx, make([]byte, 10), phy.RateOFDM6)
-	s.Run()
-	if delivered != 1 {
-		t.Fatalf("delivered %d after moving into range, want 1", delivered)
-	}
-	rx.SetPos(Position{500, 0})
-	m.Transmit(tx, make([]byte, 10), phy.RateOFDM6)
-	s.Run()
-	if delivered != 1 {
-		t.Fatalf("delivered %d after moving back out of range, want 1", delivered)
+	for _, step := range []struct {
+		to              Position
+		sameCell, hears bool
+	}{
+		{Position{500, 0}, false, false}, // builds the index
+		{Position{3, 0}, true, true},     // into range, across cells
+		{Position{30, 0}, true, false},   // out of range, within tx's cell
+		{Position{5, 0}, true, true},     // back into range, within the cell
+		{Position{500, 0}, false, false}, // out of range, across cells
+	} {
+		rx.SetPos(step.to)
+		before := delivered
+		m.Transmit(tx, make([]byte, 10), phy.RateOFDM6)
+		s.Run()
+		if same := m.grid.cell(rx.Pos) == m.grid.cell(tx.Pos); same != step.sameCell {
+			t.Fatalf("rx at %v: in tx's cell %v, want %v", step.to, same, step.sameCell)
+		}
+		if hears := delivered > before; hears != step.hears {
+			t.Fatalf("rx at %v: heard %v, want %v", step.to, hears, step.hears)
+		}
 	}
 }
 
@@ -495,31 +507,129 @@ func TestAttachAfterGridBuilt(t *testing.T) {
 	}
 }
 
-// TestGridInsertKeepsNeighbourBucket: the grid's buckets share one backing
-// array, so a radio attached into one cell after the build must not spill
-// into the next cell's bucket. A (cell 0) transmits to B and D (cell 1)
-// and to C, attached later into cell 0; each must hear the frame once.
+// cellMembers names the radios in t's cell of m's index, in index order.
+func cellMembers(m *Medium, t *Transceiver) []string {
+	g := &m.grid
+	c := g.cell(t.Pos)
+	var names []string
+	for _, e := range g.at[g.start[c]:g.start[c+1]] {
+		names = append(names, m.nodes[e.idx].Name)
+	}
+	return names
+}
+
+// TestGridInsertKeepsNeighbourBucket: a radio attached after the index is
+// built lands in its own cell at the next transmission, in attach order,
+// and never in the neighbouring cell. A (cell 0) transmits to B and D
+// (cell 1) and to C, attached later into cell 0; each must hear the frame
+// once.
 func TestGridInsertKeepsNeighbourBucket(t *testing.T) {
 	s, m := newTestMedium()
 	a := m.Attach("a", Position{9, 0}, 0, phy.SensitivityWiFiMCS7)
 	b := m.Attach("b", Position{11, 0}, 0, phy.SensitivityWiFiMCS7)
 	d := m.Attach("d", Position{12, 0}, 0, phy.SensitivityWiFiMCS7)
 	a.SetOn(true)
-	m.Transmit(a, make([]byte, 10), phy.RateOFDM6) // builds the grid
+	m.Transmit(a, make([]byte, 10), phy.RateOFDM6) // builds the index
 	s.Run()
 	c := m.Attach("c", Position{5, 0}, 0, phy.SensitivityWiFiMCS7)
-	if a.cell != c.cell || b.cell != d.cell || a.cell == b.cell {
-		t.Fatalf("cells a=%v b=%v c=%v d=%v, want a and c in one cell, b and d in the next", a.cell, b.cell, c.cell, d.cell)
-	}
 	got := map[string]int{}
 	for _, rx := range []*Transceiver{b, c, d} {
 		rx.SetOn(true)
 		rx.Handler = func(Reception) { got[rx.Name]++ }
 	}
-	m.Transmit(a, make([]byte, 10), phy.RateOFDM6)
+	m.Transmit(a, make([]byte, 10), phy.RateOFDM6) // rebuilds it
 	s.Run()
+	if ac, bd := cellMembers(m, a), cellMembers(m, b); !slices.Equal(ac, []string{"a", "c"}) || !slices.Equal(bd, []string{"b", "d"}) {
+		t.Fatalf("cells %v and %v, want [a c] and [b d]", ac, bd)
+	}
 	if got["b"] != 1 || got["c"] != 1 || got["d"] != 1 {
 		t.Fatalf("receptions %v, want one each at b, c and d", got)
+	}
+}
+
+// TestSparseFieldCapsCells: two clusters 10⁶ m apart would need ~10¹⁰
+// cells one interference radius wide. The index widens its cells until
+// the box fits cellsPerRadio cells per radio, and each cluster still hears
+// only itself.
+func TestSparseFieldCapsCells(t *testing.T) {
+	s, m := newTestMedium()
+	heard := map[string]int{}
+	var first []*Transceiver
+	for i, origin := range []Position{{0, 0}, {1e6, 1e6}} {
+		for j := 0; j < 3; j++ {
+			r := m.Attach(fmt.Sprintf("c%dr%d", i, j), Position{origin.X + float64(j), origin.Y}, 0, phy.SensitivityWiFiMCS7)
+			r.SetOn(true)
+			r.Handler = func(Reception) { heard[r.Name]++ }
+			if j == 0 {
+				first = append(first, r)
+			}
+		}
+	}
+	for _, tx := range first {
+		m.Transmit(tx, make([]byte, 10), phy.RateOFDM6)
+	}
+	s.Run()
+	if cells := m.grid.nx * m.grid.ny; cells > cellsPerRadio*len(m.nodes) {
+		t.Fatalf("%d radios indexed into %d cells, want at most %d", len(m.nodes), cells, cellsPerRadio*len(m.nodes))
+	}
+	want := map[string]int{"c0r1": 1, "c0r2": 1, "c1r1": 1, "c1r2": 1}
+	if !maps.Equal(heard, want) {
+		t.Fatalf("receptions %v, want %v", heard, want)
+	}
+}
+
+// TestNonFinitePositionPanics: the index places radios by position, so
+// Attach and SetPos refuse a NaN or infinite coordinate, and a refused
+// move leaves the radio where it was.
+func TestNonFinitePositionPanics(t *testing.T) {
+	for _, p := range []Position{{math.NaN(), 0}, {0, math.NaN()}, {math.Inf(1), 0}, {0, math.Inf(-1)}} {
+		_, m := newTestMedium()
+		ok := m.Attach("ok", Position{1, 2}, 0, phy.SensitivityWiFiMCS7)
+		for _, call := range []struct {
+			name string
+			f    func()
+		}{
+			{"Attach", func() { m.Attach("bad", p, 0, phy.SensitivityWiFiMCS7) }},
+			{"SetPos", func() { ok.SetPos(p) }},
+		} {
+			func() {
+				defer func() {
+					if r := recover(); !strings.HasPrefix(fmt.Sprint(r), "medium: ") {
+						t.Errorf("%s(%v) recovered %v, want a medium: panic", call.name, p, r)
+					}
+				}()
+				call.f()
+			}()
+		}
+		if len(m.nodes) != 1 || ok.Pos != (Position{1, 2}) {
+			t.Errorf("after refusing %v: %d radios, ok at %v", p, len(m.nodes), ok.Pos)
+		}
+	}
+}
+
+// TestGridRSSIMatchesPathLoss: the RSSI the index hands a receiver is
+// bit-identical to Loss.RSSI over Position.Distance, on random pairs and
+// across both distance clamps, for several path-loss models.
+func TestGridRSSIMatchesPathLoss(t *testing.T) {
+	rng := sim.NewRand(21)
+	dists := []float64{0, 0.05, 0.1, 0.1 + 1e-12, 0.5, 1 - 1e-12, 1, 1 + 1e-12}
+	for i := 0; i < 200; i++ {
+		dists = append(dists, rng.Float64()*60)
+	}
+	losses := []phy.PathLoss{{Exponent: 3, FreqMHz: 2437}, {Exponent: 2, FreqMHz: 2412}, {Exponent: 3.5, FreqMHz: 5180}}
+	for i, d := range dists {
+		_, m := newTestMedium()
+		m.Loss = losses[i%len(losses)]
+		from := Position{X: 1000 * rng.Float64(), Y: 1000 * rng.Float64()}
+		theta := 2 * math.Pi * rng.Float64()
+		tx := m.Attach("tx", from, phy.DBm(10*(i%3)), phy.SensitivityWiFiMCS7)
+		rx := m.Attach("rx", Position{X: from.X + d*math.Cos(theta), Y: from.Y + d*math.Sin(theta)}, 0, phy.SensitivityBLE)
+		m.buildGrid()
+		got := m.gridCandidates(nil, tx, m.Loss.Range(tx.TxPower, m.minSens))
+		want := m.Loss.RSSI(tx.TxPower, tx.Pos.Distance(rx.Pos))
+		if len(got) != 1 || got[0].idx != 1 || math.Float64bits(float64(got[0].rssi)) != math.Float64bits(float64(want)) {
+			t.Fatalf("%v at %.6g m: candidates %v, want rx at %v dBm", m.Loss, d, got, want)
+		}
 	}
 }
 

@@ -130,15 +130,34 @@ func (p PathLoss) ReferenceLossDB() float64 {
 
 // LossDB reports the path loss in dB at distance d meters. Distances below
 // the 1 m reference are clamped to the reference loss.
-func (p PathLoss) LossDB(d float64) float64 {
+func (p PathLoss) LossDB(d float64) float64 { return p.Prepare().LossDB(d) }
+
+// RSSI reports the received power at distance d for transmit power tx.
+func (p PathLoss) RSSI(tx DBm, d float64) DBm { return p.Prepare().RSSI(tx, d) }
+
+// PreparedLoss is a PathLoss with its 1 m reference loss worked out once,
+// for evaluating one model at many distances. Its LossDB and RSSI are the
+// PathLoss's own, bit for bit.
+type PreparedLoss struct {
+	exponent, ref float64
+}
+
+// Prepare works out p's reference loss.
+func (p PathLoss) Prepare() PreparedLoss {
+	return PreparedLoss{exponent: p.Exponent, ref: p.ReferenceLossDB()}
+}
+
+// LossDB reports the path loss in dB at distance d meters, clamping
+// distances below 1 m to the reference loss.
+func (l PreparedLoss) LossDB(d float64) float64 {
 	if d < 1 {
 		d = 1
 	}
-	return p.ReferenceLossDB() + 10*p.Exponent*math.Log10(d)
+	return l.ref + 10*l.exponent*math.Log10(d)
 }
 
 // RSSI reports the received power at distance d for transmit power tx.
-func (p PathLoss) RSSI(tx DBm, d float64) DBm { return tx - DBm(p.LossDB(d)) }
+func (l PreparedLoss) RSSI(tx DBm, d float64) DBm { return tx - DBm(l.LossDB(d)) }
 
 // Range reports the distance in meters at which received power falls to the
 // receiver sensitivity floor.

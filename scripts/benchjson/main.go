@@ -12,6 +12,9 @@
 // its reference Benchmark<X> from the same run (obs_pairs, with the
 // allocation delta the disabled path added), and -baseline diffs the whole
 // run against a previously recorded baseline file (deltas_vs_baseline).
+// With -gate the run fails on an ns/op regression past -gate-threshold, on
+// any allocs/op growth, and on any change to a custom metric whose unit
+// ends in /op: those are exact work counts (events/op, tx/op, ...).
 //
 // `benchjson -compare old.json new.json` renders the per-lane delta
 // between two recorded baselines as a markdown table — CI appends it to
@@ -73,6 +76,10 @@ type Delta struct {
 	// AllocsPerOpDiff is the absolute allocs/op change, when both runs
 	// recorded it.
 	AllocsPerOpDiff *float64 `json:"allocs_per_op_diff,omitempty"`
+	// CountDiffs maps each custom metric whose unit ends in /op (events/op,
+	// tx/op, ...) to its change, for those that differ from the baseline.
+	// Such metrics are exact work counts and must not move.
+	CountDiffs map[string]float64 `json:"count_diffs,omitempty"`
 }
 
 // Baseline is the output document.
@@ -90,8 +97,8 @@ type Baseline struct {
 func main() {
 	in := flag.String("in", "results/bench_output.txt", "bench output to parse")
 	out := flag.String("out", "BENCH_baseline.json", "JSON file to write")
-	baseline := flag.String("baseline", "", "previous baseline JSON to diff ns/op and allocs/op against")
-	gate := flag.Bool("gate", false, "exit nonzero when the diff against -baseline regresses (ns/op beyond -gate-threshold, or any allocs/op increase)")
+	baseline := flag.String("baseline", "", "previous baseline JSON to diff ns/op, allocs/op and custom /op counts against")
+	gate := flag.Bool("gate", false, "exit nonzero when the diff against -baseline regresses (ns/op beyond -gate-threshold, any allocs/op increase, or any change to a custom /op count)")
 	gateThreshold := flag.Float64("gate-threshold", 25, "ns/op regression percentage the -gate tolerates")
 	compare := flag.Bool("compare", false, "compare two baseline JSON files (old new) and print a per-lane markdown delta table to stdout")
 	flag.Parse()
@@ -211,9 +218,10 @@ func runCompare(w io.Writer, oldPath, newPath string) error {
 }
 
 // checkGate re-reads the just-written output document and reports every
-// benchmark whose ns/op regressed beyond threshold percent or whose
-// allocs/op grew at all. The output file is written before the gate runs
-// so CI can always upload the artifact, pass or fail.
+// benchmark whose ns/op regressed beyond threshold percent, whose
+// allocs/op grew at all, or whose custom /op counts moved either way. The
+// output file is written before the gate runs so CI can always upload the
+// artifact, pass or fail.
 func checkGate(outPath string, threshold float64) []string {
 	data, err := os.ReadFile(outPath)
 	if err != nil {
@@ -232,6 +240,15 @@ func checkGate(outPath string, threshold float64) []string {
 		if d.AllocsPerOpDiff != nil && *d.AllocsPerOpDiff > 0 {
 			regressions = append(regressions,
 				fmt.Sprintf("%s allocs/op grew by %.0f", d.Name, *d.AllocsPerOpDiff))
+		}
+		units := make([]string, 0, len(d.CountDiffs))
+		for unit := range d.CountDiffs {
+			units = append(units, unit)
+		}
+		sort.Strings(units)
+		for _, unit := range units {
+			regressions = append(regressions,
+				fmt.Sprintf("%s %s changed by %+g; exact counts must match the baseline", d.Name, unit, d.CountDiffs[unit]))
 		}
 	}
 	return regressions
@@ -395,6 +412,14 @@ func deriveDeltas(path string, bs []Benchmark) ([]Delta, error) {
 		d := Delta{Name: b.Name, NsPerOpPct: (b.NsPerOp - o.NsPerOp) / o.NsPerOp * 100}
 		if b.AllocsPerOp != nil && o.AllocsPerOp != nil {
 			d.AllocsPerOpDiff = ptr(*b.AllocsPerOp - *o.AllocsPerOp)
+		}
+		for unit, v := range b.Metrics {
+			if ov, ok := o.Metrics[unit]; ok && strings.HasSuffix(unit, "/op") && v != ov {
+				if d.CountDiffs == nil {
+					d.CountDiffs = map[string]float64{}
+				}
+				d.CountDiffs[unit] = v - ov
+			}
 		}
 		out = append(out, d)
 	}
