@@ -108,7 +108,8 @@ func BenchmarkFig3aWiFiJoinTrace(b *testing.B) {
 	if txAt, _, ok := tr.PhaseBounds("Tx"); ok {
 		b.ReportMetric(txAt.Seconds(), "tx-at-s")
 	}
-	b.ReportMetric(float64(len(tr.Samples)), "samples")
+	b.ReportMetric(float64(len(tr.Samples)), "samples/op")
+	b.ReportMetric(float64(tr.Events), "events/op")
 }
 
 func BenchmarkFig3bWiLETrace(b *testing.B) {
@@ -125,6 +126,7 @@ func BenchmarkFig3bWiLETrace(b *testing.B) {
 		}
 	}
 	b.ReportMetric(tr.Energy.Milli(), "mJ/cycle")
+	b.ReportMetric(float64(tr.Events), "events/op")
 }
 
 // --- Figure 4 ---
@@ -159,9 +161,9 @@ func BenchmarkClaimsJoinFrameCount(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	b.ReportMetric(float64(c.MACLayerFrames), "mac-frames")
-	b.ReportMetric(float64(c.HigherLayerFrames), "hl-frames")
-	b.ReportMetric(float64(c.FourWayFrames), "4way-frames")
+	b.ReportMetric(float64(c.MACLayerFrames), "mac-frames/op")
+	b.ReportMetric(float64(c.HigherLayerFrames), "hl-frames/op")
+	b.ReportMetric(float64(c.FourWayFrames), "4way-frames/op")
 }
 
 // --- Ablations ---
@@ -463,46 +465,49 @@ func BenchmarkObsExport(b *testing.B) {
 			}
 		}
 	}
-	// Each lane runs only a handful of ops, so a stray allocation moves
-	// allocs/op by one between identical runs. Two sources: one-off setup,
-	// which an untimed warm-up op absorbs, and the collector emptying
-	// sync.Pools (fmt's printers) a varying number of times per op. So the
-	// lane collects once at the end of every op instead of whenever the
-	// pacer decides; the collection stays inside the timed region.
-	lane := func(op func(b *testing.B)) func(b *testing.B) {
-		return func(b *testing.B) {
-			defer debug.SetGCPercent(debug.SetGCPercent(-1))
-			op(b)
-			runtime.GC()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				op(b)
-				runtime.GC()
+	b.Run("buffered", func(b *testing.B) {
+		exactAllocs(b, func() {
+			r := obs.NewRecorder()
+			fill(r)
+			if err := r.WriteChromeTrace(io.Discard); err != nil {
+				b.Fatal(err)
 			}
-		}
+		})
+	})
+	b.Run("streaming", func(b *testing.B) {
+		exactAllocs(b, func() {
+			spill, err := obs.NewSpillSink(b.TempDir())
+			if err != nil {
+				b.Fatal(err)
+			}
+			r := obs.NewStreamRecorder(spill)
+			fill(r)
+			if err := r.WriteChromeTrace(io.Discard); err != nil {
+				b.Fatal(err)
+			}
+			if err := spill.Close(); err != nil {
+				b.Fatal(err)
+			}
+		})
+	})
+}
+
+// exactAllocs runs op b.N times for a lane that runs only a handful of ops,
+// where a stray allocation moves allocs/op by one between identical runs.
+// Two sources: one-off setup, which an untimed warm-up op absorbs, and the
+// collector emptying sync.Pools (fmt's printers) a varying number of times
+// per op. So the pacer is off and the lane collects once at the end of
+// every op; the collection stays inside the timed region.
+func exactAllocs(b *testing.B, op func()) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	op()
+	runtime.GC()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op()
+		runtime.GC()
 	}
-	b.Run("buffered", lane(func(b *testing.B) {
-		r := obs.NewRecorder()
-		fill(r)
-		if err := r.WriteChromeTrace(io.Discard); err != nil {
-			b.Fatal(err)
-		}
-	}))
-	b.Run("streaming", lane(func(b *testing.B) {
-		spill, err := obs.NewSpillSink(b.TempDir())
-		if err != nil {
-			b.Fatal(err)
-		}
-		r := obs.NewStreamRecorder(spill)
-		fill(r)
-		if err := r.WriteChromeTrace(io.Discard); err != nil {
-			b.Fatal(err)
-		}
-		if err := spill.Close(); err != nil {
-			b.Fatal(err)
-		}
-	}))
 }
 
 // --- Frame provenance ---
@@ -557,21 +562,20 @@ func BenchmarkDropReport(b *testing.B) {
 // second at the crowding of perfbench's field (2000 on a 300 m square), a
 // tenth of them asleep, every clean reception resolved delivered, and
 // Verify plus a JSON drop report every op. Its events, potential
-// receptions and report bytes per op are exact. The report has one row per
-// linked pair and one out-of-range row per transmitter, so report-bytes/op
-// grows with the radios; per-pair rows for the radios a frame never
-// reaches would grow it with their square.
+// receptions, report bytes and allocations per op are exact. The report
+// has one row per linked pair and one out-of-range row per transmitter, so
+// report-bytes/op grows with the radios; per-pair rows for the radios a
+// frame never reaches would grow it with their square.
 func BenchmarkLedgerField(b *testing.B) {
 	for _, n := range []int{300, 2000} {
 		b.Run(fmt.Sprintf("devices=%d", n), func(b *testing.B) {
-			b.ReportAllocs()
 			var events uint64
 			var potential int64
 			var report countingWriter
-			for i := 0; i < b.N; i++ {
+			exactAllocs(b, func() {
 				report = 0
 				events, potential = runLedgerField(b, n, &report)
-			}
+			})
 			b.ReportMetric(float64(events), "events/op")
 			b.ReportMetric(float64(potential), "potential/op")
 			b.ReportMetric(float64(report), "report-bytes/op")

@@ -35,46 +35,29 @@ type Config struct {
 	Channel int
 	// IP is the AP/router/DHCP-server address.
 	IP netstack.IP
-	// BeaconIntervalTU is the beacon interval in time units (default 100
-	// TU = 102.4 ms, the near-universal default).
-	BeaconIntervalTU uint16
-	// DTIMPeriod is the DTIM period carried in the TIM (default 3).
-	DTIMPeriod uint8
-	// DHCPDelay models the AP's host-side DHCP service latency per
-	// message. The paper observes "fairly long wait times for network
-	// layer messages such as DHCP" (§5.2); 180 ms per reply reproduces
-	// the Figure 3a phase length.
-	DHCPDelay time.Duration
-	// ARPDelay models ARP reply latency.
-	ARPDelay time.Duration
 	// Position places the AP on the medium.
 	Position medium.Position
 	// Seed seeds the AP's nonce/backoff randomness.
 	Seed uint64
 }
 
-// withDefaults fills zero fields.
-func (c Config) withDefaults() Config {
-	if c.BeaconIntervalTU == 0 {
-		c.BeaconIntervalTU = 100
-	}
-	if c.DTIMPeriod == 0 {
-		c.DTIMPeriod = 3
-	}
-	if c.DHCPDelay == 0 {
-		c.DHCPDelay = 180 * time.Millisecond
-	}
-	if c.ARPDelay == 0 {
-		c.ARPDelay = 20 * time.Millisecond
-	}
-	if c.Seed == 0 {
-		c.Seed = 0xa9
-	}
-	return c
-}
-
 // TU is one 802.11 time unit.
 const TU = 1024 * time.Microsecond
+
+const (
+	// beaconIntervalTU is the beacon interval in time units: 100 TU =
+	// 102.4 ms, the near-universal default.
+	beaconIntervalTU = 100
+	// dtimPeriod is the DTIM period carried in the TIM.
+	dtimPeriod = 3
+	// dhcpDelay models the AP's host-side DHCP service latency per
+	// message. The paper observes "fairly long wait times for network
+	// layer messages such as DHCP" (§5.2); 180 ms per reply reproduces
+	// the Figure 3a phase length.
+	dhcpDelay = 180 * time.Millisecond
+	// arpDelay models ARP reply latency.
+	arpDelay = 20 * time.Millisecond
+)
 
 // stationState tracks one known client.
 type stationState struct {
@@ -153,7 +136,9 @@ type AP struct {
 // New builds an AP and attaches it to the medium. Call Start to begin
 // beaconing.
 func New(sched *sim.Scheduler, med *medium.Medium, cfg Config) *AP {
-	cfg = cfg.withDefaults()
+	if cfg.Seed == 0 {
+		cfg.Seed = 0xa9
+	}
 	a := &AP{
 		Cfg:      cfg,
 		sched:    sched,
@@ -206,12 +191,8 @@ func (a *AP) Stop() {
 	a.Port.SetRadioOn(false)
 }
 
-func (a *AP) beaconInterval() time.Duration {
-	return time.Duration(a.Cfg.BeaconIntervalTU) * TU
-}
-
 func (a *AP) scheduleBeacon() {
-	a.beaconEvent = a.sched.After(a.beaconInterval(), func() {
+	a.beaconEvent = a.sched.After(beaconIntervalTU*TU, func() {
 		a.sendBeacon()
 		a.scheduleBeacon()
 	})
@@ -226,8 +207,8 @@ func (a *AP) elements(withTIM bool) dot11.Elements {
 	}
 	if withTIM {
 		tim := dot11.TIM{
-			DTIMCount:  uint8(a.Stats.BeaconsSent % int(a.Cfg.DTIMPeriod)),
-			DTIMPeriod: a.Cfg.DTIMPeriod,
+			DTIMCount:  uint8(a.Stats.BeaconsSent % dtimPeriod),
+			DTIMPeriod: dtimPeriod,
 		}
 		for _, st := range a.stations {
 			if st.dozing && len(st.buffered) > 0 {
@@ -245,7 +226,7 @@ func (a *AP) elements(withTIM bool) dot11.Elements {
 }
 
 func (a *AP) sendBeacon() {
-	b := dot11.NewBeacon(a.Cfg.BSSID, a.Cfg.BeaconIntervalTU, dot11.CapESS|dot11.CapPrivacy, a.elements(true))
+	b := dot11.NewBeacon(a.Cfg.BSSID, beaconIntervalTU, dot11.CapESS|dot11.CapPrivacy, a.elements(true))
 	b.Timestamp = uint64(a.sched.Now() / sim.Microsecond)
 	a.Stats.BeaconsSent++
 	if a.rec != nil {
@@ -301,7 +282,7 @@ func (a *AP) handleProbe(p *dot11.ProbeReq) {
 	}
 	resp := &dot11.ProbeResp{
 		Timestamp:  uint64(a.sched.Now() / sim.Microsecond),
-		Interval:   a.Cfg.BeaconIntervalTU,
+		Interval:   beaconIntervalTU,
 		Capability: dot11.CapESS | dot11.CapPrivacy,
 		Elements:   a.elements(false),
 	}
@@ -495,7 +476,7 @@ func (a *AP) handleARP(src dot11.MAC, st *stationState, payload []byte) {
 		return
 	}
 	a.Stats.ARPReplies++
-	a.sched.DoAfter(a.Cfg.ARPDelay, func() {
+	a.sched.DoAfter(arpDelay, func() {
 		a.sendDownlink(src, a.Cfg.BSSID, netstack.WrapSNAP(netstack.EtherTypeARP, rep.Append(nil)))
 	})
 }
@@ -519,7 +500,7 @@ func (a *AP) handleIPv4(src dot11.MAC, st *stationState, payload []byte) {
 			return
 		}
 		a.Stats.DHCPReplies++
-		a.sched.DoAfter(a.Cfg.DHCPDelay, func() { a.sendDHCP(src, reply) })
+		a.sched.DoAfter(dhcpDelay, func() { a.sendDHCP(src, reply) })
 		return
 	}
 	// If the destination IP belongs to another associated station, the AP

@@ -62,10 +62,7 @@ type ScannerConfig struct {
 	// to devices not in the map. Unencrypted messages need neither.
 	Keys       map[uint32]*Key
 	DefaultKey *Key
-	// AcceptDownlink includes base-station→device messages (normally only
-	// devices care about those).
-	AcceptDownlink bool
-	Seed           uint64
+	Seed       uint64
 }
 
 // Scanner receives and decodes Wi-LE messages.
@@ -216,7 +213,9 @@ func (sc *Scanner) handleFrame(f dot11.Frame, rx medium.Reception) {
 		return
 	}
 	sc.Stats.BeaconsSeen++
-	if msg.Downlink && !sc.Cfg.AcceptDownlink {
+	// Base-station→device messages are for the devices; a scanner drops
+	// them once seen.
+	if msg.Downlink {
 		sc.Port.Resolve(rx, obs.Delivered)
 		return
 	}

@@ -102,6 +102,9 @@ type Trace struct {
 	Steps []energy.Step
 	// Window is the observation length.
 	Window time.Duration
+	// Events counts the scheduler events the run dispatched (sim.Fired),
+	// meter samples included: an exact work count.
+	Events uint64
 }
 
 // Release returns the trace's sample buffer to the shared meter pool so a
@@ -163,6 +166,7 @@ func RunFig3aObs(o *Obs) (*Trace, error) {
 		DeviceEnergy: dev.Energy(),
 		Steps:        dev.Steps(),
 		Window:       figureWindow,
+		Events:       w.sched.Fired(),
 	}, nil
 }
 
@@ -217,6 +221,7 @@ func RunFig3bObs(o *Obs) (*Trace, error) {
 		DeviceEnergy: sensor.Dev.Energy(),
 		Steps:        sensor.Dev.Steps(),
 		Window:       figureWindow,
+		Events:       w.sched.Fired(),
 	}, nil
 }
 

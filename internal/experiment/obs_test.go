@@ -11,14 +11,13 @@ import (
 	"wile/internal/obs"
 )
 
-// renderFig3bObs runs the traced Figure-3b experiment and serializes both
-// observability views — the Chrome trace and the metrics snapshot — into
-// one byte stream.
-func renderFig3bObs(t *testing.T) []byte {
+// renderObs runs a traced experiment and serializes both observability
+// views — the Chrome trace and the metrics snapshot — into one byte stream.
+func renderObs(t *testing.T, run func(*Obs) (*Trace, error)) []byte {
 	t.Helper()
 	rec := obs.NewRecorder()
 	reg := obs.NewRegistry()
-	if _, err := RunFig3bObs(&Obs{Rec: rec, Reg: reg}); err != nil {
+	if _, err := run(&Obs{Rec: rec, Reg: reg}); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
@@ -31,13 +30,12 @@ func renderFig3bObs(t *testing.T) []byte {
 	return buf.Bytes()
 }
 
-// TestFig3bTraceGolden pins the traced Figure-3b run byte-for-byte. The
-// golden file is the acceptance artifact: a valid Chrome trace-event JSON
-// document (open it at https://ui.perfetto.dev) followed by the metrics
-// snapshot. Regenerate with WILE_UPDATE_GOLDEN=1 after intentional changes.
-func TestFig3bTraceGolden(t *testing.T) {
-	got := renderFig3bObs(t)
-	path := filepath.Join("testdata", "fig3b_trace.golden")
+// checkObsGolden compares a traced run against testdata/<name>, or
+// rewrites the golden when WILE_UPDATE_GOLDEN is set.
+func checkObsGolden(t *testing.T, name string, run func(*Obs) (*Trace, error)) {
+	t.Helper()
+	got := renderObs(t, run)
+	path := filepath.Join("testdata", name)
 	if os.Getenv("WILE_UPDATE_GOLDEN") != "" {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
@@ -53,10 +51,25 @@ func TestFig3bTraceGolden(t *testing.T) {
 		t.Fatalf("read golden (run with WILE_UPDATE_GOLDEN=1 to create): %v", err)
 	}
 	if !bytes.Equal(got, want) {
-		t.Fatalf("traced fig3b output diverged from golden (%d vs %d bytes); "+
+		t.Fatalf("traced output diverged from %s (%d vs %d bytes); "+
 			"rerun with WILE_UPDATE_GOLDEN=1 if the change is intentional",
-			len(got), len(want))
+			path, len(got), len(want))
 	}
+}
+
+// TestFig3bTraceGolden pins the traced Figure-3b run byte-for-byte. The
+// golden file is the acceptance artifact: a valid Chrome trace-event JSON
+// document (open it at https://ui.perfetto.dev) followed by the metrics
+// snapshot. Regenerate with WILE_UPDATE_GOLDEN=1 after intentional changes.
+func TestFig3bTraceGolden(t *testing.T) {
+	checkObsGolden(t, "fig3b_trace.golden", RunFig3bObs)
+}
+
+// TestFig3aTraceGolden pins the traced Figure-3a run the same way: every
+// frame, join-phase slice and power state of the WiFi-DC cycle keeps its
+// sim-time and its order.
+func TestFig3aTraceGolden(t *testing.T) {
+	checkObsGolden(t, "fig3a_trace.golden", RunFig3aObs)
 }
 
 // TestFig3bTraceIsValidChromeJSON verifies the export parses as the Chrome
@@ -108,7 +121,7 @@ func TestFig3bTraceDeterministicAcrossProcs(t *testing.T) {
 	for _, procs := range []int{1, 4} {
 		runtime.GOMAXPROCS(procs)
 		for run := 0; run < 2; run++ {
-			got := renderFig3bObs(t)
+			got := renderObs(t, RunFig3bObs)
 			if reference == nil {
 				reference = got
 				continue

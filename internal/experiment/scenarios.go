@@ -219,8 +219,8 @@ func MeasureWiFiPS() (Episode, error) {
 	elapsed := w.sched.Now().Sub(start)
 	episode := station.Dev.Energy() - before - units.Energy(units.Power(esp32.Voltage, idle), elapsed)
 	// Episode duration: wake CPU + listen + transmission, from the
-	// station's timing configuration.
-	dur := station.Cfg.Timing.PSWakeCPU + station.Cfg.Timing.PSWakeListen + 5*time.Millisecond
+	// station's timing constants.
+	dur := sta.PSWakeCPU + sta.PSWakeListen + 5*time.Millisecond
 	return Episode{
 		Energy:      episode,
 		Duration:    dur,

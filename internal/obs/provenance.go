@@ -122,6 +122,63 @@ func (f *frameState) mark(rx ActorID) (already bool) {
 // linkKey names one (transmitter, receiver) edge of the drop report.
 type linkKey struct{ from, to ActorID }
 
+// hash mixes both ids with a fixed multiplier (Fibonacci hashing).
+func (k linkKey) hash() uint32 {
+	return uint32((uint64(uint32(k.from))<<32 | uint64(uint32(k.to))) * 0x9e3779b97f4a7c15 >> 32)
+}
+
+// linkRow is one report row: an edge and its per-reason counts.
+type linkRow struct {
+	linkKey
+	counts [NumDropReasons]int64
+}
+
+// linkTable finds the report rows by open addressing under linkKey.hash.
+// A Go map would do the same job, but how often it allocates while growing
+// depends on its random per-map seed; this table allocates the same way in
+// every run.
+type linkTable struct {
+	slots []*linkRow // nil marks an empty slot
+	n     int
+}
+
+// row reports the counts of edge k, adding its row on first use.
+func (t *linkTable) row(k linkKey) *[NumDropReasons]int64 {
+	if 2*t.n >= len(t.slots) {
+		t.grow()
+	}
+	mask := uint32(len(t.slots) - 1)
+	for i := k.hash() & mask; ; i = (i + 1) & mask {
+		r := t.slots[i]
+		if r == nil {
+			r = &linkRow{linkKey: k}
+			t.slots[i] = r
+			t.n++
+		}
+		if r.linkKey == k {
+			return &r.counts
+		}
+	}
+}
+
+// grow doubles the slot array (16 at first) and re-slots every row, keeping
+// the load at most one half.
+func (t *linkTable) grow() {
+	old := t.slots
+	t.slots = make([]*linkRow, max(16, 2*len(old)))
+	mask := uint32(len(t.slots) - 1)
+	for _, r := range old {
+		if r == nil {
+			continue
+		}
+		i := r.hash() & mask
+		for t.slots[i] != nil {
+			i = (i + 1) & mask
+		}
+		t.slots[i] = r
+	}
+}
+
 // outOfRange is the receiver of a transmitter's one "(out of range)" row,
 // which counts every receiver settled by ResolveOutOfRange.
 const outOfRange ActorID = -1
@@ -141,25 +198,27 @@ type Provenance struct {
 	actors     []string
 	queueDrops []int64
 
-	next     FrameID
-	inflight map[FrameID]*frameState
-	idle     *frameState
+	next FrameID
+	// inflight holds the state of frames base, base+1, …: nil for a frame
+	// that completed or had no receivers. base advances past the completed
+	// prefix, and frames complete roughly in launch order, so the window
+	// stays short (a frame left unresolved holds it open: one slot per
+	// later frame). unresolved counts its frames with receivers pending.
+	inflight   []*frameState
+	base       FrameID
+	unresolved int
+	idle       *frameState
 
 	potential int64
 	outcomes  [NumDropReasons]int64
-	links     map[linkKey]*[NumDropReasons]int64
+	links     linkTable
 
 	rec        *Recorder
 	dropTracks []TrackID
 }
 
 // NewProvenance returns an empty ledger.
-func NewProvenance() *Provenance {
-	return &Provenance{
-		inflight: make(map[FrameID]*frameState),
-		links:    make(map[linkKey]*[NumDropReasons]int64),
-	}
-}
+func NewProvenance() *Provenance { return &Provenance{} }
 
 // Actor registers a transceiver under the given diagnostic name and returns
 // its id. The medium calls this for every attached transceiver when the
@@ -220,7 +279,14 @@ func (p *Provenance) Transmitted(from ActorID, potential int) FrameID {
 			p.idle = fs.next
 		}
 		fs.from, fs.pending = from, int32(potential)
-		p.inflight[id] = fs
+		if len(p.inflight) == 0 {
+			p.base = id
+		}
+		for p.base+FrameID(len(p.inflight)) < id {
+			p.inflight = append(p.inflight, nil) // a frame with no receivers
+		}
+		p.inflight = append(p.inflight, fs)
+		p.unresolved++
 	}
 	return id
 }
@@ -277,11 +343,12 @@ func (p *Provenance) ResolveOutOfRange(frame FrameID, radioOff, belowSens int) {
 // inflightFrame looks up a frame that still has receivers pending, and
 // panics naming the resolving receiver if there is none.
 func (p *Provenance) inflightFrame(frame FrameID, rx ActorID) *frameState {
-	fs, ok := p.inflight[frame]
-	if !ok {
-		panic(fmt.Sprintf("obs: resolving unknown or completed frame %d at %s", frame, p.actorName(rx)))
+	if frame >= p.base && frame-p.base < FrameID(len(p.inflight)) {
+		if fs := p.inflight[frame-p.base]; fs != nil {
+			return fs
+		}
 	}
-	return fs
+	panic(fmt.Sprintf("obs: resolving unknown or completed frame %d at %s", frame, p.actorName(rx)))
 }
 
 // settled counts n receivers of frame as resolved; the last one completes
@@ -291,19 +358,28 @@ func (p *Provenance) settled(frame FrameID, fs *frameState, n int) {
 	if fs.pending > 0 {
 		return
 	}
-	delete(p.inflight, frame)
+	p.inflight[frame-p.base] = nil
+	p.unresolved--
+	if frame == p.base {
+		// The oldest frame completed: move the window down past the
+		// completed prefix, in place, so a sliding window never
+		// reallocates.
+		k := 1
+		for k < len(p.inflight) && p.inflight[k] == nil {
+			k++
+		}
+		n := copy(p.inflight, p.inflight[k:])
+		clear(p.inflight[n:])
+		p.inflight = p.inflight[:n]
+		p.base += FrameID(k)
+	}
 	fs.seen, fs.more = 0, fs.more[:0]
 	fs.next, p.idle = p.idle, fs
 }
 
 // link reports the counts of one report row, adding it on first use.
 func (p *Provenance) link(from, to ActorID) *[NumDropReasons]int64 {
-	counts, ok := p.links[linkKey{from, to}]
-	if !ok {
-		counts = new([NumDropReasons]int64)
-		p.links[linkKey{from, to}] = counts
-	}
-	return counts
+	return p.links.row(linkKey{from, to})
 }
 
 // QueueDrop records a frame that died in from's transmit queue without
@@ -323,7 +399,7 @@ func (p *Provenance) Frames() int64 { return int64(p.next) }
 func (p *Provenance) Potential() int64 { return p.potential }
 
 // Pending reports how many frames still have unresolved receivers.
-func (p *Provenance) Pending() int { return len(p.inflight) }
+func (p *Provenance) Pending() int { return p.unresolved }
 
 // Outcomes reports the per-reason reception totals. The DropQueueDrop slot
 // is always zero here; TX-side queue drops are reported by QueueDrops.
@@ -351,7 +427,7 @@ func (p *Provenance) total(r DropReason) int64 {
 // Σ outcomes = Σ potential receivers. Call it after the scheduler drained
 // (deliveries are scheduled at each frame's end-of-airtime).
 func (p *Provenance) Verify() error {
-	if n := len(p.inflight); n != 0 {
+	if n := p.unresolved; n != 0 {
 		return fmt.Errorf("obs: provenance: %d frames still unresolved", n)
 	}
 	var resolved int64
@@ -374,16 +450,18 @@ func (p *Provenance) actorName(id ActorID) string {
 	return fmt.Sprintf("actor#%d", id)
 }
 
-// sortedLinks reports the link keys ordered by (from name, to name), ids as
-// a tiebreak — the deterministic row order of both report formats. A
+// sortedLinks reports the link rows ordered by (from name, to name), ids
+// as a tiebreak — the deterministic row order of both report formats. A
 // transmitter's out-of-range row sorts after its link rows.
-func (p *Provenance) sortedLinks() []linkKey {
-	keys := make([]linkKey, 0, len(p.links))
-	for k := range p.links {
-		keys = append(keys, k)
+func (p *Provenance) sortedLinks() []*linkRow {
+	rows := make([]*linkRow, 0, p.links.n)
+	for _, r := range p.links.slots {
+		if r != nil {
+			rows = append(rows, r)
+		}
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
+	sort.Slice(rows, func(i, j int) bool {
+		a, b := rows[i], rows[j]
 		if an, bn := p.actorName(a.from), p.actorName(b.from); an != bn {
 			return an < bn
 		}
@@ -398,7 +476,7 @@ func (p *Provenance) sortedLinks() []linkKey {
 		}
 		return a.to < b.to
 	})
-	return keys
+	return rows
 }
 
 // queueDropActors reports the actors with TX-side queue drops, sorted by
@@ -425,7 +503,7 @@ func (p *Provenance) queueDropActors() []ActorID {
 func (p *Provenance) WriteReport(w io.Writer) error {
 	bw := &errWriter{w: w}
 	bw.printf("frames %d, potential receptions %d, unresolved %d\n",
-		p.next, p.potential, len(p.inflight))
+		p.next, p.potential, p.unresolved)
 	bw.printf("outcomes:\n")
 	for r := DropReason(0); r < NumDropReasons; r++ {
 		bw.printf("  %-18s %d\n", dropReasonNames[r], p.total(r))
@@ -436,7 +514,7 @@ func (p *Provenance) WriteReport(w io.Writer) error {
 	}
 	for _, k := range links {
 		bw.printf("  %s -> %s:", p.actorName(k.from), p.actorName(k.to))
-		counts := p.links[k]
+		counts := &k.counts
 		for r := 0; r < NumDropReasons; r++ {
 			if counts[r] > 0 {
 				bw.printf(" %s=%d", dropReasonNames[r], counts[r])
@@ -458,7 +536,7 @@ func (p *Provenance) WriteReport(w io.Writer) error {
 func (p *Provenance) WriteReportJSON(w io.Writer) error {
 	bw := &errWriter{w: w}
 	bw.printf("{\n  \"frames\": %d,\n  \"potential\": %d,\n  \"unresolved\": %d,\n",
-		p.next, p.potential, len(p.inflight))
+		p.next, p.potential, p.unresolved)
 	bw.printf("  \"outcomes\": {")
 	for r := DropReason(0); r < NumDropReasons; r++ {
 		if r > 0 {
@@ -473,7 +551,7 @@ func (p *Provenance) WriteReportJSON(w io.Writer) error {
 		}
 		bw.printf("\n    {\"from\": %s, \"to\": %s, \"counts\": {",
 			quote(p.actorName(k.from)), quote(p.actorName(k.to)))
-		counts := p.links[k]
+		counts := &k.counts
 		first := true
 		for r := 0; r < NumDropReasons; r++ {
 			if counts[r] == 0 {

@@ -41,7 +41,7 @@ type psState struct {
 }
 
 // StartPowerSaveListener begins processing AP beacons according to the
-// listen interval: every ListenInterval-th beacon the station checks the
+// listen interval: every listenInterval-th beacon the station checks the
 // TIM for its AID and retrieves buffered frames with PS-Polls. onDownlink
 // receives each retrieved MSDU. Requires a completed Join and an
 // EnterPowerSave announcement.
@@ -71,7 +71,7 @@ func (s *Station) handleBeacon(b *dot11.Beacon, rx medium.Reception) {
 		return
 	}
 	s.ps.beaconsSeen++
-	if s.ps.beaconsSeen < s.Cfg.ListenInterval {
+	if s.ps.beaconsSeen < listenInterval {
 		return // dozing through this beacon
 	}
 	s.ps.beaconsSeen = 0

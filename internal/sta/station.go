@@ -10,9 +10,9 @@
 //     automatic light sleep; 4.5 mA idle, 19.8 mJ per message).
 //
 // Processing delays: an 80 MHz microcontroller does not produce EAPOL
-// responses in microseconds. The Timing struct models the client-side
-// compute/driver latencies visible in the paper's Figure 3a phase widths;
-// each constant documents which phase it calibrates.
+// responses in microseconds. The timing constants below model the
+// client-side compute/driver latencies visible in the paper's Figure 3a
+// phase widths; each documents which phase it calibrates.
 package sta
 
 import (
@@ -31,82 +31,44 @@ import (
 	"wile/internal/sim"
 )
 
-// Timing models client-side processing latencies. Zero fields take the
-// defaults below.
-type Timing struct {
-	// ScanDwell is the wait on-channel after a probe request before
+// Client-side processing latencies. With the AP's service delays (package
+// ap) they reproduce the Figure 3a phase widths (probe/auth/assoc + 4-way ≈
+// 0.85 s → 1.15 s; DHCP/ARP ≈ 1.15 s → 1.75 s).
+const (
+	// scanDwell is the wait on-channel after a probe request before
 	// treating the scan attempt as failed.
-	ScanDwell time.Duration
-	// AuthProcessing is the driver latency between probe response and
+	scanDwell = 40 * time.Millisecond
+	// authProcessing is the driver latency between probe response and
 	// authentication request, and again before association.
-	AuthProcessing time.Duration
-	// EAPOLProcessingM2 is the supplicant compute time before M2 — the
+	authProcessing = 30 * time.Millisecond
+	// eapolProcessingM2 is the supplicant compute time before M2 — the
 	// dominant client-side cost (PSK→PTK derivation on the MCU).
-	EAPOLProcessingM2 time.Duration
-	// EAPOLProcessingM4 is the supplicant compute time before M4.
-	EAPOLProcessingM4 time.Duration
-	// StackSetup is the post-handshake network-interface bring-up before
+	eapolProcessingM2 = 160 * time.Millisecond
+	// eapolProcessingM4 is the supplicant compute time before M4.
+	eapolProcessingM4 = 70 * time.Millisecond
+	// stackSetup is the post-handshake network-interface bring-up before
 	// DHCP starts.
-	StackSetup time.Duration
-	// NetProcessing is the client-side handling latency per DHCP/ARP
+	stackSetup = 120 * time.Millisecond
+	// netProcessing is the client-side handling latency per DHCP/ARP
 	// message.
-	NetProcessing time.Duration
-	// ResponseTimeout bounds each wait for a peer response before retry.
-	ResponseTimeout time.Duration
-	// PSWakeCPU and PSWakeListen shape the WiFi-PS transmit episode: MCU
-	// wake-up from automatic light sleep, then radio-on resync before the
-	// data frame. Calibrated to Table 1's 19.8 mJ per message.
-	PSWakeCPU    time.Duration
-	PSWakeListen time.Duration
-}
+	netProcessing = 45 * time.Millisecond
+	// responseTimeout bounds the wait for each authentication and
+	// association response; the 4-way handshake, DHCP and ARP waits last
+	// 4, 6 and 2 of it.
+	responseTimeout = 300 * time.Millisecond
+)
 
-// DefaultTiming reproduces the Figure 3a phase widths (probe/auth/assoc +
-// 4-way ≈ 0.85 s → 1.15 s; DHCP/ARP ≈ 1.15 s → 1.75 s).
-func DefaultTiming() Timing {
-	return Timing{
-		ScanDwell:         40 * time.Millisecond,
-		AuthProcessing:    30 * time.Millisecond,
-		EAPOLProcessingM2: 160 * time.Millisecond,
-		EAPOLProcessingM4: 70 * time.Millisecond,
-		StackSetup:        120 * time.Millisecond,
-		NetProcessing:     45 * time.Millisecond,
-		ResponseTimeout:   300 * time.Millisecond,
-		PSWakeCPU:         8 * time.Millisecond,
-		PSWakeListen:      60 * time.Millisecond,
-	}
-}
+// PSWakeCPU and PSWakeListen shape the WiFi-PS transmit episode: MCU
+// wake-up from automatic light sleep, then radio-on resync before the data
+// frame. Calibrated to Table 1's 19.8 mJ per message.
+const (
+	PSWakeCPU    = 8 * time.Millisecond
+	PSWakeListen = 60 * time.Millisecond
+)
 
-func (t Timing) withDefaults() Timing {
-	d := DefaultTiming()
-	if t.ScanDwell == 0 {
-		t.ScanDwell = d.ScanDwell
-	}
-	if t.AuthProcessing == 0 {
-		t.AuthProcessing = d.AuthProcessing
-	}
-	if t.EAPOLProcessingM2 == 0 {
-		t.EAPOLProcessingM2 = d.EAPOLProcessingM2
-	}
-	if t.EAPOLProcessingM4 == 0 {
-		t.EAPOLProcessingM4 = d.EAPOLProcessingM4
-	}
-	if t.StackSetup == 0 {
-		t.StackSetup = d.StackSetup
-	}
-	if t.NetProcessing == 0 {
-		t.NetProcessing = d.NetProcessing
-	}
-	if t.ResponseTimeout == 0 {
-		t.ResponseTimeout = d.ResponseTimeout
-	}
-	if t.PSWakeCPU == 0 {
-		t.PSWakeCPU = d.PSWakeCPU
-	}
-	if t.PSWakeListen == 0 {
-		t.PSWakeListen = d.PSWakeListen
-	}
-	return t
-}
+// listenInterval is the advertised beacon-skip count (the paper's WiFi-PS
+// wakes "only for every third beacon").
+const listenInterval = 3
 
 // Lease caches the network-layer state a duty-cycled client can reuse
 // across deep sleeps (real ESP32 firmware persists this in RTC memory to
@@ -128,11 +90,7 @@ type Config struct {
 	// client trusts its stored lease and gateway MAC. Saves the Figure-3a
 	// network-wait plateau at the risk of a stale lease.
 	CachedLease *Lease
-	// ListenInterval is the advertised beacon-skip count (the paper's
-	// WiFi-PS wakes "only for every third beacon").
-	ListenInterval uint16
-	Timing         Timing
-	Seed           uint64
+	Seed        uint64
 }
 
 // Errors returned by Join.
@@ -147,25 +105,21 @@ var (
 	ErrBusy        = errors.New("sta: operation already in progress")
 )
 
-// FrameCounts tallies the frames the station itself sent and received
-// during a join, by kind — the raw material for the §3.1 claim check.
-type FrameCounts struct {
-	Sent     map[string]int
-	Received map[string]int
-}
+// joinPhase is the step a pending join is in; its name labels the step's
+// slice on the MAC trace track.
+type joinPhase uint8
 
-func newFrameCounts() FrameCounts {
-	return FrameCounts{Sent: map[string]int{}, Received: map[string]int{}}
-}
+const (
+	phaseIdle joinPhase = iota // no join pending
+	phaseProbe
+	phaseAuth
+	phaseAssoc
+	phase4Way
+	phaseDHCP
+	phaseARP
+)
 
-// Total sums all counters in one direction map.
-func Total(m map[string]int) int {
-	n := 0
-	for _, v := range m {
-		n += v
-	}
-	return n
-}
+var phaseNames = [...]string{"", "probe", "auth", "assoc", "4-way", "dhcp", "arp"}
 
 // Station is one WiFi client.
 type Station struct {
@@ -179,8 +133,6 @@ type Station struct {
 	RouterMAC dot11.MAC
 	// AID is the association ID.
 	AID uint16
-	// JoinFrames records the last join's frame exchange.
-	JoinFrames FrameCounts
 	// OnDatagram, when set, receives non-DHCP UDP datagrams delivered to
 	// the station (e.g. frames bridged from another station by the AP).
 	OnDatagram func(src, dst netstack.IP, srcPort, dstPort uint16, payload []byte)
@@ -191,8 +143,20 @@ type Station struct {
 	sched  *sim.Scheduler
 	bssid  dot11.MAC
 	joined bool
-	busy   bool
 
+	// The pending join: done is Join's completion (nil when no join runs)
+	// and phase its current step. timer is its one armed wait, for the
+	// reply that lets the join go on; if it fires first, the join fails
+	// (or the scan retries). expect claims that reply when it is a
+	// management frame. The 4-way, DHCP and ARP replies are data frames,
+	// and their handlers act only while their own wait is armed (waiting).
+	done   func(error)
+	phase  joinPhase
+	timer  *sim.Event
+	expect func(dot11.Frame) bool
+
+	// supp and dhcpc belong to the join that made them; they are read
+	// only while its 4-way or DHCP wait is armed.
 	supp  *crypto80211.Supplicant
 	dhcpc *netstack.DHCPClient
 	// ccmp protects data frames once the 4-way handshake installs the
@@ -203,11 +167,6 @@ type Station struct {
 	groupRx *crypto80211.CCMPSession
 	rng     *sim.Rand
 	ipID    uint16
-
-	// expect is the current await-continuation; it returns true when the
-	// frame satisfied the wait.
-	expect      func(f dot11.Frame) bool
-	expectTimer *sim.Event
 
 	// ps tracks the power-save beacon listener (powersave.go).
 	ps psState
@@ -220,23 +179,10 @@ type Station struct {
 	rec       *obs.Recorder
 	macTrack  obs.TrackID
 	phaseOpen bool
-
-	// Pending-completion slots for the data-frame-driven join phases
-	// (EAPOL, DHCP, ARP), each with its timeout timer.
-	handshakeDone  func(error)
-	handshakeTimer *sim.Event
-	dhcpDone       func(error)
-	dhcpTimer      *sim.Event
-	arpDone        func(error)
-	arpTimer       *sim.Event
 }
 
 // New builds a station (radio off, deep sleep).
 func New(sched *sim.Scheduler, med *medium.Medium, cfg Config) *Station {
-	cfg.Timing = cfg.Timing.withDefaults()
-	if cfg.ListenInterval == 0 {
-		cfg.ListenInterval = 3
-	}
 	if cfg.Seed == 0 {
 		cfg.Seed = 0x57a
 	}
@@ -270,9 +216,11 @@ func (s *Station) TraceTo(r *obs.Recorder) {
 	s.Port.TraceTo(r, s.macTrack)
 }
 
-// beginJoinPhase opens a join-phase slice on the MAC track, closing the
-// previous phase first: phases are sequential, never nested in each other.
-func (s *Station) beginJoinPhase(name string) {
+// beginJoinPhase moves the join to phase p and opens its slice on the MAC
+// track, closing the previous phase first: phases are sequential, never
+// nested in each other.
+func (s *Station) beginJoinPhase(p joinPhase) {
+	s.phase = p
 	if s.rec == nil {
 		return
 	}
@@ -280,12 +228,12 @@ func (s *Station) beginJoinPhase(name string) {
 	if s.phaseOpen {
 		s.rec.End(s.macTrack, now)
 	}
-	s.rec.Begin(s.macTrack, now, name)
+	s.rec.Begin(s.macTrack, now, phaseNames[p])
 	s.phaseOpen = true
 }
 
-// endJoinPhase closes the open phase slice, if any; every Join exit path
-// funnels through it so a failed join still reads cleanly in the timeline.
+// endJoinPhase closes the open phase slice, if any; end calls it, so a
+// failed join still reads cleanly in the timeline.
 func (s *Station) endJoinPhase() {
 	if s.rec == nil || !s.phaseOpen {
 		return
@@ -297,19 +245,9 @@ func (s *Station) endJoinPhase() {
 // Observe collects the station's MAC Stats into the registry.
 func (s *Station) Observe(reg *obs.Registry) { s.Port.Observe(reg) }
 
-// countSent/countReceived update JoinFrames while a join is in flight.
-func (s *Station) countSent(kind string) {
-	if s.JoinFrames.Sent != nil {
-		s.JoinFrames.Sent[kind]++
-	}
-}
-
-// handle routes received frames to the active expectation and the
+// handle routes received frames to the pending management wait and the
 // steady-state paths (EAPOL, DHCP, ARP).
 func (s *Station) handle(f dot11.Frame, rx medium.Reception) {
-	if s.JoinFrames.Received != nil && s.busy {
-		s.JoinFrames.Received[f.Kind().String()]++
-	}
 	if s.expect != nil && s.expect(f) {
 		return
 	}
@@ -327,23 +265,18 @@ func (s *Station) handle(f dot11.Frame, rx medium.Reception) {
 
 // handleDeauth tears down state when the AP expels us — e.g. after a
 // failed handshake MIC, or an idle-timeout on a real AP. A pending join
-// fails immediately instead of waiting out its timers.
+// fails at once, whichever phase it is in; an established association
+// reports the loss through OnDisconnect.
 func (s *Station) handleDeauth(d *dot11.Deauth) {
 	if d.Header.Addr3 != s.bssid || s.bssid == (dot11.MAC{}) {
 		return
 	}
 	wasJoined := s.joined
 	s.joined = false
-	s.supp = nil
 	s.ccmp = nil
 	s.groupRx = nil
-	err := fmt.Errorf("%w: deauthenticated by AP (reason %d)", ErrHandshake, d.Reason)
-	if s.handshakeDone != nil {
-		s.finishHandshake(err)
-		return
-	}
-	if s.dhcpDone != nil {
-		s.finishDHCP(err)
+	if s.done != nil {
+		s.end(fmt.Errorf("%w: deauthenticated by AP (reason %d)", ErrHandshake, d.Reason))
 		return
 	}
 	if wasJoined && s.OnDisconnect != nil {
@@ -351,36 +284,60 @@ func (s *Station) handleDeauth(d *dot11.Deauth) {
 	}
 }
 
-// await installs a one-shot expectation with a timeout.
-func (s *Station) await(match func(dot11.Frame) bool, timeout time.Duration, onTimeout func()) {
-	s.clearAwait()
-	s.expect = func(f dot11.Frame) bool {
-		if !match(f) {
-			return false
-		}
-		s.clearAwait()
-		return true
+// wait arms the join's one wait: unless a reply clears it within timeout,
+// onTimeout runs. expect, when non-nil, claims the management reply that
+// clears it; the data-frame phases clear it from their handlers.
+func (s *Station) wait(timeout time.Duration, expect func(dot11.Frame) bool, onTimeout func(*Station)) {
+	if s.timer != nil {
+		panic("sta: join wait armed while another is pending")
 	}
-	s.expectTimer = s.sched.After(timeout, func() {
-		s.expectTimer = nil
-		s.expect = nil
-		onTimeout()
+	s.expect = expect
+	s.timer = s.sched.After(timeout, func() {
+		s.timer, s.expect = nil, nil
+		onTimeout(s)
 	})
 }
 
-func (s *Station) clearAwait() {
-	s.expect = nil
-	if s.expectTimer != nil {
-		s.sched.Cancel(s.expectTimer)
-		s.expectTimer = nil
-	}
+// clear disarms the pending wait. A reply clears its wait before going on,
+// so the next phase can arm its own.
+func (s *Station) clear() {
+	s.sched.Cancel(s.timer)
+	s.timer, s.expect = nil, nil
 }
 
-// send transmits a frame, counting it for the join log.
-func (s *Station) send(f dot11.Frame, done func(ok bool)) {
-	if s.busy {
-		s.countSent(f.Kind().String())
+// waiting reports whether the join is in phase p with its wait armed: the
+// only state in which p's reply handler acts.
+func (s *Station) waiting(p joinPhase) bool { return s.phase == p && s.timer != nil }
+
+// then runs next after the processing delay d, but only if the join is
+// still in the phase that scheduled it with no wait armed: a deauth that
+// ends the join meanwhile cancels the step.
+func (s *Station) then(d time.Duration, next func(*Station)) {
+	p := s.phase
+	s.sched.DoAfter(d, func() {
+		if s.phase == p && s.timer == nil {
+			next(s)
+		}
+	})
+}
+
+// end finishes the pending join with err; it is the only way out of a
+// join. It disarms the wait, closes the phase slice, powers the radio down
+// on failure and calls Join's completion.
+func (s *Station) end(err error) {
+	done := s.done
+	s.done, s.phase = nil, phaseIdle
+	s.clear()
+	s.endJoinPhase()
+	if err != nil {
+		s.Port.SetRadioOn(false)
 	}
+	done(err)
+}
+
+// send transmits a frame the station built itself. Port.Send only fails
+// when the frame cannot be marshalled, which here is a bug.
+func (s *Station) send(f dot11.Frame, done func(ok bool)) {
 	if err := s.Port.Send(f, done); err != nil {
 		panic(fmt.Sprintf("sta: %v", err)) // frame construction bug
 	}
@@ -390,7 +347,7 @@ func (s *Station) send(f dot11.Frame, done func(ok bool)) {
 // booted (CPU active); Join manages the radio and power states and calls
 // done exactly once.
 func (s *Station) Join(done func(error)) {
-	if s.busy {
+	if s.done != nil {
 		done(ErrBusy)
 		return
 	}
@@ -398,28 +355,19 @@ func (s *Station) Join(done func(error)) {
 		done(nil)
 		return
 	}
-	s.busy = true
-	s.JoinFrames = newFrameCounts()
-	finish := func(err error) {
-		s.busy = false
-		s.clearAwait()
-		s.endJoinPhase()
-		if err != nil {
-			s.Port.SetRadioOn(false)
-		}
-		done(err)
-	}
+	s.done = done
 	s.Port.SetRadioOn(true)
 	s.Dev.SetState(esp32.StateRadioListen)
 	s.Dev.MarkPhase("Probe/Auth./Associate")
-	s.beginJoinPhase("probe")
-	s.probe(0, finish)
+	s.beginJoinPhase(phaseProbe)
+	s.probe(0)
 }
 
-// probe performs the active scan.
-func (s *Station) probe(attempt int, finish func(error)) {
+// probe performs the active scan: up to three probe requests, each given
+// scanDwell for a response naming our SSID.
+func (s *Station) probe(attempt int) {
 	if attempt == 3 {
-		finish(ErrNoAP)
+		s.end(ErrNoAP)
 		return
 	}
 	req := &dot11.ProbeReq{Elements: dot11.Elements{
@@ -430,7 +378,7 @@ func (s *Station) probe(attempt int, finish func(error)) {
 	req.Header.Addr2 = s.Cfg.Addr
 	req.Header.Addr3 = dot11.Broadcast
 
-	s.await(func(f dot11.Frame) bool {
+	s.wait(scanDwell, func(f dot11.Frame) bool {
 		resp, ok := f.(*dot11.ProbeResp)
 		if !ok {
 			return false
@@ -438,44 +386,46 @@ func (s *Station) probe(attempt int, finish func(error)) {
 		if ssid, _, ok := resp.Elements.SSID(); !ok || ssid != s.Cfg.SSID {
 			return false
 		}
+		s.clear()
 		s.bssid = resp.Header.Addr3
-		s.sched.DoAfter(s.Cfg.Timing.AuthProcessing, func() { s.authenticate(finish) })
+		s.then(authProcessing, (*Station).authenticate)
 		return true
-	}, s.Cfg.Timing.ScanDwell, func() { s.probe(attempt+1, finish) })
+	}, func(s *Station) { s.probe(attempt + 1) })
 
 	s.send(req, nil)
 }
 
 // authenticate runs open-system authentication.
-func (s *Station) authenticate(finish func(error)) {
-	s.beginJoinPhase("auth")
+func (s *Station) authenticate() {
+	s.beginJoinPhase(phaseAuth)
 	req := &dot11.Auth{Algorithm: dot11.AuthOpen, Seq: 1}
 	req.Header.Addr1 = s.bssid
 	req.Header.Addr2 = s.Cfg.Addr
 	req.Header.Addr3 = s.bssid
 
-	s.await(func(f dot11.Frame) bool {
+	s.wait(responseTimeout, func(f dot11.Frame) bool {
 		resp, ok := f.(*dot11.Auth)
 		if !ok || resp.Seq != 2 {
 			return false
 		}
+		s.clear()
 		if resp.Status != dot11.StatusSuccess {
-			finish(fmt.Errorf("%w: status %d", ErrAuthFailed, resp.Status))
+			s.end(fmt.Errorf("%w: status %d", ErrAuthFailed, resp.Status))
 			return true
 		}
-		s.sched.DoAfter(s.Cfg.Timing.AuthProcessing, func() { s.associate(finish) })
+		s.then(authProcessing, (*Station).associate)
 		return true
-	}, s.Cfg.Timing.ResponseTimeout, func() { finish(ErrAuthFailed) })
+	}, func(s *Station) { s.end(ErrAuthFailed) })
 
 	s.send(req, nil)
 }
 
 // associate sends the association request and prepares the supplicant.
-func (s *Station) associate(finish func(error)) {
-	s.beginJoinPhase("assoc")
+func (s *Station) associate() {
+	s.beginJoinPhase(phaseAssoc)
 	req := &dot11.AssocReq{
 		Capability:     dot11.CapESS | dot11.CapPrivacy,
-		ListenInterval: s.Cfg.ListenInterval,
+		ListenInterval: listenInterval,
 		Elements: dot11.Elements{
 			dot11.SSIDElement(s.Cfg.SSID),
 			dot11.DefaultRates(),
@@ -486,42 +436,35 @@ func (s *Station) associate(finish func(error)) {
 	req.Header.Addr2 = s.Cfg.Addr
 	req.Header.Addr3 = s.bssid
 
-	s.await(func(f dot11.Frame) bool {
+	s.wait(responseTimeout, func(f dot11.Frame) bool {
 		resp, ok := f.(*dot11.AssocResp)
 		if !ok {
 			return false
 		}
+		s.clear()
 		if resp.Status != dot11.StatusSuccess {
-			finish(fmt.Errorf("%w: status %d", ErrAssocFailed, resp.Status))
+			s.end(fmt.Errorf("%w: status %d", ErrAssocFailed, resp.Status))
 			return true
 		}
 		s.AID = resp.AID
-		s.prepareHandshake(finish)
+		s.prepareHandshake()
 		return true
-	}, s.Cfg.Timing.ResponseTimeout, func() { finish(ErrAssocFailed) })
+	}, func(s *Station) { s.end(ErrAssocFailed) })
 
 	s.send(req, nil)
 }
 
 // prepareHandshake arms the supplicant and waits for M1 (which arrives as
 // an EAPOL data frame through handleDownlink).
-func (s *Station) prepareHandshake(finish func(error)) {
-	s.beginJoinPhase("4-way")
+func (s *Station) prepareHandshake() {
+	s.beginJoinPhase(phase4Way)
 	var snonce [crypto80211.NonceLen]byte
 	for i := range snonce {
 		snonce[i] = byte(s.rng.Uint64())
 	}
 	pmk := crypto80211.PSK(s.Cfg.Passphrase, s.Cfg.SSID)
 	s.supp = crypto80211.NewSupplicant(pmk, [6]byte(s.bssid), [6]byte(s.Cfg.Addr), snonce)
-	s.handshakeDone = finish
-	s.handshakeTimer = s.sched.After(4*s.Cfg.Timing.ResponseTimeout, func() {
-		s.handshakeTimer = nil
-		if s.handshakeDone != nil {
-			d := s.handshakeDone
-			s.handshakeDone = nil
-			d(ErrHandshake)
-		}
-	})
+	s.wait(4*responseTimeout, nil, func(s *Station) { s.end(ErrHandshake) })
 }
 
 // handleDownlink processes AP→station data frames, removing CCMP
@@ -559,12 +502,8 @@ func (s *Station) handleDownlink(d *dot11.Data) {
 	}
 }
 
-// handshake bookkeeping.
-// handshakeDone is pending Join completion; handshakeTimer bounds the wait.
-// (declared on Station below)
-
 func (s *Station) handleEAPOL(pdu []byte) {
-	if s.supp == nil || s.handshakeDone == nil {
+	if !s.waiting(phase4Way) {
 		return
 	}
 	// Model the supplicant compute delay before responding.
@@ -572,45 +511,35 @@ func (s *Station) handleEAPOL(pdu []byte) {
 	if err != nil {
 		return
 	}
-	delay := s.Cfg.Timing.EAPOLProcessingM2
+	delay := eapolProcessingM2
 	if k.Info&crypto80211.KeyInfoInstall != 0 {
-		delay = s.Cfg.Timing.EAPOLProcessingM4
+		delay = eapolProcessingM4
 	}
 	pduCopy := append([]byte(nil), pdu...)
 	s.sched.DoAfter(delay, func() {
-		if s.supp == nil || s.handshakeDone == nil {
+		if !s.waiting(phase4Way) {
 			return
 		}
 		resp, err := s.supp.Handle(pduCopy)
 		if err != nil {
-			s.finishHandshake(fmt.Errorf("%w: %v", ErrHandshake, err))
+			s.end(fmt.Errorf("%w: %v", ErrHandshake, err))
 			return
 		}
 		if resp != nil {
 			s.sendEAPOL(resp)
 		}
 		if s.supp.Done() {
-			s.finishHandshake(nil)
+			s.installKeys()
 		}
 	})
 }
 
-func (s *Station) finishHandshake(err error) {
-	if s.handshakeTimer != nil {
-		s.sched.Cancel(s.handshakeTimer)
-		s.handshakeTimer = nil
-	}
-	d := s.handshakeDone
-	s.handshakeDone = nil
-	if d == nil {
-		return
-	}
-	if err != nil {
-		d(err)
-		return
-	}
-	// Keys installed: from here every data frame is CCMP-protected, as
-	// on the paper's WPA2 testbed.
+// installKeys ends the 4-way wait. From here every data frame is
+// CCMP-protected, as on the paper's WPA2 testbed. A cached lease then
+// completes the join at once; otherwise DHCP starts after the network
+// stack comes up.
+func (s *Station) installKeys() {
+	s.clear()
 	s.ccmp = crypto80211.NewCCMPSession(s.supp.PTK().TK)
 	s.groupRx = crypto80211.NewCCMPSession(s.supp.GTK())
 	if s.Cfg.CachedLease != nil {
@@ -619,15 +548,13 @@ func (s *Station) finishHandshake(err error) {
 		s.Router = s.Cfg.CachedLease.Router
 		s.RouterMAC = s.Cfg.CachedLease.RouterMAC
 		s.joined = true
-		s.busy = false
-		d(nil)
+		s.end(nil)
 		return
 	}
-	// Bring up the network stack, then DHCP.
 	s.Dev.MarkPhase("DHCP/ARP")
-	s.beginJoinPhase("dhcp")
+	s.beginJoinPhase(phaseDHCP)
 	s.Dev.SetState(esp32.StateNetworkWait)
-	s.sched.DoAfter(s.Cfg.Timing.StackSetup, func() { s.startDHCP(d) })
+	s.then(stackSetup, (*Station).startDHCP)
 }
 
 // sendEAPOL wraps an EAPOL PDU for the uplink. Handshake frames are
@@ -653,17 +580,9 @@ func (s *Station) sendMSDU(da dot11.MAC, msdu []byte, done func(ok bool)) {
 }
 
 // startDHCP runs the DISCOVER/OFFER/REQUEST/ACK exchange.
-func (s *Station) startDHCP(finish func(error)) {
+func (s *Station) startDHCP() {
 	s.dhcpc = netstack.NewDHCPClient(uint32(s.rng.Uint64()), [6]byte(s.Cfg.Addr))
-	s.dhcpDone = finish
-	s.dhcpTimer = s.sched.After(6*s.Cfg.Timing.ResponseTimeout, func() {
-		s.dhcpTimer = nil
-		if s.dhcpDone != nil {
-			d := s.dhcpDone
-			s.dhcpDone = nil
-			d(ErrDHCPFailed)
-		}
-	})
+	s.wait(6*responseTimeout, nil, func(s *Station) { s.end(ErrDHCPFailed) })
 	s.sendDHCP(s.dhcpc.Discover())
 }
 
@@ -694,14 +613,14 @@ func (s *Station) handleIPv4(payload []byte) {
 		}
 		return
 	}
-	if s.dhcpc == nil || s.dhcpDone == nil {
+	if !s.waiting(phaseDHCP) {
 		return
 	}
 	// Copy: the reception buffer is not ours to retain across the
 	// processing delay.
 	dataCopy := append([]byte(nil), data...)
-	s.sched.DoAfter(s.Cfg.Timing.NetProcessing, func() {
-		if s.dhcpc == nil || s.dhcpDone == nil {
+	s.sched.DoAfter(netProcessing, func() {
+		if !s.waiting(phaseDHCP) {
 			return
 		}
 		msg, err := netstack.ParseDHCP(dataCopy)
@@ -710,7 +629,7 @@ func (s *Station) handleIPv4(payload []byte) {
 		}
 		next, err := s.dhcpc.Handle(msg)
 		if err != nil {
-			s.finishDHCP(fmt.Errorf("%w: %v", ErrDHCPFailed, err))
+			s.end(fmt.Errorf("%w: %v", ErrDHCPFailed, err))
 			return
 		}
 		if next != nil {
@@ -719,68 +638,35 @@ func (s *Station) handleIPv4(payload []byte) {
 		if s.dhcpc.Done() {
 			s.IP = s.dhcpc.Assigned
 			s.Router = s.dhcpc.Router
-			s.finishDHCP(nil)
+			s.clear()
+			s.startARP()
 		}
 	})
-}
-
-func (s *Station) finishDHCP(err error) {
-	if s.dhcpTimer != nil {
-		s.sched.Cancel(s.dhcpTimer)
-		s.dhcpTimer = nil
-	}
-	d := s.dhcpDone
-	s.dhcpDone = nil
-	if d == nil {
-		return
-	}
-	if err != nil {
-		d(err)
-		return
-	}
-	s.startARP(d)
 }
 
 // startARP first announces the freshly leased address (gratuitous ARP,
 // which real DHCP clients emit for conflict detection — the 7th
 // "higher-layer frame" of §3.1), then resolves the gateway's MAC.
-func (s *Station) startARP(finish func(error)) {
-	s.beginJoinPhase("arp")
+func (s *Station) startARP() {
+	s.beginJoinPhase(phaseARP)
 	announce := netstack.NewARPRequest([6]byte(s.Cfg.Addr), s.IP, s.IP)
 	s.sendMSDU(dot11.Broadcast, netstack.WrapSNAP(netstack.EtherTypeARP, announce.Append(nil)), nil)
 
 	req := netstack.NewARPRequest([6]byte(s.Cfg.Addr), s.IP, s.Router)
-	s.arpDone = finish
-	s.arpTimer = s.sched.After(2*s.Cfg.Timing.ResponseTimeout, func() {
-		s.arpTimer = nil
-		if s.arpDone != nil {
-			d := s.arpDone
-			s.arpDone = nil
-			d(ErrARPFailed)
-		}
-	})
+	s.wait(2*responseTimeout, nil, func(s *Station) { s.end(ErrARPFailed) })
 	s.sendMSDU(dot11.Broadcast, netstack.WrapSNAP(netstack.EtherTypeARP, req.Append(nil)), nil)
 }
 
 func (s *Station) handleARP(payload []byte) {
 	rep, err := netstack.ParseARP(payload)
-	if err != nil || rep.Op != netstack.ARPReply || s.arpDone == nil {
-		return
-	}
-	if rep.SenderIP != s.Router {
+	if err != nil || rep.Op != netstack.ARPReply || !s.waiting(phaseARP) || rep.SenderIP != s.Router {
 		return
 	}
 	s.RouterMAC = dot11.MAC(rep.SenderHW)
-	if s.arpTimer != nil {
-		s.sched.Cancel(s.arpTimer)
-		s.arpTimer = nil
-	}
-	d := s.arpDone
-	s.arpDone = nil
-	s.sched.DoAfter(s.Cfg.Timing.NetProcessing, func() {
+	s.clear()
+	s.then(netProcessing, func(s *Station) {
 		s.joined = true
-		s.busy = false
-		d(nil)
+		s.end(nil)
 	})
 }
 
@@ -817,8 +703,6 @@ func (s *Station) SendReading(payload []byte, dstPort uint16, done func(ok bool)
 // its data and goes to sleep").
 func (s *Station) Sleep() {
 	s.joined = false
-	s.supp = nil
-	s.dhcpc = nil
 	s.ccmp = nil
 	s.groupRx = nil
 	s.Port.SetRadioOn(false)
@@ -850,9 +734,9 @@ func (s *Station) SendReadingPS(payload []byte, dstPort uint16, done func(ok boo
 		return ErrNotJoined
 	}
 	s.Dev.SetState(esp32.StateCPUActive)
-	s.sched.DoAfter(s.Cfg.Timing.PSWakeCPU, func() {
+	s.sched.DoAfter(PSWakeCPU, func() {
 		s.Dev.SetState(esp32.StateRadioListen)
-		s.sched.DoAfter(s.Cfg.Timing.PSWakeListen, func() {
+		s.sched.DoAfter(PSWakeListen, func() {
 			err := s.SendReading(payload, dstPort, func(ok bool) {
 				s.Dev.SetState(esp32.StateWiFiPSIdle)
 				if done != nil {

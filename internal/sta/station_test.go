@@ -716,6 +716,58 @@ func TestStationHandlesDeauth(t *testing.T) {
 	}
 }
 
+// TestDeauthFailsPendingJoinAtOnce sends the AP's deauth at three points
+// of a join where no management reply is awaited: right after the probe
+// response, during the network-stack setup that follows the 4-way
+// handshake, and during the ARP wait. Each time the join must fail with
+// ErrHandshake within 10 ms instead of going on or timing out.
+func TestDeauthFailsPendingJoinAtOnce(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		ready func(w *world) bool
+	}{
+		{"after-probe-response", func(w *world) bool { return w.sta.BSSID() != (dot11.MAC{}) }},
+		{"stack-setup", func(w *world) bool { return w.ap.Stats.HandshakesDone == 1 }},
+		{"arp-wait", func(w *world) bool { return w.sta.IP != netstack.IPZero }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			w := newWorld()
+			var result *error
+			var endedAt sim.Time
+			w.sta.Dev.SetState(esp32.StateCPUActive)
+			w.sta.Join(func(err error) { result, endedAt = &err, w.sched.Now() })
+			for !c.ready(w) {
+				if result != nil {
+					t.Fatalf("join ended before the deauth point: %v", *result)
+				}
+				if !w.sched.Step() {
+					t.Fatal("simulation ran dry before the deauth point")
+				}
+			}
+			d := &dot11.Deauth{Reason: dot11.ReasonUnspecified}
+			d.Header.Addr1 = staAddr
+			d.Header.Addr2 = w.ap.Cfg.BSSID
+			d.Header.Addr3 = w.ap.Cfg.BSSID
+			if err := w.ap.Port.Send(d, nil); err != nil {
+				t.Fatal(err)
+			}
+			sent := w.sched.Now()
+			w.sched.RunUntil(sent + 5*sim.Second)
+			switch {
+			case result == nil:
+				t.Fatal("join never completed")
+			case !errors.Is(*result, sta.ErrHandshake):
+				t.Fatalf("join ended %v after the deauth with %v, want ErrHandshake", endedAt.Sub(sent), *result)
+			case endedAt.Sub(sent) > 10*time.Millisecond:
+				t.Fatalf("join failed %v after the deauth, want within 10ms", endedAt.Sub(sent))
+			}
+			if w.sta.Joined() || w.sta.Port.Transceiver().On() {
+				t.Fatal("station left joined or with its radio on after the failed join")
+			}
+		})
+	}
+}
+
 func TestForeignDeauthIgnored(t *testing.T) {
 	w := newWorld()
 	if err := w.join(t); err != nil {
