@@ -32,61 +32,64 @@ import (
 	"wile/internal/obs"
 	"wile/internal/phy"
 	"wile/internal/sim"
-	"wile/internal/units"
 )
 
 // --- Table 1 ---
 
 func BenchmarkTable1EnergyPerPacketWiLE(b *testing.B) {
 	b.ReportAllocs()
-	var energy units.Joules
+	var m experiment.Measurement
 	for i := 0; i < b.N; i++ {
-		ep, _, err := experiment.MeasureWiLE()
+		var err error
+		m, _, err = experiment.MeasureWiLE()
 		if err != nil {
 			b.Fatal(err)
 		}
-		energy = ep.Energy
 	}
-	b.ReportMetric(energy.Micro(), "µJ/pkt")
+	b.ReportMetric(m.EnergyPerPacket.Micro(), "µJ/pkt")
+	b.ReportMetric(float64(m.Events), "events/op")
 }
 
 func BenchmarkTable1EnergyPerPacketBLE(b *testing.B) {
 	b.ReportAllocs()
-	var energy units.Joules
+	var m experiment.Measurement
 	for i := 0; i < b.N; i++ {
-		ep, err := experiment.MeasureBLE()
+		var err error
+		m, err = experiment.MeasureBLE()
 		if err != nil {
 			b.Fatal(err)
 		}
-		energy = ep.Energy
 	}
-	b.ReportMetric(energy.Micro(), "µJ/pkt")
+	b.ReportMetric(m.EnergyPerPacket.Micro(), "µJ/pkt")
+	b.ReportMetric(float64(m.Events), "events/op")
 }
 
 func BenchmarkTable1EnergyPerPacketWiFiDC(b *testing.B) {
 	b.ReportAllocs()
-	var energy units.Joules
+	var m experiment.Measurement
 	for i := 0; i < b.N; i++ {
-		ep, err := experiment.MeasureWiFiDC()
+		var err error
+		m, err = experiment.MeasureWiFiDC()
 		if err != nil {
 			b.Fatal(err)
 		}
-		energy = ep.Energy
 	}
-	b.ReportMetric(energy.Milli(), "mJ/pkt")
+	b.ReportMetric(m.EnergyPerPacket.Milli(), "mJ/pkt")
+	b.ReportMetric(float64(m.Events), "events/op")
 }
 
 func BenchmarkTable1EnergyPerPacketWiFiPS(b *testing.B) {
 	b.ReportAllocs()
-	var energy units.Joules
+	var m experiment.Measurement
 	for i := 0; i < b.N; i++ {
-		ep, err := experiment.MeasureWiFiPS()
+		var err error
+		m, err = experiment.MeasureWiFiPS()
 		if err != nil {
 			b.Fatal(err)
 		}
-		energy = ep.Energy
 	}
-	b.ReportMetric(energy.Milli(), "mJ/pkt")
+	b.ReportMetric(m.EnergyPerPacket.Milli(), "mJ/pkt")
+	b.ReportMetric(float64(m.Events), "events/op")
 }
 
 // --- Figure 3 ---
@@ -99,7 +102,7 @@ func BenchmarkFig3aWiFiJoinTrace(b *testing.B) {
 			tr.Release()
 		}
 		var err error
-		tr, err = experiment.RunFig3a()
+		tr, err = experiment.RunFig3a(nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -108,7 +111,7 @@ func BenchmarkFig3aWiFiJoinTrace(b *testing.B) {
 	if txAt, _, ok := tr.PhaseBounds("Tx"); ok {
 		b.ReportMetric(txAt.Seconds(), "tx-at-s")
 	}
-	b.ReportMetric(float64(len(tr.Samples)), "samples/op")
+	b.ReportMetric(float64(len(tr.Meter.Samples)), "samples/op")
 	b.ReportMetric(float64(tr.Events), "events/op")
 }
 
@@ -120,7 +123,7 @@ func BenchmarkFig3bWiLETrace(b *testing.B) {
 			tr.Release()
 		}
 		var err error
-		tr, err = experiment.RunFig3b()
+		tr, err = experiment.RunFig3b(nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -164,6 +167,7 @@ func BenchmarkClaimsJoinFrameCount(b *testing.B) {
 	b.ReportMetric(float64(c.MACLayerFrames), "mac-frames/op")
 	b.ReportMetric(float64(c.HigherLayerFrames), "hl-frames/op")
 	b.ReportMetric(float64(c.FourWayFrames), "4way-frames/op")
+	b.ReportMetric(float64(c.Events), "events/op")
 }
 
 // --- Ablations ---
@@ -297,15 +301,16 @@ func BenchmarkAblationInterferenceStudy(b *testing.B) {
 }
 
 func BenchmarkAblationFastRejoin(b *testing.B) {
-	var ep experiment.Episode
+	var m experiment.Measurement
 	for i := 0; i < b.N; i++ {
 		var err error
-		ep, err = experiment.MeasureWiFiDCFast()
+		m, err = experiment.MeasureWiFiDCFast()
 		if err != nil {
 			b.Fatal(err)
 		}
 	}
-	b.ReportMetric(ep.Energy.Milli(), "mJ/pkt")
+	b.ReportMetric(m.EnergyPerPacket.Milli(), "mJ/pkt")
+	b.ReportMetric(float64(m.Events), "events/op")
 }
 
 func BenchmarkAblationHopperStudy(b *testing.B) {
@@ -411,7 +416,7 @@ func BenchmarkObsDisabled(b *testing.B) {
 				tr.Release()
 			}
 			var err error
-			tr, err = experiment.RunFig3b()
+			tr, err = experiment.RunFig3b(nil)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -434,7 +439,7 @@ func BenchmarkObsEnabled(b *testing.B) {
 			rec := obs.NewRecorder()
 			o := &experiment.Obs{Rec: rec, Reg: obs.NewRegistry()}
 			var err error
-			tr, err = experiment.RunFig3bObs(o)
+			tr, err = experiment.RunFig3b(o)
 			if err != nil {
 				b.Fatal(err)
 			}

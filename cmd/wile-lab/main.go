@@ -91,9 +91,9 @@ func run(cmd, out string) error {
 	case "table1":
 		return table1()
 	case "fig3a":
-		return fig3(out, "fig3a", experiment.RunFig3aObs)
+		return fig3(out, "fig3a", experiment.RunFig3a)
 	case "fig3b":
-		return fig3(out, "fig3b", experiment.RunFig3bObs)
+		return fig3(out, "fig3b", experiment.RunFig3b)
 	case "fig4":
 		return fig4(out)
 	case "claims":
@@ -107,8 +107,8 @@ func run(cmd, out string) error {
 	case "all":
 		for _, step := range []func() error{
 			table1,
-			func() error { return fig3(out, "fig3a", experiment.RunFig3aObs) },
-			func() error { return fig3(out, "fig3b", experiment.RunFig3bObs) },
+			func() error { return fig3(out, "fig3a", experiment.RunFig3a) },
+			func() error { return fig3(out, "fig3b", experiment.RunFig3b) },
 			func() error { return fig4(out) },
 			claims,
 			ablations,
@@ -346,9 +346,9 @@ func ablations() error {
 		return err
 	}
 	fmt.Println("\nAblation: cached-lease fast rejoin (skip DHCP/ARP on wake)")
-	fmt.Printf("  full rejoin   %s over %v\n", energy.FormatJoules(dc.Energy), dc.Duration.Round(time.Millisecond))
+	fmt.Printf("  full rejoin   %s over %v\n", energy.FormatJoules(dc.EnergyPerPacket), dc.TxDuration.Round(time.Millisecond))
 	fmt.Printf("  cached lease  %s over %v — still ≈3 orders above Wi-LE\n",
-		energy.FormatJoules(fast.Energy), fast.Duration.Round(time.Millisecond))
+		energy.FormatJoules(fast.EnergyPerPacket), fast.TxDuration.Round(time.Millisecond))
 
 	good, err := experiment.RunGoodputStudy()
 	if err != nil {

@@ -64,9 +64,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var runner func(*experiment.Obs) (*experiment.Trace, error)
 	switch fs.Arg(0) {
 	case "fig3a":
-		runner = experiment.RunFig3aObs
+		runner = experiment.RunFig3a
 	case "fig3b":
-		runner = experiment.RunFig3bObs
+		runner = experiment.RunFig3b
 	default:
 		fmt.Fprintf(stderr, "wile-trace: unknown trace %q\n", fs.Arg(0))
 		return 2

@@ -13,6 +13,11 @@ import (
 	"wile/internal/sim"
 )
 
+// injectionPower is every sensor's transmit power. With the injection
+// rate, HT MCS7 at the short guard interval (72 Mb/s), it is what §5.4
+// measures Wi-LE at.
+const injectionPower phy.DBm = 0
+
 // SensorConfig parameterizes a Wi-LE transmitter.
 type SensorConfig struct {
 	// DeviceID is the unique identifier embedded in every message and in
@@ -23,11 +28,6 @@ type SensorConfig struct {
 	// Period is the reporting interval (the paper's example: "periodically
 	// wakes up (e.g., every 10 minutes) to send its temperature reading").
 	Period time.Duration
-	// Rate is the injection PHY rate. The paper's §5.4 measurement uses
-	// 72 Mb/s (MCS7 short GI) at 0 dBm; that is the default.
-	Rate phy.Rate
-	// TxPower is the transmit power (default 0 dBm, matching §5.4).
-	TxPower phy.DBm
 	// Channel is advertised in the DS parameter element.
 	Channel int
 	// Key, when non-nil, encrypts and authenticates every message (§6).
@@ -49,9 +49,6 @@ type SensorConfig struct {
 }
 
 func (c SensorConfig) withDefaults() SensorConfig {
-	if c.Rate.KbPerSec == 0 {
-		c.Rate = phy.RateHTMCS7SGI
-	}
 	if c.Channel == 0 {
 		c.Channel = 6
 	}
@@ -119,7 +116,7 @@ func NewSensor(sched *sim.Scheduler, med *medium.Medium, cfg SensorConfig) *Sens
 		return []Reading{Counter(uint32(s.Stats.Messages))}
 	}
 	s.Port = mac.New(sched, med, fmt.Sprintf("wile:%08x", cfg.DeviceID), cfg.Position,
-		s.BSSID(), cfg.Rate, cfg.TxPower, phy.SensitivityWiFiMCS7, sim.NewRand(cfg.Seed^0xbeef))
+		s.BSSID(), phy.RateHTMCS7SGI, injectionPower, phy.SensitivityWiFiMCS7, sim.NewRand(cfg.Seed^0xbeef))
 	s.Port.Radio = s.Dev
 	s.Port.AutoACK = false // a Wi-LE device never ACKs anything
 	s.Port.Handler = s.handleFrame

@@ -102,6 +102,12 @@ const TxBurstCurrent = units.Amps(180e-3)
 // per-transmission radio-on window behind Table 1's 84 µJ Wi-LE figure.
 const TxRampUp = 95 * time.Microsecond
 
+// BurstEnergy is the energy of one transmit burst of the given airtime: the
+// amplifier draws TxBurstCurrent from the rail for TxRampUp+airtime.
+func BurstEnergy(airtime time.Duration) units.Joules {
+	return units.Energy(units.Power(Voltage, TxBurstCurrent), TxRampUp+airtime)
+}
+
 // Device is one simulated ESP32 module. Its waveform — the step history
 // and the exact charge integral — is the embedded recorder's; the device
 // drives it from a coarse power state, TX bursts and boot profiles.

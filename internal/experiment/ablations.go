@@ -20,6 +20,35 @@ import (
 // Ablations for the design choices DESIGN.md calls out. Each isolates one
 // knob the paper fixes and shows why the paper's setting wins.
 
+// frameCost is what one injected frame costs: its marshalled size, and its
+// airtime and TX-burst energy at the §5.4 injection rate.
+type frameCost struct {
+	Bytes   int
+	Airtime time.Duration
+	Energy  units.Joules
+}
+
+// costOf marshals f and prices it at the injection rate.
+func costOf(f dot11.Frame) (frameCost, error) {
+	raw, err := dot11.Marshal(f)
+	if err != nil {
+		return frameCost{}, err
+	}
+	at := phy.FrameAirtime(phy.RateHTMCS7SGI, len(raw))
+	return frameCost{Bytes: len(raw), Airtime: at, Energy: esp32.BurstEnergy(at)}, nil
+}
+
+// beaconCost builds the channel-6 beacon sensor msg.DeviceID injects for
+// msg and prices it.
+func beaconCost(msg *core.Message) (*dot11.Beacon, frameCost, error) {
+	beacon, err := core.BuildBeacon(dot11.LocalMAC(msg.DeviceID), 6, msg, nil)
+	if err != nil {
+		return nil, frameCost{}, err
+	}
+	c, err := costOf(beacon)
+	return beacon, c, err
+}
+
 // --- Bitrate ablation (§5.4 fixes 72 Mb/s) ---
 
 // BitratePoint is one rate's Wi-LE TX energy.
@@ -35,20 +64,14 @@ type BitratePoint struct {
 // transmits at the highest rate: the PHY bits cost the same current for
 // less time.
 func RunBitrateAblation() ([]BitratePoint, error) {
-	msg := &core.Message{DeviceID: 0x1001, Seq: 1, Readings: []core.Reading{core.Temperature(17)}}
-	beacon, err := core.BuildBeacon(dot11.LocalMAC(0x1001), 6, msg, nil)
-	if err != nil {
-		return nil, err
-	}
-	raw, err := dot11.Marshal(beacon)
+	_, c, err := beaconCost(&core.Message{DeviceID: 0x1001, Seq: 1, Readings: []core.Reading{core.Temperature(17)}})
 	if err != nil {
 		return nil, err
 	}
 	out := engine.MapValues(Pool(), len(phy.WiFiRates), func(i int) BitratePoint {
 		r := phy.WiFiRates[i]
-		airtime := phy.FrameAirtime(r, len(raw))
-		e := units.Energy(units.Power(esp32.Voltage, esp32.TxBurstCurrent), esp32.TxRampUp+airtime)
-		return BitratePoint{Rate: r, Airtime: airtime, Energy: e}
+		airtime := phy.FrameAirtime(r, c.Bytes)
+		return BitratePoint{Rate: r, Airtime: airtime, Energy: esp32.BurstEnergy(airtime)}
 	})
 	return out, nil
 }
@@ -95,22 +118,16 @@ func RunPayloadAblation(sizes []int) ([]PayloadPoint, error) {
 			readings = append(readings, core.RawReading(make([]byte, chunk)))
 			remaining -= chunk
 		}
-		msg := &core.Message{DeviceID: 1, Seq: 1, Readings: readings}
-		beacon, err := core.BuildBeacon(dot11.LocalMAC(1), 6, msg, nil)
+		beacon, c, err := beaconCost(&core.Message{DeviceID: 1, Seq: 1, Readings: readings})
 		if err != nil {
 			return PayloadPoint{}, err
 		}
-		raw, err := dot11.Marshal(beacon)
-		if err != nil {
-			return PayloadPoint{}, err
-		}
-		airtime := phy.FrameAirtime(phy.RateHTMCS7SGI, len(raw))
 		return PayloadPoint{
 			PayloadBytes: n,
 			Fragments:    len(beacon.Elements.Vendors(core.OUI)),
-			BeaconBytes:  len(raw),
-			Airtime:      airtime,
-			Energy:       units.Energy(units.Power(esp32.Voltage, esp32.TxBurstCurrent), esp32.TxRampUp+airtime),
+			BeaconBytes:  c.Bytes,
+			Airtime:      c.Airtime,
+			Energy:       c.Energy,
 		}, nil
 	})
 }
@@ -187,7 +204,7 @@ func RunJitterStudy(ppms []float64, cycles int) []JitterPoint {
 	// keeps the parallel run byte-identical to the serial one.
 	return engine.MapValues(Pool(), len(ppms), func(pi int) JitterPoint {
 		ppm := ppms[pi]
-		w := newWorld()
+		w := newWorld(nil)
 		for i := 0; i < 2; i++ {
 			s := core.NewSensor(w.sched, w.med, core.SensorConfig{
 				DeviceID: uint32(0x200 + i),
@@ -240,30 +257,21 @@ type HiddenSSIDResult struct {
 
 // RunHiddenSSIDAblation measures the two variants.
 func RunHiddenSSIDAblation() (*HiddenSSIDResult, error) {
-	msg := &core.Message{DeviceID: 1, Seq: 1, Readings: []core.Reading{core.Temperature(17)}}
-	hidden, err := core.BuildBeacon(dot11.LocalMAC(1), 6, msg, nil)
-	if err != nil {
-		return nil, err
-	}
-	rawHidden, err := dot11.Marshal(hidden)
-	if err != nil {
-		return nil, err
-	}
-	visible, err := core.BuildBeacon(dot11.LocalMAC(1), 6, msg, nil)
+	beacon, hidden, err := beaconCost(&core.Message{DeviceID: 1, Seq: 1, Readings: []core.Reading{core.Temperature(17)}})
 	if err != nil {
 		return nil, err
 	}
 	// Swap in a 20-char SSID, the kind that would spam AP lists.
-	visible.Elements[0] = dot11.SSIDElement("wile-sensor-00001001")
-	rawVisible, err := dot11.Marshal(visible)
+	beacon.Elements[0] = dot11.SSIDElement("wile-sensor-00001001")
+	visible, err := costOf(beacon)
 	if err != nil {
 		return nil, err
 	}
 	return &HiddenSSIDResult{
-		HiddenBytes:    len(rawHidden),
-		VisibleBytes:   len(rawVisible),
-		HiddenAirtime:  phy.FrameAirtime(phy.RateHTMCS7SGI, len(rawHidden)),
-		VisibleAirtime: phy.FrameAirtime(phy.RateHTMCS7SGI, len(rawVisible)),
+		HiddenBytes:    hidden.Bytes,
+		VisibleBytes:   visible.Bytes,
+		HiddenAirtime:  hidden.Airtime,
+		VisibleAirtime: visible.Airtime,
 	}, nil
 }
 
@@ -374,26 +382,20 @@ type CapacityResult struct {
 // RunCapacityStudy computes the airtime-limited capacity of one channel
 // for a standard temperature beacon at the given reporting period.
 func RunCapacityStudy(period time.Duration) (*CapacityResult, error) {
-	msg := &core.Message{DeviceID: 1, Seq: 1, Readings: []core.Reading{core.Temperature(17)}}
-	beacon, err := core.BuildBeacon(dot11.LocalMAC(1), 6, msg, nil)
+	_, beacon, err := beaconCost(&core.Message{DeviceID: 1, Seq: 1, Readings: []core.Reading{core.Temperature(17)}})
 	if err != nil {
 		return nil, err
 	}
-	raw, err := dot11.Marshal(beacon)
-	if err != nil {
-		return nil, err
-	}
-	airtime := phy.FrameAirtime(phy.RateHTMCS7SGI, len(raw))
 	t := phy.Timing(phy.RateHTMCS7SGI)
 	// Average per-transmission channel occupancy: DIFS + mean backoff +
 	// the frame itself.
-	perTx := t.DIFS() + time.Duration(t.CWMin/2)*t.Slot + airtime
+	perTx := t.DIFS() + time.Duration(t.CWMin/2)*t.Slot + beacon.Airtime
 	maxDevices := func(util float64) int {
 		return int(util * float64(period) / float64(perTx))
 	}
 	return &CapacityResult{
 		Period:        period,
-		BeaconAirtime: airtime,
+		BeaconAirtime: beacon.Airtime,
 		PerTxAirtime:  perTx,
 		MaxAt10Util:   maxDevices(0.10),
 	}, nil
@@ -421,24 +423,17 @@ type GoodputResult struct {
 func RunGoodputStudy() (*GoodputResult, error) {
 	// Wi-LE: a full single-fragment beacon.
 	payload := make([]byte, core.FragmentCapacity-2) // minus the TLV header
-	msg := &core.Message{DeviceID: 1, Seq: 1, Readings: []core.Reading{core.RawReading(payload)}}
-	beacon, err := core.BuildBeacon(dot11.LocalMAC(1), 6, msg, nil)
+	_, wile, err := beaconCost(&core.Message{DeviceID: 1, Seq: 1, Readings: []core.Reading{core.RawReading(payload)}})
 	if err != nil {
 		return nil, err
 	}
-	raw, err := dot11.Marshal(beacon)
-	if err != nil {
-		return nil, err
-	}
-	airtime := phy.FrameAirtime(phy.RateHTMCS7SGI, len(raw))
-	wileEnergy := units.Energy(units.Power(esp32.Voltage, esp32.TxBurstCurrent), esp32.TxRampUp+airtime)
 
 	bleEnergy := ble.ConnectionEventEnergy()
 	return &GoodputResult{
 		WiLEPayloadPerMsg: len(payload),
 		WiLEMaxPerBeacon:  core.MaxPayload,
 		BLEPayloadPerMsg:  ble.MaxAdvData,
-		WiLEJoulesPerByte: float64(wileEnergy) / float64(len(payload)),
+		WiLEJoulesPerByte: float64(wile.Energy) / float64(len(payload)),
 		BLEJoulesPerByte:  float64(bleEnergy) / float64(ble.MaxAdvData),
 	}, nil
 }
@@ -474,7 +469,7 @@ func RunInterferenceStudy(duties []float64) []InterferencePoint {
 		burstPeriod = 10 * time.Millisecond
 	)
 	run := func(duty float64) InterferencePoint {
-		w := newWorld()
+		w := newWorld(nil)
 		sensor := core.NewSensor(w.sched, w.med, core.SensorConfig{
 			DeviceID: 0x4e, Position: medium.Position{X: 0},
 			Period: period, JitterPPM: -1, SkipBoot: true, Seed: 41,
@@ -562,17 +557,7 @@ func RunCarrierAblation() ([]CarrierPoint, error) {
 	payload := frags[0]
 	from := dot11.LocalMAC(0x1001)
 
-	cost := func(f dot11.Frame) (int, time.Duration, units.Joules, error) {
-		raw, err := dot11.Marshal(f)
-		if err != nil {
-			return 0, 0, 0, err
-		}
-		at := phy.FrameAirtime(phy.RateHTMCS7SGI, len(raw))
-		e := units.Energy(units.Power(esp32.Voltage, esp32.TxBurstCurrent), esp32.TxRampUp+at)
-		return len(raw), at, e, nil
-	}
-
-	beacon, err := core.BuildBeacon(from, 6, msg, nil)
+	_, beacon, err := beaconCost(msg)
 	if err != nil {
 		return nil, err
 	}
@@ -586,20 +571,23 @@ func RunCarrierAblation() ([]CarrierPoint, error) {
 	probe.Header.Addr3 = dot11.Broadcast
 	action := dot11.NewVendorAction(from, core.OUI, payload)
 
+	point := func(name, rx string, c frameCost) CarrierPoint {
+		return CarrierPoint{Carrier: name, Receivable: rx, Bytes: c.Bytes, Airtime: c.Airtime, Energy: c.Energy}
+	}
 	out := make([]CarrierPoint, 0, 3)
+	out = append(out, point("beacon (paper)", "yes: scan results on every OS", beacon))
 	for _, c := range []struct {
 		name, rx string
 		f        dot11.Frame
 	}{
-		{"beacon (paper)", "yes: scan results on every OS", beacon},
 		{"probe request", "APs only (stations ignore)", probe},
 		{"action frame", "no: dropped without monitor mode", action},
 	} {
-		n, at, e, err := cost(c.f)
+		cost, err := costOf(c.f)
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, CarrierPoint{Carrier: c.name, Receivable: c.rx, Bytes: n, Airtime: at, Energy: e})
+		out = append(out, point(c.name, c.rx, cost))
 	}
 	return out, nil
 }

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"wile/internal/dot11"
-	"wile/internal/esp32"
 	"wile/internal/mac"
 	"wile/internal/medium"
 	"wile/internal/netstack"
@@ -42,24 +41,23 @@ type ClaimsResult struct {
 	// BeaconsDuringJoin counts the AP beacons that also occupied the
 	// channel while the client joined.
 	BeaconsDuringJoin int
+	// Events counts the scheduler events the run dispatched (sim.Fired):
+	// an exact work count.
+	Events uint64
 }
 
 // RunClaims joins once under a monitor and tallies the § 3.1 counts.
 func RunClaims() (*ClaimsResult, error) {
-	w := newWorld()
-	w.newAP()
-	station := w.newStation()
-
+	b := newWiFiBed(nil)
 	res := &ClaimsResult{ByKind: map[string]int{}}
-	mon := mac.New(w.sched, w.med, "monitor", medium.Position{X: 1.5, Y: 0},
+	mon := mac.New(b.sched, b.med, "monitor", medium.Position{X: 1.5, Y: 0},
 		dot11.MustParseMAC("02:00:00:00:00:99"), phy.RateHTMCS7, 0,
 		phy.SensitivityWiFi1M, sim.NewRand(7))
 	mon.AutoACK = false
 	mon.SetRadioOn(true)
-	joinDone := false
 	mon.Monitor = func(f dot11.Frame, rx medium.Reception) {
-		if joinDone {
-			return
+		if b.sta.Joined() {
+			return // the join's frames only
 		}
 		kind := f.Kind().String()
 		if kind == "beacon" {
@@ -87,14 +85,10 @@ func RunClaims() (*ClaimsResult, error) {
 		}
 	}
 
-	var joinErr error
-	done := false
-	station.Dev.SetState(esp32.StateCPUActive)
-	station.Join(func(err error) { joinErr = err; done = true; joinDone = true })
-	w.sched.RunUntil(5 * sim.Second)
-	if !done || joinErr != nil {
-		return nil, fmt.Errorf("experiment: claims join: %v", joinErr)
+	if err := b.join("claims", 5*sim.Second); err != nil {
+		return nil, err
 	}
+	res.Events = b.sched.Fired()
 
 	total := 0
 	for _, v := range res.ByKind {
@@ -137,35 +131,27 @@ func (c *ClaimsResult) Render(w io.Writer) {
 // CCMP-protected data frame as raw bytes with timestamps. Feed the output
 // to cmd/wile-dump or any pcap tool.
 func RunJoinCapture() ([]pcap.Packet, error) {
-	w := newWorld()
-	w.newAP()
-	station := w.newStation()
-
+	b := newWiFiBed(nil)
 	var packets []pcap.Packet
-	mon := mac.New(w.sched, w.med, "capture", medium.Position{X: 1.5, Y: 0},
+	mon := mac.New(b.sched, b.med, "capture", medium.Position{X: 1.5, Y: 0},
 		dot11.MustParseMAC("02:00:00:00:00:9a"), phy.RateHTMCS7, 0,
 		phy.SensitivityWiFi1M, sim.NewRand(7))
 	mon.AutoACK = false
 	mon.SetRadioOn(true)
 	mon.Monitor = func(f dot11.Frame, rx medium.Reception) {
 		packets = append(packets, pcap.Packet{
-			Time: w.sched.Now().Sub(0),
+			Time: b.sched.Now().Sub(0),
 			Data: append([]byte(nil), rx.Data...),
 		})
 	}
 
-	var joinErr error
-	done := false
-	station.Dev.SetState(esp32.StateCPUActive)
-	station.Join(func(err error) { joinErr = err; done = true })
-	w.sched.RunUntil(2 * sim.Second)
-	if !done || joinErr != nil {
-		return nil, fmt.Errorf("experiment: capture join: %v", joinErr)
+	if err := b.join("capture", 2*sim.Second); err != nil {
+		return nil, err
 	}
 	// One sensor reading on top, so the capture ends with app data.
-	if err := station.SendReading([]byte("temp=17.0"), 5683, nil); err != nil {
+	if err := b.sta.SendReading([]byte("temp=17.0"), 5683, nil); err != nil {
 		return nil, fmt.Errorf("experiment: capture send: %w", err)
 	}
-	w.sched.RunFor(100 * time.Millisecond)
+	b.sched.RunFor(100 * time.Millisecond)
 	return packets, nil
 }

@@ -39,8 +39,7 @@ const dropWindow = 2 * time.Second
 // with its radio down (queue_drop). Everything is seeded and single-world,
 // so two runs — at any GOMAXPROCS — produce byte-identical reports.
 func RunDropScenario(o *Obs) (*DropResult, error) {
-	w := newWorld()
-	o.wire(w)
+	w := newWorld(o)
 
 	// Periodic reporters. SkipBoot keeps the run protocol-only.
 	sensor := core.NewSensor(w.sched, w.med, core.SensorConfig{

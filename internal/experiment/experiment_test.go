@@ -101,12 +101,12 @@ func TestTable1Deterministic(t *testing.T) {
 // --- Figure 3 ---
 
 func TestFig3aPhaseStructure(t *testing.T) {
-	tr, err := RunFig3a()
+	tr, err := RunFig3a(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// 2 s at 50 kSa/s.
-	if n := len(tr.Samples); n < 99_000 || n > 100_001 {
+	if n := len(tr.Meter.Samples); n < 99_000 || n > 100_001 {
 		t.Fatalf("%d samples", n)
 	}
 	// Phase boundaries (paper: init 0.2→0.85, mgmt 0.85→1.15, DHCP/ARP
@@ -151,7 +151,7 @@ func TestFig3aPhaseStructure(t *testing.T) {
 		t.Errorf("trace energy %.1f mJ vs paper 238.2 mJ", tr.Energy.Milli())
 	}
 	// The DHCP plateau sits in the 20–30 mA band the paper describes.
-	m := meterOf(tr)
+	m := tr.Meter
 	plateau := m.MeanCurrent(dhcpStart+50*sim.Millisecond, dhcpEnd-50*sim.Millisecond)
 	if plateau < units.MilliAmps(18) || plateau > units.MilliAmps(35) {
 		t.Errorf("DHCP plateau %.1f mA, paper: 20-30 mA", plateau.Milli())
@@ -163,11 +163,11 @@ func TestFig3aPhaseStructure(t *testing.T) {
 }
 
 func TestFig3bShorterAndCheaper(t *testing.T) {
-	a, err := RunFig3a()
+	a, err := RunFig3a(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunFig3b()
+	b, err := RunFig3b(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func TestFig3bShorterAndCheaper(t *testing.T) {
 }
 
 func TestFig3CSVAndASCII(t *testing.T) {
-	tr, err := RunFig3b()
+	tr, err := RunFig3b(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,10 +225,10 @@ func TestFig3CSVAndASCII(t *testing.T) {
 func TestMeterWithinRectangleBound(t *testing.T) {
 	for _, fig := range []struct {
 		name string
-		run  func() (*Trace, error)
+		run  func(*Obs) (*Trace, error)
 	}{{"fig3a", RunFig3a}, {"fig3b", RunFig3b}} {
 		name := fig.name
-		tr, err := fig.run()
+		tr, err := fig.run(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -238,16 +238,13 @@ func TestMeterWithinRectangleBound(t *testing.T) {
 			swing += max(d, -d)
 		}
 		bound := units.Charge(swing, time.Second/meter.DefaultSampleRate).Energy(esp32.Voltage)
-		got := meterOf(tr).Energy(0, sim.FromDuration(tr.Window), esp32.Voltage)
+		got := tr.Meter.Energy(0, sim.FromDuration(tr.Window), esp32.Voltage)
 		if diff := got - tr.DeviceEnergy; diff > bound || -diff > bound {
 			t.Errorf("%s: meter %v vs device %v: |diff| %v over the rectangle bound %v", name, got, tr.DeviceEnergy, diff, bound)
 		}
 		t.Logf("%s: |meter − device| = %.3g J, bound %.3g J", name, math.Abs(float64(got-tr.DeviceEnergy)), float64(bound))
 	}
 }
-
-// meterOf rewraps a trace's samples for integration queries.
-func meterOf(tr *Trace) *meter.Meter { return &meter.Meter{Samples: tr.Samples} }
 
 // --- Figure 4 ---
 
@@ -560,16 +557,16 @@ func TestFastRejoinSavesTheNetworkPhase(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Logf("full rejoin %.1f mJ / %v; cached-lease rejoin %.1f mJ / %v",
-		full.Energy.Milli(), full.Duration.Round(time.Millisecond),
-		fast.Energy.Milli(), fast.Duration.Round(time.Millisecond))
+		full.EnergyPerPacket.Milli(), full.TxDuration.Round(time.Millisecond),
+		fast.EnergyPerPacket.Milli(), fast.TxDuration.Round(time.Millisecond))
 	// Skipping DHCP/ARP removes the ≈640 ms network-wait plateau:
 	// roughly 40 mJ and over half a second.
-	saved := full.Energy - fast.Energy
+	saved := full.EnergyPerPacket - fast.EnergyPerPacket
 	if saved < units.MilliJoules(30) || saved > units.MilliJoules(60) {
 		t.Errorf("fast rejoin saves %.1f mJ, expected ≈40 mJ", saved.Milli())
 	}
-	if full.Duration-fast.Duration < 500*time.Millisecond {
-		t.Errorf("fast rejoin saves only %v", full.Duration-fast.Duration)
+	if full.TxDuration-fast.TxDuration < 500*time.Millisecond {
+		t.Errorf("fast rejoin saves only %v", full.TxDuration-fast.TxDuration)
 	}
 	// And yet it remains three orders of magnitude above Wi-LE — the
 	// paper's point survives every conventional optimization.
@@ -577,8 +574,8 @@ func TestFastRejoinSavesTheNetworkPhase(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if units.Ratio(fast.Energy, wile.Energy) < 1000 {
-		t.Errorf("fast rejoin only %.0f× Wi-LE", units.Ratio(fast.Energy, wile.Energy))
+	if units.Ratio(fast.EnergyPerPacket, wile.EnergyPerPacket) < 1000 {
+		t.Errorf("fast rejoin only %.0f× Wi-LE", units.Ratio(fast.EnergyPerPacket, wile.EnergyPerPacket))
 	}
 }
 

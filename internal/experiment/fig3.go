@@ -6,92 +6,19 @@ import (
 	"strings"
 	"time"
 
-	"wile/internal/core"
 	"wile/internal/energy"
 	"wile/internal/esp32"
 	"wile/internal/meter"
-	"wile/internal/obs"
 	"wile/internal/sim"
 	"wile/internal/units"
 )
 
-// Obs bundles the optional observability sinks a run can be wired to: a
-// trace recorder for the timeline, a registry for counters, a frame
-// provenance ledger and a sim-time metrics sampler. Any field may be nil; a
-// nil *Obs disables observability entirely.
-type Obs struct {
-	Rec *obs.Recorder
-	Reg *obs.Registry
-	// Prov, when non-nil, is wired into the run's medium so every frame
-	// resolves to a drop-taxonomy outcome (wile-trace -drops reads it).
-	Prov *obs.Provenance
-	// Series, when non-nil, samples Reg (or the run's registry) on its
-	// sim-time cadence for the whole window.
-	Series *obs.TimeSeries
-	// Sched additionally records every scheduler dispatch as an instant on
-	// a "sched" track — the firehose view (one event per timer tick and
-	// meter sample), for debugging sessions rather than figure runs.
-	Sched bool
-}
-
-// rec/reg/prov/series unwrap an optional Obs.
-func (o *Obs) rec() *obs.Recorder {
-	if o == nil {
-		return nil
-	}
-	return o.Rec
-}
-
-func (o *Obs) reg() *obs.Registry {
-	if o == nil {
-		return nil
-	}
-	return o.Reg
-}
-
-func (o *Obs) prov() *obs.Provenance {
-	if o == nil {
-		return nil
-	}
-	return o.Prov
-}
-
-func (o *Obs) series() *obs.TimeSeries {
-	if o == nil {
-		return nil
-	}
-	return o.Series
-}
-
-// wire attaches the Obs bundle's medium-level sinks to a freshly built
-// world: medium counters into the registry, the provenance ledger into the
-// medium (and into the registry and the trace as drop totals and instants
-// when those sinks are also present), and the time-series sampler onto the
-// kernel. Per-component
-// wiring (TraceTo / Observe) stays at the call sites, which know the cast.
-func (o *Obs) wire(w *world) {
-	if reg := o.reg(); reg != nil {
-		w.med.Observe(reg)
-	}
-	if p := o.prov(); p != nil {
-		w.med.ObserveProvenance(p)
-		if reg := o.reg(); reg != nil {
-			p.Observe(reg)
-		}
-		if r := o.rec(); r != nil {
-			p.TraceTo(r)
-		}
-	}
-	if ts := o.series(); ts != nil {
-		ts.Run(w.sched)
-	}
-}
-
 // Trace is one Figure-3 current waveform: the 50 kSa/s multimeter record
 // plus the phase annotations the paper overlays.
 type Trace struct {
-	// Samples is the raw multimeter record.
-	Samples []meter.Sample
+	// Meter is the multimeter that recorded the trace; its Samples hold
+	// the raw record.
+	Meter *meter.Meter
 	// Marks labels the phase boundaries.
 	Marks []energy.Mark
 	// Energy integrates the trace (meter view).
@@ -109,11 +36,11 @@ type Trace struct {
 
 // Release returns the trace's sample buffer to the shared meter pool so a
 // following figure run can reuse it instead of allocating another
-// 100k-sample slice. The trace (and any slice of its Samples) must not be
+// 100k-sample slice. The trace (and any slice of its samples) must not be
 // used afterwards.
 func (t *Trace) Release() {
-	meter.RecycleSamples(t.Samples)
-	t.Samples = nil
+	meter.RecycleSamples(t.Meter.Samples)
+	t.Meter.Samples = nil
 }
 
 // preSleep is the deep-sleep lead-in both Figure 3 traces start with.
@@ -122,113 +49,64 @@ const preSleep = 200 * time.Millisecond
 // figureWindow is the 2-second x-axis of Figure 3.
 const figureWindow = 2 * time.Second
 
-// RunFig3a records the WiFi-DC transmission waveform of Figure 3a:
-// deep sleep → MC/WiFi init → probe/auth/assoc (+ 4-way) → DHCP/ARP →
-// data TX → deep sleep, sampled at 50 kSa/s.
-func RunFig3a() (*Trace, error) { return RunFig3aObs(nil) }
-
-// RunFig3aObs is RunFig3a with observability attached: device power states,
-// MAC activity and the meter waveform land in o's recorder, MAC counters in
-// its registry.
-func RunFig3aObs(o *Obs) (*Trace, error) {
-	w := newWorld()
-	o.wire(w)
-	accessPoint := w.newAP()
-	station := w.newStation()
-	dev := station.Dev
+// record meters dev at 50 kSa/s over the Figure 3 window, with wake
+// starting preSleep in.
+func (w *world) record(dev *esp32.Device, wake func()) *Trace {
 	m := meter.New(w.sched, dev, meter.DefaultSampleRate)
-	if r := o.rec(); r != nil {
-		station.TraceTo(r)
-		accessPoint.TraceTo(r)
-		m.TraceTo(r, r.Track("current_mA"))
-		if o.Sched {
-			obs.ObserveScheduler(r, w.sched, r.Track("sched"))
-		}
-	}
-	if reg := o.reg(); reg != nil {
-		station.Observe(reg)
-		accessPoint.Observe(reg)
+	if w.rec != nil {
+		m.TraceTo(w.rec, w.current)
 	}
 	m.Reserve(figureWindow)
 	m.Start()
-
-	var wake wifiWake
-	w.sched.DoAfter(preSleep, func() { wake.run(station) })
-	w.sched.RunUntil(sim.FromDuration(figureWindow))
+	w.sched.DoAfter(preSleep, wake)
+	end := sim.FromDuration(figureWindow)
+	w.sched.RunUntil(end)
 	m.Stop()
-	if err := wake.check("fig3a"); err != nil {
-		return nil, err
-	}
 	return &Trace{
-		Samples:      m.Samples,
+		Meter:        m,
 		Marks:        dev.Marks(),
-		Energy:       m.Energy(0, sim.FromDuration(figureWindow), esp32.Voltage),
+		Energy:       m.Energy(0, end, esp32.Voltage),
 		DeviceEnergy: dev.Energy(),
 		Steps:        dev.Steps(),
 		Window:       figureWindow,
 		Events:       w.sched.Fired(),
-	}, nil
+	}
+}
+
+// RunFig3a records the WiFi-DC transmission waveform of Figure 3a:
+// deep sleep → MC/WiFi init → probe/auth/assoc (+ 4-way) → DHCP/ARP →
+// data TX → deep sleep, sampled at 50 kSa/s. With o, device power states,
+// MAC activity and the meter waveform land in its recorder, MAC counters
+// in its registry.
+func RunFig3a(o *Obs) (*Trace, error) {
+	b := newWiFiBed(o)
+	var wake wifiWake
+	tr := b.record(b.sta.Dev, func() { wake.run(b.sta) })
+	if err := wake.check("fig3a"); err != nil {
+		return nil, err
+	}
+	return tr, nil
 }
 
 // RunFig3b records the Wi-LE waveform of Figure 3b: deep sleep → shorter
-// MC/WiFi init → one injected beacon → deep sleep.
-func RunFig3b() (*Trace, error) { return RunFig3bObs(nil) }
-
-// RunFig3bObs is RunFig3b with observability attached: sensor power states,
-// injection instants, MAC spans and the meter waveform land in o's
+// MC/WiFi init → one injected beacon → deep sleep. With o, sensor power
+// states, injection instants, MAC spans and the meter waveform land in its
 // recorder, MAC counters in its registry.
-func RunFig3bObs(o *Obs) (*Trace, error) {
-	w := newWorld()
-	o.wire(w)
-	sensor := core.NewSensor(w.sched, w.med, core.SensorConfig{DeviceID: 0x1001, Position: devicePos})
-	scanner := core.NewScanner(w.sched, w.med, core.ScannerConfig{Position: apPos})
-	m := meter.New(w.sched, sensor.Dev, meter.DefaultSampleRate)
-	if r := o.rec(); r != nil {
-		sensor.TraceTo(r)
-		scanner.TraceTo(r)
-		m.TraceTo(r, r.Track("current_mA"))
-		if o.Sched {
-			obs.ObserveScheduler(r, w.sched, r.Track("sched"))
-		}
-	}
-	if reg := o.reg(); reg != nil {
-		sensor.Observe(reg)
-		scanner.Observe(reg)
-	}
-	scanner.Start()
-	received := false
-	scanner.OnMessage = func(*core.Message, core.Meta) { received = true }
-
-	m.Reserve(figureWindow)
-	m.Start()
-	var txOK *bool
-	w.sched.DoAfter(preSleep, func() {
-		sensor.Dev.MarkPhase("Wake")
-		sensor.TransmitOnce([]core.Reading{core.Temperature(17.0)}, func(ok bool) { txOK = &ok })
+func RunFig3b(o *Obs) (*Trace, error) {
+	b := newWiLEBed(o)
+	tr := b.record(b.sensor.Dev, func() {
+		b.sensor.Dev.MarkPhase("Wake")
+		b.transmit()
 	})
-	w.sched.RunUntil(sim.FromDuration(figureWindow))
-	m.Stop()
-	if txOK == nil || !*txOK {
-		return nil, fmt.Errorf("experiment: fig3b transmission incomplete")
+	if err := b.check("fig3b"); err != nil {
+		return nil, err
 	}
-	if !received {
-		return nil, fmt.Errorf("experiment: fig3b beacon not received")
-	}
-	return &Trace{
-		Samples:      m.Samples,
-		Marks:        sensor.Dev.Marks(),
-		Energy:       m.Energy(0, sim.FromDuration(figureWindow), esp32.Voltage),
-		DeviceEnergy: sensor.Dev.Energy(),
-		Steps:        sensor.Dev.Steps(),
-		Window:       figureWindow,
-		Events:       w.sched.Fired(),
-	}, nil
+	return tr, nil
 }
 
 // WriteCSV exports the trace in the Figure-3 plotting format.
 func (t *Trace) WriteCSV(w io.Writer) error {
-	m := &meter.Meter{Samples: t.Samples}
-	return m.WriteCSV(w, t.Marks)
+	return t.Meter.WriteCSV(w, t.Marks)
 }
 
 // PhaseBounds reports the start of the named phase and the start of the
@@ -260,7 +138,7 @@ func (t *Trace) RenderASCII(w io.Writer, width, height int) {
 	// matter more than averages in this figure).
 	cols := make([]units.Amps, width)
 	maxA := units.Amps(0)
-	for _, s := range t.Samples {
+	t.Meter.Walk(func(s meter.Sample) bool {
 		c := int(float64(s.At) / float64(sim.FromDuration(t.Window)) * float64(width))
 		if c >= width {
 			c = width - 1
@@ -271,7 +149,8 @@ func (t *Trace) RenderASCII(w io.Writer, width, height int) {
 		if s.Current > maxA {
 			maxA = s.Current
 		}
-	}
+		return true
+	})
 	if maxA == 0 {
 		maxA = units.Amps(1)
 	}

@@ -44,19 +44,17 @@ func sensorWant(s *core.Sensor) map[string]int {
 // joinWorld builds an AP and a station. Its step joins the station, or
 // once joined sends one reading, then runs five seconds of beacons.
 func joinWorld() (*ap.AP, *sta.Station, func()) {
-	w := newWorld()
-	a := w.newAP()
-	st := w.newStation()
+	b := newWiFiBed(nil)
 	step := func() {
-		if st.Joined() {
-			_ = st.SendReading([]byte("temp=17.0"), 5683, nil)
+		if b.sta.Joined() {
+			_ = b.sta.SendReading([]byte("temp=17.0"), 5683, nil)
 		} else {
-			st.Dev.SetState(esp32.StateCPUActive)
-			st.Join(func(error) {})
+			b.sta.Dev.SetState(esp32.StateCPUActive)
+			b.sta.Join(func(error) {})
 		}
-		w.sched.RunFor(5 * time.Second)
+		b.sched.RunFor(5 * time.Second)
 	}
-	return a, st, step
+	return b.ap, b.sta, step
 }
 
 // snapshotCounters decodes the counters object of reg's JSON snapshot.
@@ -87,7 +85,7 @@ func TestLateWiredCountersMatchStats(t *testing.T) {
 		build func() (c observer, step func(), want func() map[string]int)
 	}{
 		{"mac.Port", func() (observer, func(), func() map[string]int) {
-			w := newWorld()
+			w := newWorld(nil)
 			addrA, addrB := dot11.LocalMAC(0xa), dot11.LocalMAC(0xb)
 			a := mac.New(w.sched, w.med, "a", apPos, addrA, phy.RateOFDM24, 0, phy.SensitivityWiFi1M, sim.NewRand(1))
 			b := mac.New(w.sched, w.med, "b", devicePos, addrB, phy.RateOFDM24, 0, phy.SensitivityWiFi1M, sim.NewRand(2))
@@ -103,7 +101,7 @@ func TestLateWiredCountersMatchStats(t *testing.T) {
 			return a, step, func() map[string]int { return macWant(a.Stats) }
 		}},
 		{"core.Sensor", func() (observer, func(), func() map[string]int) {
-			w := newWorld()
+			w := newWorld(nil)
 			s := core.NewSensor(w.sched, w.med, core.SensorConfig{DeviceID: 0x1001, Position: devicePos, SkipBoot: true})
 			step := func() {
 				s.TransmitOnce([]core.Reading{core.Temperature(17)}, nil)
@@ -112,7 +110,7 @@ func TestLateWiredCountersMatchStats(t *testing.T) {
 			return s, step, func() map[string]int { return sensorWant(s) }
 		}},
 		{"core.Scanner", func() (observer, func(), func() map[string]int) {
-			w := newWorld()
+			w := newWorld(nil)
 			s := core.NewSensor(w.sched, w.med, core.SensorConfig{DeviceID: 0x1001, Position: devicePos, SkipBoot: true})
 			sc := core.NewScanner(w.sched, w.med, core.ScannerConfig{Position: apPos})
 			sc.Start()
@@ -132,7 +130,7 @@ func TestLateWiredCountersMatchStats(t *testing.T) {
 			}
 		}},
 		{"core.ReliableSensor", func() (observer, func(), func() map[string]int) {
-			w := newWorld()
+			w := newWorld(nil)
 			s := core.NewSensor(w.sched, w.med, core.SensorConfig{
 				DeviceID: 0x1002, Position: devicePos, Period: time.Second,
 				RxWindow: 20 * time.Millisecond, SkipBoot: true,

@@ -62,14 +62,14 @@ func checkObsGolden(t *testing.T, name string, run func(*Obs) (*Trace, error)) {
 // document (open it at https://ui.perfetto.dev) followed by the metrics
 // snapshot. Regenerate with WILE_UPDATE_GOLDEN=1 after intentional changes.
 func TestFig3bTraceGolden(t *testing.T) {
-	checkObsGolden(t, "fig3b_trace.golden", RunFig3bObs)
+	checkObsGolden(t, "fig3b_trace.golden", RunFig3b)
 }
 
 // TestFig3aTraceGolden pins the traced Figure-3a run the same way: every
 // frame, join-phase slice and power state of the WiFi-DC cycle keeps its
 // sim-time and its order.
 func TestFig3aTraceGolden(t *testing.T) {
-	checkObsGolden(t, "fig3a_trace.golden", RunFig3aObs)
+	checkObsGolden(t, "fig3a_trace.golden", RunFig3a)
 }
 
 // TestFig3bTraceIsValidChromeJSON verifies the export parses as the Chrome
@@ -77,7 +77,7 @@ func TestFig3aTraceGolden(t *testing.T) {
 // all carry a phase code, with our process metadata up front.
 func TestFig3bTraceIsValidChromeJSON(t *testing.T) {
 	rec := obs.NewRecorder()
-	if _, err := RunFig3bObs(&Obs{Rec: rec}); err != nil {
+	if _, err := RunFig3b(&Obs{Rec: rec}); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
@@ -121,7 +121,7 @@ func TestFig3bTraceDeterministicAcrossProcs(t *testing.T) {
 	for _, procs := range []int{1, 4} {
 		runtime.GOMAXPROCS(procs)
 		for run := 0; run < 2; run++ {
-			got := renderObs(t, RunFig3bObs)
+			got := renderObs(t, RunFig3b)
 			if reference == nil {
 				reference = got
 				continue
@@ -141,7 +141,7 @@ func TestFig3bTraceDeterministicAcrossProcs(t *testing.T) {
 func TestFig3bStreamedTraceByteIdentical(t *testing.T) {
 	render := func(rec *obs.Recorder) []byte {
 		t.Helper()
-		if _, err := RunFig3bObs(&Obs{Rec: rec, Sched: true}); err != nil {
+		if _, err := RunFig3b(&Obs{Rec: rec, Sched: true}); err != nil {
 			t.Fatal(err)
 		}
 		var buf bytes.Buffer
@@ -179,7 +179,7 @@ func TestFig3bStreamedTraceByteIdentical(t *testing.T) {
 // counter the ad-hoc mac.Stats struct used to be the only home of.
 func TestMetricsSnapshotSubsumesMACStats(t *testing.T) {
 	reg := obs.NewRegistry()
-	if _, err := RunFig3bObs(&Obs{Reg: reg}); err != nil {
+	if _, err := RunFig3b(&Obs{Reg: reg}); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer

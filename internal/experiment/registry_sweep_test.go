@@ -21,7 +21,7 @@ func sweepIntoRegistry(t *testing.T, pool *engine.Pool) []byte {
 	reg := obs.NewRegistry()
 	type sent struct{ tx, rx int }
 	points, err := engine.MapSeeded(pool, 7, 12, func(i int, seed uint64) (sent, error) {
-		w := newWorld()
+		w := newWorld(nil)
 		prov := obs.NewProvenance()
 		w.med.ObserveProvenance(prov)
 		sensor := core.NewSensor(w.sched, w.med, core.SensorConfig{

@@ -13,126 +13,64 @@ import (
 	"fmt"
 	"time"
 
-	"wile/internal/ap"
 	"wile/internal/ble"
-	"wile/internal/core"
-	"wile/internal/dot11"
 	"wile/internal/energy"
 	"wile/internal/esp32"
-	"wile/internal/medium"
-	"wile/internal/netstack"
-	"wile/internal/phy"
 	"wile/internal/sim"
 	"wile/internal/sta"
 	"wile/internal/units"
 )
 
-// Standard testbed layout, mirroring §5.1: one AP, one device a few
-// meters away, a monitor-mode receiver in between.
-var (
-	apPos     = medium.Position{X: 0, Y: 0}
-	devicePos = medium.Position{X: 3, Y: 0}
-)
-
-const (
-	testSSID       = "google-wifi"
-	testPassphrase = "correct horse battery staple"
-)
-
-// world bundles one experiment's simulation.
-type world struct {
-	sched *sim.Scheduler
-	med   *medium.Medium
+// Measurement is one measured transmission scenario: the Equation-1
+// inputs Table 1 and Figure 4 read, and the work the run took.
+type Measurement struct {
+	energy.Scenario
+	// Events counts the scheduler events the run dispatched (sim.Fired):
+	// an exact work count.
+	Events uint64
 }
 
-func newWorld() *world {
-	s := sim.New()
-	return &world{sched: s, med: medium.New(s, phy.WiFi24Channel(6))}
-}
-
-func (w *world) newAP() *ap.AP {
-	a := ap.New(w.sched, w.med, ap.Config{
-		SSID:       testSSID,
-		Passphrase: testPassphrase,
-		BSSID:      dot11.MustParseMAC("aa:bb:cc:00:00:01"),
-		Channel:    6,
-		IP:         netstack.MustParseIP("192.168.86.1"),
-		Position:   apPos,
-	})
-	a.Start()
-	return a
-}
-
-func (w *world) newStation() *sta.Station {
-	return sta.New(w.sched, w.med, sta.Config{
-		SSID:       testSSID,
-		Passphrase: testPassphrase,
-		Addr:       dot11.MustParseMAC("02:57:00:00:00:01"),
-		Position:   devicePos,
-	})
-}
-
-// Episode is one measured transmission episode.
-type Episode struct {
-	// Energy is the episode's energy above the idle floor.
-	Energy units.Joules
-	// Duration is how long the device was out of its idle state.
-	Duration time.Duration
-	// IdleCurrent is the between-episodes current.
-	IdleCurrent units.Amps
-	// Voltage is the rail voltage.
-	Voltage units.Volts
-}
-
-// Scenario converts the measurement into the Equation-1 form.
-func (e Episode) Scenario(name string) energy.Scenario {
-	return energy.Scenario{
-		Name:            name,
-		EnergyPerPacket: e.Energy,
-		TxDuration:      e.Duration,
-		IdleCurrent:     e.IdleCurrent,
-		Voltage:         e.Voltage,
+// measured labels an ESP32 episode measured on w at the 3.3 V rail.
+func (w *world) measured(name string, e units.Joules, d time.Duration, idle units.Amps) Measurement {
+	return Measurement{
+		Scenario: energy.Scenario{
+			Name:            name,
+			EnergyPerPacket: e,
+			TxDuration:      d,
+			IdleCurrent:     idle,
+			Voltage:         esp32.Voltage,
+		},
+		Events: w.sched.Fired(),
 	}
 }
 
 // MeasureWiLE runs one Wi-LE wake cycle and returns the Table-1 episode:
 // per §5.4 the energy counts only the radio-on transmit window ("we
-// consider only the time required to transmit the packet"), while Duration
-// covers the whole wake for Equation 1. The full-cycle (as-prototyped)
-// energy is returned separately.
-func MeasureWiLE() (episode Episode, fullCycle units.Joules, err error) {
-	w := newWorld()
-	sensor := core.NewSensor(w.sched, w.med, core.SensorConfig{DeviceID: 0x1001, Position: devicePos})
-	scanner := core.NewScanner(w.sched, w.med, core.ScannerConfig{Position: apPos})
-	scanner.Start()
-	received := false
-	scanner.OnMessage = func(*core.Message, core.Meta) { received = true }
-
-	start := w.sched.Now()
-	var txOK *bool
-	sensor.TransmitOnce([]core.Reading{core.Temperature(17.0)}, func(ok bool) { txOK = &ok })
-	w.sched.RunUntil(2 * sim.Second)
-	if txOK == nil || !*txOK {
-		return Episode{}, 0, fmt.Errorf("experiment: Wi-LE transmission did not complete")
-	}
-	if !received {
-		return Episode{}, 0, fmt.Errorf("experiment: Wi-LE beacon not received by monitor")
+// consider only the time required to transmit the packet"), while
+// TxDuration covers the whole wake for Equation 1. The full-cycle
+// (as-prototyped) energy is returned separately.
+func MeasureWiLE() (m Measurement, fullCycle units.Joules, err error) {
+	b := newWiLEBed(nil)
+	start := b.sched.Now()
+	b.transmit()
+	b.sched.RunUntil(2 * sim.Second)
+	if err := b.check("Wi-LE"); err != nil {
+		return Measurement{}, 0, err
 	}
 
 	// TX-window energy: charge drawn at the TX burst current.
-	steps, now := sensor.Dev.Steps(), w.sched.Now()
+	dev := b.sensor.Dev
+	steps, now := dev.Steps(), b.sched.Now()
 	idle := esp32.StateCurrent(esp32.StateDeepSleep)
-	return Episode{
-		Energy:      energy.ChargeAt(steps, esp32.TxBurstCurrent, now).Energy(esp32.Voltage),
-		Duration:    energy.LastAbove(steps, idle, now).Sub(start),
-		IdleCurrent: idle,
-		Voltage:     esp32.Voltage,
-	}, sensor.Dev.Energy(), nil
+	return b.measured("Wi-LE",
+		energy.ChargeAt(steps, esp32.TxBurstCurrent, now).Energy(esp32.Voltage),
+		energy.LastAbove(steps, idle, now).Sub(start),
+		idle), dev.Energy(), nil
 }
 
 // MeasureBLE returns the CC2541 baseline episode (§5.4: the TI report's
 // connection-event integral).
-func MeasureBLE() (Episode, error) {
+func MeasureBLE() (Measurement, error) {
 	// Verify the analytic value against a simulated device run.
 	s := sim.New()
 	dev := ble.NewDevice(s)
@@ -141,92 +79,59 @@ func MeasureBLE() (Episode, error) {
 	simulated := dev.Energy()
 	analytic := ble.ConnectionEventEnergy()
 	if diff := simulated - analytic; diff > units.Scale(analytic, 0.01) || diff < units.Scale(analytic, -0.01) {
-		return Episode{}, fmt.Errorf("experiment: BLE device/analytic mismatch: %v vs %v", simulated, analytic)
+		return Measurement{}, fmt.Errorf("experiment: BLE device/analytic mismatch: %v vs %v", simulated, analytic)
 	}
-	return Episode{
-		Energy:      simulated,
-		Duration:    ble.ConnectionEventDuration(),
-		IdleCurrent: ble.CC2541SleepCurrent,
-		Voltage:     ble.CC2541Voltage,
+	return Measurement{
+		Scenario: energy.Scenario{
+			Name:            "BLE",
+			EnergyPerPacket: simulated,
+			TxDuration:      ble.ConnectionEventDuration(),
+			IdleCurrent:     ble.CC2541SleepCurrent,
+			Voltage:         ble.CC2541Voltage,
+		},
+		Events: s.Fired(),
 	}, nil
 }
 
 // MeasureWiFiDC runs the full §5.3 duty-cycle episode (Figure 3a): wake
 // from deep sleep, boot, rejoin, one datagram, deep sleep.
-func MeasureWiFiDC() (Episode, error) {
-	w := newWorld()
-	w.newAP()
-	station := w.newStation()
-	dev := station.Dev
-
-	start := w.sched.Now()
-	var wake wifiWake
-	wake.run(station)
-	w.sched.RunUntil(5 * sim.Second)
-	if err := wake.check("WiFi-DC"); err != nil {
-		return Episode{}, err
-	}
-
-	idle := esp32.StateCurrent(esp32.StateDeepSleep)
-	duration := energy.LastAbove(dev.Steps(), idle, w.sched.Now()).Sub(start)
-	total := dev.Energy()
-	// Subtract the deep-sleep floor outside the episode (negligible, but
-	// keep the arithmetic honest).
-	sleep := units.Energy(units.Power(esp32.Voltage, idle), w.sched.Now().Sub(start)-duration)
-	return Episode{
-		Energy:      total - sleep,
-		Duration:    duration,
-		IdleCurrent: idle,
-		Voltage:     esp32.Voltage,
-	}, nil
+func MeasureWiFiDC() (Measurement, error) {
+	return newWiFiBed(nil).dutyCycle("WiFi-DC")
 }
 
 // MeasureWiFiPS joins once, enters aggressive power save, and measures one
 // transmit episode above the PS idle floor (§5.3 WiFi-PS).
-func MeasureWiFiPS() (Episode, error) {
-	w := newWorld()
-	w.newAP()
-	station := w.newStation()
-
-	var joinErr error
-	joined := false
-	station.Dev.SetState(esp32.StateCPUActive)
-	station.Join(func(err error) { joinErr = err; joined = err == nil })
-	w.sched.RunUntil(5 * sim.Second)
-	if joinErr != nil || !joined {
-		return Episode{}, fmt.Errorf("experiment: WiFi-PS join: %v", joinErr)
+func MeasureWiFiPS() (Measurement, error) {
+	b := newWiFiBed(nil)
+	station := b.sta
+	if err := b.join("WiFi-PS", 5*sim.Second); err != nil {
+		return Measurement{}, err
 	}
 	psEntered := false
 	if err := station.EnterPowerSave(func(ok bool) { psEntered = ok }); err != nil {
-		return Episode{}, fmt.Errorf("experiment: power-save entry: %w", err)
+		return Measurement{}, fmt.Errorf("experiment: power-save entry: %w", err)
 	}
-	w.sched.RunFor(time.Second)
+	b.sched.RunFor(time.Second)
 	if !psEntered {
-		return Episode{}, fmt.Errorf("experiment: power-save entry failed")
+		return Measurement{}, fmt.Errorf("experiment: power-save entry failed")
 	}
 
 	before := station.Dev.Energy()
-	start := w.sched.Now()
-	var txOK *bool
-	if err := station.SendReadingPS([]byte("temp=17.0"), 5683, func(ok bool) { txOK = &ok }); err != nil {
-		return Episode{}, err
+	start := b.sched.Now()
+	sent := false
+	if err := station.SendReadingPS([]byte("temp=17.0"), 5683, func(ok bool) { sent = ok }); err != nil {
+		return Measurement{}, err
 	}
-	w.sched.RunFor(time.Second)
-	if txOK == nil || !*txOK {
-		return Episode{}, fmt.Errorf("experiment: WiFi-PS transmission did not complete")
+	b.sched.RunFor(time.Second)
+	if !sent {
+		return Measurement{}, fmt.Errorf("experiment: WiFi-PS transmission did not complete")
 	}
 	idle := esp32.StateCurrent(esp32.StateWiFiPSIdle)
-	elapsed := w.sched.Now().Sub(start)
+	elapsed := b.sched.Now().Sub(start)
 	episode := station.Dev.Energy() - before - units.Energy(units.Power(esp32.Voltage, idle), elapsed)
 	// Episode duration: wake CPU + listen + transmission, from the
 	// station's timing constants.
-	dur := sta.PSWakeCPU + sta.PSWakeListen + 5*time.Millisecond
-	return Episode{
-		Energy:      episode,
-		Duration:    dur,
-		IdleCurrent: idle,
-		Voltage:     esp32.Voltage,
-	}, nil
+	return b.measured("WiFi-PS", episode, sta.PSWakeCPU+sta.PSWakeListen+5*time.Millisecond, idle), nil
 }
 
 // MeasureWiFiDCFast runs the cached-lease variant of the duty-cycle
@@ -234,79 +139,37 @@ func MeasureWiFiPS() (Episode, error) {
 // measured wake reuses it, skipping the DHCP/ARP phase entirely. One of
 // the §1 "several different approaches to reducing overall power
 // consumption" the paper's in-depth study motivates.
-func MeasureWiFiDCFast() (Episode, error) {
-	w := newWorld()
-	w.newAP()
-	station := w.newStation()
-	dev := station.Dev
-
+func MeasureWiFiDCFast() (Measurement, error) {
+	b := newWiFiBed(nil)
 	// Cycle 1: full join to obtain the lease (not measured).
-	var firstErr error
-	dev.SetState(esp32.StateCPUActive)
-	station.Join(func(err error) { firstErr = err })
-	w.sched.RunUntil(5 * sim.Second)
-	if firstErr != nil || !station.Joined() {
-		return Episode{}, fmt.Errorf("experiment: priming join: %v", firstErr)
+	if err := b.join("priming", 5*sim.Second); err != nil {
+		return Measurement{}, err
 	}
-	lease := station.CurrentLease()
-	station.Cfg.CachedLease = lease
-	station.Sleep()
-	w.sched.RunFor(time.Second)
-
+	b.sta.Cfg.CachedLease = b.sta.CurrentLease()
+	b.sta.Sleep()
+	b.sched.RunFor(time.Second)
 	// Cycle 2: measured fast rejoin.
-	start := w.sched.Now()
-	before := dev.Energy()
+	return b.dutyCycle("WiFi-DC fast")
+}
+
+// dutyCycle plays one WiFi-DC wake from now and measures it above the
+// deep-sleep floor: the energy the device drew over the next five seconds,
+// less the floor outside the episode (negligible, but keep the arithmetic
+// honest).
+func (b *wifiBed) dutyCycle(name string) (Measurement, error) {
+	dev := b.sta.Dev
+	start, before := b.sched.Now(), dev.Energy()
 	var wake wifiWake
-	wake.run(station)
-	w.sched.RunUntil(start + 5*sim.Second)
-	if err := wake.check("fast-rejoin"); err != nil {
-		return Episode{}, err
+	wake.run(b.sta)
+	b.sched.RunUntil(start + 5*sim.Second)
+	if err := wake.check(name); err != nil {
+		return Measurement{}, err
 	}
-
-	// The measured wake starts at start, so it holds the last step above
-	// the deep-sleep floor.
+	// The wake starts at start, so it holds the last step above the
+	// deep-sleep floor.
 	idle := esp32.StateCurrent(esp32.StateDeepSleep)
-	duration := energy.LastAbove(dev.Steps(), idle, w.sched.Now()).Sub(start)
-	episode := dev.Energy() - before - units.Energy(units.Power(esp32.Voltage, idle), w.sched.Now().Sub(start)-duration)
-	return Episode{
-		Energy:      episode,
-		Duration:    duration,
-		IdleCurrent: idle,
-		Voltage:     esp32.Voltage,
-	}, nil
-}
-
-// wifiWake is one WiFi-DC duty cycle (Figure 3a, Table 1 WiFi-DC): wake
-// from deep sleep, boot, join, send one reading, back to deep sleep.
-type wifiWake struct {
-	err   error
-	acked bool
-}
-
-// run starts the cycle on the station now; the scheduler then plays it.
-func (c *wifiWake) run(station *sta.Station) {
-	station.Dev.SetState(esp32.StateCPUActive)
-	station.Dev.PlaySegments(esp32.BootWiFi(), func() {
-		station.Join(func(err error) {
-			if err != nil {
-				c.err = err
-				return
-			}
-			c.err = station.SendReading([]byte("temp=17.0"), 5683, func(ok bool) {
-				c.acked = ok
-				station.Sleep()
-			})
-		})
-	})
-}
-
-// check reports a cycle that failed or did not finish, naming it what.
-func (c *wifiWake) check(what string) error {
-	if c.err != nil {
-		return fmt.Errorf("experiment: %s join: %w", what, c.err)
-	}
-	if !c.acked {
-		return fmt.Errorf("experiment: %s transmission incomplete", what)
-	}
-	return nil
+	now := b.sched.Now()
+	duration := energy.LastAbove(dev.Steps(), idle, now).Sub(start)
+	sleep := units.Energy(units.Power(esp32.Voltage, idle), now.Sub(start)-duration)
+	return b.measured(name, dev.Energy()-before-sleep, duration, idle), nil
 }

@@ -12,18 +12,13 @@ import (
 	"wile/internal/units"
 )
 
-// Table1Row is one technology's measured column of Table 1.
+// Table1Row is one technology's measured column of Table 1, next to the
+// published values.
 type Table1Row struct {
-	Name string
-	// EnergyPerPacket is the measured per-message energy.
-	EnergyPerPacket units.Joules
-	// IdleCurrent is the measured between-messages current.
-	IdleCurrent units.Amps
+	Measurement
 	// PaperEnergy / PaperIdle are the published values for comparison.
 	PaperEnergy units.Joules
 	PaperIdle   units.Amps
-	// Episode carries the full measurement for Figure 4.
-	Episode Episode
 }
 
 // EnergyError reports the relative deviation from the paper's value.
@@ -42,59 +37,40 @@ type Table1Result struct {
 
 // RunTable1 measures all four scenarios, one engine point each. Every
 // measurement builds its own sim world, so the rows are independent and
-// shard cleanly; the merged result is row-for-row identical to the old
-// serial loop.
+// shard cleanly; the merged result is row-for-row identical to a serial
+// loop.
 func RunTable1() (*Table1Result, error) {
-	type measurement struct {
+	type point struct {
 		row Table1Row
 		// fullCycle is nonzero only for the Wi-LE point.
 		fullCycle units.Joules
 	}
-	points := []func() (measurement, error){
-		func() (measurement, error) {
-			ep, fullCycle, err := MeasureWiLE()
-			if err != nil {
-				return measurement{}, err
-			}
-			return measurement{Table1Row{Name: "Wi-LE", EnergyPerPacket: ep.Energy,
-				IdleCurrent: ep.IdleCurrent, PaperEnergy: units.MicroJoules(84), PaperIdle: units.MicroAmps(2.5),
-				Episode: ep}, fullCycle}, nil
+	// Each point measures one scenario and pairs it with the paper's row.
+	points := []func() (point, error){
+		func() (point, error) {
+			m, fullCycle, err := MeasureWiLE()
+			return point{Table1Row{m, units.MicroJoules(84), units.MicroAmps(2.5)}, fullCycle}, err
 		},
-		func() (measurement, error) {
-			ep, err := MeasureBLE()
-			if err != nil {
-				return measurement{}, err
-			}
-			return measurement{row: Table1Row{Name: "BLE", EnergyPerPacket: ep.Energy,
-				IdleCurrent: ep.IdleCurrent, PaperEnergy: units.MicroJoules(71), PaperIdle: units.MicroAmps(1.1),
-				Episode: ep}}, nil
+		func() (point, error) {
+			m, err := MeasureBLE()
+			return point{row: Table1Row{m, units.MicroJoules(71), units.MicroAmps(1.1)}}, err
 		},
-		func() (measurement, error) {
-			ep, err := MeasureWiFiDC()
-			if err != nil {
-				return measurement{}, err
-			}
-			return measurement{row: Table1Row{Name: "WiFi-DC", EnergyPerPacket: ep.Energy,
-				IdleCurrent: ep.IdleCurrent, PaperEnergy: units.MilliJoules(238.2), PaperIdle: units.MicroAmps(2.5),
-				Episode: ep}}, nil
+		func() (point, error) {
+			m, err := MeasureWiFiDC()
+			return point{row: Table1Row{m, units.MilliJoules(238.2), units.MicroAmps(2.5)}}, err
 		},
-		func() (measurement, error) {
-			ep, err := MeasureWiFiPS()
-			if err != nil {
-				return measurement{}, err
-			}
-			return measurement{row: Table1Row{Name: "WiFi-PS", EnergyPerPacket: ep.Energy,
-				IdleCurrent: ep.IdleCurrent, PaperEnergy: units.MilliJoules(19.8), PaperIdle: units.MicroAmps(4500),
-				Episode: ep}}, nil
+		func() (point, error) {
+			m, err := MeasureWiFiPS()
+			return point{row: Table1Row{m, units.MilliJoules(19.8), units.MicroAmps(4500)}}, err
 		},
 	}
-	ms, err := engine.Map(Pool(), len(points), func(i int) (measurement, error) {
+	ps, err := engine.Map(Pool(), len(points), func(i int) (point, error) {
 		return points[i]()
 	})
 	if err != nil {
 		return nil, err
 	}
-	res := &Table1Result{Rows: make([]Table1Row, len(ms))}
+	res := &Table1Result{Rows: make([]Table1Row, len(ps))}
 	// The histogram feed stays on the caller's goroutine, in row order, so
 	// metric snapshots are deterministic regardless of the pool in use.
 	var perPacket *obs.Histogram
@@ -102,11 +78,11 @@ func RunTable1() (*Table1Result, error) {
 		perPacket = reg.Histogram("experiment.energy_per_packet_uj",
 			[]float64{100, 1e3, 1e4, 1e5, 1e6})
 	}
-	for i, m := range ms {
-		res.Rows[i] = m.row
-		res.WiLEFullCycle += m.fullCycle
+	for i, p := range ps {
+		res.Rows[i] = p.row
+		res.WiLEFullCycle += p.fullCycle
 		if perPacket != nil {
-			perPacket.Observe(m.row.EnergyPerPacket.Micro())
+			perPacket.Observe(p.row.EnergyPerPacket.Micro())
 		}
 	}
 	return res, nil
@@ -116,7 +92,7 @@ func RunTable1() (*Table1Result, error) {
 func (t *Table1Result) Scenarios() []energy.Scenario {
 	out := make([]energy.Scenario, 0, len(t.Rows))
 	for _, r := range t.Rows {
-		out = append(out, r.Episode.Scenario(r.Name))
+		out = append(out, r.Scenario)
 	}
 	return out
 }
@@ -141,6 +117,6 @@ func (t *Table1Result) Render(w io.Writer) {
 	fmt.Fprintf(w, "Wi-LE full wake cycle (prototype incl. MCU boot): %s\n",
 		energy.FormatJoules(t.WiLEFullCycle))
 	fmt.Fprintf(w, "Wi-LE episode duration %v; WiFi-DC episode duration %v\n",
-		t.Rows[0].Episode.Duration.Round(time.Millisecond),
-		t.Rows[2].Episode.Duration.Round(time.Millisecond))
+		t.Rows[0].TxDuration.Round(time.Millisecond),
+		t.Rows[2].TxDuration.Round(time.Millisecond))
 }

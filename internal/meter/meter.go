@@ -7,8 +7,9 @@
 // the device's current draw — so the meter records plateaus (start, sample
 // count, value) rather than individual readings and rides the scheduler's
 // Ticker batch path: a 2-second 50 kS/s window costs a handful of plateau
-// appends instead of 100k event dispatches. The exported per-sample trace
-// is materialized lazily (at Stop or first access) and is sample-for-sample
+// appends instead of 100k event dispatches. Every query — the integral,
+// the peak, the CSV export, Walk — reads the plateaus. The per-sample trace
+// is materialized into Samples once, at Stop, and is sample-for-sample
 // identical to per-sample stepping, pinned by the Figure-3b golden and the
 // equivalence property tests.
 package meter
@@ -51,20 +52,16 @@ type plateau struct {
 type Meter struct {
 	sched *sim.Scheduler
 	probe Probe
-	// Samples holds the materialized per-sample trace. While running, the
-	// meter accumulates plateaus instead; Stop (or any accessor) expands
-	// them here. Meters built as literals around an existing Samples slice
-	// keep working: with no recorded plateaus nothing is rebuilt.
+	// Samples holds the per-sample trace, expanded from the plateaus at
+	// Stop for callers that want the raw readings as a slice.
 	Samples []Sample
 
 	period  time.Duration
 	running bool
 	ticker  *sim.Ticker
 
-	// plateaus is the compact waveform; dirty marks Samples as stale
-	// relative to it.
+	// plateaus is the compact waveform.
 	plateaus []plateau
-	dirty    bool
 
 	// rec/track carry the optional trace recorder (TraceTo). lastTraced
 	// dedups the counter feed: the waveform is piecewise-constant, so one
@@ -156,7 +153,6 @@ func (m *Meter) batch(from sim.Time, n int) { m.observe(from, int64(n)) }
 // scheduler never extends a ticker batch across an event.
 func (m *Meter) observe(from sim.Time, n int64) {
 	a := m.probe.Current()
-	m.dirty = true
 	if m.rec != nil && a != m.lastTraced {
 		m.lastTraced = a
 		m.rec.Counter(m.track, from, a.Milli())
@@ -182,12 +178,10 @@ func (m *Meter) Stop() {
 }
 
 // materialize expands the recorded plateaus into the public Samples slice,
-// exactly as the per-sample stepper would have appended them.
+// exactly as the per-sample stepper would have appended them. It is Walk
+// inlined, with no call per sample: Stop runs it over the 100k samples of
+// every figure run.
 func (m *Meter) materialize() {
-	if !m.dirty {
-		return
-	}
-	m.dirty = false
 	m.Samples = m.Samples[:0]
 	p := sim.Time(m.period)
 	for _, pl := range m.plateaus {
@@ -201,49 +195,13 @@ func (m *Meter) materialize() {
 
 // Charge integrates the sampled current between t0 and t1 using the
 // rectangle rule (each sample holds until the next) — the same numeric
-// integration a bench engineer applies to exported multimeter data. With a
-// plateau record available the interior of each plateau is integrated in
-// closed form (one multiply per plateau instead of one per sample); only
-// samples clipped by t0/t1 or holding across a plateau boundary are
-// handled individually.
+// integration a bench engineer applies to exported multimeter data. It
+// runs on the plateau record: sample j of a plateau holds for one period
+// (interior) or until the next plateau's first sample (last), so the
+// interior of each plateau integrates in closed form (one multiply per
+// plateau instead of one per sample), and only samples clipped by t0/t1
+// or holding across a plateau boundary are handled individually.
 func (m *Meter) Charge(t0, t1 sim.Time) units.Coulombs {
-	if len(m.plateaus) > 0 && m.dirty {
-		// Stale Samples would disagree with the recorded waveform.
-		m.materialize()
-	}
-	if len(m.plateaus) > 0 {
-		return m.chargePlateaus(t0, t1)
-	}
-	return m.chargeSamples(t0, t1)
-}
-
-// chargeSamples is the per-sample rectangle rule over the materialized (or
-// literal) trace.
-func (m *Meter) chargeSamples(t0, t1 sim.Time) units.Coulombs {
-	var total units.Coulombs
-	for i, s := range m.Samples {
-		if s.At >= t1 {
-			break
-		}
-		end := t1
-		if i+1 < len(m.Samples) && m.Samples[i+1].At < t1 {
-			end = m.Samples[i+1].At
-		}
-		start := s.At
-		if start < t0 {
-			start = t0
-		}
-		if end > start {
-			total += units.Charge(s.Current, end.Sub(start))
-		}
-	}
-	return total
-}
-
-// chargePlateaus integrates the plateau record directly. Sample j of a
-// plateau holds for one period (interior) or until the next plateau's first
-// sample (last), identical to the hold rule in chargeSamples.
-func (m *Meter) chargePlateaus(t0, t1 sim.Time) units.Coulombs {
 	var total units.Coulombs
 	// Index arithmetic runs on raw nanosecond counts: sample j of a plateau
 	// sits at from + j*period, a Time again only after the multiply.
@@ -326,23 +284,45 @@ func (m *Meter) MeanCurrent(t0, t1 sim.Time) units.Amps {
 	return units.MeanCurrent(m.Charge(t0, t1), t1.Sub(t0))
 }
 
-// PeakCurrent reports the largest sample between t0 and t1.
+// PeakCurrent reports the largest sample in [t0, t1).
 func (m *Meter) PeakCurrent(t0, t1 sim.Time) units.Amps {
-	m.materialize()
 	var peak units.Amps
-	for _, s := range m.Samples {
-		if s.At >= t0 && s.At < t1 && s.Current > peak {
-			peak = s.Current
+	perNs := int64(m.period)
+	for _, pl := range m.plateaus {
+		if pl.from >= t1 {
+			break
+		}
+		// The plateau's first sample at or after t0.
+		j := int64(0)
+		if t0 > pl.from {
+			j = (int64(t0-pl.from) + perNs - 1) / perNs
+		}
+		if j < pl.n && pl.from+sim.Time(j*perNs) < t1 && pl.val > peak {
+			peak = pl.val
 		}
 	}
 	return peak
+}
+
+// Walk calls visit on every sample in time order, expanded from the
+// plateau record, until visit returns false.
+func (m *Meter) Walk(visit func(Sample) bool) {
+	p := sim.Time(m.period)
+	for _, pl := range m.plateaus {
+		at := pl.from
+		for j := int64(0); j < pl.n; j++ {
+			if !visit(Sample{At: at, Current: pl.val}) {
+				return
+			}
+			at += p
+		}
+	}
 }
 
 // WriteCSV writes the trace as "time_s,current_mA" rows, preceded by
 // comment lines for each mark — the format the repository's plotting
 // scripts (and any spreadsheet) consume to redraw Figures 3a/3b.
 func (m *Meter) WriteCSV(w io.Writer, marks []energy.Mark) error {
-	m.materialize()
 	for _, a := range marks {
 		if _, err := fmt.Fprintf(w, "# %s at %.6f s\n", a.Label, a.At.Seconds()); err != nil {
 			return err
@@ -351,24 +331,10 @@ func (m *Meter) WriteCSV(w io.Writer, marks []energy.Mark) error {
 	if _, err := fmt.Fprintln(w, "time_s,current_mA"); err != nil {
 		return err
 	}
-	for _, s := range m.Samples {
-		if _, err := fmt.Fprintf(w, "%.6f,%.4f\n", s.At.Seconds(), s.Current.Milli()); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Downsample returns every nth sample — handy for plotting 2-second traces
-// without 100k points.
-func (m *Meter) Downsample(n int) []Sample {
-	m.materialize()
-	if n <= 1 {
-		return m.Samples
-	}
-	out := make([]Sample, 0, len(m.Samples)/n+1)
-	for i := 0; i < len(m.Samples); i += n {
-		out = append(out, m.Samples[i])
-	}
-	return out
+	var err error
+	m.Walk(func(s Sample) bool {
+		_, err = fmt.Fprintf(w, "%.6f,%.4f\n", s.At.Seconds(), s.Current.Milli())
+		return err == nil
+	})
+	return err
 }

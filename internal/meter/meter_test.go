@@ -135,23 +135,6 @@ func TestWriteCSV(t *testing.T) {
 	}
 }
 
-func TestDownsample(t *testing.T) {
-	s := sim.New()
-	p := &rampProbe{}
-	m := New(s, p, 10_000)
-	m.Start()
-	s.RunUntil(10 * sim.Millisecond)
-	m.Stop()
-	full := len(m.Samples)
-	down := m.Downsample(10)
-	if len(down) < full/10 || len(down) > full/10+1 {
-		t.Fatalf("downsampled %d → %d", full, len(down))
-	}
-	if same := m.Downsample(1); len(same) != full {
-		t.Fatal("Downsample(1) changed the trace")
-	}
-}
-
 func TestInvalidRatePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -2,8 +2,10 @@ package meter
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -136,6 +138,30 @@ func TestPlateauMatchesStepper(t *testing.T) {
 	}
 }
 
+// chargeSamples is the per-sample rectangle rule the plateau integral must
+// reproduce: each sample holds its reading until the next sample (the last
+// until t1), clipped to [t0, t1].
+func chargeSamples(samples []Sample, t0, t1 sim.Time) units.Coulombs {
+	var total units.Coulombs
+	for i, s := range samples {
+		if s.At >= t1 {
+			break
+		}
+		end := t1
+		if i+1 < len(samples) && samples[i+1].At < t1 {
+			end = samples[i+1].At
+		}
+		start := s.At
+		if start < t0 {
+			start = t0
+		}
+		if end > start {
+			total += units.Charge(s.Current, end.Sub(start))
+		}
+	}
+	return total
+}
+
 // TestChargePlateausMatchesChargeSamples pins the closed-form plateau
 // integration to the per-sample rectangle rule over random integration
 // windows, including windows clipping plateau interiors and boundaries.
@@ -148,9 +174,6 @@ func TestChargePlateausMatchesChargeSamples(t *testing.T) {
 		changes := makeChangeProgram(rng, window, period)
 
 		m, samples, _ := runPlateauMeter(t, changes, window, rate)
-		// A meter literal over the same samples has no plateau record, so
-		// Charge takes the per-sample path.
-		ref := &Meter{Samples: samples}
 
 		for q := 0; q < 50; q++ {
 			t0 := sim.Time(rng.Int63n(int64(window)))
@@ -159,7 +182,7 @@ func TestChargePlateausMatchesChargeSamples(t *testing.T) {
 				t0, t1 = t1, t0
 			}
 			got := float64(m.Charge(t0, t1))
-			want := float64(ref.Charge(t0, t1))
+			want := float64(chargeSamples(samples, t0, t1))
 			tol := math.Max(math.Abs(want)*1e-12, 1e-18)
 			if math.Abs(got-want) > tol {
 				t.Fatalf("trial %d: Charge(%v, %v): plateau=%v samples=%v (diff %g)",
@@ -167,11 +190,64 @@ func TestChargePlateausMatchesChargeSamples(t *testing.T) {
 			}
 		}
 		// Whole-window and out-of-range queries.
-		if got, want := float64(m.Charge(0, window)), float64(ref.Charge(0, window)); math.Abs(got-want) > math.Abs(want)*1e-12 {
+		if got, want := float64(m.Charge(0, window)), float64(chargeSamples(samples, 0, window)); math.Abs(got-want) > math.Abs(want)*1e-12 {
 			t.Fatalf("trial %d: full-window charge diverged: plateau=%v samples=%v", trial, got, want)
 		}
-		if got := float64(m.Charge(window, window.Add(time.Second))); got != float64(ref.Charge(window, window.Add(time.Second))) {
+		if got := float64(m.Charge(window, window.Add(time.Second))); got != float64(chargeSamples(samples, window, window.Add(time.Second))) {
 			t.Fatalf("trial %d: past-end charge diverged", trial)
+		}
+	}
+}
+
+// TestPlateauQueriesMatchSamples pins the queries that read the plateau
+// record — Walk, PeakCurrent and the CSV export — to the same queries over
+// the materialized samples, across randomized waveforms and windows.
+func TestPlateauQueriesMatchSamples(t *testing.T) {
+	for trial := int64(0); trial < 20; trial++ {
+		rng := rand.New(rand.NewSource(trial*6151 + 3))
+		rate := []int{50_000, 10_000, 1_000}[rng.Intn(3)]
+		period := time.Second / time.Duration(rate)
+		window := sim.Time(1+rng.Int63n(100)) * sim.Millisecond
+		m, samples, _ := runPlateauMeter(t, makeChangeProgram(rng, window, period), window, rate)
+
+		var walked []Sample
+		m.Walk(func(s Sample) bool { walked = append(walked, s); return true })
+		if !slices.Equal(walked, samples) {
+			t.Fatalf("trial %d: Walk visited %d samples, Samples holds %d, or their values differ", trial, len(walked), len(samples))
+		}
+		stopped := 0
+		m.Walk(func(Sample) bool { stopped++; return stopped < 3 })
+		if stopped != min(3, len(samples)) {
+			t.Fatalf("trial %d: Walk went on for %d samples after visit returned false at the third", trial, stopped)
+		}
+
+		for q := 0; q < 50; q++ {
+			t0 := sim.Time(rng.Int63n(int64(window)))
+			t1 := sim.Time(rng.Int63n(int64(window)))
+			if t1 < t0 {
+				t0, t1 = t1, t0
+			}
+			var want units.Amps
+			for _, s := range samples {
+				if s.At >= t0 && s.At < t1 && s.Current > want {
+					want = s.Current
+				}
+			}
+			if got := m.PeakCurrent(t0, t1); got != want {
+				t.Fatalf("trial %d: PeakCurrent(%v, %v) = %v, samples say %v", trial, t0, t1, got, want)
+			}
+		}
+
+		var got, want bytes.Buffer
+		if err := m.WriteCSV(&got, nil); err != nil {
+			t.Fatal(err)
+		}
+		want.WriteString("time_s,current_mA\n")
+		for _, s := range samples {
+			fmt.Fprintf(&want, "%.6f,%.4f\n", s.At.Seconds(), s.Current.Milli())
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("trial %d: CSV export differs from the samples' rows", trial)
 		}
 	}
 }

@@ -5,7 +5,11 @@
 
 package obs
 
-import "testing"
+import (
+	"runtime"
+	"runtime/debug"
+	"testing"
+)
 
 // TestProvenanceAllocatesTheSameEveryRun replays one ledger history with
 // 16,000 link rows, frames completing out of launch order and frames with
@@ -37,9 +41,28 @@ func TestProvenanceAllocatesTheSameEveryRun(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	first := testing.AllocsPerRun(1, run)
+	// Each run is counted on its own. It runs on one P, so other
+	// goroutines (the runtime's background scavenger, say) wait for it: a
+	// run is far shorter than the scheduler's time slice. And it runs on a
+	// collected heap with the collector off: a collection during a run
+	// would clear sync.Pool caches and run pending finalizers, adding
+	// allocations the ledger never made. A warm-up run takes the one-time
+	// allocations; after it the counted runs follow one another, so a
+	// count that alternates from one ledger to the next shows.
+	var before, after runtime.MemStats
+	measure := func() uint64 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		runtime.GC()
+		defer debug.SetGCPercent(debug.SetGCPercent(-1))
+		runtime.ReadMemStats(&before)
+		run()
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs
+	}
+	run()
+	first := measure()
 	for i := 0; i < 5; i++ {
-		if got := testing.AllocsPerRun(1, run); got != first {
+		if got := measure(); got != first {
 			t.Fatalf("run %d allocated %v objects, the first %v", i+2, got, first)
 		}
 	}
