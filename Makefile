@@ -54,21 +54,11 @@ examples:
 	$(GO) run ./examples/wardrive
 	$(GO) run ./examples/metering
 
-# Short fuzz sessions on every fuzz target (extend -fuzztime for real runs).
+# Short fuzz sessions on every fuzz target (extend the fuzztime argument
+# for real runs). scripts/fuzz.sh finds the targets with go test -list, so
+# a new target needs no edit here or in CI.
 fuzz:
-	$(GO) test -fuzz=FuzzDecode -fuzztime=30s ./internal/dot11/
-	$(GO) test -fuzz=FuzzParseElements -fuzztime=30s ./internal/dot11/
-	$(GO) test -fuzz=FuzzParseFragment -fuzztime=30s ./internal/core/
-	$(GO) test -fuzz=FuzzReadingsRoundTrip -fuzztime=30s ./internal/core/
-	$(GO) test -fuzz=FuzzDecodeBeacon -fuzztime=30s ./internal/core/
-	$(GO) test -fuzz=FuzzParseEAPOLKey -fuzztime=30s ./internal/crypto80211/
-	$(GO) test -fuzz=FuzzCCMPDecapsulate -fuzztime=30s ./internal/crypto80211/
-	$(GO) test -fuzz=FuzzReadPcap -fuzztime=30s ./internal/pcap/
-	$(GO) test -fuzz=FuzzParseOnAir -fuzztime=30s ./internal/ble/
-	$(GO) test -fuzz=FuzzParseAD -fuzztime=30s ./internal/ble/
-	$(GO) test -fuzz=FuzzParseDHCP -fuzztime=30s ./internal/netstack/
-	$(GO) test -fuzz=FuzzParseARP -fuzztime=30s ./internal/netstack/
-	$(GO) test -fuzz=FuzzParseIPv4UDP -fuzztime=30s ./internal/netstack/
+	bash scripts/fuzz.sh 30s
 
 cover:
 	$(GO) test -coverprofile=cover.out ./internal/...

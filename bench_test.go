@@ -199,6 +199,11 @@ func BenchmarkAblationJitterStudy(b *testing.B) {
 		pts = experiment.RunJitterStudy([]float64{40}, 50)
 	}
 	b.ReportMetric(pts[0].DeliveryRate*100, "delivery-%")
+	var events uint64
+	for _, p := range pts {
+		events += p.Events
+	}
+	b.ReportMetric(float64(events), "events/op")
 }
 
 // --- Micro-benchmarks on the hot protocol paths ---
@@ -298,6 +303,11 @@ func BenchmarkAblationInterferenceStudy(b *testing.B) {
 	}
 	b.ReportMetric(pts[0].DeliveryRate*100, "delivery-%@80duty")
 	b.ReportMetric(float64(pts[0].MeanDelay.Microseconds()), "deferral-µs")
+	var events uint64
+	for _, p := range pts {
+		events += p.Events
+	}
+	b.ReportMetric(float64(events), "events/op")
 }
 
 func BenchmarkAblationFastRejoin(b *testing.B) {
@@ -319,6 +329,11 @@ func BenchmarkAblationHopperStudy(b *testing.B) {
 		pts = experiment.RunHopperStudy([]int{3})
 	}
 	b.ReportMetric(pts[0].CaptureRate*100, "capture-%@3ch")
+	var events uint64
+	for _, p := range pts {
+		events += p.Events
+	}
+	b.ReportMetric(float64(events), "events/op")
 }
 
 func BenchmarkAblationGoodput(b *testing.B) {

@@ -89,36 +89,38 @@ var densityDevices string
 func run(cmd, out string) error {
 	switch cmd {
 	case "table1":
-		return table1()
+		return withTable1(table1)
 	case "fig3a":
 		return fig3(out, "fig3a", experiment.RunFig3a)
 	case "fig3b":
 		return fig3(out, "fig3b", experiment.RunFig3b)
 	case "fig4":
-		return fig4(out)
+		return withTable1(func(table *experiment.Table1Result) error { return fig4(out, table) })
 	case "claims":
 		return claims()
 	case "joincap":
 		return joincap(out)
 	case "ablations":
-		return ablations()
+		return withTable1(ablations)
 	case "density":
 		return density(out)
 	case "all":
-		for _, step := range []func() error{
-			table1,
-			func() error { return fig3(out, "fig3a", experiment.RunFig3a) },
-			func() error { return fig3(out, "fig3b", experiment.RunFig3b) },
-			func() error { return fig4(out) },
-			claims,
-			ablations,
-		} {
-			if err := step(); err != nil {
-				return err
+		return withTable1(func(table *experiment.Table1Result) error {
+			for _, step := range []func() error{
+				func() error { return table1(table) },
+				func() error { return fig3(out, "fig3a", experiment.RunFig3a) },
+				func() error { return fig3(out, "fig3b", experiment.RunFig3b) },
+				func() error { return fig4(out, table) },
+				claims,
+				func() error { return ablations(table) },
+			} {
+				if err := step(); err != nil {
+					return err
+				}
+				fmt.Println()
 			}
-			fmt.Println()
-		}
-		return nil
+			return nil
+		})
 	}
 	usage()
 	return fmt.Errorf("unknown experiment %q", cmd)
@@ -180,12 +182,20 @@ func density(out string) error {
 	return nil
 }
 
-func table1() error {
-	res, err := experiment.RunTable1()
+// withTable1 measures Table 1 once and hands it to f. The table, Figure 4,
+// the battery projection and the fast-rejoin comparison all read that one
+// measurement: the runs are deterministic, so measuring again would only
+// repeat the work and count it twice in the metrics.
+func withTable1(f func(*experiment.Table1Result) error) error {
+	table, err := experiment.RunTable1()
 	if err != nil {
 		return err
 	}
-	res.Render(os.Stdout)
+	return f(table)
+}
+
+func table1(table *experiment.Table1Result) error {
+	table.Render(os.Stdout)
 	return nil
 }
 
@@ -244,11 +254,7 @@ func fig3(out, name string, runner func(*experiment.Obs) (*experiment.Trace, err
 	return nil
 }
 
-func fig4(out string) error {
-	table, err := experiment.RunTable1()
-	if err != nil {
-		return err
-	}
+func fig4(out string, table *experiment.Table1Result) error {
 	fig := experiment.RunFig4(table, nil)
 	fig.RenderASCII(os.Stdout, 72, 18)
 	path := filepath.Join(out, "fig4.csv")
@@ -268,7 +274,7 @@ func claims() error {
 	return nil
 }
 
-func ablations() error {
+func ablations(table *experiment.Table1Result) error {
 	points, err := experiment.RunBitrateAblation()
 	if err != nil {
 		return err
@@ -328,10 +334,6 @@ func ablations() error {
 	fmt.Printf("  hidden  %3d B on air, %v\n", ssid.HiddenBytes, ssid.HiddenAirtime)
 	fmt.Printf("  visible %3d B on air, %v\n", ssid.VisibleBytes, ssid.VisibleAirtime)
 
-	table, err := experiment.RunTable1()
-	if err != nil {
-		return err
-	}
 	fmt.Println("\nProjection: CR2032 coin-cell life at 1-minute reporting")
 	for _, p := range experiment.RunBatteryProjection(table, time.Minute) {
 		fmt.Printf("  %-8s %s\n", p.Name, formatLife(p.Life))
@@ -341,10 +343,7 @@ func ablations() error {
 	if err != nil {
 		return err
 	}
-	dc, err := experiment.MeasureWiFiDC()
-	if err != nil {
-		return err
-	}
+	dc := table.Rows[2] // WiFi-DC: the full rejoin on every wake
 	fmt.Println("\nAblation: cached-lease fast rejoin (skip DHCP/ARP on wake)")
 	fmt.Printf("  full rejoin   %s over %v\n", energy.FormatJoules(dc.EnergyPerPacket), dc.TxDuration.Round(time.Millisecond))
 	fmt.Printf("  cached lease  %s over %v — still ≈3 orders above Wi-LE\n",

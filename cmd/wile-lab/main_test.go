@@ -7,6 +7,9 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"wile/internal/experiment"
+	"wile/internal/obs"
 )
 
 // TestLabOutputGolden pins what `wile-lab all` and `wile-lab joincap` print
@@ -58,6 +61,22 @@ func TestLabOutputGolden(t *testing.T) {
 			t.Errorf("%s diverged from golden (%d vs %d bytes); rerun with WILE_UPDATE_GOLDEN=1 if the change is intentional\ngot:\n%s",
 				name, len(b), len(want), b)
 		}
+	}
+}
+
+// TestAllMeasuresTable1Once checks that `wile-lab all` measures Table 1
+// once and shares it with Figure 4, the battery projection and the
+// fast-rejoin comparison: one energy observation per row, and nine engine
+// sweeps (Table 1, Figure 4, and the seven in the ablations).
+func TestAllMeasuresTable1Once(t *testing.T) {
+	reg := obs.NewRegistry()
+	defer experiment.SetMetrics(experiment.SetMetrics(reg))
+	captureStdout(t, func() error { return run("all", t.TempDir()) })
+	if n := reg.Histogram("experiment.energy_per_packet_uj", nil).Count(); n != 4 {
+		t.Errorf("experiment.energy_per_packet_uj has %d observations, want 4 (one per Table 1 row)", n)
+	}
+	if n := reg.Counter("engine.sweeps").Value(); n != 9 {
+		t.Errorf("engine.sweeps = %d, want 9", n)
 	}
 }
 

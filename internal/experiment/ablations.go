@@ -183,6 +183,9 @@ type JitterPoint struct {
 	ContendedCycles int
 	// DeliveryRate is Delivered/Expected.
 	DeliveryRate float64
+	// Events counts the scheduler events the point's world dispatched
+	// (sim.Fired): an exact work count.
+	Events uint64
 }
 
 // RunJitterStudy places two co-located sensors with identical periods and
@@ -242,6 +245,7 @@ func RunJitterStudy(ppms []float64, cycles int) []JitterPoint {
 			Collisions:      w.med.Stats.Collisions,
 			ContendedCycles: contended,
 			DeliveryRate:    float64(delivered) / float64(2*cycles),
+			Events:          w.sched.Fired(),
 		}
 	})
 }
@@ -314,6 +318,9 @@ type HopperPoint struct {
 	Transmitted int
 	Captured    int
 	CaptureRate float64
+	// Events counts the scheduler events the point's world dispatched
+	// (sim.Fired): an exact work count.
+	Events uint64
 }
 
 // RunHopperStudy measures a scanning receiver's capture rate as the number
@@ -361,6 +368,7 @@ func RunHopperStudy(channelCounts []int) []HopperPoint {
 			Transmitted: transmitted,
 			Captured:    captured,
 			CaptureRate: float64(captured) / float64(transmitted),
+			Events:      sched.Fired(),
 		}
 	})
 }
@@ -452,6 +460,10 @@ type InterferencePoint struct {
 	MeanDelay time.Duration
 	// Collisions counts on-air corruption events.
 	Collisions int
+	// Events counts the scheduler events the point's world dispatched
+	// (sim.Fired): an exact work count. The clean-channel baseline run
+	// the delays are measured against is not included.
+	Events uint64
 }
 
 // RunInterferenceStudy shares the sensor's channel with a non-CSMA
@@ -508,7 +520,7 @@ func RunInterferenceStudy(duties []float64) []InterferencePoint {
 		w.sched.RunUntil(sim.FromDuration(time.Duration(cycles) * period))
 		sensor.Stop()
 
-		point := InterferencePoint{Duty: duty, Collisions: w.med.Stats.Collisions}
+		point := InterferencePoint{Duty: duty, Collisions: w.med.Stats.Collisions, Events: w.sched.Fired()}
 		expected := cycles - 1
 		point.DeliveryRate = float64(delivered) / float64(expected)
 		if delivered > 0 {

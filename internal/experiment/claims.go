@@ -7,11 +7,9 @@ import (
 	"time"
 
 	"wile/internal/dot11"
-	"wile/internal/mac"
 	"wile/internal/medium"
 	"wile/internal/netstack"
 	"wile/internal/pcap"
-	"wile/internal/phy"
 	"wile/internal/sim"
 )
 
@@ -50,12 +48,7 @@ type ClaimsResult struct {
 func RunClaims() (*ClaimsResult, error) {
 	b := newWiFiBed(nil)
 	res := &ClaimsResult{ByKind: map[string]int{}}
-	mon := mac.New(b.sched, b.med, "monitor", medium.Position{X: 1.5, Y: 0},
-		dot11.MustParseMAC("02:00:00:00:00:99"), phy.RateHTMCS7, 0,
-		phy.SensitivityWiFi1M, sim.NewRand(7))
-	mon.AutoACK = false
-	mon.SetRadioOn(true)
-	mon.Monitor = func(f dot11.Frame, rx medium.Reception) {
+	b.monitor(func(f dot11.Frame, _ medium.Reception) {
 		if b.sta.Joined() {
 			return // the join's frames only
 		}
@@ -83,7 +76,7 @@ func RunClaims() (*ClaimsResult, error) {
 		if et, _, err := netstack.UnwrapSNAP(d.Payload); err == nil && et == netstack.EtherTypeEAPOL {
 			res.EAPOLFrames++
 		}
-	}
+	})
 
 	if err := b.join("claims", 5*sim.Second); err != nil {
 		return nil, err
@@ -133,17 +126,12 @@ func (c *ClaimsResult) Render(w io.Writer) {
 func RunJoinCapture() ([]pcap.Packet, error) {
 	b := newWiFiBed(nil)
 	var packets []pcap.Packet
-	mon := mac.New(b.sched, b.med, "capture", medium.Position{X: 1.5, Y: 0},
-		dot11.MustParseMAC("02:00:00:00:00:9a"), phy.RateHTMCS7, 0,
-		phy.SensitivityWiFi1M, sim.NewRand(7))
-	mon.AutoACK = false
-	mon.SetRadioOn(true)
-	mon.Monitor = func(f dot11.Frame, rx medium.Reception) {
+	b.monitor(func(_ dot11.Frame, rx medium.Reception) {
 		packets = append(packets, pcap.Packet{
 			Time: b.sched.Now().Sub(0),
 			Data: append([]byte(nil), rx.Data...),
 		})
-	}
+	})
 
 	if err := b.join("capture", 2*sim.Second); err != nil {
 		return nil, err

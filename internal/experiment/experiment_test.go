@@ -6,9 +6,12 @@ import (
 	"testing"
 	"time"
 
+	"wile/internal/crypto80211"
 	"wile/internal/dot11"
 	"wile/internal/esp32"
+	"wile/internal/medium"
 	"wile/internal/meter"
+	"wile/internal/netstack"
 	"wile/internal/sim"
 	"wile/internal/units"
 )
@@ -357,6 +360,80 @@ func TestClaimsMatchPaper(t *testing.T) {
 	c.Render(&sb)
 	if !strings.Contains(sb.String(), "MAC-layer frames") {
 		t.Error("render incomplete")
+	}
+}
+
+// joinMSDUs counts decrypted join MSDUs by protocol.
+type joinMSDUs struct{ dhcp, arp, other int }
+
+// add classifies one decrypted MSDU as DHCP, ARP or anything else.
+func (c *joinMSDUs) add(msdu []byte) {
+	et, payload, err := netstack.UnwrapSNAP(msdu)
+	switch {
+	case err != nil:
+	case et == netstack.EtherTypeARP:
+		if _, err := netstack.ParseARP(payload); err == nil {
+			c.arp++
+			return
+		}
+	case et == netstack.EtherTypeIPv4:
+		if _, body, err := netstack.ParseIPv4(payload); err == nil {
+			if _, data, err := netstack.ParseUDP(body); err == nil {
+				if _, err := netstack.ParseDHCP(data); err == nil {
+					c.dhcp++
+					return
+				}
+			}
+		}
+	}
+	c.other++
+}
+
+// TestSnifferConfirmsFourPlusThree looks inside the CCMP frames RunClaims
+// counts: a sniffer that knows the passphrase decrypts the join, and the
+// seven pairwise-protected MSDUs (the paper's higher-layer frames) are
+// exactly 4 DHCP and 3 ARP, while the four group relays are the AP
+// re-broadcasting 2 DHCP and 2 ARP.
+func TestSnifferConfirmsFourPlusThree(t *testing.T) {
+	b := newWiFiBed(nil)
+	sniffer := crypto80211.NewSniffer(testPassphrase, testSSID)
+	var pairwise, group joinMSDUs
+	b.monitor(func(f dot11.Frame, _ medium.Reception) {
+		if b.sta.Joined() {
+			return // the join's frames only, as RunClaims counts them
+		}
+		msdu, ok := sniffer.Observe(f)
+		if !ok {
+			return
+		}
+		if d := f.(*dot11.Data); d.Header.FC.FromDS && d.RA().IsGroup() {
+			group.add(msdu)
+		} else {
+			pairwise.add(msdu)
+		}
+	})
+	if err := b.join("sniffer", 5*sim.Second); err != nil {
+		t.Fatal(err)
+	}
+	if s := sniffer.Stats; s.HandshakesSeen != 1 || s.Undecryptable != 0 {
+		t.Fatalf("sniffer saw %d handshakes and %d undecryptable frames, want 1 and 0",
+			s.HandshakesSeen, s.Undecryptable)
+	}
+	if want := (joinMSDUs{dhcp: 4, arp: 3}); pairwise != want {
+		t.Errorf("pairwise-protected MSDUs %+v, want %+v", pairwise, want)
+	}
+	if want := (joinMSDUs{dhcp: 2, arp: 2}); group != want {
+		t.Errorf("group-protected MSDUs %+v, want %+v", group, want)
+	}
+	c, err := RunClaims()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := pairwise.dhcp + pairwise.arp + pairwise.other; n != c.ProtectedFrames || n != 7 {
+		t.Errorf("%d pairwise-protected MSDUs, RunClaims counts %d protected frames, want 7", n, c.ProtectedFrames)
+	}
+	if n := group.dhcp + group.arp + group.other; n != c.GroupRelays || n != 4 {
+		t.Errorf("%d group-protected MSDUs, RunClaims counts %d group relays, want 4", n, c.GroupRelays)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"wile/internal/core"
 	"wile/internal/dot11"
 	"wile/internal/esp32"
+	"wile/internal/mac"
 	"wile/internal/medium"
 	"wile/internal/netstack"
 	"wile/internal/obs"
@@ -144,6 +145,18 @@ func newWiFiBed(o *Obs) *wifiBed {
 	})
 	b.attach(o, b.sta, b.ap)
 	return b
+}
+
+// monitor attaches a passive monitor-mode port halfway between the AP and
+// the station. It hears every frame of the join, transmits nothing (not
+// even an ACK), and hands each decoded frame to fn.
+func (b *wifiBed) monitor(fn func(dot11.Frame, medium.Reception)) {
+	mon := mac.New(b.sched, b.med, "monitor", medium.Position{X: 1.5, Y: 0},
+		dot11.MustParseMAC("02:00:00:00:00:99"), phy.RateHTMCS7, 0,
+		phy.SensitivityWiFi1M, sim.NewRand(7))
+	mon.AutoACK = false
+	mon.SetRadioOn(true)
+	mon.Monitor = fn
 }
 
 // join powers the station's CPU on, joins, and runs the kernel to until.

@@ -183,16 +183,10 @@ func TestChannels(t *testing.T) {
 	if c := WiFi5Channel(36); c.FreqMHz != 5180 {
 		t.Errorf("channel 36 = %d MHz, want 5180", c.FreqMHz)
 	}
-	for n, want := range map[int]int{37: 2402, 38: 2426, 39: 2480} {
-		if c := BLEAdvChannel(n); c.FreqMHz != want {
-			t.Errorf("BLE ch%d = %d MHz, want %d", n, c.FreqMHz, want)
-		}
-	}
 	for _, fn := range []func(){
 		func() { WiFi24Channel(0) },
 		func() { WiFi24Channel(14) },
 		func() { WiFi5Channel(35) },
-		func() { BLEAdvChannel(36) },
 	} {
 		func() {
 			defer func() {

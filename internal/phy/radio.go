@@ -34,10 +34,10 @@ func FromMilliWatts(mw float64) DBm {
 	return DBm(10 * math.Log10(mw))
 }
 
-// Channel identifies a WiFi or BLE radio channel by its center frequency.
+// Channel identifies a WiFi radio channel by its center frequency.
 type Channel struct {
-	// Number is the channel number within its band (WiFi 1–13 in 2.4 GHz,
-	// 36+ in 5 GHz; BLE advertising channels 37–39).
+	// Number is the channel number within its band (1–13 in 2.4 GHz, 36+
+	// in 5 GHz).
 	Number int
 	// FreqMHz is the center frequency.
 	FreqMHz int
@@ -80,30 +80,6 @@ func NewWiFi5Channel(n int) (Channel, error) {
 // panicking on an invalid number.
 func WiFi5Channel(n int) Channel {
 	c, err := NewWiFi5Channel(n)
-	if err != nil {
-		panic(fmt.Sprintf("phy: %v", err))
-	}
-	return c
-}
-
-// NewBLEAdvChannel validates and returns BLE advertising channel 37, 38
-// or 39.
-func NewBLEAdvChannel(n int) (Channel, error) {
-	switch n {
-	case 37:
-		return Channel{Number: 37, FreqMHz: 2402}, nil
-	case 38:
-		return Channel{Number: 38, FreqMHz: 2426}, nil
-	case 39:
-		return Channel{Number: 39, FreqMHz: 2480}, nil
-	}
-	return Channel{}, fmt.Errorf("phy: invalid BLE advertising channel %d (want 37-39)", n)
-}
-
-// BLEAdvChannel returns BLE advertising channel 37, 38 or 39, panicking on
-// an invalid number.
-func BLEAdvChannel(n int) Channel {
-	c, err := NewBLEAdvChannel(n)
 	if err != nil {
 		panic(fmt.Sprintf("phy: %v", err))
 	}
