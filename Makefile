@@ -40,11 +40,6 @@ bench:
 	GOMAXPROCS=1 $(GO) test -bench=. -benchmem -cpu 1 ./... 2>&1 | tee results/bench_output.txt
 	$(GO) run ./scripts/benchjson -in results/bench_output.txt -out BENCH_baseline.json
 
-# Record the artifacts EXPERIMENTS.md references.
-artifacts:
-	$(GO) test ./... 2>&1 | tee test_output.txt
-	$(GO) test -bench=. -benchmem ./... 2>&1 | tee bench_output.txt
-
 examples:
 	$(GO) run ./examples/quickstart
 	$(GO) run ./examples/farm
@@ -65,4 +60,4 @@ cover:
 	$(GO) tool cover -func=cover.out | tail -1
 
 clean:
-	rm -rf results cover.out test_output.txt bench_output.txt
+	rm -rf results cover.out

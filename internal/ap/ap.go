@@ -1,7 +1,9 @@
 // Package ap models the paper's Google WiFi access point: an
 // infrastructure AP with periodic beaconing, open-system authentication,
 // association, a WPA2-PSK authenticator, a DHCP server, an ARP responder,
-// and TIM-based buffering for power-saving stations.
+// and the group-key relay of broadcast uplink. Its beacons carry a TIM
+// with an empty bitmap: no run holds downlink for a dozing station, so
+// the AP buffers nothing and answers no PS-Poll.
 //
 // The AP is mains-powered in the paper's testbed, so it carries no power
 // model — its only job is to make the client pay the true protocol cost of
@@ -61,45 +63,29 @@ const (
 
 // stationState tracks one known client.
 type stationState struct {
-	aid        uint16
-	authed     bool
-	associated bool
-	secured    bool
-	// listenInterval is the station's declared beacon-skip count.
-	listenInterval uint16
-	authenticator  *crypto80211.Authenticator
+	aid           uint16
+	authed        bool
+	associated    bool
+	secured       bool
+	authenticator *crypto80211.Authenticator
 	// ccmp protects data exchange once the handshake installs the
 	// pairwise key.
 	ccmp *crypto80211.CCMPSession
-	// dozing marks the station in power-save mode.
-	dozing bool
-	// buffered holds downlink MSDUs while the station dozes.
-	buffered []bufferedMSDU
-}
-
-type bufferedMSDU struct {
-	payload []byte
-	sa      dot11.MAC
 }
 
 // Stats counts AP-side protocol events.
 type Stats struct {
-	BeaconsSent     int
-	ProbeResponses  int
-	AuthAccepted    int
-	AssocAccepted   int
-	HandshakesDone  int
-	DHCPReplies     int
-	ARPReplies      int
-	UplinkFrames    int
-	BufferedFrames  int
-	PSPollsServiced int
+	BeaconsSent    int
+	ProbeResponses int
+	AuthAccepted   int
+	AssocAccepted  int
+	HandshakesDone int
+	DHCPReplies    int
+	ARPReplies     int
+	UplinkFrames   int
 	// CCMPDrops counts data frames discarded for failing decryption,
 	// replay, or the protection requirement.
 	CCMPDrops int
-	// BridgedFrames counts station-to-station frames relayed through the
-	// distribution system.
-	BridgedFrames int
 	// GroupRelays counts broadcast uplink MSDUs re-broadcast under the GTK.
 	GroupRelays int
 }
@@ -206,16 +192,7 @@ func (a *AP) elements(withTIM bool) dot11.Elements {
 		dot11.DSParamElement(a.Cfg.Channel),
 	}
 	if withTIM {
-		tim := dot11.TIM{
-			DTIMCount:  uint8(a.Stats.BeaconsSent % dtimPeriod),
-			DTIMPeriod: dtimPeriod,
-		}
-		for _, st := range a.stations {
-			if st.dozing && len(st.buffered) > 0 {
-				tim.Buffered = append(tim.Buffered, st.aid)
-			}
-		}
-		els = append(els, dot11.TIMElement(tim))
+		els = append(els, dot11.TIMElement(uint8(a.Stats.BeaconsSent%dtimPeriod), dtimPeriod))
 	}
 	els = append(els,
 		dot11.RSNElement(dot11.DefaultRSN()),
@@ -268,8 +245,6 @@ func (a *AP) handle(f dot11.Frame, rx medium.Reception) {
 		if st, ok := a.stations[t.Header.Addr2]; ok {
 			st.associated, st.secured = false, false
 		}
-	case *dot11.PSPoll:
-		a.handlePSPoll(t)
 	case *dot11.Data:
 		a.handleData(t)
 	}
@@ -338,7 +313,6 @@ func (a *AP) handleAssoc(req *dot11.AssocReq) {
 		a.nextAID++
 	}
 	st.associated = true
-	st.listenInterval = req.ListenInterval
 	resp.Status = dot11.StatusSuccess
 	resp.AID = st.aid
 	a.Stats.AssocAccepted++
@@ -362,7 +336,7 @@ func (a *AP) startHandshake(sta dot11.MAC, st *stationState) {
 // sendEAPOL wraps an EAPOL PDU in SNAP + 802.11 data.
 func (a *AP) sendEAPOL(sta dot11.MAC, pdu []byte) {
 	msdu := netstack.WrapSNAP(netstack.EtherTypeEAPOL, pdu)
-	a.sendDownlink(sta, a.Cfg.BSSID, msdu)
+	a.sendDownlink(sta, msdu)
 }
 
 // handleData processes uplink data frames.
@@ -372,13 +346,6 @@ func (a *AP) handleData(d *dot11.Data) {
 	}
 	src := d.Header.Addr2
 	st := a.station(src)
-
-	// Track the power-management bit on every uplink frame.
-	wasDozing := st.dozing
-	st.dozing = d.Header.FC.PwrMgmt
-	if wasDozing && !st.dozing {
-		a.flushBuffered(src, st)
-	}
 	if d.Header.FC.Subtype == dot11.SubtypeNull || d.Header.FC.Subtype == dot11.SubtypeQoSNull {
 		return
 	}
@@ -477,7 +444,7 @@ func (a *AP) handleARP(src dot11.MAC, st *stationState, payload []byte) {
 	}
 	a.Stats.ARPReplies++
 	a.sched.DoAfter(arpDelay, func() {
-		a.sendDownlink(src, a.Cfg.BSSID, netstack.WrapSNAP(netstack.EtherTypeARP, rep.Append(nil)))
+		a.sendDownlink(src, netstack.WrapSNAP(netstack.EtherTypeARP, rep.Append(nil)))
 	})
 }
 
@@ -503,18 +470,6 @@ func (a *AP) handleIPv4(src dot11.MAC, st *stationState, payload []byte) {
 		a.sched.DoAfter(dhcpDelay, func() { a.sendDHCP(src, reply) })
 		return
 	}
-	// If the destination IP belongs to another associated station, the AP
-	// bridges the frame within the BSS (the distribution-system function):
-	// decrypted on the way in, re-protected with the destination's own
-	// pairwise key on the way out.
-	if hw, ok := a.DHCP.HardwareFor(hdr.Dst); ok && dot11.MAC(hw) != src {
-		dst := dot11.MAC(hw)
-		if st, known := a.stations[dst]; known && st.associated {
-			a.Stats.BridgedFrames++
-			a.sendDownlink(dst, src, netstack.WrapSNAP(netstack.EtherTypeIPv4, payload))
-			return
-		}
-	}
 	// Any other UDP datagram is application uplink (the sensor reading).
 	a.Stats.UplinkFrames++
 	if a.OnUplink != nil {
@@ -539,40 +494,21 @@ func (a *AP) sendDHCP(sta dot11.MAC, msg *netstack.DHCP) {
 	pkt := netstack.AppendIPv4(nil, netstack.IPv4Header{
 		Protocol: netstack.ProtoUDP, Src: a.Cfg.IP, Dst: netstack.IPBroadcast, ID: a.ipID,
 	}, dg)
-	a.sendDownlink(sta, a.Cfg.BSSID, netstack.WrapSNAP(netstack.EtherTypeIPv4, pkt))
+	a.sendDownlink(sta, netstack.WrapSNAP(netstack.EtherTypeIPv4, pkt))
 }
 
-// PushDownlink delivers an MSDU from the distribution system to a station
-// — what the AP does when the router forwards an inbound packet. It
-// respects power-save buffering and CCMP protection.
-func (a *AP) PushDownlink(sta dot11.MAC, msdu []byte) {
-	a.sendDownlink(sta, a.Cfg.BSSID, msdu)
-}
-
-// sendDownlink delivers an MSDU to a station, buffering it if the station
-// dozes.
-func (a *AP) sendDownlink(sta dot11.MAC, sa dot11.MAC, msdu []byte) {
-	st := a.station(sta)
-	if st.dozing {
-		st.buffered = append(st.buffered, bufferedMSDU{payload: msdu, sa: sa})
-		a.Stats.BufferedFrames++
-		return
-	}
-	a.transmitDownlink(sta, st, bufferedMSDU{payload: msdu, sa: sa}, false)
-}
-
-// transmitDownlink builds (and, once keys exist, CCMP-protects) one
+// sendDownlink builds (and, once keys exist, CCMP-protects) one
 // AP→station data frame. EAPOL rides cleartext until the handshake ends.
-func (a *AP) transmitDownlink(sta dot11.MAC, st *stationState, msdu bufferedMSDU, moreData bool) {
-	f := dot11.NewDataFromAP(a.Cfg.BSSID, sta, msdu.sa, msdu.payload)
-	f.Header.FC.MoreData = moreData
-	isEAPOL := false
-	if et, _, err := netstack.UnwrapSNAP(msdu.payload); err == nil && et == netstack.EtherTypeEAPOL {
-		isEAPOL = true
+func (a *AP) sendDownlink(sta dot11.MAC, msdu []byte) {
+	st := a.station(sta)
+	f := dot11.NewDataFromAP(a.Cfg.BSSID, sta, a.Cfg.BSSID, msdu)
+	eapol := false
+	if et, _, err := netstack.UnwrapSNAP(msdu); err == nil {
+		eapol = et == netstack.EtherTypeEAPOL
 	}
-	if st.ccmp != nil && !isEAPOL {
+	if st.ccmp != nil && !eapol {
 		f.Header.FC.Protected = true
-		body, err := st.ccmp.Encapsulate(crypto80211.DataFrameMeta(f), msdu.payload)
+		body, err := st.ccmp.Encapsulate(crypto80211.DataFrameMeta(f), msdu)
 		if err != nil {
 			return
 		}
@@ -581,33 +517,11 @@ func (a *AP) transmitDownlink(sta dot11.MAC, st *stationState, msdu bufferedMSDU
 	a.send(f, nil)
 }
 
-// handlePSPoll releases one buffered frame to a polling station.
-func (a *AP) handlePSPoll(p *dot11.PSPoll) {
-	st, ok := a.stations[p.Transmitter]
-	if !ok || len(st.buffered) == 0 {
-		return
-	}
-	msdu := st.buffered[0]
-	st.buffered = st.buffered[1:]
-	a.Stats.PSPollsServiced++
-	a.transmitDownlink(p.Transmitter, st, msdu, len(st.buffered) > 0)
-}
-
-// flushBuffered sends everything held for a station that woke up.
-func (a *AP) flushBuffered(sta dot11.MAC, st *stationState) {
-	for _, msdu := range st.buffered {
-		a.transmitDownlink(sta, st, msdu, false)
-	}
-	st.buffered = nil
-}
-
 // StationInfo reports a client's association state for tests and tools.
 type StationInfo struct {
 	AID        uint16
 	Associated bool
 	Secured    bool
-	Dozing     bool
-	Buffered   int
 }
 
 // Station reports the state of a client, if known.
@@ -616,10 +530,7 @@ func (a *AP) Station(addr dot11.MAC) (StationInfo, bool) {
 	if !ok {
 		return StationInfo{}, false
 	}
-	return StationInfo{
-		AID: st.aid, Associated: st.associated, Secured: st.secured,
-		Dozing: st.dozing, Buffered: len(st.buffered),
-	}, true
+	return StationInfo{AID: st.aid, Associated: st.associated, Secured: st.secured}, true
 }
 
 // String summarizes the AP.

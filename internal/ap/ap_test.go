@@ -1,6 +1,7 @@
 package ap
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
@@ -78,8 +79,9 @@ func TestBeaconCadenceAndContents(t *testing.T) {
 	if ch, ok := b.Elements.DSChannel(); !ok || ch != 6 {
 		t.Errorf("channel %d", ch)
 	}
-	if _, ok := b.Elements.Find(dot11.ElementTIM); !ok {
-		t.Error("beacon missing TIM")
+	// The first beacon opens a DTIM period of 3, with an empty bitmap.
+	if tim, ok := b.Elements.Find(dot11.ElementTIM); !ok || !bytes.Equal(tim, []byte{0, 3, 0, 0}) {
+		t.Errorf("beacon TIM %x, want 00030000", tim)
 	}
 	if _, ok := b.Elements.Find(dot11.ElementRSN); !ok {
 		t.Error("beacon missing RSN")
@@ -181,9 +183,9 @@ func TestAssocWithoutRSNRejected(t *testing.T) {
 	}
 }
 
-// enterDozing authenticates and associates the fake station (so it holds
-// an AID the TIM can index), then marks it dozing via a null frame.
-func (fx *fixture) enterDozing(t *testing.T) {
+// associate authenticates and associates the fake station, so the AP
+// holds state for it with an AID.
+func (fx *fixture) associate(t *testing.T) {
 	t.Helper()
 	auth := &dot11.Auth{Algorithm: dot11.AuthOpen, Seq: 1}
 	auth.Header.Addr1 = bssid
@@ -202,114 +204,11 @@ func (fx *fixture) enterDozing(t *testing.T) {
 	if !ok || !info.Associated || info.AID == 0 {
 		t.Fatalf("association failed: %+v", info)
 	}
-	fx.sta.Send(dot11.NewNull(bssid, staAddr, true), nil)
-	fx.sched.RunFor(50 * sim.Millisecond.Duration())
-	info, ok = fx.ap.Station(staAddr)
-	if !ok || !info.Dozing {
-		t.Fatal("station not dozing at AP")
-	}
-}
-
-func TestPSBufferingAndTIM(t *testing.T) {
-	fx := newFixture()
-	fx.enterDozing(t)
-
-	// Downlink while dozing must be buffered, not transmitted.
-	dataFrames := 0
-	var timSawUs bool
-	fx.sta.Handler = func(f dot11.Frame, rx medium.Reception) {
-		switch g := f.(type) {
-		case *dot11.Data:
-			dataFrames++
-		case *dot11.Beacon:
-			if info, ok := g.Elements.Find(dot11.ElementTIM); ok {
-				if tim, err := dot11.ParseTIM(info); err == nil && len(tim.Buffered) > 0 {
-					timSawUs = true
-				}
-			}
-		}
-	}
-	fx.ap.sendDownlink(staAddr, bssid, netstack.WrapSNAP(netstack.EtherTypeIPv4, []byte("queued")))
-	fx.sched.RunFor(300 * sim.Millisecond.Duration())
-
-	if dataFrames != 0 {
-		t.Fatal("AP transmitted to a dozing station")
-	}
-	info, _ := fx.ap.Station(staAddr)
-	if info.Buffered != 1 {
-		t.Fatalf("buffered = %d", info.Buffered)
-	}
-	if !timSawUs {
-		t.Fatal("TIM never advertised buffered traffic")
-	}
-	if fx.ap.Stats.BufferedFrames != 1 {
-		t.Fatalf("stats.BufferedFrames = %d", fx.ap.Stats.BufferedFrames)
-	}
-}
-
-func TestPSPollReleasesOneFrame(t *testing.T) {
-	fx := newFixture()
-	fx.enterDozing(t)
-	fx.ap.sendDownlink(staAddr, bssid, netstack.WrapSNAP(netstack.EtherTypeIPv4, []byte("one")))
-	fx.ap.sendDownlink(staAddr, bssid, netstack.WrapSNAP(netstack.EtherTypeIPv4, []byte("two")))
-
-	var got []*dot11.Data
-	fx.sta.Handler = func(f dot11.Frame, rx medium.Reception) {
-		if d, ok := f.(*dot11.Data); ok {
-			cp := *d
-			cp.Payload = append([]byte(nil), d.Payload...)
-			got = append(got, &cp)
-		}
-	}
-	poll := &dot11.PSPoll{AID: 1, BSSID: bssid, Transmitter: staAddr}
-	fx.sta.Send(poll, nil)
-	fx.sched.RunFor(100 * sim.Millisecond.Duration())
-
-	if len(got) != 1 {
-		t.Fatalf("PS-Poll released %d frames, want 1", len(got))
-	}
-	if !got[0].Header.FC.MoreData {
-		t.Fatal("MoreData bit unset with a second frame buffered")
-	}
-	fx.sta.Send(&dot11.PSPoll{AID: 1, BSSID: bssid, Transmitter: staAddr}, nil)
-	fx.sched.RunFor(100 * sim.Millisecond.Duration())
-	if len(got) != 2 {
-		t.Fatalf("second PS-Poll released %d frames total", len(got))
-	}
-	if got[1].Header.FC.MoreData {
-		t.Fatal("MoreData bit set with empty buffer")
-	}
-	if fx.ap.Stats.PSPollsServiced != 2 {
-		t.Fatalf("PSPollsServiced = %d", fx.ap.Stats.PSPollsServiced)
-	}
-}
-
-func TestWakeFlushesBuffer(t *testing.T) {
-	fx := newFixture()
-	fx.enterDozing(t)
-	fx.ap.sendDownlink(staAddr, bssid, netstack.WrapSNAP(netstack.EtherTypeIPv4, []byte("held")))
-
-	got := 0
-	fx.sta.Handler = func(f dot11.Frame, rx medium.Reception) {
-		if _, ok := f.(*dot11.Data); ok {
-			got++
-		}
-	}
-	// Null frame with PM clear = awake.
-	fx.sta.Send(dot11.NewNull(bssid, staAddr, false), nil)
-	fx.sched.RunFor(100 * sim.Millisecond.Duration())
-	if got != 1 {
-		t.Fatalf("wake flushed %d frames, want 1", got)
-	}
-	info, _ := fx.ap.Station(staAddr)
-	if info.Dozing || info.Buffered != 0 {
-		t.Fatalf("post-wake state: %+v", info)
-	}
 }
 
 func TestDeauthForgetsStation(t *testing.T) {
 	fx := newFixture()
-	fx.enterDozing(t) // creates state
+	fx.associate(t) // creates state
 	d := &dot11.Deauth{Reason: dot11.ReasonLeaving}
 	d.Header.Addr1 = bssid
 	d.Header.Addr2 = staAddr
@@ -366,7 +265,7 @@ func TestBadAuthAlgorithmRejected(t *testing.T) {
 
 func TestDisassocKeepsAuthDropsAssoc(t *testing.T) {
 	fx := newFixture()
-	fx.enterDozing(t) // authenticates + associates
+	fx.associate(t)
 	d := &dot11.Disassoc{Reason: dot11.ReasonDisassocLeaving}
 	d.Header.Addr1 = bssid
 	d.Header.Addr2 = staAddr

@@ -1,6 +1,6 @@
 // Package battery models the power source the paper's battery-life claims
-// assume: a coin cell (or AA pair) with finite capacity, internal
-// resistance, and a load-dependent terminal voltage.
+// assume: a fresh coin cell (or AA pair) with internal resistance and a
+// load-dependent terminal voltage.
 //
 // This matters for Wi-LE specifically. The energy numbers say a Wi-LE
 // device rivals BLE on a CR2032 — but a CR2032's internal resistance is
@@ -8,9 +8,10 @@
 // voltage sags by I·R ≈ several volts, far below the ESP32's brownout
 // threshold. BLE radios draw ≤20 mA and survive. The practical fix (and
 // what real WiFi-on-coin-cell designs do) is a bulk capacitor that supplies
-// the burst while the cell recharges it between transmissions. The model
-// here lets the repository demonstrate both the failure and the fix
-// quantitatively (see the tests and cmd/wile-lab's battery projection).
+// the burst while the cell recharges it between transmissions; MinCapacitor
+// sizes it. cmd/wile-lab's feasibility block prints both the failure and
+// the fix. Capacity lives in energy.CR2032Capacity, which the battery-life
+// projection reads.
 package battery
 
 import (
@@ -23,139 +24,47 @@ import (
 // Chemistry describes one battery type.
 type Chemistry struct {
 	Name string
-	// NominalV is the open-circuit voltage when full.
+	// NominalV is the open-circuit voltage of a fresh cell.
 	NominalV units.Volts
-	// CutoffV is the terminal voltage at which the cell is spent.
-	CutoffV units.Volts
-	// Capacity is the rated capacity at low drain.
-	Capacity units.AmpHours
 	// InternalOhms is the fresh-cell internal resistance.
 	InternalOhms units.Ohms
-	// EndOfLifeOhms is the internal resistance near depletion (coin cells
-	// roughly triple).
-	EndOfLifeOhms units.Ohms
 }
 
 // Standard cells used by the examples and projections.
 var (
 	// CR2032: the "small button battery" of the paper's BLE claim.
-	CR2032 = Chemistry{
-		Name: "CR2032", NominalV: units.Volts(3.0), CutoffV: units.Volts(2.0),
-		Capacity: units.MilliAmpHours(225), InternalOhms: units.Ohms(15), EndOfLifeOhms: units.Ohms(50),
-	}
+	CR2032 = Chemistry{Name: "CR2032", NominalV: units.Volts(3.0), InternalOhms: units.Ohms(15)}
 	// AA2 is a pair of alkaline AAs in series — what ESP32 sensor designs
 	// actually ship with.
-	AA2 = Chemistry{
-		Name: "2×AA", NominalV: units.Volts(3.0), CutoffV: units.Volts(2.2),
-		Capacity: units.MilliAmpHours(2500), InternalOhms: units.Ohms(0.3), EndOfLifeOhms: units.Ohms(1.0),
-	}
+	AA2 = Chemistry{Name: "2×AA", NominalV: units.Volts(3.0), InternalOhms: units.Ohms(0.3)}
 	// LiSOCl2AA is a lithium thionyl chloride AA, the long-life industrial
 	// IoT favourite.
-	LiSOCl2AA = Chemistry{
-		Name: "Li-SOCl2 AA", NominalV: units.Volts(3.6), CutoffV: units.Volts(3.0),
-		Capacity: units.MilliAmpHours(2400), InternalOhms: units.Ohms(20), EndOfLifeOhms: units.Ohms(60),
-	}
+	LiSOCl2AA = Chemistry{Name: "Li-SOCl2 AA", NominalV: units.Volts(3.6), InternalOhms: units.Ohms(20)}
 )
 
-// Cell is one discharging battery.
+// Cell is one fresh battery.
 type Cell struct {
 	Chem Chemistry
-	// drawn accumulates delivered charge.
-	drawn units.AmpHours
 }
 
 // NewCell returns a fresh cell.
 func NewCell(chem Chemistry) *Cell { return &Cell{Chem: chem} }
 
-// StateOfCharge reports the remaining fraction (0..1).
-func (c *Cell) StateOfCharge() float64 {
-	soc := 1 - units.Ratio(c.drawn, c.Chem.Capacity)
-	if soc < 0 {
-		return 0
-	}
-	return soc
-}
-
-// internalOhms interpolates resistance with depletion.
-func (c *Cell) internalOhms() units.Ohms {
-	soc := c.StateOfCharge()
-	return c.Chem.EndOfLifeOhms + units.Scale(c.Chem.InternalOhms-c.Chem.EndOfLifeOhms, soc)
-}
-
-// openCircuitV models the gentle voltage slope over discharge.
-func (c *Cell) openCircuitV() units.Volts {
-	soc := c.StateOfCharge()
-	// Flat-ish plateau dropping toward cutoff in the last 20%.
-	if soc > 0.2 {
-		return c.Chem.NominalV - units.Scale(units.Volts(0.1), 1-soc)
-	}
-	plateau := c.Chem.NominalV - units.Volts(0.08)
-	return c.Chem.CutoffV + units.Scale(plateau-c.Chem.CutoffV, soc/0.2)
-}
-
 // TerminalV reports the loaded terminal voltage at the given draw.
 func (c *Cell) TerminalV(load units.Amps) units.Volts {
-	return c.openCircuitV() - units.IRDrop(load, c.internalOhms())
+	return c.Chem.NominalV - units.IRDrop(load, c.Chem.InternalOhms)
 }
 
 // CanSupply reports whether the cell holds the rail above minV at the
 // given draw.
 func (c *Cell) CanSupply(load units.Amps, minV units.Volts) bool {
-	return c.StateOfCharge() > 0 && c.TerminalV(load) >= minV
-}
-
-// Drain removes charge for a draw sustained for d.
-func (c *Cell) Drain(load units.Amps, d time.Duration) {
-	c.drawn += units.Charge(load, d).AmpHours()
-}
-
-// Depleted reports whether the cell can no longer hold the cutoff voltage
-// even unloaded.
-func (c *Cell) Depleted() bool {
-	return c.StateOfCharge() <= 0 || c.openCircuitV() < c.Chem.CutoffV
+	return c.TerminalV(load) >= minV
 }
 
 // String implements fmt.Stringer.
 func (c *Cell) String() string {
-	return fmt.Sprintf("%s: %.0f%% (%.1fΩ, %.2fV open-circuit)",
-		c.Chem.Name, c.StateOfCharge()*100, float64(c.internalOhms()), float64(c.openCircuitV()))
-}
-
-// BulkCapacitor buffers transmit bursts: the cell charges it slowly
-// through a current-limited path; bursts draw from it. This is the
-// standard fix for WiFi peaks on high-impedance cells.
-type BulkCapacitor struct {
-	// Farads is the capacitance.
-	Farads units.Farads
-	// V is the current capacitor voltage.
-	V units.Volts
-}
-
-// NewBulkCapacitor returns a capacitor charged to v.
-func NewBulkCapacitor(farads units.Farads, v units.Volts) *BulkCapacitor {
-	return &BulkCapacitor{Farads: farads, V: v}
-}
-
-// SupplyBurst draws a constant current for d from the capacitor, returning
-// the ending voltage: V - I·t/C.
-func (b *BulkCapacitor) SupplyBurst(load units.Amps, d time.Duration) units.Volts {
-	b.V -= units.Charge(load, d).Across(b.Farads)
-	if b.V < 0 {
-		b.V = 0
-	}
-	return b.V
-}
-
-// Recharge restores the capacitor to the source voltage (the between-burst
-// trickle; at IoT duty cycles the recharge current is microamps and always
-// completes).
-func (b *BulkCapacitor) Recharge(sourceV units.Volts) { b.V = sourceV }
-
-// BurstSurvivable reports whether a capacitor of the given size can hold
-// the rail above minV through one burst of load for d, starting from
-// startV — the sizing equation C ≥ I·t/(Vstart−Vmin).
-func BurstSurvivable(farads units.Farads, startV, minV units.Volts, load units.Amps, d time.Duration) bool {
-	return startV-units.Charge(load, d).Across(farads) >= minV
+	return fmt.Sprintf("%s (%.1fΩ, %.2fV open-circuit)",
+		c.Chem.Name, float64(c.Chem.InternalOhms), float64(c.Chem.NominalV))
 }
 
 // MinCapacitor sizes the bulk capacitor for a burst; +Inf when startV

@@ -50,22 +50,4 @@ func TestPlayConnectionEventEnergy(t *testing.T) {
 	if math.Abs(got-want) > want*0.01 {
 		t.Fatalf("device energy %v, analytic %v", got, want)
 	}
-	if d.Events() != 1 {
-		t.Fatalf("events = %d", d.Events())
-	}
-}
-
-func TestRunPeriodic(t *testing.T) {
-	s := sim.New()
-	d := NewDevice(s)
-	d.RunPeriodic(100 * time.Millisecond)
-	s.RunUntil(sim.Second + 50*sim.Millisecond)
-	if d.Events() != 10 {
-		t.Fatalf("%d events in 1.05 s at 100 ms interval, want 10", d.Events())
-	}
-	// Average current ≈ E/(V·t) + sleep ≈ 71µJ/(3V·0.1s) ≈ 237 µA.
-	avg := float64(d.Charge()) / s.Now().Seconds()
-	if avg < 200e-6 || avg > 280e-6 {
-		t.Fatalf("average current %v A at 10 Hz reporting", avg)
-	}
 }

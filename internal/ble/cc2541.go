@@ -55,14 +55,11 @@ func ConnectionEventEnergy() units.Joules {
 // as the esp32 model (piecewise-constant current, exact charge integral).
 type Device struct {
 	*energy.Recorder
-
-	sched  *sim.Scheduler
-	events int
 }
 
 // NewDevice builds a sleeping CC2541.
 func NewDevice(sched *sim.Scheduler) *Device {
-	return &Device{Recorder: energy.NewRecorder(sched, sleepCurrent, nil), sched: sched}
+	return &Device{Recorder: energy.NewRecorder(sched, sleepCurrent, nil)}
 }
 
 func sleepCurrent() units.Amps { return CC2541SleepCurrent }
@@ -70,25 +67,6 @@ func sleepCurrent() units.Amps { return CC2541SleepCurrent }
 // Energy reports the exact energy drawn since construction.
 func (d *Device) Energy() units.Joules { return d.Charge().Energy(CC2541Voltage) }
 
-// Events reports how many connection events have started.
-func (d *Device) Events() int { return d.events }
-
 // PlayConnectionEvent runs one slave connection event, then returns to
 // sleep and calls done.
-func (d *Device) PlayConnectionEvent(done func()) {
-	d.events++
-	d.Play(connectionEvent, done)
-}
-
-// RunPeriodic schedules a connection event every interval, with the first
-// at t=interval, until the scheduler is stopped or the caller stops
-// running it.
-func (d *Device) RunPeriodic(interval time.Duration) {
-	var tick func()
-	tick = func() {
-		d.PlayConnectionEvent(func() {
-			d.sched.DoAfter(interval-ConnectionEventDuration(), tick)
-		})
-	}
-	d.sched.DoAfter(interval, tick)
-}
+func (d *Device) PlayConnectionEvent(done func()) { d.Play(connectionEvent, done) }

@@ -201,88 +201,14 @@ func VendorElement(oui [3]byte, data []byte) (Element, error) {
 
 // --- TIM ---
 
-// TIM is the traffic-indication map element (§9.4.2.6): the structure a
-// power-saving station reads in every beacon to learn whether the AP holds
-// buffered frames for it. Maintaining the ability to read this cheaply is
-// the entire basis of the WiFi-PS baseline scenario.
-type TIM struct {
-	// DTIMCount counts down to the next DTIM beacon (0 = this one).
-	DTIMCount uint8
-	// DTIMPeriod is the number of beacon intervals between DTIMs.
-	DTIMPeriod uint8
-	// GroupTraffic is the multicast/broadcast buffered indicator
-	// (bit 0 of the bitmap control).
-	GroupTraffic bool
-	// Buffered holds the association IDs with buffered traffic.
-	Buffered []uint16
-}
-
-// TIMElement encodes t using the partial-virtual-bitmap compression the
-// standard requires: only the bytes between the first and last set bit are
-// transmitted, with the offset carried in the bitmap control.
-func TIMElement(t TIM) Element {
-	var bitmap [251]byte
-	lo, hi := len(bitmap), -1
-	for _, aid := range t.Buffered {
-		if aid == 0 || aid > 2007 {
-			continue // AID 0 is the AP itself; >2007 invalid
-		}
-		byteIdx, bit := int(aid/8), aid%8
-		bitmap[byteIdx] |= 1 << bit
-		if byteIdx < lo {
-			lo = byteIdx
-		}
-		if byteIdx > hi {
-			hi = byteIdx
-		}
-	}
-	var control byte
-	var partial []byte
-	if hi >= 0 {
-		offset := lo &^ 1 // N1: largest even number <= first nonzero byte
-		control = byte(offset)
-		partial = bitmap[offset : hi+1]
-	} else {
-		partial = []byte{0}
-	}
-	if t.GroupTraffic {
-		control |= 0x01
-	}
-	info := make([]byte, 0, 3+len(partial))
-	info = append(info, t.DTIMCount, t.DTIMPeriod, control)
-	info = append(info, partial...)
-	return Element{ID: ElementTIM, Info: info}
-}
-
-// ParseTIM decodes a TIM element body.
-func ParseTIM(info []byte) (TIM, error) {
-	if len(info) < 4 {
-		return TIM{}, fmt.Errorf("%w: TIM needs >=4 bytes, have %d", errTruncated, len(info))
-	}
-	t := TIM{
-		DTIMCount:    info[0],
-		DTIMPeriod:   info[1],
-		GroupTraffic: info[2]&0x01 != 0,
-	}
-	offset := int(info[2] &^ 0x01)
-	for i, b := range info[3:] {
-		for bit := 0; bit < 8; bit++ {
-			if b&(1<<bit) != 0 {
-				t.Buffered = append(t.Buffered, uint16((offset+i)*8+bit))
-			}
-		}
-	}
-	return t, nil
-}
-
-// BufferedFor reports whether the TIM indicates buffered traffic for aid.
-func (t TIM) BufferedFor(aid uint16) bool {
-	for _, a := range t.Buffered {
-		if a == aid {
-			return true
-		}
-	}
-	return false
+// TIMElement encodes the traffic-indication map element (§9.4.2.6) every
+// AP beacon carries. dtimCount counts down to the next DTIM beacon (0 =
+// this one) and dtimPeriod is the number of beacon intervals between
+// DTIMs. The partial virtual bitmap is empty, in its shortest form:
+// bitmap control 0 and one zero byte. No run holds downlink for a dozing
+// station, so no AID bit is ever set.
+func TIMElement(dtimCount, dtimPeriod uint8) Element {
+	return Element{ID: ElementTIM, Info: []byte{dtimCount, dtimPeriod, 0, 0}}
 }
 
 // --- RSN ---

@@ -79,9 +79,6 @@ func FuzzParseElements(f *testing.F) {
 		els.SSID()
 		els.DSChannel()
 		els.Vendor([3]byte{0x52, 0x49, 0x4c})
-		if info, ok := els.Find(ElementTIM); ok {
-			ParseTIM(info)
-		}
 		if info, ok := els.Find(ElementRSN); ok {
 			ParseRSN(info)
 		}

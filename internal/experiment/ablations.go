@@ -3,6 +3,7 @@ package experiment
 import (
 	"fmt"
 	"io"
+	"slices"
 	"time"
 
 	"wile/internal/ble"
@@ -461,8 +462,9 @@ type InterferencePoint struct {
 	// Collisions counts on-air corruption events.
 	Collisions int
 	// Events counts the scheduler events the point's world dispatched
-	// (sim.Fired): an exact work count. The clean-channel baseline run
-	// the delays are measured against is not included.
+	// (sim.Fired): an exact work count. When the sweep has no 0-duty
+	// point, the extra clean-channel run the delays are measured against
+	// is not included.
 	Events uint64
 }
 
@@ -528,18 +530,21 @@ func RunInterferenceStudy(duties []float64) []InterferencePoint {
 		}
 		return point
 	}
-	// The clean-channel baseline is shared by every point, so it runs once
-	// up front; the duty sweep then shards. run builds a fresh world per
-	// call, so concurrent points never touch the same kernel.
-	baseline := run(0).MeanDelay
-	return engine.MapValues(Pool(), len(duties), func(i int) InterferencePoint {
-		p := run(duties[i])
-		p.MeanDelay -= baseline
-		if p.MeanDelay < 0 {
-			p.MeanDelay = 0
-		}
-		return p
-	})
+	// The duty sweep shards; run builds a fresh world per call, so
+	// concurrent points never touch the same kernel. Every delay is
+	// measured against the clean channel: the sweep's own 0-duty point
+	// when it has one, else one extra run.
+	points := engine.MapValues(Pool(), len(duties), func(i int) InterferencePoint { return run(duties[i]) })
+	var baseline time.Duration
+	if i := slices.Index(duties, 0); i >= 0 {
+		baseline = points[i].MeanDelay
+	} else {
+		baseline = run(0).MeanDelay
+	}
+	for i := range points {
+		points[i].MeanDelay = max(points[i].MeanDelay-baseline, 0)
+	}
+	return points
 }
 
 // --- Carrier-frame ablation (why beacons, §4) ---

@@ -456,10 +456,24 @@ func TestBitrateAblationShape(t *testing.T) {
 	if first.Energy < 4*last.Energy {
 		t.Errorf("DSSS-1 %.1f µJ not ≫ MCS7-SGI %.1f µJ", first.Energy.Micro(), last.Energy.Micro())
 	}
-	// Airtime decreases monotonically within a modulation family; energy
-	// includes the fixed ramp so overall ordering holds loosely.
 	if last.Energy > units.MicroJoules(100) {
 		t.Errorf("MCS7-SGI point %.1f µJ implausibly high", last.Energy.Micro())
+	}
+	// Within one modulation family, energy never increases with rate. Not
+	// across families: a DSSS long preamble can cost more than a slower
+	// OFDM rate.
+	for i := 1; i < len(points); i++ {
+		prev, p := points[i-1], points[i]
+		if p.Rate.Mod != prev.Rate.Mod {
+			continue
+		}
+		if p.Rate.KbPerSec <= prev.Rate.KbPerSec {
+			t.Fatalf("%s does not follow %s in ascending rate", p.Rate.Name, prev.Rate.Name)
+		}
+		if p.Energy > prev.Energy {
+			t.Errorf("%s costs %.3f µJ, more than the slower %s at %.3f µJ",
+				p.Rate.Name, p.Energy.Micro(), prev.Rate.Name, prev.Energy.Micro())
+		}
 	}
 }
 
@@ -484,7 +498,17 @@ func TestPayloadAblationKink(t *testing.T) {
 	if !sawOne || !sawTwo {
 		t.Fatalf("fragmentation kink not observed (one=%v multi=%v)", sawOne, sawTwo)
 	}
-	// Energy grows with payload.
+	// Energy never decreases from one payload size to the next, and grows
+	// over the whole sweep.
+	if len(points) != 180 {
+		t.Fatalf("%d payload sizes, want 180", len(points))
+	}
+	for i := 1; i < len(points); i++ {
+		if points[i].Energy < points[i-1].Energy {
+			t.Errorf("%d B costs %.3f µJ, less than %d B at %.3f µJ", points[i].PayloadBytes,
+				points[i].Energy.Micro(), points[i-1].PayloadBytes, points[i-1].Energy.Micro())
+		}
+	}
 	if points[len(points)-1].Energy <= points[0].Energy {
 		t.Error("energy not increasing with payload")
 	}
@@ -740,6 +764,11 @@ func TestInterferenceStudy(t *testing.T) {
 	t.Logf("delivery/delay: clean %.3f/%v, 50%% %.3f/%v, 80%% %.3f/%v (collisions %d/%d/%d)",
 		clean.DeliveryRate, clean.MeanDelay, half.DeliveryRate, half.MeanDelay,
 		heavy.DeliveryRate, heavy.MeanDelay, clean.Collisions, half.Collisions, heavy.Collisions)
+	// A sweep with a 0-duty point takes the baseline from it; one without
+	// runs the clean channel on its own. The two must agree.
+	if shared, own := RunInterferenceStudy([]float64{0, 0.5})[1], RunInterferenceStudy([]float64{0.5})[0]; shared != own {
+		t.Errorf("50%% point against the sweep's baseline %+v, against its own %+v", shared, own)
+	}
 }
 
 func TestCarrierAblation(t *testing.T) {

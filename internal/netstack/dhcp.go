@@ -234,17 +234,6 @@ func (s *DHCPServer) lookupOrAssign(chaddr [6]byte) IP {
 	return ip
 }
 
-// HardwareFor reports the MAC holding a lease on ip, if any — the lookup
-// an AP's bridging path needs to map a destination IP to a station.
-func (s *DHCPServer) HardwareFor(ip IP) ([6]byte, bool) {
-	for hw, leased := range s.leases {
-		if leased == ip {
-			return hw, true
-		}
-	}
-	return [6]byte{}, false
-}
-
 // Handle consumes a client message and returns the server's reply, or nil
 // for messages that need none.
 func (s *DHCPServer) Handle(msg *DHCP) *DHCP {

@@ -66,8 +66,8 @@ func FuzzParseARP(f *testing.F) {
 }
 
 // FuzzParseIPv4UDP feeds arbitrary packets to the IPv4 decoder and the
-// payload of each accepted packet to the UDP decoder, as the AP's
-// bridging path does. Each input goes in twice, as received and with a
+// payload of each accepted packet to the UDP decoder, as the AP's uplink
+// path does. Each input goes in twice, as received and with a
 // valid header checksum, so mutations of the header reach the field
 // checks instead of dying at the checksum. Options after the fixed header
 // are dropped on re-encode and a zero TTL goes out as 64; every other

@@ -103,10 +103,9 @@ type Scheduler struct {
 	// tick were an ordinary event.
 	OnDispatch func(at Time)
 
-	now     Time
-	seq     uint64
-	stopped bool
-	fired   uint64
+	now   Time
+	seq   uint64
+	fired uint64
 	// pending counts the live events in the queue; cancelled ones stay
 	// queued until they reach the head.
 	pending int
@@ -279,9 +278,6 @@ func (s *Scheduler) dispatch(e *Event) {
 // Step fires the next pending event or ticker fire, advancing the clock to
 // its timestamp. It reports false when nothing remains.
 func (s *Scheduler) Step() bool {
-	if s.stopped {
-		return false
-	}
 	x, ok := s.head()
 	if t := s.nextTicker(); t != nil && (!ok || t.before(x)) {
 		s.fireTick(t)
@@ -294,7 +290,7 @@ func (s *Scheduler) Step() bool {
 	return true
 }
 
-// Run fires events until none remain or Stop is called.
+// Run fires events until none remain.
 func (s *Scheduler) Run() {
 	for s.Step() {
 	}
@@ -305,7 +301,7 @@ func (s *Scheduler) Run() {
 // pending. Ticker trains with a batch handler fire in closed-form batches
 // across stretches free of events and of other trains' fires (see Ticker).
 func (s *Scheduler) RunUntil(deadline Time) {
-	for !s.stopped {
+	for {
 		x, ok := s.head()
 		if t := s.nextTicker(); t != nil && (!ok || t.before(x)) {
 			if t.next > deadline {
@@ -337,12 +333,6 @@ func (s *Scheduler) RunUntil(deadline Time) {
 
 // RunFor is RunUntil(Now+d).
 func (s *Scheduler) RunFor(d time.Duration) { s.RunUntil(s.now.Add(d)) }
-
-// Stop halts Run/RunUntil after the current event returns.
-func (s *Scheduler) Stop() { s.stopped = true }
-
-// Resume clears a previous Stop.
-func (s *Scheduler) Resume() { s.stopped = false }
 
 // Ticker is a first-class periodic event train: one fire callback every
 // period, interleaved with ordinary events under the exact (time, seq)

@@ -132,22 +132,6 @@ func TestRunForIsRelative(t *testing.T) {
 	}
 }
 
-func TestStopHaltsRun(t *testing.T) {
-	s := New()
-	fired := 0
-	s.At(Millisecond, func() { fired++; s.Stop() })
-	s.At(2*Millisecond, func() { fired++ })
-	s.Run()
-	if fired != 1 {
-		t.Fatalf("fired %d, want 1 after Stop", fired)
-	}
-	s.Resume()
-	s.Run()
-	if fired != 2 {
-		t.Fatalf("fired %d after Resume, want 2", fired)
-	}
-}
-
 func TestEventSchedulingInsideEvent(t *testing.T) {
 	// A periodic process implemented by self-rescheduling must fire at
 	// exact multiples of its period.

@@ -66,8 +66,10 @@ const (
 	PSWakeListen = 60 * time.Millisecond
 )
 
-// listenInterval is the advertised beacon-skip count (the paper's WiFi-PS
-// wakes "only for every third beacon").
+// listenInterval is the beacon-skip count the association request
+// advertises (the paper's WiFi-PS wakes "only for every third beacon").
+// The WiFi-PS idle current already prices that wake cadence (see
+// experiment.WiFiPSIdleModel), so the station simulates no beacon wakes.
 const listenInterval = 3
 
 // Lease caches the network-layer state a duty-cycled client can reuse
@@ -133,8 +135,8 @@ type Station struct {
 	RouterMAC dot11.MAC
 	// AID is the association ID.
 	AID uint16
-	// OnDatagram, when set, receives non-DHCP UDP datagrams delivered to
-	// the station (e.g. frames bridged from another station by the AP).
+	// OnDatagram, when set, receives the non-DHCP UDP datagrams delivered
+	// to the station.
 	OnDatagram func(src, dst netstack.IP, srcPort, dstPort uint16, payload []byte)
 	// OnDisconnect, when set, is notified when the AP deauthenticates an
 	// established association.
@@ -167,9 +169,6 @@ type Station struct {
 	groupRx *crypto80211.CCMPSession
 	rng     *sim.Rand
 	ipID    uint16
-
-	// ps tracks the power-save beacon listener (powersave.go).
-	ps psState
 
 	// rec/macTrack carry the optional trace recorder (TraceTo): the join
 	// state machine emits one B/E slice per phase (probe, auth, assoc,
@@ -247,13 +246,11 @@ func (s *Station) Observe(reg *obs.Registry) { s.Port.Observe(reg) }
 
 // handle routes received frames to the pending management wait and the
 // steady-state paths (EAPOL, DHCP, ARP).
-func (s *Station) handle(f dot11.Frame, rx medium.Reception) {
+func (s *Station) handle(f dot11.Frame, _ medium.Reception) {
 	if s.expect != nil && s.expect(f) {
 		return
 	}
 	switch t := f.(type) {
-	case *dot11.Beacon:
-		s.handleBeacon(t, rx)
 	case *dot11.Deauth:
 		s.handleDeauth(t)
 	case *dot11.Data:
@@ -489,9 +486,6 @@ func (s *Station) handleDownlink(d *dot11.Data) {
 	if err != nil {
 		return
 	}
-	if s.handlePSDownlink(et, payload, d.Header.FC.MoreData) {
-		return
-	}
 	switch et {
 	case netstack.EtherTypeEAPOL:
 		s.handleEAPOL(payload)
@@ -671,8 +665,7 @@ func (s *Station) handleARP(payload []byte) {
 }
 
 // SendDatagram transmits one UDP datagram to an arbitrary IP through the
-// AP (which routes it upstream or bridges it to another station). Requires
-// a completed Join.
+// AP, which delivers it upstream. Requires a completed Join.
 func (s *Station) SendDatagram(dst netstack.IP, srcPort, dstPort uint16, payload []byte, done func(ok bool)) error {
 	if !s.joined {
 		return ErrNotJoined

@@ -302,10 +302,6 @@ func TestWiFiPSEpisodeEnergy(t *testing.T) {
 	if psOK == nil || !*psOK {
 		t.Fatal("power-save entry failed")
 	}
-	info, _ := w.ap.Station(staAddr)
-	if !info.Dozing {
-		t.Fatal("AP does not see the station dozing")
-	}
 	if w.sta.Dev.GetState() != esp32.StateWiFiPSIdle {
 		t.Fatalf("device state %v", w.sta.Dev.GetState())
 	}
@@ -524,125 +520,6 @@ func TestSnifferWrongPassphraseDecryptsNothing(t *testing.T) {
 	}
 	if sniffer.Stats.Undecryptable == 0 {
 		t.Fatal("no undecryptable frames counted")
-	}
-}
-
-func TestPowerSaveDownlinkRetrieval(t *testing.T) {
-	// The §3.2 round trip: the AP buffers downlink data for a dozing
-	// station, advertises it in the TIM, and the station — waking only for
-	// every 3rd beacon — retrieves it with PS-Polls.
-	w := newWorld()
-	if err := w.join(t); err != nil {
-		t.Fatal(err)
-	}
-	var psOK *bool
-	w.sta.EnterPowerSave(func(ok bool) { psOK = &ok })
-	w.sched.RunFor(sim.Second.Duration())
-	if psOK == nil || !*psOK {
-		t.Fatal("power-save entry failed")
-	}
-	var got []sta.DownlinkPayload
-	if err := w.sta.StartPowerSaveListener(func(p sta.DownlinkPayload) { got = append(got, p) }); err != nil {
-		t.Fatal(err)
-	}
-
-	// The AP queues two MSDUs for the dozing station (as a push from the
-	// DS would); both must be buffered, not transmitted.
-	w.ap.PushDownlink(staAddr, netstack.WrapSNAP(netstack.EtherTypeIPv4, []byte("config-1")))
-	w.ap.PushDownlink(staAddr, netstack.WrapSNAP(netstack.EtherTypeIPv4, []byte("config-2")))
-	info, _ := w.ap.Station(staAddr)
-	if info.Buffered != 2 {
-		t.Fatalf("AP buffered %d", info.Buffered)
-	}
-
-	// Within 3 beacon intervals (~310 ms) the station must have polled
-	// everything out.
-	w.sched.RunFor(sim.Second.Duration())
-	if len(got) != 2 {
-		t.Fatalf("retrieved %d MSDUs, want 2", len(got))
-	}
-	if string(got[0].Payload) != "config-1" || string(got[1].Payload) != "config-2" {
-		t.Fatalf("payloads: %q %q", got[0].Payload, got[1].Payload)
-	}
-	info, _ = w.ap.Station(staAddr)
-	if info.Buffered != 0 {
-		t.Fatalf("AP still buffers %d", info.Buffered)
-	}
-	if w.ap.Stats.PSPollsServiced != 2 {
-		t.Fatalf("PS-Polls serviced = %d", w.ap.Stats.PSPollsServiced)
-	}
-	// Device is back in PS idle after the burst.
-	if w.sta.Dev.GetState() != esp32.StateWiFiPSIdle {
-		t.Fatalf("device state %v", w.sta.Dev.GetState())
-	}
-}
-
-func TestPowerSaveListenerSkipsBeacons(t *testing.T) {
-	// With listen interval 3 and nothing buffered, the station checks at
-	// most every 3rd beacon and never polls.
-	w := newWorld()
-	if err := w.join(t); err != nil {
-		t.Fatal(err)
-	}
-	w.sta.EnterPowerSave(nil)
-	w.sched.RunFor(sim.Second.Duration())
-	w.sta.StartPowerSaveListener(nil)
-	w.sched.RunFor(2 * sim.Second.Duration())
-	if w.ap.Stats.PSPollsServiced != 0 {
-		t.Fatal("station polled with nothing buffered")
-	}
-}
-
-func TestAPBridgesStationToStation(t *testing.T) {
-	// The distribution-system function: station A sends a UDP datagram to
-	// station B's leased IP; the AP decrypts it with A's pairwise key and
-	// re-protects it with B's before relaying.
-	w := newWorld()
-	if err := w.join(t); err != nil {
-		t.Fatal(err)
-	}
-	b := sta.New(w.sched, w.med, sta.Config{
-		SSID:       "lab-net",
-		Passphrase: "correct horse battery staple",
-		Addr:       dot11.MustParseMAC("02:57:00:00:00:02"),
-		Position:   medium.Position{X: 2, Y: 2},
-		Seed:       0x575,
-	})
-	var joinErr *error
-	b.Dev.SetState(esp32.StateCPUActive)
-	b.Join(func(err error) { joinErr = &err })
-	w.sched.RunUntil(w.sched.Now() + 10*sim.Second)
-	if joinErr == nil || *joinErr != nil {
-		t.Fatalf("second station join: %v", joinErr)
-	}
-
-	var got []byte
-	var gotSrc netstack.IP
-	b.OnDatagram = func(src, dst netstack.IP, sp, dp uint16, payload []byte) {
-		gotSrc, got = src, payload
-	}
-
-	// A → B by IP.
-	var sendOK *bool
-	if err := w.sta.SendDatagram(b.IP, 40000, 7777, []byte("peer-to-peer"), func(ok bool) { sendOK = &ok }); err != nil {
-		t.Fatal(err)
-	}
-	w.sched.RunFor(sim.Second.Duration())
-	if sendOK == nil || !*sendOK {
-		t.Fatal("datagram not acknowledged")
-	}
-
-	if string(got) != "peer-to-peer" {
-		t.Fatalf("bridged payload %q", got)
-	}
-	if gotSrc != w.sta.IP {
-		t.Fatalf("bridged src %v", gotSrc)
-	}
-	if w.ap.Stats.BridgedFrames != 1 {
-		t.Fatalf("bridged frames = %d", w.ap.Stats.BridgedFrames)
-	}
-	if w.ap.Stats.UplinkFrames != 0 {
-		t.Fatal("bridged frame also counted as uplink")
 	}
 }
 

@@ -111,12 +111,6 @@ func Charge(a Amps, d time.Duration) Coulombs { return Coulombs(float64(a) * d.S
 // voltage.
 func (c Coulombs) Energy(v Volts) Joules { return Joules(float64(c) * float64(v)) }
 
-// AmpHours converts a charge to battery-capacity units (1 Ah = 3600 C).
-func (c Coulombs) AmpHours() AmpHours { return AmpHours(float64(c) / 3600) }
-
-// Across is ΔV = Q/C: the voltage swing the charge causes on a capacitor.
-func (c Coulombs) Across(f Farads) Volts { return Volts(float64(c) / float64(f)) }
-
 // Energy is the energy a full battery of this capacity stores at its
 // nominal voltage (1 Ah at 1 V is 3600 J).
 func (ah AmpHours) Energy(v Volts) Joules { return Joules(float64(ah) * 3600 * float64(v)) }
@@ -157,13 +151,13 @@ func BatteryLife(e Joules, p Watts) time.Duration {
 }
 
 // Scale multiplies a quantity by a dimensionless factor, for lerp-style
-// math (state-of-charge interpolation, duty cycles) that cross-type
-// arithmetic rules would otherwise reject.
+// math (plot thresholds, duty cycles) that cross-type arithmetic rules
+// would otherwise reject.
 func Scale[T ~float64](x T, k float64) T { return T(float64(x) * k) }
 
 // Ratio is the dimensionless quotient of two like quantities — the
-// sanctioned spelling for energy errors, duty cycles and state of charge
-// (same-unit division is flagged by unitsafety).
+// sanctioned spelling for energy errors and duty cycles (same-unit
+// division is flagged by unitsafety).
 func Ratio[T ~float64](a, b T) float64 { return float64(a) / float64(b) }
 
 // String renders the energy with the unit Table 1 uses (µJ, mJ or J),

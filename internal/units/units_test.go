@@ -87,9 +87,6 @@ func TestHelpers(t *testing.T) {
 	if got := float64(q.Energy(Volts(3.3))); math.Abs(got-0.297) > 1e-12 {
 		t.Errorf("Charge.Energy = %v J, want 0.297", got)
 	}
-	if got := q.AmpHours().Milli(); math.Abs(got-0.025) > 1e-9 {
-		t.Errorf("0.09 C = %v mAh, want 0.025", got)
-	}
 	if got := float64(MilliAmpHours(225).Energy(Volts(3))); math.Abs(got-2430) > 1e-9 {
 		t.Errorf("225 mAh at 3 V = %v J, want 2430", got)
 	}
@@ -101,9 +98,6 @@ func TestHelpers(t *testing.T) {
 	}
 	if got := float64(IRDrop(Amps(0.18), Ohms(15))); math.Abs(got-2.7) > 1e-12 {
 		t.Errorf("IRDrop(0.18 A, 15 Ω) = %v V, want 2.7", got)
-	}
-	if got := float64(Charge(Amps(0.18), time.Second).Across(MicroFarads(100))); math.Abs(got-1800) > 1e-6 {
-		t.Errorf("0.18 C across 100 µF = %v V, want 1800", got)
 	}
 }
 
