@@ -15,7 +15,6 @@
 package battery
 
 import (
-	"fmt"
 	"time"
 
 	"wile/internal/units"
@@ -59,12 +58,6 @@ func (c *Cell) TerminalV(load units.Amps) units.Volts {
 // given draw.
 func (c *Cell) CanSupply(load units.Amps, minV units.Volts) bool {
 	return c.TerminalV(load) >= minV
-}
-
-// String implements fmt.Stringer.
-func (c *Cell) String() string {
-	return fmt.Sprintf("%s (%.1fΩ, %.2fV open-circuit)",
-		c.Chem.Name, float64(c.Chem.InternalOhms), float64(c.Chem.NominalV))
 }
 
 // MinCapacitor sizes the bulk capacitor for a burst; +Inf when startV

@@ -70,10 +70,3 @@ func TestVoltageMonotoneInLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestStringFormat(t *testing.T) {
-	s := NewCell(CR2032).String()
-	if s == "" {
-		t.Fatal("empty string")
-	}
-}

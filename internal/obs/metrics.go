@@ -6,7 +6,6 @@ import (
 	"math"
 	"slices"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -319,73 +318,60 @@ func (r *Registry) snapshot() []entry {
 // values, so two identical runs snapshot byte-identically.
 func (r *Registry) WriteJSON(w io.Writer) error {
 	entries := r.snapshot()
-	bw := &errWriter{w: w}
-	bw.printf("{\n  \"counters\": {")
-	writeKind(bw, entries, func(e *entry) (string, bool) {
-		if _, ok := e.it.(*Counter); !ok {
-			return "", false
-		}
-		return strconv.FormatInt(e.count, 10), true
-	})
-	bw.printf("},\n  \"gauges\": {")
-	writeKind(bw, entries, func(e *entry) (string, bool) {
-		g, ok := e.it.(*Gauge)
-		if !ok {
-			return "", false
-		}
-		return formatValue(g.Value()), true
-	})
-	bw.printf("},\n  \"histograms\": {")
-	writeKind(bw, entries, func(e *entry) (string, bool) {
-		h, ok := e.it.(*Histogram)
-		if !ok {
-			return "", false
-		}
+	e := newEncoder(w)
+	e.lit("{\n  \"counters\": {")
+	writeKind(e, entries, func(_ *Counter, en *entry) { e.num(en.count) })
+	e.lit("},\n  \"gauges\": {")
+	writeKind(e, entries, func(g *Gauge, _ *entry) { e.value(g.Value()) })
+	e.lit("},\n  \"histograms\": {")
+	writeKind(e, entries, func(h *Histogram, _ *entry) {
 		count, sum, buckets := h.snapshot()
-		var b []byte
-		b = append(b, `{"count":`...)
-		b = strconv.AppendInt(b, count, 10)
-		b = append(b, `,"sum":`...)
-		b = append(b, formatValue(sum)...)
-		b = append(b, `,"nan":`...)
-		b = strconv.AppendInt(b, h.NaNDropped(), 10)
-		b = append(b, `,"buckets":[`...)
-		for i := range buckets {
+		e.lit(`{"count":`)
+		e.num(count)
+		e.lit(`,"sum":`)
+		e.value(sum)
+		e.lit(`,"nan":`)
+		e.num(h.NaNDropped())
+		e.lit(`,"buckets":[`)
+		for i, n := range buckets {
 			if i > 0 {
-				b = append(b, ',')
+				e.lit(",")
 			}
-			b = append(b, `{"le":`...)
+			e.lit(`{"le":`)
 			if i < len(h.bounds) {
-				b = append(b, formatValue(h.bounds[i])...)
+				e.value(h.bounds[i])
 			} else {
-				b = append(b, `"+Inf"`...)
+				e.lit(`"+Inf"`)
 			}
-			b = append(b, `,"count":`...)
-			b = strconv.AppendInt(b, buckets[i], 10)
-			b = append(b, '}')
+			e.lit(`,"count":`)
+			e.num(n)
+			e.lit("}")
 		}
-		b = append(b, `]}`...)
-		return string(b), true
+		e.lit("]}")
 	})
-	bw.printf("}\n}\n")
-	return bw.err
+	e.lit("}\n}\n")
+	return e.flush()
 }
 
-// writeKind emits the "name": value pairs of one metric kind.
-func writeKind(bw *errWriter, entries []entry, value func(e *entry) (string, bool)) {
+// writeKind emits the "name": value pairs of the metrics of kind M, in
+// entry order; value writes one metric's value.
+func writeKind[M any](e encoder, entries []entry, value func(m M, en *entry)) {
 	first := true
 	for i := range entries {
-		v, ok := value(&entries[i])
+		m, ok := entries[i].it.(M)
 		if !ok {
 			continue
 		}
 		if !first {
-			bw.printf(",")
+			e.lit(",")
 		}
 		first = false
-		bw.printf("\n    %s: %s", quote(entries[i].name), v)
+		e.lit("\n    ")
+		e.quote(entries[i].name)
+		e.lit(": ")
+		value(m, &entries[i])
 	}
 	if !first {
-		bw.printf("\n  ")
+		e.lit("\n  ")
 	}
 }

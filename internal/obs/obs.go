@@ -35,11 +35,7 @@
 package obs
 
 import (
-	"encoding/json"
-	"fmt"
 	"io"
-	"strconv"
-	"strings"
 
 	"wile/internal/sim"
 )
@@ -219,93 +215,82 @@ func (r *Recorder) WriteChromeTrace(w io.Writer) error {
 // byte-identical bytes whether it was buffered in memory or spilled to
 // disk, chunked this way or that.
 func WriteChromeTrace(w io.Writer, tracks []string, events Sink) error {
-	bw := &errWriter{w: w}
-	bw.printf("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n")
-	bw.printf("{\"ph\":\"M\",\"pid\":1,\"tid\":0,\"name\":\"process_name\",\"args\":{\"name\":\"wile-sim\"}}")
-	for i, name := range tracks {
-		bw.printf(",\n{\"ph\":\"M\",\"pid\":1,\"tid\":%d,\"name\":\"thread_name\",\"args\":{\"name\":%s}}", i+1, quote(name))
-		bw.printf(",\n{\"ph\":\"M\",\"pid\":1,\"tid\":%d,\"name\":\"thread_sort_index\",\"args\":{\"sort_index\":%d}}", i+1, i+1)
+	e := newEncoder(w)
+	names := quoteNames(tracks)
+	e.lit("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n")
+	e.lit(`{"ph":"M","pid":1,"tid":0,"name":"process_name","args":{"name":"wile-sim"}}`)
+	for i := range tracks {
+		tid := int64(i) + 1
+		e.lit(",\n{\"ph\":\"M\",\"pid\":1,\"tid\":")
+		e.num(tid)
+		e.lit(`,"name":"thread_name","args":{"name":`)
+		e.raw(names.at(i))
+		e.lit("}}")
+		e.lit(",\n{\"ph\":\"M\",\"pid\":1,\"tid\":")
+		e.num(tid)
+		e.lit(`,"name":"thread_sort_index","args":{"sort_index":`)
+		e.num(tid)
+		e.lit("}}")
 	}
 	err := events.Replay(func(chunk []Event) error {
 		for i := range chunk {
-			writeEvent(bw, tracks, &chunk[i])
+			writeEvent(e, &names, &chunk[i])
 		}
-		return bw.err
+		return e.err()
 	})
 	if err != nil {
 		return err
 	}
-	bw.printf("\n]}\n")
-	return bw.err
+	e.lit("\n]}\n")
+	return e.flush()
 }
 
 // writeEvent renders one event; the formatting here is the byte-identity
-// contract every Sink implementation is tested against.
-func writeEvent(bw *errWriter, tracks []string, e *Event) {
-	tid := int(e.Track) + 1
-	switch e.Ph {
+// contract every Sink implementation is tested against. tracks holds the
+// quoted track names, which counter events are named by.
+func writeEvent(e encoder, tracks *quotedNames, ev *Event) {
+	switch ev.Ph {
 	case phSpan:
-		bw.printf(",\n{\"ph\":\"X\",\"pid\":1,\"tid\":%d,\"ts\":%s,\"dur\":%s,\"name\":%s}",
-			tid, micros(e.At), micros(e.Dur), quote(e.Name))
+		e.lit(",\n{\"ph\":\"X\",\"pid\":1,\"tid\":")
+		e.num(int64(ev.Track) + 1)
+		e.lit(`,"ts":`)
+		e.micros(ev.At)
+		e.lit(`,"dur":`)
+		e.micros(ev.Dur)
+		e.lit(`,"name":`)
+		e.quote(ev.Name)
+		e.lit("}")
 	case phBegin:
-		bw.printf(",\n{\"ph\":\"B\",\"pid\":1,\"tid\":%d,\"ts\":%s,\"name\":%s}",
-			tid, micros(e.At), quote(e.Name))
+		e.lit(",\n{\"ph\":\"B\",\"pid\":1,\"tid\":")
+		e.num(int64(ev.Track) + 1)
+		e.lit(`,"ts":`)
+		e.micros(ev.At)
+		e.lit(`,"name":`)
+		e.quote(ev.Name)
+		e.lit("}")
 	case phEnd:
-		bw.printf(",\n{\"ph\":\"E\",\"pid\":1,\"tid\":%d,\"ts\":%s}", tid, micros(e.At))
+		e.lit(",\n{\"ph\":\"E\",\"pid\":1,\"tid\":")
+		e.num(int64(ev.Track) + 1)
+		e.lit(`,"ts":`)
+		e.micros(ev.At)
+		e.lit("}")
 	case phInstant:
-		bw.printf(",\n{\"ph\":\"i\",\"s\":\"t\",\"pid\":1,\"tid\":%d,\"ts\":%s,\"name\":%s}",
-			tid, micros(e.At), quote(e.Name))
+		e.lit(",\n{\"ph\":\"i\",\"s\":\"t\",\"pid\":1,\"tid\":")
+		e.num(int64(ev.Track) + 1)
+		e.lit(`,"ts":`)
+		e.micros(ev.At)
+		e.lit(`,"name":`)
+		e.quote(ev.Name)
+		e.lit("}")
 	case phCounter:
 		// Counter series attach to the process; the track name is the
 		// series name and the single sampled value its only lane.
-		bw.printf(",\n{\"ph\":\"C\",\"pid\":1,\"tid\":0,\"ts\":%s,\"name\":%s,\"args\":{\"value\":%s}}",
-			micros(e.At), quote(tracks[e.Track]), formatValue(e.Value))
+		e.lit(",\n{\"ph\":\"C\",\"pid\":1,\"tid\":0,\"ts\":")
+		e.micros(ev.At)
+		e.lit(`,"name":`)
+		e.raw(tracks.at(int(ev.Track)))
+		e.lit(`,"args":{"value":`)
+		e.value(ev.Value)
+		e.lit("}}")
 	}
-}
-
-// micros renders a sim.Time (nanoseconds) as the microsecond timestamps the
-// trace format uses, with the sub-microsecond remainder as three fixed
-// decimals so distinct virtual instants never collapse. Negative times
-// carry one leading sign: -1500 ns is "-1.500", never "-1.-500".
-func micros(t sim.Time) string {
-	sign := ""
-	if t < 0 {
-		sign, t = "-", -t
-	}
-	us, ns := t/1000, t%1000
-	return fmt.Sprintf("%s%d.%03d", sign, us, ns)
-}
-
-// quote renders a name as a JSON string. A name of printable ASCII other
-// than '"' and '\\' is quoted as is; anything else goes through the JSON
-// encoder without its HTML escaping, so control bytes, invalid UTF-8 and
-// every rune come out as valid JSON.
-func quote(s string) string {
-	for i := 0; i < len(s); i++ {
-		if c := s[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' {
-			var b strings.Builder
-			enc := json.NewEncoder(&b)
-			enc.SetEscapeHTML(false)
-			_ = enc.Encode(s) // a string always encodes
-			return strings.TrimSuffix(b.String(), "\n")
-		}
-	}
-	return `"` + s + `"`
-}
-
-// formatValue renders a counter sample with the shortest round-trip float
-// formatting, which is deterministic for a given bit pattern.
-func formatValue(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-
-// errWriter latches the first write error so export code reads linearly.
-type errWriter struct {
-	w   io.Writer
-	err error
-}
-
-func (e *errWriter) printf(format string, args ...any) {
-	if e.err != nil {
-		return
-	}
-	_, e.err = fmt.Fprintf(e.w, format, args...)
 }

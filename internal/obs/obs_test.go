@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -52,9 +53,9 @@ func TestChromeTraceIsValidJSON(t *testing.T) {
 
 // TestWritersQuoteNamesAsJSON sends names that Go's string quoting renders
 // with escapes JSON does not have (a control byte, DEL, invalid UTF-8, an
-// astral rune Go does not count as printable) through every JSON writer.
-// Each output must be valid JSON that decodes back to the name, with
-// invalid UTF-8 replaced by U+FFFD.
+// astral rune Go does not count as printable) through appendQuoted and
+// every JSON writer. Each output must be valid JSON that decodes back to
+// the name, with invalid UTF-8 replaced by U+FFFD.
 func TestWritersQuoteNamesAsJSON(t *testing.T) {
 	writers := map[string]func(name string, w *bytes.Buffer) error{
 		"WriteReportJSON": func(name string, w *bytes.Buffer) error {
@@ -75,6 +76,13 @@ func TestWritersQuoteNamesAsJSON(t *testing.T) {
 		},
 	}
 	for _, name := range []string{"a\x01b", "del\x7f", "bad\xff", "\U000E0001", `q"b\s</>&`} {
+		quoted := appendQuoted([]byte("["), name)
+		var got []string
+		if err := json.Unmarshal(append(quoted, ']'), &got); err != nil {
+			t.Errorf("appendQuoted(%q) = %s, not a JSON string: %v", name, quoted[1:], err)
+		} else if want := strings.ToValidUTF8(name, "\uFFFD"); len(got) != 1 || got[0] != want {
+			t.Errorf("appendQuoted(%q) = %s decodes to %q, want %q", name, quoted[1:], got, want)
+		}
 		for writer, write := range writers {
 			var buf bytes.Buffer
 			if err := write(name, &buf); err != nil {
@@ -157,7 +165,9 @@ func TestObserveScheduler(t *testing.T) {
 // TestMicrosFormatsNegatives pins the timestamp formatter, in particular
 // the negative-time rendering: -1500 ns must read "-1.500", not the
 // "-1.-500" garbage integer division used to produce (JSON numbers with an
-// interior minus sign silently corrupt the whole export).
+// interior minus sign silently corrupt the whole export). The most
+// negative time, whose magnitude int64 cannot hold, prints its magnitude
+// too.
 func TestMicrosFormatsNegatives(t *testing.T) {
 	cases := []struct {
 		t    sim.Time
@@ -174,10 +184,12 @@ func TestMicrosFormatsNegatives(t *testing.T) {
 		{-1000, "-1.000"},
 		{-1500, "-1.500"},
 		{-210 * sim.Millisecond, "-210000.000"},
+		{math.MaxInt64, "9223372036854775.807"},
+		{math.MinInt64, "-9223372036854775.808"},
 	}
 	for _, c := range cases {
-		if got := micros(c.t); got != c.want {
-			t.Errorf("micros(%d) = %q, want %q", c.t, got, c.want)
+		if got := string(appendMicros([]byte("ts:"), c.t)); got != "ts:"+c.want {
+			t.Errorf("appendMicros(ts:, %d) = %q, want %q", c.t, got, "ts:"+c.want)
 		}
 	}
 }

@@ -18,7 +18,8 @@ import (
 	"fmt"
 	"io"
 	"slices"
-	"sort"
+	"strconv"
+	"strings"
 
 	"wile/internal/sim"
 )
@@ -447,131 +448,236 @@ func (p *Provenance) actorName(id ActorID) string {
 	if int(id) < len(p.actors) {
 		return p.actors[id]
 	}
-	return fmt.Sprintf("actor#%d", id)
+	return "actor#" + strconv.Itoa(int(id))
 }
 
-// sortedLinks reports the link rows ordered by (from name, to name), ids
-// as a tiebreak — the deterministic row order of both report formats. A
-// transmitter's out-of-range row sorts after its link rows.
-func (p *Provenance) sortedLinks() []*linkRow {
-	rows := make([]*linkRow, 0, p.links.n)
+// reportRows is what both report formats print, read from the ledger once
+// per report.
+type reportRows struct {
+	// names are the actors' names by id: the registered ones, then those
+	// actorName gives the ids past them that a link row names.
+	names []string
+	// links are the link rows in report order: by (from name, to name), a
+	// transmitter's out-of-range row after its link rows, ids as a
+	// tiebreak.
+	links []*linkRow
+	// queueDrops are the actors with TX-side queue drops, in (name, id)
+	// order.
+	queueDrops []ActorID
+}
+
+// report gathers the rows of a report. Names are compared once, to give
+// each its dense rank (equal names share one); the rows then sort on the
+// integers (rank(from), out of range, rank(to), from, to), which is the
+// order of the names themselves, by counting instead of comparing.
+func (p *Provenance) report() reportRows {
+	v := reportRows{names: p.actors, links: make([]*linkRow, 0, p.links.n)}
+	top := len(p.actors) - 1
 	for _, r := range p.links.slots {
 		if r != nil {
-			rows = append(rows, r)
+			v.links = append(v.links, r)
+			top = max(top, int(r.from), int(r.to))
 		}
 	}
-	sort.Slice(rows, func(i, j int) bool {
-		a, b := rows[i], rows[j]
-		if an, bn := p.actorName(a.from), p.actorName(b.from); an != bn {
-			return an < bn
+	if top >= len(p.actors) {
+		v.names = slices.Clone(p.actors)
+		for id := len(p.actors); id <= top; id++ {
+			v.names = append(v.names, p.actorName(ActorID(id)))
 		}
-		if ao, bo := a.to == outOfRange, b.to == outOfRange; ao != bo {
-			return bo
+	}
+
+	byName := make([]ActorID, len(v.names))
+	for id := range byName {
+		byName[id] = ActorID(id)
+	}
+	slices.SortStableFunc(byName, func(a, b ActorID) int { return strings.Compare(v.names[a], v.names[b]) })
+	rank := make([]int, len(v.names))
+	for i, id := range byName {
+		if i > 0 {
+			prev := byName[i-1]
+			rank[id] = rank[prev]
+			if v.names[id] != v.names[prev] {
+				rank[id]++
+			}
 		}
-		if an, bn := p.actorName(a.to), p.actorName(b.to); an != bn {
-			return an < bn
+		if int(id) < len(p.queueDrops) && p.queueDrops[id] > 0 {
+			v.queueDrops = append(v.queueDrops, id)
 		}
-		if a.from != b.from {
-			return a.from < b.from
+	}
+
+	// Four stable counting passes over the rows' indexes, least
+	// significant key first.
+	rows := v.links
+	order, tmp := make([]int32, len(rows)), make([]int32, len(rows))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	count := make([]int, len(v.names)+1)
+	pass := func(key func(r *linkRow) int) {
+		clear(count)
+		for _, i := range order {
+			count[key(rows[i])]++
 		}
-		return a.to < b.to
+		sum := 0
+		for k, n := range count {
+			count[k], sum = sum, sum+n
+		}
+		for _, i := range order {
+			k := key(rows[i])
+			tmp[count[k]] = i
+			count[k]++
+		}
+		order, tmp = tmp, order
+	}
+	pass(func(r *linkRow) int { return int(r.to) + 1 })
+	pass(func(r *linkRow) int { return int(r.from) })
+	pass(func(r *linkRow) int {
+		if r.to == outOfRange {
+			return len(rank) // after every name
+		}
+		return rank[r.to]
 	})
-	return rows
+	pass(func(r *linkRow) int { return rank[r.from] })
+	v.links = make([]*linkRow, len(rows))
+	for i, j := range order {
+		v.links[i] = rows[j]
+	}
+	return v
 }
 
-// queueDropActors reports the actors with TX-side queue drops, sorted by
-// name (ids as a tiebreak).
-func (p *Provenance) queueDropActors() []ActorID {
-	ids := make([]ActorID, 0)
-	for id, n := range p.queueDrops {
-		if n > 0 {
-			ids = append(ids, ActorID(id))
-		}
+// name reports an actor's name as the reports print it.
+func (v *reportRows) name(id ActorID) string {
+	if id == outOfRange {
+		return "(out of range)"
 	}
-	sort.Slice(ids, func(i, j int) bool {
-		if an, bn := p.actorName(ids[i]), p.actorName(ids[j]); an != bn {
-			return an < bn
-		}
-		return ids[i] < ids[j]
-	})
-	return ids
+	return v.names[id]
 }
+
+// reportLabels are the text report's outcome lines up to their count,
+// the name left-aligned in 18 columns, and jsonKeys the JSON report's
+// quoted reason keys.
+var reportLabels, jsonKeys = func() (labels, keys [NumDropReasons]string) {
+	for r, name := range dropReasonNames {
+		labels[r] = "  " + name + strings.Repeat(" ", 19-len(name))
+		keys[r] = `"` + name + `": `
+	}
+	return labels, keys
+}()
 
 // WriteReport renders the per-reason and per-link drop summary as a
 // fixed-width table. Output is a pure function of the ledger's state:
 // byte-identical across runs and GOMAXPROCS settings.
 func (p *Provenance) WriteReport(w io.Writer) error {
-	bw := &errWriter{w: w}
-	bw.printf("frames %d, potential receptions %d, unresolved %d\n",
-		p.next, p.potential, p.unresolved)
-	bw.printf("outcomes:\n")
+	v := p.report()
+	e := newEncoder(w)
+	e.lit("frames ")
+	e.num(int64(p.next))
+	e.lit(", potential receptions ")
+	e.num(p.potential)
+	e.lit(", unresolved ")
+	e.num(int64(p.unresolved))
+	e.lit("\noutcomes:\n")
 	for r := DropReason(0); r < NumDropReasons; r++ {
-		bw.printf("  %-18s %d\n", dropReasonNames[r], p.total(r))
+		e.lit(reportLabels[r])
+		e.num(p.total(r))
+		e.lit("\n")
 	}
-	links := p.sortedLinks()
-	if len(links) > 0 {
-		bw.printf("links:\n")
+	if len(v.links) > 0 {
+		e.lit("links:\n")
 	}
-	for _, k := range links {
-		bw.printf("  %s -> %s:", p.actorName(k.from), p.actorName(k.to))
-		counts := &k.counts
-		for r := 0; r < NumDropReasons; r++ {
-			if counts[r] > 0 {
-				bw.printf(" %s=%d", dropReasonNames[r], counts[r])
+	for _, k := range v.links {
+		e.lit("  ")
+		e.lit(v.name(k.from))
+		e.lit(" -> ")
+		e.lit(v.name(k.to))
+		e.lit(":")
+		for r, n := range k.counts {
+			if n > 0 {
+				e.lit(" ")
+				e.lit(dropReasonNames[r])
+				e.lit("=")
+				e.num(n)
 			}
 		}
-		bw.printf("\n")
+		e.lit("\n")
 	}
-	if qd := p.queueDropActors(); len(qd) > 0 {
-		bw.printf("tx queue drops:\n")
-		for _, id := range qd {
-			bw.printf("  %s: %d\n", p.actorName(id), p.queueDrops[id])
-		}
+	if len(v.queueDrops) > 0 {
+		e.lit("tx queue drops:\n")
 	}
-	return bw.err
+	for _, id := range v.queueDrops {
+		e.lit("  ")
+		e.lit(v.names[id])
+		e.lit(": ")
+		e.num(p.queueDrops[id])
+		e.lit("\n")
+	}
+	return e.flush()
 }
 
 // WriteReportJSON renders the same summary as deterministic JSON: taxonomy
-// order for the outcomes object, (from, to) name order for links.
+// order for the outcomes object, (from, to) name order for links. Each
+// actor's name is quoted once per report.
 func (p *Provenance) WriteReportJSON(w io.Writer) error {
-	bw := &errWriter{w: w}
-	bw.printf("{\n  \"frames\": %d,\n  \"potential\": %d,\n  \"unresolved\": %d,\n",
-		p.next, p.potential, p.unresolved)
-	bw.printf("  \"outcomes\": {")
+	v := p.report()
+	quoted := quoteNames(v.names)
+	e := newEncoder(w)
+	name := func(id ActorID) {
+		if id == outOfRange {
+			e.lit(`"(out of range)"`)
+		} else {
+			e.raw(quoted.at(int(id)))
+		}
+	}
+	e.lit("{\n  \"frames\": ")
+	e.num(int64(p.next))
+	e.lit(",\n  \"potential\": ")
+	e.num(p.potential)
+	e.lit(",\n  \"unresolved\": ")
+	e.num(int64(p.unresolved))
+	e.lit(",\n  \"outcomes\": {")
 	for r := DropReason(0); r < NumDropReasons; r++ {
 		if r > 0 {
-			bw.printf(",")
+			e.lit(",")
 		}
-		bw.printf("\n    %s: %d", quote(dropReasonNames[r]), p.total(r))
+		e.lit("\n    ")
+		e.lit(jsonKeys[r])
+		e.num(p.total(r))
 	}
-	bw.printf("\n  },\n  \"links\": [")
-	for i, k := range p.sortedLinks() {
+	e.lit("\n  },\n  \"links\": [")
+	for i, k := range v.links {
 		if i > 0 {
-			bw.printf(",")
+			e.lit(",")
 		}
-		bw.printf("\n    {\"from\": %s, \"to\": %s, \"counts\": {",
-			quote(p.actorName(k.from)), quote(p.actorName(k.to)))
-		counts := &k.counts
+		e.lit("\n    {\"from\": ")
+		name(k.from)
+		e.lit(", \"to\": ")
+		name(k.to)
+		e.lit(", \"counts\": {")
 		first := true
-		for r := 0; r < NumDropReasons; r++ {
-			if counts[r] == 0 {
+		for r, n := range k.counts {
+			if n == 0 {
 				continue
 			}
 			if !first {
-				bw.printf(", ")
+				e.lit(", ")
 			}
 			first = false
-			bw.printf("%s: %d", quote(dropReasonNames[r]), counts[r])
+			e.lit(jsonKeys[r])
+			e.num(n)
 		}
-		bw.printf("}}")
+		e.lit("}}")
 	}
-	bw.printf("\n  ],\n  \"queue_drops\": [")
-	for i, id := range p.queueDropActors() {
+	e.lit("\n  ],\n  \"queue_drops\": [")
+	for i, id := range v.queueDrops {
 		if i > 0 {
-			bw.printf(",")
+			e.lit(",")
 		}
-		bw.printf("\n    {\"actor\": %s, \"count\": %d}", quote(p.actorName(id)), p.queueDrops[id])
+		e.lit("\n    {\"actor\": ")
+		name(id)
+		e.lit(", \"count\": ")
+		e.num(p.queueDrops[id])
+		e.lit("}")
 	}
-	bw.printf("\n  ]\n}\n")
-	return bw.err
+	e.lit("\n  ]\n}\n")
+	return e.flush()
 }

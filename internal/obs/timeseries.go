@@ -113,19 +113,24 @@ func (t *TimeSeries) WriteCSV(w io.Writer) error {
 	if err := t.rec.Err(); err != nil {
 		return err
 	}
-	bw := &errWriter{w: w}
-	bw.printf("time_us,series,value\n")
+	e := newEncoder(w)
+	e.lit("time_us,series,value\n")
 	err := t.rec.sink.Replay(func(chunk []Event) error {
 		for i := range chunk {
-			e := &chunk[i]
-			bw.printf("%s,%s,%s\n", micros(e.At), t.rec.tracks[e.Track], formatValue(e.Value))
+			ev := &chunk[i]
+			e.micros(ev.At)
+			e.lit(",")
+			e.lit(t.rec.tracks[ev.Track])
+			e.lit(",")
+			e.value(ev.Value)
+			e.lit("\n")
 		}
-		return bw.err
+		return e.err()
 	})
 	if err != nil {
 		return err
 	}
-	return bw.err
+	return e.flush()
 }
 
 // WriteChromeTrace exports the series as Chrome trace-event JSON counter

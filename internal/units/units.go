@@ -71,9 +71,6 @@ func MilliWatts(x float64) Watts { return Watts(x / 1e3) }
 // datasheet: MilliAmpHours(225) is a CR2032 coin cell.
 func MilliAmpHours(x float64) AmpHours { return AmpHours(x / 1e3) }
 
-// MicroFarads builds a capacitance from a µF magnitude.
-func MicroFarads(x float64) Farads { return Farads(x / 1e6) }
-
 // Micro reports the energy in µJ.
 func (j Joules) Micro() float64 { return float64(j) * 1e6 }
 
