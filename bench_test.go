@@ -464,10 +464,10 @@ func BenchmarkObsEnabled(b *testing.B) {
 	})
 }
 
-// BenchmarkObsExport pairs the two Recorder sinks over the same synthetic
-// event stream: the in-memory buffer against the bounded-memory spill file.
-// The pair is the cost sheet for picking a sink — streaming trades a flat
-// allocation profile (O(chunk), not O(events)) for the spill file's I/O.
+// BenchmarkObsExport records a synthetic 100,000-event trace (spans,
+// counter samples and instants, about the size of the Figure 3a firehose)
+// and exports it as Chrome trace JSON: the cost of the recorder's event log
+// growing from its initial capacity plus one pass of the export encoder.
 func BenchmarkObsExport(b *testing.B) {
 	const events = 100_000
 	fill := func(r *obs.Recorder) {
@@ -485,27 +485,13 @@ func BenchmarkObsExport(b *testing.B) {
 			}
 		}
 	}
+	// One lane, still named buffered so that the gate keeps comparing it
+	// against the same baseline entry.
 	b.Run("buffered", func(b *testing.B) {
 		exactAllocs(b, func() {
 			r := obs.NewRecorder()
 			fill(r)
 			if err := r.WriteChromeTrace(io.Discard); err != nil {
-				b.Fatal(err)
-			}
-		})
-	})
-	b.Run("streaming", func(b *testing.B) {
-		exactAllocs(b, func() {
-			spill, err := obs.NewSpillSink(b.TempDir())
-			if err != nil {
-				b.Fatal(err)
-			}
-			r := obs.NewStreamRecorder(spill)
-			fill(r)
-			if err := r.WriteChromeTrace(io.Discard); err != nil {
-				b.Fatal(err)
-			}
-			if err := spill.Close(); err != nil {
 				b.Fatal(err)
 			}
 		})

@@ -19,8 +19,7 @@
 // -metrics writes a JSON snapshot of the run's counters, gauges and
 // histograms (MAC traffic, engine sweeps, per-experiment energy) to a file.
 // -trace additionally writes Chrome trace-event timelines for the fig3a and
-// fig3b runs (streamed through a bounded-memory spill file; open the JSON at
-// https://ui.perfetto.dev).
+// fig3b runs (open the JSON at https://ui.perfetto.dev).
 // -series samples the fig3a/fig3b registries on a 10 ms sim-time cadence and
 // writes the timeline as <figure>_series.csv — the counters' evolution over
 // the run, not just their final values.
@@ -204,14 +203,7 @@ func fig3(out, name string, runner func(*experiment.Obs) (*experiment.Trace, err
 	// is threaded in explicitly; a nil registry keeps the disabled path.
 	o := experiment.Obs{Reg: experiment.Metrics()}
 	if traceTimelines {
-		// The timeline streams through a bounded-memory spill file; the
-		// exported bytes match the in-memory recorder exactly.
-		spill, err := obs.NewSpillSink("")
-		if err != nil {
-			return err
-		}
-		defer spill.Close()
-		o.Rec = obs.NewStreamRecorder(spill)
+		o.Rec = obs.NewRecorder()
 	}
 	if seriesTimelines {
 		// Sampling needs a registry; run on a local one when -metrics
@@ -219,7 +211,7 @@ func fig3(out, name string, runner func(*experiment.Obs) (*experiment.Trace, err
 		if o.Reg == nil {
 			o.Reg = obs.NewRegistry()
 		}
-		o.Series = obs.NewTimeSeries(o.Reg, obs.NewMemorySink(), 0)
+		o.Series = obs.NewTimeSeries(o.Reg, 0)
 	}
 	tr, err := runner(&o)
 	if err != nil {
@@ -242,9 +234,6 @@ func fig3(out, name string, runner func(*experiment.Obs) (*experiment.Trace, err
 		fmt.Println("timeline written to", path, "(open at https://ui.perfetto.dev)")
 	}
 	if seriesTimelines {
-		if err := o.Series.Err(); err != nil {
-			return err
-		}
 		path := filepath.Join(out, name+"_series.csv")
 		if err := writeFile(path, o.Series.WriteCSV); err != nil {
 			return err

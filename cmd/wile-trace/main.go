@@ -14,8 +14,7 @@
 // -perfetto replaces the CSV with a Chrome trace-event JSON timeline: one
 // track per device/MAC layer plus the meter's current as a counter lane.
 // -sched additionally records every scheduler dispatch as an instant (the
-// firehose view; large) — the recording streams through a temporary spill
-// file, so memory stays bounded no matter how long the run. -metrics
+// firehose view: about 100k events and 7 MB of JSON for fig3a). -metrics
 // snapshots the run's counters to a file.
 //
 // -drops wires a frame-provenance ledger into the run: every transmitted
@@ -82,20 +81,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	o := experiment.Obs{Sched: *sched}
 	if *perfetto {
-		if *sched {
-			// The firehose view records one instant per scheduler dispatch
-			// and meter sample — far past what buffering in memory should
-			// cost. Stream through a bounded-memory spill file instead; the
-			// export bytes are identical to the buffered recorder's.
-			spill, err := obs.NewSpillSink("")
-			if err != nil {
-				return fatal(stderr, err)
-			}
-			defer spill.Close()
-			o.Rec = obs.NewStreamRecorder(spill)
-		} else {
-			o.Rec = obs.NewRecorder()
-		}
+		o.Rec = obs.NewRecorder()
 	}
 	if *metrics != "" {
 		o.Reg = obs.NewRegistry()

@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"io"
 	"os"
 	"path/filepath"
@@ -84,5 +86,24 @@ func TestJSONRequiresDrops(t *testing.T) {
 	}
 	if !strings.Contains(errBuf.String(), "-json requires -drops") {
 		t.Errorf("stderr = %q", errBuf.String())
+	}
+}
+
+// TestSchedTraceDigest pins the firehose export, `wile-trace -perfetto
+// -sched`, by the SHA-256 of its bytes for both figures: every scheduler
+// dispatch, power state, MAC span and meter sample of the run, in record
+// order. The digests are the same at every GOMAXPROCS.
+func TestSchedTraceDigest(t *testing.T) {
+	for fig, want := range map[string]string{
+		"fig3a": "0c3b25e64c76e3b8c7a5628afd5650aad2b603c930a91098adcde554f1bd6c92",
+		"fig3b": "9a3a8fbefb53338100d04ffe3149a47787be92d525df69c31d7944aa755de941",
+	} {
+		h := sha256.New()
+		if code := run([]string{"-perfetto", "-sched", fig}, h, io.Discard); code != 0 {
+			t.Fatalf("%s: run exited %d", fig, code)
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != want {
+			t.Errorf("%s: -perfetto -sched digest %s, want %s", fig, got, want)
+		}
 	}
 }

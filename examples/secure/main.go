@@ -8,8 +8,8 @@
 // (AES-128-CTR + truncated HMAC-SHA256, nonce bound to device ID and
 // sequence number). The homeowner's scanner holds the key and reads the
 // events; an eavesdropper in range sees the beacons but decodes nothing,
-// and a spoofer who replays or forges beacons is rejected by the
-// authenticator.
+// a spoofer who forges beacons is rejected by the authenticator, and one
+// who replays captured beacons by the scanner's sequence window.
 //
 //	go run ./examples/secure
 package main

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -9,6 +10,7 @@ import (
 	"wile/internal/energy"
 	"wile/internal/esp32"
 	"wile/internal/medium"
+	"wile/internal/obs"
 	"wile/internal/phy"
 	"wile/internal/sim"
 	"wile/internal/units"
@@ -270,6 +272,86 @@ func TestEncryptedEndToEnd(t *testing.T) {
 	}
 	if eaves.Stats.EncryptedDrops != 1 {
 		t.Fatalf("EncryptedDrops = %d", eaves.Stats.EncryptedDrops)
+	}
+}
+
+// TestScannerRejectsSealedReplay: a scanner hears seqs 0, 1 and 2, a third
+// radio injects a beacon, then the sensor sends seq 3. A byte-for-byte
+// replay of the sealed seq-0 beacon is dropped as a duplicate and resolved
+// dedup_filtered, so the ledger agrees with the scanner's counts. An
+// unsealed replay, which anyone could forge anyway, is still accepted, and
+// so is an unsealed forgery far ahead, which must not shut the sealed
+// stream's window. Unsealed input books the sequence gaps it claims.
+func TestScannerRejectsSealedReplay(t *testing.T) {
+	key, err := NewKey([]byte("0123456789abcdef"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const forgedSeq = 2 + 0x7fff
+	for _, tc := range []struct {
+		name  string
+		key   *Key
+		forge bool     // inject a plaintext forgery instead of the captured seq-0 beacon
+		want  []uint16 // seqs OnMessage sees
+		dups  int
+		lost  int
+	}{
+		{"sealed replay", key, false, []uint16{0, 1, 2, 3}, 1, 0},
+		{"unsealed replay", nil, false, []uint16{0, 1, 2, 0, 3}, 0, 2},
+		{"unsealed forgery", key, true, []uint16{0, 1, 2, forgedSeq, 3}, 0, forgedSeq - 3},
+	} {
+		r := newRig()
+		prov := obs.NewProvenance()
+		r.med.ObserveProvenance(prov)
+		sensor := NewSensor(r.sched, r.med, SensorConfig{DeviceID: 0xee, Position: pos(0, 0), Key: tc.key, SkipBoot: true})
+		scanner := NewScanner(r.sched, r.med, ScannerConfig{Position: pos(2, 0), DefaultKey: key})
+		scanner.Start()
+		var seqs []uint16
+		scanner.OnMessage = func(m *Message, _ Meta) { seqs = append(seqs, m.Seq) }
+		var inject []byte
+		handle := scanner.Port.Monitor
+		scanner.Port.Monitor = func(f dot11.Frame, rx medium.Reception) {
+			if inject == nil {
+				inject = append([]byte(nil), rx.Data...)
+			}
+			handle(f, rx)
+		}
+		send := func() {
+			sensor.TransmitOnce([]Reading{Counter(1)}, nil)
+			r.sched.RunFor(time.Second)
+		}
+		send()
+		send()
+		send()
+		if tc.forge {
+			msg := &Message{DeviceID: 0xee, Seq: forgedSeq, Readings: []Reading{Counter(1)}}
+			b, err := BuildBeacon(sensor.BSSID(), 6, msg, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if inject, err = dot11.Marshal(b); err != nil {
+				t.Fatal(err)
+			}
+		}
+		injector := r.med.Attach("injector", pos(1, 1), 20, phy.SensitivityWiFiMCS7)
+		injector.SetOn(true)
+		r.med.Transmit(injector, inject, sensor.Port.Rate)
+		r.sched.RunFor(time.Second)
+		send()
+
+		if !slices.Equal(seqs, tc.want) {
+			t.Fatalf("%s: OnMessage saw seqs %v, want %v", tc.name, seqs, tc.want)
+		}
+		rec, _ := scanner.Device(0xee)
+		if rec.Duplicates != tc.dups || scanner.Stats.Duplicates != tc.dups || rec.Lost != tc.lost {
+			t.Fatalf("%s: record %+v, scanner %+v; want %d duplicates, %d lost", tc.name, rec, scanner.Stats, tc.dups, tc.lost)
+		}
+		if err := prov.Verify(); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got := prov.Outcomes()[obs.DropDedupFiltered]; got != int64(tc.dups) {
+			t.Fatalf("%s: ledger dedup_filtered = %d, want %d", tc.name, got, tc.dups)
+		}
 	}
 }
 

@@ -102,10 +102,8 @@ func FuzzDecodeBeacon(f *testing.F) {
 		if err != nil {
 			return
 		}
-		// Every fragment carries the same flags, so any one tells whether
-		// the message was sealed.
 		var sealWith *Key
-		if h, _ := ParseFragment(b.Elements.Vendors(OUI)[0]); h.Encrypted {
+		if msg.Sealed {
 			sealWith = key
 		}
 		rebuilt, err := BuildBeacon(b.Header.Addr3, 6, msg, sealWith)

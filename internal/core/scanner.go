@@ -40,18 +40,41 @@ type DeviceRecord struct {
 	DeviceID uint32
 	// Messages counts distinct messages received (after dedup).
 	Messages int
-	// Duplicates counts re-receptions of already-seen sequence numbers.
+	// Duplicates counts messages dropped as repeats (see repeats).
 	Duplicates int
 	// Lost estimates missed messages from sequence-number gaps.
 	Lost int
 	// LastSeq is the newest sequence number seen.
 	LastSeq uint16
+	// sealedSeq is the newest sealed sequence number accepted, once sealed
+	// is set. Both sit in LastSeq's padding.
+	sealedSeq uint16
+	sealed    bool
 	// LastSeen is the time of the newest message.
 	LastSeen sim.Time
 	// LastRSSI is the newest signal strength.
 	LastRSSI phy.DBm
 	// Last is the newest message.
 	Last *Message
+}
+
+// seqWindow is half the 16-bit sequence space. A sequence number less
+// than seqWindow past another, modulo wraparound, is ahead of it; any
+// other is behind it or equal.
+const seqWindow = 0x8000
+
+// repeats reports whether msg repeats a message the record already took.
+// Only the keyed sensor can seal a message, so a sealed one that is not
+// ahead of the newest sealed one was captured and replayed. Anyone can
+// forge an unsealed one, so an unsealed message repeats only the newest
+// message's sequence number, and sealed messages are judged against
+// sealed ones alone: a forgery moves neither end of their window.
+func (rec *DeviceRecord) repeats(msg *Message) bool {
+	if !msg.Sealed {
+		return rec.Messages > 0 && msg.Seq == rec.LastSeq
+	}
+	ahead := msg.Seq - rec.sealedSeq
+	return rec.sealed && (ahead == 0 || ahead >= seqWindow)
 }
 
 // ScannerConfig parameterizes a receiver.
@@ -224,7 +247,7 @@ func (sc *Scanner) handleFrame(f dot11.Frame, rx medium.Reception) {
 		rec = &DeviceRecord{DeviceID: msg.DeviceID}
 		sc.devices[msg.DeviceID] = rec
 	}
-	if known && msg.Seq == rec.LastSeq {
+	if rec.repeats(msg) {
 		rec.Duplicates++
 		sc.Stats.Duplicates++
 		sc.Port.Resolve(rx, obs.DropDedupFiltered)
@@ -234,12 +257,15 @@ func (sc *Scanner) handleFrame(f dot11.Frame, rx medium.Reception) {
 	if known {
 		// Sequence gap = missed messages (modulo wraparound).
 		gap := int(uint16(msg.Seq - rec.LastSeq))
-		if gap > 1 && gap < 0x8000 {
+		if gap > 1 && gap < seqWindow {
 			rec.Lost += gap - 1
 		}
 	}
 	rec.Messages++
 	rec.LastSeq = msg.Seq
+	if msg.Sealed {
+		rec.sealedSeq, rec.sealed = msg.Seq, true
+	}
 	rec.LastSeen = rx.End
 	rec.LastRSSI = rx.RSSI
 	rec.Last = msg

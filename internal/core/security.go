@@ -18,7 +18,9 @@ import (
 // AES-128-CTR keyed by the encryption half, HMAC-SHA256 (truncated to 8
 // bytes — beacon payload space is precious) keyed by the authentication
 // half. The nonce binds device ID, sequence number and flags, so a captured
-// beacon cannot be replayed as a different device, sequence, or direction.
+// beacon cannot be replayed as a different device, sequence, or direction,
+// and the scanner drops a replay of the same one: it accepts a sealed
+// message only ahead of the device's newest sealed sequence number.
 // The 16-bit sequence number wraps after 65536 messages; at the paper's
 // ten-minute reporting interval that is over a year per key, and deployments
 // rotate keys within that horizon.

@@ -134,47 +134,6 @@ func TestFig3bTraceDeterministicAcrossProcs(t *testing.T) {
 	}
 }
 
-// TestFig3bStreamedTraceByteIdentical pins the streaming tentpole at the
-// experiment level: the traced Figure-3b run exported through a spill-backed
-// streaming recorder is byte-identical to the buffered export, across
-// GOMAXPROCS settings.
-func TestFig3bStreamedTraceByteIdentical(t *testing.T) {
-	render := func(rec *obs.Recorder) []byte {
-		t.Helper()
-		if _, err := RunFig3b(&Obs{Rec: rec, Sched: true}); err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := rec.WriteChromeTrace(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	var reference []byte
-	for _, procs := range []int{1, 4} {
-		runtime.GOMAXPROCS(procs)
-		buffered := render(obs.NewRecorder())
-		spill, err := obs.NewSpillSink(t.TempDir())
-		if err != nil {
-			t.Fatal(err)
-		}
-		streamed := render(obs.NewStreamRecorder(spill))
-		if err := spill.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(buffered, streamed) {
-			t.Fatalf("GOMAXPROCS=%d: streamed export differs from buffered (%d vs %d bytes)",
-				procs, len(streamed), len(buffered))
-		}
-		if reference == nil {
-			reference = buffered
-		} else if !bytes.Equal(buffered, reference) {
-			t.Fatalf("GOMAXPROCS=%d: export not deterministic across proc counts", procs)
-		}
-	}
-}
-
 // TestMetricsSnapshotSubsumesMACStats asserts the registry carries every
 // counter the ad-hoc mac.Stats struct used to be the only home of.
 func TestMetricsSnapshotSubsumesMACStats(t *testing.T) {

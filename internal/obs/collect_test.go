@@ -109,7 +109,7 @@ func TestSnapshotsReadEachSourceOnce(t *testing.T) {
 		t.Errorf("snapshot:\n%s", buf.String())
 	}
 
-	ts := NewTimeSeries(reg, NewMemorySink(), 0)
+	ts := NewTimeSeries(reg, 0)
 	r1, r2 = reads()
 	ts.Sample(sim.Time(0))
 	ts.Sample(sim.Time(1))

@@ -32,7 +32,7 @@ const maxNumber = 24
 // encoder appends export text to a bufio.Writer. The writer latches its
 // first error: every later write is a no-op that returns it, and so does
 // the final flush. Its methods therefore drop their write results, and an
-// exporter reads the error once, from err or flush.
+// exporter reads the error once, from flush.
 type encoder struct {
 	w *bufio.Writer
 }
@@ -67,13 +67,6 @@ func (e encoder) value(v float64) { e.raw(strconv.AppendFloat(e.room(maxNumber),
 
 // quote writes s as a JSON string (see appendQuoted).
 func (e encoder) quote(s string) { e.raw(appendQuoted(e.room(len(s)+2), s)) }
-
-// err reports the latched write error: a write of nothing returns it and
-// writes nothing.
-func (e encoder) err() error {
-	_, err := e.w.Write(nil)
-	return err
-}
 
 // flush writes out the buffered tail and reports the first write error.
 func (e encoder) flush() error { return e.w.Flush() }

@@ -29,7 +29,7 @@ func newExportWorld() *exportWorld {
 	x := &exportWorld{prov: NewProvenance(), rec: NewRecorder(), reg: NewRegistry()}
 	x.prov.TraceTo(x.rec)
 	x.prov.Observe(x.reg)
-	x.series = NewTimeSeries(x.reg, NewMemorySink(), 0)
+	x.series = NewTimeSeries(x.reg, 0)
 	return x
 }
 
@@ -46,13 +46,13 @@ var exporters = []struct {
 		func(x *exportWorld, w io.Writer) error { return oracleWriteReportJSON(x.prov, w) }},
 	{"WriteChromeTrace",
 		func(x *exportWorld, w io.Writer) error { return x.rec.WriteChromeTrace(w) },
-		func(x *exportWorld, w io.Writer) error {
-			x.rec.flush()
-			return oracleWriteChromeTrace(w, x.rec.tracks, x.rec.sink)
-		}},
+		func(x *exportWorld, w io.Writer) error { return oracleWriteChromeTrace(x.rec, w) }},
 	{"TimeSeries.WriteCSV",
 		func(x *exportWorld, w io.Writer) error { return x.series.WriteCSV(w) },
 		func(x *exportWorld, w io.Writer) error { return oracleWriteCSV(x.series, w) }},
+	{"TimeSeries.WriteChromeTrace",
+		func(x *exportWorld, w io.Writer) error { return x.series.WriteChromeTrace(w) },
+		func(x *exportWorld, w io.Writer) error { return oracleWriteChromeTrace(x.series.rec, w) }},
 	{"Registry.WriteJSON",
 		func(x *exportWorld, w io.Writer) error { return x.reg.WriteJSON(w) },
 		func(x *exportWorld, w io.Writer) error { return oracleWriteJSON(x.reg, w) }},

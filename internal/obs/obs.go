@@ -16,22 +16,20 @@
 // one predictable branch per hook site and zero allocations — proven by
 // BenchmarkObsDisabled. The wile-vet obsguard analyzer enforces the guard
 // mechanically. With a Recorder attached, recording one event is an append
-// into a fixed-size staging chunk; formatting work happens only at export
-// time. Component counters need no hook at all: they stay plain Stats
-// fields, and a Registry that collected them (a Source) reads them only
-// when it is itself read.
+// to its event log; formatting work happens only at export time. Component
+// counters need no hook at all: they stay plain Stats fields, and a
+// Registry that collected them (a Source) reads them only when it is
+// itself read.
 //
 // Trace model. A Recorder owns a set of named tracks (one per device, MAC
-// port, or instrument) and an ordered event log of slices (Span, Begin/End),
-// instants and counter samples. The log lives in a pluggable Sink: the
-// default MemorySink buffers everything (cheap, unbounded), while a
-// SpillSink encodes full chunks to a temp file so live memory stays
-// O(chunk) however long the run — the firehose view (-sched) needs this.
+// port, or instrument) and an ordered event log of slices (Span,
+// Begin/End), instants and counter samples, held in memory as one slice.
+// Every trace the simulator records is one Figure 3 window; the largest,
+// the scheduler firehose of fig3a (-sched), is about 100k events or 4.8 MB.
 // WriteChromeTrace exports the log in the Chrome trace-event JSON format,
 // which https://ui.perfetto.dev opens directly as a timeline: tracks become
 // threads, counter tracks become counter lanes. Export is a pure function
-// of the track list and the event stream, so a spilled run exports
-// byte-identically to a buffered one.
+// of the track list and the event log.
 package obs
 
 import (
@@ -53,8 +51,8 @@ const (
 )
 
 // Event is one recorded trace event, stored raw and formatted only at
-// export. Sinks receive events in chunks and must replay them unchanged:
-// the export bytes are a pure function of this struct's fields.
+// export: the export bytes are a pure function of the track list and these
+// fields, in record order.
 type Event struct {
 	At    sim.Time
 	Dur   sim.Time
@@ -64,13 +62,11 @@ type Event struct {
 	Ph    byte
 }
 
-// ChunkEvents is the staging-chunk capacity of a Recorder: how many events
-// accumulate in memory before the sink sees them. At ~56 bytes per event a
-// full chunk is a few hundred kilobytes — the live-heap ceiling a spilling
-// recorder holds regardless of trace length.
-const ChunkEvents = 4096
+// startEvents is the event log's initial capacity (192 KiB of events), so
+// a figure-scale trace, a few hundred events, never grows it.
+const startEvents = 4096
 
-// Recorder collects sim-time-stamped trace events into a Sink.
+// Recorder collects sim-time-stamped trace events in memory.
 //
 // A Recorder is intentionally not synchronized: each simulation kernel is
 // single-goroutine by design (the experiment engine parallelizes across
@@ -79,26 +75,15 @@ const ChunkEvents = 4096
 // Recorder per point.
 type Recorder struct {
 	tracks []string
-	chunk  []Event
-	sink   Sink
-	n      int
-	err    error
+	events []Event
 	// open tracks the begin-timestamps of the open slices per track, so
 	// End can clamp a close that would travel back in time (a negative
 	// duration renders as garbage in every trace viewer).
 	open [][]sim.Time
 }
 
-// NewRecorder returns an empty recorder buffering in memory — the classic
-// unbounded recorder, right for figure-scale runs.
-func NewRecorder() *Recorder { return NewStreamRecorder(NewMemorySink()) }
-
-// NewStreamRecorder returns a recorder that flushes full staging chunks to
-// the given sink. With a SpillSink the recorder's live memory is bounded by
-// the chunk, not the trace.
-func NewStreamRecorder(sink Sink) *Recorder {
-	return &Recorder{sink: sink, chunk: make([]Event, 0, ChunkEvents)}
-}
+// NewRecorder returns an empty recorder.
+func NewRecorder() *Recorder { return &Recorder{events: make([]Event, 0, startEvents)} }
 
 // Track registers a new timeline lane and returns its id. Tracks appear in
 // the exported trace in registration order.
@@ -112,32 +97,10 @@ func (r *Recorder) Track(name string) TrackID {
 func (r *Recorder) Tracks() int { return len(r.tracks) }
 
 // Len reports the number of recorded events.
-func (r *Recorder) Len() int { return r.n }
+func (r *Recorder) Len() int { return len(r.events) }
 
-// Err reports the first sink error, if any. The record path cannot return
-// errors (hook sites have no error plumbing), so a failing spill latches
-// here and resurfaces from WriteChromeTrace.
-func (r *Recorder) Err() error { return r.err }
-
-// record stages one event, flushing the chunk to the sink when full.
-func (r *Recorder) record(e Event) {
-	r.chunk = append(r.chunk, e)
-	r.n++
-	if len(r.chunk) == cap(r.chunk) {
-		r.flush()
-	}
-}
-
-// flush hands the staged chunk to the sink.
-func (r *Recorder) flush() {
-	if len(r.chunk) == 0 {
-		return
-	}
-	if err := r.sink.Flush(r.chunk); err != nil && r.err == nil {
-		r.err = err
-	}
-	r.chunk = r.chunk[:0]
-}
+// record appends one event to the log.
+func (r *Recorder) record(e Event) { r.events = append(r.events, e) }
 
 // Span records a complete slice [start, end) on the track. Spans may be
 // recorded at the moment they end (the natural point for a state machine
@@ -189,37 +152,23 @@ func (r *Recorder) Counter(track TrackID, at sim.Time, value float64) {
 
 // ObserveScheduler wires the kernel's dispatch hook to an instant event per
 // fired simulation event on the given track. This is the firehose view —
-// every timer tick and meter sample becomes an event — so figure-scale runs
-// keep it off and debugging sessions (wile-trace -sched) turn it on,
-// ideally on a spill-backed recorder (see NewSpillSink).
+// every timer tick and meter sample becomes an event, about 100k over the
+// Figure 3a window — so figure-scale runs keep it off and debugging
+// sessions (wile-trace -sched) turn it on.
 func ObserveScheduler(r *Recorder, sched *sim.Scheduler, track TrackID) {
 	sched.OnDispatch = func(at sim.Time) { r.Instant(track, at, "dispatch") }
 }
 
-// WriteChromeTrace exports the recorded events as Chrome trace-event JSON.
-// It flushes the staging chunk first; a latched sink error surfaces here.
-// The sink is left positioned for further recording, so a recorder may be
-// exported more than once.
-func (r *Recorder) WriteChromeTrace(w io.Writer) error {
-	r.flush()
-	if r.err != nil {
-		return r.err
-	}
-	return WriteChromeTrace(w, r.tracks, r.sink)
-}
-
-// WriteChromeTrace exports one event stream as Chrome trace-event JSON
+// WriteChromeTrace exports the recorded events as Chrome trace-event JSON
 // (the "JSON Array Format" with a traceEvents wrapper), ready for
-// https://ui.perfetto.dev or chrome://tracing. It is a pure function of
-// the track list and the replayed events: the same stream exports
-// byte-identical bytes whether it was buffered in memory or spilled to
-// disk, chunked this way or that.
-func WriteChromeTrace(w io.Writer, tracks []string, events Sink) error {
+// https://ui.perfetto.dev or chrome://tracing. Export leaves the log as it
+// is, so recording may go on and the recorder be exported again.
+func (r *Recorder) WriteChromeTrace(w io.Writer) error {
 	e := newEncoder(w)
-	names := quoteNames(tracks)
+	names := quoteNames(r.tracks)
 	e.lit("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n")
 	e.lit(`{"ph":"M","pid":1,"tid":0,"name":"process_name","args":{"name":"wile-sim"}}`)
-	for i := range tracks {
+	for i := range r.tracks {
 		tid := int64(i) + 1
 		e.lit(",\n{\"ph\":\"M\",\"pid\":1,\"tid\":")
 		e.num(tid)
@@ -232,22 +181,15 @@ func WriteChromeTrace(w io.Writer, tracks []string, events Sink) error {
 		e.num(tid)
 		e.lit("}}")
 	}
-	err := events.Replay(func(chunk []Event) error {
-		for i := range chunk {
-			writeEvent(e, &names, &chunk[i])
-		}
-		return e.err()
-	})
-	if err != nil {
-		return err
+	for i := range r.events {
+		writeEvent(e, &names, &r.events[i])
 	}
 	e.lit("\n]}\n")
 	return e.flush()
 }
 
-// writeEvent renders one event; the formatting here is the byte-identity
-// contract every Sink implementation is tested against. tracks holds the
-// quoted track names, which counter events are named by.
+// writeEvent renders one event. tracks holds the quoted track names, which
+// counter events are named by.
 func writeEvent(e encoder, tracks *quotedNames, ev *Event) {
 	switch ev.Ph {
 	case phSpan:

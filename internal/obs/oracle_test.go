@@ -137,23 +137,17 @@ func oracleQueueDropActors(p *Provenance) []ActorID {
 	return ids
 }
 
-// oracleWriteChromeTrace is WriteChromeTrace.
-func oracleWriteChromeTrace(w io.Writer, tracks []string, events Sink) error {
+// oracleWriteChromeTrace is Recorder.WriteChromeTrace.
+func oracleWriteChromeTrace(r *Recorder, w io.Writer) error {
 	bw := &oracleWriter{w: w}
 	bw.printf("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n")
 	bw.printf("{\"ph\":\"M\",\"pid\":1,\"tid\":0,\"name\":\"process_name\",\"args\":{\"name\":\"wile-sim\"}}")
-	for i, name := range tracks {
+	for i, name := range r.tracks {
 		bw.printf(",\n{\"ph\":\"M\",\"pid\":1,\"tid\":%d,\"name\":\"thread_name\",\"args\":{\"name\":%s}}", i+1, oracleQuote(name))
 		bw.printf(",\n{\"ph\":\"M\",\"pid\":1,\"tid\":%d,\"name\":\"thread_sort_index\",\"args\":{\"sort_index\":%d}}", i+1, i+1)
 	}
-	err := events.Replay(func(chunk []Event) error {
-		for i := range chunk {
-			oracleWriteEvent(bw, tracks, &chunk[i])
-		}
-		return bw.err
-	})
-	if err != nil {
-		return err
+	for i := range r.events {
+		oracleWriteEvent(bw, r.tracks, &r.events[i])
 	}
 	bw.printf("\n]}\n")
 	return bw.err
@@ -181,21 +175,11 @@ func oracleWriteEvent(bw *oracleWriter, tracks []string, e *Event) {
 
 // oracleWriteCSV is TimeSeries.WriteCSV.
 func oracleWriteCSV(t *TimeSeries, w io.Writer) error {
-	t.rec.flush()
-	if err := t.rec.Err(); err != nil {
-		return err
-	}
 	bw := &oracleWriter{w: w}
 	bw.printf("time_us,series,value\n")
-	err := t.rec.sink.Replay(func(chunk []Event) error {
-		for i := range chunk {
-			e := &chunk[i]
-			bw.printf("%s,%s,%s\n", oracleMicros(e.At), t.rec.tracks[e.Track], oracleValue(e.Value))
-		}
-		return bw.err
-	})
-	if err != nil {
-		return err
+	for i := range t.rec.events {
+		e := &t.rec.events[i]
+		bw.printf("%s,%s,%s\n", oracleMicros(e.At), t.rec.tracks[e.Track], oracleValue(e.Value))
 	}
 	return bw.err
 }

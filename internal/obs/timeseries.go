@@ -3,9 +3,8 @@ package obs
 // Sim-time metrics timeline: a TimeSeries snapshots every metric in a
 // Registry on a configurable sim-time cadence, turning end-of-run totals
 // into curves (energy, throughput, drop rate over the run). Samples are
-// recorded as counter events through the ordinary chunked Recorder/Sink
-// pipeline, so long timelines spill to disk exactly like traces and the
-// exports inherit the byte-identity contract.
+// recorded as counter events into a Recorder of the series' own, so the
+// Chrome export is the trace exporter's.
 //
 // Like a Recorder, a TimeSeries belongs to one simulation kernel: each
 // sample reads the registry's collected sources on the kernel goroutine,
@@ -32,16 +31,15 @@ type TimeSeries struct {
 	stopped bool
 }
 
-// NewTimeSeries builds a series sampler over reg, recording through sink
-// (NewMemorySink for figure-scale runs, NewSpillSink for long ones). A
-// non-positive cadence means DefaultSeriesCadence.
-func NewTimeSeries(reg *Registry, sink Sink, cadence time.Duration) *TimeSeries {
+// NewTimeSeries builds a series sampler over reg. A non-positive cadence
+// means DefaultSeriesCadence.
+func NewTimeSeries(reg *Registry, cadence time.Duration) *TimeSeries {
 	if cadence <= 0 {
 		cadence = DefaultSeriesCadence
 	}
 	return &TimeSeries{
 		reg:     reg,
-		rec:     NewStreamRecorder(sink),
+		rec:     NewRecorder(),
 		cadence: cadence,
 		tracks:  make(map[string]TrackID),
 	}
@@ -102,33 +100,19 @@ func (t *TimeSeries) Stop() { t.stopped = true }
 // Len reports the number of recorded sample points.
 func (t *TimeSeries) Len() int { return t.rec.Len() }
 
-// Err reports the first sink error, if any.
-func (t *TimeSeries) Err() error { return t.rec.Err() }
-
 // WriteCSV exports the series in long format (time_us,series,value), one
-// row per sampled point in record order — a pure function of the replayed
-// event stream, byte-identical however the sink chunked or spilled it.
+// row per sampled point in record order.
 func (t *TimeSeries) WriteCSV(w io.Writer) error {
-	t.rec.flush()
-	if err := t.rec.Err(); err != nil {
-		return err
-	}
 	e := newEncoder(w)
 	e.lit("time_us,series,value\n")
-	err := t.rec.sink.Replay(func(chunk []Event) error {
-		for i := range chunk {
-			ev := &chunk[i]
-			e.micros(ev.At)
-			e.lit(",")
-			e.lit(t.rec.tracks[ev.Track])
-			e.lit(",")
-			e.value(ev.Value)
-			e.lit("\n")
-		}
-		return e.err()
-	})
-	if err != nil {
-		return err
+	for i := range t.rec.events {
+		ev := &t.rec.events[i]
+		e.micros(ev.At)
+		e.lit(",")
+		e.lit(t.rec.tracks[ev.Track])
+		e.lit(",")
+		e.value(ev.Value)
+		e.lit("\n")
 	}
 	return e.flush()
 }

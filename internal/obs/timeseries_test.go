@@ -18,7 +18,7 @@ func TestTimeSeriesSampling(t *testing.T) {
 	g := reg.Gauge("depth")
 	h := reg.Histogram("lat", []float64{1})
 
-	ts := NewTimeSeries(reg, NewMemorySink(), 10*time.Millisecond)
+	ts := NewTimeSeries(reg, 10*time.Millisecond)
 	// Drive the metrics from the kernel so samples see evolving values.
 	for i := 1; i <= 4; i++ {
 		i := i
@@ -70,55 +70,12 @@ func TestTimeSeriesStopsSampling(t *testing.T) {
 	sched := sim.New()
 	reg := NewRegistry()
 	reg.Counter("tx")
-	ts := NewTimeSeries(reg, NewMemorySink(), 10*time.Millisecond)
+	ts := NewTimeSeries(reg, 10*time.Millisecond)
 	ts.Run(sched)
 	sched.DoAfter(25*time.Millisecond, ts.Stop)
 	sched.RunUntil(sim.FromDuration(100 * time.Millisecond))
 	if ts.Len() != 3 {
 		t.Fatalf("recorded %d points after Stop, want 3 (0,10,20 ms)", ts.Len())
-	}
-}
-
-// TestTimeSeriesSpillEquivalence pins the byte-identity contract: the same
-// sampled series exports identical CSV and Chrome JSON whether it buffered
-// in memory or spilled through a temp file.
-func TestTimeSeriesSpillEquivalence(t *testing.T) {
-	run := func(sink Sink) (*TimeSeries, string, string) {
-		sched := sim.New()
-		reg := NewRegistry()
-		c := reg.Counter("tx")
-		ts := NewTimeSeries(reg, sink, time.Millisecond)
-		sched.DoAfter(500*time.Microsecond, func() {
-			for i := 0; i < 2000; i++ {
-				c.Inc()
-			}
-		})
-		ts.Run(sched)
-		sched.RunUntil(sim.FromDuration(5 * time.Millisecond))
-		var csv, chrome bytes.Buffer
-		if err := ts.WriteCSV(&csv); err != nil {
-			t.Fatal(err)
-		}
-		if err := ts.WriteChromeTrace(&chrome); err != nil {
-			t.Fatal(err)
-		}
-		return ts, csv.String(), chrome.String()
-	}
-	_, memCSV, memChrome := run(NewMemorySink())
-	spill, err := NewSpillSink("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer spill.Close()
-	_, spillCSV, spillChrome := run(spill)
-	if memCSV != spillCSV {
-		t.Errorf("CSV differs between memory and spill sinks:\n%s\n---\n%s", memCSV, spillCSV)
-	}
-	if memChrome != spillChrome {
-		t.Errorf("Chrome trace differs between memory and spill sinks")
-	}
-	if !strings.Contains(memChrome, `"ph":"C"`) {
-		t.Errorf("Chrome export carries no counter events:\n%s", memChrome)
 	}
 }
 
@@ -128,7 +85,7 @@ func TestTimeSeriesLateMetric(t *testing.T) {
 	sched := sim.New()
 	reg := NewRegistry()
 	reg.Counter("early")
-	ts := NewTimeSeries(reg, NewMemorySink(), 10*time.Millisecond)
+	ts := NewTimeSeries(reg, 10*time.Millisecond)
 	sched.DoAfter(15*time.Millisecond, func() { reg.Counter("late").Add(7) })
 	ts.Run(sched)
 	sched.RunUntil(sim.FromDuration(25 * time.Millisecond))

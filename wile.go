@@ -170,11 +170,11 @@ func NewRegistry() *Registry { return obs.NewRegistry() }
 // reason and link.
 func NewProvenance() *Provenance { return obs.NewProvenance() }
 
-// NewTimeSeries builds an in-memory sampler over reg on the given sim-time
-// cadence (≤0 selects the 10 ms default). Call Run(sched) before the
-// simulation starts and WriteCSV after it ends.
+// NewTimeSeries builds a sampler over reg on the given sim-time cadence
+// (≤0 selects the 10 ms default). Call Run(sched) before the simulation
+// starts and WriteCSV after it ends.
 func NewTimeSeries(reg *Registry, cadence time.Duration) *TimeSeries {
-	return obs.NewTimeSeries(reg, obs.NewMemorySink(), cadence)
+	return obs.NewTimeSeries(reg, cadence)
 }
 
 // NewSensor builds a sleeping sensor attached to the medium.
