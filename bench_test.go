@@ -54,11 +54,7 @@ func BenchmarkTable1EnergyPerPacketBLE(b *testing.B) {
 	b.ReportAllocs()
 	var m experiment.Measurement
 	for i := 0; i < b.N; i++ {
-		var err error
-		m, err = experiment.MeasureBLE()
-		if err != nil {
-			b.Fatal(err)
-		}
+		m = experiment.MeasureBLE()
 	}
 	b.ReportMetric(m.EnergyPerPacket.Micro(), "µJ/pkt")
 	b.ReportMetric(float64(m.Events), "events/op")

@@ -289,7 +289,7 @@ func ablations(table *experiment.Table1Result) error {
 	fmt.Println("\nStudy: §6 clock-jitter self-desynchronization (2 co-periodic sensors)")
 	for _, p := range experiment.RunJitterStudy(nil, 200) {
 		fmt.Printf("  %5.0f ppm: delivery %5.1f%%  (%d/%d, %d collisions, %d/%d cycles contended)\n",
-			p.PPM, p.DeliveryRate*100, p.Delivered, p.Expected, p.Collisions, p.ContendedCycles, p.Cycles)
+			p.PPM, p.DeliveryRate*100, p.Delivered, p.Transmissions, p.Collisions, p.ContendedCycles, p.Cycles)
 	}
 
 	fmt.Println("\nStudy: Wi-LE on a crowded channel (non-CSMA interferer, §1's motivation)")
@@ -301,7 +301,7 @@ func ablations(table *experiment.Table1Result) error {
 	fmt.Println("\nStudy: hopping-receiver capture rate vs channel count (the 5 GHz trade)")
 	for _, p := range experiment.RunHopperStudy(nil) {
 		fmt.Printf("  %d channel(s), %v dwell: captured %d/%d (%.0f%%)\n",
-			p.Channels, p.Dwell, p.Captured, p.Transmitted, p.CaptureRate*100)
+			p.Channels, p.Dwell, p.Captured, p.Transmissions, p.CaptureRate*100)
 	}
 
 	carriers, err := experiment.RunCarrierAblation()

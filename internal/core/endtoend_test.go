@@ -278,10 +278,10 @@ func TestEncryptedEndToEnd(t *testing.T) {
 // TestScannerRejectsSealedReplay: a scanner hears seqs 0, 1 and 2, a third
 // radio injects a beacon, then the sensor sends seq 3. A byte-for-byte
 // replay of the sealed seq-0 beacon is dropped as a duplicate and resolved
-// dedup_filtered, so the ledger agrees with the scanner's counts. An
-// unsealed replay, which anyone could forge anyway, is still accepted, and
-// so is an unsealed forgery far ahead, which must not shut the sealed
-// stream's window. Unsealed input books the sequence gaps it claims.
+// dedup_filtered, so the ledger agrees with the scanner's counts. A keyless
+// scanner still accepts an unsealed replay, which anyone could forge
+// anyway, and books the sequence gap it claims. A keyed scanner drops an
+// unsealed forgery far ahead, so it cannot shut the sealed stream's window.
 func TestScannerRejectsSealedReplay(t *testing.T) {
 	key, err := NewKey([]byte("0123456789abcdef"))
 	if err != nil {
@@ -290,7 +290,7 @@ func TestScannerRejectsSealedReplay(t *testing.T) {
 	const forgedSeq = 2 + 0x7fff
 	for _, tc := range []struct {
 		name  string
-		key   *Key
+		key   *Key     // the sensor's and the scanner's
 		forge bool     // inject a plaintext forgery instead of the captured seq-0 beacon
 		want  []uint16 // seqs OnMessage sees
 		dups  int
@@ -298,13 +298,13 @@ func TestScannerRejectsSealedReplay(t *testing.T) {
 	}{
 		{"sealed replay", key, false, []uint16{0, 1, 2, 3}, 1, 0},
 		{"unsealed replay", nil, false, []uint16{0, 1, 2, 0, 3}, 0, 2},
-		{"unsealed forgery", key, true, []uint16{0, 1, 2, forgedSeq, 3}, 0, forgedSeq - 3},
+		{"unsealed forgery", key, true, []uint16{0, 1, 2, 3}, 0, 0},
 	} {
 		r := newRig()
 		prov := obs.NewProvenance()
 		r.med.ObserveProvenance(prov)
 		sensor := NewSensor(r.sched, r.med, SensorConfig{DeviceID: 0xee, Position: pos(0, 0), Key: tc.key, SkipBoot: true})
-		scanner := NewScanner(r.sched, r.med, ScannerConfig{Position: pos(2, 0), DefaultKey: key})
+		scanner := NewScanner(r.sched, r.med, ScannerConfig{Position: pos(2, 0), DefaultKey: tc.key})
 		scanner.Start()
 		var seqs []uint16
 		scanner.OnMessage = func(m *Message, _ Meta) { seqs = append(seqs, m.Seq) }
@@ -352,6 +352,62 @@ func TestScannerRejectsSealedReplay(t *testing.T) {
 		if got := prov.Outcomes()[obs.DropDedupFiltered]; got != int64(tc.dups) {
 			t.Fatalf("%s: ledger dedup_filtered = %d, want %d", tc.name, got, tc.dups)
 		}
+	}
+}
+
+// TestKeyedScannerDropsPlaintextForgery: a scanner keyed for device 0x22
+// hears the sensor's sealed seq 0, then a plaintext beacon claiming 0x22
+// seq 999 from another radio, then the sensor's seq 1. The forgery counts
+// as an encrypted drop, resolves decode_error and moves nothing the
+// scanner keeps for the device.
+func TestKeyedScannerDropsPlaintextForgery(t *testing.T) {
+	key, err := NewKey([]byte("0123456789abcdef"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := newRig()
+	prov := obs.NewProvenance()
+	r.med.ObserveProvenance(prov)
+	sensor := NewSensor(r.sched, r.med, SensorConfig{DeviceID: 0x22, Position: pos(0, 0), Key: key, SkipBoot: true})
+	scanner := NewScanner(r.sched, r.med, ScannerConfig{Position: pos(2, 0), Keys: map[uint32]*Key{0x22: key}})
+	scanner.Start()
+	var seqs []uint16
+	scanner.OnMessage = func(m *Message, _ Meta) { seqs = append(seqs, m.Seq) }
+
+	sensor.TransmitOnce([]Reading{Counter(1)}, nil)
+	r.sched.RunFor(time.Second)
+	b, err := BuildBeacon(sensor.BSSID(), 6, &Message{DeviceID: 0x22, Seq: 999, Readings: []Reading{Counter(1)}}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	forged, err := dot11.Marshal(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	forger := r.med.Attach("forger", pos(1, 1), 20, phy.SensitivityWiFiMCS7)
+	forger.SetOn(true)
+	r.med.Transmit(forger, forged, sensor.Port.Rate)
+	r.sched.RunFor(time.Second)
+	if rec, _ := scanner.Device(0x22); rec.LastSeq != 0 || rec.Lost != 0 || rec.Messages != 1 {
+		t.Fatalf("after the forgery the record reads %+v, want seq 0 alone", rec)
+	}
+	sensor.TransmitOnce([]Reading{Counter(1)}, nil)
+	r.sched.RunFor(time.Second)
+
+	if !slices.Equal(seqs, []uint16{0, 1}) {
+		t.Fatalf("OnMessage saw seqs %v, want [0 1]", seqs)
+	}
+	if rec, _ := scanner.Device(0x22); rec.LastSeq != 1 || rec.Lost != 0 || rec.Duplicates != 0 {
+		t.Fatalf("record %+v, want seq 1 with nothing lost or duplicated", rec)
+	}
+	if scanner.Stats.EncryptedDrops != 1 {
+		t.Fatalf("EncryptedDrops = %d, want 1", scanner.Stats.EncryptedDrops)
+	}
+	if err := prov.Verify(); err != nil {
+		t.Fatal(err)
+	}
+	if got := prov.Outcomes()[obs.DropDecodeError]; got != 1 {
+		t.Fatalf("ledger decode_error = %d, want 1", got)
 	}
 }
 

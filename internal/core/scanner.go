@@ -82,7 +82,8 @@ type ScannerConfig struct {
 	Name     string
 	Position medium.Position
 	// Keys maps device IDs to their pre-shared keys; DefaultKey applies
-	// to devices not in the map. Unencrypted messages need neither.
+	// to devices not in the map. Unencrypted messages need neither, and
+	// are dropped from a device that has a key.
 	Keys       map[uint32]*Key
 	DefaultKey *Key
 	Seed       uint64
@@ -107,7 +108,7 @@ type ScannerStats struct {
 	Messages       int
 	Duplicates     int
 	DecodeErrors   int
-	EncryptedDrops int // encrypted messages with no/ wrong key
+	EncryptedDrops int // encrypted messages with no/ wrong key, plaintext from a keyed device
 }
 
 // Counters emits the Stats as wile.* counters (obs.Source).
@@ -209,9 +210,10 @@ var ErrNotWiLE = errors.New("core: beacon carries no Wi-LE elements")
 // handleFrame processes every decodable frame the radio hears. As the
 // port's ProvDelegate owner it resolves every decoded frame to exactly one
 // provenance outcome: frames the Wi-LE pipeline rejects for corruption-like
-// reasons (bad key, auth failure, malformed fragments) are decode errors,
-// core sequence dedup is dedup_filtered, everything else the radio decoded
-// — including foreign traffic — counts as delivered.
+// reasons (bad key, auth failure, malformed fragments, plaintext from a
+// keyed device) are decode errors, core sequence dedup is dedup_filtered,
+// everything else the radio decoded — including foreign traffic — counts
+// as delivered.
 func (sc *Scanner) handleFrame(f dot11.Frame, rx medium.Reception) {
 	beacon, ok := f.(*dot11.Beacon)
 	if !ok {
@@ -240,6 +242,13 @@ func (sc *Scanner) handleFrame(f dot11.Frame, rx medium.Reception) {
 	// them once seen.
 	if msg.Downlink {
 		sc.Port.Resolve(rx, obs.Delivered)
+		return
+	}
+	// A keyed device seals every message, so a plaintext one claiming it
+	// is a forgery: it touches no record.
+	if !msg.Sealed && sc.keyFor(msg.DeviceID) != nil {
+		sc.Stats.EncryptedDrops++
+		sc.Port.Resolve(rx, obs.DropDecodeError)
 		return
 	}
 	rec, known := sc.devices[msg.DeviceID]

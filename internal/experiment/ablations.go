@@ -173,20 +173,16 @@ type JitterPoint struct {
 	Cycles int
 	// Delivered counts messages received across both sensors.
 	Delivered int
-	// Expected is 2×Cycles.
-	Expected int
-	// Collisions counts on-air collisions at the medium.
-	Collisions int
 	// ContendedCycles counts cycles where the two sensors' transmissions
 	// landed within 5 ms of each other, forcing CSMA to arbitrate. With
 	// real crystal jitter the schedules drift apart and contention decays
 	// to the first few cycles — the §6 mechanism.
 	ContendedCycles int
-	// DeliveryRate is Delivered/Expected.
+	// DeliveryRate is Delivered over the sensors' Transmissions (the
+	// scanner sends nothing): a fast crystal fits one more wake into the
+	// window than 2×Cycles.
 	DeliveryRate float64
-	// Events counts the scheduler events the point's world dispatched
-	// (sim.Fired): an exact work count.
-	Events uint64
+	Run
 }
 
 // RunJitterStudy places two co-located sensors with identical periods and
@@ -201,54 +197,51 @@ func RunJitterStudy(ppms []float64, cycles int) []JitterPoint {
 	if cycles <= 0 {
 		cycles = 200
 	}
-	period := 10 * time.Second
 	// Each tolerance setting simulates its own world on its own kernel, so
 	// the sweep shards across engine workers without the points seeing each
 	// other. Seeds are per-sensor constants, not scheduling-dependent, which
 	// keeps the parallel run byte-identical to the serial one.
 	return engine.MapValues(Pool(), len(ppms), func(pi int) JitterPoint {
-		ppm := ppms[pi]
-		w := newWorld(nil)
-		for i := 0; i < 2; i++ {
-			s := core.NewSensor(w.sched, w.med, core.SensorConfig{
-				DeviceID: uint32(0x200 + i),
-				Position: medium.Position{X: float64(i)},
-				Period:   period,
-				// A negative value means "no jitter at all"; zero would
-				// take the 40 ppm default.
-				JitterPPM: jitterOrNone(ppm),
-				SkipBoot:  true,
-				Seed:      uint64(31 + i),
-			})
-			s.Run()
-		}
-		scanner := core.NewScanner(w.sched, w.med, core.ScannerConfig{Position: medium.Position{X: 0.5, Y: 0.5}})
-		scanner.Start()
-		delivered := 0
-		var arrivals []sim.Time
-		scanner.OnMessage = func(m *core.Message, meta core.Meta) {
-			delivered++
-			arrivals = append(arrivals, meta.At)
-		}
-		w.sched.RunUntil(sim.FromDuration(time.Duration(cycles+1) * period))
-
-		contended := 0
-		for i := 1; i < len(arrivals); i++ {
-			if arrivals[i].Sub(arrivals[i-1]) < 5*time.Millisecond {
-				contended++
-			}
-		}
-		return JitterPoint{
-			PPM:             ppm,
-			Cycles:          cycles,
-			Delivered:       delivered,
-			Expected:        2 * cycles,
-			Collisions:      w.med.Stats.Collisions,
-			ContendedCycles: contended,
-			DeliveryRate:    float64(delivered) / float64(2*cycles),
-			Events:          w.sched.Fired(),
-		}
+		return runJitterPoint(newWorld(nil), ppms[pi], cycles)
 	})
+}
+
+// runJitterPoint runs one tolerance setting of the jitter study on w for
+// the given number of 10 s cycles, the window holding one more.
+func runJitterPoint(w world, ppm float64, cycles int) JitterPoint {
+	const period = 10 * time.Second
+	for i := 0; i < 2; i++ {
+		s := core.NewSensor(w.sched, w.med, core.SensorConfig{
+			DeviceID: uint32(0x200 + i),
+			Position: medium.Position{X: float64(i)},
+			Period:   period,
+			// A negative value means "no jitter at all"; zero would
+			// take the 40 ppm default.
+			JitterPPM: jitterOrNone(ppm),
+			SkipBoot:  true,
+			Seed:      uint64(31 + i),
+		})
+		s.Run()
+	}
+	scanner := core.NewScanner(w.sched, w.med, core.ScannerConfig{Position: medium.Position{X: 0.5, Y: 0.5}})
+	scanner.Start()
+	delivered := 0
+	var arrivals []sim.Time
+	scanner.OnMessage = func(m *core.Message, meta core.Meta) {
+		delivered++
+		arrivals = append(arrivals, meta.At)
+	}
+	w.sched.RunUntil(sim.FromDuration(time.Duration(cycles+1) * period))
+
+	contended := 0
+	for i := 1; i < len(arrivals); i++ {
+		if arrivals[i].Sub(arrivals[i-1]) < 5*time.Millisecond {
+			contended++
+		}
+	}
+	p := JitterPoint{PPM: ppm, Cycles: cycles, Delivered: delivered, ContendedCycles: contended, Run: w.run()}
+	p.DeliveryRate = float64(delivered) / float64(p.Transmissions)
+	return p
 }
 
 // --- Hidden-SSID overhead ---
@@ -312,16 +305,14 @@ func jitterOrNone(ppm float64) float64 {
 
 // --- Channel-count / hopper study ---
 
-// HopperPoint is one channel-count's capture rate.
+// HopperPoint is one channel-count's capture rate. Its Run sums the
+// channel media's Stats; Events counts their one shared kernel.
 type HopperPoint struct {
 	Channels    int
 	Dwell       time.Duration
-	Transmitted int
 	Captured    int
 	CaptureRate float64
-	// Events counts the scheduler events the point's world dispatched
-	// (sim.Fired): an exact work count.
-	Events uint64
+	Run
 }
 
 // RunHopperStudy measures a scanning receiver's capture rate as the number
@@ -332,46 +323,60 @@ func RunHopperStudy(channelCounts []int) []HopperPoint {
 	if len(channelCounts) == 0 {
 		channelCounts = []int{1, 3, 8}
 	}
-	const period = time.Second
-	const dwell = 250 * time.Millisecond
-	const cycles = 120
 	// One engine point per channel count: each builds its own kernel,
 	// media, sensors and hopper, so the heaviest ablation sweeps in
 	// parallel without any cross-point state.
 	return engine.MapValues(Pool(), len(channelCounts), func(pi int) HopperPoint {
-		n := channelCounts[pi]
-		sched := sim.New()
-		var scanners []*core.Scanner
-		transmitted := 0
-		for c := 0; c < n; c++ {
-			med := medium.New(sched, phy.WiFi24Channel(1+c%13))
-			s := core.NewSensor(sched, med, core.SensorConfig{
-				DeviceID: uint32(0x800 + c),
-				Position: medium.Position{X: 0},
-				Period:   period,
-				SkipBoot: true,
-				Seed:     uint64(300 + c),
-			})
-			s.Run()
-			scanners = append(scanners, core.NewScanner(sched, med, core.ScannerConfig{
-				Name: "hop", Position: medium.Position{X: 1}, Seed: uint64(400 + c),
-			}))
-		}
-		hopper := core.NewChannelHopper(sched, dwell, scanners...)
-		hopper.Start()
-		sched.RunUntil(sim.FromDuration(time.Duration(cycles) * period))
-		hopper.Stop()
-		transmitted = n * (cycles - 1)
-		captured := hopper.Messages()
-		return HopperPoint{
-			Channels:    n,
-			Dwell:       dwell,
-			Transmitted: transmitted,
-			Captured:    captured,
-			CaptureRate: float64(captured) / float64(transmitted),
-			Events:      sched.Fired(),
-		}
+		return runHopperPoint(hopperWorlds(channelCounts[pi]))
 	})
+}
+
+// hopperWorlds builds n channel worlds on one kernel, on channels 1 to 13
+// and round again.
+func hopperWorlds(n int) []world {
+	s := sim.New()
+	ws := make([]world, n)
+	for c := range ws {
+		ws[c] = world{sched: s, med: medium.New(s, phy.WiFi24Channel(1+c%13))}
+	}
+	return ws
+}
+
+// runHopperPoint runs the hopper study on ws, one sensor per channel world
+// and one hopping scanner across them, for 120 one-second cycles.
+func runHopperPoint(ws []world) HopperPoint {
+	const period = time.Second
+	const dwell = 250 * time.Millisecond
+	const cycles = 120
+	sched := ws[0].sched
+	scanners := make([]*core.Scanner, len(ws))
+	for c, w := range ws {
+		s := core.NewSensor(sched, w.med, core.SensorConfig{
+			DeviceID: uint32(0x800 + c),
+			Position: medium.Position{X: 0},
+			Period:   period,
+			SkipBoot: true,
+			Seed:     uint64(300 + c),
+		})
+		s.Run()
+		scanners[c] = core.NewScanner(sched, w.med, core.ScannerConfig{
+			Name: "hop", Position: medium.Position{X: 1}, Seed: uint64(400 + c),
+		})
+	}
+	hopper := core.NewChannelHopper(sched, dwell, scanners...)
+	hopper.Start()
+	sched.RunUntil(sim.FromDuration(time.Duration(cycles) * period))
+	hopper.Stop()
+	p := HopperPoint{Channels: len(ws), Dwell: dwell, Captured: hopper.Messages()}
+	for _, w := range ws {
+		r := w.run()
+		p.Events = r.Events
+		p.Transmissions += r.Transmissions
+		p.Deliveries += r.Deliveries
+		p.Collisions += r.Collisions
+	}
+	p.CaptureRate = float64(p.Captured) / float64(p.Transmissions)
+	return p
 }
 
 // --- Channel capacity (§6 "network of IoT devices") ---
@@ -459,13 +464,10 @@ type InterferencePoint struct {
 	// delivered message, relative to the clean-channel baseline (which
 	// absorbs the sensor's own scheduling drift).
 	MeanDelay time.Duration
-	// Collisions counts on-air corruption events.
-	Collisions int
-	// Events counts the scheduler events the point's world dispatched
-	// (sim.Fired): an exact work count. When the sweep has no 0-duty
-	// point, the extra clean-channel run the delays are measured against
-	// is not included.
-	Events uint64
+	// Run is the point's own world, the interferer's bursts included.
+	// When the sweep has no 0-duty point, the extra clean-channel run the
+	// delays are measured against is not in it.
+	Run
 }
 
 // RunInterferenceStudy shares the sensor's channel with a non-CSMA
@@ -477,74 +479,76 @@ func RunInterferenceStudy(duties []float64) []InterferencePoint {
 	if len(duties) == 0 {
 		duties = []float64{0, 0.25, 0.5, 0.8}
 	}
-	const (
-		period      = time.Second
-		cycles      = 100
-		burstPeriod = 10 * time.Millisecond
-	)
-	run := func(duty float64) InterferencePoint {
-		w := newWorld(nil)
-		sensor := core.NewSensor(w.sched, w.med, core.SensorConfig{
-			DeviceID: 0x4e, Position: medium.Position{X: 0},
-			Period: period, JitterPPM: -1, SkipBoot: true, Seed: 41,
-		})
-		scanner := core.NewScanner(w.sched, w.med, core.ScannerConfig{Position: medium.Position{X: 2}})
-		scanner.Start()
-		var totalDelay time.Duration
-		delivered := 0
-		scanner.OnMessage = func(m *core.Message, meta core.Meta) {
-			delivered++
-			expected := sim.FromDuration(time.Duration(m.Seq+1) * period)
-			totalDelay += meta.At.Sub(expected)
-		}
-
-		if duty > 0 {
-			// The interferer transmits fixed junk bursts without carrier
-			// sensing; burst length sets the duty cycle.
-			jam := w.med.Attach("interferer", medium.Position{X: 1}, phy.DBm(10), phy.SensitivityWiFi1M)
-			jam.SetOn(true)
-			// DSSS-1 airtime: 192 µs preamble + 8 µs/byte.
-			burstAir := time.Duration(duty * float64(burstPeriod))
-			junkBytes := int((burstAir - 192*time.Microsecond) / (8 * time.Microsecond))
-			if junkBytes < 1 {
-				junkBytes = 1
-			}
-			junk := make([]byte, junkBytes)
-			var tick func()
-			tick = func() {
-				w.med.Transmit(jam, junk, phy.RateDSSS1)
-				w.sched.DoAfter(burstPeriod, tick)
-			}
-			w.sched.DoAfter(burstPeriod, tick)
-		}
-
-		sensor.Run()
-		w.sched.RunUntil(sim.FromDuration(time.Duration(cycles) * period))
-		sensor.Stop()
-
-		point := InterferencePoint{Duty: duty, Collisions: w.med.Stats.Collisions, Events: w.sched.Fired()}
-		expected := cycles - 1
-		point.DeliveryRate = float64(delivered) / float64(expected)
-		if delivered > 0 {
-			point.MeanDelay = totalDelay / time.Duration(delivered)
-		}
-		return point
-	}
-	// The duty sweep shards; run builds a fresh world per call, so
+	// The duty sweep shards; every point builds a fresh world, so
 	// concurrent points never touch the same kernel. Every delay is
 	// measured against the clean channel: the sweep's own 0-duty point
 	// when it has one, else one extra run.
-	points := engine.MapValues(Pool(), len(duties), func(i int) InterferencePoint { return run(duties[i]) })
+	points := engine.MapValues(Pool(), len(duties), func(i int) InterferencePoint {
+		return runInterferencePoint(newWorld(nil), duties[i])
+	})
 	var baseline time.Duration
 	if i := slices.Index(duties, 0); i >= 0 {
 		baseline = points[i].MeanDelay
 	} else {
-		baseline = run(0).MeanDelay
+		baseline = runInterferencePoint(newWorld(nil), 0).MeanDelay
 	}
 	for i := range points {
 		points[i].MeanDelay = max(points[i].MeanDelay-baseline, 0)
 	}
 	return points
+}
+
+// runInterferencePoint runs one duty cycle of the interference study on w
+// for 100 one-second cycles, its MeanDelay not yet against the baseline.
+func runInterferencePoint(w world, duty float64) InterferencePoint {
+	const (
+		period      = time.Second
+		cycles      = 100
+		burstPeriod = 10 * time.Millisecond
+	)
+	sensor := core.NewSensor(w.sched, w.med, core.SensorConfig{
+		DeviceID: 0x4e, Position: medium.Position{X: 0},
+		Period: period, JitterPPM: -1, SkipBoot: true, Seed: 41,
+	})
+	scanner := core.NewScanner(w.sched, w.med, core.ScannerConfig{Position: medium.Position{X: 2}})
+	scanner.Start()
+	var totalDelay time.Duration
+	delivered := 0
+	scanner.OnMessage = func(m *core.Message, meta core.Meta) {
+		delivered++
+		expected := sim.FromDuration(time.Duration(m.Seq+1) * period)
+		totalDelay += meta.At.Sub(expected)
+	}
+
+	if duty > 0 {
+		// The interferer transmits fixed junk bursts without carrier
+		// sensing; burst length sets the duty cycle.
+		jam := w.med.Attach("interferer", medium.Position{X: 1}, phy.DBm(10), phy.SensitivityWiFi1M)
+		jam.SetOn(true)
+		// DSSS-1 airtime: 192 µs preamble + 8 µs/byte.
+		burstAir := time.Duration(duty * float64(burstPeriod))
+		junkBytes := int((burstAir - 192*time.Microsecond) / (8 * time.Microsecond))
+		if junkBytes < 1 {
+			junkBytes = 1
+		}
+		junk := make([]byte, junkBytes)
+		var tick func()
+		tick = func() {
+			w.med.Transmit(jam, junk, phy.RateDSSS1)
+			w.sched.DoAfter(burstPeriod, tick)
+		}
+		w.sched.DoAfter(burstPeriod, tick)
+	}
+
+	sensor.Run()
+	w.sched.RunUntil(sim.FromDuration(time.Duration(cycles) * period))
+	sensor.Stop()
+
+	point := InterferencePoint{Duty: duty, DeliveryRate: float64(delivered) / (cycles - 1), Run: w.run()}
+	if delivered > 0 {
+		point.MeanDelay = totalDelay / time.Duration(delivered)
+	}
+	return point
 }
 
 // --- Carrier-frame ablation (why beacons, §4) ---

@@ -39,14 +39,14 @@ type ClaimsResult struct {
 	// BeaconsDuringJoin counts the AP beacons that also occupied the
 	// channel while the client joined.
 	BeaconsDuringJoin int
-	// Events counts the scheduler events the run dispatched (sim.Fired):
-	// an exact work count.
-	Events uint64
+	Run
 }
 
 // RunClaims joins once under a monitor and tallies the § 3.1 counts.
-func RunClaims() (*ClaimsResult, error) {
-	b := newWiFiBed(nil)
+func RunClaims() (*ClaimsResult, error) { return newWiFiBed(nil).claims() }
+
+// claims runs the join under a monitor on the bed (see RunClaims).
+func (b *wifiBed) claims() (*ClaimsResult, error) {
 	res := &ClaimsResult{ByKind: map[string]int{}}
 	b.monitor(func(f dot11.Frame, _ medium.Reception) {
 		if b.sta.Joined() {
@@ -81,7 +81,7 @@ func RunClaims() (*ClaimsResult, error) {
 	if err := b.join("claims", 5*sim.Second); err != nil {
 		return nil, err
 	}
-	res.Events = b.sched.Fired()
+	res.Run = b.run()
 
 	total := 0
 	for _, v := range res.ByKind {
@@ -123,8 +123,10 @@ func (c *ClaimsResult) Render(w io.Writer) {
 // list — every beacon, management frame, EAPOL message, ACK and
 // CCMP-protected data frame as raw bytes with timestamps. Feed the output
 // to cmd/wile-dump or any pcap tool.
-func RunJoinCapture() ([]pcap.Packet, error) {
-	b := newWiFiBed(nil)
+func RunJoinCapture() ([]pcap.Packet, error) { return newWiFiBed(nil).capture() }
+
+// capture records the join on the bed (see RunJoinCapture).
+func (b *wifiBed) capture() ([]pcap.Packet, error) {
 	var packets []pcap.Packet
 	b.monitor(func(_ dot11.Frame, rx medium.Reception) {
 		packets = append(packets, pcap.Packet{

@@ -71,10 +71,8 @@ func DefaultDensityConfig() DensityConfig {
 
 // DensityPoint is the outcome of one population size.
 type DensityPoint struct {
-	Devices       int
-	Transmissions int
-	Deliveries    int
-	Collisions    int
+	Devices int
+	Run
 	// CollisionRate is collided receptions over all in-range receptions.
 	CollisionRate float64
 	// DeliveryProb is the fraction of beacons decoded clean by at least
@@ -109,14 +107,13 @@ func RunDensitySweep(cfg DensityConfig) ([]DensityPoint, error) {
 		return nil, fmt.Errorf("experiment: beacon airtime %v not below period %v", airtime, cfg.Period)
 	}
 	return engine.MapSeeded(Pool(), cfg.Seed, len(cfg.Devices), func(i int, seed uint64) (DensityPoint, error) {
-		return runDensityPoint(cfg.Devices[i], seed, cfg), nil
+		return runDensityPoint(newWorld(nil), cfg.Devices[i], seed, cfg), nil
 	})
 }
 
-// runDensityPoint simulates one population size for one window.
-func runDensityPoint(n int, seed uint64, cfg DensityConfig) DensityPoint {
-	sched := sim.New()
-	med := medium.New(sched, phy.WiFi24Channel(6))
+// runDensityPoint simulates one population size on w for one window.
+func runDensityPoint(w world, n int, seed uint64, cfg DensityConfig) DensityPoint {
+	sched, med := w.sched, w.med
 	// Collision outcomes are all this experiment reads; skip the
 	// corruption copies and let handlers trust the Collided flag.
 	med.Corrupt = false
@@ -175,7 +172,7 @@ func runDensityPoint(n int, seed uint64, cfg DensityConfig) DensityPoint {
 	}
 	sched.RunUntil(window)
 
-	pt := DensityPoint{Devices: n}
+	pt := DensityPoint{Devices: n, Run: w.run()}
 	var sent, delivered int
 	for i := range devs {
 		d := &devs[i]
@@ -185,9 +182,6 @@ func runDensityPoint(n int, seed uint64, cfg DensityConfig) DensityPoint {
 		sent += d.sent
 		delivered += d.delivered
 	}
-	pt.Transmissions = med.Stats.Transmissions
-	pt.Deliveries = med.Stats.Deliveries
-	pt.Collisions = med.Stats.Collisions
 	if receptions := pt.Deliveries + pt.Collisions; receptions > 0 {
 		pt.CollisionRate = float64(pt.Collisions) / float64(receptions)
 	}

@@ -15,12 +15,7 @@ import (
 // DropResult summarizes a RunDropScenario run for tests and benches. The
 // provenance ledger itself lives in the Obs bundle the caller passed in.
 type DropResult struct {
-	// Stats is the medium's final tally.
-	Stats medium.Stats
-	// Radios is the number of attached transceivers; with every radio
-	// attached before the first transmission, the ledger's potential
-	// receptions must equal Transmissions × (Radios − 1).
-	Radios int
+	Run
 	// Near is the close-in scanner's protocol tally.
 	Near core.ScannerStats
 }
@@ -143,9 +138,5 @@ func RunDropScenario(o *Obs) (*DropResult, error) {
 	if scanNear.Stats.Messages == 0 {
 		return nil, fmt.Errorf("experiment: drop scenario delivered nothing to the near scanner")
 	}
-	return &DropResult{
-		Stats:  w.med.Stats,
-		Radios: 10,
-		Near:   scanNear.Stats,
-	}, nil
+	return &DropResult{Run: w.run(), Near: scanNear.Stats}, nil
 }

@@ -30,26 +30,16 @@ func runDrops(t *testing.T) (*obs.Provenance, *DropResult, string, string) {
 }
 
 // TestDropScenarioConservation pins the ledger invariant on a full lossy
-// world: every (frame, receiver) pair resolves to exactly one outcome, the
-// outcome total equals the potential-reception total, and every reason in
-// the taxonomy actually occurs.
+// world: it balances as every world must (see balanced), and every reason
+// in the taxonomy actually occurs.
 func TestDropScenarioConservation(t *testing.T) {
-	prov, res, _, _ := runDrops(t)
-	if err := prov.Verify(); err != nil {
-		t.Fatalf("conservation violated: %v", err)
+	o := harnessObs()
+	res, err := RunDropScenario(o)
+	if err != nil {
+		t.Fatal(err)
 	}
-	wantPotential := int64(res.Stats.Transmissions) * int64(res.Radios-1)
-	if got := prov.Potential(); got != wantPotential {
-		t.Errorf("potential receptions = %d, want transmissions×(radios−1) = %d", got, wantPotential)
-	}
-	out := prov.Outcomes()
-	var total int64
-	for _, n := range out {
-		total += n
-	}
-	if total != prov.Potential() {
-		t.Errorf("Σ outcomes = %d, want %d", total, prov.Potential())
-	}
+	balanced(t, "drop scenario", o, res.Run, 0)
+	prov, out := o.Prov, o.Prov.Outcomes()
 	for reason := obs.DropReason(0); reason < obs.NumDropReasons; reason++ {
 		if reason == obs.DropQueueDrop {
 			if prov.QueueDrops() == 0 {
@@ -60,17 +50,6 @@ func TestDropScenarioConservation(t *testing.T) {
 		if out[reason] == 0 {
 			t.Errorf("scenario produced no %v outcome", reason)
 		}
-	}
-	// Stats, the registry mirror and the taxonomy must tell one story:
-	// collided receptions count only as collisions, and every clean
-	// reception the medium handed to a MAC resolved at a decode layer.
-	if got := int64(res.Stats.Collisions); got != out[obs.DropCollided] {
-		t.Errorf("Stats.Collisions = %d, want DropCollided = %d", got, out[obs.DropCollided])
-	}
-	decodeSide := out[obs.Delivered] + out[obs.DropFCSError] +
-		out[obs.DropDedupFiltered] + out[obs.DropDecodeError]
-	if decodeSide != int64(res.Stats.Deliveries) {
-		t.Errorf("decode-side outcomes = %d, want Stats.Deliveries = %d", decodeSide, res.Stats.Deliveries)
 	}
 }
 

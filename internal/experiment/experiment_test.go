@@ -564,6 +564,19 @@ func TestJitterStudySelfDesynchronization(t *testing.T) {
 	}
 }
 
+// TestJitterDeliveryRateAtMostOne: a fast crystal fits one more wake into
+// the window than 2×cycles, so the rate must divide by what was sent.
+func TestJitterDeliveryRateAtMostOne(t *testing.T) {
+	for _, cycles := range []int{50, 200} {
+		for _, p := range RunJitterStudy(nil, cycles) {
+			if p.DeliveryRate > 1 {
+				t.Errorf("%v ppm, %d cycles: delivery rate %.4f (%d delivered) above 1",
+					p.PPM, cycles, p.DeliveryRate, p.Delivered)
+			}
+		}
+	}
+}
+
 func TestHiddenSSIDAblation(t *testing.T) {
 	res, err := RunHiddenSSIDAblation()
 	if err != nil {

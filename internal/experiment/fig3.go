@@ -29,9 +29,8 @@ type Trace struct {
 	Steps []energy.Step
 	// Window is the observation length.
 	Window time.Duration
-	// Events counts the scheduler events the run dispatched (sim.Fired),
-	// meter samples included: an exact work count.
-	Events uint64
+	// Run is the figure's run, meter samples included in its Events.
+	Run
 }
 
 // Release returns the trace's sample buffer to the shared meter pool so a
@@ -69,7 +68,7 @@ func (w *world) record(dev *esp32.Device, wake func()) *Trace {
 		DeviceEnergy: dev.Energy(),
 		Steps:        dev.Steps(),
 		Window:       figureWindow,
-		Events:       w.sched.Fired(),
+		Run:          w.run(),
 	}
 }
 

@@ -1,0 +1,185 @@
+package experiment
+
+import (
+	"fmt"
+	"reflect"
+	"testing"
+
+	"wile/internal/obs"
+)
+
+// harnessObs is what the harness builds every world with: a ledger, a
+// registry and a trace recorder.
+func harnessObs() *Obs {
+	return &Obs{Prov: obs.NewProvenance(), Reg: obs.NewRegistry(), Rec: obs.NewRecorder()}
+}
+
+// balanced checks a world's ledger and registry against the Run it
+// reports, once the world has stopped:
+//   - every frame resolved (Verify), or exactly inFlight frames pending;
+//   - potential receptions = transmissions × (radios − 1), since every
+//     radio attaches before the first transmission;
+//   - Collisions = collided outcomes, and the decode-side outcomes sum to
+//     Deliveries;
+//   - the wile.medium_* counters equal the Stats.
+func balanced(t *testing.T, name string, o *Obs, r Run, inFlight int) {
+	t.Helper()
+	p := o.Prov
+	if inFlight == 0 {
+		if err := p.Verify(); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+	} else if got := p.Pending(); got != inFlight {
+		t.Errorf("%s: %d frames in flight, want %d", name, got, inFlight)
+	}
+	radios := int64(p.Actors())
+	if want := int64(r.Transmissions) * (radios - 1); p.Potential() != want {
+		t.Errorf("%s: potential receptions = %d, want transmissions×(radios−1) = %d×%d",
+			name, p.Potential(), r.Transmissions, radios-1)
+	}
+	out := p.Outcomes()
+	if got := int64(r.Collisions); got != out[obs.DropCollided] {
+		t.Errorf("%s: Collisions = %d, ledger collided = %d", name, got, out[obs.DropCollided])
+	}
+	decodeSide := out[obs.Delivered] + out[obs.DropFCSError] + out[obs.DropDedupFiltered] + out[obs.DropDecodeError]
+	if decodeSide != int64(r.Deliveries) {
+		t.Errorf("%s: decode-side outcomes = %d, want Deliveries = %d", name, decodeSide, r.Deliveries)
+	}
+	for _, c := range []struct {
+		name string
+		want int
+	}{
+		{"wile.medium_transmissions", r.Transmissions},
+		{"wile.medium_deliveries", r.Deliveries},
+		{"wile.medium_collisions", r.Collisions},
+	} {
+		if got := o.Reg.Counter(c.name).Value(); got != int64(c.want) {
+			t.Errorf("%s: %s = %d, Run says %d", name, c.name, got, c.want)
+		}
+	}
+}
+
+// same fails unless a world built with Obs reached the result it reaches
+// with Obs nil: observability must change no outcome.
+func same(t *testing.T, name string, got, want any) {
+	t.Helper()
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("%s: the result with Obs differs from the one with Obs nil", name)
+	}
+}
+
+// traceRun splits a figure run into what must not depend on Obs (the
+// trace less its meter's wiring, and the samples) and its Run.
+func traceRun(tr *Trace, err error) (any, Run, error) {
+	if err != nil {
+		return nil, Run{}, err
+	}
+	v := *tr
+	v.Meter = nil
+	return []any{v, tr.Meter.Samples}, tr.Run, nil
+}
+
+// TestEveryWorldBalancesItsLedger builds every world the package's entry
+// points build, with harnessObs attached, runs the same code on it, and
+// checks balanced and same on each. The density sweep stays out: its
+// handlers resolve no reception, so its ledger cannot balance.
+func TestEveryWorldBalancesItsLedger(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		run  func(o *Obs) (any, Run, error)
+	}{
+		{"MeasureWiLE", func(o *Obs) (any, Run, error) {
+			m, full, err := newWiLEBed(o).measure()
+			return []any{m, full}, m.Run, err
+		}},
+		{"MeasureWiFiDC", func(o *Obs) (any, Run, error) {
+			m, err := newWiFiBed(o).dutyCycle("WiFi-DC")
+			return m, m.Run, err
+		}},
+		{"MeasureWiFiPS", func(o *Obs) (any, Run, error) {
+			m, err := newWiFiBed(o).powerSave()
+			return m, m.Run, err
+		}},
+		{"MeasureWiFiDCFast", func(o *Obs) (any, Run, error) {
+			m, err := newWiFiBed(o).fastRejoin()
+			return m, m.Run, err
+		}},
+		{"RunClaims", func(o *Obs) (any, Run, error) {
+			c, err := newWiFiBed(o).claims()
+			if err != nil {
+				return nil, Run{}, err
+			}
+			return c, c.Run, nil
+		}},
+		{"RunJoinCapture", func(o *Obs) (any, Run, error) {
+			b := newWiFiBed(o)
+			packets, err := b.capture()
+			return packets, b.run(), err
+		}},
+		{"RunFig3a", func(o *Obs) (any, Run, error) { return traceRun(RunFig3a(o)) }},
+		{"RunFig3b", func(o *Obs) (any, Run, error) { return traceRun(RunFig3b(o)) }},
+		{"RunDropScenario", func(o *Obs) (any, Run, error) {
+			res, err := RunDropScenario(o)
+			if err != nil {
+				return nil, Run{}, err
+			}
+			return res, res.Run, nil
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			want, _, err := tc.run(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			o := harnessObs()
+			got, r, err := tc.run(o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			same(t, tc.name, got, want)
+			balanced(t, tc.name, o, r, 0)
+		})
+	}
+
+	t.Run("RunJitterStudy", func(t *testing.T) {
+		for _, want := range RunJitterStudy(nil, 0) {
+			o := harnessObs()
+			got := runJitterPoint(newWorld(o), want.PPM, want.Cycles)
+			name := fmt.Sprintf("%v ppm", want.PPM)
+			same(t, name, got, want)
+			balanced(t, name, o, got.Run, 0)
+		}
+	})
+
+	// A jammed point ends with the jammer's last burst in flight: it
+	// launches at the window's end.
+	t.Run("RunInterferenceStudy", func(t *testing.T) {
+		for _, p := range RunInterferenceStudy(nil) {
+			o := harnessObs()
+			got := runInterferencePoint(newWorld(o), p.Duty)
+			name := fmt.Sprintf("duty %v", p.Duty)
+			same(t, name, got, runInterferencePoint(newWorld(nil), p.Duty))
+			inFlight := 0
+			if p.Duty > 0 {
+				inFlight = 1
+			}
+			balanced(t, name, o, got.Run, inFlight)
+		}
+	})
+
+	t.Run("RunHopperStudy", func(t *testing.T) {
+		for _, want := range RunHopperStudy(nil) {
+			ws := hopperWorlds(want.Channels)
+			os := make([]*Obs, len(ws))
+			for c := range ws {
+				os[c] = harnessObs()
+				ws[c].wire(os[c])
+			}
+			got := runHopperPoint(ws)
+			same(t, fmt.Sprintf("%d channels", want.Channels), got, want)
+			for c := range ws {
+				balanced(t, fmt.Sprintf("%d channels, channel world %d", want.Channels, c), os[c], ws[c].run(), 0)
+			}
+		}
+	})
+}

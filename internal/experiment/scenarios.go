@@ -22,12 +22,10 @@ import (
 )
 
 // Measurement is one measured transmission scenario: the Equation-1
-// inputs Table 1 and Figure 4 read, and the work the run took.
+// inputs Table 1 and Figure 4 read, and the run that measured it.
 type Measurement struct {
 	energy.Scenario
-	// Events counts the scheduler events the run dispatched (sim.Fired):
-	// an exact work count.
-	Events uint64
+	Run
 }
 
 // measured labels an ESP32 episode measured on w at the 3.3 V rail.
@@ -40,7 +38,7 @@ func (w *world) measured(name string, e units.Joules, d time.Duration, idle unit
 			IdleCurrent:     idle,
 			Voltage:         esp32.Voltage,
 		},
-		Events: w.sched.Fired(),
+		Run: w.run(),
 	}
 }
 
@@ -49,8 +47,10 @@ func (w *world) measured(name string, e units.Joules, d time.Duration, idle unit
 // consider only the time required to transmit the packet"), while
 // TxDuration covers the whole wake for Equation 1. The full-cycle
 // (as-prototyped) energy is returned separately.
-func MeasureWiLE() (m Measurement, fullCycle units.Joules, err error) {
-	b := newWiLEBed(nil)
+func MeasureWiLE() (Measurement, units.Joules, error) { return newWiLEBed(nil).measure() }
+
+// measure plays one Wi-LE wake on the bed (see MeasureWiLE).
+func (b *wileBed) measure() (Measurement, units.Joules, error) {
 	start := b.sched.Now()
 	b.transmit()
 	b.sched.RunUntil(2 * sim.Second)
@@ -68,41 +68,35 @@ func MeasureWiLE() (m Measurement, fullCycle units.Joules, err error) {
 		idle), dev.Energy(), nil
 }
 
-// MeasureBLE returns the CC2541 baseline episode (§5.4: the TI report's
-// connection-event integral).
-func MeasureBLE() (Measurement, error) {
-	// Verify the analytic value against a simulated device run.
+// MeasureBLE plays the CC2541 baseline episode (§5.4: the TI report's
+// connection-event integral) on a simulated device, with no medium.
+func MeasureBLE() Measurement {
 	s := sim.New()
 	dev := ble.NewDevice(s)
 	dev.PlayConnectionEvent(nil)
 	s.Run()
-	simulated := dev.Energy()
-	analytic := ble.ConnectionEventEnergy()
-	if diff := simulated - analytic; diff > units.Scale(analytic, 0.01) || diff < units.Scale(analytic, -0.01) {
-		return Measurement{}, fmt.Errorf("experiment: BLE device/analytic mismatch: %v vs %v", simulated, analytic)
-	}
 	return Measurement{
 		Scenario: energy.Scenario{
 			Name:            "BLE",
-			EnergyPerPacket: simulated,
+			EnergyPerPacket: dev.Energy(),
 			TxDuration:      ble.ConnectionEventDuration(),
 			IdleCurrent:     ble.CC2541SleepCurrent,
 			Voltage:         ble.CC2541Voltage,
 		},
-		Events: s.Fired(),
-	}, nil
+		Run: Run{Events: s.Fired()},
+	}
 }
 
 // MeasureWiFiDC runs the full §5.3 duty-cycle episode (Figure 3a): wake
 // from deep sleep, boot, rejoin, one datagram, deep sleep.
-func MeasureWiFiDC() (Measurement, error) {
-	return newWiFiBed(nil).dutyCycle("WiFi-DC")
-}
+func MeasureWiFiDC() (Measurement, error) { return newWiFiBed(nil).dutyCycle("WiFi-DC") }
 
 // MeasureWiFiPS joins once, enters aggressive power save, and measures one
 // transmit episode above the PS idle floor (§5.3 WiFi-PS).
-func MeasureWiFiPS() (Measurement, error) {
-	b := newWiFiBed(nil)
+func MeasureWiFiPS() (Measurement, error) { return newWiFiBed(nil).powerSave() }
+
+// powerSave measures one WiFi-PS episode on the bed (see MeasureWiFiPS).
+func (b *wifiBed) powerSave() (Measurement, error) {
 	station := b.sta
 	if err := b.join("WiFi-PS", 5*sim.Second); err != nil {
 		return Measurement{}, err
@@ -139,8 +133,10 @@ func MeasureWiFiPS() (Measurement, error) {
 // measured wake reuses it, skipping the DHCP/ARP phase entirely. One of
 // the §1 "several different approaches to reducing overall power
 // consumption" the paper's in-depth study motivates.
-func MeasureWiFiDCFast() (Measurement, error) {
-	b := newWiFiBed(nil)
+func MeasureWiFiDCFast() (Measurement, error) { return newWiFiBed(nil).fastRejoin() }
+
+// fastRejoin primes a lease and measures the rejoin (see MeasureWiFiDCFast).
+func (b *wifiBed) fastRejoin() (Measurement, error) {
 	// Cycle 1: full join to obtain the lease (not measured).
 	if err := b.join("priming", 5*sim.Second); err != nil {
 		return Measurement{}, err

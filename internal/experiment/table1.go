@@ -52,8 +52,7 @@ func RunTable1() (*Table1Result, error) {
 			return point{Table1Row{m, units.MicroJoules(84), units.MicroAmps(2.5)}, fullCycle}, err
 		},
 		func() (point, error) {
-			m, err := MeasureBLE()
-			return point{row: Table1Row{m, units.MicroJoules(71), units.MicroAmps(1.1)}}, err
+			return point{row: Table1Row{MeasureBLE(), units.MicroJoules(71), units.MicroAmps(1.1)}}, nil
 		},
 		func() (point, error) {
 			m, err := MeasureWiFiDC()

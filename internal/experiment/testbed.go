@@ -49,8 +49,8 @@ type Obs struct {
 	Sched bool
 }
 
-// world bundles one experiment's simulation: a kernel, the channel-6
-// medium, and the trace recorder its components were attached to.
+// world bundles one experiment's simulation: a kernel, a medium, and the
+// trace recorder its components were attached to.
 type world struct {
 	sched *sim.Scheduler
 	med   *medium.Medium
@@ -60,16 +60,31 @@ type world struct {
 	current obs.TrackID
 }
 
-// newWorld builds a kernel and medium and attaches o's medium-level sinks:
-// medium counters into the registry, the provenance ledger into the medium
-// (and into the registry and the trace as drop totals and instants when
-// those sinks are also present), and the time-series sampler onto the
-// kernel.
+// Run is the record of a world's run that every result embeds: the exact
+// count of scheduler events dispatched (sim.Fired) and the medium's tally.
+type Run struct {
+	Events uint64
+	medium.Stats
+}
+
+// run reads w's record so far; by value, so closures copy w, not heap it.
+func (w world) run() Run { return Run{w.sched.Fired(), w.med.Stats} }
+
+// newWorld builds a kernel and its channel-6 medium, wired to o.
 func newWorld(o *Obs) world {
 	s := sim.New()
 	w := world{sched: s, med: medium.New(s, phy.WiFi24Channel(6))}
+	w.wire(o)
+	return w
+}
+
+// wire attaches o's medium-level sinks: medium counters into the registry,
+// the provenance ledger into the medium (and into the registry and the
+// trace as drop totals and instants when those sinks are also present),
+// and the time-series sampler onto the kernel.
+func (w world) wire(o *Obs) {
 	if o == nil {
-		return w
+		return
 	}
 	if o.Reg != nil {
 		w.med.Observe(o.Reg)
@@ -86,7 +101,6 @@ func newWorld(o *Obs) world {
 	if o.Series != nil {
 		o.Series.Run(w.sched)
 	}
-	return w
 }
 
 // component is a testbed device with a timeline and counters to report.
