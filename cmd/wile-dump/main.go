@@ -18,8 +18,8 @@ import (
 	"os"
 
 	"wile"
+	"wile/internal/capture"
 	"wile/internal/dot11"
-	"wile/internal/pcap"
 )
 
 func main() {
@@ -51,50 +51,33 @@ func run(path, keyHex string) error {
 		return err
 	}
 	defer f.Close()
-	r, err := pcap.NewReader(f)
-	if err != nil {
-		return err
-	}
-	pkts, err := r.ReadAll()
+	frames, err := capture.ReadPcap(f)
 	if err != nil {
 		return err
 	}
 	keyFor := func(uint32) *wile.Key { return key }
 	undecoded := 0
-	for _, p := range pkts {
-		data := p.Data
+	for _, fr := range frames {
+		if fr.Err != nil {
+			undecoded++
+			fmt.Printf("%-12v undecodable %d-byte frame: %v\n", fr.Time, len(fr.Data), fr.Err)
+			continue
+		}
 		meta := ""
-		if r.LinkType() == pcap.LinkTypeRadiotap {
-			inner, rt, err := pcap.StripRadiotap(data)
-			if err != nil {
-				undecoded++
-				continue
-			}
-			data = inner
-			if rt.RateKbps > 0 {
-				meta = fmt.Sprintf(" (%.1f Mb/s, %d MHz)", float64(rt.RateKbps)/1000, rt.ChannelMHz)
-			}
+		if rt := fr.Radiotap; rt.RateKbps > 0 {
+			meta = fmt.Sprintf(" (%.1f Mb/s, %d MHz)", float64(rt.RateKbps)/1000, rt.ChannelMHz)
 		}
-		frame, err := dot11.Decode(data)
-		if err != nil {
-			// Tolerate captures without FCS.
-			if frame, err = dot11.DecodeNoFCS(data); err != nil {
-				undecoded++
-				fmt.Printf("%-12v undecodable %d-byte frame: %v\n", p.Time, len(data), err)
-				continue
-			}
-		}
-		fmt.Printf("%-12v %s%s\n", p.Time, dot11.Summarize(frame), meta)
+		fmt.Printf("%-12v %s%s\n", fr.Time, dot11.Summarize(fr.Frame), meta)
 		// Inline Wi-LE decode for beacons that carry our elements; foreign
 		// beacons and undecryptable payloads stay as their summary line.
-		if b, ok := frame.(*dot11.Beacon); ok {
+		if b, ok := fr.Frame.(*dot11.Beacon); ok {
 			if msg, err := wile.DecodeBeacon(b, keyFor); err == nil {
 				fmt.Printf("%12s └─ wile device=%08x seq=%d readings=%d%s\n",
 					"", msg.DeviceID, msg.Seq, len(msg.Readings), wileFlags(msg))
 			}
 		}
 	}
-	fmt.Printf("%d frames, %d undecodable\n", len(pkts), undecoded)
+	fmt.Printf("%d frames, %d undecodable\n", len(frames), undecoded)
 	return nil
 }
 

@@ -16,13 +16,12 @@
 // the default population list (comma-separated counts).
 //
 // CSVs land in the directory named by -out (default "results").
-// -metrics writes a JSON snapshot of the run's counters, gauges and
-// histograms (MAC traffic, engine sweeps, per-experiment energy) to a file.
 // -trace additionally writes Chrome trace-event timelines for the fig3a and
 // fig3b runs (open the JSON at https://ui.perfetto.dev).
-// -series samples the fig3a/fig3b registries on a 10 ms sim-time cadence and
-// writes the timeline as <figure>_series.csv — the counters' evolution over
-// the run, not just their final values.
+// -series samples each of fig3a and fig3b's counters on a 10 ms sim-time
+// cadence and writes the timeline as <figure>_series.csv — the counters'
+// evolution over the run, not just their final values. For a snapshot of
+// a figure's final counters, run wile-trace -metrics.
 package main
 
 import (
@@ -45,7 +44,6 @@ import (
 
 func main() {
 	out := flag.String("out", "results", "directory for CSV outputs")
-	metrics := flag.String("metrics", "", "write a metrics snapshot (JSON) to this file")
 	trace := flag.Bool("trace", false, "also write Chrome trace-event JSON timelines for fig3a/fig3b")
 	series := flag.Bool("series", false, "also write sim-time metric timelines (CSV) for fig3a/fig3b")
 	devices := flag.String("devices", "", "density sweep population sizes (comma-separated, e.g. 1000,10000,100000)")
@@ -55,11 +53,6 @@ func main() {
 		usage()
 		os.Exit(2)
 	}
-	var reg *obs.Registry
-	if *metrics != "" {
-		reg = obs.NewRegistry()
-		defer experiment.SetMetrics(experiment.SetMetrics(reg))
-	}
 	traceTimelines = *trace
 	seriesTimelines = *series
 	densityDevices = *devices
@@ -67,17 +60,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "wile-lab:", err)
 		os.Exit(1)
 	}
-	if reg != nil {
-		if err := writeFile(*metrics, reg.WriteJSON); err != nil {
-			fmt.Fprintln(os.Stderr, "wile-lab:", err)
-			os.Exit(1)
-		}
-		fmt.Println("metrics written to", *metrics)
-	}
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: wile-lab [-out dir] [-metrics file] [-trace] [-series] [-devices list] {table1|fig3a|fig3b|fig4|claims|joincap|ablations|density|all}")
+	fmt.Fprintln(os.Stderr, "usage: wile-lab [-out dir] [-trace] [-series] [-devices list] {table1|fig3a|fig3b|fig4|claims|joincap|ablations|density|all}")
 }
 
 // traceTimelines and seriesTimelines mirror the -trace and -series flags
@@ -181,12 +167,15 @@ func density(out string) error {
 	return nil
 }
 
+// measureTable1 measures Table 1; tests wrap it to count the measurements.
+var measureTable1 = experiment.RunTable1
+
 // withTable1 measures Table 1 once and hands it to f. The table, Figure 4,
 // the battery projection and the fast-rejoin comparison all read that one
 // measurement: the runs are deterministic, so measuring again would only
-// repeat the work and count it twice in the metrics.
+// repeat the work.
 func withTable1(f func(*experiment.Table1Result) error) error {
-	table, err := experiment.RunTable1()
+	table, err := measureTable1()
 	if err != nil {
 		return err
 	}
@@ -199,18 +188,14 @@ func table1(table *experiment.Table1Result) error {
 }
 
 func fig3(out, name string, runner func(*experiment.Obs) (*experiment.Trace, error)) error {
-	// The figure worlds are built per-run, so the package registry (if any)
-	// is threaded in explicitly; a nil registry keeps the disabled path.
-	o := experiment.Obs{Reg: experiment.Metrics()}
+	// Each figure's world gets sinks of its own; with neither flag set it
+	// runs on the disabled path.
+	var o experiment.Obs
 	if traceTimelines {
 		o.Rec = obs.NewRecorder()
 	}
 	if seriesTimelines {
-		// Sampling needs a registry; run on a local one when -metrics
-		// didn't install the package registry.
-		if o.Reg == nil {
-			o.Reg = obs.NewRegistry()
-		}
+		o.Reg = obs.NewRegistry()
 		o.Series = obs.NewTimeSeries(o.Reg, 0)
 	}
 	tr, err := runner(&o)

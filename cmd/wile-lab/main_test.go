@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"wile/internal/experiment"
@@ -27,19 +28,11 @@ func TestLabOutputGolden(t *testing.T) {
 	}
 	var digests bytes.Buffer
 	for _, name := range []string{"fig3a.csv", "fig3b.csv", "join.pcap"} {
-		b, err := os.ReadFile(filepath.Join(out, name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		fmt.Fprintf(&digests, "%x  %s\n", sha256.Sum256(b), name)
-	}
-	fig4, err := os.ReadFile(filepath.Join(out, "fig4.csv"))
-	if err != nil {
-		t.Fatal(err)
+		fmt.Fprintf(&digests, "%x  %s\n", sha256.Sum256(readFile(t, out, name)), name)
 	}
 	got := map[string][]byte{
 		"lab_stdout.txt": bytes.ReplaceAll(stdout.Bytes(), []byte(out), []byte("$OUT")),
-		"lab_fig4.csv":   fig4,
+		"lab_fig4.csv":   readFile(t, out, "fig4.csv"),
 		"lab_sha256.txt": digests.Bytes(),
 	}
 	for name, b := range got {
@@ -66,18 +59,73 @@ func TestLabOutputGolden(t *testing.T) {
 
 // TestAllMeasuresTable1Once checks that `wile-lab all` measures Table 1
 // once and shares it with Figure 4, the battery projection and the
-// fast-rejoin comparison: one energy observation per row, and nine engine
-// sweeps (Table 1, Figure 4, and the seven in the ablations).
+// fast-rejoin comparison, as `fig4` and `ablations` each do on their own.
 func TestAllMeasuresTable1Once(t *testing.T) {
-	reg := obs.NewRegistry()
-	defer experiment.SetMetrics(experiment.SetMetrics(reg))
-	captureStdout(t, func() error { return run("all", t.TempDir()) })
-	if n := reg.Histogram("experiment.energy_per_packet_uj", nil).Count(); n != 4 {
-		t.Errorf("experiment.energy_per_packet_uj has %d observations, want 4 (one per Table 1 row)", n)
+	measure := measureTable1
+	defer func() { measureTable1 = measure }()
+	calls := 0
+	measureTable1 = func() (*experiment.Table1Result, error) {
+		calls++
+		return measure()
 	}
-	if n := reg.Counter("engine.sweeps").Value(); n != 9 {
-		t.Errorf("engine.sweeps = %d, want 9", n)
+	for _, cmd := range []string{"all", "fig4", "ablations"} {
+		calls = 0
+		captureStdout(t, func() error { return run(cmd, t.TempDir()) })
+		if calls != 1 {
+			t.Errorf("wile-lab %s measured Table 1 %d times, want once", cmd, calls)
+		}
 	}
+}
+
+// TestFigureTimelinesMatchSingleRuns runs `wile-lab -trace -series all`
+// and requires each figure's timeline to be the one `wile-trace -perfetto`
+// writes (a run traced by a recorder alone) and each metric series to be
+// the one a run of that figure alone writes: every lane is a counter of
+// the figure's own world, none describes the command.
+func TestFigureTimelinesMatchSingleRuns(t *testing.T) {
+	defer func() { traceTimelines, seriesTimelines = false, false }()
+	traceTimelines, seriesTimelines = true, true
+	out := t.TempDir()
+	captureStdout(t, func() error { return run("all", out) })
+	for _, fig := range []struct {
+		name string
+		run  func(*experiment.Obs) (*experiment.Trace, error)
+	}{{"fig3a", experiment.RunFig3a}, {"fig3b", experiment.RunFig3b}} {
+		o := experiment.Obs{Rec: obs.NewRecorder()}
+		if _, err := fig.run(&o); err != nil {
+			t.Fatal(err)
+		}
+		var timeline bytes.Buffer
+		if err := o.Rec.WriteChromeTrace(&timeline); err != nil {
+			t.Fatal(err)
+		}
+		if got := readFile(t, out, fig.name+"_timeline.json"); !bytes.Equal(got, timeline.Bytes()) {
+			t.Errorf("%s_timeline.json differs from the recorder-only run's trace", fig.name)
+		}
+
+		alone := t.TempDir()
+		captureStdout(t, func() error { return run(fig.name, alone) })
+		series := readFile(t, out, fig.name+"_series.csv")
+		if !bytes.Equal(series, readFile(t, alone, fig.name+"_series.csv")) {
+			t.Errorf("%s_series.csv from `all` differs from a run of %s alone", fig.name, fig.name)
+		}
+		for _, line := range strings.Split(string(series), "\n")[1:] {
+			if f := strings.Split(line, ","); len(f) == 3 &&
+				(strings.HasPrefix(f[1], "engine.") || strings.HasPrefix(f[1], "experiment.")) {
+				t.Errorf("%s_series.csv has a %s lane", fig.name, f[1])
+				break
+			}
+		}
+	}
+}
+
+func readFile(t *testing.T, dir, name string) []byte {
+	t.Helper()
+	b, err := os.ReadFile(filepath.Join(dir, name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }
 
 // captureStdout runs f with os.Stdout redirected to a temporary file and

@@ -12,18 +12,14 @@
 package main
 
 import (
-	"bufio"
 	"encoding/hex"
-	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"os"
-	"time"
 
 	"wile"
+	"wile/internal/capture"
 	"wile/internal/dot11"
-	"wile/internal/pcap"
 )
 
 func main() {
@@ -57,15 +53,7 @@ func run(path, keyHex string) error {
 	keyFor := func(uint32) *wile.Key { return key }
 	decoded, skipped := 0, 0
 	for _, fr := range frames {
-		f, err := dot11.Decode(fr.Data)
-		if err != nil {
-			// Tolerate captures without FCS.
-			if f, err = dot11.DecodeNoFCS(fr.Data); err != nil {
-				skipped++
-				continue
-			}
-		}
-		beacon, ok := f.(*dot11.Beacon)
+		beacon, ok := fr.Frame.(*dot11.Beacon)
 		if !ok {
 			skipped++
 			continue
@@ -107,62 +95,19 @@ func formatReading(r wile.Reading) string {
 	}
 }
 
-type frame struct {
-	Time time.Duration
-	Data []byte
-}
-
-func loadFrames(path string) ([]frame, error) {
+// loadFrames reads the capture at path, or hex frames from stdin for "-".
+func loadFrames(path string) ([]capture.Frame, error) {
 	if path == "-" {
-		return readHex(os.Stdin)
+		frames, err := capture.ReadHex(os.Stdin)
+		if err != nil {
+			return nil, fmt.Errorf("stdin %w", err)
+		}
+		return frames, nil
 	}
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	r, err := pcap.NewReader(f)
-	if err != nil {
-		return nil, err
-	}
-	pkts, err := r.ReadAll()
-	if err != nil {
-		return nil, err
-	}
-	out := make([]frame, 0, len(pkts))
-	for _, p := range pkts {
-		data := p.Data
-		if r.LinkType() == pcap.LinkTypeRadiotap {
-			inner, _, err := pcap.StripRadiotap(data)
-			if err != nil {
-				continue // tolerate malformed radiotap records
-			}
-			data = inner
-		}
-		out = append(out, frame{Time: p.Time, Data: data})
-	}
-	return out, nil
-}
-
-func readHex(r io.Reader) ([]frame, error) {
-	var out []frame
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	line := 0
-	for sc.Scan() {
-		line++
-		text := sc.Text()
-		if text == "" {
-			continue
-		}
-		data, err := hex.DecodeString(text)
-		if err != nil {
-			return nil, fmt.Errorf("stdin line %d: %w", line, err)
-		}
-		out = append(out, frame{Data: data})
-	}
-	if err := sc.Err(); err != nil && !errors.Is(err, io.EOF) {
-		return nil, err
-	}
-	return out, nil
+	return capture.ReadPcap(f)
 }

@@ -12,15 +12,15 @@ import (
 // names a sync.Mutex or sync.RWMutex field of the same struct) may only be
 // read or written while that mutex is held on the same base expression:
 //
-//	type Histogram struct {
+//	type Tally struct {
 //		mu    sync.Mutex
 //		count int64 // guarded by mu
 //	}
 //
-//	h.mu.Lock()
-//	h.count++        // ok: h.mu held
-//	h.mu.Unlock()
-//	return h.count   // flagged: h.mu released
+//	t.mu.Lock()
+//	t.count++        // ok: t.mu held
+//	t.mu.Unlock()
+//	return t.count   // flagged: t.mu released
 //
 // Held-lock state flows through the function's control-flow graph:
 // Lock/RLock acquire, Unlock/RUnlock release, "defer mu.Unlock()" keeps
@@ -46,7 +46,7 @@ type lgGuard struct {
 }
 
 // lgState is the must-held lock set, keyed by the source path of the
-// mutex expression ("h.mu", "p.pool.mu").
+// mutex expression ("t.mu", "p.pool.mu").
 type lgState map[string]bool
 
 type lgClient struct {

@@ -14,7 +14,7 @@ import (
 //	if p.rec != nil {
 //	    p.rec.Span(p.track, start, p.sched.Now(), "access") // ok
 //	}
-//	p.metrics.Sweeps.Inc() // flagged unless inside "if p.metrics != nil"
+//	p.metrics.Frames.Inc() // flagged unless inside "if p.metrics != nil"
 //
 // The frame-provenance ledger follows the same contract: every
 // Resolve/QueueDrop on a *obs.Provenance hook must sit behind a nil guard
@@ -23,7 +23,7 @@ import (
 // entirely.
 //
 // Calls whose receiver is rooted at a function parameter are exempt: those
-// are wiring-time helpers (TraceTo, Observe, NewMetrics) whose caller owns
+// are wiring-time helpers (TraceTo, Observe) whose caller owns
 // the nil decision. Guards must be in the same function literal as the
 // call — a check at schedule time does not protect a deferred closure.
 // Individual lines can be exempted with "//wile:allow obsguard".
@@ -85,8 +85,8 @@ func runObsGuard(pass *Pass) error {
 }
 
 // isObsMethod reports whether sel resolves to a method whose receiver type
-// is declared in wile/internal/obs (Recorder, Registry, Counter, Gauge,
-// Histogram, Provenance, TimeSeries).
+// is declared in wile/internal/obs (Recorder, Registry, Counter,
+// Provenance, TimeSeries).
 func isObsMethod(info *types.Info, sel *ast.SelectorExpr) bool {
 	s, ok := info.Selections[sel]
 	if !ok || s.Kind() != types.MethodVal {
@@ -105,7 +105,7 @@ func isObsMethod(info *types.Info, sel *ast.SelectorExpr) bool {
 }
 
 // exprPath renders a receiver chain of identifiers and field selections as
-// a dotted path ("p.metrics.Sweeps"), or "" for anything more exotic.
+// a dotted path ("p.metrics.Frames"), or "" for anything more exotic.
 func exprPath(e ast.Expr) string {
 	switch e := e.(type) {
 	case *ast.Ident:
@@ -124,7 +124,7 @@ func exprPath(e ast.Expr) string {
 
 // guardRoot suggests which prefix of the receiver path to nil-check: the
 // hook field itself for metric instruments ("p.metrics" for
-// "p.metrics.Sweeps"), the whole path otherwise.
+// "p.metrics.Frames"), the whole path otherwise.
 func guardRoot(recv string) string {
 	if i := strings.LastIndexByte(recv, '.'); i > 0 && strings.Count(recv, ".") >= 2 {
 		return recv[:i]

@@ -16,7 +16,7 @@ type device struct {
 
 type instruments struct {
 	frames *obs.Counter
-	depth  *obs.Gauge
+	drops  *obs.Counter
 }
 
 func (d *device) goodGuarded(at int64) {
@@ -25,7 +25,7 @@ func (d *device) goodGuarded(at int64) {
 	}
 	if d.metrics != nil {
 		d.metrics.frames.Inc()
-		d.metrics.depth.Set(1)
+		d.metrics.drops.Add(1)
 	}
 	if d.rec != nil && at > 0 {
 		d.rec.Instant(d.track, 0, "late")
@@ -84,7 +84,7 @@ func (d *device) TraceTo(r *obs.Recorder) {
 func (d *device) Observe(reg *obs.Registry) {
 	d.metrics = &instruments{
 		frames: reg.Counter("device.frames"),
-		depth:  reg.Gauge("device.depth"),
+		drops:  reg.Counter("device.drops"),
 	}
 }
 

@@ -29,8 +29,7 @@ type ReliableSensor struct {
 	// Stats accumulates counters.
 	Stats ReliableStats
 
-	queue   []*pendingBatch
-	running bool
+	queue []*pendingBatch
 }
 
 // ReliableStats counts reliability events.
@@ -90,16 +89,10 @@ func (r *ReliableSensor) Pending() int { return len(r.queue) }
 
 // Run starts the underlying sensor's periodic loop; each wake transmits
 // the oldest pending batch (or a heartbeat when the queue is empty).
-func (r *ReliableSensor) Run() {
-	r.running = true
-	r.S.Run()
-}
+func (r *ReliableSensor) Run() { r.S.Run() }
 
 // Stop halts the loop.
-func (r *ReliableSensor) Stop() {
-	r.running = false
-	r.S.Stop()
-}
+func (r *ReliableSensor) Stop() { r.S.Stop() }
 
 // nextBatch picks what the next wake transmits, first dropping batches
 // that exhausted their attempt budget (the device was asleep when the

@@ -24,53 +24,15 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-
-	"wile/internal/obs"
 )
 
 // Pool is a worker-count policy for sweeps. The zero value is not valid;
 // use New. Pools carry no goroutines between calls — workers are spawned
-// per Map and exit when the sweep drains, so an idle Pool costs nothing
-// and Pools are safe for concurrent use.
+// per Map and exit when the sweep drains — and nothing but their worker
+// count, so an idle Pool costs nothing and Pools are safe for concurrent
+// use.
 type Pool struct {
 	workers int
-	mu      sync.Mutex
-	metrics *Metrics // guarded by mu
-}
-
-// Metrics is the engine's view into a metrics registry: sweep and point
-// throughput, the configured worker count, and the sweep-size distribution.
-// All fields are fed from the caller's goroutine at Map entry, before any
-// worker runs, so snapshots stay deterministic under the engine's
-// GOMAXPROCS-independence contract.
-type Metrics struct {
-	Sweeps      *obs.Counter
-	Points      *obs.Counter
-	Workers     *obs.Gauge
-	SweepPoints *obs.Histogram
-}
-
-// NewMetrics returns the registry's engine metrics, registering them on
-// first use.
-func NewMetrics(reg *obs.Registry) *Metrics {
-	return &Metrics{
-		Sweeps:      reg.Counter("engine.sweeps"),
-		Points:      reg.Counter("engine.points"),
-		Workers:     reg.Gauge("engine.workers"),
-		SweepPoints: reg.Histogram("engine.sweep_points", []float64{1, 4, 16, 64, 256}),
-	}
-}
-
-// Observe attaches metrics to the pool. Passing nil detaches. Observe may
-// race a concurrent Map (Pools are safe for concurrent use), so the
-// attachment itself is mutex-guarded.
-func (p *Pool) Observe(m *Metrics) {
-	p.mu.Lock()
-	p.metrics = m
-	p.mu.Unlock()
-	if m != nil {
-		m.Workers.Set(float64(p.workers))
-	}
 }
 
 // New returns a pool that runs sweeps on the given number of workers.
@@ -110,14 +72,6 @@ func SubSeed(base uint64, i int) uint64 {
 func Map[T any](p *Pool, n int, fn func(i int) (T, error)) ([]T, error) {
 	if n <= 0 {
 		return nil, nil
-	}
-	p.mu.Lock()
-	m := p.metrics
-	p.mu.Unlock()
-	if m != nil {
-		m.Sweeps.Inc()
-		m.Points.Add(int64(n))
-		m.SweepPoints.Observe(float64(n))
 	}
 	out := make([]T, n)
 	workers := p.workers

@@ -142,18 +142,23 @@ type ListenIntervalPoint struct {
 }
 
 // WiFiPSIdleModel computes the WiFi-PS idle current for a listen interval:
-// a light-sleep floor plus the beacon-reception duty cycle. Constants are
-// calibrated so LI=3 reproduces Table 1's 4.5 mA (§5.3: "the WiFi chip
-// wakes up only for every third beacon").
+// a light-sleep floor plus the beacon-reception duty cycle, the radio
+// listening (esp32.StateRadioListen) through a wake window at every
+// beacon it wakes for. The floor is esp32.StateWiFiPSIdle less that duty
+// at LI=3, so LI=3 is Table 1's idle current (§5.3: "the WiFi chip wakes
+// up only for every third beacon").
 func WiFiPSIdleModel(listenInterval int) units.Amps {
 	const (
-		floor        = units.Amps(1.0e-3)    // light-sleep + RTC + wake logic
+		tableLI      = 3                     // Table 1's listen interval
 		wakeWindow   = 11 * time.Millisecond // radio+MCU on around each beacon
-		wakeCurrent  = units.Amps(100e-3)    // radio listening
 		beaconPeriod = 102400 * time.Microsecond
 	)
-	duty := wakeWindow.Seconds() / (float64(listenInterval) * beaconPeriod.Seconds())
-	return floor + units.Scale(wakeCurrent, duty)
+	wake := esp32.StateCurrent(esp32.StateRadioListen)
+	listening := func(li int) units.Amps {
+		return units.Scale(wake, wakeWindow.Seconds()/(float64(li)*beaconPeriod.Seconds()))
+	}
+	floor := esp32.StateCurrent(esp32.StateWiFiPSIdle) - listening(tableLI)
+	return floor + listening(listenInterval)
 }
 
 // RunListenIntervalAblation sweeps LI 1..10.

@@ -30,7 +30,6 @@ type ClaimsResult struct {
 	// protected data frames — during a join the only protected
 	// client↔AP traffic is the DHCP/ARP exchange.
 	HigherLayerFrames int
-	ProtectedFrames   int
 	// GroupRelays counts the AP's GTK-protected re-broadcasts of the
 	// client's broadcast ARPs — distribution-system traffic the paper's
 	// per-client count does not include.
@@ -70,7 +69,7 @@ func (b *wifiBed) claims() (*ClaimsResult, error) {
 				return
 			}
 			// CCMP ciphertext: during a join, necessarily DHCP or ARP.
-			res.ProtectedFrames++
+			res.HigherLayerFrames++
 			return
 		}
 		if et, _, err := netstack.UnwrapSNAP(d.Payload); err == nil && et == netstack.EtherTypeEAPOL {
@@ -87,7 +86,6 @@ func (b *wifiBed) claims() (*ClaimsResult, error) {
 	for _, v := range res.ByKind {
 		total += v
 	}
-	res.HigherLayerFrames = res.ProtectedFrames
 	// Every higher-layer frame is unicast and therefore ACKed; the paper's
 	// "20 MAC-layer frames" excludes the network-layer exchange entirely,
 	// so both the frames and their ACKs come out of the MAC-layer count,

@@ -345,10 +345,7 @@ func TestClaimsMatchPaper(t *testing.T) {
 		t.Errorf("4-way exchange %d frames, paper: at least 8", c.FourWayFrames)
 	}
 	if c.HigherLayerFrames != 7 {
-		t.Errorf("higher-layer frames = %d, paper: 7", c.HigherLayerFrames)
-	}
-	if c.ProtectedFrames != 7 {
-		t.Errorf("CCMP-protected frames = %d, want all 7 network-layer frames", c.ProtectedFrames)
+		t.Errorf("higher-layer (CCMP-protected) frames = %d, paper: 7", c.HigherLayerFrames)
 	}
 	if c.MACLayerFrames < 19 || c.MACLayerFrames > 21 {
 		t.Errorf("MAC-layer frames = %d, paper: ≈20", c.MACLayerFrames)
@@ -429,8 +426,8 @@ func TestSnifferConfirmsFourPlusThree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := pairwise.dhcp + pairwise.arp + pairwise.other; n != c.ProtectedFrames || n != 7 {
-		t.Errorf("%d pairwise-protected MSDUs, RunClaims counts %d protected frames, want 7", n, c.ProtectedFrames)
+	if n := pairwise.dhcp + pairwise.arp + pairwise.other; n != c.HigherLayerFrames || n != 7 {
+		t.Errorf("%d pairwise-protected MSDUs, RunClaims counts %d higher-layer frames, want 7", n, c.HigherLayerFrames)
 	}
 	if n := group.dhcp + group.arp + group.other; n != c.GroupRelays || n != 4 {
 		t.Errorf("%d group-protected MSDUs, RunClaims counts %d group relays, want 4", n, c.GroupRelays)
@@ -519,10 +516,10 @@ func TestListenIntervalAblationCalibration(t *testing.T) {
 	if len(points) != 10 {
 		t.Fatalf("%d points", len(points))
 	}
-	// LI=3 reproduces Table 1's 4.5 mA within 5%.
-	li3 := points[2].IdleCurrent
-	if math.Abs(float64(li3-units.MilliAmps(4.5))) > 4.5e-3*0.05 {
-		t.Errorf("LI=3 idle %.2f mA, want 4.5 mA", li3.Milli())
+	// LI=3 is Table 1's WiFi-PS idle current, to float rounding.
+	li3, want := points[2].IdleCurrent, esp32.StateCurrent(esp32.StateWiFiPSIdle)
+	if math.Abs(float64(li3-want)) > 1e-12 {
+		t.Errorf("LI=3 idle %v mA, want esp32.StateWiFiPSIdle's %v mA", li3.Milli(), want.Milli())
 	}
 	// Monotonically decreasing in LI.
 	for i := 1; i < len(points); i++ {

@@ -167,24 +167,3 @@ func TestMetricsSnapshotSubsumesMACStats(t *testing.T) {
 		t.Error("mac.rx_frames is zero after a reception")
 	}
 }
-
-// TestTable1FeedsEnergyHistogram verifies the per-experiment energy
-// histogram fills when a registry is installed.
-func TestTable1FeedsEnergyHistogram(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs all four Table 1 scenarios")
-	}
-	reg := obs.NewRegistry()
-	defer SetMetrics(SetMetrics(reg))
-	if _, err := RunTable1(); err != nil {
-		t.Fatal(err)
-	}
-	h := reg.Histogram("experiment.energy_per_packet_uj", nil)
-	if h.Count() != 4 {
-		t.Fatalf("energy histogram has %d observations, want 4", h.Count())
-	}
-	// Engine metrics were rewired onto the pool by SetMetrics.
-	if reg.Counter("engine.sweeps").Value() == 0 {
-		t.Error("engine.sweeps not incremented by the Table 1 sweep")
-	}
-}

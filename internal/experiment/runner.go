@@ -4,7 +4,6 @@ import (
 	"sync/atomic"
 
 	"wile/internal/engine"
-	"wile/internal/obs"
 )
 
 // pool is the engine every sweep in this package submits through. It
@@ -25,31 +24,4 @@ func Pool() *engine.Pool { return pool.Load() }
 //
 // The determinism contract (see package engine) guarantees results do not
 // depend on the pool in use — only wall-clock time does.
-func SetPool(p *engine.Pool) *engine.Pool {
-	if reg := registry.Load(); reg != nil && p != nil {
-		p.Observe(engine.NewMetrics(reg))
-	}
-	return pool.Swap(p)
-}
-
-// registry is the package's optional metrics sink. nil (the default) keeps
-// every experiment on the zero-cost disabled path.
-var registry atomic.Pointer[obs.Registry]
-
-// Metrics reports the registry experiments currently snapshot into, or nil.
-func Metrics() *obs.Registry { return registry.Load() }
-
-// SetMetrics installs (or, with nil, removes) the metrics registry and
-// returns the previous one, mirroring SetPool. The current pool's engine
-// metrics are rewired to the new registry.
-func SetMetrics(reg *obs.Registry) *obs.Registry {
-	prev := registry.Swap(reg)
-	if p := pool.Load(); p != nil {
-		if reg != nil {
-			p.Observe(engine.NewMetrics(reg))
-		} else {
-			p.Observe(nil)
-		}
-	}
-	return prev
-}
+func SetPool(p *engine.Pool) *engine.Pool { return pool.Swap(p) }

@@ -8,7 +8,6 @@ import (
 
 	"wile/internal/energy"
 	"wile/internal/engine"
-	"wile/internal/obs"
 	"wile/internal/units"
 )
 
@@ -70,19 +69,9 @@ func RunTable1() (*Table1Result, error) {
 		return nil, err
 	}
 	res := &Table1Result{Rows: make([]Table1Row, len(ps))}
-	// The histogram feed stays on the caller's goroutine, in row order, so
-	// metric snapshots are deterministic regardless of the pool in use.
-	var perPacket *obs.Histogram
-	if reg := Metrics(); reg != nil {
-		perPacket = reg.Histogram("experiment.energy_per_packet_uj",
-			[]float64{100, 1e3, 1e4, 1e5, 1e6})
-	}
 	for i, p := range ps {
 		res.Rows[i] = p.row
 		res.WiLEFullCycle += p.fullCycle
-		if perPacket != nil {
-			perPacket.Observe(p.row.EnergyPerPacket.Micro())
-		}
 	}
 	return res, nil
 }

@@ -65,28 +65,6 @@ func TestPushAddsToCollectedSum(t *testing.T) {
 	}
 }
 
-func TestCollectGaugeNamePanics(t *testing.T) {
-	reg := NewRegistry()
-	reg.Gauge("a")
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("collecting a source that emits a gauge's name did not panic")
-			}
-		}()
-		reg.Collect(stub("a", 1))
-	}()
-	// The panic must leave the registry usable, without the bad source.
-	reg.Counter("b").Inc()
-	var buf bytes.Buffer
-	if err := reg.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), `"b": 1`) {
-		t.Errorf("snapshot after the panic:\n%s", buf.String())
-	}
-}
-
 // TestSnapshotsReadEachSourceOnce: a snapshot calls every source's Counters
 // once, however many names the source emits.
 func TestSnapshotsReadEachSourceOnce(t *testing.T) {

@@ -9,7 +9,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"slices"
 	"testing"
 
 	"wile/internal/sim"
@@ -69,8 +68,6 @@ const (
 	opTrack             // name
 	opEvent             // kind, track, time, then a span's end and name, a counter's value or a name
 	opCounter           // name, increment
-	opGauge             // name, float
-	opHistogram         // name, bounds count, floats, samples-1, floats
 	opSample            // time: one TimeSeries sample
 	numOps
 )
@@ -180,52 +177,12 @@ func buildWorld(data []byte) *exportWorld {
 				x.rec.Counter(track, at, p.float())
 			}
 		case opCounter:
-			if name := p.str(); x.free(name, (*Counter)(nil)) {
-				x.reg.Counter(name).Add(int64(p.u64()))
-			}
-		case opGauge:
-			if name := p.str(); x.free(name, (*Gauge)(nil)) {
-				x.reg.Gauge(name).Set(p.float())
-			}
-		case opHistogram:
-			name, bounds := p.str(), make([]float64, p.byte()%4)
-			for i := range bounds {
-				bounds[i] = p.float()
-			}
-			bounds = slices.DeleteFunc(bounds, math.IsNaN)
-			slices.Sort(bounds)
-			bounds = slices.Compact(bounds)
-			n := 1 + p.num(8)
-			if !x.free(name, (*Histogram)(nil)) {
-				break
-			}
-			h := x.reg.Histogram(name, bounds)
-			for i := 0; i < n; i++ {
-				h.Observe(p.float())
-			}
+			x.reg.Counter(p.str()).Add(int64(p.u64()))
 		case opSample:
 			x.series.Sample(p.time())
 		}
 	}
 	return x
-}
-
-// free reports whether the registry can take name as a metric of kind's
-// type without panicking.
-func (x *exportWorld) free(name string, kind any) bool {
-	it, ok := x.reg.items[name]
-	if !ok {
-		return true
-	}
-	switch kind.(type) {
-	case *Counter:
-		_, ok = it.(*Counter)
-	case *Gauge:
-		_, ok = it.(*Gauge)
-	case *Histogram:
-		_, ok = it.(*Histogram)
-	}
-	return ok
 }
 
 // programWriter writes what program reads.
@@ -327,14 +284,12 @@ func hostileProgram() []byte {
 	w.op(opEvent, byte(1), 1, sim.Time(-1), "state\xff")
 	w.op(opEvent, byte(2), 1, sim.Time(-5))
 	w.op(opEvent, byte(3), 2, sim.Time(999), "\U0001F600")
-	for i, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 1e-300, 0.1} {
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 1e-300, 0.1} {
 		w.op(opEvent, byte(4), 3, sim.Time(1001), v)
-		w.op(opGauge, "g\t"+string(rune('a'+i)), v)
 	}
 	w.op(opCounter, "wile.medium_frames", int64(5))
 	w.op(opCounter, "c\"x", int64(-7))
-	w.op(opHistogram, "h\\", byte(3), math.Inf(-1), math.Copysign(0, -1), math.Inf(1),
-		4, math.NaN(), math.Inf(1), -1.0, 2.0, math.Copysign(0, -1))
+	w.op(opCounter, "c\t\\", int64(math.MinInt64))
 	w.op(opSample, sim.Time(-1500))
 	w.op(opSample, sim.Time(0))
 	w.op(opSample, sim.Time(1))
@@ -405,7 +360,7 @@ func TestExportersStopAtWriteError(t *testing.T) {
 		at := sim.Time(1000 * i)
 		w.op(opEvent, byte(0), n, at, at+500, "span")
 		w.op(opEvent, byte(4), n, at, float64(i)/3)
-		w.op(opGauge, "gauge-"+string(rune('a'+i%26))+string(rune('a'+i/26)), float64(i)/7)
+		w.op(opCounter, "counter-"+string(rune('a'+i%26))+string(rune('a'+i/26)), int64(i)<<40)
 		w.op(opSample, at)
 	}
 	x := buildWorld(w)

@@ -1,11 +1,8 @@
 package obs
 
 import (
-	"fmt"
 	"io"
-	"math"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -58,86 +55,13 @@ type Source interface {
 	Counters(emit func(name string, v int64))
 }
 
-// Gauge is a last-write-wins float metric.
-type Gauge struct {
-	bits atomic.Uint64
-}
-
-// Set replaces the gauge value.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Value reports the current value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
-
-// Histogram is a fixed-bucket distribution. Buckets, count and sum update
-// and snapshot under one lock, so a snapshot never reports a combination no
-// real instant produced: Σ buckets always equals count (the torn-read test
-// pins this). Observe must still be called from deterministic call sites (a
-// kernel goroutine, or the caller side of an engine sweep) when snapshots
-// need to be byte-identical across runs — which is how every histogram in
-// this repository is fed.
-type Histogram struct {
-	bounds  []float64 // inclusive upper bounds, ascending; implicit +Inf last
-	nan     atomic.Int64
-	mu      sync.Mutex
-	buckets []int64 // guarded by mu
-	count   int64   // guarded by mu
-	sum     float64 // guarded by mu
-}
-
-// Observe records one sample. NaN is not a measurement: it would poison
-// the running sum for good and has no bucket it meaningfully belongs to,
-// so NaN samples are dropped and tallied in a dedicated counter
-// (NaNDropped, the "nan" field of the snapshot) instead.
-func (h *Histogram) Observe(v float64) {
-	if math.IsNaN(v) {
-		h.nan.Add(1)
-		return
-	}
-	i := sort.SearchFloat64s(h.bounds, v)
-	h.mu.Lock()
-	h.buckets[i]++
-	h.count++
-	h.sum += v
-	h.mu.Unlock()
-}
-
-// Count reports the number of observations.
-func (h *Histogram) Count() int64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.count
-}
-
-// Sum reports the total of all observed values.
-func (h *Histogram) Sum() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.sum
-}
-
-// NaNDropped reports how many NaN samples Observe discarded.
-func (h *Histogram) NaNDropped() int64 { return h.nan.Load() }
-
-// snapshot reads buckets, count and sum in one critical section, so the
-// three always belong to the same observation prefix even when a snapshot
-// races an Observe — Σ buckets equals count in every snapshot.
-func (h *Histogram) snapshot() (count int64, sum float64, buckets []int64) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.count, h.sum, append([]int64(nil), h.buckets...)
-}
-
-// Registry is a named collection of metrics. Metric constructors are
-// get-or-create, so independent components that agree on a name share one
-// aggregate metric. A counter's total has two parts: what is pushed
-// through Counter(name).Add, and what the collected Sources emit under the
-// name, pulled whenever the registry is read. A Registry is safe for
-// concurrent use.
+// Registry is a named set of counters read off the components' Stats. A
+// counter's total is what the collected Sources emit under its name,
+// pulled whenever the registry is read, plus whatever is pushed through
+// Counter(name).Add. A Registry is safe for concurrent use.
 type Registry struct {
-	mu    sync.Mutex
-	names []string       // registration order; snapshots sort; guarded by mu
-	items map[string]any // guarded by mu
+	mu       sync.Mutex
+	counters map[string]*Counter // guarded by mu
 	// sources are the collected Sources, in collection order; gen numbers
 	// the reads of them (see Counter.pulled).
 	sources []Source // guarded by mu
@@ -149,14 +73,13 @@ type Registry struct {
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	r := &Registry{items: make(map[string]any), gen: 1}
+	r := &Registry{counters: make(map[string]*Counter), gen: 1}
 	r.emit = r.add
 	return r
 }
 
-// Counter returns the named counter, creating it on first use. Registering
-// a name twice with different metric kinds panics: it is always a wiring
-// bug, and silently returning a fresh metric would split the series.
+// Counter returns the named counter, creating it on first use, so
+// independent components that agree on a name share one total.
 func (r *Registry) Counter(name string) *Counter {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -167,24 +90,19 @@ func (r *Registry) Counter(name string) *Counter {
 //
 //wile:holds r.mu
 func (r *Registry) counter(name string) *Counter {
-	if it, ok := r.items[name]; ok {
-		c, ok := it.(*Counter)
-		if !ok {
-			panic(fmt.Sprintf("obs: metric %q already registered as %T", name, it))
-		}
-		return c
+	c, ok := r.counters[name]
+	if !ok {
+		c = &Counter{reg: r}
+		r.counters[name] = c
 	}
-	c := &Counter{reg: r}
-	r.register(name, c)
 	return c
 }
 
 // Collect adds src to the sources the registry reads: every snapshot
 // (WriteJSON, TimeSeries.Sample) and every Value of a collected name calls
-// src.Counters once. Collect registers the names src emits right away, so
-// a name already registered as a gauge or histogram panics here, as
-// Counter does. Collecting a source twice changes nothing; src must be
-// comparable (a pointer, in practice).
+// src.Counters once. Collect registers the names src emits right away.
+// Collecting a source twice changes nothing; src must be comparable (a
+// pointer, in practice).
 //
 // The registry reads a source on whichever goroutine reads the registry,
 // without synchronizing with the source's own kernel, so read it only
@@ -202,8 +120,8 @@ func (r *Registry) Collect(src Source) {
 	r.sources = append(r.sources, src)
 }
 
-// add is the callback sources emit into: it registers name as a counter
-// on first sight and adds v to the counter's pulled total for this read.
+// add is the callback sources emit into: it registers name on first sight
+// and adds v to the counter's pulled total for this read.
 //
 //wile:holds r.mu
 func (r *Registry) add(name string, v int64) {
@@ -237,141 +155,47 @@ func (r *Registry) total(c *Counter) int64 {
 	return n
 }
 
-// Gauge returns the named gauge, creating it on first use.
-func (r *Registry) Gauge(name string) *Gauge {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if it, ok := r.items[name]; ok {
-		g, ok := it.(*Gauge)
-		if !ok {
-			panic(fmt.Sprintf("obs: metric %q already registered as %T", name, it))
-		}
-		return g
-	}
-	g := &Gauge{}
-	r.register(name, g)
-	return g
-}
-
-// Histogram returns the named histogram with the given ascending upper
-// bucket bounds (an implicit +Inf bucket is appended), creating it on
-// first use. Re-registration returns the existing histogram; the bounds of
-// the first registration win.
-func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if it, ok := r.items[name]; ok {
-		h, ok := it.(*Histogram)
-		if !ok {
-			panic(fmt.Sprintf("obs: metric %q already registered as %T", name, it))
-		}
-		return h
-	}
-	for i := 1; i < len(bounds); i++ {
-		if bounds[i] <= bounds[i-1] {
-			panic(fmt.Sprintf("obs: histogram %q bounds not ascending at %d", name, i))
-		}
-	}
-	h := &Histogram{
-		bounds:  append([]float64(nil), bounds...),
-		buckets: make([]int64, len(bounds)+1),
-	}
-	r.register(name, h)
-	return h
-}
-
-// register records the metric; the caller holds r.mu.
-//
-//wile:holds r.mu
-func (r *Registry) register(name string, it any) {
-	r.items[name] = it
-	r.names = append(r.names, name)
-}
-
-// entry is one metric in a registry snapshot; count is a counter's total
-// at the snapshot's instant.
+// entry is one counter in a registry snapshot: its total at the
+// snapshot's instant.
 type entry struct {
 	name  string
-	it    any
 	count int64
 }
 
-// snapshot reads every source once and returns the metrics sorted by name,
-// each counter's total (pushed plus pulled) fixed at that instant.
+// snapshot reads every source once and returns the counters sorted by
+// name (so the map's order never shows), each total (pushed plus pulled)
+// fixed at that instant.
 func (r *Registry) snapshot() []entry {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.read()
-	out := make([]entry, len(r.names))
-	for i, name := range r.names {
-		out[i] = entry{name: name, it: r.items[name]}
-		if c, ok := out[i].it.(*Counter); ok {
-			out[i].count = r.total(c)
-		}
+	out := make([]entry, 0, len(r.counters))
+	for name, c := range r.counters {
+		out = append(out, entry{name, r.total(c)})
 	}
 	slices.SortFunc(out, func(a, b entry) int { return strings.Compare(a.name, b.name) })
 	return out
 }
 
-// WriteJSON snapshots every metric as a single JSON object, grouped by
-// kind and sorted by name — a deterministic serialization of deterministic
-// values, so two identical runs snapshot byte-identically.
+// WriteJSON snapshots every counter as one JSON object sorted by name, a
+// deterministic serialization of deterministic values, so two identical
+// runs snapshot byte-identically.
 func (r *Registry) WriteJSON(w io.Writer) error {
 	entries := r.snapshot()
 	e := newEncoder(w)
 	e.lit("{\n  \"counters\": {")
-	writeKind(e, entries, func(_ *Counter, en *entry) { e.num(en.count) })
-	e.lit("},\n  \"gauges\": {")
-	writeKind(e, entries, func(g *Gauge, _ *entry) { e.value(g.Value()) })
-	e.lit("},\n  \"histograms\": {")
-	writeKind(e, entries, func(h *Histogram, _ *entry) {
-		count, sum, buckets := h.snapshot()
-		e.lit(`{"count":`)
-		e.num(count)
-		e.lit(`,"sum":`)
-		e.value(sum)
-		e.lit(`,"nan":`)
-		e.num(h.NaNDropped())
-		e.lit(`,"buckets":[`)
-		for i, n := range buckets {
-			if i > 0 {
-				e.lit(",")
-			}
-			e.lit(`{"le":`)
-			if i < len(h.bounds) {
-				e.value(h.bounds[i])
-			} else {
-				e.lit(`"+Inf"`)
-			}
-			e.lit(`,"count":`)
-			e.num(n)
-			e.lit("}")
-		}
-		e.lit("]}")
-	})
-	e.lit("}\n}\n")
-	return e.flush()
-}
-
-// writeKind emits the "name": value pairs of the metrics of kind M, in
-// entry order; value writes one metric's value.
-func writeKind[M any](e encoder, entries []entry, value func(m M, en *entry)) {
-	first := true
-	for i := range entries {
-		m, ok := entries[i].it.(M)
-		if !ok {
-			continue
-		}
-		if !first {
+	for i, en := range entries {
+		if i > 0 {
 			e.lit(",")
 		}
-		first = false
 		e.lit("\n    ")
-		e.quote(entries[i].name)
+		e.quote(en.name)
 		e.lit(": ")
-		value(m, &entries[i])
+		e.num(en.count)
 	}
-	if !first {
+	if len(entries) > 0 {
 		e.lit("\n  ")
 	}
+	e.lit("}\n}\n")
+	return e.flush()
 }

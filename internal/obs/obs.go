@@ -1,6 +1,7 @@
 // Package obs is the simulator's observability layer: a sim-time trace
-// recorder and a metrics registry that turn one run into the two views a
-// production system is debugged through — a timeline and a set of counters.
+// recorder and a registry of the components' counters, which turn one run
+// into the two views a production system is debugged through — a timeline
+// and a set of counters.
 //
 // The paper's entire argument is a waveform (Figures 3a/3b are
 // current-vs-time traces, Table 1 is their integral), so the layer is built
@@ -16,10 +17,11 @@
 // one predictable branch per hook site and zero allocations — proven by
 // BenchmarkObsDisabled. The wile-vet obsguard analyzer enforces the guard
 // mechanically. With a Recorder attached, recording one event is an append
-// to its event log; formatting work happens only at export time. Component
-// counters need no hook at all: they stay plain Stats fields, and a
-// Registry that collected them (a Source) reads them only when it is
-// itself read.
+// to its event log; formatting work happens only at export time. Counters
+// need no hook at all: every count is a plain field of a component's Stats,
+// and a Registry that collected the Stats (a Source) reads them only when
+// it is itself read. No simulator code pushes into a registry, so a
+// snapshot is a function of the simulated run alone.
 //
 // Trace model. A Recorder owns a set of named tracks (one per device, MAC
 // port, or instrument) and an ordered event log of slices (Span,

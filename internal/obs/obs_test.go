@@ -220,7 +220,7 @@ func TestSpanAndEndClampNegativeDurations(t *testing.T) {
 	}
 }
 
-func TestRegistryCountersGaugesHistograms(t *testing.T) {
+func TestRegistryCounters(t *testing.T) {
 	reg := NewRegistry()
 	c := reg.Counter("mac.tx_frames")
 	c.Inc()
@@ -228,56 +228,17 @@ func TestRegistryCountersGaugesHistograms(t *testing.T) {
 	if got := reg.Counter("mac.tx_frames").Value(); got != 3 {
 		t.Fatalf("counter = %d, want 3 (get-or-create must share state)", got)
 	}
-	g := reg.Gauge("engine.workers")
-	g.Set(8)
-	if g.Value() != 8 {
-		t.Fatalf("gauge = %v", g.Value())
-	}
-	h := reg.Histogram("energy_uj", []float64{10, 100, 1000})
-	for _, v := range []float64{5, 50, 84, 5000} {
-		h.Observe(v)
-	}
-	if h.Count() != 4 {
-		t.Fatalf("histogram count = %d", h.Count())
-	}
-	if h.Sum() != 5139 {
-		t.Fatalf("histogram sum = %v", h.Sum())
-	}
 
 	var buf bytes.Buffer
 	if err := reg.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	var doc struct {
-		Counters   map[string]int64   `json:"counters"`
-		Gauges     map[string]float64 `json:"gauges"`
-		Histograms map[string]struct {
-			Count   int64 `json:"count"`
-			Buckets []struct {
-				LE    any   `json:"le"`
-				Count int64 `json:"count"`
-			} `json:"buckets"`
-		} `json:"histograms"`
-	}
+	var doc map[string]map[string]int64
 	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
 		t.Fatalf("snapshot is not valid JSON: %v\n%s", err, buf.String())
 	}
-	if doc.Counters["mac.tx_frames"] != 3 {
-		t.Errorf("snapshot counter = %d", doc.Counters["mac.tx_frames"])
-	}
-	if doc.Gauges["engine.workers"] != 8 {
-		t.Errorf("snapshot gauge = %v", doc.Gauges["engine.workers"])
-	}
-	hs := doc.Histograms["energy_uj"]
-	if hs.Count != 4 || len(hs.Buckets) != 4 {
-		t.Errorf("snapshot histogram = %+v", hs)
-	}
-	// Bucket layout: ≤10:1(5), ≤100:2(50,84), ≤1000:0, +Inf:1(5000).
-	wantCounts := []int64{1, 2, 0, 1}
-	for i, b := range hs.Buckets {
-		if b.Count != wantCounts[i] {
-			t.Errorf("bucket %d count = %d, want %d", i, b.Count, wantCounts[i])
-		}
+	if len(doc) != 1 || doc["counters"]["mac.tx_frames"] != 3 {
+		t.Errorf("snapshot = %v, want only counters, mac.tx_frames 3", doc)
 	}
 }
 
@@ -287,8 +248,6 @@ func TestRegistrySnapshotDeterministic(t *testing.T) {
 		// Register in one order, bump in another; output must sort.
 		reg.Counter("z.last").Add(1)
 		reg.Counter("a.first").Add(2)
-		reg.Gauge("m.mid").Set(0.5)
-		reg.Histogram("h", []float64{1}).Observe(0.25)
 		var buf bytes.Buffer
 		if err := reg.WriteJSON(&buf); err != nil {
 			t.Fatal(err)
@@ -302,15 +261,7 @@ func TestRegistrySnapshotDeterministic(t *testing.T) {
 	if !strings.Contains(string(a), "\"a.first\": 2") {
 		t.Errorf("snapshot missing counter:\n%s", a)
 	}
-}
-
-func TestRegistryKindMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("re-registering a counter as a gauge did not panic")
-		}
-	}()
-	reg := NewRegistry()
-	reg.Counter("x")
-	reg.Gauge("x")
+	if strings.Index(string(a), "a.first") > strings.Index(string(a), "z.last") {
+		t.Errorf("snapshot not sorted by name:\n%s", a)
+	}
 }

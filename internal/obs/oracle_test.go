@@ -186,75 +186,20 @@ func oracleWriteCSV(t *TimeSeries, w io.Writer) error {
 
 // oracleWriteJSON is Registry.WriteJSON.
 func oracleWriteJSON(r *Registry, w io.Writer) error {
-	entries := r.snapshot()
 	bw := &oracleWriter{w: w}
 	bw.printf("{\n  \"counters\": {")
-	oracleWriteKind(bw, entries, func(e *entry) (string, bool) {
-		if _, ok := e.it.(*Counter); !ok {
-			return "", false
-		}
-		return strconv.FormatInt(e.count, 10), true
-	})
-	bw.printf("},\n  \"gauges\": {")
-	oracleWriteKind(bw, entries, func(e *entry) (string, bool) {
-		g, ok := e.it.(*Gauge)
-		if !ok {
-			return "", false
-		}
-		return oracleValue(g.Value()), true
-	})
-	bw.printf("},\n  \"histograms\": {")
-	oracleWriteKind(bw, entries, func(e *entry) (string, bool) {
-		h, ok := e.it.(*Histogram)
-		if !ok {
-			return "", false
-		}
-		count, sum, buckets := h.snapshot()
-		var b []byte
-		b = append(b, `{"count":`...)
-		b = strconv.AppendInt(b, count, 10)
-		b = append(b, `,"sum":`...)
-		b = append(b, oracleValue(sum)...)
-		b = append(b, `,"nan":`...)
-		b = strconv.AppendInt(b, h.NaNDropped(), 10)
-		b = append(b, `,"buckets":[`...)
-		for i := range buckets {
-			if i > 0 {
-				b = append(b, ',')
-			}
-			b = append(b, `{"le":`...)
-			if i < len(h.bounds) {
-				b = append(b, oracleValue(h.bounds[i])...)
-			} else {
-				b = append(b, `"+Inf"`...)
-			}
-			b = append(b, `,"count":`...)
-			b = strconv.AppendInt(b, buckets[i], 10)
-			b = append(b, '}')
-		}
-		b = append(b, `]}`...)
-		return string(b), true
-	})
-	bw.printf("}\n}\n")
-	return bw.err
-}
-
-func oracleWriteKind(bw *oracleWriter, entries []entry, value func(e *entry) (string, bool)) {
-	first := true
-	for i := range entries {
-		v, ok := value(&entries[i])
-		if !ok {
-			continue
-		}
-		if !first {
+	entries := r.snapshot()
+	for i, e := range entries {
+		if i > 0 {
 			bw.printf(",")
 		}
-		first = false
-		bw.printf("\n    %s: %s", oracleQuote(entries[i].name), v)
+		bw.printf("\n    %s: %d", oracleQuote(e.name), e.count)
 	}
-	if !first {
+	if len(entries) > 0 {
 		bw.printf("\n  ")
 	}
+	bw.printf("}\n}\n")
+	return bw.err
 }
 
 // oracleMicros renders a sim.Time as microseconds with three decimals.

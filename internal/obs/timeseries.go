@@ -1,8 +1,8 @@
 package obs
 
-// Sim-time metrics timeline: a TimeSeries snapshots every metric in a
+// Sim-time metrics timeline: a TimeSeries snapshots every counter in a
 // Registry on a configurable sim-time cadence, turning end-of-run totals
-// into curves (energy, throughput, drop rate over the run). Samples are
+// into curves (frames, deliveries, drops over the run). Samples are
 // recorded as counter events into a Recorder of the series' own, so the
 // Chrome export is the trace exporter's.
 //
@@ -57,22 +57,12 @@ func (t *TimeSeries) track(name string) TrackID {
 	return id
 }
 
-// Sample records one point per metric at the given sim time, reading each
-// collected source once. Counters and gauges sample their value;
-// histograms sample two lanes, <name>.count and <name>.sum. Metrics
-// registered after a sample join at the next one.
+// Sample records one point per counter at the given sim time, reading each
+// collected source once. Counters registered after a sample join at the
+// next one.
 func (t *TimeSeries) Sample(at sim.Time) {
 	for _, e := range t.reg.snapshot() {
-		switch m := e.it.(type) {
-		case *Counter:
-			t.rec.Counter(t.track(e.name), at, float64(e.count))
-		case *Gauge:
-			t.rec.Counter(t.track(e.name), at, m.Value())
-		case *Histogram:
-			count, sum, _ := m.snapshot()
-			t.rec.Counter(t.track(e.name+".count"), at, float64(count))
-			t.rec.Counter(t.track(e.name+".sum"), at, sum)
-		}
+		t.rec.Counter(t.track(e.name), at, float64(e.count))
 	}
 }
 

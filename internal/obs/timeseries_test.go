@@ -10,32 +10,30 @@ import (
 )
 
 // TestTimeSeriesSampling runs a series over a live registry inside a
-// scheduler and checks the cadence, the per-kind lanes and the CSV shape.
+// scheduler and checks the cadence, the pushed and pulled lanes and the
+// CSV shape.
 func TestTimeSeriesSampling(t *testing.T) {
 	sched := sim.New()
 	reg := NewRegistry()
 	c := reg.Counter("tx")
-	g := reg.Gauge("depth")
-	h := reg.Histogram("lat", []float64{1})
+	src := stub("rx", 0)
+	reg.Collect(src)
 
 	ts := NewTimeSeries(reg, 10*time.Millisecond)
-	// Drive the metrics from the kernel so samples see evolving values.
+	// Drive the counters from the kernel so samples see evolving values.
 	for i := 1; i <= 4; i++ {
-		i := i
 		sched.DoAfter(time.Duration(i)*10*time.Millisecond-time.Millisecond, func() {
 			c.Inc()
-			g.Set(float64(i))
-			h.Observe(float64(i))
+			src.vals[0] += int64(i)
 		})
 	}
 	ts.Run(sched)
 	sched.RunUntil(sim.FromDuration(45 * time.Millisecond))
 	ts.Stop()
 
-	// Samples at 0,10,20,30,40 ms over 4 lanes (tx, depth, lat.count,
-	// lat.sum) = 20 points.
-	if ts.Len() != 20 {
-		t.Fatalf("recorded %d points, want 20", ts.Len())
+	// Samples at 0,10,20,30,40 ms over 2 lanes (rx, tx) = 10 points.
+	if ts.Len() != 10 {
+		t.Fatalf("recorded %d points, want 10", ts.Len())
 	}
 	var buf bytes.Buffer
 	if err := ts.WriteCSV(&buf); err != nil {
@@ -45,19 +43,16 @@ func TestTimeSeriesSampling(t *testing.T) {
 	if lines[0] != "time_us,series,value" {
 		t.Fatalf("header = %q", lines[0])
 	}
-	if len(lines) != 21 {
-		t.Fatalf("CSV has %d rows, want 21", len(lines))
+	if len(lines) != 11 {
+		t.Fatalf("CSV has %d rows, want 11", len(lines))
 	}
 	for _, want := range []string{
-		"0.000,depth,0",
-		"0.000,lat.count,0",
-		"0.000,lat.sum,0",
+		"0.000,rx,0",
 		"0.000,tx,0",
 		"10000.000,tx,1",
+		"20000.000,rx,3",
 		"40000.000,tx,4",
-		"40000.000,depth,4",
-		"40000.000,lat.count,4",
-		"40000.000,lat.sum,10",
+		"40000.000,rx,10",
 	} {
 		if !strings.Contains(buf.String(), want+"\n") {
 			t.Errorf("CSV missing row %q:\n%s", want, buf.String())

@@ -130,7 +130,7 @@ type (
 // all see the components' current counts. A fleet total is the registry's
 // sum over every component wired to it.
 type (
-	// Registry is a shared metrics registry (counters, gauges, histograms).
+	// Registry is a shared registry of the components' counters.
 	Registry = obs.Registry
 	// MetricsCounter is one monotonically increasing registry counter.
 	MetricsCounter = obs.Counter
