@@ -27,7 +27,7 @@ func TestScanSkipsFrameFailingFCS(t *testing.T) {
 	if _, err := dot11.Decode(bad); err == nil {
 		t.Fatal("the corrupted beacon passes its FCS")
 	}
-	out := scan(t, beacon(t, 356), bad)
+	out := scan(t, pcap.LinkTypeIEEE80211, beacon(t, 356), bad)
 	if !strings.Contains(out, "seq=356") || strings.Contains(out, "seq=357") ||
 		!strings.HasSuffix(out, "1 Wi-LE messages decoded, 1 other frames skipped\n") {
 		t.Errorf("wile-scan printed:\n%s", out)
@@ -38,9 +38,36 @@ func TestScanSkipsFrameFailingFCS(t *testing.T) {
 // decodes in full.
 func TestScanReadsCaptureWithoutFCS(t *testing.T) {
 	a, b := beacon(t, 356), beacon(t, 357)
-	out := scan(t, a[:len(a)-4], b[:len(b)-4])
+	out := scan(t, pcap.LinkTypeIEEE80211, a[:len(a)-4], b[:len(b)-4])
 	if !strings.HasSuffix(out, "2 Wi-LE messages decoded, 0 other frames skipped\n") {
 		t.Errorf("wile-scan printed:\n%s", out)
+	}
+}
+
+// TestScanReadsRadiotapFCSFlag: a radiotap record's Flags field says
+// whether its frame ends in an FCS, so a lone frame that fails its FCS is
+// skipped. Read by the per-capture rule, that capture would hold no frame
+// passing the check, and the corrupted seq-357 beacon of
+// TestScanSkipsFrameFailingFCS would decode as 17.64 °C.
+func TestScanReadsRadiotapFCSFlag(t *testing.T) {
+	bad := beacon(t, 357)
+	bad[len(bad)-5] ^= 0x40
+	clean := beacon(t, 357)
+	for _, tc := range []struct {
+		name  string
+		flags byte
+		frame []byte
+		want  string
+	}{
+		{"corrupted, FCS flag set", pcap.RadiotapFlagFCS, bad, "0 Wi-LE messages decoded, 1 other frames skipped\n"},
+		{"intact, FCS flag set", pcap.RadiotapFlagFCS, clean, "1 Wi-LE messages decoded, 0 other frames skipped\n"},
+		{"no FCS, FCS flag clear", 0, clean[:len(clean)-4], "1 Wi-LE messages decoded, 0 other frames skipped\n"},
+	} {
+		// Radiotap header: version, pad, length 9, present word (Flags), Flags.
+		rec := append([]byte{0, 0, 9, 0, 0x02, 0, 0, 0, tc.flags}, tc.frame...)
+		if out := scan(t, pcap.LinkTypeRadiotap, rec); !strings.HasSuffix(out, tc.want) {
+			t.Errorf("%s: wile-scan printed:\n%s", tc.name, out)
+		}
 	}
 }
 
@@ -60,13 +87,13 @@ func beacon(t *testing.T, seq uint16) []byte {
 	return raw
 }
 
-// scan writes frames to a raw 802.11 pcap, runs wile-scan on it and
-// returns what it printed.
-func scan(t *testing.T, frames ...[]byte) string {
+// scan writes frames to a pcap of the given link type, runs wile-scan on
+// it and returns what it printed.
+func scan(t *testing.T, link pcap.LinkType, frames ...[]byte) string {
 	t.Helper()
 	dir := t.TempDir()
 	var buf bytes.Buffer
-	w := pcap.NewWriter(&buf, pcap.LinkTypeIEEE80211)
+	w := pcap.NewWriter(&buf, link)
 	for _, f := range frames {
 		if err := w.WritePacket(pcap.Packet{Data: f}); err != nil {
 			t.Fatal(err)

@@ -2,12 +2,13 @@
 // them (wile-scan, wile-dump): pcap files, raw or radiotap, and hex dumps,
 // one frame per line.
 //
-// A capture's link type does not say whether its frames end in an FCS, so
-// the reader decides once per capture: the frames carry one when any of
-// them passes the FCS check, and every frame is then decoded that way. A
-// frame that fails its FCS in such a capture stays undecodable; it is
-// never re-read as a frame without one, which would parse the stale FCS
-// as one more element of a corrupted body.
+// A capture's link type does not say whether its frames end in an FCS. A
+// radiotap record's Flags field does, for its own frame. For every other
+// frame the reader decides once per capture: the frames carry one when
+// any of them passes the FCS check, and are then all decoded that way. A
+// frame that fails its FCS stays undecodable; it is never re-read as a
+// frame without one, which would parse the stale FCS as one more element
+// of a corrupted body.
 package capture
 
 import (
@@ -88,8 +89,9 @@ func ReadHex(r io.Reader) ([]Frame, error) {
 	return frames, nil
 }
 
-// decode decodes every readable frame, all with an FCS when any of them
-// passes the FCS check, all without one otherwise.
+// decode decodes every readable frame: with an FCS when its radiotap Flags
+// field says so, and a frame without that field with an FCS when any frame
+// passes the FCS check, without one otherwise.
 func decode(frames []Frame) {
 	withFCS := slices.ContainsFunc(frames, func(f Frame) bool { return f.Err == nil && passesFCS(f.Data) })
 	for i := range frames {
@@ -97,7 +99,11 @@ func decode(frames []Frame) {
 		if f.Err != nil {
 			continue
 		}
-		if withFCS {
+		fcs := withFCS
+		if rt := f.Radiotap; rt.HasFlags {
+			fcs = rt.Flags&pcap.RadiotapFlagFCS != 0
+		}
+		if fcs {
 			f.Frame, f.Err = dot11.Decode(f.Data)
 		} else {
 			f.Frame, f.Err = dot11.DecodeNoFCS(f.Data)

@@ -12,6 +12,13 @@ import (
 // the cell offsets never outweigh the entries however sparse the field.
 const cellsPerRadio = 4
 
+// insertionMax is the longest out-of-order hit list gridCandidates sorts
+// by insertion; slices.SortFunc, a closure call per comparison, takes
+// longer ones. On random lists of 4 and 9 cell runs (2-vCPU Xeon VM),
+// insertion is 1.3–2x faster at 64 hits and breaks even between 96 and
+// 128, past which its quadratic cost loses.
+const insertionMax = 64
+
 // reachPad widens the interference radius for the cell span and the
 // squared-distance prefilter. Rounding moves a computed RSSI by ~1e-13 dB,
 // and a radio 1e-6 of the radius further out is millions of times that
@@ -108,6 +115,7 @@ func (m *Medium) gridCandidates(dst []candidate, t *Transceiver, radius float64)
 	y0 := int(max(math.Floor((p.Y-reach)/g.size)-g.y0, 0))
 	y1 := int(min(math.Floor((p.Y+reach)/g.size)-g.y0, float64(g.ny-1)))
 	loss := m.Loss.Prepare()
+	ordered := true
 	for row := y0 * g.nx; row <= y1*g.nx; row += g.nx {
 		for _, e := range g.at[g.start[row+x0]:g.start[row+x1+1]] {
 			// The same d² Position.Distance takes the root of.
@@ -119,11 +127,26 @@ func (m *Medium) gridCandidates(dst []candidate, t *Transceiver, radius float64)
 			if rssi < m.minSens {
 				continue
 			}
+			if n := len(dst); n > 0 && dst[n-1].idx > e.idx {
+				ordered = false
+			}
 			dst = append(dst, candidate{idx: e.idx, rssi: rssi})
 		}
 	}
 	// Attach order is the delivery contract: receivers must be handed the
-	// frame in the order the all-pairs walk would, or traces diverge.
-	slices.SortFunc(dst, func(a, b candidate) int { return cmp.Compare(a.idx, b.idx) })
+	// frame in the order the all-pairs walk would, or traces diverge. Each
+	// cell's run already is in attach order, so hits from one cell, or
+	// from cells whose runs happen to follow each other, need no sort.
+	switch {
+	case ordered:
+	case len(dst) <= insertionMax:
+		for i := 1; i < len(dst); i++ {
+			for j := i; j > 0 && dst[j].idx < dst[j-1].idx; j-- {
+				dst[j], dst[j-1] = dst[j-1], dst[j]
+			}
+		}
+	default:
+		slices.SortFunc(dst, func(a, b candidate) int { return cmp.Compare(a.idx, b.idx) })
+	}
 	return dst
 }

@@ -89,9 +89,10 @@ type Reception struct {
 // sensitivity), recorded at transmit time. It is everything the collision
 // scan at delivery needs: the identity triple to skip the delivered frame
 // itself, the airtime bounds for the overlap test, and the received power
-// for the capture comparison.
+// for the capture comparison. It names its sender by attach index, so a
+// collision window holds no pointers for the collector to scan or guard.
 type heardTx struct {
-	from       *Transceiver
+	from       int32
 	start, end sim.Time
 	rssi       phy.DBm
 }
@@ -484,7 +485,7 @@ func (m *Medium) noteHeard(rcv *Transceiver, tx *transmission, rssi phy.DBm) {
 	if tx.end > rcv.busyUntil {
 		rcv.busyUntil = tx.end
 	}
-	rcv.heard = append(rcv.heard, heardTx{from: tx.from, start: tx.start, end: tx.end, rssi: rssi})
+	rcv.heard = append(rcv.heard, heardTx{from: int32(tx.from.idx), start: tx.start, end: tx.end, rssi: rssi})
 }
 
 // appendPruned appends iv, dropping entries that ended at or before the
@@ -537,33 +538,40 @@ func (m *Medium) culledOff(d *delivery) int {
 // deliver decides at end-of-frame whether rcv, in range of tx, decodes
 // it. The medium owns the provenance outcomes it can decide alone
 // (radio_off, collided); receptions it hands to a Handler resolve at the
-// decode layers. rssi was computed when the frame was launched.
+// decode layers. rssi was computed when the frame was launched. Every
+// in-range receiver compacts its heard window here, but only one that can
+// take the frame runs the collision scan.
 func (m *Medium) deliver(tx *transmission, rcv *Transceiver, rssi phy.DBm) {
-	collided := m.scanHeard(tx, rcv, rssi)
+	rcv.pruneHeard(m.cutoff)
 	if !rcv.listening() {
 		if m.Prov != nil {
 			m.Prov.Resolve(tx.frame, rcv.prov, tx.end, obs.DropRadioOff)
 		}
 		return
 	}
-	m.finishDelivery(tx, rcv, rssi, collided)
+	m.finishDelivery(tx, rcv, rssi, collides(tx, rcv, rssi))
 }
 
-// scanHeard runs the collision scan over rcv's heard window (compacting it
-// against the prune floor in the same pass) and the receiver's own
-// transmissions.
-func (m *Medium) scanHeard(tx *transmission, rcv *Transceiver, rssi phy.DBm) bool {
-	collided := false
-	kept := rcv.heard[:0]
+// pruneHeard drops the heard entries that ended at or before the prune
+// floor. Reslicing t.heard onto itself stores only its length, so the
+// compaction runs no write barrier.
+func (t *Transceiver) pruneHeard(cutoff sim.Time) {
+	n := 0
+	for _, h := range t.heard {
+		if h.end > cutoff {
+			t.heard[n] = h
+			n++
+		}
+	}
+	t.heard = t.heard[:n]
+}
+
+// collides runs the collision scan over rcv's heard window and the
+// receiver's own transmissions.
+func collides(tx *transmission, rcv *Transceiver, rssi phy.DBm) bool {
+	from := int32(tx.from.idx)
 	for _, h := range rcv.heard {
-		if h.end <= m.cutoff {
-			continue
-		}
-		kept = append(kept, h)
-		if collided {
-			continue
-		}
-		if h.from == tx.from && h.start == tx.start && h.end == tx.end {
+		if h.from == from && h.start == tx.start && h.end == tx.end {
 			continue // the delivered frame itself
 		}
 		if h.start >= tx.end || h.end <= tx.start {
@@ -572,29 +580,16 @@ func (m *Medium) scanHeard(tx *transmission, rcv *Transceiver, rssi phy.DBm) boo
 		if float64(rssi-h.rssi) >= CaptureMarginDB {
 			continue // we capture over the weaker frame
 		}
-		collided = true
+		return true
 	}
-	clearHeard(rcv.heard[len(kept):])
-	rcv.heard = kept
-	if !collided {
-		for _, iv := range rcv.ownTx {
-			if iv.start < tx.end && iv.end > tx.start {
-				// Receiver was itself transmitting: half-duplex radios miss
-				// everything during their own TX.
-				collided = true
-				break
-			}
+	for _, iv := range rcv.ownTx {
+		if iv.start < tx.end && iv.end > tx.start {
+			// Receiver was itself transmitting: half-duplex radios miss
+			// everything during their own TX.
+			return true
 		}
 	}
-	return collided
-}
-
-// clearHeard zeroes compacted-away tail entries so their *Transceiver
-// pointers do not pin dead radios in a long-lived slice.
-func clearHeard(tail []heardTx) {
-	for i := range tail {
-		tail[i] = heardTx{}
-	}
+	return false
 }
 
 // finishDelivery applies the collision outcome to the counters, the ledger

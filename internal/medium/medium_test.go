@@ -1,6 +1,7 @@
 package medium
 
 import (
+	"cmp"
 	"fmt"
 	"maps"
 	"math"
@@ -269,21 +270,30 @@ func TestDistanceFloor(t *testing.T) {
 
 // TestHistoryPruned: the medium keeps no global history, and the per-radio
 // windows are compacted against the prune floor: ownTx when its radio
-// transmits, heard when its radio is delivered a frame. After 100
+// transmits, heard when a frame it hears is delivered, also to a radio
+// that cannot take it and so skips the collision scan. After 100
 // transmissions a second apart, each holds only the latest frame.
 func TestHistoryPruned(t *testing.T) {
 	s, m := newTestMedium()
 	a := m.Attach("a", Position{0, 0}, 0, phy.SensitivityWiFiMCS7)
 	b := m.Attach("b", Position{1, 0}, 0, phy.SensitivityWiFiMCS7)
+	off := m.Attach("off", Position{0, 1}, 0, phy.SensitivityWiFiMCS7)
+	deaf := m.Attach("deaf", Position{1, 1}, 0, phy.SensitivityWiFiMCS7)
 	a.SetOn(true)
 	b.SetOn(true)
+	deaf.SetOn(true)
 	b.Handler = func(Reception) {}
 	for i := 0; i < 100; i++ {
 		m.Transmit(a, make([]byte, 10), phy.RateOFDM6)
 		s.RunFor(sim.Second.Duration())
 	}
-	if len(a.ownTx) > 1 || len(b.heard) > 1 {
-		t.Fatalf("after pruning, ownTx holds %d entries and heard %d; want at most 1 each", len(a.ownTx), len(b.heard))
+	if len(a.ownTx) > 1 {
+		t.Fatalf("after pruning, ownTx holds %d entries; want at most 1", len(a.ownTx))
+	}
+	for _, rcv := range []*Transceiver{b, off, deaf} {
+		if len(rcv.heard) > 1 {
+			t.Errorf("after pruning, %s's heard holds %d entries; want at most 1", rcv.Name, len(rcv.heard))
+		}
 	}
 }
 
@@ -629,6 +639,97 @@ func TestGridRSSIMatchesPathLoss(t *testing.T) {
 		want := m.Loss.RSSI(tx.TxPower, tx.Pos.Distance(rx.Pos))
 		if len(got) != 1 || got[0].idx != 1 || math.Float64bits(float64(got[0].rssi)) != math.Float64bits(float64(want)) {
 			t.Fatalf("%v at %.6g m: candidates %v, want rx at %v dBm", m.Loss, d, got, want)
+		}
+	}
+}
+
+// TestGridCandidatesAttachOrder: whatever cells a query spans and however
+// their runs interleave, its hits come back in strictly increasing attach
+// order, are exactly the radios a brute-force filter keeps, and carry
+// bit-identical RSSI. Radio 0's query in each case pins which ordering path
+// it takes: runs already in attach order, an insertion sort, or
+// slices.SortFunc past insertionMax.
+func TestGridCandidatesAttachOrder(t *testing.T) {
+	_, probe := newTestMedium()
+	r := probe.Loss.Range(0, phy.SensitivityWiFiMCS7) // the cell edge
+	// Radio 0 sits at tx (in cell edges). The others fill the k×k block of
+	// cells around it, each inside its cell's part of the square of
+	// half-width w around tx, so all are in range and every cell holds
+	// hits. They take the cells in turn, or one cell after another in
+	// row-major order when grouped.
+	cases := []struct {
+		name    string
+		n, k    int
+		tx      Position
+		w       float64
+		grouped bool
+		ordered bool // whether radio 0's cell runs arrive in attach order
+		long    bool // whether radio 0 has more than insertionMax hits
+	}{
+		{name: "one cell", n: 40, k: 1, tx: Position{0.5, 0.5}, w: 0.3, ordered: true},
+		{name: "four cells in attach order", n: 41, k: 2, w: 0.1, grouped: true, ordered: true},
+		{name: "four cells straddling the origin", n: 51, k: 2, w: 0.1},
+		{name: "nine cells", n: 46, k: 3, tx: Position{0.5, 0.5}, w: 0.7},
+		{name: "four cells past the insertion bound", n: 200, k: 2, w: 0.1, long: true},
+		{name: "nine cells past the insertion bound", n: 200, k: 3, tx: Position{0.5, 0.5}, w: 0.7, long: true},
+	}
+	byIdx := func(a, b candidate) int { return cmp.Compare(a.idx, b.idx) }
+	for ci, tc := range cases {
+		_, m := newTestMedium()
+		rng := sim.NewRand(uint64(31 + ci))
+		lo := Position{X: tc.tx.X - tc.w, Y: tc.tx.Y - tc.w}
+		// in draws one coordinate inside the given cell of the block
+		// starting at from, within w of mid.
+		in := func(cell, from, mid float64) float64 {
+			c0 := max(math.Floor(from)+cell, from)
+			c1 := min(math.Floor(from)+cell+1, mid+tc.w)
+			return c0 + (c1-c0)*rng.Float64()
+		}
+		m.Attach("0", Position{X: tc.tx.X * r, Y: tc.tx.Y * r}, 0, phy.SensitivityWiFiMCS7)
+		for i := 1; i < tc.n; i++ {
+			c := (i - 1) % (tc.k * tc.k)
+			if tc.grouped {
+				c = (i - 1) * tc.k * tc.k / (tc.n - 1)
+			}
+			p := Position{X: in(float64(c%tc.k), lo.X, tc.tx.X), Y: in(float64(c/tc.k), lo.Y, tc.tx.Y)}
+			m.Attach(fmt.Sprint(i), Position{X: p.X * r, Y: p.Y * r}, 0, phy.SensitivityWiFiMCS7)
+		}
+		m.buildGrid()
+		for _, tx := range m.nodes {
+			got := m.gridCandidates(nil, tx, m.Loss.Range(tx.TxPower, m.minSens))
+			var want []candidate
+			for _, rx := range m.nodes {
+				if rssi := m.Loss.RSSI(tx.TxPower, tx.Pos.Distance(rx.Pos)); rx != tx && rssi >= m.minSens {
+					want = append(want, candidate{idx: int32(rx.idx), rssi: rssi})
+				}
+			}
+			for i := 1; i < len(got); i++ {
+				if got[i].idx <= got[i-1].idx {
+					t.Fatalf("%s: radio %d's hits not in strictly increasing attach order: %v", tc.name, tx.idx, got)
+				}
+			}
+			if len(got) != len(want) {
+				t.Fatalf("%s: radio %d has %d hits, brute force %d", tc.name, tx.idx, len(got), len(want))
+			}
+			for i := range got {
+				if got[i].idx != want[i].idx || math.Float64bits(float64(got[i].rssi)) != math.Float64bits(float64(want[i].rssi)) {
+					t.Fatalf("%s: radio %d hit %d is %v, brute force %v", tc.name, tx.idx, i, got[i], want[i])
+				}
+			}
+		}
+		// Radio 0's query visits cells in row-major order, which is cell
+		// index order, each cell's run in attach order.
+		hits := m.gridCandidates(nil, m.nodes[0], m.Loss.Range(0, m.minSens))
+		cellOf := func(c candidate) int { return m.grid.cell(m.nodes[c.idx].Pos) }
+		raw := slices.Clone(hits)
+		slices.SortStableFunc(raw, func(a, b candidate) int { return cmp.Compare(cellOf(a), cellOf(b)) })
+		cells := map[int]bool{}
+		for _, c := range raw {
+			cells[cellOf(c)] = true
+		}
+		if len(hits) != tc.n-1 || len(cells) != tc.k*tc.k || slices.IsSortedFunc(raw, byIdx) != tc.ordered || (len(hits) > insertionMax) != tc.long {
+			t.Errorf("%s: radio 0 has %d hits from %d cells, arriving in attach order %v; want %d from %d, %v, more than %d %v",
+				tc.name, len(hits), len(cells), slices.IsSortedFunc(raw, byIdx), tc.n-1, tc.k*tc.k, tc.ordered, insertionMax, tc.long)
 		}
 	}
 }

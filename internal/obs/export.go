@@ -12,6 +12,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"math"
 	"strconv"
 
 	"wile/internal/sim"
@@ -64,6 +65,16 @@ func (e encoder) micros(t sim.Time) { e.raw(appendMicros(e.room(maxNumber), t)) 
 // value writes a float with the shortest round-trip formatting, which is
 // deterministic for a given bit pattern.
 func (e encoder) value(v float64) { e.raw(strconv.AppendFloat(e.room(maxNumber), v, 'g', -1, 64)) }
+
+// jsonValue is value inside a JSON document, which has no NaN or infinity:
+// those write as null.
+func (e encoder) jsonValue(v float64) {
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		e.lit("null")
+		return
+	}
+	e.value(v)
+}
 
 // quote writes s as a JSON string (see appendQuoted).
 func (e encoder) quote(s string) { e.raw(appendQuoted(e.room(len(s)+2), s)) }

@@ -32,29 +32,31 @@ func newExportWorld() *exportWorld {
 	return x
 }
 
-// exporters pairs each exporter with its oracle.
+// exporters pairs each exporter with its oracle, and says whether it
+// writes JSON.
 var exporters = []struct {
 	name           string
 	export, oracle func(x *exportWorld, w io.Writer) error
+	json           bool
 }{
 	{"Provenance.WriteReport",
 		func(x *exportWorld, w io.Writer) error { return x.prov.WriteReport(w) },
-		func(x *exportWorld, w io.Writer) error { return oracleWriteReport(x.prov, w) }},
+		func(x *exportWorld, w io.Writer) error { return oracleWriteReport(x.prov, w) }, false},
 	{"Provenance.WriteReportJSON",
 		func(x *exportWorld, w io.Writer) error { return x.prov.WriteReportJSON(w) },
-		func(x *exportWorld, w io.Writer) error { return oracleWriteReportJSON(x.prov, w) }},
+		func(x *exportWorld, w io.Writer) error { return oracleWriteReportJSON(x.prov, w) }, true},
 	{"WriteChromeTrace",
 		func(x *exportWorld, w io.Writer) error { return x.rec.WriteChromeTrace(w) },
-		func(x *exportWorld, w io.Writer) error { return oracleWriteChromeTrace(x.rec, w) }},
+		func(x *exportWorld, w io.Writer) error { return oracleWriteChromeTrace(x.rec, w) }, true},
 	{"TimeSeries.WriteCSV",
 		func(x *exportWorld, w io.Writer) error { return x.series.WriteCSV(w) },
-		func(x *exportWorld, w io.Writer) error { return oracleWriteCSV(x.series, w) }},
+		func(x *exportWorld, w io.Writer) error { return oracleWriteCSV(x.series, w) }, false},
 	{"TimeSeries.WriteChromeTrace",
 		func(x *exportWorld, w io.Writer) error { return x.series.WriteChromeTrace(w) },
-		func(x *exportWorld, w io.Writer) error { return oracleWriteChromeTrace(x.series.rec, w) }},
+		func(x *exportWorld, w io.Writer) error { return oracleWriteChromeTrace(x.series.rec, w) }, true},
 	{"Registry.WriteJSON",
 		func(x *exportWorld, w io.Writer) error { return x.reg.WriteJSON(w) },
-		func(x *exportWorld, w io.Writer) error { return oracleWriteJSON(x.reg, w) }},
+		func(x *exportWorld, w io.Writer) error { return oracleWriteJSON(x.reg, w) }, true},
 }
 
 // Program opcodes: each builds one piece of an exportWorld.
@@ -298,8 +300,9 @@ func hostileProgram() []byte {
 
 // FuzzExportMatchesOracle builds ledgers, recorders, registries and time
 // series from fuzz input and requires every exporter to write exactly
-// what the fmt-based oracle writes. Its seeds are the drop-scenario and
-// fig3a drop reports' ledgers and a world of awkward names and values.
+// what the fmt-based oracle writes, and every JSON one valid JSON. Its
+// seeds are the drop-scenario and fig3a drop reports' ledgers and a world
+// of awkward names and values.
 func FuzzExportMatchesOracle(f *testing.F) {
 	f.Add(hostileProgram())
 	f.Add(reportProgram(f, filepath.Join("..", "experiment", "testdata", "drop_scenario_report.json")))
@@ -314,6 +317,9 @@ func FuzzExportMatchesOracle(f *testing.F) {
 			}
 			if !bytes.Equal(got.Bytes(), want.Bytes()) {
 				t.Fatalf("%s differs from the oracle:\n got: %q\nwant: %q", ex.name, got.Bytes(), want.Bytes())
+			}
+			if ex.json && !json.Valid(got.Bytes()) {
+				t.Fatalf("%s wrote invalid JSON: %q", ex.name, got.Bytes())
 			}
 		}
 	})

@@ -234,7 +234,7 @@ func writeEvent(e encoder, tracks *quotedNames, ev *Event) {
 		e.lit(`,"name":`)
 		e.raw(tracks.at(int(ev.Track)))
 		e.lit(`,"args":{"value":`)
-		e.value(ev.Value)
+		e.jsonValue(ev.Value)
 		e.lit("}}")
 	}
 }

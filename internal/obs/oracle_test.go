@@ -8,6 +8,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -169,7 +170,7 @@ func oracleWriteEvent(bw *oracleWriter, tracks []string, e *Event) {
 			tid, oracleMicros(e.At), oracleQuote(e.Name))
 	case phCounter:
 		bw.printf(",\n{\"ph\":\"C\",\"pid\":1,\"tid\":0,\"ts\":%s,\"name\":%s,\"args\":{\"value\":%s}}",
-			oracleMicros(e.At), oracleQuote(tracks[e.Track]), oracleValue(e.Value))
+			oracleMicros(e.At), oracleQuote(tracks[e.Track]), oracleJSONValue(e.Value))
 	}
 }
 
@@ -228,6 +229,14 @@ func oracleQuote(s string) string {
 }
 
 func oracleValue(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+
+// oracleJSONValue is oracleValue inside JSON, which spells NaN and ±Inf null.
+func oracleJSONValue(v float64) string {
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return "null"
+	}
+	return oracleValue(v)
+}
 
 // oracleWriter latches the first write error so export code reads linearly.
 type oracleWriter struct {

@@ -38,8 +38,9 @@ func FuzzReadPcap(f *testing.F) {
 				checkRewrite(t, r.LinkType(), p)
 			}
 			if inner, meta, err := StripRadiotap(p.Data); err == nil {
+				// AppendRadiotap writes the rate and channel, not Flags.
 				inner2, meta2, err := StripRadiotap(AppendRadiotap(meta, inner))
-				if err != nil || meta2 != meta || !bytes.Equal(inner2, inner) {
+				if err != nil || meta2 != (RadiotapMeta{RateKbps: meta.RateKbps, ChannelMHz: meta.ChannelMHz}) || !bytes.Equal(inner2, inner) {
 					t.Fatalf("radiotap re-wrap: meta %+v -> %+v, inner %x -> %x, err %v",
 						meta, meta2, inner, inner2, err)
 				}

@@ -184,7 +184,7 @@ func TestRadiotapRoundTrip(t *testing.T) {
 	if !bytes.Equal(inner, frame) {
 		t.Fatalf("inner frame %x", inner)
 	}
-	if got.RateKbps != 72000 || got.ChannelMHz != 2437 {
+	if got != meta {
 		t.Fatalf("meta %+v", got)
 	}
 }
@@ -209,7 +209,7 @@ func TestRadiotapWithTSFTAndFlags(t *testing.T) {
 		0, 0, 20, 0, // version, pad, len=20
 		0x07, 0, 0, 0, // present: TSFT|Flags|Rate
 		1, 2, 3, 4, 5, 6, 7, 8, // TSFT (already 8-aligned at offset 8)
-		0x00, // flags
+		0x10, // flags: FCS at end
 		144,  // rate = 72 Mb/s
 		0, 0, // pad to len 20
 	}
@@ -221,8 +221,12 @@ func TestRadiotapWithTSFTAndFlags(t *testing.T) {
 	if !bytes.Equal(inner, frame) {
 		t.Fatalf("inner %x", inner)
 	}
-	if meta.RateKbps != 72000 {
-		t.Fatalf("rate %d", meta.RateKbps)
+	if meta != (RadiotapMeta{RateKbps: 72000, Flags: RadiotapFlagFCS, HasFlags: true}) {
+		t.Fatalf("meta %+v", meta)
+	}
+	// A Flags bit in the present word with no byte left for the field.
+	if _, _, err := StripRadiotap([]byte{0, 0, 8, 0, 0x02, 0, 0, 0}); err == nil {
+		t.Error("Flags field past the header accepted")
 	}
 }
 

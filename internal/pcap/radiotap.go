@@ -15,10 +15,14 @@ const LinkTypeRadiotap LinkType = 127
 
 // Radiotap present-word bits used by this implementation.
 const (
+	rtPresentFlags   = 1 << 1
 	rtPresentRate    = 1 << 2
 	rtPresentChannel = 1 << 3
 	rtPresentExt     = 1 << 31
 )
+
+// RadiotapFlagFCS is the Flags bit that says the frame ends in its FCS.
+const RadiotapFlagFCS = 0x10
 
 // RadiotapMeta is the capture metadata this implementation reads/writes.
 type RadiotapMeta struct {
@@ -27,6 +31,10 @@ type RadiotapMeta struct {
 	RateKbps int
 	// ChannelMHz is the center frequency (zero means absent).
 	ChannelMHz int
+	// Flags is the Flags field, read only: AppendRadiotap writes none.
+	// HasFlags reports whether the record carried one.
+	Flags    byte
+	HasFlags bool
 }
 
 // AppendRadiotap prepends a radiotap header for meta onto the frame.
@@ -93,7 +101,10 @@ func StripRadiotap(data []byte) ([]byte, RadiotapMeta, error) {
 		align(8)
 		off += 8
 	}
-	if present&(1<<1) != 0 { // Flags
+	if present&rtPresentFlags != 0 {
+		if off < hdrLen {
+			meta.Flags, meta.HasFlags = data[off], true
+		}
 		off++
 	}
 	if present&rtPresentRate != 0 {
