@@ -392,13 +392,11 @@ func BenchmarkEngineJitterSweep(b *testing.B) {
 func benchTable1(b *testing.B, p *engine.Pool) {
 	prev := experiment.SetPool(p)
 	defer experiment.SetPool(prev)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	exactAllocs(b, func() {
 		if _, err := experiment.RunTable1(); err != nil {
 			b.Fatal(err)
 		}
-	}
+	})
 }
 
 func BenchmarkEngineTable1(b *testing.B) {
@@ -494,12 +492,14 @@ func BenchmarkObsExport(b *testing.B) {
 	})
 }
 
-// exactAllocs runs op b.N times for a lane that runs only a handful of ops,
-// where a stray allocation moves allocs/op by one between identical runs.
-// Two sources: one-off setup, which an untimed warm-up op absorbs, and the
-// collector emptying sync.Pools (fmt's printers) a varying number of times
-// per op. So the pacer is off and the lane collects once at the end of
-// every op; the collection stays inside the timed region.
+// exactAllocs runs op b.N times so that allocs/op is exact, where a stray
+// allocation would move it by one between identical runs. Two sources:
+// one-off setup, which an untimed warm-up op absorbs in a lane that runs
+// only a handful of ops, and the collector emptying sync.Pools (fmt's
+// printers, the frame pools) a varying number of times per op. So the
+// pacer is off and the lane collects once at the end of every op, and
+// every op refills the pools from empty; the collection stays inside the
+// timed region.
 func exactAllocs(b *testing.B, op func()) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	op()

@@ -8,12 +8,12 @@ import (
 
 // PoolSafe guards the repository's object-recycling discipline. The hot
 // paths recycle aggressively — decoded frames return to dot11's sync.Pools
-// via Release, scheduler event nodes go back on the kernel freelist, and
-// the next Get/Decode overwrites the object in place — so touching a
-// pooled object after its release is a corruption bug that surfaces frames
-// later as an FCS mismatch (exactly the class the ReleaseAfterMonitor
-// recycling bug fell into). PoolSafe walks each function's control-flow
-// graph tracking, per path, which objects have been released:
+// via Release, and the next Get/Decode overwrites the object in place — so
+// touching a pooled object after its release is a corruption bug that
+// surfaces frames later as an FCS mismatch (exactly the class the
+// ReleaseAfterMonitor recycling bug fell into). PoolSafe walks each
+// function's control-flow graph tracking, per path, which objects have
+// been released:
 //
 //   - a release point is a call to a function or method named Release,
 //     release, Recycle, or recycle (dot11.Release, mac's port.release), a

@@ -35,6 +35,7 @@ const dropWindow = 2 * time.Second
 // so two runs — at any GOMAXPROCS — produce byte-identical reports.
 func RunDropScenario(o *Obs) (*DropResult, error) {
 	w := newWorld(o)
+	w.firehose(o)
 
 	// Periodic reporters. SkipBoot keeps the run protocol-only.
 	sensor := core.NewSensor(w.sched, w.med, core.SensorConfig{

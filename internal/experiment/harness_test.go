@@ -1,8 +1,12 @@
 package experiment
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 
 	"wile/internal/obs"
@@ -68,6 +72,54 @@ func same(t *testing.T, name string, got, want any) {
 	}
 }
 
+// monotone exports rec and reads the dispatch instants of its sched
+// tracks in recording order, which the export keeps: sim time must never
+// go backwards between dispatches, and every one of the run's events
+// must be there.
+func monotone(t *testing.T, name string, rec *obs.Recorder, events uint64) {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := rec.WriteChromeTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Ph, Name string
+			Tid      int
+			Ts       json.Number
+			Args     struct{ Name string }
+		}
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	last := map[int]int64{} // sched track tid -> latest dispatch, ns
+	var n uint64
+	for _, ev := range doc.TraceEvents {
+		if ev.Ph == "M" && ev.Name == "thread_name" && ev.Args.Name == "sched" {
+			last[ev.Tid] = 0
+			continue
+		}
+		prev, ok := last[ev.Tid]
+		if ev.Ph != "i" || !ok {
+			continue
+		}
+		// "µs.nnn" with the dot dropped is the sim time in ns.
+		at, err := strconv.ParseInt(strings.Replace(ev.Ts.String(), ".", "", 1), 10, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if at < prev {
+			t.Errorf("%s: dispatch %d at %d ns follows one at %d ns", name, n, at, prev)
+		}
+		last[ev.Tid] = at
+		n++
+	}
+	if n != events {
+		t.Errorf("%s: %d dispatch instants, want one per event (%d)", name, n, events)
+	}
+}
+
 // traceRun splits a figure run into what must not depend on Obs (the
 // trace less its meter's wiring, and the samples) and its Run.
 func traceRun(tr *Trace, err error) (any, Run, error) {
@@ -81,8 +133,10 @@ func traceRun(tr *Trace, err error) (any, Run, error) {
 
 // TestEveryWorldBalancesItsLedger builds every world the package's entry
 // points build, with harnessObs attached, runs the same code on it, and
-// checks balanced and same on each. The density sweep stays out: its
-// handlers resolve no reception, so its ledger cannot balance.
+// checks balanced and same on each. It builds each world of the table once
+// more with the scheduler firehose on, which turns Ticker batching off, and
+// checks same and monotone. The density sweep stays out: its handlers
+// resolve no reception, so its ledger cannot balance.
 func TestEveryWorldBalancesItsLedger(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -138,6 +192,14 @@ func TestEveryWorldBalancesItsLedger(t *testing.T) {
 			}
 			same(t, tc.name, got, want)
 			balanced(t, tc.name, o, r, 0)
+
+			o = harnessObs()
+			o.Sched = true
+			if got, r, err = tc.run(o); err != nil {
+				t.Fatal(err)
+			}
+			same(t, tc.name+" with the firehose", got, want)
+			monotone(t, tc.name, o.Rec, r.Events)
 		})
 	}
 

@@ -103,6 +103,14 @@ func (w world) wire(o *Obs) {
 	}
 }
 
+// firehose records every dispatch of w's scheduler on a "sched" track of
+// o.Rec, when o asks for it.
+func (w world) firehose(o *Obs) {
+	if o != nil && o.Sched && o.Rec != nil {
+		obs.ObserveScheduler(o.Rec, w.sched, o.Rec.Track("sched"))
+	}
+}
+
 // component is a testbed device with a timeline and counters to report.
 type component interface {
 	TraceTo(*obs.Recorder)
@@ -121,9 +129,7 @@ func (w *world) attach(o *Obs, cs ...component) {
 			c.TraceTo(r)
 		}
 		w.rec, w.current = r, r.Track("current_mA")
-		if o.Sched {
-			obs.ObserveScheduler(r, w.sched, r.Track("sched"))
-		}
+		w.firehose(o)
 	}
 	if o.Reg != nil {
 		for _, c := range cs {

@@ -1,13 +1,14 @@
 package sim
 
 import (
+	"reflect"
 	"testing"
 	"time"
 )
 
 func TestDoAfterPreservesFIFOWithAfter(t *testing.T) {
-	// Pooled and unpooled events at the same timestamp must still fire in
-	// scheduling order — the seq tie-break applies to both.
+	// Events with and without a handle at the same timestamp must still
+	// fire in scheduling order — the seq tie-break applies to both.
 	s := New()
 	var order []int
 	s.After(time.Millisecond, func() { order = append(order, 0) })
@@ -25,7 +26,7 @@ func TestDoAfterPreservesFIFOWithAfter(t *testing.T) {
 func TestDoAfterRecyclesEventNodes(t *testing.T) {
 	s := New()
 	fn := func() {}
-	// Warm the freelist and the heap's backing array.
+	// Warm the slot table, its free list and the heap's backing array.
 	s.DoAfter(0, fn)
 	s.Step()
 	allocs := testing.AllocsPerRun(200, func() {
@@ -37,10 +38,24 @@ func TestDoAfterRecyclesEventNodes(t *testing.T) {
 	}
 }
 
-func TestSelfRearmingTickReusesOneNode(t *testing.T) {
-	// The recycle-before-fire ordering in Step means a tick that reschedules
-	// itself keeps reusing the node it just fired from.
+func TestAfterAllocatesOnlyItsHandle(t *testing.T) {
 	s := New()
+	fn := func() {}
+	s.After(0, fn)
+	s.Step()
+	allocs := testing.AllocsPerRun(200, func() {
+		s.After(time.Microsecond, fn)
+		s.Step()
+	})
+	if allocs != 1 {
+		t.Fatalf("After+Step allocates %.1f objects/op in steady state, want 1 (the handle)", allocs)
+	}
+}
+
+func TestSelfRearmingTickReusesOneNode(t *testing.T) {
+	// dispatch frees a slot before its callback runs, so a tick that
+	// reschedules itself keeps reusing the slot it just fired from.
+	s := &Scheduler{}
 	n := 0
 	var tick func()
 	tick = func() {
@@ -54,9 +69,31 @@ func TestSelfRearmingTickReusesOneNode(t *testing.T) {
 	if n != 1000 {
 		t.Fatalf("tick fired %d times, want 1000", n)
 	}
-	if len(s.free) != 1 {
-		t.Fatalf("freelist holds %d nodes after a single tick chain, want 1", len(s.free))
+	if len(s.slots) != 1 || len(s.free) != 1 {
+		t.Fatalf("a single tick chain used %d slots (%d free), want 1 (1 free)", len(s.slots), len(s.free))
 	}
+}
+
+// TestQueueEntryHoldsNoPointer keeps the heap pointer-free: a pointer in
+// entry would make every sift pay the collector's write barrier and every
+// mark phase scan the queue.
+func TestQueueEntryHoldsNoPointer(t *testing.T) {
+	var walk func(reflect.Type, string)
+	walk = func(typ reflect.Type, path string) {
+		switch typ.Kind() {
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				f := typ.Field(i)
+				walk(f.Type, path+"."+f.Name)
+			}
+		case reflect.Array:
+			walk(typ.Elem(), path+"[]")
+		case reflect.Pointer, reflect.UnsafePointer, reflect.Map, reflect.Chan,
+			reflect.Func, reflect.Interface, reflect.Slice, reflect.String:
+			t.Errorf("%s is a %s, which holds a pointer", path, typ.Kind())
+		}
+	}
+	walk(reflect.TypeOf(entry{}), "entry")
 }
 
 func TestDoAtPanicsOnPastTimestamp(t *testing.T) {
@@ -72,7 +109,7 @@ func TestDoAtPanicsOnPastTimestamp(t *testing.T) {
 }
 
 func TestPooledAndCancellableEventsCoexist(t *testing.T) {
-	// A cancelled At event must not disturb pooled events around it.
+	// A cancelled At event must not disturb handle-free events around it.
 	s := New()
 	fired := 0
 	e := s.After(time.Millisecond, func() { fired += 100 })

@@ -62,7 +62,7 @@ func runDense(schedule func(d time.Duration, fn func()), step func() bool) int {
 // plain binary-heap reference on 100k mixed periodic+oneshot events. The
 // wheel lane keeps its name from the timing wheel the scheduler once used,
 // so the bench trajectory stays on one lane; it now times the production
-// queue, through the pooled DoAfter path the hot callers use.
+// queue, through the handle-free DoAfter path the hot callers use.
 func BenchmarkSchedulerDense(b *testing.B) {
 	b.Run("wheel", func(b *testing.B) {
 		b.ReportAllocs()

@@ -11,10 +11,12 @@
 //
 // The pending set is one binary min-heap keyed by (time, seq) (see
 // DESIGN.md §11); cancelled events are dropped lazily when they reach its
-// head. A figure run keeps at most nine events pending, because the dense
-// periodic trains (the 50 kSa/s meter) bypass the queue entirely through
-// Ticker, which the dispatcher interleaves with ordinary events under the
-// same (time, seq) total order.
+// head. Its entries hold no pointer: each names a slot in a side table
+// that holds the callback, so sifting writes no pointer and never pays
+// the collector's write barrier. A figure run keeps at most nine events
+// pending, because the dense periodic trains (the 50 kSa/s meter) bypass
+// the queue entirely through Ticker, which the dispatcher interleaves with
+// ordinary events under the same (time, seq) total order.
 package sim
 
 import (
@@ -59,31 +61,28 @@ func (t Time) String() string { return fmt.Sprintf("%.6fs", t.Seconds()) }
 // FromDuration converts a span to a virtual timestamp measured from zero.
 func FromDuration(d time.Duration) Time { return Time(d) }
 
-// Event is a scheduled callback.
+// Event is the handle At and After return for a scheduled callback.
 type Event struct {
-	at     Time
-	fn     func()
 	cancel bool
 	fired  bool // set at dispatch, so a later Cancel leaves Pending alone
-	// pooled marks events scheduled through DoAt/DoAfter: the scheduler
-	// recycles them after they fire, so no *Event for them ever escapes
-	// to callers (a retained pointer could Cancel a stranger's event
-	// after recycling).
-	pooled bool
 }
 
 // Cancelled reports whether the event was cancelled before it fired.
 func (e *Event) Cancelled() bool { return e.cancel }
 
-// At reports the virtual time the event is (or was) scheduled for.
-func (e *Event) At() Time { return e.at }
-
-// entry is one slot of the event queue. The key is held inline, so sifting
-// never dereferences an event node; seq breaks ties in scheduling order.
+// entry is one element of the event queue. The key is held inline, so
+// sifting never dereferences anything; seq breaks ties in scheduling order.
+// The callback lives in slots[slot], so the entry holds no pointer.
 type entry struct {
-	at  Time
-	seq uint64
-	ev  *Event
+	at   Time
+	seq  uint64
+	slot int32
+}
+
+// slot holds a queued event's callback and, for At/After, its handle.
+type slot struct {
+	fn func()
+	ev *Event
 }
 
 func (a entry) less(b entry) bool {
@@ -112,18 +111,23 @@ type Scheduler struct {
 
 	// queue is a binary min-heap on (at, seq).
 	queue []entry
+	// slots backs the queue's entries and free lists the unused indices.
+	// An event fills a slot when pushed and clears it when popped, so its
+	// pointer writes do not grow with how far it sifts.
+	slots []slot
+	free  []int32
 	// tickers are the active periodic trains, dispatched under the same
 	// (time, seq) order as events.
 	tickers []*Ticker
-	// free is the recycled-event freelist backing DoAt/DoAfter. A plain
-	// slice, not a sync.Pool: each kernel is single-goroutine by design
-	// (the experiment engine parallelizes across kernels, never within
-	// one), so no synchronization is needed and nodes stay warm in cache.
-	free []*Event
 }
 
-// New returns a scheduler with the clock at zero.
-func New() *Scheduler { return &Scheduler{queue: make([]entry, 0, 256)} }
+// New returns a scheduler with the clock at zero. The heap starts with
+// room for 256 entries, the slot table and its free list for 64, which
+// every figure run fits in; a larger queue grows them by append. Sized
+// like the heap, they would add 5 KB to every short run.
+func New() *Scheduler {
+	return &Scheduler{queue: make([]entry, 0, 256), slots: make([]slot, 0, 64), free: make([]int32, 0, 64)}
+}
 
 // Now reports the current virtual time.
 func (s *Scheduler) Now() Time { return s.now }
@@ -136,12 +140,28 @@ func (s *Scheduler) Pending() int { return s.pending + len(s.tickers) }
 // so far.
 func (s *Scheduler) Fired() uint64 { return s.fired }
 
-// push queues e under the next sequence number.
-func (s *Scheduler) push(e *Event) {
-	x := entry{e.at, s.seq, e}
+// push queues fn at the absolute virtual time at under the next sequence
+// number; ev is its handle, nil for DoAt. Scheduling in the past panics.
+func (s *Scheduler) push(at Time, fn func(), ev *Event) {
+	if at < s.now {
+		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", at, s.now))
+	}
+	k := int32(len(s.slots))
+	if n := len(s.free); n > 0 {
+		k = s.free[n-1]
+		s.free = s.free[:n-1]
+		s.slots[k] = slot{fn, ev}
+	} else {
+		s.slots = append(s.slots, slot{fn, ev})
+	}
+	x := entry{at, s.seq, k}
 	s.seq++
 	s.pending++
-	q := append(s.queue, x)
+	// Appending to s.queue in place stores only its length unless the
+	// array grows, so the header store writes no pointer either; pop
+	// re-slices it in place for the same reason.
+	s.queue = append(s.queue, x)
+	q := s.queue
 	i := len(q) - 1
 	for i > 0 {
 		p := (i - 1) / 2
@@ -152,19 +172,21 @@ func (s *Scheduler) push(e *Event) {
 		i = p
 	}
 	q[i] = x
-	s.queue = q
 }
 
-// pop removes the head of the queue.
-func (s *Scheduler) pop() {
+// pop removes the head of the queue and frees its slot, returning what the
+// slot held.
+func (s *Scheduler) pop() slot {
 	q := s.queue
+	k := q[0].slot
+	sl := s.slots[k]
+	s.slots[k] = slot{}
+	s.free = append(s.free, k)
 	n := len(q) - 1
 	x := q[n]
-	q[n] = entry{}
-	q = q[:n]
-	s.queue = q
+	s.queue = s.queue[:n]
 	if n == 0 {
-		return
+		return sl
 	}
 	i := 0
 	for c := 1; c < n; c = 2*i + 1 {
@@ -178,13 +200,15 @@ func (s *Scheduler) pop() {
 		i = c
 	}
 	q[i] = x
+	return sl
 }
 
 // head drops cancelled events from the front of the queue and returns the
 // earliest live one; ok is false when none remain.
 func (s *Scheduler) head() (x entry, ok bool) {
 	for len(s.queue) > 0 {
-		if x = s.queue[0]; !x.ev.cancel {
+		x = s.queue[0]
+		if ev := s.slots[x.slot].ev; ev == nil || !ev.cancel {
 			return x, true
 		}
 		s.pop()
@@ -196,11 +220,8 @@ func (s *Scheduler) head() (x entry, ok bool) {
 // past (at < Now) panics: it is always a logic error in a protocol model,
 // and silently reordering time makes power integrals wrong.
 func (s *Scheduler) At(at Time, fn func()) *Event {
-	if at < s.now {
-		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", at, s.now))
-	}
-	e := &Event{at: at, fn: fn}
-	s.push(e)
+	e := &Event{}
+	s.push(at, fn, e)
 	return e
 }
 
@@ -212,29 +233,14 @@ func (s *Scheduler) After(d time.Duration, fn func()) *Event {
 	return s.At(s.now.Add(d), fn)
 }
 
-// DoAt schedules fn at the absolute virtual time at on a recycled event
-// node. It is the fire-and-forget variant of At for hot paths that never
-// cancel: the event node comes from the scheduler's freelist and returns
-// to it after firing, so steady-state scheduling allocates nothing.
-// Because the node is recycled the caller gets no handle — anything that
-// might need Cancel must use At/After instead.
-func (s *Scheduler) DoAt(at Time, fn func()) {
-	if at < s.now {
-		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", at, s.now))
-	}
-	var e *Event
-	if n := len(s.free); n > 0 {
-		e = s.free[n-1]
-		s.free = s.free[:n-1]
-		*e = Event{at: at, fn: fn, pooled: true}
-	} else {
-		e = &Event{at: at, fn: fn, pooled: true}
-	}
-	s.push(e)
-}
+// DoAt schedules fn at the absolute virtual time at and returns no handle.
+// It is the fire-and-forget variant of At for hot paths that never cancel:
+// with no handle to allocate, steady-state scheduling allocates nothing.
+// Anything that might need Cancel must use At/After instead.
+func (s *Scheduler) DoAt(at Time, fn func()) { s.push(at, fn, nil) }
 
-// DoAfter schedules fn to run d after the current virtual time on a
-// recycled event node; see DoAt.
+// DoAfter schedules fn to run d after the current virtual time without a
+// handle; see DoAt.
 func (s *Scheduler) DoAfter(d time.Duration, fn func()) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative delay %v", d))
@@ -244,7 +250,7 @@ func (s *Scheduler) DoAfter(d time.Duration, fn func()) {
 
 // Cancel removes a pending event. Cancelling an already-fired or
 // already-cancelled event is a no-op, so callers can cancel defensively.
-// The node stays queued, and is dropped when it reaches the head.
+// The entry stays queued, and is dropped when it reaches the head.
 func (s *Scheduler) Cancel(e *Event) {
 	if e == nil {
 		return
@@ -255,24 +261,21 @@ func (s *Scheduler) Cancel(e *Event) {
 	e.cancel = true
 }
 
-// dispatch fires e, the head of the queue.
-func (s *Scheduler) dispatch(e *Event) {
-	s.pop()
-	e.fired = true
+// dispatch fires x, the head of the queue. Its slot is freed before the
+// callback runs, so a callback that schedules another event (the
+// self-rearming tick pattern) reuses it.
+func (s *Scheduler) dispatch(x entry) {
+	sl := s.pop()
+	if sl.ev != nil {
+		sl.ev.fired = true
+	}
 	s.pending--
-	s.now = e.at
+	s.now = x.at
 	s.fired++
 	if s.OnDispatch != nil {
-		s.OnDispatch(e.at)
+		s.OnDispatch(x.at)
 	}
-	fn := e.fn
-	if e.pooled {
-		// Recycle before running fn so a callback that schedules another
-		// pooled event (the self-rearming tick pattern) reuses this node.
-		e.fn = nil
-		s.free = append(s.free, e)
-	}
-	fn()
+	sl.fn()
 }
 
 // Step fires the next pending event or ticker fire, advancing the clock to
@@ -286,7 +289,7 @@ func (s *Scheduler) Step() bool {
 	if !ok {
 		return false
 	}
-	s.dispatch(x.ev)
+	s.dispatch(x)
 	return true
 }
 
@@ -324,7 +327,7 @@ func (s *Scheduler) RunUntil(deadline Time) {
 		if !ok || x.at > deadline {
 			break
 		}
-		s.dispatch(x.ev)
+		s.dispatch(x)
 	}
 	if s.now < deadline {
 		s.now = deadline
