@@ -459,9 +459,10 @@ func BenchmarkObsEnabled(b *testing.B) {
 }
 
 // BenchmarkObsExport records a synthetic 100,000-event trace (spans,
-// counter samples and instants, about the size of the Figure 3a firehose)
-// and exports it as Chrome trace JSON: the cost of the recorder's event log
-// growing from its initial capacity plus one pass of the export encoder.
+// counter samples and instants, over a hundred times the Figure 3a
+// firehose) and exports it as Chrome trace JSON: the cost of the
+// recorder's event log growing from its initial capacity plus one pass of
+// the export encoder.
 func BenchmarkObsExport(b *testing.B) {
 	const events = 100_000
 	fill := func(r *obs.Recorder) {

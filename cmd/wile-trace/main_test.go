@@ -91,12 +91,13 @@ func TestJSONRequiresDrops(t *testing.T) {
 
 // TestSchedTraceDigest pins the firehose export, `wile-trace -perfetto
 // -sched`, by the SHA-256 of its bytes for both figures: every scheduler
-// dispatch, power state, MAC span and meter sample of the run, in record
-// order. The digests are the same at every GOMAXPROCS.
+// dispatch, power state and MAC span of the run, in record order, then
+// the meter's current counters, which it records at Stop. The digests are
+// the same at every GOMAXPROCS.
 func TestSchedTraceDigest(t *testing.T) {
 	for fig, want := range map[string]string{
-		"fig3a": "0c3b25e64c76e3b8c7a5628afd5650aad2b603c930a91098adcde554f1bd6c92",
-		"fig3b": "9a3a8fbefb53338100d04ffe3149a47787be92d525df69c31d7944aa755de941",
+		"fig3a": "0bd098ac336b985ac1f346204e37b2db7bbc2566e7053ef53d492c23ed8a73af",
+		"fig3b": "53ef22147fadb5fccabc2ff2e874fe69faa8080dca2eed2ce5bb881c7eada0ff",
 	} {
 		h := sha256.New()
 		if code := run([]string{"-perfetto", "-sched", fig}, h, io.Discard); code != 0 {

@@ -29,7 +29,8 @@ type Trace struct {
 	Steps []energy.Step
 	// Window is the observation length.
 	Window time.Duration
-	// Run is the figure's run, meter samples included in its Events.
+	// Run is the figure's run. The meter schedules nothing, so its Events
+	// count only the device's and the network's.
 	Run
 }
 

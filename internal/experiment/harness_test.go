@@ -4,12 +4,17 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"reflect"
 	"strconv"
 	"strings"
 	"testing"
 
+	"wile/internal/energy"
+	"wile/internal/esp32"
 	"wile/internal/obs"
+	"wile/internal/sim"
+	"wile/internal/units"
 )
 
 // harnessObs is what the harness builds every world with: a ledger, a
@@ -120,73 +125,119 @@ func monotone(t *testing.T, name string, rec *obs.Recorder, events uint64) {
 	}
 }
 
+// wave is a device's waveform as a run left it: its step history and its
+// exact energy, both read at end.
+type wave struct {
+	steps  []energy.Step
+	energy units.Joules
+	end    sim.Time
+}
+
+// waveOf reads d's waveform now.
+func waveOf(d *esp32.Device, sched *sim.Scheduler) wave {
+	return wave{d.Steps(), d.Energy(), sched.Now()}
+}
+
+// charged fails unless a device's exact energy equals Σ I·Δt over its
+// step history up to end, at the rail voltage, within a relative 1e-9:
+// the recorder integrates at every touch, not once per step, so the two
+// sums round differently.
+func charged(t *testing.T, name string, w wave) {
+	t.Helper()
+	if len(w.steps) == 0 {
+		t.Fatalf("%s: no step history", name)
+	}
+	var c units.Coulombs
+	for i, s := range w.steps {
+		end := w.end
+		if i+1 < len(w.steps) {
+			end = w.steps[i+1].At
+		}
+		c += units.Charge(s.Current, end.Sub(s.At))
+	}
+	want := c.Energy(esp32.Voltage)
+	if d := math.Abs(float64(w.energy - want)); d > 1e-9*math.Abs(float64(want)) {
+		t.Errorf("%s: device energy %v, Σ I·Δt over its %d steps gives %v", name, w.energy, len(w.steps), want)
+	}
+}
+
 // traceRun splits a figure run into what must not depend on Obs (the
-// trace less its meter's wiring, and the samples) and its Run.
-func traceRun(tr *Trace, err error) (any, Run, error) {
+// trace less its meter's wiring, and the samples), its Run and the
+// device's waveform.
+func traceRun(tr *Trace, err error) (any, Run, wave, error) {
 	if err != nil {
-		return nil, Run{}, err
+		return nil, Run{}, wave{}, err
 	}
 	v := *tr
 	v.Meter = nil
-	return []any{v, tr.Meter.Samples}, tr.Run, nil
+	return []any{v, tr.Meter.Samples}, tr.Run, wave{tr.Steps, tr.DeviceEnergy, sim.FromDuration(tr.Window)}, nil
 }
 
 // TestEveryWorldBalancesItsLedger builds every world the package's entry
 // points build, with harnessObs attached, runs the same code on it, and
-// checks balanced and same on each. It builds each world of the table once
-// more with the scheduler firehose on, which turns Ticker batching off, and
-// checks same and monotone. The density sweep stays out: its handlers
-// resolve no reception, so its ledger cannot balance.
+// checks balanced and same on each, and charged on the world's device
+// where it has one. The drop scenario's sensors are its own and stay out
+// of charged. It builds each world once more with the scheduler firehose
+// on and checks same and monotone. The density sweep stays out: its
+// handlers resolve no reception, so its ledger cannot balance.
 func TestEveryWorldBalancesItsLedger(t *testing.T) {
 	for _, tc := range []struct {
 		name string
-		run  func(o *Obs) (any, Run, error)
+		run  func(o *Obs) (any, Run, wave, error)
 	}{
-		{"MeasureWiLE", func(o *Obs) (any, Run, error) {
-			m, full, err := newWiLEBed(o).measure()
-			return []any{m, full}, m.Run, err
+		{"MeasureWiLE", func(o *Obs) (any, Run, wave, error) {
+			b := newWiLEBed(o)
+			m, full, err := b.measure()
+			return []any{m, full}, m.Run, waveOf(b.sensor.Dev, b.sched), err
 		}},
-		{"MeasureWiFiDC", func(o *Obs) (any, Run, error) {
-			m, err := newWiFiBed(o).dutyCycle("WiFi-DC")
-			return m, m.Run, err
+		{"MeasureWiFiDC", func(o *Obs) (any, Run, wave, error) {
+			b := newWiFiBed(o)
+			m, err := b.dutyCycle("WiFi-DC")
+			return m, m.Run, waveOf(b.sta.Dev, b.sched), err
 		}},
-		{"MeasureWiFiPS", func(o *Obs) (any, Run, error) {
-			m, err := newWiFiBed(o).powerSave()
-			return m, m.Run, err
+		{"MeasureWiFiPS", func(o *Obs) (any, Run, wave, error) {
+			b := newWiFiBed(o)
+			m, err := b.powerSave()
+			return m, m.Run, waveOf(b.sta.Dev, b.sched), err
 		}},
-		{"MeasureWiFiDCFast", func(o *Obs) (any, Run, error) {
-			m, err := newWiFiBed(o).fastRejoin()
-			return m, m.Run, err
+		{"MeasureWiFiDCFast", func(o *Obs) (any, Run, wave, error) {
+			b := newWiFiBed(o)
+			m, err := b.fastRejoin()
+			return m, m.Run, waveOf(b.sta.Dev, b.sched), err
 		}},
-		{"RunClaims", func(o *Obs) (any, Run, error) {
-			c, err := newWiFiBed(o).claims()
+		{"RunClaims", func(o *Obs) (any, Run, wave, error) {
+			b := newWiFiBed(o)
+			c, err := b.claims()
 			if err != nil {
-				return nil, Run{}, err
+				return nil, Run{}, wave{}, err
 			}
-			return c, c.Run, nil
+			return c, c.Run, waveOf(b.sta.Dev, b.sched), nil
 		}},
-		{"RunJoinCapture", func(o *Obs) (any, Run, error) {
+		{"RunJoinCapture", func(o *Obs) (any, Run, wave, error) {
 			b := newWiFiBed(o)
 			packets, err := b.capture()
-			return packets, b.run(), err
+			return packets, b.run(), waveOf(b.sta.Dev, b.sched), err
 		}},
-		{"RunFig3a", func(o *Obs) (any, Run, error) { return traceRun(RunFig3a(o)) }},
-		{"RunFig3b", func(o *Obs) (any, Run, error) { return traceRun(RunFig3b(o)) }},
-		{"RunDropScenario", func(o *Obs) (any, Run, error) {
+		{"RunFig3a", func(o *Obs) (any, Run, wave, error) { return traceRun(RunFig3a(o)) }},
+		{"RunFig3b", func(o *Obs) (any, Run, wave, error) { return traceRun(RunFig3b(o)) }},
+		{"RunDropScenario", func(o *Obs) (any, Run, wave, error) {
 			res, err := RunDropScenario(o)
 			if err != nil {
-				return nil, Run{}, err
+				return nil, Run{}, wave{}, err
 			}
-			return res, res.Run, nil
+			return res, res.Run, wave{}, nil
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			want, _, err := tc.run(nil)
+			want, _, w, err := tc.run(nil)
 			if err != nil {
 				t.Fatal(err)
 			}
+			if tc.name != "RunDropScenario" {
+				charged(t, tc.name, w)
+			}
 			o := harnessObs()
-			got, r, err := tc.run(o)
+			got, r, _, err := tc.run(o)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -195,13 +246,17 @@ func TestEveryWorldBalancesItsLedger(t *testing.T) {
 
 			o = harnessObs()
 			o.Sched = true
-			if got, r, err = tc.run(o); err != nil {
+			if got, r, _, err = tc.run(o); err != nil {
 				t.Fatal(err)
 			}
 			same(t, tc.name+" with the firehose", got, want)
 			monotone(t, tc.name, o.Rec, r.Events)
 		})
 	}
+
+	// The ablation points take their world as an argument, so the test
+	// hooks the firehose onto it itself.
+	firehose := func() *Obs { return &Obs{Rec: obs.NewRecorder(), Sched: true} }
 
 	t.Run("RunJitterStudy", func(t *testing.T) {
 		for _, want := range RunJitterStudy(nil, 0) {
@@ -210,6 +265,13 @@ func TestEveryWorldBalancesItsLedger(t *testing.T) {
 			name := fmt.Sprintf("%v ppm", want.PPM)
 			same(t, name, got, want)
 			balanced(t, name, o, got.Run, 0)
+
+			o = firehose()
+			w := newWorld(nil)
+			w.firehose(o)
+			got = runJitterPoint(w, want.PPM, want.Cycles)
+			same(t, name+" with the firehose", got, want)
+			monotone(t, name, o.Rec, got.Events)
 		}
 	})
 
@@ -220,12 +282,20 @@ func TestEveryWorldBalancesItsLedger(t *testing.T) {
 			o := harnessObs()
 			got := runInterferencePoint(newWorld(o), p.Duty)
 			name := fmt.Sprintf("duty %v", p.Duty)
-			same(t, name, got, runInterferencePoint(newWorld(nil), p.Duty))
+			want := runInterferencePoint(newWorld(nil), p.Duty)
+			same(t, name, got, want)
 			inFlight := 0
 			if p.Duty > 0 {
 				inFlight = 1
 			}
 			balanced(t, name, o, got.Run, inFlight)
+
+			o = firehose()
+			w := newWorld(nil)
+			w.firehose(o)
+			got = runInterferencePoint(w, p.Duty)
+			same(t, name+" with the firehose", got, want)
+			monotone(t, name, o.Rec, got.Events)
 		}
 	})
 
@@ -238,10 +308,19 @@ func TestEveryWorldBalancesItsLedger(t *testing.T) {
 				ws[c].wire(os[c])
 			}
 			got := runHopperPoint(ws)
-			same(t, fmt.Sprintf("%d channels", want.Channels), got, want)
+			name := fmt.Sprintf("%d channels", want.Channels)
+			same(t, name, got, want)
 			for c := range ws {
-				balanced(t, fmt.Sprintf("%d channels, channel world %d", want.Channels, c), os[c], ws[c].run(), 0)
+				balanced(t, fmt.Sprintf("%s, channel world %d", name, c), os[c], ws[c].run(), 0)
 			}
+
+			// The channel worlds share one kernel: one hook sees it all.
+			o := firehose()
+			ws = hopperWorlds(want.Channels)
+			ws[0].firehose(o)
+			got = runHopperPoint(ws)
+			same(t, name+" with the firehose", got, want)
+			monotone(t, name, o.Rec, got.Events)
 		}
 	})
 }

@@ -44,8 +44,8 @@ type Obs struct {
 	// sim-time cadence for the whole window.
 	Series *obs.TimeSeries
 	// Sched additionally records every scheduler dispatch as an instant on
-	// a "sched" track — the firehose view (one event per timer tick and
-	// meter sample), for debugging sessions rather than figure runs.
+	// a "sched" track — the firehose view (one instant per timer, frame
+	// delivery and profile step), for debugging rather than figure runs.
 	Sched bool
 }
 

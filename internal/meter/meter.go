@@ -3,15 +3,16 @@
 // supply, sampling current 50,000 times per second. Figures 3a/3b are this
 // sampler's output; Table 1's energies are integrals of it.
 //
-// The sampled waveform is piecewise constant — only discrete events change
-// the device's current draw — so the meter records plateaus (start, sample
-// count, value) rather than individual readings and rides the scheduler's
-// Ticker batch path: a 2-second 50 kS/s window costs a handful of plateau
-// appends instead of 100k event dispatches. Every query — the integral,
-// the peak, the CSV export, Walk — reads the plateaus. The per-sample trace
-// is materialized into Samples once, at Stop, and is sample-for-sample
-// identical to per-sample stepping, pinned by the Figure-3b golden and the
-// equivalence property tests.
+// The sampled waveform is piecewise constant: only events change the
+// device's current, and the device's energy.Recorder logs every change as
+// a step. So the meter schedules nothing. Start and Stop note the window,
+// and Stop reads the step history once and records the samples as
+// plateaus (start, sample count, value), a few dozen for a 2-second
+// 50 kS/s window. The sample at t reads the current after every event at
+// t. Every query (the integral, the peak, the CSV export, Walk) reads the
+// plateaus. Stop also expands them into Samples, sample for sample what a
+// reading at each instant would give, as the equivalence property tests
+// pin.
 package meter
 
 import (
@@ -29,9 +30,11 @@ import (
 // DefaultSampleRate is the 34465A's digitizing rate used in the paper.
 const DefaultSampleRate = 50_000 // samples per second
 
-// Probe supplies the instantaneous current the meter reads.
+// Probe supplies the waveform the meter reads: a step history in time
+// order, each step's current holding until the next step's time, as
+// energy.Recorder (and so every device) keeps it.
 type Probe interface {
-	Current() units.Amps
+	Steps() []energy.Step
 }
 
 // Sample is one reading.
@@ -58,18 +61,18 @@ type Meter struct {
 
 	period  time.Duration
 	running bool
-	ticker  *sim.Ticker
+	// start is the first sample's instant, set by Start.
+	start sim.Time
 
 	// plateaus is the compact waveform.
 	plateaus []plateau
 
-	// rec/track carry the optional trace recorder (TraceTo). lastTraced
-	// dedups the counter feed: the waveform is piecewise-constant, so one
-	// event per plateau carries the full signal and a 2-second 50 kS/s run
-	// costs dozens of trace events instead of 100k.
-	rec        *obs.Recorder
-	track      obs.TrackID
-	lastTraced units.Amps
+	// rec/track carry the optional trace recorder (TraceTo). The waveform
+	// is piecewise-constant, so one counter per plateau carries the full
+	// signal and a 2-second 50 kS/s run costs dozens of trace events
+	// instead of 100k.
+	rec   *obs.Recorder
+	track obs.TrackID
 }
 
 // New builds a meter for the probe at rate samples/second.
@@ -124,39 +127,54 @@ func (m *Meter) Reserve(window time.Duration) {
 	m.Samples = grown
 }
 
-// Start begins sampling (taking the first sample immediately).
+// Start begins sampling: the first sample is at the current instant.
 func (m *Meter) Start() {
 	if m.running {
 		return
 	}
 	m.running = true
-	m.observe(m.sched.Now(), 1)
-	m.ticker = m.sched.Tick(m.sched.Now().Add(m.period), m.period, m.fire)
-	m.ticker.SetBatch(m.batch)
+	m.start = m.sched.Now()
 }
 
-// TraceTo attaches the meter to a trace recorder: readings feed the given
-// counter track in milliamperes, recorded only on change. Passing a nil
-// recorder detaches.
+// TraceTo attaches the meter to a trace recorder: at Stop, each plateau
+// feeds the given counter track one reading, in milliamperes, at its
+// first sample. Passing a nil recorder detaches.
 func (m *Meter) TraceTo(r *obs.Recorder, track obs.TrackID) {
 	m.rec = r
 	m.track = track
-	m.lastTraced = units.Amps(-1) // force the first sample through
 }
 
-func (m *Meter) fire(at sim.Time) { m.observe(at, 1) }
-
-func (m *Meter) batch(from sim.Time, n int) { m.observe(from, int64(n)) }
-
-// observe records n consecutive samples starting at from. All n share one
-// probe reading: current only changes when an event fires, and the
-// scheduler never extends a ticker batch across an event.
-func (m *Meter) observe(from sim.Time, n int64) {
-	a := m.probe.Current()
-	if m.rec != nil && a != m.lastTraced {
-		m.lastTraced = a
-		m.rec.Counter(m.track, from, a.Milli())
+// read records the samples at m.start, m.start+period, ... up to stop from
+// the probe's step history. The sample at t reads the last step at or
+// before t, so it sees the current after every event at t; a run of
+// samples with no step between them is one observe call.
+func (m *Meter) read(stop sim.Time) {
+	steps := m.probe.Steps()
+	p := int64(m.period)
+	n := int64(stop-m.start)/p + 1
+	var a units.Amps // no step yet: nothing drawn
+	i := 0
+	for k := int64(0); k < n; {
+		at := m.start + sim.Time(k*p)
+		for i < len(steps) && steps[i].At <= at {
+			a = steps[i].Current
+			i++
+		}
+		// a holds until steps[i]: samples k up to the first one at or
+		// after it read a.
+		next := n
+		if i < len(steps) {
+			next = min(n, (int64(steps[i].At-m.start)+p-1)/p)
+		}
+		m.observe(at, next-k, a)
+		k = next
 	}
+}
+
+// observe records n consecutive samples of a starting at from: it extends
+// the last plateau when that one is contiguous and equal, and otherwise
+// starts a plateau and feeds it to the counter track.
+func (m *Meter) observe(from sim.Time, n int64, a units.Amps) {
 	if k := len(m.plateaus); k > 0 {
 		last := &m.plateaus[k-1]
 		if last.val == a && last.from+sim.Time(last.n*int64(m.period)) == from {
@@ -165,14 +183,19 @@ func (m *Meter) observe(from sim.Time, n int64) {
 		}
 	}
 	m.plateaus = append(m.plateaus, plateau{from: from, n: n, val: a})
+	if m.rec != nil {
+		m.rec.Counter(m.track, from, a.Milli())
+	}
 }
 
-// Stop halts sampling and materializes the per-sample trace.
+// Stop ends sampling at the current instant, records the samples from the
+// probe's step history and materializes the per-sample trace. Call it once
+// every event at that instant has run, as RunUntil leaves the clock: a
+// step recorded after Stop is not read.
 func (m *Meter) Stop() {
-	m.running = false
-	if m.ticker != nil {
-		m.ticker.Stop()
-		m.ticker = nil
+	if m.running {
+		m.running = false
+		m.read(m.sched.Now())
 	}
 	m.materialize()
 }

@@ -11,14 +11,15 @@ import (
 	"wile/internal/units"
 )
 
-// rampProbe is a probe whose current the test changes explicitly.
-type rampProbe struct{ a units.Amps }
-
-func (p *rampProbe) Current() units.Amps { return p.a }
+// wave is a probe whose current the test sets from events: the step
+// history a device keeps, without the device.
+func wave(s *sim.Scheduler, a units.Amps) *energy.Recorder {
+	return energy.NewRecorder(s, func() units.Amps { return a }, nil)
+}
 
 func TestSamplingRateAndCount(t *testing.T) {
 	s := sim.New()
-	p := &rampProbe{a: 0.1}
+	p := wave(s, 0.1)
 	m := New(s, p, DefaultSampleRate)
 	m.Start()
 	s.RunUntil(sim.Time(100) * sim.Millisecond)
@@ -37,7 +38,7 @@ func TestSamplingRateAndCount(t *testing.T) {
 
 func TestChargeIntegrationConstantCurrent(t *testing.T) {
 	s := sim.New()
-	p := &rampProbe{a: 0.05}
+	p := wave(s, 0.05)
 	m := New(s, p, 10_000)
 	m.Start()
 	s.RunUntil(sim.Second)
@@ -56,10 +57,10 @@ func TestChargeIntegrationConstantCurrent(t *testing.T) {
 
 func TestChargeIntegrationStepChange(t *testing.T) {
 	s := sim.New()
-	p := &rampProbe{a: 0.01}
+	p := wave(s, 0.01)
 	m := New(s, p, 10_000)
 	m.Start()
-	s.After(500*time.Millisecond, func() { p.a = 0.03 })
+	s.After(500*time.Millisecond, func() { p.Set(0.03) })
 	s.RunUntil(sim.Second)
 	m.Stop()
 	want := 0.01*0.5 + 0.03*0.5
@@ -76,11 +77,11 @@ func TestChargeIntegrationStepChange(t *testing.T) {
 
 func TestPeakCurrent(t *testing.T) {
 	s := sim.New()
-	p := &rampProbe{a: 0.001}
+	p := wave(s, 0.001)
 	m := New(s, p, 50_000)
 	m.Start()
-	s.After(10*time.Millisecond, func() { p.a = 0.18 })
-	s.After(11*time.Millisecond, func() { p.a = 0.001 })
+	s.After(10*time.Millisecond, func() { p.Set(0.18) })
+	s.After(11*time.Millisecond, func() { p.Set(0.001) })
 	s.RunUntil(20 * sim.Millisecond)
 	m.Stop()
 	if peak := m.PeakCurrent(0, 20*sim.Millisecond); peak != units.Amps(0.18) {
@@ -93,11 +94,18 @@ func TestPeakCurrent(t *testing.T) {
 
 func TestStopActuallyStops(t *testing.T) {
 	s := sim.New()
-	p := &rampProbe{}
+	p := wave(s, 0)
 	m := New(s, p, 1000)
 	m.Start()
+	// The meter reads the step history at Stop: it schedules nothing.
+	if n := s.Pending(); n != 0 {
+		t.Fatalf("Start left %d events pending, want 0", n)
+	}
 	s.RunUntil(10 * sim.Millisecond)
 	m.Stop()
+	if n := s.Fired(); n != 0 {
+		t.Fatalf("a metered run with no other event fired %d events, want 0", n)
+	}
 	n := len(m.Samples)
 	s.RunUntil(sim.Second)
 	if len(m.Samples) != n {
@@ -113,7 +121,7 @@ func TestStopActuallyStops(t *testing.T) {
 
 func TestWriteCSV(t *testing.T) {
 	s := sim.New()
-	p := &rampProbe{a: 0.0025}
+	p := wave(s, 0.0025)
 	m := New(s, p, 1000)
 	m.Start()
 	s.RunUntil(2 * sim.Millisecond)
@@ -141,12 +149,13 @@ func TestInvalidRatePanics(t *testing.T) {
 			t.Fatal("zero rate did not panic")
 		}
 	}()
-	New(sim.New(), &rampProbe{}, 0)
+	s := sim.New()
+	New(s, wave(s, 0), 0)
 }
 
 func TestReservePreallocatesTraceCapacity(t *testing.T) {
 	s := sim.New()
-	m := New(s, &rampProbe{a: 0.01}, DefaultSampleRate)
+	m := New(s, wave(s, 0.01), DefaultSampleRate)
 	window := 100 * time.Millisecond
 	m.Reserve(window)
 	if got, want := cap(m.Samples), 5000; got < want {

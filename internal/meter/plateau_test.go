@@ -9,21 +9,26 @@ import (
 	"testing"
 	"time"
 
+	"wile/internal/energy"
 	"wile/internal/obs"
 	"wile/internal/sim"
 	"wile/internal/units"
 )
 
-// currentChange is one scheduled probe step in a random waveform program.
+// currentChange is one scheduled current step in a random waveform
+// program. A step with a lead is scheduled by an event lead earlier, so it
+// can land on a sample instant less than one period after it was queued.
 type currentChange struct {
-	at  sim.Time
-	val units.Amps
+	at   sim.Time
+	lead sim.Time
+	val  units.Amps
 }
 
 // makeChangeProgram builds a random piecewise-constant waveform: current
 // steps at random instants, some aligned exactly on sample boundaries,
-// some repeating the previous value (so the meter's plateau merging and
-// the counter feed's change-dedup both get exercised).
+// some queued less than a period ahead, some repeating the previous value
+// (so the meter's plateau merging and the counter feed's change-dedup both
+// get exercised).
 func makeChangeProgram(rng *rand.Rand, window sim.Time, period time.Duration) []currentChange {
 	levels := []units.Amps{0, 10e-6, 10e-6, 0.027, 0.095, 0.200, 0.310}
 	n := 1 + rng.Intn(40)
@@ -36,25 +41,38 @@ func makeChangeProgram(rng *rand.Rand, window sim.Time, period time.Duration) []
 		} else {
 			at = sim.Time(rng.Int63n(int64(window)))
 		}
-		changes = append(changes, currentChange{at: at, val: levels[rng.Intn(len(levels))]})
+		var lead sim.Time
+		if rng.Intn(3) == 0 {
+			lead = min(at, sim.Time(rng.Int63n(int64(period))))
+		}
+		changes = append(changes, currentChange{at: at, lead: lead, val: levels[rng.Intn(len(levels))]})
 	}
 	return changes
 }
 
-// runPlateauMeter drives the program through the real (plateau-batched)
-// Meter and returns its materialized samples, its Chrome-trace counter
-// feed, and the meter itself for Charge queries.
-func runPlateauMeter(t *testing.T, changes []currentChange, window sim.Time, rate int) (*Meter, []Sample, []byte) {
+// playChanges schedules the program's steps on p's scheduler.
+func playChanges(s *sim.Scheduler, p *energy.Recorder, changes []currentChange) {
+	for _, c := range changes {
+		set := func() { p.Set(c.val) }
+		if c.lead == 0 {
+			s.DoAt(c.at, set)
+			continue
+		}
+		s.DoAt(c.at-c.lead, func() { s.DoAt(c.at, set) })
+	}
+}
+
+// runPlateauMeter drives the program into a recorder, meters it with the
+// real Meter, and returns the meter (its Samples materialized), the
+// recorder and the meter's Chrome-trace counter feed.
+func runPlateauMeter(t *testing.T, changes []currentChange, window sim.Time, rate int) (*Meter, *energy.Recorder, []byte) {
 	t.Helper()
 	s := sim.New()
-	p := &rampProbe{a: 0.5}
+	p := wave(s, 0.5)
 	m := New(s, p, rate)
 	rec := obs.NewRecorder()
 	m.TraceTo(rec, rec.Track("current_mA"))
-	for _, c := range changes {
-		c := c
-		s.DoAt(c.at, func() { p.a = c.val })
-	}
+	playChanges(s, p, changes)
 	m.Start()
 	s.RunUntil(window)
 	m.Stop()
@@ -62,24 +80,27 @@ func runPlateauMeter(t *testing.T, changes []currentChange, window sim.Time, rat
 	if err := rec.WriteChromeTrace(&buf); err != nil {
 		t.Fatalf("WriteChromeTrace: %v", err)
 	}
-	return m, m.Samples, buf.Bytes()
+	return m, p, buf.Bytes()
 }
 
-// runStepperReference replays the identical program through a per-sample
-// reference stepper: a self-rearming event chain that appends one sample
-// per tick and feeds the counter track with the same on-change dedup the
-// meter documents. This is the pre-plateau implementation, inlined as the
-// oracle.
+// runStepperReference replays the identical program and reads it one
+// sample at a time: it runs the kernel up to each sample instant, so every
+// event at that instant has fired, and reads the recorder's current. It
+// feeds the counter track one reading per change of value, which is the
+// meter's one counter per plateau. It is the oracle for the meter's one
+// rule: the sample at t reads the current after every event at t.
 func runStepperReference(t *testing.T, changes []currentChange, window sim.Time, rate int) ([]Sample, []byte) {
 	t.Helper()
 	s := sim.New()
-	p := &rampProbe{a: 0.5}
+	p := wave(s, 0.5)
 	period := time.Second / time.Duration(rate)
 	rec := obs.NewRecorder()
 	track := rec.Track("current_mA")
 	var samples []Sample
 	lastTraced := units.Amps(-1)
-	observe := func(at sim.Time) {
+	playChanges(s, p, changes)
+	for at := s.Now(); at <= window; at = at.Add(period) {
+		s.RunUntil(at)
 		a := p.Current()
 		if a != lastTraced {
 			lastTraced = a
@@ -87,21 +108,6 @@ func runStepperReference(t *testing.T, changes []currentChange, window sim.Time,
 		}
 		samples = append(samples, Sample{At: at, Current: a})
 	}
-	for _, c := range changes {
-		c := c
-		s.DoAt(c.at, func() { p.a = c.val })
-	}
-	// Meter.Start: immediate first sample, then one event per period.
-	observe(s.Now())
-	var arm func(at sim.Time)
-	arm = func(at sim.Time) {
-		s.At(at, func() {
-			observe(at)
-			arm(at.Add(period))
-		})
-	}
-	arm(s.Now().Add(period))
-	s.RunUntil(window)
 	var buf bytes.Buffer
 	if err := rec.WriteChromeTrace(&buf); err != nil {
 		t.Fatalf("WriteChromeTrace: %v", err)
@@ -110,9 +116,9 @@ func runStepperReference(t *testing.T, changes []currentChange, window sim.Time,
 }
 
 // TestPlateauMatchesStepper is the equivalence property test pinning the
-// plateau-batched meter to the per-sample stepper it replaced: identical
-// samples (value and timestamp, sample for sample) and a byte-identical
-// counter-track export, across randomized waveforms.
+// meter, which reads the step history once at Stop, to the per-sample
+// stepper: identical samples (value and timestamp, sample for sample) and
+// a byte-identical counter-track export, across randomized waveforms.
 func TestPlateauMatchesStepper(t *testing.T) {
 	for trial := int64(0); trial < 30; trial++ {
 		rng := rand.New(rand.NewSource(trial*104729 + 13))
@@ -121,7 +127,8 @@ func TestPlateauMatchesStepper(t *testing.T) {
 		window := sim.Time(1+rng.Int63n(200)) * sim.Millisecond
 		changes := makeChangeProgram(rng, window, period)
 
-		_, got, gotTrace := runPlateauMeter(t, changes, window, rate)
+		m, _, gotTrace := runPlateauMeter(t, changes, window, rate)
+		got := m.Samples
 		want, wantTrace := runStepperReference(t, changes, window, rate)
 
 		if len(got) != len(want) {
@@ -134,6 +141,70 @@ func TestPlateauMatchesStepper(t *testing.T) {
 		}
 		if !bytes.Equal(gotTrace, wantTrace) {
 			t.Fatalf("trial %d: counter-track export diverged:\nplateau: %s\nstepper: %s", trial, gotTrace, wantTrace)
+		}
+	}
+}
+
+// TestSampleReadsEveryEventAtItsInstant pins the tie rule: the sample at t
+// reads the current after every event at t, however late that event was
+// queued. Two steps land on sample instants: one queued 5 µs before the
+// instant it lands on, a quarter of the 20 µs period, and one at the Start
+// instant, caused by an event dispatched after Start.
+func TestSampleReadsEveryEventAtItsInstant(t *testing.T) {
+	s := sim.New()
+	s.RunUntil(sim.Millisecond)
+	start := s.Now()
+	p := wave(s, 0.010)
+	m := New(s, p, DefaultSampleRate)
+	m.Start()
+	s.DoAt(start, func() { p.Set(0.100) })
+	late := start + 100*sim.Microsecond
+	s.DoAt(late-5*sim.Microsecond, func() {
+		s.DoAt(late, func() { p.Set(0.180) })
+	})
+	s.RunUntil(start + sim.Millisecond)
+	m.Stop()
+	for _, c := range []struct {
+		what string
+		i    int
+		want units.Amps
+	}{
+		{"the Start instant", 0, 0.100},
+		{"the sample before the late step", 4, 0.100},
+		{"the late step's instant", 5, 0.180},
+	} {
+		if got := m.Samples[c.i]; got.Current != c.want {
+			t.Errorf("sample %d at %v (%s) reads %v, want %v", c.i, got.At, c.what, got.Current, c.want)
+		}
+	}
+	if got := m.Samples[5].At; got != late {
+		t.Fatalf("sample 5 at %v, want %v", got, late)
+	}
+}
+
+// TestChargeWithinRectangleBound is the rectangle bound as a property over
+// random step histories at the three rates: a sample reads a step less
+// than one period after it, so a step of ΔI moves the meter's integral by
+// at most |ΔI|·period, and |meter − recorder| ≤ Σ|ΔI|·period. The bound
+// gets 1e-12 of the exact charge on top for float rounding.
+func TestChargeWithinRectangleBound(t *testing.T) {
+	for trial := int64(0); trial < 60; trial++ {
+		rng := rand.New(rand.NewSource(trial*3571 + 11))
+		rate := []int{50_000, 10_000, 1_000}[trial%3]
+		period := time.Second / time.Duration(rate)
+		window := sim.Time(1+rng.Int63n(200)) * sim.Millisecond
+		m, p, _ := runPlateauMeter(t, makeChangeProgram(rng, window, period), window, rate)
+
+		steps := p.Steps()
+		var swing units.Amps
+		for i := 1; i < len(steps); i++ {
+			d := steps[i].Current - steps[i-1].Current
+			swing += max(d, -d)
+		}
+		exact := p.Charge()
+		bound := units.Charge(swing, period) + units.Scale(exact, 1e-12)
+		if diff := m.Charge(0, window) - exact; diff > bound || -diff > bound {
+			t.Fatalf("trial %d (%d Sa/s, %v): meter − recorder = %v C, over the bound %v C", trial, rate, window, diff, bound)
 		}
 	}
 }
@@ -173,7 +244,8 @@ func TestChargePlateausMatchesChargeSamples(t *testing.T) {
 		window := sim.Time(1+rng.Int63n(100)) * sim.Millisecond
 		changes := makeChangeProgram(rng, window, period)
 
-		m, samples, _ := runPlateauMeter(t, changes, window, rate)
+		m, _, _ := runPlateauMeter(t, changes, window, rate)
+		samples := m.Samples
 
 		for q := 0; q < 50; q++ {
 			t0 := sim.Time(rng.Int63n(int64(window)))
@@ -208,7 +280,8 @@ func TestPlateauQueriesMatchSamples(t *testing.T) {
 		rate := []int{50_000, 10_000, 1_000}[rng.Intn(3)]
 		period := time.Second / time.Duration(rate)
 		window := sim.Time(1+rng.Int63n(100)) * sim.Millisecond
-		m, samples, _ := runPlateauMeter(t, makeChangeProgram(rng, window, period), window, rate)
+		m, _, _ := runPlateauMeter(t, makeChangeProgram(rng, window, period), window, rate)
+		samples := m.Samples
 
 		var walked []Sample
 		m.Walk(func(s Sample) bool { walked = append(walked, s); return true })
@@ -253,11 +326,12 @@ func TestPlateauQueriesMatchSamples(t *testing.T) {
 }
 
 // TestPlateauMergeCompression checks the plateau record actually stays
-// compact on a constant waveform — the whole point of batching — rather
-// than silently degenerating to one plateau per sample.
+// compact on a constant waveform — the whole point of plateaus — rather
+// than silently degenerating to one plateau per sample: one step, one
+// plateau.
 func TestPlateauMergeCompression(t *testing.T) {
 	s := sim.New()
-	p := &rampProbe{a: 0.042}
+	p := wave(s, 0.042)
 	m := New(s, p, 50_000)
 	m.Start()
 	s.RunUntil(sim.Time(2) * sim.Second)
@@ -265,7 +339,7 @@ func TestPlateauMergeCompression(t *testing.T) {
 	if len(m.Samples) < 100_000 {
 		t.Fatalf("materialized %d samples, want >= 100000", len(m.Samples))
 	}
-	if len(m.plateaus) > 4 {
-		t.Fatalf("constant 2 s waveform produced %d plateaus, want a handful", len(m.plateaus))
+	if len(m.plateaus) != 1 {
+		t.Fatalf("constant 2 s waveform produced %d plateaus, want 1", len(m.plateaus))
 	}
 }

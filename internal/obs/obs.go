@@ -27,7 +27,7 @@
 // port, or instrument) and an ordered event log of slices (Span,
 // Begin/End), instants and counter samples, held in memory as one slice.
 // Every trace the simulator records is one Figure 3 window; the largest,
-// the scheduler firehose of fig3a (-sched), is about 100k events or 4.8 MB.
+// the scheduler firehose of fig3a (-sched), is 791 events or 38 KB.
 // WriteChromeTrace exports the log in the Chrome trace-event JSON format,
 // which https://ui.perfetto.dev opens directly as a timeline: tracks become
 // threads, counter tracks become counter lanes. Export is a pure function
@@ -154,9 +154,9 @@ func (r *Recorder) Counter(track TrackID, at sim.Time, value float64) {
 
 // ObserveScheduler wires the kernel's dispatch hook to an instant event per
 // fired simulation event on the given track. This is the firehose view —
-// every timer tick and meter sample becomes an event, about 100k over the
-// Figure 3a window — so figure-scale runs keep it off and debugging
-// sessions (wile-trace -sched) turn it on.
+// every timer, frame delivery and profile step becomes an event, 508 over
+// the Figure 3a window — so figure-scale runs keep it off and debugging
+// runs (wile-trace -sched) turn it on.
 func ObserveScheduler(r *Recorder, sched *sim.Scheduler, track TrackID) {
 	sched.OnDispatch = func(at sim.Time) { r.Instant(track, at, "dispatch") }
 }

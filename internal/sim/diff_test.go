@@ -7,9 +7,9 @@ import (
 )
 
 // refSched is a minimal binary-heap reference dispatcher with the same
-// (at, seq) total order as Scheduler. The real scheduler's queue, its lazy
-// cancellation and its ticker machinery must reproduce its firing order
-// and pending count exactly; the differential test below (and
+// (at, seq) total order as Scheduler. The real scheduler's queue and its
+// lazy cancellation must reproduce its firing order and pending count
+// exactly; the differential test below (and
 // BenchmarkSchedulerDense in sched_bench_test.go) compare the two on
 // randomized workloads.
 type refSched struct {

@@ -1,9 +1,10 @@
 // Package sim provides a deterministic discrete-event simulation kernel.
 //
 // Every Wi-LE experiment runs on top of this kernel: the radio medium, the
-// MAC state machines, device power models and the measurement instrument all
-// schedule work on a single virtual clock. Runs are fully deterministic for
-// a given seed, which keeps every experiment in EXPERIMENTS.md repeatable.
+// MAC state machines and the device power models all schedule work on a
+// single virtual clock, and the measurement instrument reads the current
+// steps they recorded after the run. Runs are fully deterministic for a
+// given seed, which keeps every experiment in EXPERIMENTS.md repeatable.
 //
 // Events carry an absolute virtual timestamp and fire in time order, FIFO
 // among equal timestamps. There is no wall-clock coupling anywhere;
@@ -13,10 +14,9 @@
 // DESIGN.md §11); cancelled events are dropped lazily when they reach its
 // head. Its entries hold no pointer: each names a slot in a side table
 // that holds the callback, so sifting writes no pointer and never pays
-// the collector's write barrier. A figure run keeps at most nine events
-// pending, because the dense periodic trains (the 50 kSa/s meter) bypass
-// the queue entirely through Ticker, which the dispatcher interleaves with
-// ordinary events under the same (time, seq) total order.
+// the collector's write barrier. There is one kind of event, and a figure
+// run keeps at most nine of them pending: the 50 kSa/s multimeter
+// schedules nothing (see package meter).
 package sim
 
 import (
@@ -92,14 +92,11 @@ func (a entry) less(b entry) bool {
 // Scheduler owns the virtual clock and the pending event set.
 // The zero value is ready to use.
 type Scheduler struct {
-	// OnDispatch, when non-nil, observes every fired event (and every
-	// Ticker fire) just after the clock advances to its timestamp and
-	// before its callback runs. It is the kernel's observability hook
-	// (obs.ObserveScheduler wires it to a trace recorder); a nil hook
-	// costs one branch per dispatch and no allocations. The hook must not
-	// schedule or cancel events. Setting it disables Ticker batch firing,
-	// so the firehose records every tick individually, exactly as if each
-	// tick were an ordinary event.
+	// OnDispatch, when non-nil, observes every fired event just after the
+	// clock advances to its timestamp and before its callback runs. It is
+	// the kernel's observability hook (obs.ObserveScheduler wires it to a
+	// trace recorder); a nil hook costs one branch per dispatch and no
+	// allocations. The hook must not schedule or cancel events.
 	OnDispatch func(at Time)
 
 	now   Time
@@ -116,9 +113,6 @@ type Scheduler struct {
 	// pointer writes do not grow with how far it sifts.
 	slots []slot
 	free  []int32
-	// tickers are the active periodic trains, dispatched under the same
-	// (time, seq) order as events.
-	tickers []*Ticker
 }
 
 // New returns a scheduler with the clock at zero. The heap starts with
@@ -132,12 +126,10 @@ func New() *Scheduler {
 // Now reports the current virtual time.
 func (s *Scheduler) Now() Time { return s.now }
 
-// Pending reports the number of events waiting to fire; an active Ticker
-// counts as one pending event (its next fire).
-func (s *Scheduler) Pending() int { return s.pending + len(s.tickers) }
+// Pending reports the number of events waiting to fire.
+func (s *Scheduler) Pending() int { return s.pending }
 
-// Fired reports how many events (including ticker fires) have been executed
-// so far.
+// Fired reports how many events have been executed so far.
 func (s *Scheduler) Fired() uint64 { return s.fired }
 
 // push queues fn at the absolute virtual time at under the next sequence
@@ -278,19 +270,14 @@ func (s *Scheduler) dispatch(x entry) {
 	sl.fn()
 }
 
-// Step fires the next pending event or ticker fire, advancing the clock to
-// its timestamp. It reports false when nothing remains.
+// Step fires the next pending event, advancing the clock to its
+// timestamp. It reports false when nothing remains.
 func (s *Scheduler) Step() bool {
 	x, ok := s.head()
-	if t := s.nextTicker(); t != nil && (!ok || t.before(x)) {
-		s.fireTick(t)
-		return true
+	if ok {
+		s.dispatch(x)
 	}
-	if !ok {
-		return false
-	}
-	s.dispatch(x)
-	return true
+	return ok
 }
 
 // Run fires events until none remain.
@@ -301,29 +288,10 @@ func (s *Scheduler) Run() {
 
 // RunUntil fires events with timestamps <= deadline and then advances the
 // clock to the deadline. Events scheduled beyond the deadline remain
-// pending. Ticker trains with a batch handler fire in closed-form batches
-// across stretches free of events and of other trains' fires (see Ticker).
+// pending.
 func (s *Scheduler) RunUntil(deadline Time) {
 	for {
 		x, ok := s.head()
-		if t := s.nextTicker(); t != nil && (!ok || t.before(x)) {
-			if t.next > deadline {
-				break
-			}
-			limit := deadline
-			if ok && x.at-1 < limit {
-				limit = x.at - 1
-			}
-			for _, u := range s.tickers {
-				if u != t && u.next-1 < limit {
-					limit = u.next - 1
-				}
-			}
-			if !s.fireBatch(t, limit) {
-				s.fireTick(t)
-			}
-			continue
-		}
 		if !ok || x.at > deadline {
 			break
 		}
@@ -336,116 +304,3 @@ func (s *Scheduler) RunUntil(deadline Time) {
 
 // RunFor is RunUntil(Now+d).
 func (s *Scheduler) RunFor(d time.Duration) { s.RunUntil(s.now.Add(d)) }
-
-// Ticker is a first-class periodic event train: one fire callback every
-// period, interleaved with ordinary events under the exact (time, seq)
-// order a self-rearming DoAfter chain would produce — each fire consumes
-// the seq its rearm would have held, and reallocates the next one when the
-// callback returns — but without a queue operation per fire. A train with a
-// batch handler additionally collapses event-free stretches: RunUntil
-// invokes batch(from, n) once for n consecutive fires with no intervening
-// event or other train's fire, which is how the 50 kSa/s meter samples a
-// 2-second window in a handful of calls. Handlers must not schedule or
-// cancel events from inside a batch call (single fires may), or the seq
-// emulation breaks.
-type Ticker struct {
-	sched   *Scheduler
-	next    Time
-	period  Time
-	seq     uint64
-	fire    func(at Time)
-	batch   func(from Time, n int)
-	stopped bool
-}
-
-// Tick starts a periodic train firing at start, start+period, ... until
-// Stop. The first fire's position among equal-timestamp events matches an
-// event scheduled by At(start, ...) at this call site.
-func (s *Scheduler) Tick(start Time, period time.Duration, fire func(at Time)) *Ticker {
-	if period <= 0 {
-		panic(fmt.Sprintf("sim: non-positive ticker period %v", period))
-	}
-	if start < s.now {
-		panic(fmt.Sprintf("sim: ticker start %v before now %v", start, s.now))
-	}
-	t := &Ticker{sched: s, next: start, period: Time(period), fire: fire, seq: s.seq}
-	s.seq++
-	s.tickers = append(s.tickers, t)
-	return t
-}
-
-// SetBatch installs the closed-form batch handler; see Ticker. Batching is
-// suppressed while OnDispatch is set, so the scheduler firehose observes
-// every individual fire.
-func (t *Ticker) SetBatch(fn func(from Time, n int)) { t.batch = fn }
-
-// Next reports the virtual time of the next scheduled fire.
-func (t *Ticker) Next() Time { return t.next }
-
-// Stop halts the train; no further fires occur. Stopping twice is a no-op.
-func (t *Ticker) Stop() {
-	if t.stopped {
-		return
-	}
-	t.stopped = true
-	s := t.sched
-	for i, x := range s.tickers {
-		if x == t {
-			s.tickers = append(s.tickers[:i], s.tickers[i+1:]...)
-			break
-		}
-	}
-}
-
-// before reports whether t's next fire precedes the queued event x.
-func (t *Ticker) before(x entry) bool {
-	return t.next < x.at || (t.next == x.at && t.seq < x.seq)
-}
-
-// nextTicker returns the active train with the earliest (next, seq) fire.
-func (s *Scheduler) nextTicker() *Ticker {
-	var best *Ticker
-	for _, t := range s.tickers {
-		if best == nil || t.next < best.next || (t.next == best.next && t.seq < best.seq) {
-			best = t
-		}
-	}
-	return best
-}
-
-// fireTick dispatches one ticker fire.
-func (s *Scheduler) fireTick(t *Ticker) {
-	at := t.next
-	s.now = at
-	s.fired++
-	if s.OnDispatch != nil {
-		s.OnDispatch(at)
-	}
-	t.fire(at)
-	if !t.stopped {
-		t.next = at + t.period
-		t.seq = s.seq
-		s.seq++
-	}
-}
-
-// fireBatch dispatches every fire of t up to and including limit as one
-// batch call, provided a batch handler is installed and the firehose is
-// off. The seq bookkeeping is exactly the per-fire path repeated: each fire
-// consumes the pending seq and allocates the next, with nothing in between
-// (the caller guarantees no event or other train's fire lies inside the
-// batch window).
-func (s *Scheduler) fireBatch(t *Ticker, limit Time) bool {
-	if t.batch == nil || s.OnDispatch != nil || limit < t.next {
-		return false
-	}
-	k := int64((limit-t.next)/t.period) + 1
-	from := t.next
-	s.now = from + Time(k-1)*t.period
-	s.fired += uint64(k)
-	t.next = from + Time(k)*t.period
-	t.seq = s.seq + uint64(k) - 1
-	s.seq += uint64(k)
-	t.batch(from, int(k))
-	return true
-}
