@@ -16,12 +16,11 @@
 // the default population list (comma-separated counts).
 //
 // CSVs land in the directory named by -out (default "results").
-// -trace additionally writes Chrome trace-event timelines for the fig3a and
-// fig3b runs (open the JSON at https://ui.perfetto.dev).
 // -series samples each of fig3a and fig3b's counters on a 10 ms sim-time
 // cadence and writes the timeline as <figure>_series.csv — the counters'
 // evolution over the run, not just their final values. For a snapshot of
-// a figure's final counters, run wile-trace -metrics.
+// a figure's final counters, run wile-trace -metrics; for a figure's
+// Chrome trace-event timeline, wile-trace -perfetto.
 package main
 
 import (
@@ -44,7 +43,6 @@ import (
 
 func main() {
 	out := flag.String("out", "results", "directory for CSV outputs")
-	trace := flag.Bool("trace", false, "also write Chrome trace-event JSON timelines for fig3a/fig3b")
 	series := flag.Bool("series", false, "also write sim-time metric timelines (CSV) for fig3a/fig3b")
 	devices := flag.String("devices", "", "density sweep population sizes (comma-separated, e.g. 1000,10000,100000)")
 	flag.Usage = usage
@@ -53,7 +51,6 @@ func main() {
 		usage()
 		os.Exit(2)
 	}
-	traceTimelines = *trace
 	seriesTimelines = *series
 	densityDevices = *devices
 	if err := run(flag.Arg(0), *out); err != nil {
@@ -63,12 +60,12 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: wile-lab [-out dir] [-trace] [-series] [-devices list] {table1|fig3a|fig3b|fig4|claims|joincap|ablations|density|all}")
+	fmt.Fprintln(os.Stderr, "usage: wile-lab [-out dir] [-series] [-devices list] {table1|fig3a|fig3b|fig4|claims|joincap|ablations|density|all}")
 }
 
-// traceTimelines and seriesTimelines mirror the -trace and -series flags
-// for the fig3 runs; densityDevices mirrors -devices for the density sweep.
-var traceTimelines, seriesTimelines bool
+// seriesTimelines mirrors the -series flag for the fig3 runs;
+// densityDevices mirrors -devices for the density sweep.
+var seriesTimelines bool
 var densityDevices string
 
 func run(cmd, out string) error {
@@ -188,12 +185,9 @@ func table1(table *experiment.Table1Result) error {
 }
 
 func fig3(out, name string, runner func(*experiment.Obs) (*experiment.Trace, error)) error {
-	// Each figure's world gets sinks of its own; with neither flag set it
-	// runs on the disabled path.
+	// Each figure's world gets sinks of its own; without -series it runs
+	// on the disabled path.
 	var o experiment.Obs
-	if traceTimelines {
-		o.Rec = obs.NewRecorder()
-	}
 	if seriesTimelines {
 		o.Reg = obs.NewRegistry()
 		o.Series = obs.NewTimeSeries(o.Reg, 0)
@@ -211,13 +205,6 @@ func fig3(out, name string, runner func(*experiment.Obs) (*experiment.Trace, err
 	}
 	tr.Release()
 	fmt.Println("trace written to", path)
-	if traceTimelines {
-		path := filepath.Join(out, name+"_timeline.json")
-		if err := writeFile(path, o.Rec.WriteChromeTrace); err != nil {
-			return err
-		}
-		fmt.Println("timeline written to", path, "(open at https://ui.perfetto.dev)")
-	}
 	if seriesTimelines {
 		path := filepath.Join(out, name+"_series.csv")
 		if err := writeFile(path, o.Series.WriteCSV); err != nil {

@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"wile/internal/experiment"
-	"wile/internal/obs"
 )
 
 // TestLabOutputGolden pins what `wile-lab all` and `wile-lab joincap` print
@@ -77,42 +76,27 @@ func TestAllMeasuresTable1Once(t *testing.T) {
 	}
 }
 
-// TestFigureTimelinesMatchSingleRuns runs `wile-lab -trace -series all`
-// and requires each figure's timeline to be the one `wile-trace -perfetto`
-// writes (a run traced by a recorder alone) and each metric series to be
-// the one a run of that figure alone writes: every lane is a counter of
-// the figure's own world, none describes the command.
+// TestFigureTimelinesMatchSingleRuns runs `wile-lab -series all` and
+// requires each figure's metric series to be the one a run of that figure
+// alone writes: every lane is a counter of the figure's own world, none
+// describes the command. (A figure's Chrome timeline comes from
+// `wile-trace -perfetto`, whose own tests pin it.)
 func TestFigureTimelinesMatchSingleRuns(t *testing.T) {
-	defer func() { traceTimelines, seriesTimelines = false, false }()
-	traceTimelines, seriesTimelines = true, true
+	defer func() { seriesTimelines = false }()
+	seriesTimelines = true
 	out := t.TempDir()
 	captureStdout(t, func() error { return run("all", out) })
-	for _, fig := range []struct {
-		name string
-		run  func(*experiment.Obs) (*experiment.Trace, error)
-	}{{"fig3a", experiment.RunFig3a}, {"fig3b", experiment.RunFig3b}} {
-		o := experiment.Obs{Rec: obs.NewRecorder()}
-		if _, err := fig.run(&o); err != nil {
-			t.Fatal(err)
-		}
-		var timeline bytes.Buffer
-		if err := o.Rec.WriteChromeTrace(&timeline); err != nil {
-			t.Fatal(err)
-		}
-		if got := readFile(t, out, fig.name+"_timeline.json"); !bytes.Equal(got, timeline.Bytes()) {
-			t.Errorf("%s_timeline.json differs from the recorder-only run's trace", fig.name)
-		}
-
+	for _, name := range []string{"fig3a", "fig3b"} {
 		alone := t.TempDir()
-		captureStdout(t, func() error { return run(fig.name, alone) })
-		series := readFile(t, out, fig.name+"_series.csv")
-		if !bytes.Equal(series, readFile(t, alone, fig.name+"_series.csv")) {
-			t.Errorf("%s_series.csv from `all` differs from a run of %s alone", fig.name, fig.name)
+		captureStdout(t, func() error { return run(name, alone) })
+		series := readFile(t, out, name+"_series.csv")
+		if !bytes.Equal(series, readFile(t, alone, name+"_series.csv")) {
+			t.Errorf("%s_series.csv from `all` differs from a run of %s alone", name, name)
 		}
 		for _, line := range strings.Split(string(series), "\n")[1:] {
 			if f := strings.Split(line, ","); len(f) == 3 &&
 				(strings.HasPrefix(f[1], "engine.") || strings.HasPrefix(f[1], "experiment.")) {
-				t.Errorf("%s_series.csv has a %s lane", fig.name, f[1])
+				t.Errorf("%s_series.csv has a %s lane", name, f[1])
 				break
 			}
 		}

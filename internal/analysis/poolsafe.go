@@ -7,18 +7,19 @@ import (
 )
 
 // PoolSafe guards the repository's object-recycling discipline. The hot
-// paths recycle aggressively — decoded frames return to dot11's sync.Pools
-// via Release, and the next Get/Decode overwrites the object in place — so
+// paths recycle aggressively — mac.Port's receive path hands every frame
+// it decodes back to dot11's sync.Pools via Release once its hooks have
+// returned, and the next Get/Decode overwrites the object in place — so
 // touching a pooled object after its release is a corruption bug that
-// surfaces frames later as an FCS mismatch (exactly the class the
-// ReleaseAfterMonitor recycling bug fell into). PoolSafe walks each
-// function's control-flow graph tracking, per path, which objects have
-// been released:
+// surfaces frames later as an FCS mismatch or as another frame's fields
+// (the class a hook that keeps a frame instead of a copy falls into).
+// PoolSafe walks each function's control-flow graph tracking, per path,
+// which objects have been released:
 //
 //   - a release point is a call to a function or method named Release,
-//     release, Recycle, or recycle (dot11.Release, mac's port.release), a
-//     sync.Pool Put, or an append onto a freelist field (a field named
-//     free, freeList, or freelist);
+//     release, Recycle, or recycle (dot11.Release), a sync.Pool Put, or
+//     an append onto a freelist field (a field named free, freeList, or
+//     freelist);
 //   - any later use of the released object — or of anything the
 //     value-flow graph says may alias it — on any path is flagged,
 //     including uses inside closures created after the release;

@@ -287,9 +287,12 @@ func (a *AP) sendAuthResp(to dot11.MAC, status dot11.StatusCode) {
 }
 
 func (a *AP) handleAssoc(req *dot11.AssocReq) {
-	st := a.station(req.Header.Addr2)
+	// The handshake starts after the response's ACK, when req is back in
+	// the decode pool: keep the station's address, not the frame.
+	sta := req.Header.Addr2
+	st := a.station(sta)
 	resp := &dot11.AssocResp{Capability: dot11.CapESS | dot11.CapPrivacy}
-	resp.Header.Addr1 = req.Header.Addr2
+	resp.Header.Addr1 = sta
 	resp.Header.Addr2 = a.Cfg.BSSID
 	resp.Header.Addr3 = a.Cfg.BSSID
 	if !st.authed {
@@ -318,7 +321,7 @@ func (a *AP) handleAssoc(req *dot11.AssocReq) {
 	a.Stats.AssocAccepted++
 	a.send(resp, func(ok bool) {
 		if ok {
-			a.startHandshake(req.Header.Addr2, st)
+			a.startHandshake(sta, st)
 		}
 	})
 }

@@ -2,6 +2,7 @@ package ap
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -291,5 +292,52 @@ func TestAPString(t *testing.T) {
 	s := fx.ap.String()
 	if s == "" || !strings.Contains(s, "lab-net") {
 		t.Fatalf("String() = %q", s)
+	}
+}
+
+// TestHandshakeStartsAtEachAssociatingStation: stations that associate
+// back to back each get their own handshake's first message. The AP
+// starts a handshake once its association response is ACKed, by which
+// time the request is back in the decode pool and may hold another
+// station's request, so it must keep the station's address, not the
+// request.
+func TestHandshakeStartsAtEachAssociatingStation(t *testing.T) {
+	fx := newFixture()
+	ports := []*mac.Port{fx.sta}
+	for i := 1; i < 4; i++ {
+		p := mac.New(fx.sched, fx.med, fmt.Sprintf("fake-sta-%d", i), medium.Position{X: 2, Y: float64(i)},
+			dot11.MAC{0x02, 0x57, 0, 0, 0, byte(0x05 + i)}, phy.RateHTMCS7, 0, phy.SensitivityWiFi1M, sim.NewRand(uint64(5+i)))
+		p.SetRadioOn(true)
+		ports = append(ports, p)
+	}
+	eapol := make([]int, len(ports))
+	for i, p := range ports {
+		p.Handler = func(f dot11.Frame, rx medium.Reception) {
+			d, ok := f.(*dot11.Data)
+			if !ok || !d.Header.FC.FromDS || d.Header.Addr1 != p.Addr {
+				return
+			}
+			if et, _, err := netstack.UnwrapSNAP(d.Payload); err == nil && et == netstack.EtherTypeEAPOL {
+				eapol[i]++
+			}
+		}
+		auth := &dot11.Auth{Algorithm: dot11.AuthOpen, Seq: 1}
+		auth.Header.Addr1, auth.Header.Addr2, auth.Header.Addr3 = bssid, p.Addr, bssid
+		p.Send(auth, nil)
+	}
+	fx.sched.RunFor(50 * sim.Millisecond.Duration())
+	// All requests queue at once, so the stations contend and the AP
+	// decodes the later ones while earlier responses await their ACKs.
+	for _, p := range ports {
+		req := &dot11.AssocReq{Capability: dot11.CapESS, ListenInterval: 3,
+			Elements: dot11.Elements{dot11.SSIDElement("lab-net"), dot11.RSNElement(dot11.DefaultRSN())}}
+		req.Header.Addr1, req.Header.Addr2, req.Header.Addr3 = bssid, p.Addr, bssid
+		p.Send(req, nil)
+	}
+	fx.sched.RunFor(100 * sim.Millisecond.Duration())
+	for i, n := range eapol {
+		if n == 0 {
+			t.Errorf("station %v got no EAPOL message; per station: %v", ports[i].Addr, eapol)
+		}
 	}
 }

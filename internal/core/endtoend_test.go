@@ -310,11 +310,11 @@ func TestScannerRejectsSealedReplay(t *testing.T) {
 		scanner.OnMessage = func(m *Message, _ Meta) { seqs = append(seqs, m.Seq) }
 		var inject []byte
 		handle := scanner.Port.Monitor
-		scanner.Port.Monitor = func(f dot11.Frame, rx medium.Reception) {
+		scanner.Port.Monitor = func(f dot11.Frame, rx medium.Reception) obs.DropReason {
 			if inject == nil {
 				inject = append([]byte(nil), rx.Data...)
 			}
-			handle(f, rx)
+			return handle(f, rx)
 		}
 		send := func() {
 			sensor.TransmitOnce([]Reading{Counter(1)}, nil)
@@ -411,10 +411,37 @@ func TestKeyedScannerDropsPlaintextForgery(t *testing.T) {
 	}
 }
 
+// TestTwoWayExchange runs the exchange twice, the second time with a
+// provenance ledger attached: the responder's Monitor settles every frame
+// its radio decodes, so the ledger must balance.
 func TestTwoWayExchange(t *testing.T) {
-	// §6: the device announces a receive window; the base station injects
-	// a response inside it.
+	for _, ledger := range []bool{false, true} {
+		var prov *obs.Provenance
+		if ledger {
+			prov = obs.NewProvenance()
+		}
+		twoWayExchange(t, prov)
+		if prov == nil {
+			continue
+		}
+		if err := prov.Verify(); err != nil {
+			t.Error(err)
+		}
+		if got := prov.Outcomes()[obs.Delivered]; got == 0 {
+			t.Error("ledger recorded no delivered frame")
+		}
+	}
+}
+
+// twoWayExchange runs §6's exchange: the device announces a receive
+// window; the base station injects a response inside it. A non-nil prov
+// is attached to the medium first.
+func twoWayExchange(t *testing.T, prov *obs.Provenance) {
+	t.Helper()
 	r := newRig()
+	if prov != nil {
+		r.med.ObserveProvenance(prov)
+	}
 	sensor := NewSensor(r.sched, r.med, SensorConfig{
 		DeviceID: 0x33, Position: pos(0, 0), RxWindow: 30 * time.Millisecond, SkipBoot: true,
 	})

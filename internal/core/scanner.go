@@ -139,14 +139,6 @@ func NewScanner(sched *sim.Scheduler, med *medium.Medium, cfg ScannerConfig) *Sc
 		phy.SensitivityWiFiMCS7, sim.NewRand(cfg.Seed))
 	sc.Port.AutoACK = false
 	sc.Port.Monitor = sc.handleFrame
-	// handleFrame copies everything it keeps (Reassemble and the device
-	// records hold no references into the beacon), so the scanner can hand
-	// frames straight back to the decode pool.
-	sc.Port.ReleaseAfterMonitor = true
-	// The scanner owns the decoded-frame provenance outcomes: the Wi-LE
-	// pipeline, not the 802.11 duplicate cache, decides what counts as
-	// filtered (core sequence dedup) or undecodable (bad key / auth).
-	sc.Port.ProvDelegate = true
 	return sc
 }
 
@@ -207,49 +199,45 @@ func DecodeBeacon(b *dot11.Beacon, keyFor func(deviceID uint32) *Key) (*Message,
 // ErrNotWiLE marks a beacon without Wi-LE vendor elements.
 var ErrNotWiLE = errors.New("core: beacon carries no Wi-LE elements")
 
-// handleFrame processes every decodable frame the radio hears. As the
-// port's ProvDelegate owner it resolves every decoded frame to exactly one
-// provenance outcome: frames the Wi-LE pipeline rejects for corruption-like
-// reasons (bad key, auth failure, malformed fragments, plaintext from a
-// keyed device) are decode errors, core sequence dedup is dedup_filtered,
-// everything else the radio decoded — including foreign traffic — counts
-// as delivered.
-func (sc *Scanner) handleFrame(f dot11.Frame, rx medium.Reception) {
+// handleFrame processes every decodable frame the radio hears and returns
+// its provenance outcome, which the port records: the Wi-LE pipeline, not
+// the 802.11 duplicate cache, decides what counts as filtered or
+// undecodable. Frames it rejects for corruption-like reasons (bad key,
+// auth failure, malformed fragments, plaintext from a keyed device) are
+// decode errors, core sequence dedup is dedup_filtered, and everything
+// else the radio decoded — including foreign traffic — counts as
+// delivered. It copies everything it keeps (Reassemble and the device
+// records hold no references into the beacon).
+func (sc *Scanner) handleFrame(f dot11.Frame, rx medium.Reception) obs.DropReason {
 	beacon, ok := f.(*dot11.Beacon)
 	if !ok {
-		sc.Port.Resolve(rx, obs.Delivered)
-		return
+		return obs.Delivered
 	}
 	msg, err := DecodeBeacon(beacon, sc.keyFor)
 	switch {
 	case errors.Is(err, ErrNotWiLE):
 		sc.Stats.OtherBeacons++
-		sc.Port.Resolve(rx, obs.Delivered)
-		return
+		return obs.Delivered
 	case errors.Is(err, ErrNoKey), errors.Is(err, ErrAuth):
 		sc.Stats.BeaconsSeen++
 		sc.Stats.EncryptedDrops++
-		sc.Port.Resolve(rx, obs.DropDecodeError)
-		return
+		return obs.DropDecodeError
 	case err != nil:
 		sc.Stats.BeaconsSeen++
 		sc.Stats.DecodeErrors++
-		sc.Port.Resolve(rx, obs.DropDecodeError)
-		return
+		return obs.DropDecodeError
 	}
 	sc.Stats.BeaconsSeen++
 	// Base-station→device messages are for the devices; a scanner drops
 	// them once seen.
 	if msg.Downlink {
-		sc.Port.Resolve(rx, obs.Delivered)
-		return
+		return obs.Delivered
 	}
 	// A keyed device seals every message, so a plaintext one claiming it
 	// is a forgery: it touches no record.
 	if !msg.Sealed && sc.keyFor(msg.DeviceID) != nil {
 		sc.Stats.EncryptedDrops++
-		sc.Port.Resolve(rx, obs.DropDecodeError)
-		return
+		return obs.DropDecodeError
 	}
 	rec, known := sc.devices[msg.DeviceID]
 	if !known {
@@ -259,10 +247,8 @@ func (sc *Scanner) handleFrame(f dot11.Frame, rx medium.Reception) {
 	if rec.repeats(msg) {
 		rec.Duplicates++
 		sc.Stats.Duplicates++
-		sc.Port.Resolve(rx, obs.DropDedupFiltered)
-		return
+		return obs.DropDedupFiltered
 	}
-	sc.Port.Resolve(rx, obs.Delivered)
 	if known {
 		// Sequence gap = missed messages (modulo wraparound).
 		gap := int(uint16(msg.Seq - rec.LastSeq))
@@ -282,6 +268,7 @@ func (sc *Scanner) handleFrame(f dot11.Frame, rx medium.Reception) {
 	if sc.OnMessage != nil {
 		sc.OnMessage(msg, Meta{RSSI: rx.RSSI, At: rx.End, BSSID: beacon.BSSID()})
 	}
+	return obs.Delivered
 }
 
 // Device reports the record for one device.

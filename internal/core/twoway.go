@@ -6,6 +6,7 @@ import (
 	"wile/internal/dot11"
 	"wile/internal/mac"
 	"wile/internal/medium"
+	"wile/internal/obs"
 	"wile/internal/phy"
 	"wile/internal/sim"
 )
@@ -73,21 +74,23 @@ func (r *Responder) PendingFor(deviceID uint32) bool {
 	return ok
 }
 
-func (r *Responder) handleFrame(f dot11.Frame, rx medium.Reception) {
+// handleFrame answers announced receive windows. The responder filters
+// nothing, so every frame its radio decodes counts as delivered.
+func (r *Responder) handleFrame(f dot11.Frame, rx medium.Reception) obs.DropReason {
 	beacon, ok := f.(*dot11.Beacon)
 	if !ok {
-		return
+		return obs.Delivered
 	}
 	keyFor := func(id uint32) *Key { return r.Keys[id] }
 	msg, err := DecodeBeacon(beacon, keyFor)
 	if err != nil || msg.Downlink || msg.RxWindow == 0 {
-		return
+		return obs.Delivered
 	}
 	r.Stats.WindowsSeen++
 	readings, queued := r.pending[msg.DeviceID]
 	if !queued {
 		if !r.AutoAck {
-			return
+			return obs.Delivered
 		}
 		readings = []Reading{Counter(uint32(msg.Seq))} // bare receipt
 	}
@@ -100,11 +103,12 @@ func (r *Responder) handleFrame(f dot11.Frame, rx medium.Reception) {
 	}
 	down, err := BuildBeacon(r.Port.Addr, r.channel, resp, r.Keys[msg.DeviceID])
 	if err != nil {
-		return
+		return obs.Delivered
 	}
 	r.Stats.Responses++
 	// Inject immediately: the device's window is only tens of ms wide.
 	if err := r.Port.Send(down, nil); err != nil {
 		panic(fmt.Sprintf("core: sending downlink: %v", err))
 	}
+	return obs.Delivered
 }

@@ -143,10 +143,3 @@ func CCMDecrypt(key, nonce, aad, sealed []byte) ([]byte, error) {
 	}
 	return plain, nil
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -184,11 +184,12 @@ func getFrame(k Kind) (Frame, error) {
 
 // Release returns a frame obtained from Decode/DecodeNoFCS to the decode
 // pool. Callers may only release frames they are provably done with:
-// after Release neither the frame nor anything aliasing it (Elements,
-// payload slices) may be touched, because the next Decode of the same
-// kind will overwrite them in place. Releasing nil is a no-op. Frames
-// handed to user callbacks or retained in state machines must never be
-// released.
+// after Release neither the frame nor its Elements may be touched,
+// because the next Decode of the same kind will overwrite them in place
+// (payload and element bytes alias the decoded buffer, which the pool
+// does not own). mac.Port releases every frame it decodes once its
+// Handler and Monitor have returned, so a hook copies what it keeps.
+// Releasing nil is a no-op.
 func Release(f Frame) {
 	if f == nil {
 		return

@@ -169,14 +169,18 @@ func newWiFiBed(o *Obs) *wifiBed {
 
 // monitor attaches a passive monitor-mode port halfway between the AP and
 // the station. It hears every frame of the join, transmits nothing (not
-// even an ACK), and hands each decoded frame to fn.
+// even an ACK), and hands each decoded frame to fn, which copies what it
+// keeps. It filters nothing, so every frame it decodes is delivered.
 func (b *wifiBed) monitor(fn func(dot11.Frame, medium.Reception)) {
 	mon := mac.New(b.sched, b.med, "monitor", medium.Position{X: 1.5, Y: 0},
 		dot11.MustParseMAC("02:00:00:00:00:99"), phy.RateHTMCS7, 0,
 		phy.SensitivityWiFi1M, sim.NewRand(7))
 	mon.AutoACK = false
 	mon.SetRadioOn(true)
-	mon.Monitor = fn
+	mon.Monitor = func(f dot11.Frame, rx medium.Reception) obs.DropReason {
+		fn(f, rx)
+		return obs.Delivered
+	}
 }
 
 // join powers the station's CPU on, joins, and runs the kernel to until.

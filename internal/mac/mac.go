@@ -81,27 +81,18 @@ type Port struct {
 	// Rate is the PHY rate for transmitted frames.
 	Rate phy.Rate
 	// Handler receives frames addressed to this port (unicast match or
-	// group address) after FCS check and auto-ACK.
+	// group address) after FCS check and auto-ACK. The frame goes back to
+	// the decode pool when the Handler returns, so a Handler copies what it
+	// keeps: a field it reads later, not the frame (see dot11.Release).
 	Handler func(f dot11.Frame, rx medium.Reception)
 	// Monitor, when set, receives every decodable frame regardless of
 	// addressing — monitor mode, which is how the Wi-LE evaluation's
-	// receiver verifies injected beacons.
-	Monitor func(f dot11.Frame, rx medium.Reception)
-	// ProvDelegate hands the decode-success provenance outcomes to the
-	// Monitor's owner: when set, the port still resolves undecodable frames
-	// (fcs_error / decode_error — a Monitor never sees those) but leaves
-	// every decoded frame's outcome (delivered / dedup_filtered) to whoever
-	// installed the Monitor, which records it through Resolve. The Scanner
-	// sets it because its beacon pipeline — not the 802.11 duplicate cache
-	// — decides what counts as filtered.
-	ProvDelegate bool
-	// ReleaseAfterMonitor lets a monitor opt back in to frame recycling:
-	// setting it promises that Monitor is done with the frame (and
-	// everything aliasing it) by the time it returns, so the receive path
-	// may recycle frames it would otherwise strand outside the decode
-	// pool. Monitors that retain frames — the pcap writer does — must
-	// leave it false, the conservative default.
-	ReleaseAfterMonitor bool
+	// receiver verifies injected beacons. It returns the frame's
+	// provenance outcome at this radio, which the port records in place of
+	// its own (the Wi-LE scanner's pipeline, not the 802.11 duplicate
+	// cache, decides what it filtered). Like a Handler, a Monitor copies
+	// what it keeps.
+	Monitor func(f dot11.Frame, rx medium.Reception) obs.DropReason
 	// Radio, when set, is notified of transmit bursts for power modeling.
 	Radio RadioListener
 	// AutoACK controls whether unicast receptions are acknowledged.
@@ -223,25 +214,15 @@ func rxName(f dot11.Frame) string {
 // queue, but nothing will transmit or be received until power returns.
 func (p *Port) SetRadioOn(on bool) { p.trx.SetOn(on) }
 
-// Resolve records rx's terminal provenance outcome at this port's radio.
-// The port calls it for every reception unless ProvDelegate leaves the
-// decoded frames to the Monitor's owner, which then calls it instead.
+// resolve records rx's terminal provenance outcome at this port's radio.
 // Collided receptions were already resolved by the medium, and a nil
 // ledger means provenance is off; both make this a no-op.
-func (p *Port) Resolve(rx medium.Reception, reason obs.DropReason) {
+func (p *Port) resolve(rx medium.Reception, reason obs.DropReason) {
 	if rx.Collided {
 		return
 	}
 	if pr := p.med.Prov; pr != nil {
 		pr.Resolve(rx.Frame, p.trx.ProvID(), rx.End, reason)
-	}
-}
-
-// settle resolves a decoded frame's outcome unless ProvDelegate hands it
-// to the Monitor's owner.
-func (p *Port) settle(rx medium.Reception, reason obs.DropReason) {
-	if !p.ProvDelegate {
-		p.Resolve(rx, reason)
 	}
 }
 
@@ -446,30 +427,44 @@ func (p *Port) finish(out *outgoing, ok bool) {
 	p.kick()
 }
 
-// receive handles every delivery from the medium.
+// receive handles every delivery from the medium. The port owns each
+// frame it decodes from start to finish: it settles the frame's
+// provenance outcome once, with the Monitor's verdict when there is a
+// Monitor and its own otherwise, and hands the frame back to the decode
+// pool once every hook has returned.
 func (p *Port) receive(rx medium.Reception) {
 	f, err := dot11.Decode(rx.Data)
 	if err != nil {
 		p.Stats.RxFCSErrors++
-		// Undecodable frames never reach a Monitor, so the port owns this
-		// outcome even under ProvDelegate. A dot11.ErrFCS is the corruption
-		// taxonomy bucket; anything else (truncated, unsupported) is a
-		// decode error.
+		// A dot11.ErrFCS is the corruption taxonomy bucket; anything else
+		// (truncated, unsupported) is a decode error.
 		var fcs *dot11.ErrFCS
 		if errors.As(err, &fcs) {
-			p.Resolve(rx, obs.DropFCSError)
+			p.resolve(rx, obs.DropFCSError)
 		} else {
-			p.Resolve(rx, obs.DropDecodeError)
+			p.resolve(rx, obs.DropDecodeError)
 		}
 		return
 	}
+	var verdict obs.DropReason
 	if p.Monitor != nil {
-		p.Monitor(f, rx)
+		verdict = p.Monitor(f, rx)
 	}
-	// ACK completion for our pending frame. The ACK dies here, so it can
-	// feed the decode pool.
+	reason := p.accept(f, rx)
+	if p.Monitor != nil {
+		reason = verdict
+	}
+	p.resolve(rx, reason)
+	dot11.Release(f)
+}
+
+// accept runs the port's own receive path on a decoded frame (ACK
+// completion, address filtering, auto-ACK, duplicate detection and the
+// Handler) and reports the frame's outcome: dedup_filtered for a
+// retransmission, delivered for everything else the radio decoded.
+func (p *Port) accept(f dot11.Frame, rx medium.Reception) obs.DropReason {
+	// ACK completion for our pending frame.
 	if ack, isACK := f.(*dot11.ACK); isACK {
-		p.settle(rx, obs.Delivered)
 		if p.current != nil && p.current.wantACK && ack.Receiver == p.Addr {
 			if p.ackTimer != nil {
 				p.sched.Cancel(p.ackTimer)
@@ -481,17 +476,14 @@ func (p *Port) receive(rx medium.Reception) {
 			}
 			p.finish(p.current, true)
 		}
-		p.release(f)
-		return
+		return obs.Delivered
 	}
 	ra := f.RA()
 	if ra != p.Addr && !ra.IsGroup() {
 		// Overheard traffic for someone else: decoded only to be
 		// discarded, the dominant receive path on a shared channel. The
 		// radio still decoded it, so provenance calls it delivered.
-		p.settle(rx, obs.Delivered)
-		p.release(f)
-		return
+		return obs.Delivered
 	}
 	p.Stats.RxFrames++
 	if p.rec != nil {
@@ -505,28 +497,13 @@ func (p *Port) receive(rx medium.Reception) {
 		}
 		if p.isDuplicate(f) {
 			p.Stats.RxDuplicates++
-			p.settle(rx, obs.DropDedupFiltered)
-			p.release(f)
-			return
+			return obs.DropDedupFiltered
 		}
 	}
-	p.settle(rx, obs.Delivered)
 	if p.Handler != nil {
 		p.Handler(f, rx)
-	} else {
-		p.release(f)
 	}
-}
-
-// release recycles a frame the receive path is provably done with. A
-// Monitor callback may retain frames indefinitely (the pcap writer does),
-// so ports in monitor mode only recycle when the monitor has opted in via
-// ReleaseAfterMonitor; Handler-delivered frames escape and are never
-// passed here.
-func (p *Port) release(f dot11.Frame) {
-	if p.Monitor == nil || p.ReleaseAfterMonitor {
-		dot11.Release(f)
-	}
+	return obs.Delivered
 }
 
 // isDuplicate implements the receiver duplicate-detection cache

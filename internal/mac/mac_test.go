@@ -40,8 +40,16 @@ func TestUnicastDataWithAutoACK(t *testing.T) {
 	a := fx.port("a", pos(0, 0), addrA, 1)
 	b := fx.port("b", pos(2, 0), addrB, 2)
 
-	var rxFrames []dot11.Frame
-	b.Handler = func(f dot11.Frame, rx medium.Reception) { rxFrames = append(rxFrames, f) }
+	// The frame goes back to the decode pool when the Handler returns, so
+	// the Handler keeps copies of what the test reads.
+	var rxPayloads []string
+	b.Handler = func(f dot11.Frame, rx medium.Reception) {
+		if d, ok := f.(*dot11.Data); ok {
+			rxPayloads = append(rxPayloads, string(d.Payload))
+		} else {
+			rxPayloads = append(rxPayloads, f.Kind().String())
+		}
+	}
 
 	var outcome *bool
 	f := dot11.NewDataToAP(addrB, addrA, addrB, []byte("payload"))
@@ -53,12 +61,8 @@ func TestUnicastDataWithAutoACK(t *testing.T) {
 	if outcome == nil || !*outcome {
 		t.Fatal("sender did not report ACKed delivery")
 	}
-	if len(rxFrames) != 1 {
-		t.Fatalf("receiver got %d frames, want 1", len(rxFrames))
-	}
-	d, ok := rxFrames[0].(*dot11.Data)
-	if !ok || string(d.Payload) != "payload" {
-		t.Fatalf("received %v", rxFrames[0])
+	if len(rxPayloads) != 1 || rxPayloads[0] != "payload" {
+		t.Fatalf("receiver got %q, want one data frame carrying \"payload\"", rxPayloads)
 	}
 	if b.Stats.TxACKs != 1 {
 		t.Fatalf("receiver sent %d ACKs, want 1", b.Stats.TxACKs)
@@ -130,10 +134,11 @@ func TestRetryBitSetOnRetransmission(t *testing.T) {
 	mon := fx.port("mon", pos(1, 0), addrC, 3)
 	mon.AutoACK = false
 	var seen []bool
-	mon.Monitor = func(f dot11.Frame, rx medium.Reception) {
+	mon.Monitor = func(f dot11.Frame, rx medium.Reception) obs.DropReason {
 		if d, ok := f.(*dot11.Data); ok {
 			seen = append(seen, d.Header.FC.Retry)
 		}
+		return obs.Delivered
 	}
 	a.Send(dot11.NewDataToAP(addrB, addrA, addrB, []byte("x")), nil)
 	fx.sched.Run()
@@ -155,8 +160,10 @@ func TestRetryBitSetOnRetransmission(t *testing.T) {
 // until RetryLimit. Every copy carries the sequence number the sender
 // stamped, and each one after the first carries the retry bit; the
 // receiver ACKs every copy, hands the frame up once, and counts and
-// resolves the rest as duplicates. A unicast Action frame takes the same
-// path as Data.
+// resolves the rest as duplicates. A monitor port beside the receiver
+// reads the copies off the air (a Monitor on the receiver itself would
+// settle their outcomes in place of its duplicate cache). A unicast
+// Action frame takes the same path as Data.
 func TestLostACKsAreDeduplicated(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -182,11 +189,14 @@ func TestLostACKsAreDeduplicated(t *testing.T) {
 				retry bool
 			}
 			var copies []onAir
-			b.Monitor = func(f dot11.Frame, rx medium.Reception) {
+			mon := fx.port("mon", pos(2, 0), addrC, 3)
+			mon.AutoACK = false
+			mon.Monitor = func(f dot11.Frame, rx medium.Reception) obs.DropReason {
 				if f.Kind() == tc.frame.Kind() {
 					h := dot11.HeaderOf(f)
 					copies = append(copies, onAir{h.Sequence, h.FC.Retry})
 				}
+				return obs.Delivered
 			}
 			handled := 0
 			b.Handler = func(f dot11.Frame, rx medium.Reception) {
@@ -240,8 +250,8 @@ func TestCarrierSenseDefersSecondSender(t *testing.T) {
 	b := fx.port("b", pos(1, 0), addrB, 2)
 	rx := fx.port("rx", pos(0.5, 0), addrC, 3)
 
-	var got []dot11.Frame
-	rx.Handler = func(f dot11.Frame, r medium.Reception) { got = append(got, f) }
+	var got []dot11.MAC
+	rx.Handler = func(f dot11.Frame, r medium.Reception) { got = append(got, f.TA()) }
 	rx.AutoACK = false // pure sniffer for group frames
 
 	// Both queue a broadcast beacon at t=0. Without carrier sense they
@@ -265,7 +275,10 @@ func TestMonitorModeSeesForeignFrames(t *testing.T) {
 	mon := fx.port("mon", pos(1, 0), addrC, 3)
 
 	var monitored, handled int
-	mon.Monitor = func(f dot11.Frame, rx medium.Reception) { monitored++ }
+	mon.Monitor = func(f dot11.Frame, rx medium.Reception) obs.DropReason {
+		monitored++
+		return obs.Delivered
+	}
 	mon.Handler = func(f dot11.Frame, rx medium.Reception) { handled++ }
 
 	a.Send(dot11.NewDataToAP(addrB, addrA, addrB, []byte("secret")), nil)
@@ -284,45 +297,63 @@ func TestMonitorModeSeesForeignFrames(t *testing.T) {
 	}
 }
 
-func TestReleaseAfterMonitorRecyclesFrames(t *testing.T) {
-	// A monitor that promises to be done with each frame by return
-	// (ReleaseAfterMonitor) must compose with the decode pool: the frame
-	// object observed for one reception is recycled and comes back for the
-	// next. Without the opt-in the first frame stays live in our hands, so
-	// the second decode can never alias it.
-	run := func(optIn bool) (first, second dot11.Frame) {
-		fx := newFixture()
-		a := fx.port("a", pos(0, 0), addrA, 1)
-		mon := fx.port("mon", pos(1, 0), addrC, 3)
-		mon.AutoACK = false
-		mon.ReleaseAfterMonitor = optIn
-		var seen []dot11.Frame
-		mon.Monitor = func(f dot11.Frame, rx medium.Reception) {
-			if _, ok := f.(*dot11.Beacon); ok {
-				seen = append(seen, f)
+// TestReceiveRecyclesEveryDecodedFrame feeds receive one frame at a time
+// and checks that the port owns each frame it decodes: whichever hooks saw
+// it — a Handler, a Monitor or both — the frame is back in the decode pool
+// when receive returns, so the next decode of its kind reuses it.
+func TestReceiveRecyclesEveryDecodedFrame(t *testing.T) {
+	data := dot11.NewDataToAP(addrB, addrA, addrB, []byte("x"))
+	beacon := dot11.NewBeacon(addrA, 100, 0, nil)
+	for _, tc := range []struct {
+		name             string
+		frame            dot11.Frame
+		handler, monitor bool
+	}{
+		{"handler", data, true, false},
+		{"monitor", beacon, false, true},
+		{"monitor+handler", beacon, true, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fx := newFixture()
+			b := fx.port("b", pos(2, 0), addrB, 2)
+			raw, err := dot11.Marshal(tc.frame)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		// Group-addressed beacons: the monitor is this kernel's only beacon
-		// decoder, and the group branch releases handler-less frames.
-		a.Send(dot11.NewBeacon(addrA, 100, 0, nil), nil)
-		fx.sched.Run()
-		a.Send(dot11.NewBeacon(addrA, 100, 0, nil), nil)
-		fx.sched.Run()
-		if len(seen) != 2 {
-			t.Fatalf("monitor saw %d beacons, want 2", len(seen))
-		}
-		return seen[0], seen[1]
-	}
-
-	// Under the race detector sync.Pool deliberately drops items, so the
-	// reuse half of the contract is only observable in a normal build.
-	if !raceEnabled {
-		if f1, f2 := run(true); f1 != f2 {
-			t.Error("ReleaseAfterMonitor: second reception did not reuse the recycled frame")
-		}
-	}
-	if f1, f2 := run(false); f1 == f2 {
-		t.Error("without ReleaseAfterMonitor a retained frame was recycled anyway")
+			// The hooks keep each frame's identity only, to compare it
+			// with the next decode; they read nothing after returning.
+			var handled, monitored dot11.Frame
+			if tc.handler {
+				b.Handler = func(f dot11.Frame, rx medium.Reception) { handled = f }
+			}
+			if tc.monitor {
+				b.Monitor = func(f dot11.Frame, rx medium.Reception) obs.DropReason {
+					monitored = f
+					return obs.Delivered
+				}
+			}
+			b.receive(medium.Reception{Data: raw, Rate: phy.RateOFDM24})
+			seen := handled
+			if tc.monitor {
+				seen = monitored
+			}
+			if seen == nil || (tc.handler && tc.monitor && handled != monitored) {
+				t.Fatalf("hooks saw handler=%v monitor=%v", handled, monitored)
+			}
+			// Under the race detector sync.Pool deliberately drops items,
+			// so reuse is only observable in a normal build.
+			if raceEnabled {
+				return
+			}
+			again, err := dot11.Decode(raw)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if again != seen {
+				t.Errorf("the frame the hooks saw was not back in the decode pool when receive returned")
+			}
+			dot11.Release(again)
+		})
 	}
 }
 
@@ -331,10 +362,11 @@ func TestSequenceNumbersIncrement(t *testing.T) {
 	a := fx.port("a", pos(0, 0), addrA, 1)
 	mon := fx.port("mon", pos(1, 0), addrC, 3)
 	var seqs []uint16
-	mon.Monitor = func(f dot11.Frame, rx medium.Reception) {
+	mon.Monitor = func(f dot11.Frame, rx medium.Reception) obs.DropReason {
 		if bea, ok := f.(*dot11.Beacon); ok {
 			seqs = append(seqs, bea.Header.Sequence)
 		}
+		return obs.Delivered
 	}
 	for i := 0; i < 5; i++ {
 		a.Send(dot11.NewBeacon(addrA, 100, 0, nil), nil)

@@ -33,10 +33,13 @@ type entry struct {
 	idx int32
 }
 
-// grid is a uniform grid over the radios' bounding box, flat: at holds
-// every radio counting-sorted by cell in row-major order, attach order kept
-// inside a cell, and cell c is at[start[c]:start[c+1]], so the cells a
-// query spans along one row are one slice.
+// grid is a uniform grid anchored at the radios' bounding box, flat: at
+// holds every radio counting-sorted by cell in row-major order, attach
+// order kept inside a cell, and cell c is at[start[c]:start[c+1]], so the
+// cells a query spans along one row are one slice. Anchoring at the box
+// rather than at whole cell edges from the origin keeps a cluster smaller
+// than a cell in one cell wherever it sits, so its queries' hits arrive in
+// attach order.
 type grid struct {
 	// size is the cell edge in meters: the largest interference radius of
 	// the population at build time, so a typical query touches a 3×3
@@ -44,7 +47,8 @@ type grid struct {
 	// that later grows costs cells visited, never correctness: queries span
 	// as many cells as the current radius needs.
 	size float64
-	// x0, y0 are the box's lowest cell coordinates; nx, ny its extent.
+	// x0, y0 are the box's lowest coordinates, the corner of cell 0; nx,
+	// ny its extent in cells.
 	x0, y0 float64
 	nx, ny int
 	start  []int32
@@ -56,7 +60,7 @@ type grid struct {
 
 // cell reports the index of p's cell, which must lie inside the box.
 func (g *grid) cell(p Position) int {
-	return int(math.Floor(p.Y/g.size)-g.y0)*g.nx + int(math.Floor(p.X/g.size)-g.x0)
+	return int(math.Floor((p.Y-g.y0)/g.size))*g.nx + int(math.Floor((p.X-g.x0)/g.size))
 }
 
 // buildGrid indexes the attached population.
@@ -72,9 +76,9 @@ func (m *Medium) buildGrid() {
 	if g.size < 1 || math.IsInf(g.size, 1) || math.IsNaN(g.size) {
 		g.size = 1
 	}
+	g.x0, g.y0 = lo.X, lo.Y
 	for {
-		g.x0, g.y0 = math.Floor(lo.X/g.size), math.Floor(lo.Y/g.size)
-		nx, ny := math.Floor(hi.X/g.size)-g.x0+1, math.Floor(hi.Y/g.size)-g.y0+1
+		nx, ny := math.Floor((hi.X-lo.X)/g.size)+1, math.Floor((hi.Y-lo.Y)/g.size)+1
 		if nx*ny <= float64(cellsPerRadio*len(m.nodes)) {
 			g.nx, g.ny = int(nx), int(ny)
 			break
@@ -110,10 +114,10 @@ func (m *Medium) gridCandidates(dst []candidate, t *Transceiver, radius float64)
 	g := &m.grid
 	p := t.Pos
 	reach := radius * (1 + reachPad)
-	x0 := int(max(math.Floor((p.X-reach)/g.size)-g.x0, 0))
-	x1 := int(min(math.Floor((p.X+reach)/g.size)-g.x0, float64(g.nx-1)))
-	y0 := int(max(math.Floor((p.Y-reach)/g.size)-g.y0, 0))
-	y1 := int(min(math.Floor((p.Y+reach)/g.size)-g.y0, float64(g.ny-1)))
+	x0 := int(max(math.Floor((p.X-reach-g.x0)/g.size), 0))
+	x1 := int(min(math.Floor((p.X+reach-g.x0)/g.size), float64(g.nx-1)))
+	y0 := int(max(math.Floor((p.Y-reach-g.y0)/g.size), 0))
+	y1 := int(min(math.Floor((p.Y+reach-g.y0)/g.size), float64(g.ny-1)))
 	loss := m.Loss.Prepare()
 	ordered := true
 	for row := y0 * g.nx; row <= y1*g.nx; row += g.nx {

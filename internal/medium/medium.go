@@ -81,7 +81,7 @@ type Reception struct {
 	// Frame is the provenance id assigned at Transmit, or zero when no
 	// ledger is attached. A collided reception was already resolved by the
 	// medium; receivers resolve the decode-side outcomes of the rest
-	// (mac.Port does, or its ProvDelegate owner).
+	// (mac.Port does).
 	Frame obs.FrameID
 }
 

@@ -531,17 +531,18 @@ func cellMembers(m *Medium, t *Transceiver) []string {
 // TestGridInsertKeepsNeighbourBucket: a radio attached after the index is
 // built lands in its own cell at the next transmission, in attach order,
 // and never in the neighbouring cell. A (cell 0) transmits to B and D
-// (cell 1) and to C, attached later into cell 0; each must hear the frame
+// (cell 1) and to C, attached later into cell 0, where it becomes the
+// bounding box's corner the cells are cut from; each must hear the frame
 // once.
 func TestGridInsertKeepsNeighbourBucket(t *testing.T) {
 	s, m := newTestMedium()
-	a := m.Attach("a", Position{9, 0}, 0, phy.SensitivityWiFiMCS7)
-	b := m.Attach("b", Position{11, 0}, 0, phy.SensitivityWiFiMCS7)
-	d := m.Attach("d", Position{12, 0}, 0, phy.SensitivityWiFiMCS7)
+	a := m.Attach("a", Position{5, 0}, 0, phy.SensitivityWiFiMCS7)
+	b := m.Attach("b", Position{12, 0}, 0, phy.SensitivityWiFiMCS7)
+	d := m.Attach("d", Position{13, 0}, 0, phy.SensitivityWiFiMCS7)
 	a.SetOn(true)
 	m.Transmit(a, make([]byte, 10), phy.RateOFDM6) // builds the index
 	s.Run()
-	c := m.Attach("c", Position{5, 0}, 0, phy.SensitivityWiFiMCS7)
+	c := m.Attach("c", Position{1, 0}, 0, phy.SensitivityWiFiMCS7)
 	got := map[string]int{}
 	for _, rx := range []*Transceiver{b, c, d} {
 		rx.SetOn(true)
@@ -653,16 +654,23 @@ func TestGridCandidatesAttachOrder(t *testing.T) {
 	_, probe := newTestMedium()
 	r := probe.Loss.Range(0, phy.SensitivityWiFiMCS7) // the cell edge
 	// Radio 0 sits at tx (in cell edges). The others fill the k×k block of
-	// cells around it, each inside its cell's part of the square of
-	// half-width w around tx, so all are in range and every cell holds
-	// hits. They take the cells in turn, or one cell after another in
-	// row-major order when grouped.
+	// whole-edge cells around it, each inside its cell's part of the
+	// square of half-width w around tx, so all are in range. They take the
+	// cells in turn, or one cell after another in row-major order when
+	// grouped. The grid cuts its cells from the radios' bounding box, so a
+	// last radio, out of everyone's range at (-4, -4), makes the box's
+	// corner a whole number of edges from the origin and the grid's cells
+	// the block's, every one holding hits. Without it the cells start at
+	// the cluster's own corner: a cluster narrower than one edge sits in
+	// one cell wherever it is.
 	cases := []struct {
 		name    string
 		n, k    int
 		tx      Position
 		w       float64
 		grouped bool
+		free    bool // no corner radio: the cluster's own box anchors the grid
+		cells   int  // cells radio 0's hits come from, k×k when 0
 		ordered bool // whether radio 0's cell runs arrive in attach order
 		long    bool // whether radio 0 has more than insertionMax hits
 	}{
@@ -672,6 +680,7 @@ func TestGridCandidatesAttachOrder(t *testing.T) {
 		{name: "nine cells", n: 46, k: 3, tx: Position{0.5, 0.5}, w: 0.7},
 		{name: "four cells past the insertion bound", n: 200, k: 2, w: 0.1, long: true},
 		{name: "nine cells past the insertion bound", n: 200, k: 3, tx: Position{0.5, 0.5}, w: 0.7, long: true},
+		{name: "a cluster straddling the origin in one cell", n: 51, k: 2, w: 0.1, free: true, cells: 1, ordered: true},
 	}
 	byIdx := func(a, b candidate) int { return cmp.Compare(a.idx, b.idx) }
 	for ci, tc := range cases {
@@ -693,6 +702,9 @@ func TestGridCandidatesAttachOrder(t *testing.T) {
 			}
 			p := Position{X: in(float64(c%tc.k), lo.X, tc.tx.X), Y: in(float64(c/tc.k), lo.Y, tc.tx.Y)}
 			m.Attach(fmt.Sprint(i), Position{X: p.X * r, Y: p.Y * r}, 0, phy.SensitivityWiFiMCS7)
+		}
+		if !tc.free {
+			m.Attach("corner", Position{X: -4 * r, Y: -4 * r}, 0, phy.SensitivityWiFiMCS7)
 		}
 		m.buildGrid()
 		for _, tx := range m.nodes {
@@ -727,9 +739,10 @@ func TestGridCandidatesAttachOrder(t *testing.T) {
 		for _, c := range raw {
 			cells[cellOf(c)] = true
 		}
-		if len(hits) != tc.n-1 || len(cells) != tc.k*tc.k || slices.IsSortedFunc(raw, byIdx) != tc.ordered || (len(hits) > insertionMax) != tc.long {
+		wantCells := cmp.Or(tc.cells, tc.k*tc.k)
+		if len(hits) != tc.n-1 || len(cells) != wantCells || slices.IsSortedFunc(raw, byIdx) != tc.ordered || (len(hits) > insertionMax) != tc.long {
 			t.Errorf("%s: radio 0 has %d hits from %d cells, arriving in attach order %v; want %d from %d, %v, more than %d %v",
-				tc.name, len(hits), len(cells), slices.IsSortedFunc(raw, byIdx), tc.n-1, tc.k*tc.k, tc.ordered, insertionMax, tc.long)
+				tc.name, len(hits), len(cells), slices.IsSortedFunc(raw, byIdx), tc.n-1, wantCells, tc.ordered, insertionMax, tc.long)
 		}
 	}
 }

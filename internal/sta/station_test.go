@@ -22,6 +22,15 @@ import (
 	"wile/internal/units"
 )
 
+// observe adapts a passive test monitor to mac.Port.Monitor. It filters
+// nothing, so every frame it sees counts as delivered.
+func observe(fn func(f dot11.Frame)) func(dot11.Frame, medium.Reception) obs.DropReason {
+	return func(f dot11.Frame, _ medium.Reception) obs.DropReason {
+		fn(f)
+		return obs.Delivered
+	}
+}
+
 type world struct {
 	sched *sim.Scheduler
 	med   *medium.Medium
@@ -180,7 +189,7 @@ func TestJoinFrameCountsMatchPaper(t *testing.T) {
 		dot11.MustParseMAC("02:00:00:00:00:99"), phy.RateHTMCS7, 0, phy.SensitivityWiFi1M, sim.NewRand(9))
 	mon.AutoACK = false
 	mon.SetRadioOn(true)
-	mon.Monitor = func(f dot11.Frame, rx medium.Reception) {
+	mon.Monitor = observe(func(f dot11.Frame) {
 		kind := f.Kind().String()
 		if kind == "beacon" {
 			return // periodic, not part of the join exchange
@@ -200,7 +209,7 @@ func TestJoinFrameCountsMatchPaper(t *testing.T) {
 				eapolFrames++
 			}
 		}
-	}
+	})
 
 	if err := w.join(t); err != nil {
 		t.Fatal(err)
@@ -371,11 +380,11 @@ func TestDataFramesAreCCMPProtected(t *testing.T) {
 		dot11.MustParseMAC("02:00:00:00:00:97"), phy.RateHTMCS7, 0, phy.SensitivityWiFi1M, sim.NewRand(4))
 	mon.AutoACK = false
 	mon.SetRadioOn(true)
-	mon.Monitor = func(f dot11.Frame, rx medium.Reception) {
+	mon.Monitor = observe(func(f dot11.Frame) {
 		if d, ok := f.(*dot11.Data); ok && d.Header.FC.Protected {
 			protectedPayloads = append(protectedPayloads, append([]byte(nil), d.Payload...))
 		}
-	}
+	})
 	if err := w.join(t); err != nil {
 		t.Fatal(err)
 	}
@@ -430,11 +439,11 @@ func TestSnifferDecryptsJoinWithPassphrase(t *testing.T) {
 		dot11.MustParseMAC("02:00:00:00:00:96"), phy.RateHTMCS7, 0, phy.SensitivityWiFi1M, sim.NewRand(8))
 	mon.AutoACK = false
 	mon.SetRadioOn(true)
-	mon.Monitor = func(f dot11.Frame, rx medium.Reception) {
+	mon.Monitor = observe(func(f dot11.Frame) {
 		if msdu, ok := sniffer.Observe(f); ok {
 			plaintexts = append(plaintexts, append([]byte(nil), msdu...))
 		}
-	}
+	})
 
 	if err := w.join(t); err != nil {
 		t.Fatal(err)
@@ -503,11 +512,11 @@ func TestSnifferWrongPassphraseDecryptsNothing(t *testing.T) {
 		dot11.MustParseMAC("02:00:00:00:00:95"), phy.RateHTMCS7, 0, phy.SensitivityWiFi1M, sim.NewRand(8))
 	mon.AutoACK = false
 	mon.SetRadioOn(true)
-	mon.Monitor = func(f dot11.Frame, rx medium.Reception) {
+	mon.Monitor = observe(func(f dot11.Frame) {
 		if _, ok := sniffer.Observe(f); ok {
 			decrypted++
 		}
-	}
+	})
 	if err := w.join(t); err != nil {
 		t.Fatal(err)
 	}
