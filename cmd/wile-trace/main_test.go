@@ -96,8 +96,8 @@ func TestJSONRequiresDrops(t *testing.T) {
 // the same at every GOMAXPROCS.
 func TestSchedTraceDigest(t *testing.T) {
 	for fig, want := range map[string]string{
-		"fig3a": "0bd098ac336b985ac1f346204e37b2db7bbc2566e7053ef53d492c23ed8a73af",
-		"fig3b": "53ef22147fadb5fccabc2ff2e874fe69faa8080dca2eed2ce5bb881c7eada0ff",
+		"fig3a": "89ef2693d0420df94fefb232965cf8d141682976a8af6b4f6638bb77303e6e09",
+		"fig3b": "5761094a87942302a8f3448917f440c02f4a5245160708af0005fa389c214567",
 	} {
 		h := sha256.New()
 		if code := run([]string{"-perfetto", "-sched", fig}, h, io.Discard); code != 0 {

@@ -3,7 +3,10 @@
 // average power model (Equation 1), battery-life estimation, and
 // human-readable formatting for the quantities Table 1 reports. All quantities are
 // dimensioned (internal/units); bare float64 appears only at the
-// formatting boundary.
+// formatting boundary. A scripted current profile (a boot, a BLE
+// connection event) costs the scheduler one event, at its end: the
+// recorder applies the boundaries inside it when the waveform is next
+// read or set.
 package energy
 
 import (

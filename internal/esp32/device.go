@@ -130,7 +130,7 @@ type Device struct {
 // New builds a device in deep sleep at the scheduler's current time.
 func New(sched *sim.Scheduler) *Device {
 	d := &Device{sched: sched, state: StateDeepSleep}
-	d.Recorder = energy.NewRecorder(sched, d.effectiveCurrent, d.MarkPhase)
+	d.Recorder = energy.NewRecorder(sched, d.effectiveCurrent, d.mark)
 	d.burstEnd = d.endBurst
 	return d
 }
@@ -189,11 +189,18 @@ func (d *Device) endBurst() {
 	}
 }
 
-// MarkPhase records a labeled instant for figure annotation.
+// MarkPhase records a labeled instant for figure annotation. A profile's
+// labeled boundaries up to now mark first, so marks stay in time order.
 func (d *Device) MarkPhase(label string) {
-	d.marks = append(d.marks, energy.Mark{At: d.sched.Now(), Label: label})
+	d.CatchUp()
+	d.mark(d.sched.Now(), label)
+}
+
+// mark records label at t; it is also the recorder's label callback.
+func (d *Device) mark(t sim.Time, label string) {
+	d.marks = append(d.marks, energy.Mark{At: t, Label: label})
 	if d.rec != nil {
-		d.rec.Instant(d.track, d.sched.Now(), label)
+		d.rec.Instant(d.track, t, label)
 	}
 }
 

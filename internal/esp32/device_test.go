@@ -2,6 +2,7 @@ package esp32
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"time"
 
@@ -168,6 +169,25 @@ func TestMarkPhase(t *testing.T) {
 	marks := d.Marks()
 	if len(marks) != 1 || marks[0].Label != "Tx" || marks[0].At != sim.Second {
 		t.Fatalf("marks = %+v", marks)
+	}
+}
+
+// A profile's labeled boundary is applied lazily, so MarkPhase must apply
+// it first: with no read between the boundary and the mark, the marks
+// still come out in time order.
+func TestMarkPhaseFollowsLabeledBoundary(t *testing.T) {
+	s := sim.New()
+	d := New(s)
+	d.PlaySegments([]energy.Segment{
+		{D: 2 * time.Millisecond, Current: units.MilliAmps(40), Label: "A"},
+		{D: 3 * time.Millisecond, Current: units.MilliAmps(70), Label: "B"},
+		{D: 5 * time.Millisecond, Current: units.MilliAmps(35)},
+	}, nil)
+	s.After(4*time.Millisecond, func() { d.MarkPhase("X") })
+	s.Run()
+	want := []energy.Mark{{At: 0, Label: "A"}, {At: 2 * sim.Millisecond, Label: "B"}, {At: 4 * sim.Millisecond, Label: "X"}}
+	if got := d.Marks(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("marks = %+v, want %+v", got, want)
 	}
 }
 

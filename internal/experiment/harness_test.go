@@ -9,9 +9,13 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
+	"wile/internal/core"
 	"wile/internal/energy"
 	"wile/internal/esp32"
+	"wile/internal/mac"
+	"wile/internal/medium"
 	"wile/internal/obs"
 	"wile/internal/sim"
 	"wile/internal/units"
@@ -173,6 +177,69 @@ func traceRun(tr *Trace, err error) (any, Run, wave, error) {
 	return []any{v, tr.Meter.Samples}, tr.Run, wave{tr.Steps, tr.DeviceEnergy, sim.FromDuration(tr.Window)}, nil
 }
 
+// launches passes each transmit burst on to the device after logging when
+// the frame's airtime ends: a count of the frames in flight that does not
+// go through the ledger.
+type launches struct {
+	mac.RadioListener
+	sched *sim.Scheduler
+	ends  *[]sim.Time
+}
+
+func (l launches) RadioTx(airtime time.Duration) {
+	*l.ends = append(*l.ends, l.sched.Now().Add(airtime))
+	l.RadioListener.RadioTx(airtime)
+}
+
+// fleetDeadline ends the booting fleet's run inside a boot and inside a
+// beacon's airtime.
+const fleetDeadline = 1_704_100 * sim.Microsecond
+
+// bootingFleet is a field no entry point builds: six duty-cycled Wi-LE
+// sensors with full boots, DCF and seed-drawn phases, in a 4 m disc
+// around one scanner, run to fleetDeadline. It reports what must not
+// depend on Obs, the Run, each sensor's waveform, the frames in flight at
+// the deadline and the sensors still booting there.
+func bootingFleet(o *Obs) (res any, r Run, waves []wave, inFlight, booting int) {
+	w := newWorld(o)
+	rng := sim.NewRand(5)
+	sc := core.NewScanner(w.sched, w.med, core.ScannerConfig{Seed: rng.Uint64() | 1})
+	comps := []component{sc}
+	var sensors []*core.Sensor
+	var ends []sim.Time
+	for i := 0; i < 6; i++ {
+		d, a := 4*rng.Float64(), 2*math.Pi*rng.Float64()
+		s := core.NewSensor(w.sched, w.med, core.SensorConfig{
+			DeviceID: 0x3000 + uint32(i),
+			Position: medium.Position{X: d * math.Cos(a), Y: d * math.Sin(a)},
+			Period:   time.Second,
+			Seed:     rng.Uint64() | 1,
+		})
+		s.Port.Radio = launches{s.Dev, w.sched, &ends}
+		w.sched.DoAfter(time.Duration(rng.Float64()*float64(time.Second)), s.Run)
+		sensors, comps = append(sensors, s), append(comps, s)
+	}
+	w.attach(o, comps...)
+	sc.Start()
+	w.sched.RunUntil(fleetDeadline)
+
+	out := []any{sc.Stats}
+	for _, s := range sensors {
+		wv := waveOf(s.Dev, w.sched)
+		out = append(out, s.Stats, s.Dev.Marks(), wv)
+		waves = append(waves, wv)
+		if s.Dev.GetState() == esp32.StateCPUActive {
+			booting++
+		}
+	}
+	for _, end := range ends {
+		if end > fleetDeadline {
+			inFlight++
+		}
+	}
+	return out, w.run(), waves, inFlight, booting
+}
+
 // TestEveryWorldBalancesItsLedger builds every world the package's entry
 // points build, with harnessObs attached, runs the same code on it, and
 // checks balanced and same on each, and charged on the world's device
@@ -253,6 +320,29 @@ func TestEveryWorldBalancesItsLedger(t *testing.T) {
 			monotone(t, tc.name, o.Rec, r.Events)
 		})
 	}
+
+	// A fleet stopped mid-boot: every sensor's waveform must be caught up
+	// to the deadline, and the ledger must hold exactly the frames whose
+	// airtime the deadline cuts.
+	t.Run("BootingFleet", func(t *testing.T) {
+		want, _, waves, inFlight, booting := bootingFleet(nil)
+		if booting == 0 || inFlight == 0 {
+			t.Fatalf("at the %v deadline %d sensors boot and %d frames fly, want some of each", fleetDeadline, booting, inFlight)
+		}
+		for i, wv := range waves {
+			charged(t, fmt.Sprintf("sensor %d", i), wv)
+		}
+		o := harnessObs()
+		got, r, _, _, _ := bootingFleet(o)
+		same(t, "BootingFleet", got, want)
+		balanced(t, "BootingFleet", o, r, inFlight)
+
+		o = harnessObs()
+		o.Sched = true
+		got, r, _, _, _ = bootingFleet(o)
+		same(t, "BootingFleet with the firehose", got, want)
+		monotone(t, "BootingFleet", o.Rec, r.Events)
+	})
 
 	// The ablation points take their world as an argument, so the test
 	// hooks the firehose onto it itself.

@@ -45,7 +45,7 @@ type Obs struct {
 	Series *obs.TimeSeries
 	// Sched additionally records every scheduler dispatch as an instant on
 	// a "sched" track — the firehose view (one instant per timer, frame
-	// delivery and profile step), for debugging rather than figure runs.
+	// delivery and profile end), for debugging rather than figure runs.
 	Sched bool
 }
 

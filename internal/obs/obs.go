@@ -154,7 +154,7 @@ func (r *Recorder) Counter(track TrackID, at sim.Time, value float64) {
 
 // ObserveScheduler wires the kernel's dispatch hook to an instant event per
 // fired simulation event on the given track. This is the firehose view —
-// every timer, frame delivery and profile step becomes an event, 508 over
+// every timer, frame delivery and profile end becomes an event, 490 over
 // the Figure 3a window — so figure-scale runs keep it off and debugging
 // runs (wile-trace -sched) turn it on.
 func ObserveScheduler(r *Recorder, sched *sim.Scheduler, track TrackID) {

@@ -16,7 +16,8 @@
 // that holds the callback, so sifting writes no pointer and never pays
 // the collector's write barrier. There is one kind of event, and a figure
 // run keeps at most nine of them pending: the 50 kSa/s multimeter
-// schedules nothing (see package meter).
+// schedules nothing (see package meter), and a device's scripted current
+// profile books one event, at its end (see energy.Recorder).
 package sim
 
 import (
