@@ -14,7 +14,7 @@
 // -perfetto replaces the CSV with a Chrome trace-event JSON timeline: one
 // track per device/MAC layer plus the meter's current as a counter lane.
 // -sched additionally records every scheduler dispatch as an instant (the
-// firehose view: 508 dispatches and 58 KB of JSON for fig3a). -metrics
+// firehose view: 490 dispatches and 57 KB of JSON for fig3a). -metrics
 // snapshots the run's counters to a file.
 //
 // -drops wires a frame-provenance ledger into the run: every transmitted

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"wile/internal/sim"
+	"wile/internal/units"
 )
 
 func TestConnectionEventEnergyMatchesTable1(t *testing.T) {
@@ -20,11 +21,17 @@ func TestConnectionEventEnergyMatchesTable1(t *testing.T) {
 	}
 }
 
+// current is d's draw now: the current of the last step of its history.
+func current(d *Device) units.Amps {
+	steps := d.Steps()
+	return steps[len(steps)-1].Current
+}
+
 func TestDeviceSleepsAtTableIdleCurrent(t *testing.T) {
 	s := sim.New()
 	d := NewDevice(s)
-	if d.Current() != CC2541SleepCurrent {
-		t.Fatalf("sleep current = %v", d.Current())
+	if current(d) != CC2541SleepCurrent {
+		t.Fatalf("sleep current = %v", current(d))
 	}
 	s.RunUntil(10 * sim.Second)
 	want := 10 * float64(CC2541SleepCurrent)
@@ -42,7 +49,7 @@ func TestPlayConnectionEventEnergy(t *testing.T) {
 	if !finished {
 		t.Fatal("event never completed")
 	}
-	if d.Current() != CC2541SleepCurrent {
+	if current(d) != CC2541SleepCurrent {
 		t.Fatal("device not back asleep")
 	}
 	got := float64(d.Energy())

@@ -126,7 +126,8 @@ func TestSensorIdleCurrentMatchesTable1(t *testing.T) {
 	r := newRig()
 	sensor := NewSensor(r.sched, r.med, SensorConfig{DeviceID: 1, Position: pos(0, 0)})
 	r.sched.RunUntil(10 * sim.Second)
-	if got := sensor.Dev.Current(); got != units.MicroAmps(2.5) {
+	steps := sensor.Dev.Steps()
+	if got := steps[len(steps)-1].Current; got != units.MicroAmps(2.5) {
 		t.Fatalf("idle current = %v A, want 2.5 µA", float64(got))
 	}
 }

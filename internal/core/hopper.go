@@ -1,6 +1,8 @@
 package core
 
 import (
+	"cmp"
+	"slices"
 	"time"
 
 	"wile/internal/sim"
@@ -94,7 +96,7 @@ func (h *ChannelHopper) Devices() []DeviceRecord {
 	for _, rec := range merged {
 		out = append(out, rec)
 	}
-	sortRecords(out)
+	slices.SortFunc(out, func(a, b DeviceRecord) int { return cmp.Compare(a.DeviceID, b.DeviceID) })
 	return out
 }
 
@@ -105,12 +107,4 @@ func (h *ChannelHopper) Messages() int {
 		n += sc.Stats.Messages
 	}
 	return n
-}
-
-func sortRecords(recs []DeviceRecord) {
-	for i := 1; i < len(recs); i++ {
-		for j := i; j > 0 && recs[j].DeviceID < recs[j-1].DeviceID; j-- {
-			recs[j], recs[j-1] = recs[j-1], recs[j]
-		}
-	}
 }

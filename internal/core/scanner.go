@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"wile/internal/dot11"
@@ -286,7 +288,7 @@ func (sc *Scanner) Devices() []DeviceRecord {
 	for _, rec := range sc.devices {
 		out = append(out, *rec)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].DeviceID < out[j].DeviceID })
+	slices.SortFunc(out, func(a, b DeviceRecord) int { return cmp.Compare(a.DeviceID, b.DeviceID) })
 	return out
 }
 

@@ -9,8 +9,8 @@ import (
 // and SSID, it watches a monitor-mode frame stream, captures the ANonce
 // and SNonce from each 4-way handshake it overhears, derives the same PTK
 // the peers derive, and decrypts subsequent CCMP data frames — exactly the
-// trick Wireshark's 802.11 decryption uses. The experiment harness uses it
-// to look *inside* the encrypted DHCP/ARP phase of the Figure 3a join
+// trick Wireshark's 802.11 decryption uses. The station and experiment
+// tests use it to look *inside* the encrypted DHCP/ARP phase of a join
 // without giving the monitor any protocol shortcuts.
 //
 // The standard caveat applies and is part of the point: PSK networks have

@@ -56,7 +56,7 @@ func ProfileCharge(segs []Segment) units.Coulombs {
 //
 // A profile costs one scheduler event, at its end. Every boundary inside it
 // is known when it starts, so the recorder applies them lazily: Set,
-// Current, Charge, Steps and CatchUp first apply, in order, each boundary at
+// Charge, Steps and CatchUp first apply, in order, each boundary at
 // or before now, as if an event had fired there. So the step history never
 // holds a step after now, and a Set at a boundary's instant lands after
 // that boundary.
@@ -131,13 +131,6 @@ func (r *Recorder) CatchUp() {
 func (r *Recorder) Set(a units.Amps) {
 	r.CatchUp()
 	r.step(r.sched.Now(), a)
-}
-
-// Current reports the instantaneous draw — what the series multimeter
-// reads at this exact virtual instant.
-func (r *Recorder) Current() units.Amps {
-	r.CatchUp()
-	return r.steps[len(r.steps)-1].Current
 }
 
 // Charge reports the charge drawn since construction, integrated exactly

@@ -91,8 +91,8 @@ func TestRecorderDoneMayPlayAgain(t *testing.T) {
 	if plays != 3 || s.Now() != sim.FromDuration(3*ProfileDuration(testProfile)) {
 		t.Fatalf("%d plays ending at %v", plays, s.Now())
 	}
-	if r.Current() != restA {
-		t.Fatalf("current after the last profile = %v", r.Current())
+	if a := current(r); a != restA {
+		t.Fatalf("current after the last profile = %v", a)
 	}
 }
 
@@ -134,7 +134,7 @@ func TestSetAtABoundaryLandsAfterIt(t *testing.T) {
 	var at5 []Step
 	var at6 units.Amps
 	s.After(5*time.Millisecond, func() { at5 = append(at5, r.Steps()...) })
-	s.After(6*time.Millisecond, func() { at6 = r.Current(); r.Set(x) })
+	s.After(6*time.Millisecond, func() { at6 = current(r); r.Set(x) })
 	s.After(time.Millisecond, func() { r.Play(testProfile, nil) })
 	s.Run()
 
@@ -181,19 +181,19 @@ func newOracle(sched *sim.Scheduler, rest func() units.Amps, label func(sim.Time
 
 func (o *oracle) touch() {
 	if now := o.sched.Now(); now > o.lastT {
-		o.charge += units.Charge(o.Current(), now.Sub(o.lastT))
+		o.charge += units.Charge(o.last(), now.Sub(o.lastT))
 		o.lastT = now
 	}
 }
 
 func (o *oracle) Set(a units.Amps) {
 	o.touch()
-	if a != o.Current() {
+	if a != o.last() {
 		o.steps = append(o.steps, Step{At: o.sched.Now(), Current: a})
 	}
 }
 
-func (o *oracle) Current() units.Amps { return o.steps[len(o.steps)-1].Current }
+func (o *oracle) last() units.Amps { return o.steps[len(o.steps)-1].Current }
 
 func (o *oracle) Charge() units.Coulombs {
 	o.touch()
@@ -235,10 +235,15 @@ func (o *oracle) next() {
 // waveform is what the recorder and the oracle both offer.
 type waveform interface {
 	Set(units.Amps)
-	Current() units.Amps
 	Charge() units.Coulombs
 	Steps() []Step
 	Play([]Segment, func())
+}
+
+// current is w's draw now: the current of the last step of its history.
+func current(w waveform) units.Amps {
+	steps := w.Steps()
+	return steps[len(steps)-1].Current
 }
 
 // script is one random world for TestRecorderMatchesOracle: profiles
@@ -259,7 +264,7 @@ type play struct {
 }
 
 // call is one action at an instant: kind 0 sets the current to a, 1 makes
-// a the rest current, 2 reads Current, 3 Charge, 4 Steps.
+// a the rest current, 2 reads the last step's current, 3 Charge, 4 Steps.
 type call struct {
 	at   sim.Time
 	kind int
@@ -346,7 +351,7 @@ func (sc script) run(mk func(*sim.Scheduler, func() units.Amps, func(sim.Time, s
 		ob.labels = append(ob.labels, Mark{At: at, Label: l})
 	})
 	read := func() {
-		ob.reads = append(ob.reads, s.Now(), w.Current(), math.Float64bits(float64(w.Charge())),
+		ob.reads = append(ob.reads, s.Now(), math.Float64bits(float64(w.Charge())),
 			append([]Step(nil), w.Steps()...))
 	}
 	for _, c := range sc.calls {
@@ -357,7 +362,7 @@ func (sc script) run(mk func(*sim.Scheduler, func() units.Amps, func(sim.Time, s
 			case 1:
 				rest = c.a
 			case 2:
-				ob.reads = append(ob.reads, s.Now(), w.Current())
+				ob.reads = append(ob.reads, s.Now(), current(w))
 			case 3:
 				ob.reads = append(ob.reads, s.Now(), math.Float64bits(float64(w.Charge())))
 			case 4:

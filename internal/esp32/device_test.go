@@ -28,14 +28,20 @@ func TestStateCurrentsMatchPaper(t *testing.T) {
 	}
 }
 
+// current is d's draw now: the current of the last step of its history.
+func current(d *Device) units.Amps {
+	steps := d.Steps()
+	return steps[len(steps)-1].Current
+}
+
 func TestDeviceStartsInDeepSleep(t *testing.T) {
 	s := sim.New()
 	d := New(s)
 	if d.GetState() != StateDeepSleep {
 		t.Fatalf("initial state %v", d.GetState())
 	}
-	if d.Current() != units.Amps(2.5e-6) {
-		t.Fatalf("initial current %v", d.Current())
+	if current(d) != units.Amps(2.5e-6) {
+		t.Fatalf("initial current %v", current(d))
 	}
 }
 
@@ -60,12 +66,12 @@ func TestTxBurstOverridesState(t *testing.T) {
 	d := New(s)
 	d.SetState(StateRadioListen)
 	d.RadioTx(60 * time.Microsecond)
-	if d.Current() != TxBurstCurrent {
-		t.Fatalf("current during burst = %v", d.Current())
+	if current(d) != TxBurstCurrent {
+		t.Fatalf("current during burst = %v", current(d))
 	}
 	s.Run()
-	if d.Current() != StateCurrent(StateRadioListen) {
-		t.Fatalf("current after burst = %v", d.Current())
+	if current(d) != StateCurrent(StateRadioListen) {
+		t.Fatalf("current after burst = %v", current(d))
 	}
 	// Energy of the burst window is (ramp+airtime) at TX current.
 	want := float64(units.Charge(TxBurstCurrent, TxRampUp+60*time.Microsecond))
@@ -82,8 +88,8 @@ func TestOverlappingTxBurstsExtend(t *testing.T) {
 	d.RadioTx(100 * time.Microsecond)
 	s.After(50*time.Microsecond, func() { d.RadioTx(100 * time.Microsecond) })
 	s.Run()
-	if d.Current() != StateCurrent(StateRadioListen) {
-		t.Fatalf("current after overlapping bursts = %v", d.Current())
+	if current(d) != StateCurrent(StateRadioListen) {
+		t.Fatalf("current after overlapping bursts = %v", current(d))
 	}
 	// Union of the two windows: 50µs offset + ramp+100µs = ramp+150µs total.
 	want := float64(units.Charge(TxBurstCurrent, TxRampUp+150*time.Microsecond))
@@ -99,12 +105,12 @@ func TestStateChangeDuringBurstDefersToBurst(t *testing.T) {
 	d.RadioTx(200 * time.Microsecond)
 	s.After(50*time.Microsecond, func() { d.SetState(StateDeepSleep) })
 	s.RunUntil(sim.Time(50) * sim.Microsecond)
-	if d.Current() != TxBurstCurrent {
+	if current(d) != TxBurstCurrent {
 		t.Fatal("state change mid-burst dropped the TX current")
 	}
 	s.Run()
-	if d.Current() != StateCurrent(StateDeepSleep) {
-		t.Fatalf("post-burst current %v, want deep sleep", d.Current())
+	if current(d) != StateCurrent(StateDeepSleep) {
+		t.Fatalf("post-burst current %v, want deep sleep", current(d))
 	}
 }
 
@@ -141,8 +147,8 @@ func TestPlaySegments(t *testing.T) {
 		t.Fatalf("boot took %v, want %v", s.Now(), energy.ProfileDuration(BootWiFi()))
 	}
 	// After the profile the device returns to its state current.
-	if d.Current() != StateCurrent(StateDeepSleep) {
-		t.Fatalf("post-profile current %v", d.Current())
+	if current(d) != StateCurrent(StateDeepSleep) {
+		t.Fatalf("post-profile current %v", current(d))
 	}
 	if len(d.Marks()) == 0 || d.Marks()[0].Label != "MC/WiFi init" {
 		t.Fatalf("marks = %+v", d.Marks())

@@ -154,13 +154,19 @@ func TestFig3aPhaseStructure(t *testing.T) {
 		t.Errorf("trace energy %.1f mJ vs paper 238.2 mJ", tr.Energy.Milli())
 	}
 	// The DHCP plateau sits in the 20–30 mA band the paper describes.
-	m := tr.Meter
-	plateau := m.MeanCurrent(dhcpStart+50*sim.Millisecond, dhcpEnd-50*sim.Millisecond)
+	t0, t1 := dhcpStart+50*sim.Millisecond, dhcpEnd-50*sim.Millisecond
+	plateau := units.MeanCurrent(tr.Meter.Charge(t0, t1), t1.Sub(t0))
 	if plateau < units.MilliAmps(18) || plateau > units.MilliAmps(35) {
 		t.Errorf("DHCP plateau %.1f mA, paper: 20-30 mA", plateau.Milli())
 	}
 	// Spikes reach the TX current during the mgmt exchange.
-	if peak := m.PeakCurrent(mgmtStart, mgmtEnd); peak < units.MilliAmps(170) {
+	var peak units.Amps
+	for _, s := range tr.Meter.Samples {
+		if s.At >= mgmtStart && s.At < mgmtEnd {
+			peak = max(peak, s.Current)
+		}
+	}
+	if peak < units.MilliAmps(170) {
 		t.Errorf("mgmt peak %.0f mA, want TX spikes ≈180 mA", peak.Milli())
 	}
 }

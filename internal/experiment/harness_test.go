@@ -165,6 +165,27 @@ func charged(t *testing.T, name string, w wave) {
 	}
 }
 
+// booted fails unless a sensor stopped mid-boot ends its step history
+// with the boundaries of esp32.BootWiLE(), played from the instant from,
+// that fall at or before its end, each drawing its segment's current: the
+// recorder must have caught the profile up to the deadline.
+func booted(t *testing.T, name string, w wave, from sim.Time) {
+	t.Helper()
+	var want []energy.Step
+	at := from
+	for _, seg := range esp32.BootWiLE() {
+		if at > w.end {
+			break
+		}
+		want = append(want, energy.Step{At: at, Current: seg.Current})
+		at = at.Add(seg.D)
+	}
+	tail := w.steps[max(0, len(w.steps)-len(want)):]
+	if !reflect.DeepEqual(tail, want) {
+		t.Errorf("%s: step history ends %+v, want the boot's boundaries up to %v, %+v", name, tail, w.end, want)
+	}
+}
+
 // traceRun splits a figure run into what must not depend on Obs (the
 // trace less its meter's wiring, and the samples), its Run and the
 // device's waveform.
@@ -199,8 +220,9 @@ const fleetDeadline = 1_704_100 * sim.Microsecond
 // sensors with full boots, DCF and seed-drawn phases, in a 4 m disc
 // around one scanner, run to fleetDeadline. It reports what must not
 // depend on Obs, the Run, each sensor's waveform, the frames in flight at
-// the deadline and the sensors still booting there.
-func bootingFleet(o *Obs) (res any, r Run, waves []wave, inFlight, booting int) {
+// the deadline and, by sensor index, the instant each sensor still
+// booting there began its boot.
+func bootingFleet(o *Obs) (res any, r Run, waves []wave, inFlight int, boots map[int]sim.Time) {
 	w := newWorld(o)
 	rng := sim.NewRand(5)
 	sc := core.NewScanner(w.sched, w.med, core.ScannerConfig{Seed: rng.Uint64() | 1})
@@ -224,12 +246,18 @@ func bootingFleet(o *Obs) (res any, r Run, waves []wave, inFlight, booting int) 
 	w.sched.RunUntil(fleetDeadline)
 
 	out := []any{sc.Stats}
-	for _, s := range sensors {
+	boots = map[int]sim.Time{}
+	for i, s := range sensors {
 		wv := waveOf(s.Dev, w.sched)
 		out = append(out, s.Stats, s.Dev.Marks(), wv)
 		waves = append(waves, wv)
 		if s.Dev.GetState() == esp32.StateCPUActive {
-			booting++
+			// The boot under way began at the last first-segment mark.
+			for _, mk := range s.Dev.Marks() {
+				if mk.Label == esp32.BootWiLE()[0].Label {
+					boots[i] = mk.At
+				}
+			}
 		}
 	}
 	for _, end := range ends {
@@ -237,7 +265,7 @@ func bootingFleet(o *Obs) (res any, r Run, waves []wave, inFlight, booting int) 
 			inFlight++
 		}
 	}
-	return out, w.run(), waves, inFlight, booting
+	return out, w.run(), waves, inFlight, boots
 }
 
 // TestEveryWorldBalancesItsLedger builds every world the package's entry
@@ -325,12 +353,16 @@ func TestEveryWorldBalancesItsLedger(t *testing.T) {
 	// to the deadline, and the ledger must hold exactly the frames whose
 	// airtime the deadline cuts.
 	t.Run("BootingFleet", func(t *testing.T) {
-		want, _, waves, inFlight, booting := bootingFleet(nil)
-		if booting == 0 || inFlight == 0 {
-			t.Fatalf("at the %v deadline %d sensors boot and %d frames fly, want some of each", fleetDeadline, booting, inFlight)
+		want, _, waves, inFlight, boots := bootingFleet(nil)
+		if len(boots) == 0 || inFlight == 0 {
+			t.Fatalf("at the %v deadline %d sensors boot and %d frames fly, want some of each", fleetDeadline, len(boots), inFlight)
 		}
 		for i, wv := range waves {
-			charged(t, fmt.Sprintf("sensor %d", i), wv)
+			name := fmt.Sprintf("sensor %d", i)
+			charged(t, name, wv)
+			if from, ok := boots[i]; ok {
+				booted(t, name, wv, from)
+			}
 		}
 		o := harnessObs()
 		got, r, _, _, _ := bootingFleet(o)

@@ -6,13 +6,13 @@
 // The sampled waveform is piecewise constant: only events change the
 // device's current, and the device's energy.Recorder logs every change as
 // a step. So the meter schedules nothing. Start and Stop note the window,
-// and Stop reads the step history once and records the samples as
-// plateaus (start, sample count, value), a few dozen for a 2-second
-// 50 kS/s window. The sample at t reads the current after every event at
-// t. Every query (the integral, the peak, the CSV export, Walk) reads the
-// plateaus. Stop also expands them into Samples, sample for sample what a
-// reading at each instant would give, as the equivalence property tests
-// pin.
+// and Stop reads the step history once and records the samples as a step
+// history of their own, a few dozen steps for a 2-second 50 kS/s window:
+// each device step moves up to the first sample instant at or after it,
+// so the sample at t reads the current after every event at t. Every
+// query (the integral, the CSV export, Walk) reads those steps. Stop also
+// expands them into Samples, sample for sample what a reading at each
+// instant would give, as the equivalence property tests pin.
 package meter
 
 import (
@@ -43,20 +43,12 @@ type Sample struct {
 	Current units.Amps
 }
 
-// plateau is a run of consecutive samples with identical value: n readings
-// of val at from, from+period, ..., from+(n-1)*period.
-type plateau struct {
-	from sim.Time
-	n    int64
-	val  units.Amps
-}
-
 // Meter samples a probe at a fixed rate on the simulation clock.
 type Meter struct {
 	sched *sim.Scheduler
 	probe Probe
-	// Samples holds the per-sample trace, expanded from the plateaus at
-	// Stop for callers that want the raw readings as a slice.
+	// Samples holds the per-sample trace, expanded from steps at Stop for
+	// callers that want the raw readings as a slice.
 	Samples []Sample
 
 	period  time.Duration
@@ -64,11 +56,15 @@ type Meter struct {
 	// start is the first sample's instant, set by Start.
 	start sim.Time
 
-	// plateaus is the compact waveform.
-	plateaus []plateau
+	// steps is the sampled waveform: the samples from a step's instant up
+	// to the next step's read its current, and the last step's run up to
+	// last, the last sample's instant. Every step sits on a sample
+	// instant, and neighbours differ.
+	steps []energy.Step
+	last  sim.Time
 
 	// rec/track carry the optional trace recorder (TraceTo). The waveform
-	// is piecewise-constant, so one counter per plateau carries the full
+	// is piecewise-constant, so one counter per step carries the full
 	// signal and a 2-second 50 kS/s run costs dozens of trace events
 	// instead of 100k.
 	rec   *obs.Recorder
@@ -136,7 +132,7 @@ func (m *Meter) Start() {
 	m.start = m.sched.Now()
 }
 
-// TraceTo attaches the meter to a trace recorder: at Stop, each plateau
+// TraceTo attaches the meter to a trace recorder: at Stop, each step
 // feeds the given counter track one reading, in milliamperes, at its
 // first sample. Passing a nil recorder detaches.
 func (m *Meter) TraceTo(r *obs.Recorder, track obs.TrackID) {
@@ -145,46 +141,39 @@ func (m *Meter) TraceTo(r *obs.Recorder, track obs.TrackID) {
 }
 
 // read records the samples at m.start, m.start+period, ... up to stop from
-// the probe's step history. The sample at t reads the last step at or
-// before t, so it sees the current after every event at t; a run of
-// samples with no step between them is one observe call.
+// the probe's step history. Each device step moves up to the first sample
+// instant at or after it, so the sample at t reads the last step at or
+// before t: the current after every event at t. Before the first device
+// step, nothing is drawn.
 func (m *Meter) read(stop sim.Time) {
-	steps := m.probe.Steps()
+	// Index arithmetic runs on raw nanosecond counts: sample k sits at
+	// start + k*period, a Time again only after the multiply.
 	p := int64(m.period)
-	n := int64(stop-m.start)/p + 1
-	var a units.Amps // no step yet: nothing drawn
-	i := 0
-	for k := int64(0); k < n; {
-		at := m.start + sim.Time(k*p)
-		for i < len(steps) && steps[i].At <= at {
-			a = steps[i].Current
-			i++
+	m.last = m.start + sim.Time(int64(stop-m.start)/p*p)
+	m.steps = append(m.steps[:0], energy.Step{At: m.start})
+	for _, s := range m.probe.Steps() {
+		at := m.start
+		if s.At > at {
+			at += sim.Time((int64(s.At-m.start) + p - 1) / p * p)
 		}
-		// a holds until steps[i]: samples k up to the first one at or
-		// after it read a.
-		next := n
-		if i < len(steps) {
-			next = min(n, (int64(steps[i].At-m.start)+p-1)/p)
+		if at > m.last {
+			break
 		}
-		m.observe(at, next-k, a)
-		k = next
-	}
-}
-
-// observe records n consecutive samples of a starting at from: it extends
-// the last plateau when that one is contiguous and equal, and otherwise
-// starts a plateau and feeds it to the counter track.
-func (m *Meter) observe(from sim.Time, n int64, a units.Amps) {
-	if k := len(m.plateaus); k > 0 {
-		last := &m.plateaus[k-1]
-		if last.val == a && last.from+sim.Time(last.n*int64(m.period)) == from {
-			last.n += n
-			return
+		// A later step on the same instant replaces the earlier one, and
+		// equal neighbours merge.
+		n := len(m.steps)
+		if m.steps[n-1].At == at {
+			n--
+			m.steps = m.steps[:n]
+		}
+		if n == 0 || m.steps[n-1].Current != s.Current {
+			m.steps = append(m.steps, energy.Step{At: at, Current: s.Current})
 		}
 	}
-	m.plateaus = append(m.plateaus, plateau{from: from, n: n, val: a})
 	if m.rec != nil {
-		m.rec.Counter(m.track, from, a.Milli())
+		for _, s := range m.steps {
+			m.rec.Counter(m.track, s.At, s.Current.Milli())
+		}
 	}
 }
 
@@ -200,96 +189,45 @@ func (m *Meter) Stop() {
 	m.materialize()
 }
 
-// materialize expands the recorded plateaus into the public Samples slice,
+// until is the instant the run of samples reading step i ends: the next
+// step's, or one period past the last sample.
+func (m *Meter) until(i int) sim.Time {
+	if i+1 < len(m.steps) {
+		return m.steps[i+1].At
+	}
+	return m.last + sim.Time(m.period)
+}
+
+// materialize expands the recorded steps into the public Samples slice,
 // exactly as the per-sample stepper would have appended them. It is Walk
 // inlined, with no call per sample: Stop runs it over the 100k samples of
 // every figure run.
 func (m *Meter) materialize() {
 	m.Samples = m.Samples[:0]
 	p := sim.Time(m.period)
-	for _, pl := range m.plateaus {
-		at := pl.from
-		for j := int64(0); j < pl.n; j++ {
-			m.Samples = append(m.Samples, Sample{At: at, Current: pl.val})
-			at += p
+	for i, s := range m.steps {
+		for at, end := s.At, m.until(i); at < end; at += p {
+			m.Samples = append(m.Samples, Sample{At: at, Current: s.Current})
 		}
 	}
 }
 
 // Charge integrates the sampled current between t0 and t1 using the
-// rectangle rule (each sample holds until the next) — the same numeric
-// integration a bench engineer applies to exported multimeter data. It
-// runs on the plateau record: sample j of a plateau holds for one period
-// (interior) or until the next plateau's first sample (last), so the
-// interior of each plateau integrates in closed form (one multiply per
-// plateau instead of one per sample), and only samples clipped by t0/t1
-// or holding across a plateau boundary are handled individually.
+// rectangle rule (each sample holds until the next, the last until t1) —
+// the same numeric integration a bench engineer applies to exported
+// multimeter data. Consecutive samples of one value hold it with no gap,
+// so the rule is the integral of the recorded steps: each step's current
+// times the part of [t0, t1) it holds, the last step held to t1.
 func (m *Meter) Charge(t0, t1 sim.Time) units.Coulombs {
 	var total units.Coulombs
-	// Index arithmetic runs on raw nanosecond counts: sample j of a plateau
-	// sits at from + j*period, a Time again only after the multiply.
-	perNs := int64(m.period)
-	for i, pl := range m.plateaus {
-		if pl.from >= t1 {
-			break
+	for i, s := range m.steps {
+		from, to := max(s.At, t0), t1
+		if i+1 < len(m.steps) {
+			to = min(m.steps[i+1].At, t1)
 		}
-		// Hold boundary for the plateau's last sample: the next plateau's
-		// first sample, or the end of the integration window.
-		lastEnd := t1
-		if i+1 < len(m.plateaus) && m.plateaus[i+1].from < t1 {
-			lastEnd = m.plateaus[i+1].from
+		if to > from {
+			total += units.Charge(s.Current, to.Sub(from))
 		}
-		addSample := func(j int64) {
-			at := pl.from + sim.Time(j*perNs)
-			if at >= t1 {
-				return
-			}
-			end := at + sim.Time(perNs)
-			if j == pl.n-1 {
-				end = lastEnd
-			}
-			if end > t1 {
-				end = t1
-			}
-			start := at
-			if start < t0 {
-				start = t0
-			}
-			if end > start {
-				total += units.Charge(pl.val, end.Sub(start))
-			}
-		}
-		// j0: the sample whose interval contains t0 (0 when the plateau
-		// starts inside the window).
-		j0 := int64(0)
-		if t0 > pl.from {
-			j0 = int64(t0-pl.from) / perNs
-			if j0 > pl.n-1 {
-				j0 = pl.n - 1
-			}
-		}
-		// Interior samples in [jf0, jf1) are fully inside [t0, t1] and
-		// hold exactly one period each: integrate them in one step.
-		jf0 := j0
-		if pl.from+sim.Time(j0*perNs) < t0 {
-			jf0 = j0 + 1
-		}
-		jf1 := pl.n - 1
-		if limit := int64(t1-pl.from) / perNs; limit < jf1 {
-			jf1 = limit
-		}
-		if jf1 > jf0 {
-			total += units.Charge(pl.val, time.Duration(jf1-jf0)*m.period)
-		}
-		// Boundary samples: the t0 straddler and the t1-clipped interior
-		// sample (at most one each), then the plateau's last sample.
-		if j0 < jf0 && j0 < pl.n-1 {
-			addSample(j0)
-		}
-		if jf1 >= jf0 && jf1 < pl.n-1 {
-			addSample(jf1)
-		}
-		addSample(pl.n - 1)
 	}
 	return total
 }
@@ -299,45 +237,15 @@ func (m *Meter) Energy(t0, t1 sim.Time, v units.Volts) units.Joules {
 	return m.Charge(t0, t1).Energy(v)
 }
 
-// MeanCurrent reports the average current between t0 and t1.
-func (m *Meter) MeanCurrent(t0, t1 sim.Time) units.Amps {
-	if t1 <= t0 {
-		return 0
-	}
-	return units.MeanCurrent(m.Charge(t0, t1), t1.Sub(t0))
-}
-
-// PeakCurrent reports the largest sample in [t0, t1).
-func (m *Meter) PeakCurrent(t0, t1 sim.Time) units.Amps {
-	var peak units.Amps
-	perNs := int64(m.period)
-	for _, pl := range m.plateaus {
-		if pl.from >= t1 {
-			break
-		}
-		// The plateau's first sample at or after t0.
-		j := int64(0)
-		if t0 > pl.from {
-			j = (int64(t0-pl.from) + perNs - 1) / perNs
-		}
-		if j < pl.n && pl.from+sim.Time(j*perNs) < t1 && pl.val > peak {
-			peak = pl.val
-		}
-	}
-	return peak
-}
-
 // Walk calls visit on every sample in time order, expanded from the
-// plateau record, until visit returns false.
+// recorded steps, until visit returns false.
 func (m *Meter) Walk(visit func(Sample) bool) {
 	p := sim.Time(m.period)
-	for _, pl := range m.plateaus {
-		at := pl.from
-		for j := int64(0); j < pl.n; j++ {
-			if !visit(Sample{At: at, Current: pl.val}) {
+	for i, s := range m.steps {
+		for at, end := s.At, m.until(i); at < end; at += p {
+			if !visit(Sample{At: at, Current: s.Current}) {
 				return
 			}
-			at += p
 		}
 	}
 }

@@ -27,7 +27,7 @@ type currentChange struct {
 // makeChangeProgram builds a random piecewise-constant waveform: current
 // steps at random instants, some aligned exactly on sample boundaries,
 // some queued less than a period ahead, some repeating the previous value
-// (so the meter's plateau merging and the counter feed's change-dedup both
+// (so the meter's step merging and the counter feed's change-dedup both
 // get exercised).
 func makeChangeProgram(rng *rand.Rand, window sim.Time, period time.Duration) []currentChange {
 	levels := []units.Amps{0, 10e-6, 10e-6, 0.027, 0.095, 0.200, 0.310}
@@ -62,10 +62,10 @@ func playChanges(s *sim.Scheduler, p *energy.Recorder, changes []currentChange) 
 	}
 }
 
-// runPlateauMeter drives the program into a recorder, meters it with the
+// runMeter drives the program into a recorder, meters it with the
 // real Meter, and returns the meter (its Samples materialized), the
 // recorder and the meter's Chrome-trace counter feed.
-func runPlateauMeter(t *testing.T, changes []currentChange, window sim.Time, rate int) (*Meter, *energy.Recorder, []byte) {
+func runMeter(t *testing.T, changes []currentChange, window sim.Time, rate int) (*Meter, *energy.Recorder, []byte) {
 	t.Helper()
 	s := sim.New()
 	p := wave(s, 0.5)
@@ -87,7 +87,7 @@ func runPlateauMeter(t *testing.T, changes []currentChange, window sim.Time, rat
 // sample at a time: it runs the kernel up to each sample instant, so every
 // event at that instant has fired, and reads the recorder's current. It
 // feeds the counter track one reading per change of value, which is the
-// meter's one counter per plateau. It is the oracle for the meter's one
+// meter's one counter per step. It is the oracle for the meter's one
 // rule: the sample at t reads the current after every event at t.
 func runStepperReference(t *testing.T, changes []currentChange, window sim.Time, rate int) ([]Sample, []byte) {
 	t.Helper()
@@ -101,7 +101,8 @@ func runStepperReference(t *testing.T, changes []currentChange, window sim.Time,
 	playChanges(s, p, changes)
 	for at := s.Now(); at <= window; at = at.Add(period) {
 		s.RunUntil(at)
-		a := p.Current()
+		steps := p.Steps()
+		a := steps[len(steps)-1].Current
 		if a != lastTraced {
 			lastTraced = a
 			rec.Counter(track, at, a.Milli())
@@ -127,20 +128,20 @@ func TestPlateauMatchesStepper(t *testing.T) {
 		window := sim.Time(1+rng.Int63n(200)) * sim.Millisecond
 		changes := makeChangeProgram(rng, window, period)
 
-		m, _, gotTrace := runPlateauMeter(t, changes, window, rate)
+		m, _, gotTrace := runMeter(t, changes, window, rate)
 		got := m.Samples
 		want, wantTrace := runStepperReference(t, changes, window, rate)
 
 		if len(got) != len(want) {
-			t.Fatalf("trial %d: plateau meter produced %d samples, stepper %d", trial, len(got), len(want))
+			t.Fatalf("trial %d: meter produced %d samples, stepper %d", trial, len(got), len(want))
 		}
 		for i := range got {
 			if got[i] != want[i] {
-				t.Fatalf("trial %d: sample %d diverged: plateau=%+v stepper=%+v", trial, i, got[i], want[i])
+				t.Fatalf("trial %d: sample %d diverged: meter=%+v stepper=%+v", trial, i, got[i], want[i])
 			}
 		}
 		if !bytes.Equal(gotTrace, wantTrace) {
-			t.Fatalf("trial %d: counter-track export diverged:\nplateau: %s\nstepper: %s", trial, gotTrace, wantTrace)
+			t.Fatalf("trial %d: counter-track export diverged:\nmeter: %s\nstepper: %s", trial, gotTrace, wantTrace)
 		}
 	}
 }
@@ -193,7 +194,7 @@ func TestChargeWithinRectangleBound(t *testing.T) {
 		rate := []int{50_000, 10_000, 1_000}[trial%3]
 		period := time.Second / time.Duration(rate)
 		window := sim.Time(1+rng.Int63n(200)) * sim.Millisecond
-		m, p, _ := runPlateauMeter(t, makeChangeProgram(rng, window, period), window, rate)
+		m, p, _ := runMeter(t, makeChangeProgram(rng, window, period), window, rate)
 
 		steps := p.Steps()
 		var swing units.Amps
@@ -209,7 +210,7 @@ func TestChargeWithinRectangleBound(t *testing.T) {
 	}
 }
 
-// chargeSamples is the per-sample rectangle rule the plateau integral must
+// chargeSamples is the per-sample rectangle rule the step integral must
 // reproduce: each sample holds its reading until the next sample (the last
 // until t1), clipped to [t0, t1].
 func chargeSamples(samples []Sample, t0, t1 sim.Time) units.Coulombs {
@@ -233,9 +234,9 @@ func chargeSamples(samples []Sample, t0, t1 sim.Time) units.Coulombs {
 	return total
 }
 
-// TestChargePlateausMatchesChargeSamples pins the closed-form plateau
-// integration to the per-sample rectangle rule over random integration
-// windows, including windows clipping plateau interiors and boundaries.
+// TestChargePlateausMatchesChargeSamples pins the integral over the
+// meter's steps to the per-sample rectangle rule over random integration
+// windows, including windows clipping a step's interior and boundaries.
 func TestChargePlateausMatchesChargeSamples(t *testing.T) {
 	for trial := int64(0); trial < 20; trial++ {
 		rng := rand.New(rand.NewSource(trial*7907 + 5))
@@ -244,7 +245,7 @@ func TestChargePlateausMatchesChargeSamples(t *testing.T) {
 		window := sim.Time(1+rng.Int63n(100)) * sim.Millisecond
 		changes := makeChangeProgram(rng, window, period)
 
-		m, _, _ := runPlateauMeter(t, changes, window, rate)
+		m, _, _ := runMeter(t, changes, window, rate)
 		samples := m.Samples
 
 		for q := 0; q < 50; q++ {
@@ -257,13 +258,13 @@ func TestChargePlateausMatchesChargeSamples(t *testing.T) {
 			want := float64(chargeSamples(samples, t0, t1))
 			tol := math.Max(math.Abs(want)*1e-12, 1e-18)
 			if math.Abs(got-want) > tol {
-				t.Fatalf("trial %d: Charge(%v, %v): plateau=%v samples=%v (diff %g)",
+				t.Fatalf("trial %d: Charge(%v, %v): steps=%v samples=%v (diff %g)",
 					trial, t0, t1, got, want, got-want)
 			}
 		}
 		// Whole-window and out-of-range queries.
 		if got, want := float64(m.Charge(0, window)), float64(chargeSamples(samples, 0, window)); math.Abs(got-want) > math.Abs(want)*1e-12 {
-			t.Fatalf("trial %d: full-window charge diverged: plateau=%v samples=%v", trial, got, want)
+			t.Fatalf("trial %d: full-window charge diverged: steps=%v samples=%v", trial, got, want)
 		}
 		if got := float64(m.Charge(window, window.Add(time.Second))); got != float64(chargeSamples(samples, window, window.Add(time.Second))) {
 			t.Fatalf("trial %d: past-end charge diverged", trial)
@@ -271,16 +272,16 @@ func TestChargePlateausMatchesChargeSamples(t *testing.T) {
 	}
 }
 
-// TestPlateauQueriesMatchSamples pins the queries that read the plateau
-// record — Walk, PeakCurrent and the CSV export — to the same queries over
-// the materialized samples, across randomized waveforms and windows.
+// TestPlateauQueriesMatchSamples pins the queries that read the meter's
+// steps — Walk and the CSV export — to the same queries over the
+// materialized samples, across randomized waveforms.
 func TestPlateauQueriesMatchSamples(t *testing.T) {
 	for trial := int64(0); trial < 20; trial++ {
 		rng := rand.New(rand.NewSource(trial*6151 + 3))
 		rate := []int{50_000, 10_000, 1_000}[rng.Intn(3)]
 		period := time.Second / time.Duration(rate)
 		window := sim.Time(1+rng.Int63n(100)) * sim.Millisecond
-		m, _, _ := runPlateauMeter(t, makeChangeProgram(rng, window, period), window, rate)
+		m, _, _ := runMeter(t, makeChangeProgram(rng, window, period), window, rate)
 		samples := m.Samples
 
 		var walked []Sample
@@ -292,23 +293,6 @@ func TestPlateauQueriesMatchSamples(t *testing.T) {
 		m.Walk(func(Sample) bool { stopped++; return stopped < 3 })
 		if stopped != min(3, len(samples)) {
 			t.Fatalf("trial %d: Walk went on for %d samples after visit returned false at the third", trial, stopped)
-		}
-
-		for q := 0; q < 50; q++ {
-			t0 := sim.Time(rng.Int63n(int64(window)))
-			t1 := sim.Time(rng.Int63n(int64(window)))
-			if t1 < t0 {
-				t0, t1 = t1, t0
-			}
-			var want units.Amps
-			for _, s := range samples {
-				if s.At >= t0 && s.At < t1 && s.Current > want {
-					want = s.Current
-				}
-			}
-			if got := m.PeakCurrent(t0, t1); got != want {
-				t.Fatalf("trial %d: PeakCurrent(%v, %v) = %v, samples say %v", trial, t0, t1, got, want)
-			}
 		}
 
 		var got, want bytes.Buffer
@@ -325,10 +309,9 @@ func TestPlateauQueriesMatchSamples(t *testing.T) {
 	}
 }
 
-// TestPlateauMergeCompression checks the plateau record actually stays
-// compact on a constant waveform — the whole point of plateaus — rather
-// than silently degenerating to one plateau per sample: one step, one
-// plateau.
+// TestPlateauMergeCompression checks the meter's step record actually
+// stays compact on a constant waveform rather than silently degenerating
+// to one step per sample: one device step, one meter step.
 func TestPlateauMergeCompression(t *testing.T) {
 	s := sim.New()
 	p := wave(s, 0.042)
@@ -339,7 +322,7 @@ func TestPlateauMergeCompression(t *testing.T) {
 	if len(m.Samples) < 100_000 {
 		t.Fatalf("materialized %d samples, want >= 100000", len(m.Samples))
 	}
-	if len(m.plateaus) != 1 {
-		t.Fatalf("constant 2 s waveform produced %d plateaus, want 1", len(m.plateaus))
+	if len(m.steps) != 1 {
+		t.Fatalf("constant 2 s waveform produced %d steps, want 1", len(m.steps))
 	}
 }

@@ -27,7 +27,7 @@
 // port, or instrument) and an ordered event log of slices (Span,
 // Begin/End), instants and counter samples, held in memory as one slice.
 // Every trace the simulator records is one Figure 3 window; the largest,
-// the scheduler firehose of fig3a (-sched), is 791 events or 38 KB.
+// the scheduler firehose of fig3a (-sched), is 773 events or 56.7 KB.
 // WriteChromeTrace exports the log in the Chrome trace-event JSON format,
 // which https://ui.perfetto.dev opens directly as a timeline: tracks become
 // threads, counter tracks become counter lanes. Export is a pure function
@@ -147,7 +147,7 @@ func (r *Recorder) Instant(track TrackID, at sim.Time, name string) {
 // Counter records a sample of the track's counter series; the track name is
 // the series name. Callers that sample a mostly-flat signal should record
 // only on change — the meter does — so a 50 kSa/s waveform costs one event
-// per plateau rather than one per sample.
+// per step rather than one per sample.
 func (r *Recorder) Counter(track TrackID, at sim.Time, value float64) {
 	r.record(Event{Ph: phCounter, Track: track, At: at, Value: value})
 }

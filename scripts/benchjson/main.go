@@ -14,7 +14,9 @@
 // run against a previously recorded baseline file (deltas_vs_baseline).
 // With -gate the run fails on an ns/op regression past -gate-threshold, on
 // any allocs/op growth, and on any change to a custom metric whose unit
-// ends in /op: those are exact work counts (events/op, tx/op, ...).
+// ends in /op: those are exact work counts (events/op, tx/op, ...). B/op
+// is diffed but not gated: pool reuse and collector timing move it between
+// runs of the same code.
 //
 // `benchjson -compare old.json new.json` renders the per-lane delta
 // between two recorded baselines as a markdown table — CI appends it to
@@ -76,6 +78,9 @@ type Delta struct {
 	// AllocsPerOpDiff is the absolute allocs/op change, when both runs
 	// recorded it.
 	AllocsPerOpDiff *float64 `json:"allocs_per_op_diff,omitempty"`
+	// BytesPerOpDiff is the absolute B/op change, when both runs recorded
+	// it. The gate does not read it.
+	BytesPerOpDiff *float64 `json:"bytes_per_op_diff,omitempty"`
 	// CountDiffs maps each custom metric whose unit ends in /op (events/op,
 	// tx/op, ...) to its change, for those that differ from the baseline.
 	// Such metrics are exact work counts and must not move.
@@ -97,7 +102,7 @@ type Baseline struct {
 func main() {
 	in := flag.String("in", "results/bench_output.txt", "bench output to parse")
 	out := flag.String("out", "BENCH_baseline.json", "JSON file to write")
-	baseline := flag.String("baseline", "", "previous baseline JSON to diff ns/op, allocs/op and custom /op counts against")
+	baseline := flag.String("baseline", "", "previous baseline JSON to diff ns/op, allocs/op, B/op and custom /op counts against")
 	gate := flag.Bool("gate", false, "exit nonzero when the diff against -baseline regresses (ns/op beyond -gate-threshold, any allocs/op increase, or any change to a custom /op count)")
 	gateThreshold := flag.Float64("gate-threshold", 25, "ns/op regression percentage the -gate tolerates")
 	compare := flag.Bool("compare", false, "compare two baseline JSON files (old new) and print a per-lane markdown delta table to stdout")
@@ -167,8 +172,8 @@ func runCompare(w io.Writer, oldPath, newPath string) error {
 	}
 
 	fmt.Fprintf(w, "### Benchmark delta: %s → %s\n\n", oldPath, newPath)
-	fmt.Fprintln(w, "| benchmark | old ns/op | new ns/op | Δ ns/op | old allocs/op | new allocs/op | Δ allocs |")
-	fmt.Fprintln(w, "|---|---:|---:|---:|---:|---:|---:|")
+	fmt.Fprintln(w, "| benchmark | old ns/op | new ns/op | Δ ns/op | old allocs/op | new allocs/op | Δ allocs | Δ B/op |")
+	fmt.Fprintln(w, "|---|---:|---:|---:|---:|---:|---:|---:|")
 	names := make([]string, 0, len(cur))
 	for name := range cur {
 		if _, ok := old[name]; ok {
@@ -182,18 +187,9 @@ func runCompare(w io.Writer, oldPath, newPath string) error {
 		if o.NsPerOp > 0 {
 			nsDelta = fmt.Sprintf("%+.1f%%", (n.NsPerOp-o.NsPerOp)/o.NsPerOp*100)
 		}
-		oldAllocs, newAllocs, allocDelta := "-", "-", "-"
-		if o.AllocsPerOp != nil {
-			oldAllocs = fmt.Sprintf("%.0f", *o.AllocsPerOp)
-		}
-		if n.AllocsPerOp != nil {
-			newAllocs = fmt.Sprintf("%.0f", *n.AllocsPerOp)
-		}
-		if o.AllocsPerOp != nil && n.AllocsPerOp != nil {
-			allocDelta = fmt.Sprintf("%+.0f", *n.AllocsPerOp-*o.AllocsPerOp)
-		}
-		fmt.Fprintf(w, "| %s | %.0f | %.0f | %s | %s | %s | %s |\n",
-			name, o.NsPerOp, n.NsPerOp, nsDelta, oldAllocs, newAllocs, allocDelta)
+		fmt.Fprintf(w, "| %s | %.0f | %.0f | %s | %s | %s | %s | %s |\n",
+			name, o.NsPerOp, n.NsPerOp, nsDelta, cell("%.0f", o.AllocsPerOp), cell("%.0f", n.AllocsPerOp),
+			cell("%+.0f", diff(o.AllocsPerOp, n.AllocsPerOp)), cell("%+.0f", diff(o.BytesPerOp, n.BytesPerOp)))
 	}
 	var added, removed []string
 	for name := range cur {
@@ -342,6 +338,22 @@ func parseLine(line string) (Benchmark, bool) {
 
 func ptr(v float64) *float64 { return &v }
 
+// diff is new − old of a column both runs may lack, nil unless both have it.
+func diff(old, cur *float64) *float64 {
+	if old == nil || cur == nil {
+		return nil
+	}
+	return ptr(*cur - *old)
+}
+
+// cell formats an optional column value, "-" when it is absent.
+func cell(format string, v *float64) string {
+	if v == nil {
+		return "-"
+	}
+	return fmt.Sprintf(format, *v)
+}
+
 // splitProcs strips the -N GOMAXPROCS suffix go test appends when
 // GOMAXPROCS > 1. Names can legitimately contain dashes, so only a
 // trailing all-digit segment counts.
@@ -409,9 +421,11 @@ func deriveDeltas(path string, bs []Benchmark) ([]Delta, error) {
 		if !ok || o.NsPerOp <= 0 {
 			continue
 		}
-		d := Delta{Name: b.Name, NsPerOpPct: (b.NsPerOp - o.NsPerOp) / o.NsPerOp * 100}
-		if b.AllocsPerOp != nil && o.AllocsPerOp != nil {
-			d.AllocsPerOpDiff = ptr(*b.AllocsPerOp - *o.AllocsPerOp)
+		d := Delta{
+			Name:            b.Name,
+			NsPerOpPct:      (b.NsPerOp - o.NsPerOp) / o.NsPerOp * 100,
+			AllocsPerOpDiff: diff(o.AllocsPerOp, b.AllocsPerOp),
+			BytesPerOpDiff:  diff(o.BytesPerOp, b.BytesPerOp),
 		}
 		for unit, v := range b.Metrics {
 			if ov, ok := o.Metrics[unit]; ok && strings.HasSuffix(unit, "/op") && v != ov {
