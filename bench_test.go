@@ -565,10 +565,12 @@ func BenchmarkDropReport(b *testing.B) {
 // second at the crowding of perfbench's field (2000 on a 300 m square), a
 // tenth of them asleep, every clean reception resolved delivered, and
 // Verify plus a JSON drop report every op. Its events, potential
-// receptions, report bytes and allocations per op are exact. The report
-// has one row per linked pair and one out-of-range row per transmitter, so
-// report-bytes/op grows with the radios; per-pair rows for the radios a
-// frame never reaches would grow it with their square.
+// receptions, report bytes and allocations per op are exact. The radios
+// all attach with the empty name, and the report has one row per pair of
+// names, so it holds two rows at any size (the linked pairs and the
+// out-of-range receivers): report-bytes/op moves only with the digits of
+// the counts. Rows per pair of radios would grow it with the radios, and
+// per-pair rows for the radios a frame never reaches with their square.
 func BenchmarkLedgerField(b *testing.B) {
 	for _, n := range []int{300, 2000} {
 		b.Run(fmt.Sprintf("devices=%d", n), func(b *testing.B) {

@@ -19,8 +19,10 @@
 //
 // -drops wires a frame-provenance ledger into the run: every transmitted
 // frame resolves to exactly one outcome per potential receiver (delivered,
-// or one reason from the drop taxonomy), and the per-reason × per-link
-// report replaces the waveform CSV on stdout (-json selects the JSON form).
+// or one reason from the drop taxonomy), and the report replaces the
+// waveform CSV on stdout (-json selects the JSON form): totals per reason,
+// then one row per (transmitter name, receiver name) pair, which radios
+// that share a name share.
 // A ledger that fails its conservation check is still reported, and the
 // command then exits 1.
 // Combined with -perfetto, the timeline goes to stdout — with one instant
@@ -47,7 +49,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	perfetto := fs.Bool("perfetto", false, "write a Chrome trace-event JSON timeline instead of CSV")
 	metrics := fs.String("metrics", "", "write a metrics snapshot (JSON) to this file")
 	sched := fs.Bool("sched", false, "with -perfetto, also trace every scheduler dispatch (large)")
-	drops := fs.Bool("drops", false, "report frame-provenance outcomes (per drop reason and per link)")
+	drops := fs.Bool("drops", false, "report frame-provenance outcomes (per drop reason and per pair of radio names)")
 	jsonOut := fs.Bool("json", false, "with -drops, emit the report as JSON")
 	fs.Usage = func() {
 		fmt.Fprintln(stderr, "usage: wile-trace [-perfetto] [-metrics file] [-sched] [-drops [-json]] {fig3a|fig3b}")

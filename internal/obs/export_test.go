@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"os"
@@ -16,9 +17,10 @@ import (
 
 // exportWorld is what the five exporters read: a ledger tracing its drops
 // into a recorder, and a registry that collects the ledger and feeds a
-// time series.
+// time series. tally groups the ledger's history for the report oracles.
 type exportWorld struct {
 	prov   *Provenance
+	tally  tally
 	rec    *Recorder
 	reg    *Registry
 	series *TimeSeries
@@ -41,10 +43,10 @@ var exporters = []struct {
 }{
 	{"Provenance.WriteReport",
 		func(x *exportWorld, w io.Writer) error { return x.prov.WriteReport(w) },
-		func(x *exportWorld, w io.Writer) error { return oracleWriteReport(x.prov, w) }, false},
+		func(x *exportWorld, w io.Writer) error { return oracleWriteReport(x.prov, &x.tally, w) }, false},
 	{"Provenance.WriteReportJSON",
 		func(x *exportWorld, w io.Writer) error { return x.prov.WriteReportJSON(w) },
-		func(x *exportWorld, w io.Writer) error { return oracleWriteReportJSON(x.prov, w) }, true},
+		func(x *exportWorld, w io.Writer) error { return oracleWriteReportJSON(x.prov, &x.tally, w) }, true},
 	{"WriteChromeTrace",
 		func(x *exportWorld, w io.Writer) error { return x.rec.WriteChromeTrace(w) },
 		func(x *exportWorld, w io.Writer) error { return oracleWriteChromeTrace(x.rec, w) }, true},
@@ -133,11 +135,14 @@ func buildWorld(data []byte) *exportWorld {
 	for len(p.b) > 0 {
 		switch p.byte() % numOps {
 		case opActor:
-			x.prov.Actor(p.str())
+			name := p.str()
+			x.prov.Actor(name)
+			x.tally.actor(name)
 		case opActors:
 			n, name := 1+int(p.byte()), p.str()
 			for i := 0; i < n; i++ {
 				x.prov.Actor(name)
+				x.tally.actor(name)
 			}
 		case opLink:
 			// Ids up to two past the registered ones name unregistered
@@ -146,16 +151,19 @@ func buildWorld(data []byte) *exportWorld {
 			reason, n, at := resolvable[p.num(len(resolvable))], 1+p.num(512), p.time()
 			for i := 0; i < n && x.prov.Frames() < maxFrames; i++ {
 				x.prov.Resolve(x.prov.Transmitted(from, 1), to, at, reason)
+				x.tally.resolve(from, to, reason)
 			}
 		case opOutOfRange:
 			from, radioOff, belowSens := ActorID(p.num(actors()+2)), p.num(512), p.num(512)
 			if x.prov.Frames() < maxFrames {
 				x.prov.ResolveOutOfRange(x.prov.Transmitted(from, radioOff+belowSens), radioOff, belowSens)
+				x.tally.outOfRange(from, radioOff, belowSens)
 			}
 		case opQueueDrop:
 			from, n, at := p.num(max(actors(), 1)), 1+p.num(64), p.time()
 			for i := 0; i < n && from < actors(); i++ {
 				x.prov.QueueDrop(ActorID(from), at)
+				x.tally.queueDrop(ActorID(from))
 			}
 		case opPending:
 			x.prov.Transmitted(ActorID(p.num(actors()+1)), 1+p.num(4))
@@ -357,8 +365,9 @@ func (w *failingWriter) Write(p []byte) (int, error) {
 func TestExportersStopAtWriteError(t *testing.T) {
 	const n = 300
 	var w programWriter
-	w.op(opActors, byte(n/2-1), "sensor")
-	w.op(opActors, byte(n/2-1), "sensor")
+	for i := 0; i < n; i++ {
+		w.op(opActor, fmt.Sprintf("sensor-%03d", i))
+	}
 	w.op(opTrack, "track")
 	for i := 0; i < n; i++ {
 		w.op(opLink, i, (i+1)%n, i%len(resolvable), i%4, sim.Time(i))

@@ -16,8 +16,71 @@ import (
 	"wile/internal/sim"
 )
 
-// oracleWriteReport is Provenance.WriteReport.
-func oracleWriteReport(p *Provenance, w io.Writer) error {
+// tally is the test side's own account of a ledger's history, grouped as
+// the reports group it: outcomes per (transmitter name, receiver name),
+// out-of-range receivers per transmitter name and queue drops per name,
+// each under the names the actors had when it was recorded. The report
+// oracles render its rows, never the ledger's.
+type tally struct {
+	names      []string // the registered actors' names, by id
+	links      map[tallyKey]*[NumDropReasons]int64
+	queueDrops map[string]int64
+}
+
+// tallyKey is one report row: a transmitter's name and a receiver's, or
+// the transmitter's out-of-range receivers.
+type tallyKey struct {
+	from, to   string
+	outOfRange bool
+}
+
+// actor registers a name, as Provenance.Actor does.
+func (t *tally) actor(name string) { t.names = append(t.names, name) }
+
+// name is an actor's name as the reports print it.
+func (t *tally) name(id ActorID) string {
+	if int(id) < len(t.names) {
+		return t.names[id]
+	}
+	return fmt.Sprintf("actor#%d", id)
+}
+
+// row reports the counts of row k, adding it on first use.
+func (t *tally) row(k tallyKey) *[NumDropReasons]int64 {
+	if t.links == nil {
+		t.links = map[tallyKey]*[NumDropReasons]int64{}
+	}
+	if t.links[k] == nil {
+		t.links[k] = new([NumDropReasons]int64)
+	}
+	return t.links[k]
+}
+
+// resolve counts one Resolve.
+func (t *tally) resolve(from, to ActorID, r DropReason) {
+	t.row(tallyKey{from: t.name(from), to: t.name(to)})[r]++
+}
+
+// outOfRange counts one ResolveOutOfRange.
+func (t *tally) outOfRange(from ActorID, radioOff, belowSens int) {
+	if radioOff+belowSens == 0 {
+		return
+	}
+	counts := t.row(tallyKey{from: t.name(from), to: "(out of range)", outOfRange: true})
+	counts[DropRadioOff] += int64(radioOff)
+	counts[DropBelowSensitivity] += int64(belowSens)
+}
+
+// queueDrop counts one QueueDrop.
+func (t *tally) queueDrop(from ActorID) {
+	if t.queueDrops == nil {
+		t.queueDrops = map[string]int64{}
+	}
+	t.queueDrops[t.name(from)]++
+}
+
+// oracleWriteReport is Provenance.WriteReport, its rows read from t.
+func oracleWriteReport(p *Provenance, t *tally, w io.Writer) error {
 	bw := &oracleWriter{w: w}
 	bw.printf("frames %d, potential receptions %d, unresolved %d\n",
 		p.next, p.potential, p.unresolved)
@@ -25,13 +88,13 @@ func oracleWriteReport(p *Provenance, w io.Writer) error {
 	for r := DropReason(0); r < NumDropReasons; r++ {
 		bw.printf("  %-18s %d\n", dropReasonNames[r], p.total(r))
 	}
-	links := oracleSortedLinks(p)
+	links := oracleSortedLinks(t)
 	if len(links) > 0 {
 		bw.printf("links:\n")
 	}
 	for _, k := range links {
-		bw.printf("  %s -> %s:", p.actorName(k.from), p.actorName(k.to))
-		counts := &k.counts
+		bw.printf("  %s -> %s:", k.from, k.to)
+		counts := t.links[k]
 		for r := 0; r < NumDropReasons; r++ {
 			if counts[r] > 0 {
 				bw.printf(" %s=%d", dropReasonNames[r], counts[r])
@@ -39,17 +102,18 @@ func oracleWriteReport(p *Provenance, w io.Writer) error {
 		}
 		bw.printf("\n")
 	}
-	if qd := oracleQueueDropActors(p); len(qd) > 0 {
+	if qd := oracleQueueDropActors(t); len(qd) > 0 {
 		bw.printf("tx queue drops:\n")
-		for _, id := range qd {
-			bw.printf("  %s: %d\n", p.actorName(id), p.queueDrops[id])
+		for _, name := range qd {
+			bw.printf("  %s: %d\n", name, t.queueDrops[name])
 		}
 	}
 	return bw.err
 }
 
-// oracleWriteReportJSON is Provenance.WriteReportJSON.
-func oracleWriteReportJSON(p *Provenance, w io.Writer) error {
+// oracleWriteReportJSON is Provenance.WriteReportJSON, its rows read from
+// t.
+func oracleWriteReportJSON(p *Provenance, t *tally, w io.Writer) error {
 	bw := &oracleWriter{w: w}
 	bw.printf("{\n  \"frames\": %d,\n  \"potential\": %d,\n  \"unresolved\": %d,\n",
 		p.next, p.potential, p.unresolved)
@@ -61,13 +125,13 @@ func oracleWriteReportJSON(p *Provenance, w io.Writer) error {
 		bw.printf("\n    %s: %d", oracleQuote(dropReasonNames[r]), p.total(r))
 	}
 	bw.printf("\n  },\n  \"links\": [")
-	for i, k := range oracleSortedLinks(p) {
+	for i, k := range oracleSortedLinks(t) {
 		if i > 0 {
 			bw.printf(",")
 		}
 		bw.printf("\n    {\"from\": %s, \"to\": %s, \"counts\": {",
-			oracleQuote(p.actorName(k.from)), oracleQuote(p.actorName(k.to)))
-		counts := &k.counts
+			oracleQuote(k.from), oracleQuote(k.to))
+		counts := t.links[k]
 		first := true
 		for r := 0; r < NumDropReasons; r++ {
 			if counts[r] == 0 {
@@ -82,60 +146,44 @@ func oracleWriteReportJSON(p *Provenance, w io.Writer) error {
 		bw.printf("}}")
 	}
 	bw.printf("\n  ],\n  \"queue_drops\": [")
-	for i, id := range oracleQueueDropActors(p) {
+	for i, name := range oracleQueueDropActors(t) {
 		if i > 0 {
 			bw.printf(",")
 		}
-		bw.printf("\n    {\"actor\": %s, \"count\": %d}", oracleQuote(p.actorName(id)), p.queueDrops[id])
+		bw.printf("\n    {\"actor\": %s, \"count\": %d}", oracleQuote(name), t.queueDrops[name])
 	}
 	bw.printf("\n  ]\n}\n")
 	return bw.err
 }
 
-// oracleSortedLinks orders the link rows by (from name, to name), ids as
-// a tiebreak, a transmitter's out-of-range row after its link rows.
-func oracleSortedLinks(p *Provenance) []*linkRow {
-	rows := make([]*linkRow, 0, p.links.n)
-	for _, r := range p.links.slots {
-		if r != nil {
-			rows = append(rows, r)
-		}
+// oracleSortedLinks orders t's rows by (from name, to name), a
+// transmitter's out-of-range row after its link rows.
+func oracleSortedLinks(t *tally) []tallyKey {
+	rows := make([]tallyKey, 0, len(t.links))
+	for k := range t.links {
+		rows = append(rows, k)
 	}
 	sort.Slice(rows, func(i, j int) bool {
 		a, b := rows[i], rows[j]
-		if an, bn := p.actorName(a.from), p.actorName(b.from); an != bn {
-			return an < bn
-		}
-		if ao, bo := a.to == outOfRange, b.to == outOfRange; ao != bo {
-			return bo
-		}
-		if an, bn := p.actorName(a.to), p.actorName(b.to); an != bn {
-			return an < bn
-		}
 		if a.from != b.from {
 			return a.from < b.from
+		}
+		if a.outOfRange != b.outOfRange {
+			return b.outOfRange
 		}
 		return a.to < b.to
 	})
 	return rows
 }
 
-// oracleQueueDropActors lists the actors with queue drops by name, ids as
-// a tiebreak.
-func oracleQueueDropActors(p *Provenance) []ActorID {
-	ids := make([]ActorID, 0)
-	for id, n := range p.queueDrops {
-		if n > 0 {
-			ids = append(ids, ActorID(id))
-		}
+// oracleQueueDropActors lists the names with queue drops in order.
+func oracleQueueDropActors(t *tally) []string {
+	names := make([]string, 0, len(t.queueDrops))
+	for name := range t.queueDrops {
+		names = append(names, name)
 	}
-	sort.Slice(ids, func(i, j int) bool {
-		if an, bn := p.actorName(ids[i]), p.actorName(ids[j]); an != bn {
-			return an < bn
-		}
-		return ids[i] < ids[j]
-	})
-	return ids
+	sort.Strings(names)
+	return names
 }
 
 // oracleWriteChromeTrace is Recorder.WriteChromeTrace.

@@ -120,22 +120,96 @@ func (f *frameState) mark(rx ActorID) (already bool) {
 	return false
 }
 
-// linkKey names one (transmitter, receiver) edge of the drop report.
-type linkKey struct{ from, to ActorID }
+// nameID identifies one distinct actor name: the names table gives each
+// name the next id, in the order names first appear. Every actor
+// registered under a name counts into that name's report rows.
+type nameID int32
+
+// The two row ends that name no actor: a transmitter's one "(out of range)"
+// row counts every receiver settled by ResolveOutOfRange, and its queued
+// row its TX-side queue drops.
+const (
+	outOfRange nameID = -1
+	queued     nameID = -2
+)
+
+// nameTable interns the actor names. It finds them by open addressing
+// under their FNV-1a hash; like linkTable, it allocates the same way in
+// every run. Its first slots sit inside the table, so a ledger of up to 16
+// names allocates no slots.
+type nameTable struct {
+	names []string // by nameID
+	slots []nameID // 1 + a name's id; 0 marks an empty slot
+	first [32]nameID
+}
+
+// id reports the id of name, adding it on first use.
+func (t *nameTable) id(name string) nameID {
+	if 2*len(t.names) >= len(t.slots) {
+		t.grow()
+	}
+	mask := uint32(len(t.slots) - 1)
+	for i := fnv1a(name) & mask; ; i = (i + 1) & mask {
+		s := t.slots[i]
+		if s == 0 {
+			t.names = append(t.names, name)
+			t.slots[i] = nameID(len(t.names))
+			return t.slots[i] - 1
+		}
+		if t.names[s-1] == name {
+			return s - 1
+		}
+	}
+}
+
+// grow doubles the slot array (the 32 inline slots at first) and re-slots
+// every name, keeping the load at most one half.
+func (t *nameTable) grow() {
+	if t.slots == nil {
+		t.slots = t.first[:]
+		return
+	}
+	t.slots = make([]nameID, 2*len(t.slots))
+	mask := uint32(len(t.slots) - 1)
+	for id, name := range t.names {
+		i := fnv1a(name) & mask
+		for t.slots[i] != 0 {
+			i = (i + 1) & mask
+		}
+		t.slots[i] = nameID(id + 1)
+	}
+}
+
+// fnv1a is the 32-bit FNV-1a hash of s.
+func fnv1a(s string) uint32 {
+	h := uint32(2166136261)
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint32(s[i])) * 16777619
+	}
+	return h
+}
+
+// linkKey names one report row: a transmitter's name, and a receiver's
+// name, outOfRange or queued.
+type linkKey struct{ from, to nameID }
 
 // hash mixes both ids with a fixed multiplier (Fibonacci hashing).
 func (k linkKey) hash() uint32 {
 	return uint32((uint64(uint32(k.from))<<32 | uint64(uint32(k.to))) * 0x9e3779b97f4a7c15 >> 32)
 }
 
-// linkRow is one report row: an edge and its per-reason counts.
+// linkRow is one report row: a transmitter name, whom it counts (a
+// receiver name, the out-of-range receivers or the queue drops) and its
+// per-reason counts.
 type linkRow struct {
 	linkKey
 	counts [NumDropReasons]int64
 }
 
 // linkTable finds the report rows by open addressing under linkKey.hash.
-// A Go map would do the same job, but how often it allocates while growing
+// It holds one row per pair of names that exchanged frames, plus each
+// transmitter name's out-of-range and queued rows, so radios that share a
+// name share rows however many there are. A Go map would do the same job, but how often it allocates while growing
 // depends on its random per-map seed; this table allocates the same way in
 // every run.
 type linkTable struct {
@@ -143,7 +217,7 @@ type linkTable struct {
 	n     int
 }
 
-// row reports the counts of edge k, adding its row on first use.
+// row reports the counts of row k, adding it on first use.
 func (t *linkTable) row(k linkKey) *[NumDropReasons]int64 {
 	if 2*t.n >= len(t.slots) {
 		t.grow()
@@ -180,10 +254,6 @@ func (t *linkTable) grow() {
 	}
 }
 
-// outOfRange is the receiver of a transmitter's one "(out of range)" row,
-// which counts every receiver settled by ResolveOutOfRange.
-const outOfRange ActorID = -1
-
 // outcomeCounterNames are the registry names of the per-reason totals.
 var outcomeCounterNames = [NumDropReasons]string{
 	"wile.medium_delivered", "wile.medium_drop_collided",
@@ -196,8 +266,9 @@ var outcomeCounterNames = [NumDropReasons]string{
 // from a single kernel goroutine; hook sites must be nil-guarded (obsguard
 // enforces this) so disabled runs stay zero-cost.
 type Provenance struct {
-	actors     []string
-	queueDrops []int64
+	// actors holds each registered actor's name by ActorID.
+	actors []nameID
+	names  nameTable
 
 	next FrameID
 	// inflight holds the state of frames base, base+1, …: nil for a frame
@@ -210,9 +281,10 @@ type Provenance struct {
 	unresolved int
 	idle       *frameState
 
-	potential int64
-	outcomes  [NumDropReasons]int64
-	links     linkTable
+	potential  int64
+	outcomes   [NumDropReasons]int64
+	queueDrops int64
+	links      linkTable
 
 	rec        *Recorder
 	dropTracks []TrackID
@@ -223,11 +295,11 @@ func NewProvenance() *Provenance { return &Provenance{} }
 
 // Actor registers a transceiver under the given diagnostic name and returns
 // its id. The medium calls this for every attached transceiver when the
-// ledger is wired (and for late attachments).
+// ledger is wired (and for late attachments). Actors registered under one
+// name share their report rows.
 func (p *Provenance) Actor(name string) ActorID {
 	id := ActorID(len(p.actors))
-	p.actors = append(p.actors, name)
-	p.queueDrops = append(p.queueDrops, 0)
+	p.actors = append(p.actors, p.names.id(name))
 	if p.rec != nil {
 		p.dropTracks = append(p.dropTracks, p.rec.Track(name+" drops"))
 	}
@@ -247,7 +319,7 @@ func (p *Provenance) TraceTo(r *Recorder) {
 		return
 	}
 	for _, name := range p.actors {
-		p.dropTracks = append(p.dropTracks, r.Track(name+" drops"))
+		p.dropTracks = append(p.dropTracks, r.Track(p.names.names[name]+" drops"))
 	}
 }
 
@@ -309,7 +381,7 @@ func (p *Provenance) Resolve(frame FrameID, rx ActorID, at sim.Time, reason Drop
 		panic(fmt.Sprintf("obs: frame %d resolved twice at %s (%s)", frame, p.actorName(rx), reason))
 	}
 	p.outcomes[reason]++
-	p.link(fs.from, rx)[reason]++
+	p.links.row(linkKey{p.nameOf(fs.from), p.nameOf(rx)})[reason]++
 	p.settled(frame, fs, 1)
 	if p.rec != nil && reason != Delivered && int(rx) < len(p.dropTracks) {
 		p.rec.Instant(p.dropTracks[rx], at, dropInstantNames[reason])
@@ -319,7 +391,7 @@ func (p *Provenance) Resolve(frame FrameID, rx ActorID, at sim.Time, reason Drop
 // ResolveOutOfRange settles, in one call, the receivers that frame reached
 // below their own sensitivity floor: radioOff of them were powered off or
 // had no receive path, belowSens were listening. They count in the
-// transmitter's one "(out of range)" report row, not per receiver, and
+// transmitter name's one "(out of range)" report row, not per receiver, and
 // emit no trace instant. The zero FrameID and an empty call are ignored.
 // Settling more receivers than the frame has pending panics, as does
 // settling a frame that is unknown or complete.
@@ -328,28 +400,33 @@ func (p *Provenance) ResolveOutOfRange(frame FrameID, radioOff, belowSens int) {
 	if frame == 0 || n == 0 {
 		return
 	}
-	fs := p.inflightFrame(frame, outOfRange)
+	fs := p.inflightFrame(frame, -1)
 	if radioOff < 0 || belowSens < 0 || n > int(fs.pending) {
 		panic(fmt.Sprintf("obs: frame %d has %d receivers pending, settling radio_off=%d below_sensitivity=%d out of range",
 			frame, fs.pending, radioOff, belowSens))
 	}
 	p.outcomes[DropRadioOff] += int64(radioOff)
 	p.outcomes[DropBelowSensitivity] += int64(belowSens)
-	counts := p.link(fs.from, outOfRange)
+	counts := p.links.row(linkKey{p.nameOf(fs.from), outOfRange})
 	counts[DropRadioOff] += int64(radioOff)
 	counts[DropBelowSensitivity] += int64(belowSens)
 	p.settled(frame, fs, n)
 }
 
 // inflightFrame looks up a frame that still has receivers pending, and
-// panics naming the resolving receiver if there is none.
+// panics naming the resolving receiver (or, for rx < 0, the out-of-range
+// ones) if there is none.
 func (p *Provenance) inflightFrame(frame FrameID, rx ActorID) *frameState {
 	if frame >= p.base && frame-p.base < FrameID(len(p.inflight)) {
 		if fs := p.inflight[frame-p.base]; fs != nil {
 			return fs
 		}
 	}
-	panic(fmt.Sprintf("obs: resolving unknown or completed frame %d at %s", frame, p.actorName(rx)))
+	who := "(out of range)"
+	if rx >= 0 {
+		who = p.actorName(rx)
+	}
+	panic(fmt.Sprintf("obs: resolving unknown or completed frame %d at %s", frame, who))
 }
 
 // settled counts n receivers of frame as resolved; the last one completes
@@ -378,16 +455,28 @@ func (p *Provenance) settled(frame FrameID, fs *frameState, n int) {
 	fs.next, p.idle = p.idle, fs
 }
 
-// link reports the counts of one report row, adding it on first use.
-func (p *Provenance) link(from, to ActorID) *[NumDropReasons]int64 {
-	return p.links.row(linkKey{from, to})
+// nameOf reports the id of the name an actor's outcomes count under: its
+// registered name, or actor#<id> for an id the ledger never registered.
+func (p *Provenance) nameOf(id ActorID) nameID {
+	if uint(id) < uint(len(p.actors)) {
+		return p.actors[id]
+	}
+	return p.unregistered(id)
+}
+
+// unregistered reports the name id of actor#<id>, an id the ledger never
+// registered. It is nameOf's slow path, kept out of line so that nameOf
+// inlines.
+func (p *Provenance) unregistered(id ActorID) nameID {
+	return p.names.id(p.actorName(id))
 }
 
 // QueueDrop records a frame that died in from's transmit queue without
 // reaching the air. It has no FrameID and no per-receiver accounting, so it
 // sits outside the conservation sum (DESIGN.md §10).
 func (p *Provenance) QueueDrop(from ActorID, at sim.Time) {
-	p.queueDrops[from]++
+	p.queueDrops++
+	p.links.row(linkKey{p.nameOf(from), queued})[DropQueueDrop]++
 	if p.rec != nil && int(from) < len(p.dropTracks) {
 		p.rec.Instant(p.dropTracks[from], at, dropInstantNames[DropQueueDrop])
 	}
@@ -407,13 +496,7 @@ func (p *Provenance) Pending() int { return p.unresolved }
 func (p *Provenance) Outcomes() [NumDropReasons]int64 { return p.outcomes }
 
 // QueueDrops reports the total TX-side queue drops.
-func (p *Provenance) QueueDrops() int64 {
-	var n int64
-	for _, q := range p.queueDrops {
-		n += q
-	}
-	return n
-}
+func (p *Provenance) QueueDrops() int64 { return p.queueDrops }
 
 // total reports one reason's count as the reports and counters show it:
 // the queue_drop slot carries QueueDrops.
@@ -441,78 +524,63 @@ func (p *Provenance) Verify() error {
 	return nil
 }
 
+// actorName reports an actor's registered name, or actor#<id> for an id
+// the ledger never registered.
 func (p *Provenance) actorName(id ActorID) string {
-	if id == outOfRange {
-		return "(out of range)"
-	}
-	if int(id) < len(p.actors) {
-		return p.actors[id]
+	if uint(id) < uint(len(p.actors)) {
+		return p.names.names[p.actors[id]]
 	}
 	return "actor#" + strconv.Itoa(int(id))
 }
 
-// reportRows is what both report formats print, read from the ledger once
-// per report.
+// reportRows are the rows both report formats print, read from the ledger
+// once per report.
 type reportRows struct {
-	// names are the actors' names by id: the registered ones, then those
-	// actorName gives the ids past them that a link row names.
-	names []string
 	// links are the link rows in report order: by (from name, to name), a
-	// transmitter's out-of-range row after its link rows, ids as a
-	// tiebreak.
+	// transmitter's out-of-range row after its link rows.
 	links []*linkRow
-	// queueDrops are the actors with TX-side queue drops, in (name, id)
-	// order.
-	queueDrops []ActorID
+	// queueDrops are the queue-drop rows, in name order.
+	queueDrops []*linkRow
 }
 
-// report gathers the rows of a report. Names are compared once, to give
-// each its dense rank (equal names share one); the rows then sort on the
-// integers (rank(from), out of range, rank(to), from, to), which is the
+// report gathers the rows of a report. Names are compared once, to rank
+// them; the rows then sort on the integers (rank(from), rank(to)), with
+// the out-of-range and then the queued end after every name, which is the
 // order of the names themselves, by counting instead of comparing.
 func (p *Provenance) report() reportRows {
-	v := reportRows{names: p.actors, links: make([]*linkRow, 0, p.links.n)}
-	top := len(p.actors) - 1
+	names := p.names.names
+	byName := make([]nameID, len(names))
+	for id := range byName {
+		byName[id] = nameID(id)
+	}
+	slices.SortFunc(byName, func(a, b nameID) int { return strings.Compare(names[a], names[b]) })
+	rank := make([]int, len(names))
+	for r, id := range byName {
+		rank[id] = r
+	}
+	end := func(id nameID) int {
+		switch id {
+		case outOfRange:
+			return len(names)
+		case queued:
+			return len(names) + 1
+		}
+		return rank[id]
+	}
+
+	// Two stable counting passes over the rows' indexes, the receiving end
+	// first.
+	rows := make([]*linkRow, 0, p.links.n)
 	for _, r := range p.links.slots {
 		if r != nil {
-			v.links = append(v.links, r)
-			top = max(top, int(r.from), int(r.to))
+			rows = append(rows, r)
 		}
 	}
-	if top >= len(p.actors) {
-		v.names = slices.Clone(p.actors)
-		for id := len(p.actors); id <= top; id++ {
-			v.names = append(v.names, p.actorName(ActorID(id)))
-		}
-	}
-
-	byName := make([]ActorID, len(v.names))
-	for id := range byName {
-		byName[id] = ActorID(id)
-	}
-	slices.SortStableFunc(byName, func(a, b ActorID) int { return strings.Compare(v.names[a], v.names[b]) })
-	rank := make([]int, len(v.names))
-	for i, id := range byName {
-		if i > 0 {
-			prev := byName[i-1]
-			rank[id] = rank[prev]
-			if v.names[id] != v.names[prev] {
-				rank[id]++
-			}
-		}
-		if int(id) < len(p.queueDrops) && p.queueDrops[id] > 0 {
-			v.queueDrops = append(v.queueDrops, id)
-		}
-	}
-
-	// Four stable counting passes over the rows' indexes, least
-	// significant key first.
-	rows := v.links
 	order, tmp := make([]int32, len(rows)), make([]int32, len(rows))
 	for i := range order {
 		order[i] = int32(i)
 	}
-	count := make([]int, len(v.names)+1)
+	count := make([]int, len(names)+2)
 	pass := func(key func(r *linkRow) int) {
 		clear(count)
 		for _, i := range order {
@@ -529,28 +597,25 @@ func (p *Provenance) report() reportRows {
 		}
 		order, tmp = tmp, order
 	}
-	pass(func(r *linkRow) int { return int(r.to) + 1 })
-	pass(func(r *linkRow) int { return int(r.from) })
-	pass(func(r *linkRow) int {
-		if r.to == outOfRange {
-			return len(rank) // after every name
-		}
-		return rank[r.to]
-	})
+	pass(func(r *linkRow) int { return end(r.to) })
 	pass(func(r *linkRow) int { return rank[r.from] })
-	v.links = make([]*linkRow, len(rows))
-	for i, j := range order {
-		v.links[i] = rows[j]
+	v := reportRows{links: make([]*linkRow, 0, len(rows))}
+	for _, i := range order {
+		if r := rows[i]; r.to == queued {
+			v.queueDrops = append(v.queueDrops, r)
+		} else {
+			v.links = append(v.links, r)
+		}
 	}
 	return v
 }
 
-// name reports an actor's name as the reports print it.
-func (v *reportRows) name(id ActorID) string {
+// name reports a row end's name as the reports print it.
+func (p *Provenance) name(id nameID) string {
 	if id == outOfRange {
 		return "(out of range)"
 	}
-	return v.names[id]
+	return p.names.names[id]
 }
 
 // reportLabels are the text report's outcome lines up to their count,
@@ -565,7 +630,10 @@ var reportLabels, jsonKeys = func() (labels, keys [NumDropReasons]string) {
 }()
 
 // WriteReport renders the per-reason and per-link drop summary as a
-// fixed-width table. Output is a pure function of the ledger's state:
+// fixed-width table: one link row per (transmitter name, receiver name)
+// pair that exchanged frames, one out-of-range row per transmitter name
+// and one queue-drop line per name, so actors that share a name share
+// their rows. Output is a pure function of the ledger's state:
 // byte-identical across runs and GOMAXPROCS settings.
 func (p *Provenance) WriteReport(w io.Writer) error {
 	v := p.report()
@@ -587,9 +655,9 @@ func (p *Provenance) WriteReport(w io.Writer) error {
 	}
 	for _, k := range v.links {
 		e.lit("  ")
-		e.lit(v.name(k.from))
+		e.lit(p.name(k.from))
 		e.lit(" -> ")
-		e.lit(v.name(k.to))
+		e.lit(p.name(k.to))
 		e.lit(":")
 		for r, n := range k.counts {
 			if n > 0 {
@@ -604,11 +672,11 @@ func (p *Provenance) WriteReport(w io.Writer) error {
 	if len(v.queueDrops) > 0 {
 		e.lit("tx queue drops:\n")
 	}
-	for _, id := range v.queueDrops {
+	for _, k := range v.queueDrops {
 		e.lit("  ")
-		e.lit(v.names[id])
+		e.lit(p.name(k.from))
 		e.lit(": ")
-		e.num(p.queueDrops[id])
+		e.num(k.counts[DropQueueDrop])
 		e.lit("\n")
 	}
 	return e.flush()
@@ -616,12 +684,12 @@ func (p *Provenance) WriteReport(w io.Writer) error {
 
 // WriteReportJSON renders the same summary as deterministic JSON: taxonomy
 // order for the outcomes object, (from, to) name order for links. Each
-// actor's name is quoted once per report.
+// name is quoted once per report.
 func (p *Provenance) WriteReportJSON(w io.Writer) error {
 	v := p.report()
-	quoted := quoteNames(v.names)
+	quoted := quoteNames(p.names.names)
 	e := newEncoder(w)
-	name := func(id ActorID) {
+	name := func(id nameID) {
 		if id == outOfRange {
 			e.lit(`"(out of range)"`)
 		} else {
@@ -668,14 +736,14 @@ func (p *Provenance) WriteReportJSON(w io.Writer) error {
 		e.lit("}}")
 	}
 	e.lit("\n  ],\n  \"queue_drops\": [")
-	for i, id := range v.queueDrops {
+	for i, k := range v.queueDrops {
 		if i > 0 {
 			e.lit(",")
 		}
 		e.lit("\n    {\"actor\": ")
-		name(id)
+		name(k.from)
 		e.lit(", \"count\": ")
-		e.num(p.queueDrops[id])
+		e.num(k.counts[DropQueueDrop])
 		e.lit("}")
 	}
 	e.lit("\n  ]\n}\n")

@@ -8,21 +8,28 @@ package obs
 import (
 	"runtime"
 	"runtime/debug"
+	"strconv"
 	"testing"
 )
 
 // TestProvenanceAllocatesTheSameEveryRun replays one ledger history with
-// 16,000 link rows, frames completing out of launch order and frames with
-// no receivers, and requires the same allocation count every time. Past
-// ~900 entries, a Go map's growth allocates a number of times that depends
-// on its random per-map seed, which made the allocs/op of the ledger's
-// benchmark drift between identical runs.
+// 1,024 actor names, 16,000 link rows, frames completing out of launch
+// order and frames with no receivers, and requires the same allocation
+// count every time. Past ~900 entries, a Go map's growth allocates a
+// number of times that depends on its random per-map seed, which made the
+// allocs/op of the ledger's benchmark drift between identical runs.
 func TestProvenanceAllocatesTheSameEveryRun(t *testing.T) {
 	const actors, audience, batch = 200, 80, 8
+	// Every actor has a name of its own, so every pair keeps its row; the
+	// first 200 transmit.
+	names := make([]string, 1024)
+	for i := range names {
+		names[i] = "a" + strconv.Itoa(i)
+	}
 	run := func() {
 		p := NewProvenance()
-		for i := 0; i < actors; i++ {
-			p.Actor("a")
+		for _, name := range names {
+			p.Actor(name)
 		}
 		var frames [batch]FrameID
 		for tx := ActorID(0); tx < actors; tx += batch {

@@ -3,8 +3,11 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"strings"
 	"testing"
+
+	"wile/internal/sim"
 )
 
 // TestProvenanceConservation walks a small ledger through every RX-side
@@ -369,5 +372,74 @@ func TestProvenanceOutOfRangeRow(t *testing.T) {
   ],`
 	if !strings.Contains(js.String(), wantJSON) {
 		t.Errorf("JSON report:\n%s\nwant it to hold:\n%s", js.String(), wantJSON)
+	}
+}
+
+// TestReportRowsByNamePair replays random ledger histories whose actors
+// draw their names from a pool of four, so names repeat, with out-of-range
+// settles, queue drops and a resolve by an id the ledger never registered.
+// The test tallies every outcome per (transmitter name, receiver name)
+// itself, and both reports must print what the oracle renders from that
+// tally: actors that share a name share their rows.
+func TestReportRowsByNamePair(t *testing.T) {
+	pool := []string{"sensor", "scanner", "", "ap"}
+	for seed := uint64(1); seed <= 200; seed++ {
+		rng := sim.NewRand(seed)
+		p, tl := NewProvenance(), &tally{}
+		n := 3 + rng.Intn(10)
+		for i := 0; i < n; i++ {
+			name := pool[rng.Intn(len(pool))]
+			p.Actor(name)
+			tl.actor(name)
+		}
+		stranger := ActorID(n + rng.Intn(3))
+		for f := 0; f < 30; f++ {
+			from := ActorID(rng.Intn(n))
+			var rxs []ActorID
+			for rx := ActorID(0); rx < ActorID(n); rx++ {
+				if rx != from && rng.Intn(2) == 0 {
+					rxs = append(rxs, rx)
+				}
+			}
+			if f == 0 {
+				rxs = append(rxs, stranger)
+			}
+			radioOff, belowSens := rng.Intn(3), rng.Intn(3)
+			frame := p.Transmitted(from, len(rxs)+radioOff+belowSens)
+			for _, rx := range rxs {
+				reason := resolvable[rng.Intn(len(resolvable))]
+				p.Resolve(frame, rx, sim.Time(f), reason)
+				tl.resolve(from, rx, reason)
+			}
+			p.ResolveOutOfRange(frame, radioOff, belowSens)
+			tl.outOfRange(from, radioOff, belowSens)
+			if rng.Intn(3) == 0 {
+				q := ActorID(rng.Intn(n))
+				p.QueueDrop(q, sim.Time(f))
+				tl.queueDrop(q)
+			}
+		}
+		if err := p.Verify(); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		for _, format := range []struct {
+			name        string
+			write       func(io.Writer) error
+			oracleWrite func(*Provenance, *tally, io.Writer) error
+		}{
+			{"WriteReport", p.WriteReport, oracleWriteReport},
+			{"WriteReportJSON", p.WriteReportJSON, oracleWriteReportJSON},
+		} {
+			var got, want bytes.Buffer
+			if err := format.write(&got); err != nil {
+				t.Fatal(err)
+			}
+			if err := format.oracleWrite(p, tl, &want); err != nil {
+				t.Fatal(err)
+			}
+			if got.String() != want.String() {
+				t.Fatalf("seed %d: %s:\n%s\nwant rows per name pair:\n%s", seed, format.name, got.String(), want.String())
+			}
+		}
 	}
 }

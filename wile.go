@@ -138,7 +138,8 @@ type (
 	// ObserveProvenance and every transmitted frame resolves to exactly one
 	// outcome per potential receiver — delivered, or a reason from the
 	// closed drop taxonomy. WriteReport/WriteReportJSON summarize it per
-	// reason and per link.
+	// reason and per link, one row per (transmitter name, receiver name):
+	// radios attached under one name share their rows.
 	Provenance = obs.Provenance
 	// DropReason is one terminal outcome from the frame-drop taxonomy.
 	DropReason = obs.DropReason
@@ -167,7 +168,7 @@ func NewRegistry() *Registry { return obs.NewRegistry() }
 // NewProvenance builds an empty frame ledger. Attach it with
 // med.ObserveProvenance(p) before traffic starts; p.Verify() then checks
 // the conservation invariant and p.WriteReport breaks every loss down by
-// reason and link.
+// reason and by the names of the radios that sent and missed it.
 func NewProvenance() *Provenance { return obs.NewProvenance() }
 
 // NewTimeSeries builds a sampler over reg on the given sim-time cadence
