@@ -6,6 +6,7 @@ import (
 	"crypto/subtle"
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // AES-CCM (NIST SP 800-38C / RFC 3610), the authenticated-encryption mode
@@ -22,124 +23,121 @@ const (
 // ErrCCMAuth reports a failed integrity check.
 var ErrCCMAuth = errors.New("crypto80211: CCM authentication failed")
 
-// ccmB0 builds the first block: flags, nonce, message length.
-func ccmB0(nonce []byte, msgLen int, hasAAD bool) [aes.BlockSize]byte {
-	var b [aes.BlockSize]byte
-	// Flags: [reserved 0][Adata][M' = (M-2)/2 = 3][L' = L-1 = 1]
-	b[0] = 3<<3 | 1
-	if hasAAD {
-		b[0] |= 1 << 6
-	}
-	copy(b[1:14], nonce)
-	b[14] = byte(msgLen >> 8)
-	b[15] = byte(msgLen)
-	return b
+// ccm is AES-CCM under one key. It keeps the key's block cipher and the
+// blocks the mode computes in, so sealing or opening a frame allocates
+// nothing but its output: a block passed to the cipher through its
+// interface escapes to the heap, so a local one would be allocated on
+// every call. A ccm is not safe for concurrent use.
+type ccm struct {
+	block cipher.Block
+	x     [aes.BlockSize]byte // the CBC-MAC's running block
+	a     [aes.BlockSize]byte // the counter block A_i
+	ks    [aes.BlockSize]byte // the keystream block E(K, A_i)
 }
 
-// ccmCBCMAC computes the CBC-MAC over B0, the encoded AAD and the message.
-func ccmCBCMAC(block cipher.Block, nonce, aad, msg []byte) [ccmTagLen]byte {
-	var x [aes.BlockSize]byte
-	b0 := ccmB0(nonce, len(msg), len(aad) > 0)
-	block.Encrypt(x[:], b0[:])
-
-	xorBlock := func(chunk []byte) {
-		for i, c := range chunk {
-			x[i] ^= c
-		}
-		block.Encrypt(x[:], x[:])
+// newCCM checks the nonce's length and builds the key's block cipher.
+func newCCM(key, nonce []byte) (*ccm, error) {
+	if len(nonce) != ccmNonceLen {
+		return nil, fmt.Errorf("crypto80211: CCM nonce must be %d bytes, have %d", ccmNonceLen, len(nonce))
 	}
+	block, err := aes.NewCipher(key)
+	if err != nil {
+		return nil, err
+	}
+	return &ccm{block: block}, nil
+}
 
+// mac leaves the CBC-MAC over B0, the encoded AAD and the message in the
+// first ccmTagLen bytes of c.x.
+func (c *ccm) mac(nonce, aad, msg []byte) {
+	// B0: flags [reserved 0][Adata][M' = (M-2)/2 = 3][L' = L-1 = 1], the
+	// nonce and the message length.
+	c.x[0] = 3<<3 | 1
 	if len(aad) > 0 {
-		// AAD encoding for len(aad) < 2^16-2^8: 2-byte length prefix,
-		// zero-padded to the block size — all 802.11 AADs qualify.
-		first := make([]byte, 0, aes.BlockSize)
-		first = append(first, byte(len(aad)>>8), byte(len(aad)))
-		take := min(len(aad), aes.BlockSize-2)
-		first = append(first, aad[:take]...)
-		for len(first) < aes.BlockSize {
-			first = append(first, 0)
-		}
-		xorBlock(first)
-		rest := aad[take:]
-		for len(rest) > 0 {
-			n := min(len(rest), aes.BlockSize)
-			chunk := make([]byte, aes.BlockSize)
-			copy(chunk, rest[:n])
-			xorBlock(chunk)
-			rest = rest[n:]
-		}
+		c.x[0] |= 1 << 6
 	}
-	for off := 0; off < len(msg); off += aes.BlockSize {
-		n := min(len(msg)-off, aes.BlockSize)
-		chunk := make([]byte, aes.BlockSize)
-		copy(chunk, msg[off:off+n])
-		xorBlock(chunk)
+	copy(c.x[1:14], nonce)
+	c.x[14], c.x[15] = byte(len(msg)>>8), byte(len(msg))
+	c.block.Encrypt(c.x[:], c.x[:])
+	if len(aad) > 0 {
+		// AAD encoding for len(aad) < 2^16-2^8: a 2-byte length prefix,
+		// the whole zero-padded to the block size. All 802.11 AADs
+		// qualify.
+		c.x[0] ^= byte(len(aad) >> 8)
+		c.x[1] ^= byte(len(aad))
+		c.absorb(aad, 2)
 	}
-	var tag [ccmTagLen]byte
-	copy(tag[:], x[:ccmTagLen])
-	return tag
+	c.absorb(msg, 0)
 }
 
-// ccmCTR runs the CTR keystream: counter block A_i with i starting at 1
-// for the payload; A_0 encrypts the tag.
-func ccmCTR(block cipher.Block, nonce []byte, dst, src []byte, counterStart int) {
-	var a [aes.BlockSize]byte
-	a[0] = 1 // L' = 1
-	copy(a[1:14], nonce)
-	var ks [aes.BlockSize]byte
-	ctr := counterStart
-	for off := 0; off < len(src); off += aes.BlockSize {
-		a[14] = byte(ctr >> 8)
-		a[15] = byte(ctr)
-		block.Encrypt(ks[:], a[:])
-		n := min(len(src)-off, aes.BlockSize)
-		for i := 0; i < n; i++ {
-			dst[off+i] = src[off+i] ^ ks[i]
-		}
-		ctr++
+// absorb XORs b into the running block from offset off on, encrypting the
+// block each time it fills and after b's last bytes: the zero padding of
+// a partial last block leaves its bytes as they are.
+func (c *ccm) absorb(b []byte, off int) {
+	for len(b) > 0 {
+		n := subtle.XORBytes(c.x[off:], c.x[off:], b)
+		c.block.Encrypt(c.x[:], c.x[:])
+		b, off = b[n:], 0
 	}
+}
+
+// ctr XORs src into dst under the CTR keystream of counter blocks A_i, i
+// from counter on: 1 for the payload, 0 for the tag.
+func (c *ccm) ctr(nonce, dst, src []byte, counter int) {
+	c.a[0] = 1 // L' = 1
+	copy(c.a[1:14], nonce)
+	for off := 0; off < len(src); off += aes.BlockSize {
+		c.a[14], c.a[15] = byte(counter>>8), byte(counter)
+		c.block.Encrypt(c.ks[:], c.a[:])
+		subtle.XORBytes(dst[off:], src[off:], c.ks[:])
+		counter++
+	}
+}
+
+// appendSealed appends ciphertext||tag of plaintext to dst and returns the
+// extended slice, reallocating only if dst lacks the room.
+func (c *ccm) appendSealed(dst, nonce, aad, plaintext []byte) []byte {
+	c.mac(nonce, aad, plaintext)
+	n := len(dst)
+	dst = slices.Grow(dst, len(plaintext)+ccmTagLen)[:n+len(plaintext)+ccmTagLen]
+	c.ctr(nonce, dst[n:], plaintext, 1)
+	c.ctr(nonce, dst[n+len(plaintext):], c.x[:ccmTagLen], 0)
+	return dst
+}
+
+// open verifies ciphertext||tag against the nonce and AAD and returns the
+// plaintext in a new slice.
+func (c *ccm) open(nonce, aad, sealed []byte) ([]byte, error) {
+	if len(sealed) < ccmTagLen {
+		return nil, fmt.Errorf("%w: input shorter than the tag", ErrCCMAuth)
+	}
+	ct, encTag := sealed[:len(sealed)-ccmTagLen], sealed[len(sealed)-ccmTagLen:]
+	plain := make([]byte, len(ct))
+	c.ctr(nonce, plain, ct, 1)
+	c.mac(nonce, aad, plain)
+	var tag [ccmTagLen]byte
+	c.ctr(nonce, tag[:], encTag, 0)
+	if subtle.ConstantTimeCompare(c.x[:ccmTagLen], tag[:]) != 1 {
+		return nil, ErrCCMAuth
+	}
+	return plain, nil
 }
 
 // CCMEncrypt seals plaintext under key with the 13-byte nonce and AAD,
 // returning ciphertext||tag (8 bytes longer than the input).
 func CCMEncrypt(key, nonce, aad, plaintext []byte) ([]byte, error) {
-	if len(nonce) != ccmNonceLen {
-		return nil, fmt.Errorf("crypto80211: CCM nonce must be %d bytes, have %d", ccmNonceLen, len(nonce))
-	}
-	block, err := aes.NewCipher(key)
+	c, err := newCCM(key, nonce)
 	if err != nil {
 		return nil, err
 	}
-	tag := ccmCBCMAC(block, nonce, aad, plaintext)
-	out := make([]byte, len(plaintext)+ccmTagLen)
-	ccmCTR(block, nonce, out[:len(plaintext)], plaintext, 1)
-	// Encrypt the tag with A_0.
-	var a0tag [ccmTagLen]byte
-	ccmCTR(block, nonce, a0tag[:], tag[:], 0)
-	copy(out[len(plaintext):], a0tag[:])
-	return out, nil
+	return c.appendSealed(make([]byte, 0, len(plaintext)+ccmTagLen), nonce, aad, plaintext), nil
 }
 
 // CCMDecrypt opens ciphertext||tag, verifying the AAD binding.
 func CCMDecrypt(key, nonce, aad, sealed []byte) ([]byte, error) {
-	if len(nonce) != ccmNonceLen {
-		return nil, fmt.Errorf("crypto80211: CCM nonce must be %d bytes, have %d", ccmNonceLen, len(nonce))
-	}
-	if len(sealed) < ccmTagLen {
-		return nil, fmt.Errorf("%w: input shorter than the tag", ErrCCMAuth)
-	}
-	block, err := aes.NewCipher(key)
+	c, err := newCCM(key, nonce)
 	if err != nil {
 		return nil, err
 	}
-	ct, encTag := sealed[:len(sealed)-ccmTagLen], sealed[len(sealed)-ccmTagLen:]
-	plain := make([]byte, len(ct))
-	ccmCTR(block, nonce, plain, ct, 1)
-	var wantTag [ccmTagLen]byte
-	gotTag := ccmCBCMAC(block, nonce, aad, plain)
-	ccmCTR(block, nonce, wantTag[:], encTag, 0)
-	if subtle.ConstantTimeCompare(gotTag[:], wantTag[:]) != 1 {
-		return nil, ErrCCMAuth
-	}
-	return plain, nil
+	return c.open(nonce, aad, sealed)
 }

@@ -1,6 +1,7 @@
 package crypto80211
 
 import (
+	"crypto/aes"
 	"errors"
 	"fmt"
 )
@@ -41,18 +42,19 @@ type CCMPFrameMeta struct {
 }
 
 // aad serializes the additional authenticated data (§12.5.3.3.3).
-func (m CCMPFrameMeta) aad() []byte {
-	out := make([]byte, 0, 22)
-	out = append(out, byte(m.FC), byte(m.FC>>8))
-	out = append(out, m.A1[:]...)
-	out = append(out, m.A2[:]...)
-	out = append(out, m.A3[:]...)
-	return append(out, byte(m.SeqCtl), byte(m.SeqCtl>>8))
+func (m CCMPFrameMeta) aad() [22]byte {
+	var out [22]byte
+	out[0], out[1] = byte(m.FC), byte(m.FC>>8)
+	copy(out[2:8], m.A1[:])
+	copy(out[8:14], m.A2[:])
+	copy(out[14:20], m.A3[:])
+	out[20], out[21] = byte(m.SeqCtl), byte(m.SeqCtl>>8)
+	return out
 }
 
 // nonce builds the 13-byte CCM nonce: priority, A2, PN (§12.5.3.3.4).
-func (m CCMPFrameMeta) nonce(pn uint64) []byte {
-	out := make([]byte, ccmNonceLen)
+func (m CCMPFrameMeta) nonce(pn uint64) [ccmNonceLen]byte {
+	var out [ccmNonceLen]byte
 	out[0] = 0 // priority: non-QoS data
 	copy(out[1:7], m.A2[:])
 	for i := 0; i < 6; i++ {
@@ -61,14 +63,14 @@ func (m CCMPFrameMeta) nonce(pn uint64) []byte {
 	return out
 }
 
-// ccmpHeader serializes the 8-byte CCMP header carrying the PN.
-func ccmpHeader(pn uint64, keyID byte) []byte {
-	return []byte{
-		byte(pn), byte(pn >> 8),
-		0,                   // reserved
-		0x20 | (keyID&3)<<6, // ExtIV set
-		byte(pn >> 16), byte(pn >> 24), byte(pn >> 32), byte(pn >> 40),
-	}
+// appendCCMPHeader appends the 8-byte CCMP header carrying the PN.
+func appendCCMPHeader(dst []byte, pn uint64, keyID byte) []byte {
+	return append(dst,
+		byte(pn), byte(pn>>8),
+		0,                 // reserved
+		0x20|(keyID&3)<<6, // ExtIV set
+		byte(pn>>16), byte(pn>>24), byte(pn>>32), byte(pn>>40),
+	)
 }
 
 func parseCCMPHeader(b []byte) (pn uint64, err error) {
@@ -84,10 +86,11 @@ func parseCCMPHeader(b []byte) (pn uint64, err error) {
 }
 
 // CCMPSession protects one direction of one pairwise association: it owns
-// the temporal key, the transmit packet number and the receive replay
-// window.
+// the temporal key's CCM cipher, the transmit packet number and the
+// receive replay window. Sealing and opening share the cipher's working
+// blocks, so a session is not safe for concurrent use.
 type CCMPSession struct {
-	tk   [16]byte
+	ccm  ccm
 	txPN uint64
 	rxPN uint64
 }
@@ -95,18 +98,21 @@ type CCMPSession struct {
 // NewCCMPSession starts a session with the handshake-installed temporal
 // key. PNs start at zero, as after key installation.
 func NewCCMPSession(tk [16]byte) *CCMPSession {
-	return &CCMPSession{tk: tk}
+	block, err := aes.NewCipher(tk[:])
+	if err != nil {
+		panic("crypto80211: AES-128 rejected a 16-byte key: " + err.Error())
+	}
+	return &CCMPSession{ccm: ccm{block: block}}
 }
 
-// Encapsulate protects an MSDU, returning CCMP header || ciphertext || MIC.
+// Encapsulate protects an MSDU, returning CCMP header || ciphertext || MIC
+// in one new buffer.
 func (s *CCMPSession) Encapsulate(meta CCMPFrameMeta, msdu []byte) ([]byte, error) {
 	s.txPN++
 	pn := s.txPN
-	sealed, err := CCMEncrypt(s.tk[:], meta.nonce(pn), meta.aad(), msdu)
-	if err != nil {
-		return nil, err
-	}
-	return append(ccmpHeader(pn, 0), sealed...), nil
+	nonce, aad := meta.nonce(pn), meta.aad()
+	out := appendCCMPHeader(make([]byte, 0, CCMPOverhead+len(msdu)), pn, 0)
+	return s.ccm.appendSealed(out, nonce[:], aad[:], msdu), nil
 }
 
 // Decapsulate verifies and strips the protection, enforcing strictly
@@ -119,7 +125,8 @@ func (s *CCMPSession) Decapsulate(meta CCMPFrameMeta, body []byte) ([]byte, erro
 	if pn <= s.rxPN {
 		return nil, fmt.Errorf("%w: PN %d after %d", ErrReplay, pn, s.rxPN)
 	}
-	plain, err := CCMDecrypt(s.tk[:], meta.nonce(pn), meta.aad(), body[CCMPHeaderLen:])
+	nonce, aad := meta.nonce(pn), meta.aad()
+	plain, err := s.ccm.open(nonce[:], aad[:], body[CCMPHeaderLen:])
 	if err != nil {
 		return nil, err
 	}

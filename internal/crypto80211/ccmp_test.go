@@ -209,7 +209,7 @@ func TestCCMPHeaderBindsAddresses(t *testing.T) {
 }
 
 func TestCCMPHeaderParsing(t *testing.T) {
-	h := ccmpHeader(0x0000123456789abc, 0)
+	h := appendCCMPHeader(nil, 0x0000123456789abc, 0)
 	pn, err := parseCCMPHeader(h)
 	if err != nil {
 		t.Fatal(err)

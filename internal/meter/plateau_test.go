@@ -146,6 +146,50 @@ func TestPlateauMatchesStepper(t *testing.T) {
 	}
 }
 
+// TestFillCoversEveryRunLength pins materialize's four-wide fill at its
+// edges: step records whose runs are 1 to 9 samples long, in shuffled
+// orders, cover every remainder a fill four samples at a time leaves (and
+// runs with no full group at all). The first step lands on the Start
+// instant, each later one up to a period before the sample instant it
+// moves to, and the last run is one sample long. Samples must equal the
+// per-sample stepper's, sample for sample.
+func TestFillCoversEveryRunLength(t *testing.T) {
+	const rate = 50_000
+	period := sim.Time(time.Second / rate)
+	levels := []units.Amps{0.010, 0.020, 0.030}
+	for trial := int64(0); trial < 12; trial++ {
+		rng := rand.New(rand.NewSource(trial*7919 + 1))
+		var runs []int
+		for k := 0; k < 3; k++ {
+			for _, i := range rng.Perm(9) {
+				runs = append(runs, i+1)
+			}
+		}
+		runs = append(runs, 1)
+		var changes []currentChange
+		at := sim.Time(0)
+		for i, n := range runs {
+			step := at
+			if i > 0 {
+				step -= sim.Time(rng.Int63n(int64(period)))
+			}
+			changes = append(changes, currentChange{at: step, val: levels[i%len(levels)]})
+			at += sim.Time(n) * period
+		}
+		window := at - period
+
+		m, _, _ := runMeter(t, changes, window, rate)
+		want, _ := runStepperReference(t, changes, window, rate)
+		if len(m.steps) != len(runs) {
+			t.Fatalf("trial %d: the meter recorded %d steps for %d runs", trial, len(m.steps), len(runs))
+		}
+		if !slices.Equal(m.Samples, want) {
+			t.Fatalf("trial %d (runs %v): meter produced %d samples, stepper %d, or their values differ",
+				trial, runs, len(m.Samples), len(want))
+		}
+	}
+}
+
 // TestSampleReadsEveryEventAtItsInstant pins the tie rule: the sample at t
 // reads the current after every event at t, however late that event was
 // queued. Two steps land on sample instants: one queued 5 µs before the

@@ -94,10 +94,11 @@ func (r DropReason) String() string {
 
 // frameState tracks one in-flight frame: who sent it and how many potential
 // receivers have not resolved yet. The seen set of the receivers that
-// resolved one by one (one bit per ActorID below 64, a list past that) is
-// what makes double resolution a detectable bug rather than a silently
-// double-counted outcome. Receivers settled in bulk by ResolveOutOfRange
-// are only counted. A completed frame's state is recycled through next.
+// resolved one by one (one bit per ActorID below 64, a sorted list past
+// that) is what makes double resolution a detectable bug rather than a
+// silently double-counted outcome. Receivers settled in bulk by
+// ResolveOutOfRange are only counted. A completed frame's state is
+// recycled through next.
 type frameState struct {
 	from    ActorID
 	pending int32
@@ -113,11 +114,17 @@ func (f *frameState) mark(rx ActorID) (already bool) {
 		f.seen |= bit
 		return already
 	}
-	if slices.Contains(f.more, rx) {
-		return true
+	// The medium resolves a frame's receivers in attach order, so rx
+	// usually sorts last; any other goes in by binary search.
+	if n := len(f.more); n == 0 || f.more[n-1] < rx {
+		f.more = append(f.more, rx)
+		return false
 	}
-	f.more = append(f.more, rx)
-	return false
+	i, found := slices.BinarySearch(f.more, rx)
+	if !found {
+		f.more = slices.Insert(f.more, i, rx)
+	}
+	return found
 }
 
 // nameID identifies one distinct actor name: the names table gives each

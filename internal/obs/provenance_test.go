@@ -3,7 +3,10 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
+	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -320,6 +323,69 @@ func TestProvenanceManyActors(t *testing.T) {
 		t.Fatalf("Verify: %v", err)
 	}
 	mustPanic(t, "resolve of a completed frame", func() { p.Resolve(f, ids[n-1], 0, Delivered) })
+}
+
+// TestProvenanceSeenSetOutOfOrder resolves the receivers past the inline
+// mask in shuffled order, so the seen set's ids arrive above, below and
+// between the ones it holds; after each resolve, a second resolve of any
+// receiver already resolved must panic.
+func TestProvenanceSeenSetOutOfOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(64))
+	for trial := 0; trial < 5; trial++ {
+		p := NewProvenance()
+		const n = 200
+		ids := make([]ActorID, n)
+		for i := range ids {
+			ids[i] = p.Actor("a")
+		}
+		rxs := ids[64:]
+		f := p.Transmitted(ids[0], len(rxs))
+		rng.Shuffle(len(rxs), func(i, j int) { rxs[i], rxs[j] = rxs[j], rxs[i] })
+		for i, rx := range rxs {
+			p.Resolve(f, rx, 0, Delivered)
+			if i+1 < len(rxs) {
+				again := rxs[rng.Intn(i+1)]
+				mustPanic(t, fmt.Sprintf("trial %d: double resolve of actor %d", trial, again), func() { p.Resolve(f, again, 0, Delivered) })
+			}
+		}
+		if err := p.Verify(); err != nil {
+			t.Fatalf("trial %d: Verify: %v", trial, err)
+		}
+	}
+}
+
+// TestProvenanceHoldsNoMap walks the ledger's type graph and fails on any
+// Go map in it. How often a map allocates while it grows depends on its
+// random per-map seed, so a map would make identical runs allocate
+// differently; the ledger interns names and rows in tables of its own
+// instead. TestProvenanceAllocatesTheSameEveryRun measures the same rule,
+// but a map's growth does not show in its count under every toolchain.
+func TestProvenanceHoldsNoMap(t *testing.T) {
+	walked := make(map[reflect.Type]bool)
+	var walk func(reflect.Type, string)
+	walk = func(typ reflect.Type, path string) {
+		if walked[typ] {
+			return // frameState.next leads back to frameState
+		}
+		walked[typ] = true
+		switch typ.Kind() {
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				f := typ.Field(i)
+				walk(f.Type, path+"."+f.Name)
+			}
+		case reflect.Array, reflect.Slice:
+			walk(typ.Elem(), path+"[]")
+		case reflect.Pointer:
+			walk(typ.Elem(), path)
+		case reflect.Map:
+			t.Errorf("%s is a %s", path, typ)
+		}
+	}
+	walk(reflect.TypeOf(Provenance{}), "Provenance")
+	if !walked[reflect.TypeOf(frameState{})] || !walked[reflect.TypeOf(nameTable{})] || !walked[reflect.TypeOf(linkRow{})] {
+		t.Fatal("the walk missed the frame states, the name table or the report rows")
+	}
 }
 
 // TestProvenanceOutOfRangeRow pins the bulk settle: it completes frames
